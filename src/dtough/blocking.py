@@ -61,12 +61,12 @@ def _union_triangulation(p: Sequence[Point], b: Sequence[Point]) -> Optional[Tri
     pts = tuple(p) + tuple(b)
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
+    if len(pts) > 2:
+        return build(pts)  # certifies general position, raising DegenerateInput
     violation = general_position(pts)
     if violation is not None:
         raise DegenerateInput(violation)
-    if len(pts) == 2:
-        return None  # the bare pair; its single edge exists by definition
-    return build(pts)
+    return None  # the bare pair; its single edge exists by definition
 
 
 def _pp_edges(tri: Triangulation, p_count: int) -> list[tuple[int, int]]:

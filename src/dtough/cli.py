@@ -466,6 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         code, report = handlers[args.command](args)
+    except InvariantBroken as exc:  # a falsification alarm, wherever it surfaced
+        code, report = EXIT_ALARM, {"command": args.command, "error": str(exc)}
     except DToughError as exc:  # anything not already mapped is an input problem
         code, report = EXIT_INPUT, {"command": args.command, "error": str(exc)}
     if report is not None:

@@ -1,9 +1,13 @@
 """Delaunay triangulation construction and verification.
 
 ``build`` runs incremental insertion with exact in-circle edge flipping and
-a linear-walk point location (no spatial index; desk scale). Its output is
-never trusted: ``verify_delaunay`` re-checks the empty-circumdisk property
-of every face against every vertex by brute force, and tests run both.
+a linear-walk point location (no spatial index; desk scale). It certifies
+general position and inserts on the lcm-scaled integer copy of the points
+(``exactgeom.scaled_to_integers``), which gives the same triangles as the
+rational points; the returned ``Triangulation`` holds the caller's points.
+Its output is never trusted: ``verify_delaunay`` re-checks the
+empty-circumdisk property of every face against every vertex by brute force,
+on the ``Fraction`` coordinates, and tests run both.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -20,6 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateInput,
+    InvariantBroken,
     NotInteriorEdge,
     TooFewPoints,
     WitnessSearchFailed,
@@ -37,6 +42,7 @@ from .exactgeom import (
     in_circle,
     midpoint,
     orient,
+    scaled_to_integers,
 )
 
 
@@ -137,7 +143,7 @@ def _hull_cycle(n: int, boundary_edges: list[tuple[int, int]], pts: Sequence[Poi
             raise ValueError("boundary edges do not close into one cycle")
     if len(cycle) != len(boundary_edges):
         raise ValueError("boundary edges form more than one cycle")
-    area2 = Fraction(0)
+    area2 = 0
     for i in range(len(cycle)):
         a = pts[cycle[i]]
         b = pts[cycle[(i + 1) % len(cycle)]]
@@ -280,7 +286,7 @@ class _Builder:
             a, b, c = (self.pts[i] for i in t_p)
             side = in_circle(a, b, c, self.pts[w])
             if side is CirclePosition.ON:
-                raise AssertionError("cocircular flip test on general-position input")
+                raise InvariantBroken("cocircular flip test on general-position input")
             if side is CirclePosition.INSIDE:
                 self.remove(t_p)
                 self.remove(t_o)
@@ -309,16 +315,18 @@ class _Builder:
                     self.add(v, u, i)
                     stack.append((u, v, i))
             if not stack:
-                raise AssertionError("outside point sees no hull edge")
+                raise InvariantBroken("outside point sees no hull edge")
         self.legalize(stack)
 
 
 def build(points: Sequence[Point]) -> Triangulation:
     """Delaunay triangulation of a general-position point set.
 
-    Incremental insertion in input order with exact flipping. Uniqueness
-    under general position makes the result independent of insertion order;
-    tests check this by shuffling inputs.
+    Incremental insertion in input order with exact flipping, on integer
+    coordinates scaled by the lcm of all denominators; both predicates are
+    invariant under that positive factor. Uniqueness under general position
+    makes the result independent of insertion order; tests check this by
+    shuffling inputs.
     """
     pts = tuple(points)
     if len(pts) < 3:
@@ -326,7 +334,7 @@ def build(points: Sequence[Point]) -> Triangulation:
     violation = general_position(pts)
     if violation is not None:
         raise DegenerateInput(violation)
-    builder = _Builder(pts)
+    builder = _Builder(scaled_to_integers(pts))
     builder.add(0, 1, 2)
     for i in range(3, len(pts)):
         builder.insert(i)

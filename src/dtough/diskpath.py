@@ -128,7 +128,7 @@ def _find(tri: Triangulation, p: int, q: int, d: Disk) -> list[int]:
     d_qr = shrink_toward(d, tri.vertices[q], rp)
     for sub in (d_pr, d_qr):
         if not disk_contains_disk(d, sub):
-            raise AssertionError("shrunken disk escaped its parent")
+            raise InvariantBroken("shrunken disk escaped its parent")
     if disk_classify(d_pr, tri.vertices[q]) is not Position.EXTERIOR:
         raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
     if disk_classify(d_qr, pp) is not Position.EXTERIOR:
@@ -141,7 +141,7 @@ def _find(tri: Triangulation, p: int, q: int, d: Disk) -> list[int]:
             if disk_classify(sub, tri.vertices[x]) is Position.INTERIOR
         )
         if survivors >= len(interior):
-            raise AssertionError("interior vertex count failed to decrease")
+            raise InvariantBroken("interior vertex count failed to decrease")
     left = _find(tri, p, r, d_pr)
     right = _find(tri, q, r, d_qr)
     return _splice_simple(left, right[::-1])

@@ -6,10 +6,18 @@ floating-point rounding and are invariant under rational rescaling of the
 input. Disks store the *squared* radius; radii themselves are irrational in
 general and never materialize.
 
-Speed is traded for certainty throughout: one misclassified in-circle test
-would invalidate every combinatorial audit built on top of this module, so
-there is no floating-point filter layer. All functions are pure and all
-types immutable; the module is safe under any amount of concurrency.
+``orient`` and ``in_circle`` are generic over the number type. The hot paths
+(the general-position certificate and ``delaunay.build``) run them on a copy
+of the point set multiplied by the lcm of its denominators
+(``scaled_to_integers``): the answers are the same, the arithmetic is plain
+``int`` and still exact. The certificate itself is O(n^3): one bisector row
+per pair of points finds every collinear triple and cocircular quadruple
+through that pair.
+
+There is no floating-point filter layer: one misclassified in-circle test
+would invalidate every combinatorial audit built on top of this module. All
+functions are pure and all types immutable; the module is safe under any
+amount of concurrency.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import CollinearInput, PreconditionViolated
+from .errors import CollinearInput, InvariantBroken, PreconditionViolated
 
 Coord = Fraction
 Scalar = Union[int, str, Fraction]
@@ -251,7 +259,7 @@ def shrink_toward(d: Disk, anchor: Point, target: Point) -> Disk:
     # Internal tangency at the anchor, in squared form; a failure here would
     # mean the algebra above is wrong, not that the input is bad.
     if not disks_internally_tangent(d, shrunk):
-        raise AssertionError("shrunken disk lost tangency with its parent")
+        raise InvariantBroken("shrunken disk lost tangency with its parent")
     return shrunk
 
 
@@ -289,12 +297,88 @@ def disks_interior_disjoint(a: Disk, b: Disk) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
+    """The points multiplied by the lcm of all their coordinate denominators.
+
+    Every coordinate of the result is an ``int``. The factor is positive, so
+    ``orient`` and ``in_circle`` give the same answer on the scaled points as
+    on the originals, and integer arithmetic skips the gcd normalisation that
+    every ``Fraction`` operation pays.
+    """
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return tuple(
+        Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in points
+    )
+
+
+def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) -> Optional[Violation]:
+    """Scan the points ``members`` (ascending) against the pair (a, b).
+
+    Returns the collinear triple of a, b and the first member collinear with
+    them. Else returns the cocircular quadruple of a, b and the two smallest
+    points of the group whose smallest point is least, or None when no group
+    has two. Indices in a violation are sorted.
+
+    The circumcenter of a, b, k lies on the perpendicular bisector of ab, at
+    a + B/2 + t perp(B) with B = b - a and perp(B) = (-B.y, B.x). Writing
+    C = k - a, the condition |center - a| = |center - k| solves to
+    2t = C.(C - B) / cross(B, C). Two members share a circle through a and b
+    exactly when they share t, so t, as a reduced fraction with a positive
+    denominator, keys the groups. Coordinates must be ints.
+    """
+    ax, ay = pts[a]
+    bx, by = pts[b].x - ax, pts[b].y - ay
+    first: dict[tuple[int, int], int] = {}
+    best: Optional[tuple[int, int]] = None
+    for k in members:
+        cx, cy = pts[k].x - ax, pts[k].y - ay
+        den = bx * cy - by * cx
+        if den == 0:
+            return Violation(ViolationKind.COLLINEAR, tuple(sorted((a, b, k))))
+        num = cx * (cx - bx) + cy * (cy - by)
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        key = (num // g, den // g)
+        j = first.setdefault(key, k)
+        if j != k and (best is None or (j, k) < best):
+            best = (j, k)
+    if best is None:
+        return None
+    return Violation(ViolationKind.COCIRCULAR, tuple(sorted((a, b) + best)))
+
+
+def _pair_scan(
+    pts: Sequence[Point], pairs: Iterable[tuple[int, int, Sequence[int]]]
+) -> Optional[Violation]:
+    """Collinear and cocircular violations over rows (i, j, members).
+
+    Rows come in an order whose concatenation lists the triples (i, j, k)
+    in the caller's violation order, so the first collinear member of the
+    first row that has one is the first collinear triple. Any collinear
+    triple outranks every cocircular quadruple, so a cocircular hit is only
+    held until the remaining rows show no collinear triple.
+    """
+    cocircular: Optional[Violation] = None
+    for i, j, members in pairs:
+        hit = _bisector_row(pts, i, j, members)
+        if hit is not None and hit.kind is ViolationKind.COLLINEAR:
+            return hit
+        cocircular = cocircular or hit
+    return cocircular
+
+
 def general_position(points: Sequence[Point]) -> Optional[Violation]:
     """None when no two points coincide, no three are collinear, and no four
-    are cocircular; otherwise the first violation found, with witnesses.
+    are cocircular; otherwise the first violation in ``combinations`` order:
+    any duplicate pair before any collinear triple before any cocircular
+    quadruple, each the lexicographically least of its kind.
 
-    The cocircularity scan is the naive O(n^4) one. At desk scale (n <= 64)
-    this is seconds, and it is the only scan whose correctness is obvious.
+    O(n^3) on lcm-scaled integer coordinates: for each pair (a, b) one
+    bisector row over k > b finds the collinear triples (a, b, k) and the
+    cocircular quadruples (a, b, j, k). The answer is exact and equals the
+    naive O(n^4) scan's, which the tests keep as an oracle.
     """
     pts = list(points)
     n = len(pts)
@@ -303,42 +387,27 @@ def general_position(points: Sequence[Point]) -> Optional[Violation]:
         if p in seen:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
         seen[p] = i
-    for i, j, k in combinations(range(n), 3):
-        if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
-            return Violation(ViolationKind.COLLINEAR, (i, j, k))
-    for i, j, k, m in combinations(range(n), 4):
-        if in_circle(pts[i], pts[j], pts[k], pts[m]) is CirclePosition.ON:
-            return Violation(ViolationKind.COCIRCULAR, (i, j, k, m))
-    return None
+    q = scaled_to_integers(pts)
+    return _pair_scan(q, ((a, b, range(b + 1, n)) for a in range(n) for b in range(a + 1, n)))
 
 
 def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Optional[Violation]:
     """General-position check of base + added, assuming base alone passes.
 
-    Only tuples touching an added point are scanned, which drops the
-    cocircularity cost from O((n+k)^4) to O(k n^3). Indices in a returned
-    violation refer to the concatenated sequence.
+    Only tuples whose largest index is an added point are scanned: for each
+    added a and each i < a, one bisector row over i < j < a, which is
+    O(k n^2). Violations come in the order (a, i, j, k) of those tuples;
+    indices refer to the concatenated sequence.
     """
     pts = list(base) + list(added)
-    n_base = len(base)
     n = len(pts)
-    added_range = range(n_base, n)
-    base_range = range(n_base)
+    added_range = range(len(base), n)
     for i in added_range:
         for j in range(n):
             if j != i and pts[j] == pts[i]:
                 return Violation(ViolationKind.DUPLICATE, tuple(sorted((j, i))))
-    for a in added_range:
-        for i, j in combinations(range(a), 2):
-            if orient(pts[i], pts[j], pts[a]) is Orientation.COLLINEAR:
-                return Violation(ViolationKind.COLLINEAR, (i, j, a))
-    for a in added_range:
-        for i, j, k in combinations(range(a), 3):
-            if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
-                continue  # caught above when it involves an added point
-            if in_circle(pts[i], pts[j], pts[k], pts[a]) is CirclePosition.ON:
-                return Violation(ViolationKind.COCIRCULAR, (i, j, k, a))
-    return None
+    q = scaled_to_integers(pts)
+    return _pair_scan(q, ((i, a, range(i + 1, a)) for a in added_range for i in range(a)))
 
 
 def int_at_least_sqrt(value: Fraction) -> int:

@@ -13,9 +13,23 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from dtough import blocking, build, cli
-from dtough.exactgeom import Disk, Point, disk_classify, dist_sq, midpoint, Position
+from dtough.exactgeom import (
+    CirclePosition,
+    Disk,
+    Orientation,
+    Point,
+    Position,
+    Violation,
+    ViolationKind,
+    disk_classify,
+    dist_sq,
+    in_circle,
+    midpoint,
+    orient,
+)
 from dtough.generate import random_points
 
 
@@ -58,6 +72,48 @@ def uf_components(n: int, edges, removed) -> int:
         if ru != rv:
             parent[ru] = rv
     return len({find(v) for v in parent})
+
+
+def general_position_naive(points):
+    """The O(n^4) general-position scan on Fractions: first violation in
+    ``combinations`` order, duplicates before collinear before cocircular."""
+    pts = list(points)
+    n = len(pts)
+    seen = {}
+    for i, p in enumerate(pts):
+        if p in seen:
+            return Violation(ViolationKind.DUPLICATE, (seen[p], i))
+        seen[p] = i
+    for i, j, k in combinations(range(n), 3):
+        if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
+            return Violation(ViolationKind.COLLINEAR, (i, j, k))
+    for i, j, k, m in combinations(range(n), 4):
+        if in_circle(pts[i], pts[j], pts[k], pts[m]) is CirclePosition.ON:
+            return Violation(ViolationKind.COCIRCULAR, (i, j, k, m))
+    return None
+
+
+def general_position_added_naive(base, added):
+    """The O(k n^3) scan of base + added over tuples ending in an added point,
+    assuming base alone is in general position."""
+    pts = list(base) + list(added)
+    n = len(pts)
+    added_range = range(len(base), n)
+    for i in added_range:
+        for j in range(n):
+            if j != i and pts[j] == pts[i]:
+                return Violation(ViolationKind.DUPLICATE, tuple(sorted((j, i))))
+    for a in added_range:
+        for i, j in combinations(range(a), 2):
+            if orient(pts[i], pts[j], pts[a]) is Orientation.COLLINEAR:
+                return Violation(ViolationKind.COLLINEAR, (i, j, a))
+    for a in added_range:
+        for i, j, k in combinations(range(a), 3):
+            if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
+                continue  # caught above when it involves an added point
+            if in_circle(pts[i], pts[j], pts[k], pts[a]) is CirclePosition.ON:
+                return Violation(ViolationKind.COCIRCULAR, (i, j, k, a))
+    return None
 
 
 def mis_exhaustive(n: int, edges) -> int:

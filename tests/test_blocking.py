@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dtough import blocking, delaunay, exactgeom
 from dtough.blocking import (
     disjoint_disk_instance,
     fan_instance,
@@ -42,6 +43,23 @@ def test_needs_two_points():
 def test_degenerate_union_rejected():
     with pytest.raises(DegenerateInput):
         verify_blocking((P(0, 0), P(2, 2)), (P(1, 1),))  # collinear
+    with pytest.raises(DegenerateInput):
+        verify_blocking((P(0, 0), P(0, 0)), ())  # the bare pair coincides
+
+
+def test_union_is_scanned_once(monkeypatch):
+    inst = helpers.fan(6)
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return exactgeom.general_position(points)
+
+    for module in (blocking, delaunay):
+        monkeypatch.setattr(module, "general_position", counting)
+    assert verify_blocking(inst.points, inst.blockers).blocked
+    assert lower_bound_report(inst.points, inst.blockers).blocked
+    assert sizes == [12, 12]
 
 
 def test_fan_instances_blocked_and_tight():

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from dtough import delaunay
 from dtough.pointfile import format_points, parse_points
 from dtough.errors import PointFileError
-from dtough.exactgeom import point, general_position
+from dtough.exactgeom import CirclePosition, point, general_position
 
 import helpers
 
@@ -118,6 +119,15 @@ def test_check_exit_codes(tmp_path):
     assert code == 0
     code, _ = helpers.run_cli(["check", str(big), "--checks", "bogus"])
     assert code == 2
+
+
+def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch):
+    quad = tmp_path / "quad.txt"
+    quad.write_text("0 0\n2 0\n3 2\n1 3\n")
+    monkeypatch.setattr(delaunay, "in_circle", lambda *points: CirclePosition.ON)
+    code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
+    assert code == 1
+    assert "cocircular flip" in json.loads(out)["error"]
 
 
 def test_check_multiple_files(tmp_path):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from dtough import delaunay
 from dtough.delaunay import (
     EdgeKind,
     Triangulation,
@@ -11,8 +13,8 @@ from dtough.delaunay import (
     verify_delaunay,
     witness_disk,
 )
-from dtough.errors import DegenerateInput, NotInteriorEdge, TooFewPoints
-from dtough.exactgeom import Position, disk_classify, point
+from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
+from dtough.exactgeom import CirclePosition, Point, Position, disk_classify, point
 
 import helpers
 
@@ -93,6 +95,25 @@ def test_build_verify_sweep():
         for e in t.edges:
             if e.kind is EdgeKind.INTERIOR:
                 assert edge_angle_check(t, e.u, e.v)
+
+
+def test_build_keeps_caller_points_and_ignores_scale():
+    pts, t = helpers.random_tri(12, 4242)
+    assert t.vertices == tuple(pts)
+    assert all(type(c) is Fraction for p in t.vertices for c in p)
+    for factor in (Fraction(3), Fraction(1, 7)):
+        moved = tuple(Point(p.x * factor, p.y * factor) for p in pts)
+        scaled = build(moved)
+        assert scaled.vertices == moved
+        assert (scaled.triangles, scaled.hull, scaled.edges) == (t.triangles, t.hull, t.edges)
+
+
+def test_cocircular_flip_is_an_invariant_alarm(monkeypatch):
+    # general position rules out an ON answer in the flip test; a predicate
+    # that gives one anyway must surface as an alarm, not a bare assertion
+    monkeypatch.setattr(delaunay, "in_circle", lambda *points: CirclePosition.ON)
+    with pytest.raises(InvariantBroken):
+        build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 
 
 def _edge_points(t: Triangulation) -> frozenset:

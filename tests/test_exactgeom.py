@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,19 @@ from dtough.exactgeom import (
     disks_interior_disjoint,
     disks_internally_tangent,
     general_position,
+    general_position_added,
     in_circle,
     orient,
     point,
+    scaled_to_integers,
     shrink_parameter,
     shrink_toward,
     triangle_classify,
 )
+from dtough.blocking import fan_instance
+from dtough.generate import convex_points
+
+import helpers
 
 P = point
 
@@ -136,6 +143,41 @@ def test_general_position_examples():
     assert general_position(dup) == Violation(ViolationKind.DUPLICATE, (0, 2))
 
 
+def test_general_position_reports_least_group_of_a_row():
+    # In the row of pair (0, 1), points 6 and 7 share a circle through 0 and 1
+    # and so do 5 and 9. The (6, 7) collision is met first, but (0, 1, 5, 9)
+    # is the first cocircular quadruple in combinations order.
+    pts = [P(x, y) for x, y in (
+        (0, 0), (10, 0), (-2, 12), (12, -8), (18, 8),
+        (1, -3), (-7, 7), (17, 17), (10, 1), (8, -4),
+    )]
+    expected = Violation(ViolationKind.COCIRCULAR, (0, 1, 5, 9))
+    assert helpers.general_position_naive(pts) == expected
+    assert general_position(pts) == expected
+
+
+def test_scaled_to_integers():
+    scaled = scaled_to_integers([P("1/2", "1/3"), P(2, "-5/6")])
+    assert scaled == (Point(3, 2), Point(12, -5))
+    assert all(type(c) is int for p in scaled for c in p)
+
+
+def test_general_position_large_denominators():
+    # rational-parameterisation points: the lcm of the denominators is 51
+    # bits for the convex set and 58 for the fan with its blockers
+    fan = fan_instance(8, 1)
+    for base, extra in ((convex_points(10, 2), ()), (fan.points, fan.blockers)):
+        assert math.lcm(*(c.denominator for p in base for c in p)) > 2**32
+        assert general_position(base + extra) is None
+        # reflecting a vertex across a circumcenter adds a cocircular point
+        d = circumdisk(base[0], base[3], base[5])
+        fourth = P(2 * d.center.x - base[3].x, 2 * d.center.y - base[3].y)
+        grown = list(base) + [fourth]
+        found = general_position(grown)
+        assert found is not None and found == helpers.general_position_naive(grown)
+        assert general_position_added(base, [fourth]) == helpers.general_position_added_naive(base, [fourth])
+
+
 def test_on_circle_iff_cocircular():
     pts = [P(0, 0), P(3, 1), P(1, 4)]
     d = circumdisk(*pts)
@@ -193,3 +235,24 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         disk_before = circumdisk(a, b, c)
         disk_after = Disk(scale(disk_before.center), disk_before.radius_sq * factor**2)
         assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
+
+
+# Coordinates in {-3..3}/{1..3}: duplicates, collinear triples and cocircular
+# quadruples are all common at this size.
+grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+grid_points = st.builds(Point, grid_fraction, grid_fraction)
+
+
+@given(st.lists(grid_points, min_size=3, max_size=9))
+def test_general_position_matches_naive_scan(pts):
+    assert general_position(pts) == helpers.general_position_naive(pts)
+
+
+@given(st.lists(grid_points, min_size=3, max_size=9), st.lists(grid_points, min_size=1, max_size=3))
+def test_general_position_added_matches_naive_scan(candidates, added):
+    base = []  # the contract assumes a base in general position
+    for p in candidates:
+        if helpers.general_position_naive(base + [p]) is None:
+            base.append(p)
+    found = general_position_added(base, added)
+    assert found == helpers.general_position_added_naive(base, added)

@@ -266,6 +266,15 @@ def test_audit_random_instances():
         assert 2 * len(cert) <= n  # the bound the audit certifies
 
 
+def test_audit_sentinels_in_caller_coordinates():
+    # Pinned from the Fraction-coordinate builder: building on lcm-scaled
+    # integers must not leak that scale into the sentinel placement.
+    t = build([P("1/2", 0), P(3, "1/3"), P(1, 2), P("2/5", "7/4"), P("9/4", "5/2")])
+    rep = angle_audit(t, frozenset({1, 3}))
+    assert rep.anchor == 0
+    assert rep.sentinels == (P("-309/70", "552/35"), P("511/30", "-28/15"))
+
+
 def test_audit_rejects_dependent_set():
     t = helpers.fan_tri(6)
     e = t.edges[0]
