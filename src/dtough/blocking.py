@@ -16,18 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .delaunay import Triangulation, build
+from .delaunay import build
 from .errors import ConstructionFailed, DegenerateInput, PreconditionViolated
 from .exactgeom import (
     Disk,
     Point,
-    Position,
-    disk_classify,
     disks_interior_disjoint,
     dist_sq,
     general_position,
+    is_witness_disk,
     midpoint,
-    orient,
+    outward_normal,
 )
 
 
@@ -43,6 +42,7 @@ class LowerBoundReport:
     size_ok: bool  # |B| >= |P|
     p_size: int
     b_size: int
+    witness: Optional[tuple[int, int]]  # a surviving P-P edge when not blocked
 
     @property
     def alarm(self) -> bool:
@@ -57,31 +57,28 @@ class BlockingInstance:
     verified: bool
 
 
-def _union_triangulation(p: Sequence[Point], b: Sequence[Point]) -> Optional[Triangulation]:
+def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[int, int]]:
+    """The first P-P edge of the union's Delaunay triangulation, or None.
+
+    The bare pair (two points, no blockers) has its single edge by
+    definition; larger unions are certified and triangulated by ``build``,
+    which raises DegenerateInput.
+    """
     pts = tuple(p) + tuple(b)
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
-    if len(pts) > 2:
-        return build(pts)  # certifies general position, raising DegenerateInput
-    violation = general_position(pts)
-    if violation is not None:
-        raise DegenerateInput(violation)
-    return None  # the bare pair; its single edge exists by definition
-
-
-def _pp_edges(tri: Triangulation, p_count: int) -> list[tuple[int, int]]:
-    return [(e.u, e.v) for e in tri.edges if e.u < p_count and e.v < p_count]
+    if len(pts) == 2:
+        violation = general_position(pts)
+        if violation is not None:
+            raise DegenerateInput(violation)
+        return (0, 1)
+    return next(((e.u, e.v) for e in build(pts).edges if e.u < len(p) and e.v < len(p)), None)
 
 
 def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> BlockingVerdict:
     """BLOCKED iff the union's Delaunay triangulation has no P-P edge."""
-    tri = _union_triangulation(p, b)
-    if tri is None:
-        return BlockingVerdict(False, (0, 1))
-    offenders = _pp_edges(tri, len(p))
-    if offenders:
-        return BlockingVerdict(False, offenders[0])
-    return BlockingVerdict(True, None)
+    witness = _surviving_pp_edge(p, b)
+    return BlockingVerdict(witness is None, witness)
 
 
 def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundReport:
@@ -91,32 +88,15 @@ def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundRepo
     A blocked instance failing either is an alarm, never silently accepted;
     callers check ``.alarm``.
     """
-    tri = _union_triangulation(p, b)
-    if tri is None:
-        return LowerBoundReport(False, False, len(b) >= len(p), len(p), len(b))
-    offenders = _pp_edges(tri, len(p))
-    blocked = not offenders
-    p_independent = not offenders  # same scan, stated as the independence fact
-    return LowerBoundReport(blocked, p_independent, len(b) >= len(p), len(p), len(b))
+    witness = _surviving_pp_edge(p, b)
+    blocked = witness is None
+    p_independent = witness is None  # same scan, stated as the independence fact
+    return LowerBoundReport(blocked, p_independent, len(b) >= len(p), len(p), len(b), witness)
 
 
 # ---------------------------------------------------------------------------
 # Fan instances (tightness family: n points blocked by exactly n)
 # ---------------------------------------------------------------------------
-
-
-def _rot90(v: Point) -> Point:
-    return Point(-v.y, v.x)
-
-
-def _outward_normal(a: Point, b: Point, inside_probe: Point) -> Point:
-    """Perpendicular of (b - a) pointing away from the probe's side."""
-    n = _rot90(Point(b.x - a.x, b.y - a.y))
-    side = orient(a, b, inside_probe)
-    tip = Point(a.x + n.x, a.y + n.y)
-    if orient(a, b, tip) is side:
-        n = Point(-n.x, -n.y)
-    return n
 
 
 def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
@@ -144,10 +124,11 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
             den = 1 + t * t
             pts.append(Point(radius * (1 - t * t) / den, radius * 2 * t / den))
         points = tuple(pts)
-        if general_position(points) is not None:
+        try:
+            tri = build(points)
+        except DegenerateInput:
             eps /= 2
             continue
-        tri = build(points)
         if len(tri.hull) != n:
             eps /= 2
             continue
@@ -161,7 +142,7 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         # Two blockers close to the hub, just outside the hub's hull edges.
         for arm, probe in ((1, n - 1), (n - 1, 1)):
             c = points[arm]
-            nrm = _outward_normal(hub, c, points[probe])
+            nrm = outward_normal(hub, c, points[probe])
             blockers.append(
                 Point(eps * c.x + eps * eps * nrm.x, eps * c.y + eps * eps * nrm.y)
             )
@@ -169,14 +150,15 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         for i in range(1, n - 1):
             a, c = points[i], points[i + 1]
             m = midpoint(a, c)
-            nrm = _outward_normal(a, c, hub)
+            nrm = outward_normal(a, c, hub)
             blockers.append(Point(m.x + eps * nrm.x, m.y + eps * nrm.y))
 
         b = tuple(blockers)
-        if general_position(points + b) is not None:
-            eps /= 2
-            continue
-        if not verify_blocking(points, b).blocked:
+        try:
+            blocked = verify_blocking(points, b).blocked
+        except DegenerateInput:
+            blocked = False
+        if not blocked:
             eps /= 2
             continue
         return BlockingInstance(points, b, verified=True)
@@ -200,17 +182,6 @@ def _externally_tangent(a: Disk, b: Disk) -> bool:
     return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
 
 
-def _is_witness(points: Sequence[Point], d: Disk, i: int, j: int) -> bool:
-    for k, p in enumerate(points):
-        pos = disk_classify(d, p)
-        if k in (i, j):
-            if pos is not Position.BOUNDARY:
-                return False
-        elif pos is not Position.EXTERIOR:
-            return False
-    return True
-
-
 def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
     """Points on a nearly flat convex arc with geometrically growing gaps,
     plus one witness disk per consecutive edge, interior-disjoint as a family.
@@ -231,11 +202,11 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
         if n == 2:
             d = Disk(midpoint(points[0], points[1]), dist_sq(midpoint(points[0], points[1]), points[0]))
             return DisjointDiskInstance(points, (d,), True)
-        violation = general_position(points)
-        if violation is not None:  # unreachable for this arc; kept as a guard
+        try:
+            tri = build(points)
+        except DegenerateInput:  # unreachable for this arc; kept as a guard
             flat *= 2
             continue
-        tri = build(points)
         if not all(tri.is_edge(i, i + 1) for i in range(n - 1)):
             flat *= 2
             continue
@@ -243,7 +214,7 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
         disks = []
         c0 = midpoint(points[0], points[1])
         disks.append(Disk(c0, dist_sq(c0, points[0])))
-        ok = _is_witness(points, disks[0], 0, 1)
+        ok = is_witness_disk(points, disks[0], 0, 1)
         for i in range(1, n - 1):
             if not ok:
                 break
@@ -258,7 +229,7 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
             s = dist_sq(shared, after) / den
             center = Point(shared.x + s * d.x, shared.y + s * d.y)
             nxt = Disk(center, dist_sq(center, shared))
-            if not _is_witness(points, nxt, i, i + 1):
+            if not is_witness_disk(points, nxt, i, i + 1):
                 ok = False
                 break
             if not _externally_tangent(disks[-1], nxt):

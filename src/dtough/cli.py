@@ -4,18 +4,16 @@ verdicts, and SVG rendering.
 Verdict reports are JSON on stdout with exact rationals serialized as
 ``a/b`` strings (never floats). Exit codes: 0 every requested verdict
 affirms, 1 a verified invariant failed (a falsification alarm), 2 input
-could not be parsed or is degenerate, 3 a size gate refused an exhaustive
-check (raise it with --max-n).
+could not be parsed or is degenerate, or an output file could not be
+written, 3 a size gate refused an exhaustive check (raise it with --max-n).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,8 +48,6 @@ TOUGHNESS_GATE = 18
 MIS_GATE = 30
 AUDIT_GATE = 30
 
-ALL_CHECKS = ("delaunay", "toughness", "mis", "matching", "audit")
-
 
 def _frac(f: Fraction) -> str:
     return pointfile.fraction_str(f)
@@ -69,161 +65,139 @@ def _instance_summary(tri: Triangulation) -> dict:
     }
 
 
-def _max_workers(tasks: int) -> int:
-    cap = os.environ.get("DTOUGH_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(limit, tasks))
-
-
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
+#
+# Each check takes the triangulation, its size limit (None when ungated) and
+# the verdicts of the checks before it, and returns its verdict. A verdict
+# whose "ok" is false is a falsification alarm.
+
+
+def _check_delaunay(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    counter = verify_delaunay(tri)
+    angles_ok = all(
+        edge_angle_check(tri, e.u, e.v) for e in tri.edges if e.kind is EdgeKind.INTERIOR
+    )
+    return {
+        "empty_circumdisks": counter is None,
+        "interior_angle_ok": angles_ok,
+        "counterexample": None
+        if counter is None
+        else {"triangle": list(counter.triangle), "vertex": counter.vertex},
+        "ok": counter is None and angles_ok,
+    }
+
+
+def _check_toughness(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    worst = structure.toughness_exhaustive(tri, max_n=limit)
+    if worst is None:
+        return {"toughness": None, "witness": None, "ok": True}
+    return {
+        "toughness": _frac(worst.ratio),
+        "witness": sorted(worst.separator),
+        "components": worst.component_count,
+        "ok": worst.ratio >= 1,
+    }
+
+
+def _check_mis(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    size, cert = structure.max_independent_set(tri, max_n=limit)
+    bound = len(tri) // 2
+    return {"size": size, "bound": bound, "certificate": sorted(cert), "ok": size <= bound}
+
+
+def _check_matching(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    try:
+        matching = structure.perfect_matching(tri)
+    except InvariantBroken as exc:
+        return {"exists": False, "error": str(exc), "ok": False}
+    exists = matching is not None
+    return {
+        "exists": exists,
+        "edges": sorted(map(list, matching)) if matching else None,
+        "ok": exists == (len(tri) % 2 == 0),
+    }
+
+
+def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    mis = earlier.get("mis", {})
+    if "certificate" in mis:  # the audit certifies the set the mis check found
+        cert = mis["certificate"]
+    else:
+        cert = sorted(structure.max_independent_set(tri, max_n=limit)[1])
+    rep = structure.angle_audit(tri, cert)
+    ok = (
+        rep.euler_ok
+        and rep.per_edge_ok
+        and rep.strict_inequality_ok
+        and rep.bad_face_bound_ok
+        and rep.independent_matches_bad
+        and rep.float_agrees
+    )
+    return {
+        "independent_set": cert,
+        "anchor": rep.anchor,
+        "sentinels": [_point_json(s) for s in rep.sentinels],
+        "good_faces": rep.good_faces,
+        "bad_faces": rep.bad_faces,
+        "subgraph_edges": rep.subgraph_edges,
+        "subgraph_vertices": rep.subgraph_vertices,
+        "euler_ok": rep.euler_ok,
+        "angle_total_exact": rep.angle_total_exact,
+        "per_edge_ok": rep.per_edge_ok,
+        "strict_inequality_ok": rep.strict_inequality_ok,
+        "bad_face_bound_ok": rep.bad_face_bound_ok,
+        "independent_matches_bad": rep.independent_matches_bad,
+        "float_agrees": rep.float_agrees,
+        "ok": ok,
+    }
+
+
+# Check name -> (default size gate, or None when ungated; check function).
+CHECKS = {
+    "delaunay": (None, _check_delaunay),
+    "toughness": (TOUGHNESS_GATE, _check_toughness),
+    "mis": (MIS_GATE, _check_mis),
+    "matching": (None, _check_matching),
+    "audit": (AUDIT_GATE, _check_audit),
+}
+ALL_CHECKS = tuple(CHECKS)
 
 
 def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[int, dict]:
     report: dict = {"command": "check", "file": path}
     try:
-        points = pointfile.read_points(path)
-        tri = build(points)
+        tri = build(pointfile.read_points(path))
     except (PointFileError, DegenerateInput, TooFewPoints, OSError) as exc:
         report["error"] = str(exc)
         return EXIT_INPUT, report
     report["instance"] = _instance_summary(tri)
-    n = len(tri)
     verdicts: dict = {}
     report["verdicts"] = verdicts
     code = EXIT_OK
-
-    def gate(name: str, default_gate: int) -> bool:
-        limit = max(default_gate, max_n or 0)
-        if n > limit:
-            verdicts[name] = {"refused": f"n={n} exceeds gate {limit}; raise with --max-n"}
-            return False
-        return True
-
-    mis_result: Optional[tuple[int, frozenset[int]]] = None
-
     for name in checks:
-        if name == "delaunay":
-            counter = verify_delaunay(tri)
-            angles_ok = all(
-                edge_angle_check(tri, e.u, e.v)
-                for e in tri.edges
-                if e.kind is EdgeKind.INTERIOR
-            )
-            ok = counter is None and angles_ok
-            verdicts["delaunay"] = {
-                "empty_circumdisks": counter is None,
-                "interior_angle_ok": angles_ok,
-                "counterexample": None
-                if counter is None
-                else {"triangle": list(counter.triangle), "vertex": counter.vertex},
-                "ok": ok,
-            }
-            if not ok:
-                code = max(code, EXIT_ALARM)
-        elif name == "toughness":
-            if not gate("toughness", TOUGHNESS_GATE):
-                code = max(code, EXIT_GATE)
-                continue
-            worst = structure.toughness_exhaustive(tri, max_n=max(TOUGHNESS_GATE, max_n or 0))
-            if worst is None:
-                verdicts["toughness"] = {"toughness": None, "witness": None, "ok": True}
-            else:
-                ok = worst.ratio >= 1
-                verdicts["toughness"] = {
-                    "toughness": _frac(worst.ratio),
-                    "witness": sorted(worst.separator),
-                    "components": worst.component_count,
-                    "ok": ok,
-                }
-                if not ok:
-                    code = max(code, EXIT_ALARM)
-        elif name == "mis":
-            if not gate("mis", MIS_GATE):
-                code = max(code, EXIT_GATE)
-                continue
-            size, cert = structure.max_independent_set(tri, max_n=max(MIS_GATE, max_n or 0))
-            mis_result = (size, cert)
-            ok = size <= n // 2
-            verdicts["mis"] = {
-                "size": size,
-                "bound": n // 2,
-                "certificate": sorted(cert),
-                "ok": ok,
-            }
-            if not ok:
-                code = max(code, EXIT_ALARM)
-        elif name == "matching":
-            try:
-                matching = structure.perfect_matching(tri)
-            except InvariantBroken as exc:
-                verdicts["matching"] = {"exists": False, "error": str(exc), "ok": False}
-                code = max(code, EXIT_ALARM)
-                continue
-            exists = matching is not None
-            ok = exists == (n % 2 == 0)
-            verdicts["matching"] = {
-                "exists": exists,
-                "edges": sorted(map(list, matching)) if matching else None,
-                "ok": ok,
-            }
-            if not ok:
-                code = max(code, EXIT_ALARM)
-        elif name == "audit":
-            if not gate("audit", AUDIT_GATE):
-                code = max(code, EXIT_GATE)
-                continue
-            if mis_result is None:
-                size, cert = structure.max_independent_set(tri, max_n=max(AUDIT_GATE, max_n or 0))
-            else:
-                size, cert = mis_result
-            rep = structure.angle_audit(tri, cert)
-            ok = (
-                rep.euler_ok
-                and rep.per_edge_ok
-                and rep.strict_inequality_ok
-                and rep.bad_face_bound_ok
-                and rep.independent_matches_bad
-                and rep.float_agrees
-            )
-            verdicts["audit"] = {
-                "independent_set": sorted(cert),
-                "anchor": rep.anchor,
-                "sentinels": [_point_json(s) for s in rep.sentinels],
-                "good_faces": rep.good_faces,
-                "bad_faces": rep.bad_faces,
-                "subgraph_edges": rep.subgraph_edges,
-                "subgraph_vertices": rep.subgraph_vertices,
-                "euler_ok": rep.euler_ok,
-                "angle_total_exact": rep.angle_total_exact,
-                "per_edge_ok": rep.per_edge_ok,
-                "strict_inequality_ok": rep.strict_inequality_ok,
-                "bad_face_bound_ok": rep.bad_face_bound_ok,
-                "independent_matches_bad": rep.independent_matches_bad,
-                "float_agrees": rep.float_agrees,
-                "ok": ok,
-            }
-            if not ok:
-                code = max(code, EXIT_ALARM)
-        else:
-            report["error"] = f"unknown check {name!r}"
-            return EXIT_INPUT, report
+        gate, run = CHECKS[name]
+        limit = None if gate is None else max(gate, max_n or 0)
+        if limit is not None and len(tri) > limit:
+            verdicts[name] = {"refused": f"n={len(tri)} exceeds gate {limit}; raise with --max-n"}
+            code = max(code, EXIT_GATE)
+            continue
+        verdicts[name] = run(tri, limit, verdicts)
+        if not verdicts[name]["ok"]:
+            code = max(code, EXIT_ALARM)
     return code, report
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     for c in checks:
-        if c not in ALL_CHECKS:
+        if c not in CHECKS:
             return EXIT_INPUT, {"command": "check", "error": f"unknown check {c!r}"}
-    files = args.files
-    if len(files) == 1:
-        return _check_one(files[0], checks, args.max_n)
-    with ThreadPoolExecutor(max_workers=_max_workers(len(files))) as pool:
-        results = list(pool.map(lambda f: _check_one(f, checks, args.max_n), files))
-    code = max(c for c, _ in results)
-    return code, {"command": "check", "reports": [r for _, r in results]}
+    results = [_check_one(f, checks, args.max_n) for f in args.files]
+    if len(results) == 1:
+        return results[0]
+    return max(c for c, _ in results), {"command": "check", "reports": [r for _, r in results]}
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +280,16 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report["oracle_path"] = None if oracle is None else list(oracle.vertices)
     report["agree"] = agree
     report["ok"] = agree
+    code = EXIT_OK if agree else EXIT_ALARM
     if args.svg:
         doc = render.render_svg(tri, path=found.vertices, extra_disk=d)
-        Path(args.svg).write_text(doc, encoding="utf-8")
-        report["svg"] = args.svg
-    return (EXIT_OK if agree else EXIT_ALARM), report
+        try:
+            Path(args.svg).write_text(doc, encoding="utf-8")
+            report["svg"] = args.svg
+        except OSError as exc:  # an alarm outranks the unwritable picture
+            report["error"] = str(exc)
+            code = code or EXIT_INPUT
+    return code, report
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +302,17 @@ def _cmd_block(args: argparse.Namespace) -> tuple[int, dict]:
     try:
         p = pointfile.read_points(args.points)
         b = pointfile.read_points(args.blockers)
-        verdict = blocking.verify_blocking(p, b)
         bound = blocking.lower_bound_report(p, b)
     except (PointFileError, DegenerateInput, PreconditionViolated, TooFewPoints, OSError) as exc:
         report["error"] = str(exc)
         return EXIT_INPUT, report
     report["p_size"] = bound.p_size
     report["b_size"] = bound.b_size
-    report["blocked"] = verdict.blocked
-    report["witness"] = None if verdict.witness is None else list(verdict.witness)
+    report["blocked"] = bound.blocked
+    report["witness"] = None if bound.witness is None else list(bound.witness)
     report["p_independent"] = bound.p_independent
     report["size_ok"] = bound.size_ok
-    report["tight"] = verdict.blocked and bound.p_size == bound.b_size
+    report["tight"] = bound.blocked and bound.p_size == bound.b_size
     report["ok"] = not bound.alarm
     return (EXIT_ALARM if bound.alarm else EXIT_OK), report
 
@@ -468,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, report = handlers[args.command](args)
     except InvariantBroken as exc:  # a falsification alarm, wherever it surfaced
         code, report = EXIT_ALARM, {"command": args.command, "error": str(exc)}
-    except DToughError as exc:  # anything not already mapped is an input problem
+    except (DToughError, OSError) as exc:  # unmapped errors and unwritable output files
         code, report = EXIT_INPUT, {"command": args.command, "error": str(exc)}
     if report is not None:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)

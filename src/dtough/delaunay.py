@@ -36,10 +36,12 @@ from .exactgeom import (
     Point,
     Position,
     circumdisk,
+    cycle_area2,
     disk_classify,
     dist_sq,
     general_position,
     in_circle,
+    is_witness_disk,
     midpoint,
     orient,
     scaled_to_integers,
@@ -143,12 +145,7 @@ def _hull_cycle(n: int, boundary_edges: list[tuple[int, int]], pts: Sequence[Poi
             raise ValueError("boundary edges do not close into one cycle")
     if len(cycle) != len(boundary_edges):
         raise ValueError("boundary edges form more than one cycle")
-    area2 = 0
-    for i in range(len(cycle)):
-        a = pts[cycle[i]]
-        b = pts[cycle[(i + 1) % len(cycle)]]
-        area2 += a.x * b.y - b.x * a.y
-    if area2 < 0:
+    if cycle_area2(pts, cycle) < 0:
         cycle = [cycle[0]] + cycle[:0:-1]
     return tuple(cycle)
 
@@ -381,17 +378,6 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
     return pos is CirclePosition.OUTSIDE
 
 
-def _witness_ok(tri: Triangulation, d: Disk, u: int, v: int) -> bool:
-    for i, p in enumerate(tri.vertices):
-        pos = disk_classify(d, p)
-        if i == u or i == v:
-            if pos is not Position.BOUNDARY:
-                return False
-        elif pos is not Position.EXTERIOR:
-            return False
-    return True
-
-
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     """A verified empty disk with exactly the edge's endpoints on its boundary.
 
@@ -446,6 +432,6 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
                 candidates.append(Point(c.x + t * (mid.x - c.x), c.y + t * (mid.y - c.y)))
     for center in candidates:
         d = pencil_disk(center)
-        if _witness_ok(tri, d, key[0], key[1]):
+        if is_witness_disk(tri.vertices, d, key[0], key[1]):
             return d
     raise WitnessSearchFailed(f"no verified witness disk for edge {key}")

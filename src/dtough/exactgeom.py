@@ -128,6 +128,25 @@ def _dot(a: Point, b: Point, c: Point) -> Fraction:
     return (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y)
 
 
+def outward_normal(a: Point, b: Point, probe: Point) -> Point:
+    """The perpendicular of b - a that points away from the side of line ab
+    holding probe (the left-hand one when probe is on the line)."""
+    if _cross(a, b, probe) > 0:
+        return Point(b.y - a.y, a.x - b.x)
+    return Point(a.y - b.y, b.x - a.x)
+
+
+def cycle_area2(points: Sequence[Point], cycle: Sequence[int]) -> Fraction:
+    """Twice the signed area of the polygon visiting ``cycle``; positive when
+    it runs counterclockwise."""
+    total = 0
+    for i in range(len(cycle)):
+        a = points[cycle[i]]
+        b = points[cycle[(i + 1) % len(cycle)]]
+        total += a.x * b.y - b.x * a.y
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -261,6 +280,16 @@ def shrink_toward(d: Disk, anchor: Point, target: Point) -> Disk:
     if not disks_internally_tangent(d, shrunk):
         raise InvariantBroken("shrunken disk lost tangency with its parent")
     return shrunk
+
+
+def is_witness_disk(points: Sequence[Point], d: Disk, i: int, j: int) -> bool:
+    """Whether points i and j lie on the boundary of d and every other point
+    strictly outside it: d then certifies the Delaunay edge (i, j)."""
+    for k, p in enumerate(points):
+        pos = disk_classify(d, p)
+        if pos is not (Position.BOUNDARY if k in (i, j) else Position.EXTERIOR):
+            return False
+    return True
 
 
 def disks_internally_tangent(outer: Disk, inner: Disk) -> bool:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .delaunay import build
-from .errors import ConstructionFailed, TooFewPoints
+from .errors import ConstructionFailed, DegenerateInput, TooFewPoints
 from .exactgeom import Point, general_position
 
 GRID_BITS = 20  # random coordinates are k / 2**20 in [0, 1]
@@ -58,11 +58,10 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
             radius = 1 + jitter * rng.choice((-1, 1)) * Fraction(magnitudes[i], 1024)
             den = 1 + t * t
             pts.append(Point(radius * (1 - t * t) / den, radius * 2 * t / den))
-        if general_position(pts) is not None:
-            jitter /= 2
-            continue
-        if len(build(pts).hull) != n:
-            jitter /= 2
-            continue
-        return tuple(pts)
+        try:
+            if len(build(pts).hull) == n:
+                return tuple(pts)
+        except DegenerateInput:
+            pass
+        jitter /= 2
     raise ConstructionFailed(f"no convex-position sample after 64 attempts (n={n})")

@@ -35,11 +35,13 @@ from .exactgeom import (
     Orientation,
     Point,
     Position,
+    cycle_area2,
     disk_classify,
     dist_sq,
     general_position_added,
     int_at_least_sqrt,
     orient,
+    outward_normal,
     triangle_classify,
 )
 
@@ -210,23 +212,15 @@ def max_independent_set(tri: Triangulation, max_n: int = 30) -> tuple[int, Verte
 # ---------------------------------------------------------------------------
 
 
-def perfect_matching(tri_or_pair) -> Optional[Matching]:
+def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     """A perfect matching of a Delaunay triangulation, or None for odd order.
 
-    Accepts a two-point sequence as the degenerate case (its single edge is
-    the matching); everything else must be a Triangulation. The search is a
-    memoized exhaustive backtrack over vertex bitmasks, exact at desk scale.
-    An even-order input with no matching found is reported as a broken
-    invariant rather than None, since even-order Delaunay triangulations
-    always have one.
+    The search is a memoized exhaustive backtrack over vertex bitmasks,
+    exact at desk scale. An even-order input with no matching found is
+    reported as a broken invariant rather than None, since even-order
+    Delaunay triangulations always have one.
     """
     # TODO: switch to a blossom matcher if instances outgrow the memoized search.
-    if not isinstance(tri_or_pair, Triangulation):
-        pts = tuple(tri_or_pair)
-        if len(pts) != 2:
-            raise PreconditionViolated("expected a Triangulation or exactly two points")
-        return frozenset({(0, 1)})
-    tri = tri_or_pair
     n = len(tri)
     if n % 2:
         return None
@@ -302,18 +296,10 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         m = max(abs(v.x), abs(v.y))
         return Point(v.x / m, v.y / m)  # length in [1, sqrt(2)]
 
-    def away_from(leg: Point, probe: Point) -> Point:
-        """Perpendicular of leg pointing away from the side holding probe."""
-        n = Point(-leg.y, leg.x)
-        along = Point(u_pt.x + leg.x, u_pt.y + leg.y)
-        if orient(u_pt, along, Point(u_pt.x + n.x, u_pt.y + n.y)) is orient(u_pt, along, probe):
-            n = Point(-n.x, -n.y)
-        return n
-
     d_a = unit_ish(Point(a_pt.x - u_pt.x, a_pt.y - u_pt.y))
     d_b = unit_ish(Point(b_pt.x - u_pt.x, b_pt.y - u_pt.y))
-    n_a = away_from(d_a, b_pt)
-    n_b = away_from(d_b, a_pt)
+    n_a = outward_normal(u_pt, Point(u_pt.x + d_a.x, u_pt.y + d_a.y), b_pt)
+    n_b = outward_normal(u_pt, Point(u_pt.x + d_b.x, u_pt.y + d_b.y), a_pt)
 
     face_disks = [tri.face_disk(ti) for ti in range(len(tri.triangles))]
     bound = Fraction(0)
@@ -422,15 +408,6 @@ def planar_faces(points: Sequence[Point], edges: Sequence[tuple[int, int]]) -> l
     return faces
 
 
-def _cycle_area2(points: Sequence[Point], cycle: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(cycle)):
-        a = points[cycle[i]]
-        b = points[cycle[(i + 1) % len(cycle)]]
-        total += a.x * b.y - b.x * a.y
-    return total
-
-
 def _point_in_cycle(p: Point, cycle_pts: Sequence[Point]) -> bool:
     """Exact crossing-parity test; the point must not lie on the boundary."""
     inside = False
@@ -521,12 +498,12 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
         raise InvariantBroken("a surviving vertex became isolated after removal")
 
     faces = planar_faces(big.vertices, sub_edges)
-    outer = [f for f in faces if _cycle_area2(big.vertices, f) < 0]
+    outer = [f for f in faces if cycle_area2(big.vertices, f) < 0]
     if len(outer) != 1:
         raise InvariantBroken(f"expected one outer face, found {len(outer)}")
     if set(outer[0]) != {aug.anchor, n, n + 1}:
         raise InvariantBroken("outer face is not the sentinel triangle")
-    interior = [f for f in faces if _cycle_area2(big.vertices, f) > 0]
+    interior = [f for f in faces if cycle_area2(big.vertices, f) > 0]
     if len(interior) + 1 != len(faces):
         raise InvariantBroken("degenerate zero-area face in traversal")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtough import blocking, delaunay, exactgeom
+from dtough import blocking, delaunay, exactgeom, generate
 from dtough.blocking import (
     disjoint_disk_instance,
     fan_instance,
@@ -12,6 +12,7 @@ from dtough.blocking import (
 )
 from dtough.delaunay import build
 from dtough.errors import DegenerateInput, PreconditionViolated
+from dtough.generate import convex_points
 from dtough.exactgeom import (
     Position,
     disk_classify,
@@ -60,6 +61,21 @@ def test_union_is_scanned_once(monkeypatch):
     assert verify_blocking(inst.points, inst.blockers).blocked
     assert lower_bound_report(inst.points, inst.blockers).blocked
     assert sizes == [12, 12]
+
+
+def test_constructions_scan_each_point_set_once(monkeypatch):
+    scanned = []
+
+    def recording(points):
+        scanned.append(tuple(points))
+        return exactgeom.general_position(points)
+
+    for module in (blocking, delaunay, generate):
+        monkeypatch.setattr(module, "general_position", recording)
+    fan_instance(7, 2)
+    convex_points(9, 3)
+    assert scanned
+    assert all(a != b for a, b in zip(scanned, scanned[1:]))
 
 
 def test_fan_instances_blocked_and_tight():

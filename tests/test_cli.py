@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dtough import delaunay
+from dtough import blocking, delaunay, exactgeom
 from dtough.pointfile import format_points, parse_points
 from dtough.errors import PointFileError
 from dtough.exactgeom import CirclePosition, point, general_position
@@ -224,17 +224,67 @@ def test_max_n_raises_gate(tmp_path):
     assert json.loads(out)["verdicts"]["toughness"]["ok"]
 
 
-def test_thread_cap_respected(tmp_path, monkeypatch):
+def test_check_files_match_single_runs(tmp_path):
     files = []
-    for seed in (3, 4, 5):
+    for seed in (3, 4):
         f = tmp_path / f"r{seed}.txt"
         _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", str(seed)])
         f.write_text(stdout)
         files.append(str(f))
-    monkeypatch.setenv("DTOUGH_THREADS", "1")
-    code, out = helpers.run_cli(["check", *files, "--checks", "delaunay"])
-    assert code == 0
-    assert len(json.loads(out)["reports"]) == 3
+    square = tmp_path / "square.txt"
+    square.write_text("0 0\n1 0\n0 1\n1 1\n")  # cocircular: exits 2
+    files.insert(1, str(square))
+    singles = [helpers.run_cli(["check", f]) for f in files]
+    assert [code for code, _ in singles] == [0, 2, 0]
+    code, out = helpers.run_cli(["check", *files])
+    assert code == 2
+    reports = json.loads(out)["reports"]
+    assert [json.dumps(r, indent=2) for r in reports] == [
+        helpers.report_without_timing(single) for _, single in singles
+    ]
+
+
+def test_block_scans_the_union_once(tmp_path, monkeypatch):
+    inst = helpers.fan(6)
+    pts, blockers = tmp_path / "fan6.txt", tmp_path / "fan6.blockers"
+    pts.write_text(format_points(inst.points))
+    blockers.write_text(format_points(inst.blockers))
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return exactgeom.general_position(points)
+
+    for module in (blocking, delaunay):
+        monkeypatch.setattr(module, "general_position", counting)
+    code, out = helpers.run_cli(["block", str(pts), str(blockers)])
+    assert code == 0 and json.loads(out)["blocked"]
+    assert sizes == [12]
+
+
+def test_gen_into_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "pts.txt"
+    code, stdout = helpers.run_cli(["gen", "random", "5", "--out", str(out)])
+    assert code == 2
+    assert "error" in json.loads(stdout)
+
+
+def test_render_into_missing_directory(tmp_path):
+    f = tmp_path / "tri.txt"
+    f.write_text("0 0\n1 0\n0 1\n")
+    code, stdout = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "missing" / "t.svg")])
+    assert code == 2
+    assert "error" in json.loads(stdout)
+
+
+def test_path_svg_into_missing_directory(tmp_path):
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    svg = tmp_path / "missing" / "path.svg"
+    code, stdout = helpers.run_cli(["path", str(f), "2", "3", "2", "0", "1", "--svg", str(svg)])
+    assert code == 2
+    report = json.loads(stdout)
+    assert "error" in report and report["path"] == [2, 3]
 
 
 def test_random_sweep_exit_zero(tmp_path):

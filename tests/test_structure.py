@@ -141,12 +141,6 @@ def test_mis_gate():
 # ---------------------------------------------------------------------------
 
 
-def test_matching_two_points():
-    assert perfect_matching([P(0, 0), P(1, 0)]) == frozenset({(0, 1)})
-    with pytest.raises(PreconditionViolated):
-        perfect_matching([P(0, 0)])
-
-
 def test_matching_fan():
     t = helpers.fan_tri(6)
     m = perfect_matching(t)
