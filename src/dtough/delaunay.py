@@ -6,8 +6,15 @@ general position and inserts on the lcm-scaled integer copy of the points
 (``exactgeom.scaled_to_integers``), which gives the same triangles as the
 rational points; the returned ``Triangulation`` holds the caller's points.
 Its output is never trusted: ``verify_delaunay`` re-checks the
-empty-circumdisk property of every face against every vertex by brute force,
-on the ``Fraction`` coordinates, and tests run both.
+empty-circumdisk property of every face against every vertex by brute force
+with exact in-circle tests, and tests run both.
+
+Each ``Triangulation`` carries its own integer copy of its vertices,
+``scaled``, computed from the vertices by ``from_triangles``. Every exact sign
+test on a triangulation's own vertices (its structural checks,
+``verify_delaunay``, ``edge_angle_check``) reads that copy; only disks with
+arbitrary rational centers (``face_disk``, ``witness_disk``) use the
+``Fraction`` vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -86,6 +93,9 @@ class Triangulation:
     Treat instances as immutable; every operation in this package builds new
     values instead of mutating. ``adjacency`` maps each normalized edge to
     the indices (into ``triangles``) of its one or two incident faces.
+    ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, derived by
+    ``from_triangles``: integer coordinates on which every orientation and
+    in-circle sign equals the one on ``vertices``.
     """
 
     vertices: tuple[Point, ...]
@@ -94,6 +104,7 @@ class Triangulation:
     hull: tuple[int, ...]
     edges: tuple[Edge, ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
+    scaled: tuple[Point, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -163,13 +174,14 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    q = scaled_to_integers(pts)
     tris = []
     seen = set()
     used = set()
     for a, b, c in triangles:
         if len({a, b, c}) != 3 or not all(0 <= i < n for i in (a, b, c)):
             raise ValueError(f"bad triangle {(a, b, c)}")
-        if orient(pts[a], pts[b], pts[c]) is not Orientation.CCW:
+        if orient(q[a], q[b], q[c]) is not Orientation.CCW:
             raise ValueError(f"triangle {(a, b, c)} is not CCW")
         t = _norm_tri(a, b, c)
         if t in seen:
@@ -190,11 +202,11 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
             boundary.append(key)
         elif len(inc) != 2:
             raise ValueError(f"edge {key} belongs to {len(inc)} triangles")
-    hull = _hull_cycle(n, boundary, pts)
+    hull = _hull_cycle(n, boundary, q)
     h = len(hull)
     for i in range(h):
         a, b, c = hull[i], hull[(i + 1) % h], hull[(i + 2) % h]
-        if orient(pts[a], pts[b], pts[c]) is not Orientation.CCW:
+        if orient(q[a], q[b], q[c]) is not Orientation.CCW:
             raise ValueError("hull is not convex")
     if len(tris) != 2 * n - 2 - h:
         raise ValueError(
@@ -215,6 +227,7 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
         hull=hull,
         edges=edges,
         neighbors=tuple(tuple(sorted(s)) for s in nbrs),
+        scaled=q,
     )
 
 
@@ -347,14 +360,14 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
     """Brute-force empty-circumdisk check, independent of how tri was built.
 
     None when every face's circumdisk excludes every non-incident vertex;
-    otherwise the first counterexample in face order.
+    otherwise the first counterexample in face order (vertices in index
+    order within a face). Runs ``in_circle`` on ``tri.scaled``.
     """
-    for ti, t in enumerate(tri.triangles):
-        d = tri.face_disk(ti)
-        for vi, p in enumerate(tri.vertices):
-            if vi in t:
-                continue
-            if disk_classify(d, p) is not Position.EXTERIOR:
+    q = tri.scaled
+    for t in tri.triangles:
+        a, b, c = (q[i] for i in t)
+        for vi, p in enumerate(q):
+            if vi not in t and in_circle(a, b, c, p) is not CirclePosition.OUTSIDE:
                 return CounterExample(t, vi)
     return None
 
@@ -374,7 +387,8 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
     if len(opp) != 2:
         raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
     r, s = opp
-    pos = in_circle(tri.vertices[u], tri.vertices[r], tri.vertices[v], tri.vertices[s])
+    q = tri.scaled
+    pos = in_circle(q[u], q[r], q[v], q[s])
     return pos is CirclePosition.OUTSIDE
 
 

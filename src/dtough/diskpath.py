@@ -86,14 +86,24 @@ def _splice_simple(left: list[int], right: list[int]) -> list[int]:
         walk = walk[: i + 1] + walk[j + 1 :]
 
 
+def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
+    """Raise ``PreconditionViolated`` unless p and q are two distinct vertex ids."""
+    for v in (p, q):
+        if not 0 <= v < len(tri):
+            raise PreconditionViolated(f"vertex {v} is not in range(0, {len(tri)})")
+    if p == q:
+        raise PreconditionViolated(f"path endpoints must differ, got {p} twice")
+
+
 def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     """Constructive path from p to q through edges of tri, inside d.
 
-    Preconditions (checked exactly): p and q on the boundary of d, no other
-    vertex on it. Base case: no interior vertex forces (p, q) to be an edge;
-    a miss there would falsify the empty-disk edge characterization and
-    raises ``InvariantBroken``.
+    Preconditions (checked exactly): p and q are distinct vertex ids, both
+    on the boundary of d, and no other vertex is on it. Base case: no
+    interior vertex forces (p, q) to be an edge; a miss there would falsify
+    the empty-disk edge characterization and raises ``InvariantBroken``.
     """
+    _check_endpoints(tri, p, q)
     path = _find(tri, p, q, d)
     result = DiskPath(tuple(path), d)
     check_disk_path(tri, result)
@@ -151,8 +161,10 @@ def path_oracle(tri: Triangulation, p: int, q: int, d: Disk) -> Optional[DiskPat
     """Shortest path through vertices inside or on the disk, by plain BFS.
 
     Independent of the recursive construction; used to cross-examine it.
-    Returns None when no such path exists.
+    Returns None when no such path exists. p and q must be distinct vertex
+    ids.
     """
+    _check_endpoints(tri, p, q)
     allowed = {
         i
         for i, pt in enumerate(tri.vertices)

@@ -6,13 +6,16 @@ floating-point rounding and are invariant under rational rescaling of the
 input. Disks store the *squared* radius; radii themselves are irrational in
 general and never materialize.
 
-``orient`` and ``in_circle`` are generic over the number type. The hot paths
-(the general-position certificate and ``delaunay.build``) run them on a copy
-of the point set multiplied by the lcm of its denominators
-(``scaled_to_integers``): the answers are the same, the arithmetic is plain
-``int`` and still exact. The certificate itself is O(n^3): one bisector row
-per pair of points finds every collinear triple and cocircular quadruple
-through that pair.
+``orient`` and ``in_circle`` are generic over the number type. Every sign
+test on a point set's own points (the general-position certificate,
+``delaunay.build``, ``from_triangles``, ``verify_delaunay``, the sentinel
+search and the audit's face traversal) runs them on a copy of the point set
+multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
+triangulation as ``Triangulation.scaled``): the answers are the same, the
+arithmetic is plain ``int`` and still exact. Disks with arbitrary rational
+centers (disk paths, blocking, witness disks) stay on ``Fraction``. The
+certificate itself is O(n^3): one bisector row per pair of points finds every
+collinear triple and cocircular quadruple through that pair.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -202,14 +205,24 @@ def circumdisk(a: Point, b: Point, c: Point) -> Disk:
     """
     if orient(a, b, c) is Orientation.COLLINEAR:
         raise CollinearInput(f"no circumdisk of collinear points {a}, {b}, {c}")
+    ux, uy, d = circumcenter_terms(a, b, c)
+    center = Point(ux / d, uy / d)
+    return Disk(center, dist_sq(center, a))
+
+
+def circumcenter_terms(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction, Fraction]:
+    """The circumcenter of a non-collinear a, b, c as (x numerator,
+    y numerator, common denominator): the center is (ux / d, uy / d).
+
+    No division happens, so on integer coordinates all three are ints.
+    """
     d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
     a2 = a.x * a.x + a.y * a.y
     b2 = b.x * b.x + b.y * b.y
     c2 = c.x * c.x + c.y * c.y
-    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
-    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
-    center = Point(ux, uy)
-    return Disk(center, dist_sq(center, a))
+    ux = a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)
+    uy = a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)
+    return ux, uy, d
 
 
 def disk_classify(d: Disk, p: Point) -> Position:
@@ -326,15 +339,21 @@ def disks_interior_disjoint(a: Disk, b: Disk) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def denominator_lcm(points: Sequence[Point]) -> int:
+    """The lcm of all coordinate denominators: the factor of ``scaled_to_integers``."""
+    return math.lcm(*(c.denominator for p in points for c in p))
+
+
 def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
     """The points multiplied by the lcm of all their coordinate denominators.
 
     Every coordinate of the result is an ``int``. The factor is positive, so
-    ``orient`` and ``in_circle`` give the same answer on the scaled points as
-    on the originals, and integer arithmetic skips the gcd normalisation that
-    every ``Fraction`` operation pays.
+    ``orient``, ``in_circle``, ``triangle_classify`` and the sign of
+    ``cycle_area2`` give the same answer on the scaled points as on the
+    originals, and integer arithmetic skips the gcd normalisation that every
+    ``Fraction`` operation pays.
     """
-    scale = math.lcm(*(c.denominator for p in points for c in p))
+    scale = denominator_lcm(points)
     return tuple(
         Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in points

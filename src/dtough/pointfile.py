@@ -2,19 +2,32 @@
 
 One point per line as ``x y``. Coordinates are decimal literals (parsed
 exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
-blank lines are skipped, duplicates are rejected at load. Emission is
+blank lines are skipped, duplicates are rejected at load. A decimal
+exponent may be at most ``MAX_EXPONENT`` in magnitude: ``1e999999999`` would
+otherwise make ``Fraction`` build a billion-digit integer. Emission is
 canonical (always ``a/b`` or a bare integer), so emit -> parse -> emit is
 byte-identical.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .errors import PointFileError
 from .exactgeom import Point
+
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")  # the exponent of a Fraction literal
+
+
+def _coordinate(field: str) -> Fraction:
+    match = _EXPONENT.search(field)
+    if match and abs(int(match.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
+    return Fraction(field)
 
 
 def parse_points(text: str) -> tuple[Point, ...]:
@@ -30,7 +43,7 @@ def parse_points(text: str) -> tuple[Point, ...]:
         coords = []
         for field in fields:
             try:
-                coords.append(Fraction(field))
+                coords.append(_coordinate(field))
             except (ValueError, ZeroDivisionError) as exc:
                 raise PointFileError(line_no, f"bad coordinate {field!r}: {exc}") from exc
         p = Point(coords[0], coords[1])

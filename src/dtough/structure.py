@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .delaunay import Triangulation, build, edge_angle_check, _edge_key
 from .errors import (
+    DegenerateInput,
     InvariantBroken,
     NotIndependent,
     PreconditionViolated,
@@ -32,16 +33,18 @@ from .errors import (
     TooLarge,
 )
 from .exactgeom import (
+    CirclePosition,
     Orientation,
     Point,
     Position,
+    circumcenter_terms,
     cycle_area2,
-    disk_classify,
-    dist_sq,
-    general_position_added,
+    denominator_lcm,
+    in_circle,
     int_at_least_sqrt,
     orient,
     outward_normal,
+    scaled_to_integers,
     triangle_classify,
 )
 
@@ -281,6 +284,10 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     doubles and the tilt halves per attempt; a shrinking vertical nudge on
     one sentinel steps around any exact degeneracy a symmetric placement
     happens to hit.
+
+    Sentinels are placed in the caller's coordinates; every check on a
+    candidate runs on the lcm-scaled integer copy of the enlarged point set,
+    and the augmented ``build`` is its only general-position scan.
     """
     gone = frozenset(removed)
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -301,12 +308,22 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     n_a = outward_normal(u_pt, Point(u_pt.x + d_a.x, u_pt.y + d_a.y), b_pt)
     n_b = outward_normal(u_pt, Point(u_pt.x + d_b.x, u_pt.y + d_b.y), a_pt)
 
-    face_disks = [tri.face_disk(ti) for ti in range(len(tri.triangles))]
+    # The reach bound: twice the largest |center - anchor|^2 + radius^2 over
+    # the face circumdisks, in caller coordinates. On the scaled vertices a
+    # center is (ux / d, uy / d); undoing the factor L divides by L^2.
+    q = tri.scaled
+    qu = q[anchor]
+    scale_sq = denominator_lcm(tri.vertices) ** 2
     bound = Fraction(0)
-    for fd in face_disks:
-        bound = max(bound, 2 * (dist_sq(fd.center, u_pt) + fd.radius_sq))
+    for t in tri.triangles:
+        qa = q[t[0]]
+        ux, uy, d = circumcenter_terms(*(q[i] for i in t))
+        num = (ux - d * qu.x) ** 2 + (uy - d * qu.y) ** 2  # d^2 |center - anchor|^2
+        num += (ux - d * qa.x) ** 2 + (uy - d * qa.y) ** 2  # d^2 radius^2
+        bound = max(bound, Fraction(2 * num, d * d * scale_sq))
     scale = 4 * int_at_least_sqrt(bound)
     tri_edges = tri.edge_set()
+    n = len(tri)
 
     for attempt in range(64):
         reach = scale * 2**attempt
@@ -320,26 +337,30 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
             u_pt.x + reach * (d_b.x + tilt * n_b.x),
             u_pt.y + reach * (d_b.y + tilt * n_b.y),
         )
-        if orient(u_pt, s1, s2) is Orientation.COLLINEAR:
+        big = scaled_to_integers(tri.vertices + (s1, s2))
+        bu, b1, b2 = big[anchor], big[n], big[n + 1]
+        if orient(bu, b1, b2) is Orientation.COLLINEAR:
             continue
         if not all(
-            triangle_classify(u_pt, s1, s2, p) is Position.INTERIOR
-            for i, p in enumerate(tri.vertices)
+            triangle_classify(bu, b1, b2, big[i]) is Position.INTERIOR
+            for i in range(n)
             if i != anchor
         ):
             continue
         if not all(
-            disk_classify(fd, s) is Position.EXTERIOR
-            for fd in face_disks
-            for s in (s1, s2)
+            in_circle(big[a], big[b], big[c], s) is CirclePosition.OUTSIDE
+            for a, b, c in tri.triangles
+            for s in (b1, b2)
         ):
             continue
-        if general_position_added(tri.vertices, (s1, s2)) is not None:
+        try:
+            augmented = build(tri.vertices + (s1, s2))
+        except DegenerateInput as exc:
+            if max(exc.violation.indices) < n:
+                raise  # the input itself is degenerate; no sentinel helps
             continue
-        augmented = build(tri.vertices + (s1, s2))
         if not tri_edges <= augmented.edge_set():
             continue
-        n = len(tri)
         if set(augmented.hull) != {anchor, n, n + 1}:
             continue
         return SentinelAugmentation(augmented, anchor, (s1, s2))
@@ -497,13 +518,15 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     if incident != keep:
         raise InvariantBroken("a surviving vertex became isolated after removal")
 
-    faces = planar_faces(big.vertices, sub_edges)
-    outer = [f for f in faces if cycle_area2(big.vertices, f) < 0]
+    # Face traversal and point location run on the integer vertices.
+    q = big.scaled
+    faces = planar_faces(q, sub_edges)
+    outer = [f for f in faces if cycle_area2(q, f) < 0]
     if len(outer) != 1:
         raise InvariantBroken(f"expected one outer face, found {len(outer)}")
     if set(outer[0]) != {aug.anchor, n, n + 1}:
         raise InvariantBroken("outer face is not the sentinel triangle")
-    interior = [f for f in faces if cycle_area2(big.vertices, f) > 0]
+    interior = [f for f in faces if cycle_area2(q, f) > 0]
     if len(interior) + 1 != len(faces):
         raise InvariantBroken("degenerate zero-area face in traversal")
 
@@ -511,8 +534,8 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     bad = 0
     located: list[int] = []
     for f in interior:
-        ring = [big.vertices[i] for i in f]
-        inside = [x for x in chosen if _point_in_cycle(big.vertices[x], ring)]
+        ring = [q[i] for i in f]
+        inside = [x for x in chosen if _point_in_cycle(q[x], ring)]
         if not inside:
             if len(f) != 3:
                 raise InvariantBroken("hole-free interior face is not a triangle")

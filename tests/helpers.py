@@ -15,7 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from dtough import blocking, build, cli
+from dtough.delaunay import CounterExample
 from dtough.exactgeom import (
     CirclePosition,
     Disk,
@@ -24,6 +27,7 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
+    circumdisk,
     disk_classify,
     dist_sq,
     in_circle,
@@ -31,6 +35,12 @@ from dtough.exactgeom import (
     orient,
 )
 from dtough.generate import random_points
+
+
+# Coordinates in {-3..3}/{1..3}: duplicates, collinear triples and cocircular
+# quadruples are all common at this size.
+grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+grid_points = st.builds(Point, grid_fraction, grid_fraction)
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +123,18 @@ def general_position_added_naive(base, added):
                 continue  # caught above when it involves an added point
             if in_circle(pts[i], pts[j], pts[k], pts[a]) is CirclePosition.ON:
                 return Violation(ViolationKind.COCIRCULAR, (i, j, k, a))
+    return None
+
+
+def verify_delaunay_naive(tri):
+    """Empty-circumdisk check on the ``Fraction`` vertices: each face's
+    circumdisk, center and squared radius, against every other vertex. The
+    first counterexample in face order, then vertex order, or None."""
+    for t in tri.triangles:
+        d = circumdisk(*(tri.vertices[i] for i in t))
+        for vi, p in enumerate(tri.vertices):
+            if vi not in t and disk_classify(d, p) is not Position.EXTERIOR:
+                return CounterExample(t, vi)
     return None
 
 

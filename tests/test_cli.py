@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from dtough import blocking, delaunay, exactgeom
-from dtough.pointfile import format_points, parse_points
+from dtough import blocking, delaunay, exactgeom, structure
+from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import PointFileError
 from dtough.exactgeom import CirclePosition, point, general_position
 
@@ -28,6 +28,22 @@ def test_pointfile_errors_carry_line_numbers():
     with pytest.raises(PointFileError) as exc:
         parse_points("1 2 3\n")
     assert exc.value.line_no == 1
+
+
+def test_pointfile_caps_decimal_exponents(tmp_path):
+    # exponents up to the cap parse exactly; past it the parser refuses
+    # before Fraction would materialise a power of ten that size
+    assert parse_points(f"1e{MAX_EXPONENT} -2.5E-{MAX_EXPONENT}\n") == (
+        point(10**MAX_EXPONENT, f"-25/{10 ** (MAX_EXPONENT + 1)}"),
+    )
+    for field in (f"1e{MAX_EXPONENT + 1}", "3E-999999999", "0.5e+1_000_000_000"):
+        with pytest.raises(PointFileError) as exc:
+            parse_points(f"0 0\n{field} 1\n")
+        assert exc.value.line_no == 2 and "exponent" in str(exc.value)
+    f = tmp_path / "huge.txt"
+    f.write_text("0 0\n1 0\n0 1e999999999\n")
+    code, out = helpers.run_cli(["check", str(f)])
+    assert code == 2 and "exponent" in json.loads(out)["error"]
 
 
 def test_gen_random_deterministic(tmp_path):
@@ -130,6 +146,18 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch):
     assert "cocircular flip" in json.loads(out)["error"]
 
 
+def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
+    # a point-location test that puts every removed vertex in every face
+    # breaks the face census; the check must report it, not crash
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
+    monkeypatch.setattr(structure, "_point_in_cycle", lambda p, ring: True)
+    code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
+    assert code == 1
+    assert "two removed vertices" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_multiple_files(tmp_path):
     files = []
     for seed in (1, 2):
@@ -159,6 +187,16 @@ def test_path_command(tmp_path):
     report = json.loads(out)
     assert report["error"] == "tie_on_boundary"
     assert sorted(report["witnesses"]) == [2, 3]
+
+    # vertex ids outside the file, or equal endpoints, are bad input
+    for p, q, error in (
+        ("0", "99", "vertex 99 is not in range(0, 4)"),
+        ("-1", "1", "vertex -1 is not in range(0, 4)"),
+        ("2", "2", "path endpoints must differ, got 2 twice"),
+    ):
+        code, out = helpers.run_cli(["path", "--", str(f), p, q, "2", "0", "1"])
+        assert code == 2
+        assert json.loads(out)["error"] == error
 
 
 def test_path_svg(tmp_path):

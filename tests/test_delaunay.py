@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dtough import delaunay
 from dtough.delaunay import (
@@ -14,7 +16,18 @@ from dtough.delaunay import (
     witness_disk,
 )
 from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
-from dtough.exactgeom import CirclePosition, Point, Position, disk_classify, point
+from dtough.exactgeom import (
+    CirclePosition,
+    Orientation,
+    Point,
+    Position,
+    disk_classify,
+    general_position,
+    in_circle,
+    orient,
+    point,
+    scaled_to_integers,
+)
 
 import helpers
 
@@ -106,6 +119,47 @@ def test_build_keeps_caller_points_and_ignores_scale():
         scaled = build(moved)
         assert scaled.vertices == moved
         assert (scaled.triangles, scaled.hull, scaled.edges) == (t.triangles, t.hull, t.edges)
+
+
+def _flip_first_convex_edge(t: Triangulation):
+    """t with its first flippable interior edge flipped, assembled through
+    ``from_triangles``; None when no interior edge has a convex quad."""
+    v = t.vertices
+    for e in t.edges:
+        if e.kind is not EdgeKind.INTERIOR:
+            continue
+        r, s = t.opposite_vertices(e.u, e.v)
+        side_u, side_v = orient(v[r], v[s], v[e.u]), orient(v[r], v[s], v[e.v])
+        if side_u is side_v:
+            continue  # u and v on one side of rs: the quad is not convex
+        if side_u is not Orientation.CCW:
+            r, s = s, r
+        kept = [tr for ti, tr in enumerate(t.triangles) if ti not in t.adjacency[(e.u, e.v)]]
+        return from_triangles(v, kept + [(r, s, e.u), (s, r, e.v)])
+    return None
+
+
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_integer_verifier_matches_fraction_oracle(candidates):
+    # grid points, greedily thinned to general position
+    pts: list[Point] = []
+    for p in candidates:
+        if general_position(pts + [p]) is None:
+            pts.append(p)
+    assume(len(pts) >= 3)
+    built = build(pts)
+    flipped = _flip_first_convex_edge(built)
+    if flipped is not None:  # Delaunay is unique in general position
+        assert verify_delaunay(flipped) is not None
+    for t in filter(None, (built, flipped)):
+        assert t.scaled == scaled_to_integers(t.vertices)
+        assert all(type(c) is int for p in t.scaled for c in p)
+        assert verify_delaunay(t) == helpers.verify_delaunay_naive(t)
+        for e in t.edges:
+            if e.kind is EdgeKind.INTERIOR:
+                r, s = t.opposite_vertices(e.u, e.v)
+                exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
+                assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
 
 
 def test_cocircular_flip_is_an_invariant_alarm(monkeypatch):

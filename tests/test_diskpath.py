@@ -95,6 +95,16 @@ def test_precondition_rejected():
         find_path(t, 0, 1, d)
 
 
+@pytest.mark.parametrize("p, q", [(0, 99), (99, 0), (-1, 1), (2, 2)])
+def test_endpoints_must_be_two_vertex_ids(p, q):
+    # an id past the end or below zero, or a path from a vertex to itself
+    t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
+    d = Disk(P(2, 0), Fraction(1))
+    for search in (find_path, path_oracle):
+        with pytest.raises(PreconditionViolated):
+            search(t, p, q, d)
+
+
 def test_tie_on_boundary_surfaces():
     # two vertices placed mirror-symmetric about the shrink axis tie exactly
     pts = [P(0, 0), P(4, 0), P(2, 1), P(2, -1)]

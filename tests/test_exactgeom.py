@@ -237,18 +237,12 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
 
 
-# Coordinates in {-3..3}/{1..3}: duplicates, collinear triples and cocircular
-# quadruples are all common at this size.
-grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-grid_points = st.builds(Point, grid_fraction, grid_fraction)
-
-
-@given(st.lists(grid_points, min_size=3, max_size=9))
+@given(st.lists(helpers.grid_points, min_size=3, max_size=9))
 def test_general_position_matches_naive_scan(pts):
     assert general_position(pts) == helpers.general_position_naive(pts)
 
 
-@given(st.lists(grid_points, min_size=3, max_size=9), st.lists(grid_points, min_size=1, max_size=3))
+@given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.lists(helpers.grid_points, min_size=1, max_size=3))
 def test_general_position_added_matches_naive_scan(candidates, added):
     base = []  # the contract assumes a base in general position
     for p in candidates:

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from dtough import exactgeom, structure
 from dtough.delaunay import build
 from dtough.errors import (
+    DegenerateInput,
     NotIndependent,
     PreconditionViolated,
     TooLarge,
 )
-from dtough.exactgeom import Position, point, triangle_classify
+from dtough.exactgeom import Position, Violation, ViolationKind, point, triangle_classify
 from dtough.structure import (
     angle_audit,
     components_after_removal,
@@ -201,6 +203,53 @@ def test_sentinel_requires_hull_vertex():
     assert interior, "test instance needs an interior vertex"
     with pytest.raises(PreconditionViolated):
         sentinel_augment(t, frozenset(interior[:1]))
+
+
+def _mis_complement(t):
+    _, cert = max_independent_set(t)
+    return frozenset(range(len(t))) - cert
+
+
+def test_sentinel_candidate_scanned_once(monkeypatch):
+    # the augmented build is the only general-position scan of a candidate
+    scans = []
+    real = exactgeom._pair_scan
+
+    def counting(pts, rows):
+        scans.append(len(pts))
+        return real(pts, rows)
+
+    monkeypatch.setattr(exactgeom, "_pair_scan", counting)
+    _, t = helpers.random_tri(10, 3)
+    aug = sentinel_augment(t, _mis_complement(t))
+    assert len(aug.tri) == 12
+    assert scans == [12]
+
+
+def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
+    _, t = helpers.random_tri(10, 3)
+    removed = _mis_complement(t)
+    first = sentinel_augment(t, removed)
+    sizes = []
+
+    def first_candidate_cocircular(points):
+        sizes.append(len(points))
+        if len(sizes) == 1:  # a sentinel on a circle through three vertices
+            raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, len(points) - 1)))
+        return build(points)
+
+    monkeypatch.setattr(structure, "build", first_candidate_cocircular)
+    second = sentinel_augment(t, removed)
+    assert sizes == [12, 12]
+    assert second.sentinels != first.sentinels
+
+    def input_collinear(points):
+        raise DegenerateInput(Violation(ViolationKind.COLLINEAR, (0, 1, 2)))
+
+    # a violation among the input's own points is not the sentinels' fault
+    monkeypatch.setattr(structure, "build", input_collinear)
+    with pytest.raises(DegenerateInput):
+        sentinel_augment(t, removed)
 
 
 # ---------------------------------------------------------------------------
