@@ -336,7 +336,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
     disks: list[Disk] = []
     n_shown = len(points)
     if args.audit:
-        base = build(points)
+        base = build(points) if blockers else tri
         if len(base) > max(AUDIT_GATE, args.max_n or 0):
             report["error"] = f"audit overlay refused for n={len(base)}"
             return EXIT_GATE, report

@@ -1,10 +1,13 @@
 """Delaunay triangulation construction and verification.
 
-``build`` runs incremental insertion with exact in-circle edge flipping and
-a linear-walk point location (no spatial index; desk scale). It certifies
-general position and inserts on the lcm-scaled integer copy of the points
-(``exactgeom.scaled_to_integers``), which gives the same triangles as the
-rational points; the returned ``Triangulation`` holds the caller's points.
+``build`` certifies general position and reads each face off the pencil of
+circles through a pair of its vertices: ab is a Delaunay edge exactly when
+some circle through a and b has no other point inside (Dillencourt, DCG
+1990), and the apexes of its faces are the first points that circle meets on
+either side (``exactgeom.delaunay_faces``, O(n^3)). The scan runs on the
+lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
+which gives the same faces as the rational points; the returned
+``Triangulation`` holds the caller's points.
 Its output is never trusted: ``verify_delaunay`` re-checks the
 empty-circumdisk property of every face against every vertex by brute force
 with exact in-circle tests, and tests run both.
@@ -44,6 +47,7 @@ from .exactgeom import (
     Position,
     circumdisk,
     cycle_area2,
+    delaunay_faces,
     disk_classify,
     dist_sq,
     general_position,
@@ -114,12 +118,6 @@ class Triangulation:
 
     def is_edge(self, u: int, v: int) -> bool:
         return _edge_key(u, v) in self.adjacency
-
-    def edge(self, u: int, v: int) -> Edge:
-        key = _edge_key(u, v)
-        tris = self.adjacency[key]
-        kind = EdgeKind.BOUNDARY if len(tris) == 1 else EdgeKind.INTERIOR
-        return Edge(key[0], key[1], kind)
 
     def opposite_vertices(self, u: int, v: int) -> tuple[int, ...]:
         """Third vertices of the faces incident to edge (u, v)."""
@@ -231,112 +229,16 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
     )
 
 
-# ---------------------------------------------------------------------------
-# Incremental construction
-# ---------------------------------------------------------------------------
-
-
-class _Builder:
-    """Mutable scaffolding used only inside build()."""
-
-    def __init__(self, pts: Sequence[Point]):
-        self.pts = pts
-        self.tris: set[tuple[int, int, int]] = set()
-        self.edge2tris: dict[tuple[int, int], set[tuple[int, int, int]]] = defaultdict(set)
-
-    def _mk(self, a: int, b: int, c: int) -> tuple[int, int, int]:
-        if orient(self.pts[a], self.pts[b], self.pts[c]) is Orientation.CW:
-            b, c = c, b
-        return _norm_tri(a, b, c)
-
-    def add(self, a: int, b: int, c: int) -> tuple[int, int, int]:
-        t = self._mk(a, b, c)
-        self.tris.add(t)
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            self.edge2tris[_edge_key(u, v)].add(t)
-        return t
-
-    def remove(self, t: tuple[int, int, int]) -> None:
-        self.tris.remove(t)
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = _edge_key(u, v)
-            self.edge2tris[key].discard(t)
-            if not self.edge2tris[key]:
-                del self.edge2tris[key]
-
-    def locate(self, p: Point) -> Optional[tuple[int, int, int]]:
-        # General position means p is never on an edge: strictly inside or out.
-        for t in self.tris:
-            a, b, c = (self.pts[i] for i in t)
-            if (
-                orient(a, b, p) is Orientation.CCW
-                and orient(b, c, p) is Orientation.CCW
-                and orient(c, a, p) is Orientation.CCW
-            ):
-                return t
-        return None
-
-    def hull(self) -> tuple[int, ...]:
-        boundary = [k for k, inc in self.edge2tris.items() if len(inc) == 1]
-        return _hull_cycle(len(self.pts), boundary, self.pts)
-
-    def legalize(self, stack: list[tuple[int, int, int]]) -> None:
-        """Flip edges opposite the last inserted vertex until locally Delaunay."""
-        while stack:
-            u, v, p = stack.pop()
-            key = _edge_key(u, v)
-            inc = self.edge2tris.get(key, set())
-            if len(inc) != 2:
-                continue
-            t_p = next((t for t in inc if p in t), None)
-            if t_p is None:
-                continue
-            t_o = next(t for t in inc if t != t_p)
-            w = next(x for x in t_o if x != u and x != v)
-            a, b, c = (self.pts[i] for i in t_p)
-            side = in_circle(a, b, c, self.pts[w])
-            if side is CirclePosition.ON:
-                raise InvariantBroken("cocircular flip test on general-position input")
-            if side is CirclePosition.INSIDE:
-                self.remove(t_p)
-                self.remove(t_o)
-                self.add(p, u, w)
-                self.add(p, w, v)
-                stack.append((u, w, p))
-                stack.append((w, v, p))
-
-    def insert(self, i: int) -> None:
-        p = self.pts[i]
-        t = self.locate(p)
-        stack = []
-        if t is not None:
-            a, b, c = t
-            self.remove(t)
-            self.add(a, b, i)
-            self.add(b, c, i)
-            self.add(c, a, i)
-            stack = [(a, b, i), (b, c, i), (c, a, i)]
-        else:
-            hull = self.hull()
-            h = len(hull)
-            for j in range(h):
-                u, v = hull[j], hull[(j + 1) % h]
-                if orient(self.pts[u], self.pts[v], p) is Orientation.CW:
-                    self.add(v, u, i)
-                    stack.append((u, v, i))
-            if not stack:
-                raise InvariantBroken("outside point sees no hull edge")
-        self.legalize(stack)
-
-
 def build(points: Sequence[Point]) -> Triangulation:
     """Delaunay triangulation of a general-position point set.
 
-    Incremental insertion in input order with exact flipping, on integer
-    coordinates scaled by the lcm of all denominators; both predicates are
-    invariant under that positive factor. Uniqueness under general position
-    makes the result independent of insertion order; tests check this by
-    shuffling inputs.
+    Certifies general position, then reads the faces off the pencils of
+    circles through each pair of points (``exactgeom.delaunay_faces``), on
+    integer coordinates scaled by the lcm of all denominators; the
+    predicates are invariant under that positive factor. The faces depend
+    only on the point set, never on the input order; tests check this by
+    shuffling inputs. Faces that ``from_triangles`` rejects are a broken
+    invariant, not bad input.
     """
     pts = tuple(points)
     if len(pts) < 3:
@@ -344,11 +246,10 @@ def build(points: Sequence[Point]) -> Triangulation:
     violation = general_position(pts)
     if violation is not None:
         raise DegenerateInput(violation)
-    builder = _Builder(scaled_to_integers(pts))
-    builder.add(0, 1, 2)
-    for i in range(3, len(pts)):
-        builder.insert(i)
-    return from_triangles(pts, sorted(builder.tris))
+    try:
+        return from_triangles(pts, delaunay_faces(scaled_to_integers(pts)))
+    except ValueError as exc:
+        raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ input. Disks store the *squared* radius; radii themselves are irrational in
 general and never materialize.
 
 ``orient`` and ``in_circle`` are generic over the number type. Every sign
-test on a point set's own points (the general-position certificate,
-``delaunay.build``, ``from_triangles``, ``verify_delaunay``, the sentinel
-search and the audit's face traversal) runs them on a copy of the point set
-multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
-triangulation as ``Triangulation.scaled``): the answers are the same, the
-arithmetic is plain ``int`` and still exact. Disks with arbitrary rational
-centers (disk paths, blocking, witness disks) stay on ``Fraction``. The
-certificate itself is O(n^3): one bisector row per pair of points finds every
-collinear triple and cocircular quadruple through that pair.
+test on a point set's own points (the general-position certificate, the
+Delaunay face scan of ``delaunay.build``, ``from_triangles``,
+``verify_delaunay``, the sentinel search and the audit's face traversal)
+runs on a copy of the point set multiplied by the lcm of its denominators
+(``scaled_to_integers``, kept on a triangulation as
+``Triangulation.scaled``): the answers are the same, the arithmetic is plain
+``int`` and still exact. Disks with arbitrary rational centers (disk paths,
+blocking, witness disks) stay on ``Fraction``. The certificate and the face
+scan are both O(n^3) and both walk the pencil of circles through each pair
+of points: one bisector row per pair finds every collinear triple and
+cocircular quadruple through that pair (``_bisector_row``), and the first
+points the pencil meets on either side of the pair are the apexes of its
+Delaunay faces (``delaunay_faces``).
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -395,6 +399,52 @@ def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) 
     if best is None:
         return None
     return Violation(ViolationKind.COCIRCULAR, tuple(sorted((a, b) + best)))
+
+
+def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
+    """The CCW faces of the Delaunay triangulation of integer points in
+    general position, read off the pencil of circles through each pair.
+
+    The circles through a and b have centers a + B/2 + t perp(B) (see
+    ``_bisector_row``); the one through a third point k has the parameter
+    t_k with 2t_k = C.(C - B) / cross(B, C). A point left of ab
+    (cross(B, C) > 0) is inside the circles with t > t_k, a point right of
+    it inside those with t < t_k. So ab is an edge exactly when some circle
+    through a and b holds no other point (Dillencourt's empty-disk
+    characterisation), that is when every right t_k is below every left
+    one. The left point with the least t_k is then the apex of the face left
+    of ab, and the right point with the greatest t_k the apex of the face
+    right of it. Each face is emitted from the pair of its two smallest
+    indices. O(n^3); the t_k are compared by cross-multiplication.
+    """
+    n = len(pts)
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    out = []
+    for a in range(n):
+        ax, ay = xs[a], ys[a]
+        for b in range(a + 1, n):
+            bx, by = xs[b] - ax, ys[b] - ay
+            left = right = None  # (num, den, k) of the least left and the greatest right t_k
+            for k in range(n):
+                if k == a or k == b:
+                    continue
+                cx, cy = xs[k] - ax, ys[k] - ay
+                den = bx * cy - by * cx
+                num = cx * (cx - bx) + cy * (cy - by)
+                if den > 0:
+                    if left is None or num * left[1] < left[0] * den:
+                        left = (num, den, k)
+                elif right is None or num * right[1] < right[0] * den:
+                    right = (-num, -den, k)  # den < 0: store with a positive denominator
+                if left and right and right[0] * left[1] >= left[0] * right[1]:
+                    break  # every circle through a and b holds a point
+            else:
+                if left and left[2] > b:
+                    out.append((a, b, left[2]))
+                if right and right[2] > b:
+                    out.append((a, right[2], b))
+    return out
 
 
 def _pair_scan(

@@ -66,7 +66,3 @@ def format_points(points: Sequence[Point]) -> str:
 
 def read_points(path: str | Path) -> tuple[Point, ...]:
     return parse_points(Path(path).read_text(encoding="utf-8"))
-
-
-def write_points(path: str | Path, points: Sequence[Point]) -> None:
-    Path(path).write_text(format_points(points), encoding="utf-8")

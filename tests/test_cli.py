@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from dtough import blocking, delaunay, exactgeom, structure
+from dtough import blocking, cli, delaunay, exactgeom, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import PointFileError
-from dtough.exactgeom import CirclePosition, point, general_position
+from dtough.exactgeom import point, general_position
 
 import helpers
 
@@ -137,13 +137,17 @@ def test_check_exit_codes(tmp_path):
     assert code == 2
 
 
-def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch):
+def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
+    # faces that do not triangulate the input are a broken builder, not bad
+    # input: the check must report it, not crash
     quad = tmp_path / "quad.txt"
     quad.write_text("0 0\n2 0\n3 2\n1 3\n")
-    monkeypatch.setattr(delaunay, "in_circle", lambda *points: CirclePosition.ON)
+    scan = delaunay.delaunay_faces
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
     code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
     assert code == 1
-    assert "cocircular flip" in json.loads(out)["error"]
+    assert "do not triangulate" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
@@ -232,6 +236,23 @@ def test_render_audit_overlay(tmp_path):
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(svg), "--audit"])
     assert code == 0
     assert "stroke-dasharray" in svg.read_text()  # sentinel triangle drawn
+
+
+def test_render_audit_builds_input_once(tmp_path, monkeypatch):
+    f = tmp_path / "pts.txt"
+    _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
+    f.write_text(stdout)
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return delaunay.build(points)
+
+    for module in (cli, structure):
+        monkeypatch.setattr(module, "build", counting)
+    code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
+    assert code == 0
+    assert sizes == [7, 9]  # the input, then the input with two sentinels
 
 
 def test_check_json_determinism(tmp_path):

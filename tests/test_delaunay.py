@@ -148,6 +148,7 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
             pts.append(p)
     assume(len(pts) >= 3)
     built = build(pts)
+    assert helpers.verify_delaunay_naive(built) is None
     flipped = _flip_first_convex_edge(built)
     if flipped is not None:  # Delaunay is unique in general position
         assert verify_delaunay(flipped) is not None
@@ -162,11 +163,12 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
                 assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
 
 
-def test_cocircular_flip_is_an_invariant_alarm(monkeypatch):
-    # general position rules out an ON answer in the flip test; a predicate
-    # that gives one anyway must surface as an alarm, not a bare assertion
-    monkeypatch.setattr(delaunay, "in_circle", lambda *points: CirclePosition.ON)
-    with pytest.raises(InvariantBroken):
+def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
+    # faces of general-position input always triangulate it; a face scan
+    # that loses one must surface as an alarm, not as a bare ValueError
+    scan = delaunay.delaunay_faces
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
+    with pytest.raises(InvariantBroken, match="do not triangulate"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 
 
