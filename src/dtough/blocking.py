@@ -2,11 +2,13 @@
 instance families.
 
 A point set B blocks a point set P when the Delaunay triangulation of their
-union has no edge joining two points of P. Verification is direct: build
-the union's triangulation and scan. The constructions realize "close" and
-"approximately" with a halving loop whose every emitted instance is checked
-exactly before being returned, so instances are unconditionally correct
-rather than asymptotically plausible.
+union has no edge joining two points of P. Verification needs no
+triangulation: two points of P are joined exactly when some circle through
+them holds no other point of the union, that is when their pencil gap in
+the union is open (``exactgeom.pencil_gap``). The constructions realize
+"close" and "approximately" with a halving loop whose every emitted instance
+is checked exactly before being returned, so instances are unconditionally
+correct rather than asymptotically plausible.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .delaunay import build
@@ -21,12 +24,15 @@ from .errors import ConstructionFailed, DegenerateInput, PreconditionViolated
 from .exactgeom import (
     Disk,
     Point,
+    disks_externally_tangent,
     disks_interior_disjoint,
     dist_sq,
     general_position,
     is_witness_disk,
     midpoint,
     outward_normal,
+    pencil_gap,
+    scaled_to_integers,
 )
 
 
@@ -37,8 +43,7 @@ class BlockingVerdict(NamedTuple):
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    blocked: bool
-    p_independent: bool  # P is an independent set of the union triangulation
+    blocked: bool  # equally: P is an independent set of the union triangulation
     size_ok: bool  # |B| >= |P|
     p_size: int
     b_size: int
@@ -47,7 +52,7 @@ class LowerBoundReport:
     @property
     def alarm(self) -> bool:
         """True when a blocked instance contradicts the size lower bound."""
-        return self.blocked and not (self.p_independent and self.size_ok)
+        return self.blocked and not self.size_ok
 
 
 @dataclass(frozen=True)
@@ -58,21 +63,23 @@ class BlockingInstance:
 
 
 def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[int, int]]:
-    """The first P-P edge of the union's Delaunay triangulation, or None.
+    """The first P-P edge, in lexicographic order, of the union's Delaunay
+    triangulation, or None.
 
-    The bare pair (two points, no blockers) has its single edge by
-    definition; larger unions are certified and triangulated by ``build``,
-    which raises DegenerateInput.
+    The union is certified once (DegenerateInput otherwise); a pair of P is
+    an edge exactly when its pencil gap in the union is open. The bare pair
+    (two points, no blockers) has no other point, so its gap is open.
     """
-    pts = tuple(p) + tuple(b)
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
-    if len(pts) == 2:
-        violation = general_position(pts)
-        if violation is not None:
-            raise DegenerateInput(violation)
-        return (0, 1)
-    return next(((e.u, e.v) for e in build(pts).edges if e.u < len(p) and e.v < len(p)), None)
+    pts = tuple(p) + tuple(b)
+    violation = general_position(pts)
+    if violation is not None:
+        raise DegenerateInput(violation)
+    q = scaled_to_integers(pts)
+    xs, ys = [pt.x for pt in q], [pt.y for pt in q]
+    pairs = combinations(range(len(p)), 2)
+    return next((e for e in pairs if pencil_gap(xs, ys, *e) is not None), None)
 
 
 def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> BlockingVerdict:
@@ -82,16 +89,14 @@ def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> BlockingVerdict:
 
 
 def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundReport:
-    """Blocking verdict plus the two facts a blocked instance must satisfy:
-    P independent in the union triangulation, and |B| >= |P|.
+    """Blocking verdict plus the size fact a blocked instance must satisfy,
+    |B| >= |P|. Blocked means P is independent in the union triangulation.
 
-    A blocked instance failing either is an alarm, never silently accepted;
-    callers check ``.alarm``.
+    A blocked instance failing the size bound is an alarm, never silently
+    accepted; callers check ``.alarm``.
     """
     witness = _surviving_pp_edge(p, b)
-    blocked = witness is None
-    p_independent = witness is None  # same scan, stated as the independence fact
-    return LowerBoundReport(blocked, p_independent, len(b) >= len(p), len(p), len(b), witness)
+    return LowerBoundReport(witness is None, len(b) >= len(p), len(p), len(b), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +181,6 @@ class DisjointDiskInstance(NamedTuple):
     pairwise_disjoint: bool
 
 
-def _externally_tangent(a: Disk, b: Disk) -> bool:
-    d2 = dist_sq(a.center, b.center)
-    m = d2 - a.radius_sq - b.radius_sq
-    return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
-
-
 def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
     """Points on a nearly flat convex arc with geometrically growing gaps,
     plus one witness disk per consecutive edge, interior-disjoint as a family.
@@ -232,7 +231,7 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
             if not is_witness_disk(points, nxt, i, i + 1):
                 ok = False
                 break
-            if not _externally_tangent(disks[-1], nxt):
+            if not disks_externally_tangent(disks[-1], nxt):
                 ok = False
                 break
             disks.append(nxt)

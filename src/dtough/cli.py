@@ -28,7 +28,6 @@ from .delaunay import (
     witness_disk,
 )
 from .errors import (
-    ConstructionFailed,
     DegenerateInput,
     DToughError,
     InvariantBroken,
@@ -37,7 +36,7 @@ from .errors import (
     TieOnBoundary,
     TooFewPoints,
 )
-from .exactgeom import Disk, Point, coord
+from .exactgeom import Disk, Point
 
 EXIT_OK = 0
 EXIT_ALARM = 1
@@ -207,25 +206,22 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
     kind, n, seed = args.kind, args.n, args.seed
-    try:
-        if kind == "random":
-            body = pointfile.format_points(generate.random_points(n, seed))
-            blockers_body = None
-        elif kind == "convex":
-            body = pointfile.format_points(generate.convex_points(n, seed))
-            blockers_body = None
-        elif kind == "fan":
-            inst = blocking.fan_instance(n, seed)
-            body = pointfile.format_points(inst.points)
-            blockers_body = pointfile.format_points(inst.blockers)
-        elif kind == "disjoint-arc":
-            inst = blocking.disjoint_disk_instance(n)
-            body = pointfile.format_points(inst.points)
-            blockers_body = None
-        else:  # pragma: no cover - argparse choices guard this
-            raise PreconditionViolated(f"unknown kind {kind}")
-    except (TooFewPoints, PreconditionViolated, ConstructionFailed) as exc:
-        return EXIT_INPUT, {"command": "gen", "error": str(exc)}
+    if kind == "random":
+        body = pointfile.format_points(generate.random_points(n, seed))
+        blockers_body = None
+    elif kind == "convex":
+        body = pointfile.format_points(generate.convex_points(n, seed))
+        blockers_body = None
+    elif kind == "fan":
+        inst = blocking.fan_instance(n, seed)
+        body = pointfile.format_points(inst.points)
+        blockers_body = pointfile.format_points(inst.blockers)
+    elif kind == "disjoint-arc":
+        inst = blocking.disjoint_disk_instance(n)
+        body = pointfile.format_points(inst.points)
+        blockers_body = None
+    else:  # pragma: no cover - argparse choices guard this
+        raise PreconditionViolated(f"unknown kind {kind}")
 
     if args.out == "-":
         if blockers_body is not None:
@@ -252,13 +248,13 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
-    try:
-        points = pointfile.read_points(args.file)
-        tri = build(points)
-        d = Disk(Point(coord(args.cx), coord(args.cy)), coord(args.r2))
-    except (PointFileError, DegenerateInput, TooFewPoints, OSError, ValueError, TypeError) as exc:
+    try:  # a point file that is not UTF-8 also raises ValueError
+        tri = build(pointfile.read_points(args.file))
+        cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
+    except ValueError as exc:
         report["error"] = str(exc)
         return EXIT_INPUT, report
+    d = Disk(Point(cx, cy), r2)
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": _frac(d.radius_sq)}
     p, q = args.p, args.q
@@ -299,18 +295,14 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_block(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "block"}
-    try:
-        p = pointfile.read_points(args.points)
-        b = pointfile.read_points(args.blockers)
-        bound = blocking.lower_bound_report(p, b)
-    except (PointFileError, DegenerateInput, PreconditionViolated, TooFewPoints, OSError) as exc:
-        report["error"] = str(exc)
-        return EXIT_INPUT, report
+    p = pointfile.read_points(args.points)
+    b = pointfile.read_points(args.blockers)
+    bound = blocking.lower_bound_report(p, b)
     report["p_size"] = bound.p_size
     report["b_size"] = bound.b_size
     report["blocked"] = bound.blocked
     report["witness"] = None if bound.witness is None else list(bound.witness)
-    report["p_independent"] = bound.p_independent
+    report["p_independent"] = bound.blocked  # no P-P edge survives
     report["size_ok"] = bound.size_ok
     report["tight"] = bound.blocked and bound.p_size == bound.b_size
     report["ok"] = not bound.alarm
@@ -324,13 +316,9 @@ def _cmd_block(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "render"}
-    try:
-        points = pointfile.read_points(args.file)
-        blockers = pointfile.read_points(args.blockers) if args.blockers else ()
-        tri = build(tuple(points) + tuple(blockers)) if blockers else build(points)
-    except (PointFileError, DegenerateInput, TooFewPoints, OSError) as exc:
-        report["error"] = str(exc)
-        return EXIT_INPUT, report
+    points = pointfile.read_points(args.file)
+    blockers = pointfile.read_points(args.blockers) if args.blockers else ()
+    tri = build(tuple(points) + tuple(blockers)) if blockers else build(points)
     hollow: frozenset[int] = frozenset()
     sentinel_triangle = None
     disks: list[Disk] = []

@@ -3,8 +3,9 @@
 ``build`` certifies general position and reads each face off the pencil of
 circles through a pair of its vertices: ab is a Delaunay edge exactly when
 some circle through a and b has no other point inside (Dillencourt, DCG
-1990), and the apexes of its faces are the first points that circle meets on
-either side (``exactgeom.delaunay_faces``, O(n^3)). The scan runs on the
+1990), that is when the pair's pencil gap is open (``exactgeom.pencil_gap``),
+and the apexes of its faces are the points at the two ends of that gap
+(``exactgeom.delaunay_faces``, O(n^3)). The scan runs on the
 lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
 which gives the same faces as the rational points; the returned
 ``Triangulation`` holds the caller's points.
@@ -15,9 +16,11 @@ with exact in-circle tests, and tests run both.
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``, computed from the vertices by ``from_triangles``. Every exact sign
 test on a triangulation's own vertices (its structural checks,
-``verify_delaunay``, ``edge_angle_check``) reads that copy; only disks with
-arbitrary rational centers (``face_disk``, ``witness_disk``) use the
-``Fraction`` vertices.
+``verify_delaunay``, ``edge_angle_check``) reads that copy. ``witness_disk``
+finds its center's pencil parameter in the edge's pencil gap on that copy
+too, the same empty-disk test that ``build`` reads its faces off; only the
+disk itself, whose center is an arbitrary rational, uses the ``Fraction``
+vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -44,17 +47,14 @@ from .exactgeom import (
     Disk,
     Orientation,
     Point,
-    Position,
-    circumdisk,
     cycle_area2,
     delaunay_faces,
-    disk_classify,
     dist_sq,
     general_position,
     in_circle,
     is_witness_disk,
-    midpoint,
     orient,
+    pencil_gap,
     scaled_to_integers,
 )
 
@@ -128,12 +128,8 @@ class Triangulation:
             out.append(next(w for w in tri if w != u and w != v))
         return tuple(out)
 
-    def face_disk(self, ti: int) -> Disk:
-        a, b, c = self.triangles[ti]
-        return circumdisk(self.vertices[a], self.vertices[b], self.vertices[c])
 
-
-def _hull_cycle(n: int, boundary_edges: list[tuple[int, int]], pts: Sequence[Point]) -> tuple[int, ...]:
+def _hull_cycle(boundary_edges: list[tuple[int, int]], pts: Sequence[Point]) -> tuple[int, ...]:
     """Order boundary edges into a CCW cycle starting at the smallest index."""
     ring: dict[int, list[int]] = defaultdict(list)
     for u, v in boundary_edges:
@@ -200,7 +196,7 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
             boundary.append(key)
         elif len(inc) != 2:
             raise ValueError(f"edge {key} belongs to {len(inc)} triangles")
-    hull = _hull_cycle(n, boundary, q)
+    hull = _hull_cycle(boundary, q)
     h = len(hull)
     for i in range(h):
         a, b, c = hull[i], hull[(i + 1) % h], hull[(i + 2) % h]
@@ -296,57 +292,32 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     """A verified empty disk with exactly the edge's endpoints on its boundary.
 
-    Candidate centers come from the pencil of circles through the endpoints,
-    whose centers form the perpendicular bisector line of the edge. For an
-    interior edge the two face circumcenters delimit a segment of valid
-    centers and the midpoint always verifies. For a boundary edge the face
-    circumcenter is one end of the valid range; which side of it works
-    depends on whether the face apex sits inside or outside the edge's
-    diametral disk, and a right angle at the apex degenerates the segment
-    entirely (circumcenter equals edge midpoint), in which case the search
-    leaves along the bisector instead. Every candidate is verified exactly
-    against all vertices before being returned.
+    The center lies on the perpendicular bisector of the edge, at a pencil
+    parameter t inside the edge's pencil gap (``exactgeom.pencil_gap``, on
+    ``tri.scaled``; t does not change with scale). With points on both sides
+    of the edge, t is the midpoint of the gap. A boundary edge has points on
+    one side only: t steps |t_apex|/2 away from the apex's t_apex, or 1/2
+    when t_apex = 0 (a right angle at the apex). The disk is verified
+    exactly against all vertices before it is returned.
     """
     key = _edge_key(u, v)
     if key not in tri.adjacency:
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
-    pu, pv = tri.vertices[key[0]], tri.vertices[key[1]]
-    inc = tri.adjacency[key]
-    centers = [tri.face_disk(ti).center for ti in inc]
-
-    def pencil_disk(center: Point) -> Disk:
-        return Disk(center, dist_sq(center, pu))
-
-    candidates: list[Point] = []
-    if len(centers) == 2:
-        c1, c2 = centers
-        for k in range(1, 34):
-            t = Fraction(1, 2**k)
-            candidates.append(Point(c1.x + t * (c2.x - c1.x), c1.y + t * (c2.y - c1.y)))
+    a, b = key
+    gap = pencil_gap([p.x for p in tri.scaled], [p.y for p in tri.scaled], a, b)
+    if gap is None:
+        raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")
+    left, right = gap  # each end is (num, den, k) with 2t_k = num / den
+    if left and right:
+        t = (Fraction(left[0], left[1]) + Fraction(right[0], right[1])) / 4
     else:
-        c = centers[0]
-        mid = midpoint(pu, pv)
-        apex = tri.opposite_vertices(*key)[0]
-        ap = tri.vertices[apex]
-        if c == mid:
-            # Right angle at the apex: the circumcenter IS the edge midpoint,
-            # so step off along the bisector, away from the apex's side.
-            perp = Point(-(pv.y - pu.y), pv.x - pu.x)
-            sign = 1 if (perp.x * (pu.x - ap.x) + perp.y * (pu.y - ap.y)) > 0 else -1
-            for k in range(1, 34):
-                t = Fraction(sign, 2**k)
-                candidates.append(Point(mid.x + t * perp.x, mid.y + t * perp.y))
-        else:
-            diametral = Disk(mid, dist_sq(mid, pu))
-            apex_pos = disk_classify(diametral, ap)
-            # Apex inside the diametral disk: valid centers lie beyond the
-            # circumcenter, away from the edge. Outside: toward the midpoint.
-            sign = -1 if apex_pos is Position.INTERIOR else 1
-            for k in range(1, 34):
-                t = Fraction(sign, 2**k)
-                candidates.append(Point(c.x + t * (mid.x - c.x), c.y + t * (mid.y - c.y)))
-    for center in candidates:
-        d = pencil_disk(center)
-        if is_witness_disk(tri.vertices, d, key[0], key[1]):
-            return d
-    raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
+        (num, den, _), away = (left, -1) if left else (right, 1)
+        t_apex = Fraction(num, 2 * den)
+        t = t_apex + away * (abs(t_apex) / 2 or Fraction(1, 2))
+    pu, pv = tri.vertices[a], tri.vertices[b]
+    bx, by = pv.x - pu.x, pv.y - pu.y
+    center = Point(pu.x + bx / 2 - t * by, pu.y + by / 2 + t * bx)
+    d = Disk(center, dist_sq(center, pu))
+    if not is_witness_disk(tri.vertices, d, a, b):
+        raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
+    return d

@@ -37,7 +37,7 @@ class NotInteriorEdge(DToughError):
 
 
 class WitnessSearchFailed(DToughError):
-    """No verified empty disk was found for an edge within the search budget."""
+    """No empty disk through the edge's endpoints verified exactly."""
 
 
 class TooLarge(DToughError):

@@ -14,12 +14,16 @@ runs on a copy of the point set multiplied by the lcm of its denominators
 (``scaled_to_integers``, kept on a triangulation as
 ``Triangulation.scaled``): the answers are the same, the arithmetic is plain
 ``int`` and still exact. Disks with arbitrary rational centers (disk paths,
-blocking, witness disks) stay on ``Fraction``. The certificate and the face
-scan are both O(n^3) and both walk the pencil of circles through each pair
-of points: one bisector row per pair finds every collinear triple and
-cocircular quadruple through that pair (``_bisector_row``), and the first
-points the pencil meets on either side of the pair are the apexes of its
-Delaunay faces (``delaunay_faces``).
+witness disks) stay on ``Fraction``. The certificate and the face scan are
+both O(n^3) and both walk the pencil of circles through each pair of
+points: one bisector row per pair finds every collinear triple and
+cocircular quadruple through that pair (``_bisector_row``), and the pencil
+gap of a pair (``pencil_gap``) holds the parameters of the circles through
+it that contain no other point. That gap is the one empty-disk test of the
+package: the face scan (``delaunay_faces``) reads the apexes of a pair's
+Delaunay faces off its ends, ``delaunay.witness_disk`` takes its center from
+inside it, and a blocking verdict asks whether any pair of the blocked set
+has it open.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -318,6 +322,13 @@ def disks_internally_tangent(outer: Disk, inner: Disk) -> bool:
     return m >= 0 and m * m == 4 * outer.radius_sq * inner.radius_sq
 
 
+def disks_externally_tangent(a: Disk, b: Disk) -> bool:
+    """dist(centers) = R + r, tested as a rational identity on squares."""
+    d2 = dist_sq(a.center, b.center)
+    m = d2 - a.radius_sq - b.radius_sq
+    return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
+
+
 def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
     """Closed containment: dist(centers) <= R - r, in squared form."""
     if inner.radius_sq > outer.radius_sq:
@@ -401,49 +412,68 @@ def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) 
     return Violation(ViolationKind.COCIRCULAR, tuple(sorted((a, b) + best)))
 
 
+Gap = tuple[Optional[tuple[int, int, int]], Optional[tuple[int, int, int]]]
+
+
+def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional[Gap]:
+    """The pencil gap of points a and b among integer points (coordinates
+    ``xs``, ``ys``): the parameters of the circles through a and b that hold
+    no other point.
+
+    The circles through a and b have centers a + B/2 + t perp(B), B = b - a
+    (see ``_bisector_row``); the one through a third point k has
+    2t_k = C.(C - B) / cross(B, C), C = k - a. A point left of ab
+    (cross(B, C) > 0) is inside the circles with t > t_k, a point right of it
+    inside those with t < t_k, so the empty circles are those with t between
+    the greatest right and the least left t_k, and ab is a Delaunay edge
+    exactly when that gap is open (Dillencourt's empty-disk characterisation).
+
+    Returns (left, right), the least left and the greatest right t_k as
+    (num, den, k) with 2t_k = num / den and den > 0, each None when its side
+    has no point, or None once every circle holds a point. Points on the
+    line ab are skipped. O(n), comparing by cross-multiplication.
+    """
+    ax, ay = xs[a], ys[a]
+    bx, by = xs[b] - ax, ys[b] - ay
+    left = right = None
+    for k in range(len(xs)):
+        if k == a or k == b:
+            continue
+        cx, cy = xs[k] - ax, ys[k] - ay
+        den = bx * cy - by * cx
+        num = cx * (cx - bx) + cy * (cy - by)
+        if den > 0:
+            if left is None or num * left[1] < left[0] * den:
+                left = (num, den, k)
+        elif den < 0 and (right is None or num * right[1] < right[0] * den):
+            right = (-num, -den, k)  # stored with a positive denominator
+        if left and right and right[0] * left[1] >= left[0] * right[1]:
+            return None
+    return left, right
+
+
 def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
     """The CCW faces of the Delaunay triangulation of integer points in
-    general position, read off the pencil of circles through each pair.
+    general position, read off the pencil gap of each pair (``pencil_gap``).
 
-    The circles through a and b have centers a + B/2 + t perp(B) (see
-    ``_bisector_row``); the one through a third point k has the parameter
-    t_k with 2t_k = C.(C - B) / cross(B, C). A point left of ab
-    (cross(B, C) > 0) is inside the circles with t > t_k, a point right of
-    it inside those with t < t_k. So ab is an edge exactly when some circle
-    through a and b holds no other point (Dillencourt's empty-disk
-    characterisation), that is when every right t_k is below every left
-    one. The left point with the least t_k is then the apex of the face left
-    of ab, and the right point with the greatest t_k the apex of the face
-    right of it. Each face is emitted from the pair of its two smallest
-    indices. O(n^3); the t_k are compared by cross-multiplication.
+    The least left t_k of an open gap is the apex of the face left of ab, the
+    greatest right t_k the apex of the face right of it. Each face is emitted
+    from the pair of its two smallest indices. O(n^3).
     """
     n = len(pts)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     out = []
     for a in range(n):
-        ax, ay = xs[a], ys[a]
         for b in range(a + 1, n):
-            bx, by = xs[b] - ax, ys[b] - ay
-            left = right = None  # (num, den, k) of the least left and the greatest right t_k
-            for k in range(n):
-                if k == a or k == b:
-                    continue
-                cx, cy = xs[k] - ax, ys[k] - ay
-                den = bx * cy - by * cx
-                num = cx * (cx - bx) + cy * (cy - by)
-                if den > 0:
-                    if left is None or num * left[1] < left[0] * den:
-                        left = (num, den, k)
-                elif right is None or num * right[1] < right[0] * den:
-                    right = (-num, -den, k)  # den < 0: store with a positive denominator
-                if left and right and right[0] * left[1] >= left[0] * right[1]:
-                    break  # every circle through a and b holds a point
-            else:
-                if left and left[2] > b:
-                    out.append((a, b, left[2]))
-                if right and right[2] > b:
-                    out.append((a, right[2], b))
+            gap = pencil_gap(xs, ys, a, b)
+            if gap is None:
+                continue
+            left, right = gap
+            if left and left[2] > b:
+                out.append((a, b, left[2]))
+            if right and right[2] > b:
+                out.append((a, right[2], b))
     return out
 
 

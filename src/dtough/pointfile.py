@@ -4,9 +4,10 @@ One point per line as ``x y``. Coordinates are decimal literals (parsed
 exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
 blank lines are skipped, duplicates are rejected at load. A decimal
 exponent may be at most ``MAX_EXPONENT`` in magnitude: ``1e999999999`` would
-otherwise make ``Fraction`` build a billion-digit integer. Emission is
-canonical (always ``a/b`` or a bare integer), so emit -> parse -> emit is
-byte-identical.
+otherwise make ``Fraction`` build a billion-digit integer. ``coordinate``
+parses one field; it also parses the disk arguments of ``dtough path``.
+Emission is canonical (always ``a/b`` or a bare integer), so
+emit -> parse -> emit is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,11 +24,20 @@ MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")  # the exponent of a Fraction literal
 
 
-def _coordinate(field: str) -> Fraction:
+def coordinate(field: str) -> Fraction:
+    """One exact coordinate from a decimal or ``a/b`` literal.
+
+    Raises ValueError for anything else, including a zero denominator and a
+    decimal exponent above ``MAX_EXPONENT`` in magnitude, which is refused
+    before ``Fraction`` sees the field.
+    """
     match = _EXPONENT.search(field)
     if match and abs(int(match.group(1))) > MAX_EXPONENT:
         raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
-    return Fraction(field)
+    try:
+        return Fraction(field)
+    except ZeroDivisionError as exc:
+        raise ValueError("zero denominator") from exc
 
 
 def parse_points(text: str) -> tuple[Point, ...]:
@@ -43,8 +53,8 @@ def parse_points(text: str) -> tuple[Point, ...]:
         coords = []
         for field in fields:
             try:
-                coords.append(_coordinate(field))
-            except (ValueError, ZeroDivisionError) as exc:
+                coords.append(coordinate(field))
+            except ValueError as exc:
                 raise PointFileError(line_no, f"bad coordinate {field!r}: {exc}") from exc
         p = Point(coords[0], coords[1])
         if p in seen:

@@ -19,6 +19,12 @@ from hypothesis import strategies as st
 
 from dtough import blocking, build, cli
 from dtough.delaunay import CounterExample
+from dtough.errors import (
+    DegenerateInput,
+    NotInteriorEdge,
+    PreconditionViolated,
+    WitnessSearchFailed,
+)
 from dtough.exactgeom import (
     CirclePosition,
     Disk,
@@ -136,6 +142,67 @@ def verify_delaunay_naive(tri):
             if vi not in t and disk_classify(d, p) is not Position.EXTERIOR:
                 return CounterExample(t, vi)
     return None
+
+
+def witness_disk_oracle(tri, u, v) -> Disk:
+    """The witness disk of edge (u, v) by a candidate search from the face
+    circumdisks: up to 33 centers on the edge's perpendicular bisector, each
+    verified against every vertex, the first that verifies returned.
+
+    An interior edge halves toward the midpoint of its two face
+    circumcenters. A boundary edge steps from its face circumcenter toward
+    the edge midpoint when the apex is outside the edge's diametral disk and
+    away from it when inside; a right angle at the apex puts the
+    circumcenter on the midpoint, so the search steps off along the bisector,
+    away from the apex's side.
+    """
+    key = (min(u, v), max(u, v))
+    if key not in tri.adjacency:
+        raise NotInteriorEdge(f"({u}, {v}) is not an edge")
+    pu, pv = tri.vertices[key[0]], tri.vertices[key[1]]
+    inc = tri.adjacency[key]
+    centers = [circumdisk(*(tri.vertices[i] for i in tri.triangles[ti])).center for ti in inc]
+    steps = [Fraction(1, 2**k) for k in range(1, 34)]
+    if len(centers) == 2:
+        c1, c2 = centers
+        candidates = [Point(c1.x + t * (c2.x - c1.x), c1.y + t * (c2.y - c1.y)) for t in steps]
+    else:
+        c = centers[0]
+        mid = midpoint(pu, pv)
+        ap = tri.vertices[tri.opposite_vertices(*key)[0]]
+        if c == mid:
+            perp = Point(-(pv.y - pu.y), pv.x - pu.x)
+            sign = 1 if (perp.x * (pu.x - ap.x) + perp.y * (pu.y - ap.y)) > 0 else -1
+            candidates = [Point(mid.x + sign * t * perp.x, mid.y + sign * t * perp.y) for t in steps]
+        else:
+            diametral = Disk(mid, dist_sq(mid, pu))
+            sign = -1 if disk_classify(diametral, ap) is Position.INTERIOR else 1
+            candidates = [
+                Point(c.x + sign * t * (mid.x - c.x), c.y + sign * t * (mid.y - c.y)) for t in steps
+            ]
+    for center in candidates:
+        d = Disk(center, dist_sq(center, pu))
+        if all(
+            disk_classify(d, p) is (Position.BOUNDARY if i in key else Position.EXTERIOR)
+            for i, p in enumerate(tri.vertices)
+        ):
+            return d
+    raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
+
+
+def surviving_pp_edge_oracle(p, b):
+    """The first P-P edge of the union's Delaunay triangulation, scanned in
+    ``build(union).edges``, or None. The bare pair (two points, no blockers)
+    has its single edge by definition."""
+    pts = tuple(p) + tuple(b)
+    if len(p) < 2:
+        raise PreconditionViolated("need at least two points to block")
+    if len(pts) == 2:
+        violation = general_position_naive(pts)
+        if violation is not None:
+            raise DegenerateInput(violation)
+        return (0, 1)
+    return next(((e.u, e.v) for e in build(pts).edges if e.u < len(p) and e.v < len(p)), None)
 
 
 def mis_exhaustive(n: int, edges) -> int:

@@ -189,7 +189,8 @@ def test_criterion_6_blocking_lower_bound():
     for n in range(4, 11):
         inst = helpers.fan(n)
         rep = lower_bound_report(inst.points, inst.blockers)
-        if not (rep.blocked and rep.p_independent and rep.size_ok):
+        independent = helpers.surviving_pp_edge_oracle(inst.points, inst.blockers) is None
+        if not (rep.blocked and independent and rep.size_ok):
             failures.append(("fan", n, rep))
         if rep.b_size != rep.p_size:
             failures.append(("fan-tightness", n))

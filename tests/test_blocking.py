@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dtough import blocking, delaunay, exactgeom, generate
 from dtough.blocking import (
@@ -63,6 +65,24 @@ def test_union_is_scanned_once(monkeypatch):
     assert sizes == [12, 12]
 
 
+@given(st.lists(helpers.grid_points, min_size=2, max_size=9), st.integers(2, 9), st.booleans())
+def test_verdict_matches_union_triangulation_oracle(candidates, split, thin):
+    pts: list = []
+    for q in candidates:
+        if not thin or exactgeom.general_position(pts + [q]) is None:
+            pts.append(q)
+    p, b = pts[:split], pts[split:]
+    assume(len(p) >= 2)
+    try:
+        witness = helpers.surviving_pp_edge_oracle(p, b)
+    except DegenerateInput as exc:
+        with pytest.raises(DegenerateInput) as raised:
+            verify_blocking(p, b)
+        assert raised.value.violation == exc.violation
+        return
+    assert verify_blocking(p, b) == (witness is None, witness)
+
+
 def test_constructions_scan_each_point_set_once(monkeypatch):
     scanned = []
 
@@ -84,7 +104,8 @@ def test_fan_instances_blocked_and_tight():
         assert inst.verified
         assert len(inst.points) == n and len(inst.blockers) == n
         rep = lower_bound_report(inst.points, inst.blockers)
-        assert rep.blocked and rep.p_independent and rep.size_ok
+        assert rep.blocked and rep.size_ok
+        assert helpers.surviving_pp_edge_oracle(inst.points, inst.blockers) is None
         assert not rep.alarm
         assert rep.p_size == rep.b_size  # tightness
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dtough import blocking, cli, delaunay, exactgeom, structure
+from dtough import blocking, cli, delaunay, exactgeom, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import PointFileError
 from dtough.exactgeom import point, general_position
@@ -201,6 +201,27 @@ def test_path_command(tmp_path):
         code, out = helpers.run_cli(["path", "--", str(f), p, q, "2", "0", "1"])
         assert code == 2
         assert json.loads(out)["error"] == error
+
+
+def test_path_disk_arguments_are_parsed_like_point_files(tmp_path, monkeypatch):
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "1/0", "0", "1"])
+    assert code == 2 and json.loads(out)["error"] == "zero denominator"
+    # the capped parser refuses the exponent before Fraction would build a
+    # billion-digit integer; it is patched in (and must exist) so that a CLI
+    # that bypassed it fails here instead of hanging
+    parsed = []
+
+    def recording(field):
+        parsed.append(field)
+        return parse_coordinate(field)
+
+    parse_coordinate = pointfile.coordinate
+    monkeypatch.setattr(pointfile, "coordinate", recording)
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "1e1000000000", "0", "1"])
+    assert code == 2 and "exponent" in json.loads(out)["error"]
+    assert parsed[-1] == "1e1000000000"  # after the eight point-file fields
 
 
 def test_path_svg(tmp_path):

@@ -24,6 +24,7 @@ from dtough.exactgeom import (
     disk_classify,
     general_position,
     in_circle,
+    is_witness_disk,
     orient,
     point,
     scaled_to_integers,
@@ -139,13 +140,18 @@ def _flip_first_convex_edge(t: Triangulation):
     return None
 
 
-@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
-def test_integer_verifier_matches_fraction_oracle(candidates):
-    # grid points, greedily thinned to general position
+def _thinned(candidates) -> list[Point]:
+    """The candidates, greedily thinned to general position."""
     pts: list[Point] = []
     for p in candidates:
         if general_position(pts + [p]) is None:
             pts.append(p)
+    return pts
+
+
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_integer_verifier_matches_fraction_oracle(candidates):
+    pts = _thinned(candidates)
     assume(len(pts) >= 3)
     built = build(pts)
     assert helpers.verify_delaunay_naive(built) is None
@@ -161,6 +167,19 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
                 r, s = t.opposite_vertices(e.u, e.v)
                 exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
                 assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
+
+
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_witness_disks_match_candidate_oracle(candidates):
+    # grid sets have many right angles at a face apex, where the face's
+    # circumcenter is the edge midpoint
+    pts = _thinned(candidates)
+    assume(len(pts) >= 3)
+    t = build(pts)
+    for e in t.edges:
+        d = witness_disk(t, e.u, e.v)
+        assert d == helpers.witness_disk_oracle(t, e.u, e.v)
+        assert is_witness_disk(t.vertices, d, e.u, e.v)
 
 
 def test_rejected_faces_are_an_invariant_alarm(monkeypatch):

@@ -53,10 +53,19 @@ def golden_results(workdir: Path) -> dict:
     run("path random 1 4", ["path", "--", str(files["random"]), "1", "4", *disk])
 
     run("block fan", ["block", str(files["fan"]), f"{files['fan']}.blockers"])
+    # without its last blocker the fan is not blocked: a rim edge survives
+    fewer = workdir / "fan8-fewer.blockers"
+    fewer.write_text("".join(Path(f"{files['fan']}.blockers").read_text().splitlines(True)[:-1]))
+    run("block fan minus one", ["block", str(files["fan"]), str(fewer)])
 
     svg = workdir / "audit.svg"
     run("render --audit", ["render", str(files["random"]), "--svg", str(svg), "--audit"])
     results["render --audit"]["sha256"] = _sha256(svg)
+
+    svg = workdir / "disks.svg"
+    argv = ["render", str(files["random"]), "--svg", str(svg), "--mis", "--witness-disks"]
+    run("render --mis --witness-disks", argv)
+    results["render --mis --witness-disks"]["sha256"] = _sha256(svg)
     return results
 
 
