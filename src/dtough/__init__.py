@@ -19,6 +19,7 @@ from .delaunay import (
     Triangulation,
     build,
     edge_angle_check,
+    extend,
     from_triangles,
     verify_delaunay,
     witness_disk,

@@ -72,11 +72,10 @@ def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple
     """
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
-    pts = tuple(p) + tuple(b)
-    violation = general_position(pts)
+    q = scaled_to_integers(tuple(p) + tuple(b))
+    violation = general_position(q)
     if violation is not None:
         raise DegenerateInput(violation)
-    q = scaled_to_integers(pts)
     xs, ys = [pt.x for pt in q], [pt.y for pt in q]
     pairs = combinations(range(len(p)), 2)
     return next((e for e in pairs if pencil_gap(xs, ys, *e) is not None), None)

@@ -11,6 +11,7 @@ written, 3 a size gate refused an exhaustive check (raise it with --max-n).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -248,8 +249,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
-    try:  # a point file that is not UTF-8 also raises ValueError
-        tri = build(pointfile.read_points(args.file))
+    tri = build(pointfile.read_points(args.file))
+    try:  # a disk argument that the point-file field parser refuses
         cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
     except ValueError as exc:
         report["error"] = str(exc)
@@ -360,6 +361,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtough",

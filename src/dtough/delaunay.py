@@ -5,16 +5,21 @@ circles through a pair of its vertices: ab is a Delaunay edge exactly when
 some circle through a and b has no other point inside (Dillencourt, DCG
 1990), that is when the pair's pencil gap is open (``exactgeom.pencil_gap``),
 and the apexes of its faces are the points at the two ends of that gap
-(``exactgeom.delaunay_faces``, O(n^3)). The scan runs on the
-lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
+(``exactgeom.delaunay_faces``, O(n^3)). ``extend`` adds points to a built
+triangulation and returns what ``build`` returns for the union: it
+certifies only the tuples that hold an added point, keeps each old face
+whose circumdisk no added point enters, and scans for new faces only the
+pairs that end in an added point, O(k n^2) for k added points. Both run on
+one lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
 which gives the same faces as the rational points; the returned
 ``Triangulation`` holds the caller's points.
-Its output is never trusted: ``verify_delaunay`` re-checks the
+Their output is never trusted: ``verify_delaunay`` re-checks the
 empty-circumdisk property of every face against every vertex by brute force
 with exact in-circle tests, and tests run both.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
-``scaled``, computed from the vertices by ``from_triangles``. Every exact sign
+``scaled``: the copy ``build`` or ``extend`` scanned, or the one
+``from_triangles`` computes. Every exact sign
 test on a triangulation's own vertices (its structural checks,
 ``verify_delaunay``, ``edge_angle_check``) reads that copy. ``witness_disk``
 finds its center's pencil parameter in the edge's pencil gap on that copy
@@ -47,10 +52,12 @@ from .exactgeom import (
     Disk,
     Orientation,
     Point,
+    circle_classifier,
     cycle_area2,
     delaunay_faces,
     dist_sq,
     general_position,
+    general_position_added,
     in_circle,
     is_witness_disk,
     orient,
@@ -97,9 +104,10 @@ class Triangulation:
     Treat instances as immutable; every operation in this package builds new
     values instead of mutating. ``adjacency`` maps each normalized edge to
     the indices (into ``triangles``) of its one or two incident faces.
-    ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, derived by
-    ``from_triangles``: integer coordinates on which every orientation and
-    in-circle sign equals the one on ``vertices``.
+    ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
+    ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
+    integer coordinates on which every orientation and in-circle sign equals
+    the one on ``vertices``.
     """
 
     vertices: tuple[Point, ...]
@@ -165,10 +173,16 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
     assemble deliberately non-Delaunay triangulations.
     """
     pts = tuple(points)
+    return _assemble(pts, scaled_to_integers(pts), triangles)
+
+
+def _assemble(
+    pts: tuple[Point, ...], q: tuple[Point, ...], triangles: Sequence[tuple[int, int, int]]
+) -> Triangulation:
+    """``from_triangles`` on points whose lcm-scaled copy q is already known."""
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    q = scaled_to_integers(pts)
     tris = []
     seen = set()
     used = set()
@@ -231,19 +245,56 @@ def build(points: Sequence[Point]) -> Triangulation:
     Certifies general position, then reads the faces off the pencils of
     circles through each pair of points (``exactgeom.delaunay_faces``), on
     integer coordinates scaled by the lcm of all denominators; the
-    predicates are invariant under that positive factor. The faces depend
-    only on the point set, never on the input order; tests check this by
-    shuffling inputs. Faces that ``from_triangles`` rejects are a broken
-    invariant, not bad input.
+    predicates are invariant under that positive factor. The points are
+    scaled once, and the certificate, the face scan and the returned
+    ``scaled`` share that copy. The faces depend only on the point set,
+    never on the input order; tests check this by shuffling inputs. Faces
+    that ``from_triangles`` rejects are a broken invariant, not bad input.
     """
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    violation = general_position(pts)
+    q = scaled_to_integers(pts)
+    violation = general_position(q)
     if violation is not None:
         raise DegenerateInput(violation)
+    return _certified(pts, q, delaunay_faces(q))
+
+
+def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
+    """The Delaunay triangulation of tri's vertices followed by ``added``;
+    it equals ``build(tri.vertices + added)``, DegenerateInput included.
+
+    tri must be the Delaunay triangulation of its vertices, as ``build``
+    returns it. General position is hereditary, so only the tuples ending in
+    an added point are certified (``exactgeom.general_position_added``,
+    O(k n^2)). An old face stays a face exactly when no added point lies in
+    its circumdisk, and every new face has an added vertex (Bowyer; Watson,
+    Computer Journal 1981), which ``exactgeom.delaunay_faces`` finds from the
+    pairs that end in an added point, O(k n^2). Everything runs on one
+    lcm-scaled copy of the union.
+    """
+    n = len(tri)
+    pts = tri.vertices + tuple(added)
+    q = scaled_to_integers(pts)
+    violation = general_position_added(q[:n], q[n:])
+    if violation is not None:
+        raise DegenerateInput(violation)
+    kept = []
+    for t in tri.triangles:
+        position = circle_classifier(*(q[i] for i in t))
+        if all(position(p) is CirclePosition.OUTSIDE for p in q[n:]):
+            kept.append(t)
+    return _certified(pts, q, kept + delaunay_faces(q, n))
+
+
+def _certified(
+    pts: tuple[Point, ...], q: tuple[Point, ...], faces: list[tuple[int, int, int]]
+) -> Triangulation:
+    """Assemble the empty-disk faces of certified points; faces that do not
+    triangulate them are a broken invariant."""
     try:
-        return from_triangles(pts, delaunay_faces(scaled_to_integers(pts)))
+        return _assemble(pts, q, faces)
     except ValueError as exc:
         raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
 
@@ -258,13 +309,14 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
 
     None when every face's circumdisk excludes every non-incident vertex;
     otherwise the first counterexample in face order (vertices in index
-    order within a face). Runs ``in_circle`` on ``tri.scaled``.
+    order within a face). Runs one ``circle_classifier`` per face on
+    ``tri.scaled``.
     """
     q = tri.scaled
     for t in tri.triangles:
-        a, b, c = (q[i] for i in t)
+        position = circle_classifier(*(q[i] for i in t))
         for vi, p in enumerate(q):
-            if vi not in t and in_circle(a, b, c, p) is not CirclePosition.OUTSIDE:
+            if vi not in t and position(p) is not CirclePosition.OUTSIDE:
                 return CounterExample(t, vi)
     return None
 

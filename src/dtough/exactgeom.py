@@ -6,24 +6,28 @@ floating-point rounding and are invariant under rational rescaling of the
 input. Disks store the *squared* radius; radii themselves are irrational in
 general and never materialize.
 
-``orient`` and ``in_circle`` are generic over the number type. Every sign
-test on a point set's own points (the general-position certificate, the
-Delaunay face scan of ``delaunay.build``, ``from_triangles``,
-``verify_delaunay``, the sentinel search and the audit's face traversal)
-runs on a copy of the point set multiplied by the lcm of its denominators
-(``scaled_to_integers``, kept on a triangulation as
-``Triangulation.scaled``): the answers are the same, the arithmetic is plain
-``int`` and still exact. Disks with arbitrary rational centers (disk paths,
-witness disks) stay on ``Fraction``. The certificate and the face scan are
-both O(n^3) and both walk the pencil of circles through each pair of
-points: one bisector row per pair finds every collinear triple and
-cocircular quadruple through that pair (``_bisector_row``), and the pencil
-gap of a pair (``pencil_gap``) holds the parameters of the circles through
-it that contain no other point. That gap is the one empty-disk test of the
-package: the face scan (``delaunay_faces``) reads the apexes of a pair's
-Delaunay faces off its ends, ``delaunay.witness_disk`` takes its center from
-inside it, and a blocking verdict asks whether any pair of the blocked set
-has it open.
+``orient`` and ``in_circle`` are generic over the number type; the
+in-circle determinant has one home, ``circle_classifier``, which does the
+work that depends on the circle once and then tests any number of query
+points. Every sign test on a point set's own points (the general-position
+certificates, the Delaunay face scan of ``delaunay.build`` and
+``delaunay.extend``, ``from_triangles``, ``verify_delaunay``, the sentinel
+search and the audit's face traversal) runs on a copy of the point set
+multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
+triangulation as ``Triangulation.scaled``): the answers are the same, the
+arithmetic is plain ``int`` and still exact. The certificates accept that
+copy in place of the points, so a build scales its points once. Disks with
+arbitrary rational centers (disk paths, witness disks) stay on
+``Fraction``. The certificate and the face scan are both O(n^3), or
+O(k n^2) for the tuples and faces that hold one of k added points, and both
+walk the pencil of circles through each pair of points: one bisector row per
+pair finds every collinear triple and cocircular quadruple through that pair
+(``_bisector_row``), and the pencil gap of a pair (``pencil_gap``) holds the
+parameters of the circles through it that contain no other point. That gap
+is the one empty-disk test of the package: the face scan
+(``delaunay_faces``) reads the apexes of a pair's Delaunay faces off its
+ends, ``delaunay.witness_disk`` takes its center from inside it, and a
+blocking verdict asks whether any pair of the blocked set has it open.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -37,7 +41,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import CollinearInput, InvariantBroken, PreconditionViolated
 
@@ -173,36 +177,47 @@ def orient(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def in_circle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
-    """Classify d against the circle through a, b, c.
+def circle_classifier(a: Point, b: Point, c: Point) -> Callable[[Point], CirclePosition]:
+    """The in-circle test against the circle through a, b, c, as a function
+    of the query point.
 
-    The lifted 3x3 determinant is sign-normalized by the orientation of
-    (a, b, c), so the result depends only on the circle, not on the order
-    the defining points are given in.
+    Everything that depends on the circle alone is computed once: with
+    B = b - a, C = c - a and D = d - a, the lifted determinant of (a, b, c, d)
+    is |B|^2 cross(C, D) - |C|^2 cross(B, D) + |D|^2 cross(B, C), which is
+    D.y px - D.x py + |D|^2 cross(B, C) for px = |B|^2 C.x - |C|^2 B.x and
+    py = |B|^2 C.y - |C|^2 B.y. Its sign is normalized by the orientation of
+    (a, b, c), the sign of cross(B, C), so the test depends only on the
+    circle, not on the order the defining points are given in; it is then
+    positive outside, zero on and negative inside the circle.
     """
-    o = orient(a, b, c)
-    if o is Orientation.COLLINEAR:
+    ax, ay = a.x, a.y
+    bx, by = b.x - ax, b.y - ay
+    cx, cy = c.x - ax, c.y - ay
+    cross = bx * cy - by * cx
+    if cross == 0:
         raise CollinearInput(f"no circle through collinear points {a}, {b}, {c}")
-    adx = a.x - d.x
-    ady = a.y - d.y
-    bdx = b.x - d.x
-    bdy = b.y - d.y
-    cdx = c.x - d.x
-    cdy = c.y - d.y
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bdx * cdy - cdx * bdy)
-        + blift * (cdx * ady - adx * cdy)
-        + clift * (adx * bdy - bdx * ady)
-    )
-    det *= o.value
-    if det > 0:
-        return CirclePosition.INSIDE
-    if det < 0:
-        return CirclePosition.OUTSIDE
-    return CirclePosition.ON
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    px = b2 * cx - c2 * bx
+    py = b2 * cy - c2 * by
+    if cross < 0:
+        cross, px, py = -cross, -px, -py
+
+    def classify(d: Point) -> CirclePosition:
+        dx, dy = d.x - ax, d.y - ay
+        det = dy * px - dx * py + (dx * dx + dy * dy) * cross
+        if det > 0:
+            return CirclePosition.OUTSIDE
+        if det < 0:
+            return CirclePosition.INSIDE
+        return CirclePosition.ON
+
+    return classify
+
+
+def in_circle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
+    """Classify d against the circle through a, b, c (``circle_classifier``)."""
+    return circle_classifier(a, b, c)(d)
 
 
 def circumdisk(a: Point, b: Point, c: Point) -> Disk:
@@ -452,27 +467,31 @@ def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
     return left, right
 
 
-def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
+def delaunay_faces(pts: Sequence[Point], start: int = 0) -> list[tuple[int, int, int]]:
     """The CCW faces of the Delaunay triangulation of integer points in
-    general position, read off the pencil gap of each pair (``pencil_gap``).
+    general position that have a vertex at index ``start`` or above, read
+    off the pencil gap of each pair (``pencil_gap``); every face when
+    ``start`` is 0.
 
     The least left t_k of an open gap is the apex of the face left of ab, the
     greatest right t_k the apex of the face right of it. Each face is emitted
-    from the pair of its two smallest indices. O(n^3).
+    from the pair of its smallest and largest index, whose apex lies strictly
+    between the two, so only the pairs (a, b) with b >= start are scanned:
+    O(n^3) for all faces, O(k n^2) for the faces of the last k points.
     """
     n = len(pts)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     out = []
-    for a in range(n):
-        for b in range(a + 1, n):
+    for b in range(start, n):
+        for a in range(b):
             gap = pencil_gap(xs, ys, a, b)
             if gap is None:
                 continue
             left, right = gap
-            if left and left[2] > b:
+            if left and a < left[2] < b:
                 out.append((a, b, left[2]))
-            if right and right[2] > b:
+            if right and a < right[2] < b:
                 out.append((a, right[2], b))
     return out
 
@@ -497,6 +516,15 @@ def _pair_scan(
     return cocircular
 
 
+def _on_integers(points: Sequence[Point]) -> Sequence[Point]:
+    """The points as given when every coordinate is an ``int`` (a copy that
+    ``scaled_to_integers`` already made, as ``delaunay.build`` passes), else
+    their lcm-scaled integer copy."""
+    if all(type(p.x) is int and type(p.y) is int for p in points):
+        return points
+    return scaled_to_integers(points)
+
+
 def general_position(points: Sequence[Point]) -> Optional[Violation]:
     """None when no two points coincide, no three are collinear, and no four
     are cocircular; otherwise the first violation in ``combinations`` order:
@@ -506,7 +534,8 @@ def general_position(points: Sequence[Point]) -> Optional[Violation]:
     O(n^3) on lcm-scaled integer coordinates: for each pair (a, b) one
     bisector row over k > b finds the collinear triples (a, b, k) and the
     cocircular quadruples (a, b, j, k). The answer is exact and equals the
-    naive O(n^4) scan's, which the tests keep as an oracle.
+    naive O(n^4) scan's, which the tests keep as an oracle. Scaling changes
+    no answer, so a caller holding the scaled copy passes that instead.
     """
     pts = list(points)
     n = len(pts)
@@ -515,7 +544,7 @@ def general_position(points: Sequence[Point]) -> Optional[Violation]:
         if p in seen:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
         seen[p] = i
-    q = scaled_to_integers(pts)
+    q = _on_integers(pts)
     return _pair_scan(q, ((a, b, range(b + 1, n)) for a in range(n) for b in range(a + 1, n)))
 
 
@@ -525,7 +554,8 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
     Only tuples whose largest index is an added point are scanned: for each
     added a and each i < a, one bisector row over i < j < a, which is
     O(k n^2). Violations come in the order (a, i, j, k) of those tuples;
-    indices refer to the concatenated sequence.
+    indices refer to the concatenated sequence. Like ``general_position``
+    it runs on, and accepts, the lcm-scaled integer copy of base + added.
     """
     pts = list(base) + list(added)
     n = len(pts)
@@ -534,7 +564,7 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
         for j in range(n):
             if j != i and pts[j] == pts[i]:
                 return Violation(ViolationKind.DUPLICATE, tuple(sorted((j, i))))
-    q = scaled_to_integers(pts)
+    q = _on_integers(pts)
     return _pair_scan(q, ((i, a, range(i + 1, a)) for a in added_range for i in range(a)))
 
 

@@ -75,4 +75,11 @@ def format_points(points: Sequence[Point]) -> str:
 
 
 def read_points(path: str | Path) -> tuple[Point, ...]:
-    return parse_points(Path(path).read_text(encoding="utf-8"))
+    """Parse a point file; bytes that are not UTF-8 are a ``PointFileError``
+    on the line that holds the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PointFileError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from exc
+    return parse_points(text)

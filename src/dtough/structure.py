@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .delaunay import Triangulation, build, edge_angle_check, _edge_key
+from .delaunay import Triangulation, build, edge_angle_check, extend, _edge_key
 from .errors import (
     DegenerateInput,
     InvariantBroken,
@@ -33,14 +33,12 @@ from .errors import (
     TooLarge,
 )
 from .exactgeom import (
-    CirclePosition,
     Orientation,
     Point,
     Position,
     circumcenter_terms,
     cycle_area2,
     denominator_lcm,
-    in_circle,
     int_at_least_sqrt,
     orient,
     outward_normal,
@@ -271,11 +269,11 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
 
     * every original vertex except the anchor lies strictly inside the
       triangle (anchor, s1, s2); the anchor is its corner;
-    * both sentinels are exterior to every face circumdisk, which is enough
-      to keep them out of every disk certifying an edge;
     * the enlarged point set is still in general position;
-    * every edge of the input survives into the augmented triangulation,
-      whose hull is exactly the sentinel triangle.
+    * every face of the input survives into the augmented triangulation
+      (``extend``), so both sentinels are exterior to every face circumdisk
+      and every edge of the input survives, and its hull is exactly the
+      sentinel triangle.
 
     Every vertex sits in the wedge at the anchor spanned by its two hull
     edges (the interior angle is below a straight angle), so the sentinels
@@ -287,7 +285,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
 
     Sentinels are placed in the caller's coordinates; every check on a
     candidate runs on the lcm-scaled integer copy of the enlarged point set,
-    and the augmented ``build`` is its only general-position scan.
+    and ``extend``, which certifies only the tuples that hold a sentinel, is
+    its only general-position scan.
     """
     gone = frozenset(removed)
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -322,7 +321,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         num += (ux - d * qa.x) ** 2 + (uy - d * qa.y) ** 2  # d^2 radius^2
         bound = max(bound, Fraction(2 * num, d * d * scale_sq))
     scale = 4 * int_at_least_sqrt(bound)
-    tri_edges = tri.edge_set()
+    tri_faces = set(tri.triangles)
     n = len(tri)
 
     for attempt in range(64):
@@ -347,19 +346,13 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
             if i != anchor
         ):
             continue
-        if not all(
-            in_circle(big[a], big[b], big[c], s) is CirclePosition.OUTSIDE
-            for a, b, c in tri.triangles
-            for s in (b1, b2)
-        ):
-            continue
         try:
-            augmented = build(tri.vertices + (s1, s2))
+            augmented = extend(tri, (s1, s2))
         except DegenerateInput as exc:
             if max(exc.violation.indices) < n:
                 raise  # the input itself is degenerate; no sentinel helps
             continue
-        if not tri_edges <= augmented.edge_set():
+        if not tri_faces <= set(augmented.triangles):
             continue
         if set(augmented.hull) != {anchor, n, n + 1}:
             continue

@@ -109,6 +109,32 @@ def general_position_naive(points):
     return None
 
 
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def in_circle_lifted(a, b, c, d):
+    """d against the circle through a, b, c by the 4x4 lifted determinant
+    |x y x^2+y^2 1| on ``Fraction``s, times the sign of the orientation
+    determinant |x y 1| of (a, b, c): positive when d is inside."""
+    lifted = _det([[p.x, p.y, p.x * p.x + p.y * p.y, Fraction(1)] for p in (a, b, c, d)])
+    turn = _det([[p.x, p.y, Fraction(1)] for p in (a, b, c)])
+    if turn == 0:
+        raise ValueError("collinear points have no circle")
+    signed = lifted if turn > 0 else -lifted
+    if signed > 0:
+        return CirclePosition.INSIDE
+    if signed < 0:
+        return CirclePosition.OUTSIDE
+    return CirclePosition.ON
+
+
 def general_position_added_naive(base, added):
     """The O(k n^3) scan of base + added over tuples ending in an added point,
     assuming base alone is in general position."""

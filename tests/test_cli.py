@@ -46,6 +46,36 @@ def test_pointfile_caps_decimal_exponents(tmp_path):
     assert code == 2 and "exponent" in json.loads(out)["error"]
 
 
+def test_non_utf8_point_files_are_input_errors(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0\n1 0\n\xff 1\n")
+    with pytest.raises(PointFileError) as exc:
+        pointfile.read_points(bad)
+    assert exc.value.line_no == 3
+    for argv in (
+        ["check", str(bad)],
+        ["block", str(bad), str(bad)],
+        ["render", str(bad), "--svg", str(tmp_path / "bad.svg")],
+        ["path", str(bad), "0", "1", "0", "0", "1"],
+    ):
+        code, out = helpers.run_cli(argv)
+        assert code == 2 and "UTF-8" in json.loads(out)["error"], argv
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    f = tmp_path / "pts.txt"
+    _, stdout = helpers.run_cli(["gen", "random", "8", "--seed", "3"])
+    f.write_text(stdout)
+    good = ["check", str(f), "--checks", "delaunay,audit"]
+    _, first = helpers.run_cli(good)
+    with pytest.raises(SystemExit) as exc:
+        helpers.run_cli(["check", str(f), "--checks"])  # a usage error
+    assert exc.value.code == 2
+    _, again = helpers.run_cli(good)
+    assert helpers.report_without_timing(again) == helpers.report_without_timing(first)
+
+
 def test_gen_random_deterministic(tmp_path):
     code1, out1 = helpers.run_cli(["gen", "random", "10", "--seed", "7"])
     code2, out2 = helpers.run_cli(["gen", "random", "10", "--seed", "7"])
@@ -264,16 +294,23 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
     _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
     f.write_text(stdout)
     sizes = []
+    extended = []
 
     def counting(points):
         sizes.append(len(points))
         return delaunay.build(points)
 
+    def counting_extend(tri, added):
+        extended.append(len(tri) + len(added))
+        return delaunay.extend(tri, added)
+
     for module in (cli, structure):
         monkeypatch.setattr(module, "build", counting)
+    monkeypatch.setattr(structure, "extend", counting_extend)
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
     assert code == 0
-    assert sizes == [7, 9]  # the input, then the input with two sentinels
+    assert sizes == [7]  # the input
+    assert extended == [9]  # the input with two sentinels, extended
 
 
 def test_check_json_determinism(tmp_path):

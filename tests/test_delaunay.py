@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dtough import delaunay
+from dtough import delaunay, exactgeom
 from dtough.delaunay import (
     EdgeKind,
     Triangulation,
     build,
     edge_angle_check,
+    extend,
     from_triangles,
     verify_delaunay,
     witness_disk,
@@ -167,6 +168,43 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
                 r, s = t.opposite_vertices(e.u, e.v)
                 exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
                 assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
+
+
+@given(
+    st.lists(helpers.grid_points, min_size=3, max_size=10),
+    st.lists(helpers.grid_points, min_size=1, max_size=3),
+)
+def test_extend_matches_build_of_the_union(candidates, added):
+    base = _thinned(candidates)
+    assume(len(base) >= 3)
+    t = build(base)
+    try:
+        expected = build(base + added)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput) as exc:
+            extend(t, added)
+        assert max(exc.value.violation.indices) >= len(base)  # an added point is to blame
+        return
+    grown = extend(t, added)
+    assert grown == expected
+    assert grown.scaled == expected.scaled
+
+
+def test_build_and_extend_scale_the_points_once(monkeypatch):
+    pts, _ = helpers.random_tri(12, 7)
+    calls = []
+    scale = delaunay.scaled_to_integers
+
+    def counting(points):
+        calls.append(len(points))
+        return scale(points)
+
+    for module in (delaunay, exactgeom):
+        monkeypatch.setattr(module, "scaled_to_integers", counting)
+    t = build(pts[:10])
+    assert calls == [10]
+    extend(t, pts[10:])
+    assert calls == [10, 12]
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtough.errors import CollinearInput, PreconditionViolated
@@ -14,6 +14,7 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
+    circle_classifier,
     circumdisk,
     coord,
     disk,
@@ -237,9 +238,23 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
 
 
+@given(helpers.grid_points, helpers.grid_points, helpers.grid_points, helpers.grid_points)
+def test_circle_classifier_matches_lifted_determinant(a, b, c, d):
+    assume(orient(a, b, c) is not Orientation.COLLINEAR)
+    for query in (d, a, b, c):  # the defining points are ON
+        expected = helpers.in_circle_lifted(a, b, c, query)
+        assert circle_classifier(a, b, c)(query) is expected
+        assert circle_classifier(a, c, b)(query) is expected
+        assert in_circle(c, b, a, query) is expected
+    integers = scaled_to_integers([a, b, c, d])
+    assert circle_classifier(*integers[:3])(integers[3]) is helpers.in_circle_lifted(a, b, c, d)
+
+
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9))
 def test_general_position_matches_naive_scan(pts):
-    assert general_position(pts) == helpers.general_position_naive(pts)
+    expected = helpers.general_position_naive(pts)
+    assert general_position(pts) == expected
+    assert general_position(scaled_to_integers(pts)) == expected  # as build passes it
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.lists(helpers.grid_points, min_size=1, max_size=3))
@@ -250,3 +265,5 @@ def test_general_position_added_matches_naive_scan(candidates, added):
             base.append(p)
     found = general_position_added(base, added)
     assert found == helpers.general_position_added_naive(base, added)
+    union = scaled_to_integers(base + added)  # as extend passes it
+    assert general_position_added(union[: len(base)], union[len(base):]) == found

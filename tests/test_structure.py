@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dtough import exactgeom, structure
-from dtough.delaunay import build
+from dtough.delaunay import build, extend
 from dtough.errors import (
     DegenerateInput,
     NotIndependent,
@@ -232,22 +232,22 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     first = sentinel_augment(t, removed)
     sizes = []
 
-    def first_candidate_cocircular(points):
-        sizes.append(len(points))
+    def first_candidate_cocircular(tri, added):
+        sizes.append(len(tri) + len(added))
         if len(sizes) == 1:  # a sentinel on a circle through three vertices
-            raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, len(points) - 1)))
-        return build(points)
+            raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, sizes[0] - 1)))
+        return extend(tri, added)
 
-    monkeypatch.setattr(structure, "build", first_candidate_cocircular)
+    monkeypatch.setattr(structure, "extend", first_candidate_cocircular)
     second = sentinel_augment(t, removed)
     assert sizes == [12, 12]
     assert second.sentinels != first.sentinels
 
-    def input_collinear(points):
+    def input_collinear(tri, added):
         raise DegenerateInput(Violation(ViolationKind.COLLINEAR, (0, 1, 2)))
 
     # a violation among the input's own points is not the sentinels' fault
-    monkeypatch.setattr(structure, "build", input_collinear)
+    monkeypatch.setattr(structure, "extend", input_collinear)
     with pytest.raises(DegenerateInput):
         sentinel_augment(t, removed)
 
