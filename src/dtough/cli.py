@@ -5,7 +5,8 @@ Verdict reports are JSON on stdout with exact rationals serialized as
 ``a/b`` strings (never floats). Exit codes: 0 every requested verdict
 affirms, 1 a verified invariant failed (a falsification alarm), 2 input
 could not be parsed or is degenerate, or an output file could not be
-written, 3 a size gate refused an exhaustive check (raise it with --max-n).
+written, 3 a size gate refused an exhaustive check (raise it with --max-n) or
+a check ran out of memory.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     PreconditionViolated,
     TieOnBoundary,
     TooFewPoints,
+    TooLarge,
 )
 from .exactgeom import Disk, Point
 
@@ -179,11 +181,14 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
     for name in checks:
         gate, run = CHECKS[name]
         limit = None if gate is None else max(gate, max_n or 0)
-        if limit is not None and len(tri) > limit:
-            verdicts[name] = {"refused": f"n={len(tri)} exceeds gate {limit}; raise with --max-n"}
+        try:
+            if limit is not None and len(tri) > limit:
+                raise TooLarge(f"n={len(tri)} exceeds gate {limit}; raise with --max-n")
+            verdicts[name] = run(tri, limit, verdicts)
+        except (TooLarge, MemoryError) as exc:  # a size gate, or a check out of room
+            verdicts[name] = {"refused": str(exc) or "out of memory"}
             code = max(code, EXIT_GATE)
             continue
-        verdicts[name] = run(tri, limit, verdicts)
         if not verdicts[name]["ok"]:
             code = max(code, EXIT_ALARM)
     return code, report

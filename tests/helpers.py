@@ -18,7 +18,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from dtough import blocking, build, cli
-from dtough.delaunay import CounterExample
+from dtough.delaunay import CounterExample, EdgeKind, from_triangles
 from dtough.errors import (
     DegenerateInput,
     NotInteriorEdge,
@@ -36,17 +36,46 @@ from dtough.exactgeom import (
     circumdisk,
     disk_classify,
     dist_sq,
+    general_position,
     in_circle,
     midpoint,
     orient,
 )
 from dtough.generate import random_points
+from dtough.structure import ToughnessWitness
 
 
 # Coordinates in {-3..3}/{1..3}: duplicates, collinear triples and cocircular
 # quadruples are all common at this size.
 grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 grid_points = st.builds(Point, grid_fraction, grid_fraction)
+
+
+def flip_first_convex_edge(t):
+    """t with its first flippable interior edge flipped, assembled through
+    ``from_triangles``; None when no interior edge has a convex quad."""
+    v = t.vertices
+    for e in t.edges:
+        if e.kind is not EdgeKind.INTERIOR:
+            continue
+        r, s = t.opposite_vertices(e.u, e.v)
+        side_u, side_v = orient(v[r], v[s], v[e.u]), orient(v[r], v[s], v[e.v])
+        if side_u is side_v:
+            continue  # u and v on one side of rs: the quad is not convex
+        if side_u is not Orientation.CCW:
+            r, s = s, r
+        kept = [tr for ti, tr in enumerate(t.triangles) if ti not in t.adjacency[(e.u, e.v)]]
+        return from_triangles(v, kept + [(r, s, e.u), (s, r, e.v)])
+    return None
+
+
+def thinned(candidates) -> list[Point]:
+    """The candidates, greedily thinned to general position."""
+    pts: list[Point] = []
+    for p in candidates:
+        if general_position(pts + [p]) is None:
+            pts.append(p)
+    return pts
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +302,54 @@ def has_perfect_matching_exhaustive(n: int, edges) -> bool:
         return False
 
     return rec(frozenset(range(n)))
+
+
+def _component_count_mask(masks, alive: int) -> int:
+    count = 0
+    left = alive
+    while left:
+        comp = left & -left
+        while True:
+            grown = comp
+            m = comp
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                grown |= masks[v] & alive
+            if grown == comp:
+                break
+            comp = grown
+        count += 1
+        left &= ~comp
+    return count
+
+
+def toughness_scan_oracle(tri):
+    """The minimum-ratio separator by a flood fill of every nonempty S in
+    ascending mask order; the first S of the least ratio wins, as a
+    ``ToughnessWitness``, or None when no S disconnects."""
+    n = len(tri)
+    masks = [0] * n
+    for e in tri.edges:
+        masks[e.u] |= 1 << e.v
+        masks[e.v] |= 1 << e.u
+    full = (1 << n) - 1
+    best = None
+    for s_mask in range(1, full + 1):
+        alive = full & ~s_mask
+        if alive == 0:
+            continue
+        comps = _component_count_mask(masks, alive)
+        if comps < 2:
+            continue
+        ratio = Fraction(s_mask.bit_count(), comps)
+        if best is None or ratio < best.ratio:
+            best = ToughnessWitness(
+                ratio,
+                frozenset(i for i in range(n) if s_mask >> i & 1),
+                comps,
+            )
+    return best
 
 
 def toughness_reverse_oracle(tri):

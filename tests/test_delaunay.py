@@ -19,14 +19,11 @@ from dtough.delaunay import (
 from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
 from dtough.exactgeom import (
     CirclePosition,
-    Orientation,
     Point,
     Position,
     disk_classify,
-    general_position,
     in_circle,
     is_witness_disk,
-    orient,
     point,
     scaled_to_integers,
 )
@@ -123,40 +120,13 @@ def test_build_keeps_caller_points_and_ignores_scale():
         assert (scaled.triangles, scaled.hull, scaled.edges) == (t.triangles, t.hull, t.edges)
 
 
-def _flip_first_convex_edge(t: Triangulation):
-    """t with its first flippable interior edge flipped, assembled through
-    ``from_triangles``; None when no interior edge has a convex quad."""
-    v = t.vertices
-    for e in t.edges:
-        if e.kind is not EdgeKind.INTERIOR:
-            continue
-        r, s = t.opposite_vertices(e.u, e.v)
-        side_u, side_v = orient(v[r], v[s], v[e.u]), orient(v[r], v[s], v[e.v])
-        if side_u is side_v:
-            continue  # u and v on one side of rs: the quad is not convex
-        if side_u is not Orientation.CCW:
-            r, s = s, r
-        kept = [tr for ti, tr in enumerate(t.triangles) if ti not in t.adjacency[(e.u, e.v)]]
-        return from_triangles(v, kept + [(r, s, e.u), (s, r, e.v)])
-    return None
-
-
-def _thinned(candidates) -> list[Point]:
-    """The candidates, greedily thinned to general position."""
-    pts: list[Point] = []
-    for p in candidates:
-        if general_position(pts + [p]) is None:
-            pts.append(p)
-    return pts
-
-
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))
 def test_integer_verifier_matches_fraction_oracle(candidates):
-    pts = _thinned(candidates)
+    pts = helpers.thinned(candidates)
     assume(len(pts) >= 3)
     built = build(pts)
     assert helpers.verify_delaunay_naive(built) is None
-    flipped = _flip_first_convex_edge(built)
+    flipped = helpers.flip_first_convex_edge(built)
     if flipped is not None:  # Delaunay is unique in general position
         assert verify_delaunay(flipped) is not None
     for t in filter(None, (built, flipped)):
@@ -175,7 +145,7 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
     st.lists(helpers.grid_points, min_size=1, max_size=3),
 )
 def test_extend_matches_build_of_the_union(candidates, added):
-    base = _thinned(candidates)
+    base = helpers.thinned(candidates)
     assume(len(base) >= 3)
     t = build(base)
     try:
@@ -211,7 +181,7 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
 def test_witness_disks_match_candidate_oracle(candidates):
     # grid sets have many right angles at a face apex, where the face's
     # circumcenter is the edge midpoint
-    pts = _thinned(candidates)
+    pts = helpers.thinned(candidates)
     assume(len(pts) >= 3)
     t = build(pts)
     for e in t.edges:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
 from dtough.delaunay import build, extend
@@ -93,6 +95,29 @@ def test_toughness_fan_reverse_oracle():
     worst = toughness_exhaustive(t)
     assert worst is not None and worst.ratio == 1
     assert helpers.toughness_reverse_oracle(t) == worst.ratio
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_toughness_matches_scan_oracle(candidates):
+    # flipped triangulations are not Delaunay, so they add other graphs with
+    # other ratios; most instances tie between several least-ratio separators
+    pts = helpers.thinned(candidates)
+    assume(len(pts) >= 3)
+    built = build(pts)
+    for t in filter(None, (built, helpers.flip_first_convex_edge(built))):
+        assert toughness_exhaustive(t) == helpers.toughness_scan_oracle(t)
+
+
+@pytest.mark.parametrize("failure", [MemoryError, OverflowError])
+def test_toughness_table_out_of_room_is_too_large(monkeypatch, failure):
+    def no_room(*args):
+        raise failure
+
+    monkeypatch.setattr(structure, "array", no_room)
+    _, t = helpers.random_tri(8, 1)
+    with pytest.raises(TooLarge, match="2\\^8 words"):
+        toughness_exhaustive(t)
 
 
 def test_toughness_gate():
