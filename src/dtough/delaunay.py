@@ -29,12 +29,17 @@ vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
-a CCW cycle starting at its smallest index.
+a CCW cycle starting at its smallest index. Its incidence is one map,
+``apex``, from each directed edge (u, v) of a CCW face to the face's third
+vertex, as in Guibas and Stolfi's edge algebra (ACM TOG 1985): that vertex
+lies left of u -> v, and in a Delaunay triangulation it is the ``left`` end
+of the pair's pencil gap. An edge is interior when both its directions are
+keys and on the hull when one is; the edges, their kinds, the neighbours,
+the hull and the vertices opposite an edge are all read off the map.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -53,7 +58,6 @@ from .exactgeom import (
     Orientation,
     Point,
     circle_classifier,
-    cycle_area2,
     delaunay_faces,
     dist_sq,
     general_position,
@@ -84,26 +88,18 @@ class CounterExample(NamedTuple):
     vertex: int
 
 
-def _norm_tri(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Rotate a CCW triple so the smallest index leads (orientation kept)."""
-    if a <= b and a <= c:
-        return (a, b, c)
-    if b <= a and b <= c:
-        return (b, c, a)
-    return (c, a, b)
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Triangulation:
-    """Vertices, CCW triangles, edge adjacency, and the convex hull cycle.
+    """Vertices, CCW triangles, the directed-edge apex map, and the convex
+    hull cycle.
 
     Treat instances as immutable; every operation in this package builds new
-    values instead of mutating. ``adjacency`` maps each normalized edge to
-    the indices (into ``triangles``) of its one or two incident faces.
+    values instead of mutating. ``apex`` has one entry per directed edge of
+    each CCW face: ``apex[(u, v)] = w`` for the face (u, v, w), so w lies left
+    of u -> v; in a Delaunay triangulation w is the ``left`` end of the pair's
+    pencil gap (``exactgeom.pencil_gap(xs, ys, u, v)``). An edge is interior
+    when both directions are keys and boundary when only the one along the
+    CCW hull is.
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
     ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
@@ -112,7 +108,7 @@ class Triangulation:
 
     vertices: tuple[Point, ...]
     triangles: tuple[tuple[int, int, int], ...]
-    adjacency: dict[tuple[int, int], tuple[int, ...]]
+    apex: dict[tuple[int, int], int]
     hull: tuple[int, ...]
     edges: tuple[Edge, ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -125,51 +121,21 @@ class Triangulation:
         return frozenset((e.u, e.v) for e in self.edges)
 
     def is_edge(self, u: int, v: int) -> bool:
-        return _edge_key(u, v) in self.adjacency
+        return (u, v) in self.apex or (v, u) in self.apex
 
     def opposite_vertices(self, u: int, v: int) -> tuple[int, ...]:
-        """Third vertices of the faces incident to edge (u, v)."""
-        key = _edge_key(u, v)
-        out = []
-        for ti in self.adjacency[key]:
-            tri = self.triangles[ti]
-            out.append(next(w for w in tri if w != u and w != v))
-        return tuple(out)
-
-
-def _hull_cycle(boundary_edges: list[tuple[int, int]], pts: Sequence[Point]) -> tuple[int, ...]:
-    """Order boundary edges into a CCW cycle starting at the smallest index."""
-    ring: dict[int, list[int]] = defaultdict(list)
-    for u, v in boundary_edges:
-        ring[u].append(v)
-        ring[v].append(u)
-    for v, nbrs in ring.items():
-        if len(nbrs) != 2:
-            raise ValueError(f"boundary is not a simple cycle at vertex {v}")
-    start = min(ring)
-    cycle = [start, ring[start][0]]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = ring[cur][0] if ring[cur][0] != prev else ring[cur][1]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        if len(cycle) > len(boundary_edges):
-            raise ValueError("boundary edges do not close into one cycle")
-    if len(cycle) != len(boundary_edges):
-        raise ValueError("boundary edges form more than one cycle")
-    if cycle_area2(pts, cycle) < 0:
-        cycle = [cycle[0]] + cycle[:0:-1]
-    return tuple(cycle)
+        """Third vertices of the faces incident to edge (u, v): the apex left
+        of u -> v first, then the one left of v -> u."""
+        return tuple(w for w in (self.apex.get((u, v)), self.apex.get((v, u))) if w is not None)
 
 
 def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, int]]) -> Triangulation:
     """Assemble and structurally validate a triangulation.
 
-    Checks: CCW faces, every edge incident to one face (boundary) or two
-    (interior), a single convex CCW boundary cycle, every vertex used, and
-    the face count implied by Euler's formula. Does NOT check the empty
-    circle property; that is ``verify_delaunay``'s job, which lets tests
+    Checks: CCW faces, at most one face on each side of an edge, a boundary
+    that is a single convex CCW cycle with no pinched vertex, every vertex
+    used, and the face count implied by Euler's formula. Does NOT check the
+    empty circle property; that is ``verify_delaunay``'s job, which lets tests
     assemble deliberately non-Delaunay triangulations.
     """
     pts = tuple(points)
@@ -179,62 +145,64 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
 def _assemble(
     pts: tuple[Point, ...], q: tuple[Point, ...], triangles: Sequence[tuple[int, int, int]]
 ) -> Triangulation:
-    """``from_triangles`` on points whose lcm-scaled copy q is already known."""
+    """``from_triangles`` on points whose lcm-scaled copy q is already known.
+
+    One pass over the faces fills ``apex``; everything else is read off it.
+    The boundary is the directed edges whose reverse is absent, and the hull
+    follows their successors from the least index, CCW because every face
+    lies left of its edges.
+    """
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    tris = []
-    seen = set()
-    used = set()
+    apex: dict[tuple[int, int], int] = {}
     for a, b, c in triangles:
         if len({a, b, c}) != 3 or not all(0 <= i < n for i in (a, b, c)):
             raise ValueError(f"bad triangle {(a, b, c)}")
         if orient(q[a], q[b], q[c]) is not Orientation.CCW:
             raise ValueError(f"triangle {(a, b, c)} is not CCW")
-        t = _norm_tri(a, b, c)
-        if t in seen:
-            raise ValueError(f"duplicate triangle {t}")
-        seen.add(t)
-        tris.append(t)
-        used.update(t)
-    if used != set(range(n)):
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            if (u, v) in apex:
+                raise ValueError(f"edge {(u, v)} has two faces on one side")
+            apex[(u, v)] = w
+    if len({u for u, _ in apex}) != n:
         raise ValueError("some vertices belong to no triangle")
-    tris.sort()
-    adjacency: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for ti, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            adjacency[_edge_key(u, v)].append(ti)
-    boundary = []
-    for key, inc in adjacency.items():
-        if len(inc) == 1:
-            boundary.append(key)
-        elif len(inc) != 2:
-            raise ValueError(f"edge {key} belongs to {len(inc)} triangles")
-    hull = _hull_cycle(boundary, q)
+    succ: dict[int, int] = {}
+    for u, v in apex:
+        if (v, u) not in apex:
+            if u in succ:
+                raise ValueError(f"boundary is pinched at vertex {u}")
+            succ[u] = v
+    # every vertex has as many boundary edges in as out, so succ is a
+    # permutation of the boundary vertices and the walk closes
+    hull = [min(succ)]
+    while succ[hull[-1]] != hull[0]:
+        hull.append(succ[hull[-1]])
     h = len(hull)
+    if h != len(succ):
+        raise ValueError("boundary edges form more than one cycle")
     for i in range(h):
         a, b, c = hull[i], hull[(i + 1) % h], hull[(i + 2) % h]
         if orient(q[a], q[b], q[c]) is not Orientation.CCW:
             raise ValueError("hull is not convex")
-    if len(tris) != 2 * n - 2 - h:
-        raise ValueError(
-            f"face count {len(tris)} does not tile the hull (expected {2 * n - 2 - h})"
-        )
-    edges = tuple(
-        Edge(u, v, EdgeKind.BOUNDARY if len(inc) == 1 else EdgeKind.INTERIOR)
-        for (u, v), inc in sorted(adjacency.items())
-    )
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for e in edges:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
+    faces = len(apex) // 3
+    if faces != 2 * n - 2 - h:
+        raise ValueError(f"face count {faces} does not tile the hull (expected {2 * n - 2 - h})")
+    keys = sorted({(u, v) if u < v else (v, u) for u, v in apex})
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in keys:  # in key order each list fills in increasing order
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     return Triangulation(
         vertices=pts,
-        triangles=tuple(tris),
-        adjacency={k: tuple(v) for k, v in sorted(adjacency.items())},
-        hull=hull,
-        edges=edges,
-        neighbors=tuple(tuple(sorted(s)) for s in nbrs),
+        triangles=tuple(sorted((u, v, w) for (u, v), w in apex.items() if u < v and u < w)),
+        apex=apex,
+        hull=tuple(hull),
+        edges=tuple(
+            Edge(u, v, EdgeKind.INTERIOR if (u, v) in apex and (v, u) in apex else EdgeKind.BOUNDARY)
+            for u, v in keys
+        ),
+        neighbors=tuple(map(tuple, nbrs)),
         scaled=q,
     )
 
@@ -329,10 +297,9 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
     180 degrees exactly when s lies strictly outside the circle through
     u, r, v.
     """
-    key = _edge_key(u, v)
-    if key not in tri.adjacency:
-        raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     opp = tri.opposite_vertices(u, v)
+    if not opp:
+        raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     if len(opp) != 2:
         raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
     r, s = opp
@@ -352,10 +319,9 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     when t_apex = 0 (a right angle at the apex). The disk is verified
     exactly against all vertices before it is returned.
     """
-    key = _edge_key(u, v)
-    if key not in tri.adjacency:
+    if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
-    a, b = key
+    key = a, b = min(u, v), max(u, v)
     gap = pencil_gap([p.x for p in tri.scaled], [p.y for p in tri.scaled], a, b)
     if gap is None:
         raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")

@@ -36,10 +36,6 @@ class NotInteriorEdge(DToughError):
     """The edge has a single incident face; the check needs two."""
 
 
-class WitnessSearchFailed(DToughError):
-    """No empty disk through the edge's endpoints verified exactly."""
-
-
 class TooLarge(DToughError):
     """Instance exceeds the documented size gate for an exhaustive scan."""
 
@@ -66,6 +62,14 @@ class TieOnBoundary(DToughError):
 
 class InvariantBroken(DToughError):
     """A verified-theorem invariant failed. This is a falsification alarm."""
+
+
+class WitnessSearchFailed(InvariantBroken):
+    """No empty disk through the edge's endpoints verified exactly.
+
+    Every edge of a Delaunay triangulation has one, so on a built
+    triangulation this is a falsification alarm like its base class.
+    """
 
 
 class ConstructionFailed(DToughError):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .delaunay import Triangulation, build, edge_angle_check, extend, _edge_key
+from .delaunay import Triangulation, build, edge_angle_check, extend
 from .errors import (
     DegenerateInput,
     InvariantBroken,
@@ -230,7 +230,9 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     The search is a memoized exhaustive backtrack over vertex bitmasks,
     exact at desk scale. An even-order input with no matching found is
     reported as a broken invariant rather than None, since even-order
-    Delaunay triangulations always have one.
+    Delaunay triangulations always have one. The matching is verified
+    before it is returned: every pair an edge of tri, no vertex in two
+    pairs, all n vertices covered; anything else is a broken invariant.
     """
     # TODO: switch to a blossom matcher if instances outgrow the memoized search.
     n = len(tri)
@@ -259,7 +261,12 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     pairs = search((1 << n) - 1)
     if pairs is None:
         raise InvariantBroken("even-order Delaunay triangulation without a perfect matching")
-    return frozenset(_edge_key(u, v) for u, v in pairs)
+    for u, v in pairs:  # u is the least vertex left, so u < v
+        if not tri.is_edge(u, v):
+            raise InvariantBroken(f"matched pair ({u}, {v}) is not an edge")
+    if sorted(x for pair in pairs for x in pair) != list(range(n)):
+        raise InvariantBroken("matched pairs do not cover every vertex exactly once")
+    return frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +490,21 @@ class AuditReport:
     independent_matches_bad: bool  # every removed vertex claims exactly one face
 
 
-def _opposite_angles_deg(tri: Triangulation, u: int, v: int) -> float:
+def _opposite_angles_deg(q: Sequence[Point], u: int, v: int, apexes: Iterable[int]) -> float:
+    """The angles opposite edge uv at its face apexes, in degrees, from cross
+    and dot products on the integer coordinates q. Both are divided by the
+    larger of their magnitudes before ``atan2``; int-by-int true division is
+    correctly rounded and never overflows, so the angle does not depend on
+    the scale of the points."""
     total = 0.0
-    for w in tri.opposite_vertices(u, v):
-        apex = tri.vertices[w]
-        d1 = (tri.vertices[u].x - apex.x, tri.vertices[u].y - apex.y)
-        d2 = (tri.vertices[v].x - apex.x, tri.vertices[v].y - apex.y)
-        cross = float(d1[0] * d2[1] - d1[1] * d2[0])
-        dot = float(d1[0] * d2[0] + d1[1] * d2[1])
-        total += math.degrees(math.atan2(abs(cross), dot))
+    pu, pv = q[u], q[v]
+    for w in apexes:
+        a = q[w]
+        d1x, d1y, d2x, d2y = pu.x - a.x, pu.y - a.y, pv.x - a.x, pv.y - a.y
+        cross = abs(d1x * d2y - d1y * d2x)
+        dot = d1x * d2x + d1y * d2y
+        m = max(cross, abs(dot))
+        total += math.degrees(math.atan2(cross / m, dot / m))
     return total
 
 
@@ -525,12 +538,13 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     # Face traversal and point location run on the integer vertices.
     q = big.scaled
     faces = planar_faces(q, sub_edges)
-    outer = [f for f in faces if cycle_area2(q, f) < 0]
+    areas = [cycle_area2(q, f) for f in faces]
+    outer = [f for f, area in zip(faces, areas) if area < 0]
     if len(outer) != 1:
         raise InvariantBroken(f"expected one outer face, found {len(outer)}")
     if set(outer[0]) != {aug.anchor, n, n + 1}:
         raise InvariantBroken("outer face is not the sentinel triangle")
-    interior = [f for f in faces if cycle_area2(q, f) > 0]
+    interior = [f for f, area in zip(faces, areas) if area > 0]
     if len(interior) + 1 != len(faces):
         raise InvariantBroken("degenerate zero-area face in traversal")
 
@@ -555,17 +569,16 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     s_size = len(keep)
     euler_ok = e_count == s_size + bad + good - 1
     angle_exact = 180 * good + 360 * bad
-    angle_float = sum(_opposite_angles_deg(big, u, v) for u, v in sub_edges)
-    float_agrees = abs(angle_exact - angle_float) < 1e-6 * angle_exact
-
+    angle_float = 0.0
     per_edge_ok = True
     for u, v in sub_edges:
         opp = big.opposite_vertices(u, v)
+        angle_float += _opposite_angles_deg(q, u, v, opp)
         # A boundary edge has a single opposite angle, below 180 like any
         # triangle angle; only two-sided edges need the exact test.
-        if len(opp) == 2 and not edge_angle_check(big, u, v):
+        if per_edge_ok and len(opp) == 2 and not edge_angle_check(big, u, v):
             per_edge_ok = False
-            break
+    float_agrees = abs(angle_exact - angle_float) < 1e-6 * angle_exact
 
     return AuditReport(
         anchor=aug.anchor,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ from dtough.exactgeom import (
     Violation,
     ViolationKind,
     circumdisk,
+    cycle_area2,
     disk_classify,
     dist_sq,
     general_position,
@@ -51,20 +53,26 @@ grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 grid_points = st.builds(Point, grid_fraction, grid_fraction)
 
 
+def _third(face, u, v) -> int:
+    return next(w for w in face if w != u and w != v)
+
+
 def flip_first_convex_edge(t):
     """t with its first flippable interior edge flipped, assembled through
-    ``from_triangles``; None when no interior edge has a convex quad."""
+    ``from_triangles``; None when no interior edge has a convex quad. The
+    edge's two faces are found by scanning ``triangles``."""
     v = t.vertices
     for e in t.edges:
         if e.kind is not EdgeKind.INTERIOR:
             continue
-        r, s = t.opposite_vertices(e.u, e.v)
+        faces = [tr for tr in t.triangles if e.u in tr and e.v in tr]
+        r, s = (_third(tr, e.u, e.v) for tr in faces)
         side_u, side_v = orient(v[r], v[s], v[e.u]), orient(v[r], v[s], v[e.v])
         if side_u is side_v:
             continue  # u and v on one side of rs: the quad is not convex
         if side_u is not Orientation.CCW:
             r, s = s, r
-        kept = [tr for ti, tr in enumerate(t.triangles) if ti not in t.adjacency[(e.u, e.v)]]
+        kept = [tr for tr in t.triangles if tr not in faces]
         return from_triangles(v, kept + [(r, s, e.u), (s, r, e.v)])
     return None
 
@@ -199,6 +207,51 @@ def verify_delaunay_naive(tri):
     return None
 
 
+def incidence_oracle(tri):
+    """What lies around each edge, from ``triangles`` alone: a dict from each
+    edge (u < v) to the sorted third vertices of the faces holding both
+    endpoints, and the hull, the ring of one-face edges walked from its
+    least vertex and turned CCW by its signed area."""
+    opposite: dict = {}
+    for face in tri.triangles:
+        for u, v in combinations(sorted(face), 2):
+            opposite.setdefault((u, v), []).append(_third(face, u, v))
+    opposite = {key: sorted(ws) for key, ws in opposite.items()}
+    ring: dict = {}
+    for (u, v), ws in opposite.items():
+        if len(ws) == 1:
+            ring.setdefault(u, []).append(v)
+            ring.setdefault(v, []).append(u)
+    cycle = [min(ring), ring[min(ring)][0]]
+    while True:
+        prev, cur = cycle[-2], cycle[-1]
+        nxt = ring[cur][0] if ring[cur][0] != prev else ring[cur][1]
+        if nxt == cycle[0]:
+            break
+        cycle.append(nxt)
+    if cycle_area2(tri.vertices, cycle) < 0:
+        cycle = [cycle[0]] + cycle[:0:-1]
+    return opposite, tuple(cycle)
+
+
+def opposite_angles_deg_fraction(tri, u, v) -> float:
+    """The angles opposite edge uv, in degrees, from cross and dot products
+    on the ``Fraction`` vertices, each turned into a float before ``atan2``.
+    Agrees with the audit's ledger at ordinary scales; the products underflow
+    or overflow a float on points scaled far from 1."""
+    total = 0.0
+    for face in tri.triangles:
+        if u not in face or v not in face:
+            continue
+        apex = tri.vertices[_third(face, u, v)]
+        d1 = (tri.vertices[u].x - apex.x, tri.vertices[u].y - apex.y)
+        d2 = (tri.vertices[v].x - apex.x, tri.vertices[v].y - apex.y)
+        cross = float(d1[0] * d2[1] - d1[1] * d2[0])
+        dot = float(d1[0] * d2[0] + d1[1] * d2[1])
+        total += math.degrees(math.atan2(abs(cross), dot))
+    return total
+
+
 def witness_disk_oracle(tri, u, v) -> Disk:
     """The witness disk of edge (u, v) by a candidate search from the face
     circumdisks: up to 33 centers on the edge's perpendicular bisector, each
@@ -212,11 +265,11 @@ def witness_disk_oracle(tri, u, v) -> Disk:
     away from the apex's side.
     """
     key = (min(u, v), max(u, v))
-    if key not in tri.adjacency:
+    faces = [t for t in tri.triangles if u in t and v in t]
+    if not faces:
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     pu, pv = tri.vertices[key[0]], tri.vertices[key[1]]
-    inc = tri.adjacency[key]
-    centers = [circumdisk(*(tri.vertices[i] for i in tri.triangles[ti])).center for ti in inc]
+    centers = [circumdisk(*(tri.vertices[i] for i in t)).center for t in faces]
     steps = [Fraction(1, 2**k) for k in range(1, 34)]
     if len(centers) == 2:
         c1, c2 = centers
@@ -224,7 +277,7 @@ def witness_disk_oracle(tri, u, v) -> Disk:
     else:
         c = centers[0]
         mid = midpoint(pu, pv)
-        ap = tri.vertices[tri.opposite_vertices(*key)[0]]
+        ap = tri.vertices[_third(faces[0], u, v)]
         if c == mid:
             perp = Point(-(pv.y - pu.y), pv.x - pu.x)
             sign = 1 if (perp.x * (pu.x - ap.x) + perp.y * (pu.y - ap.y)) > 0 else -1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtough import blocking, cli, delaunay, exactgeom, pointfile, structure
+from dtough import blocking, cli, delaunay, exactgeom, generate, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import PointFileError
 from dtough.exactgeom import point, general_position
@@ -191,6 +191,67 @@ def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
     code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
     assert code == 1
     assert "two removed vertices" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 10**400), Fraction(1), Fraction(10**300)])
+def test_audit_float_ledger_ignores_scale(tmp_path, capsys, factor):
+    # float products of coordinates near 10^-400 underflow and near 10^300
+    # overflow; the ledger must read the same angles at every scale
+    pts = [point(p.x * factor, p.y * factor) for p in generate.random_points(10, 1)]
+    f = tmp_path / "r10.txt"
+    f.write_text(format_points(pts))
+    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,audit"])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["audit"]["float_agrees"] is True
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_witness_disk_failure_is_an_alarm(tmp_path, monkeypatch, capsys):
+    # every edge of a built triangulation has an empty disk; not finding
+    # one refutes the triangulation, it does not reject the input
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
+    monkeypatch.setattr(delaunay, "pencil_gap", lambda *args: None)
+    code, out = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "r.svg"), "--witness-disks"])
+    assert code == 1
+    assert "holds a vertex" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _matching_on_masks(tmp_path, monkeypatch, doctor):
+    """``check --checks matching`` on an even random file whose adjacency
+    masks ``doctor(tri, masks)`` has rewritten; the matching verdict."""
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
+    masks = structure._adjacency_masks
+    monkeypatch.setattr(structure, "_adjacency_masks", lambda t: doctor(t, masks(t)))
+    code, out = helpers.run_cli(["check", str(f), "--checks", "matching"])
+    assert code == 1
+    return json.loads(out)["verdicts"]["matching"]
+
+
+def test_matching_alarm_on_an_isolated_vertex(tmp_path, monkeypatch, capsys):
+    def isolate_last(tri, masks):
+        last = len(tri) - 1
+        return [0 if v == last else m & ~(1 << last) for v, m in enumerate(masks)]
+
+    verdict = _matching_on_masks(tmp_path, monkeypatch, isolate_last)
+    assert verdict["exists"] is False and verdict["ok"] is False
+    assert "without a perfect matching" in verdict["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_matching_on_a_non_edge_is_caught(tmp_path, monkeypatch, capsys):
+    # vertex 0, which the search matches first, gets only non-neighbours;
+    # the rest may pair with anyone
+    def swap_first(tri, masks):
+        full = (1 << len(tri)) - 1
+        return [full & ~masks[0] & ~1] + [full & ~(1 << v) for v in range(1, len(tri))]
+
+    verdict = _matching_on_masks(tmp_path, monkeypatch, swap_first)
+    assert verdict["exists"] is False and verdict["ok"] is False
+    assert "is not an edge" in verdict["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import delaunay, exactgeom
@@ -19,6 +19,7 @@ from dtough.delaunay import (
 from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
 from dtough.exactgeom import (
     CirclePosition,
+    Orientation,
     Point,
     Position,
     disk_classify,
@@ -90,6 +91,17 @@ def test_from_triangles_validation():
         from_triangles(pts, [(0, 1, 2)])  # vertex 3 unused
     with pytest.raises(ValueError):
         from_triangles(pts, [(0, 1, 3), (1, 2, 3), (0, 1, 3)])  # duplicate
+    # 2 and 3 both lie left of 0 -> 1
+    with pytest.raises(ValueError, match="two faces on one side"):
+        from_triangles([P(0, 0), P(4, 0), P(1, 2), P(3, 3)], [(0, 1, 2), (0, 1, 3)])
+    # two triangles that share only vertex 0
+    bowtie = [P(0, 0), P(1, 0), P(0, 1), P(-1, 0), P(0, -1)]
+    with pytest.raises(ValueError, match="pinched at vertex 0"):
+        from_triangles(bowtie, [(0, 1, 2), (0, 3, 4)])
+    # two disjoint triangles: the boundary is two cycles
+    apart = [P(0, 0), P(1, 0), P(0, 1), P(5, 5), P(6, 5), P(5, 6)]
+    with pytest.raises(ValueError, match="more than one cycle"):
+        from_triangles(apart, [(0, 1, 2), (3, 4, 5)])
 
 
 def _euler_ok(t: Triangulation) -> bool:
@@ -138,6 +150,31 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
                 r, s = t.opposite_vertices(e.u, e.v)
                 exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
                 assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_apex_map_matches_incidence_oracle(candidates):
+    # the oracle reads triangles only; flipped sets are not Delaunay
+    pts = helpers.thinned(candidates)
+    assume(len(pts) >= 3)
+    built = build(pts)
+    for t in filter(None, (built, helpers.flip_first_convex_edge(built))):
+        opposite, hull = helpers.incidence_oracle(t)
+        assert t.hull == hull
+        kinds = {key: EdgeKind.INTERIOR if len(ws) == 2 else EdgeKind.BOUNDARY for key, ws in opposite.items()}
+        assert {(e.u, e.v): e.kind for e in t.edges} == kinds
+        v = t.vertices
+        for a in range(len(t)):
+            assert set(t.neighbors[a]) == {b for key in opposite if a in key for b in key} - {a}
+            for b in range(len(t)):
+                key = (min(a, b), max(a, b))
+                assert t.is_edge(a, b) is (key in opposite)
+                opp = t.opposite_vertices(a, b)
+                assert sorted(opp) == opposite.get(key, [])
+                if len(opp) == 2:  # the apex left of a -> b comes first
+                    sides = [exactgeom.orient(v[a], v[b], v[w]) for w in opp]
+                    assert sides == [Orientation.CCW, Orientation.CW]
 
 
 @given(

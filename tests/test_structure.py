@@ -294,6 +294,17 @@ def _assert_full_chain(rep, i_size):
     assert rep.subgraph_edges == rep.subgraph_vertices + rep.bad_faces + rep.good_faces - 1
 
 
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(helpers.grid_points, min_size=3, max_size=10))
+def test_angle_ledger_matches_fraction_oracle(candidates):
+    pts = helpers.thinned(candidates)
+    assume(len(pts) >= 3)
+    t = build(pts)
+    for e in t.edges:
+        ledger = structure._opposite_angles_deg(t.scaled, e.u, e.v, t.opposite_vertices(e.u, e.v))
+        assert ledger == pytest.approx(helpers.opposite_angles_deg_fraction(t, e.u, e.v), rel=1e-9)
+
+
 def test_audit_single_triangle():
     t = build([P(0, 0), P(1, 0), P(0, 1)])
     rep = angle_audit(t, frozenset({2}))
