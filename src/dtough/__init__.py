@@ -31,6 +31,7 @@ from .errors import (
     DegenerateInput,
     DToughError,
     InvariantBroken,
+    NoPerfectMatching,
     NotIndependent,
     NotInteriorEdge,
     PointFileError,
@@ -50,11 +51,9 @@ from .exactgeom import (
     Position,
     Violation,
     ViolationKind,
-    circumdisk,
     coord,
     disk,
     disk_classify,
-    disk_contains_disk,
     disks_interior_disjoint,
     dist_sq,
     general_position,
@@ -62,8 +61,6 @@ from .exactgeom import (
     midpoint,
     orient,
     point,
-    shrink_parameter,
-    shrink_toward,
     triangle_classify,
 )
 from .generate import convex_points, random_points

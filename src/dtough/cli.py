@@ -33,6 +33,7 @@ from .errors import (
     DegenerateInput,
     DToughError,
     InvariantBroken,
+    NoPerfectMatching,
     PointFileError,
     PreconditionViolated,
     TieOnBoundary,
@@ -112,8 +113,10 @@ def _check_mis(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
 def _check_matching(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
     try:
         matching = structure.perfect_matching(tri)
-    except InvariantBroken as exc:
+    except NoPerfectMatching as exc:
         return {"exists": False, "error": str(exc), "ok": False}
+    except InvariantBroken as exc:  # a matching was found but failed its verification
+        return {"exists": True, "error": str(exc), "ok": False}
     exists = matching is not None
     return {
         "exists": exists,

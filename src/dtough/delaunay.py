@@ -242,9 +242,16 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     pairs that end in an added point, O(k n^2). Everything runs on one
     lcm-scaled copy of the union.
     """
-    n = len(tri)
     pts = tri.vertices + tuple(added)
-    q = scaled_to_integers(pts)
+    return _extend_scaled(tri, pts, scaled_to_integers(pts))
+
+
+def _extend_scaled(
+    tri: Triangulation, pts: tuple[Point, ...], q: tuple[Point, ...]
+) -> Triangulation:
+    """``extend`` to the union pts of tri's vertices and the added points,
+    whose lcm-scaled copy q is already known."""
+    n = len(tri)
     violation = general_position_added(q[:n], q[n:])
     if violation is not None:
         raise DegenerateInput(violation)

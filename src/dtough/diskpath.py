@@ -7,27 +7,38 @@ vertices are Delaunay-adjacent (the disk itself is the witness); otherwise
 the disk is shrunk toward each boundary vertex until the first interior
 vertex is pinned on the boundary, splitting the problem in two.
 
-Shrink "first hits" are compared as exact rational parameters, never as
-radii. An exact tie, or any vertex landing exactly on a shrunken boundary,
-is surfaced as ``TieOnBoundary`` instead of being perturbed away.
+The recursion runs on the triangulation's integer copy of its vertices
+(``Triangulation.scaled``). The caller's disk is lifted once to an integer
+circle on that copy, held as (W, U, V, K) with W > 0: its power at X is
+P(X) = W |X|^2 - 2 (U x + V y) + K, negative inside, zero on the boundary.
+Shrinking toward a boundary anchor a until the interior vertex r reaches the
+boundary is one step in the pencil of circles tangent at a:
+|r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its coefficients. The
+first vertex pinned is the interior x of greatest -P(x) / |x - a|^2,
+compared by cross-multiplication. Every check of the recursion (boundary
+preconditions, tangency to and containment in the parent, exclusion of the
+far endpoint, strict progress) is an exact integer identity. An exact tie,
+or any vertex landing exactly on a shrunken boundary, is surfaced as
+``TieOnBoundary`` instead of being perturbed away. The finished path is
+checked against the caller's ``Fraction`` disk (``check_disk_path``), and
+``path_oracle`` reads that disk too.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .delaunay import Triangulation
 from .errors import InvariantBroken, PreconditionViolated, TieOnBoundary
-from .exactgeom import (
-    Disk,
-    Position,
-    disk_classify,
-    disk_contains_disk,
-    shrink_parameter,
-    shrink_toward,
-)
+from .exactgeom import Disk, Position, denominator_lcm, disk_classify
+
+# An integer circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K.
+Circle = tuple[int, int, int, int]
+# A scaled vertex as (x, y, x^2 + y^2).
+Lifted = tuple[int, int, int]
 
 
 class DiskPath(NamedTuple):
@@ -48,19 +59,80 @@ def check_disk_path(tri: Triangulation, path: DiskPath) -> None:
             raise InvariantBroken(f"path vertex {v} is outside the disk")
 
 
-def _classify_all(tri: Triangulation, d: Disk, p: int, q: int) -> list[int]:
-    """Interior vertex indices; raises if any third vertex sits on the boundary."""
+def _reduced(w: int, u: int, v: int, k: int) -> Circle:
+    g = math.gcd(w, u, v, k)
+    return w // g, u // g, v // g, k // g
+
+
+def _lift(tri: Triangulation, d: Disk) -> Circle:
+    """d as an integer circle on ``tri.scaled``, whose factor is L: the power
+    |X - L c|^2 - L^2 r^2 times the lcm of its coefficients' denominators."""
+    scale = denominator_lcm(tri.vertices)
+    cx, cy = scale * Fraction(d.center.x), scale * Fraction(d.center.y)
+    k = cx * cx + cy * cy - scale * scale * Fraction(d.radius_sq)
+    w = math.lcm(cx.denominator, cy.denominator, k.denominator)
+    return _reduced(
+        w,
+        cx.numerator * (w // cx.denominator),
+        cy.numerator * (w // cy.denominator),
+        k.numerator * (w // k.denominator),
+    )
+
+
+def _power(c: Circle, pt: Lifted) -> int:
+    w, u, v, k = c
+    x, y, s = pt
+    return w * s - 2 * (u * x + v * y) + k
+
+
+def _shrink(c: Circle, a: Lifted, r: Lifted, lam: int) -> Circle:
+    """The circle through a and r tangent to c at a, for a on c and r inside
+    it with lam = -P(r) > 0: |r - a|^2 P + lam |X - a|^2, reduced.
+
+    |X - a|^2 is the circle (1, a.x, a.y, |a|^2) of radius zero at a, so every
+    circle of the pencil is tangent to c at a; the weights make r vanish.
+    """
+    w, u, v, k = c
+    ax, ay, a2 = a
+    m = (r[0] - ax) ** 2 + (r[1] - ay) ** 2
+    return _reduced(m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * a2)
+
+
+def _nesting(outer: Circle, inner: Circle) -> tuple[bool, bool]:
+    """Whether inner lies in outer (closed) and whether it is internally
+    tangent to it: dist(centers) <= R - r and = R - r in squared form.
+
+    A circle's center is (U, V) / W and its squared radius N / W^2 with
+    N = U^2 + V^2 - K W. Times W1^2 W2^2 the squared radii are
+    big = N1 W2^2 and small = N2 W1^2 and the squared center distance is
+    (U1 W2 - U2 W1)^2 + (V1 W2 - V2 W1)^2; with m = big + small - that
+    distance, the tests are small <= big, m >= 0 and m^2 >= 4 big small,
+    with equality for tangency.
+    """
+    w1, u1, v1, k1 = outer
+    w2, u2, v2, k2 = inner
+    big = (u1 * u1 + v1 * v1 - k1 * w1) * w2 * w2
+    small = (u2 * u2 + v2 * v2 - k2 * w2) * w1 * w1
+    m = big + small - (u1 * w2 - u2 * w1) ** 2 - (v1 * w2 - v2 * w1) ** 2
+    if small > big or m < 0:
+        return False, False
+    return m * m >= 4 * big * small, m * m == 4 * big * small
+
+
+def _classify_all(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, int]]:
+    """Interior vertices with their (negative) powers; raises if p or q is off
+    the boundary or any third vertex is on it."""
     interior = []
     stray = []
-    for i, pt in enumerate(tri.vertices):
-        pos = disk_classify(d, pt)
+    for i, pt in enumerate(pts):
+        power = _power(c, pt)
         if i == p or i == q:
-            if pos is not Position.BOUNDARY:
+            if power != 0:
                 raise PreconditionViolated(f"vertex {i} must lie on the disk boundary")
-        elif pos is Position.BOUNDARY:
+        elif power == 0:
             stray.append(i)
-        elif pos is Position.INTERIOR:
-            interior.append(i)
+        elif power < 0:
+            interior.append((i, power))
     if stray:
         raise TieOnBoundary(
             f"vertices {stray} lie exactly on the disk boundary", witnesses=stray
@@ -104,7 +176,8 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     the empty-disk edge characterization and raises ``InvariantBroken``.
     """
     _check_endpoints(tri, p, q)
-    path = _find(tri, p, q, d)
+    pts = [(x, y, x * x + y * y) for x, y in tri.scaled]
+    path = _find(tri, pts, p, q, _lift(tri, d))
     result = DiskPath(tuple(path), d)
     check_disk_path(tri, result)
     if result.vertices[0] != p or result.vertices[-1] != q:
@@ -112,8 +185,8 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     return result
 
 
-def _find(tri: Triangulation, p: int, q: int, d: Disk) -> list[int]:
-    interior = _classify_all(tri, d, p, q)
+def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> list[int]:
+    interior = _classify_all(pts, c, p, q)
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(
@@ -121,39 +194,42 @@ def _find(tri: Triangulation, p: int, q: int, d: Disk) -> list[int]:
             )
         return [p, q]
 
-    pp = tri.vertices[p]
-    params: list[tuple[Fraction, int]] = [
-        (shrink_parameter(d, pp, tri.vertices[x]), x) for x in interior
+    # The first vertex pinned shrinking toward p has the greatest
+    # -P(x) / |x - p|^2, kept as the pair (-P(x), |x - p|^2).
+    px, py, _ = pts[p]
+    quotients = [
+        (-power, (pts[x][0] - px) ** 2 + (pts[x][1] - py) ** 2, x) for x, power in interior
     ]
-    best_t = min(t for t, _ in params)
-    hits = [x for t, x in params if t == best_t]
+    num, den, _ = quotients[0]
+    for n, m, _ in quotients[1:]:
+        if n * den > num * m:
+            num, den = n, m
+    hits = [x for n, m, x in quotients if n * den == num * m]
     if len(hits) > 1:
         raise TieOnBoundary(
             f"vertices {hits} reach the shrinking boundary simultaneously",
             witnesses=hits,
         )
     r = hits[0]
-    rp = tri.vertices[r]
-    d_pr = shrink_toward(d, pp, rp)
-    d_qr = shrink_toward(d, tri.vertices[q], rp)
-    for sub in (d_pr, d_qr):
-        if not disk_contains_disk(d, sub):
+    c_pr = _shrink(c, pts[p], pts[r], num)
+    c_qr = _shrink(c, pts[q], pts[r], num)
+    for sub in (c_pr, c_qr):
+        contained, tangent = _nesting(c, sub)
+        if not tangent:
+            raise InvariantBroken("shrunken disk lost tangency with its parent")
+        if not contained:
             raise InvariantBroken("shrunken disk escaped its parent")
-    if disk_classify(d_pr, tri.vertices[q]) is not Position.EXTERIOR:
+    if _power(c_pr, pts[q]) <= 0:
         raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
-    if disk_classify(d_qr, pp) is not Position.EXTERIOR:
+    if _power(c_qr, pts[p]) <= 0:
         raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
     # Strict progress: r left the interior and nesting admits no newcomers.
-    for sub in (d_pr, d_qr):
-        survivors = sum(
-            1
-            for x in interior
-            if disk_classify(sub, tri.vertices[x]) is Position.INTERIOR
-        )
+    for sub in (c_pr, c_qr):
+        survivors = sum(1 for x, _ in interior if _power(sub, pts[x]) < 0)
         if survivors >= len(interior):
             raise InvariantBroken("interior vertex count failed to decrease")
-    left = _find(tri, p, r, d_pr)
-    right = _find(tri, q, r, d_qr)
+    left = _find(tri, pts, p, r, c_pr)
+    right = _find(tri, pts, q, r, c_qr)
     return _splice_simple(left, right[::-1])
 
 

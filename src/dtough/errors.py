@@ -64,6 +64,15 @@ class InvariantBroken(DToughError):
     """A verified-theorem invariant failed. This is a falsification alarm."""
 
 
+class NoPerfectMatching(InvariantBroken):
+    """An even-order Delaunay triangulation has no perfect matching.
+
+    Every one has one, so this is a falsification alarm like its base
+    class; unlike a found matching that fails its verification, it says
+    that no matching exists.
+    """
+
+
 class WitnessSearchFailed(InvariantBroken):
     """No empty disk through the edge's endpoints verified exactly.
 

@@ -16,18 +16,20 @@ search and the audit's face traversal) runs on a copy of the point set
 multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
 triangulation as ``Triangulation.scaled``): the answers are the same, the
 arithmetic is plain ``int`` and still exact. The certificates accept that
-copy in place of the points, so a build scales its points once. Disks with
-arbitrary rational centers (disk paths, witness disks) stay on
-``Fraction``. The certificate and the face scan are both O(n^3), or
-O(k n^2) for the tuples and faces that hold one of k added points, and both
-walk the pencil of circles through each pair of points: one bisector row per
-pair finds every collinear triple and cocircular quadruple through that pair
-(``_bisector_row``), and the pencil gap of a pair (``pencil_gap``) holds the
-parameters of the circles through it that contain no other point. That gap
-is the one empty-disk test of the package: the face scan
-(``delaunay_faces``) reads the apexes of a pair's Delaunay faces off its
-ends, ``delaunay.witness_disk`` takes its center from inside it, and a
-blocking verdict asks whether any pair of the blocked set has it open.
+copy in place of the points, so a build scales its points once. The in-disk
+path recursion (``diskpath``) lifts its disk to an integer circle on that
+copy; only witness disks, whose centers are arbitrary rationals, and the
+checks that read a caller's disk stay on ``Fraction``. The certificate and
+the face scan are both O(n^3), or O(k n^2) for the tuples and faces that
+hold one of k added points, and both walk the pencil of circles through each
+pair of points: one bisector row per pair finds every collinear triple and
+cocircular quadruple through that pair (``_bisector_row``), and the pencil
+gap of a pair (``pencil_gap``) holds the parameters of the circles through
+it that contain no other point. That gap is the one empty-disk test of the
+package: the face scan (``delaunay_faces``) reads the apexes of a pair's
+Delaunay faces off its ends, ``delaunay.witness_disk`` takes its center from
+inside it, and a blocking verdict asks whether any pair of the blocked set
+has it open.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -43,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import CollinearInput, InvariantBroken, PreconditionViolated
+from .errors import CollinearInput
 
 Coord = Fraction
 Scalar = Union[int, str, Fraction]
@@ -138,11 +140,6 @@ def _cross(a: Point, b: Point, c: Point) -> Fraction:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def _dot(a: Point, b: Point, c: Point) -> Fraction:
-    """(b - a) . (c - a)"""
-    return (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y)
-
-
 def outward_normal(a: Point, b: Point, probe: Point) -> Point:
     """The perpendicular of b - a that points away from the side of line ab
     holding probe (the left-hand one when probe is on the line)."""
@@ -220,19 +217,6 @@ def in_circle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
     return circle_classifier(a, b, c)(d)
 
 
-def circumdisk(a: Point, b: Point, c: Point) -> Disk:
-    """The disk whose boundary passes through a, b, and c.
-
-    The center is the intersection of two perpendicular bisectors; with
-    rational inputs it is rational, as is the squared radius.
-    """
-    if orient(a, b, c) is Orientation.COLLINEAR:
-        raise CollinearInput(f"no circumdisk of collinear points {a}, {b}, {c}")
-    ux, uy, d = circumcenter_terms(a, b, c)
-    center = Point(ux / d, uy / d)
-    return Disk(center, dist_sq(center, a))
-
-
 def circumcenter_terms(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction, Fraction]:
     """The circumcenter of a non-collinear a, b, c as (x numerator,
     y numerator, common denominator): the center is (ux / d, uy / d).
@@ -277,47 +261,6 @@ def triangle_classify(a: Point, b: Point, c: Point, p: Point) -> Position:
 # ---------------------------------------------------------------------------
 
 
-def shrink_parameter(d: Disk, anchor: Point, target: Point) -> Fraction:
-    """Parameter t* on the anchor-to-center segment equalizing the two distances.
-
-    With x(t) = anchor + t * (center - anchor), this is the unique t solving
-    |x(t) - anchor|^2 = |x(t) - target|^2. The quadratic terms cancel, so t*
-    is rational:  t* = |anchor - target|^2 / (2 (center - anchor).(target - anchor)).
-
-    For a target interior to the disk and an anchor on its boundary the
-    denominator is strictly positive and t* lies in (0, 1).
-    """
-    num = dist_sq(anchor, target)
-    den = 2 * _dot(anchor, d.center, target)
-    if den == 0:
-        raise PreconditionViolated("shrink direction is degenerate (anchor equals target?)")
-    return num / den
-
-
-def shrink_toward(d: Disk, anchor: Point, target: Point) -> Disk:
-    """Shrink d along the ray from anchor through its center until target
-    lies on the boundary.
-
-    The result passes through anchor and target exactly, stays inside d, and
-    is internally tangent to d at anchor. Preconditions (anchor on the
-    boundary, target strictly interior) are checked exactly.
-    """
-    if disk_classify(d, anchor) is not Position.BOUNDARY:
-        raise PreconditionViolated(f"anchor {anchor} is not on the disk boundary")
-    if disk_classify(d, target) is not Position.INTERIOR:
-        raise PreconditionViolated(f"target {target} is not interior to the disk")
-    t = shrink_parameter(d, anchor, target)
-    cx = anchor.x + t * (d.center.x - anchor.x)
-    cy = anchor.y + t * (d.center.y - anchor.y)
-    center = Point(cx, cy)
-    shrunk = Disk(center, dist_sq(center, anchor))
-    # Internal tangency at the anchor, in squared form; a failure here would
-    # mean the algebra above is wrong, not that the input is bad.
-    if not disks_internally_tangent(d, shrunk):
-        raise InvariantBroken("shrunken disk lost tangency with its parent")
-    return shrunk
-
-
 def is_witness_disk(points: Sequence[Point], d: Disk, i: int, j: int) -> bool:
     """Whether points i and j lie on the boundary of d and every other point
     strictly outside it: d then certifies the Delaunay edge (i, j)."""
@@ -328,29 +271,11 @@ def is_witness_disk(points: Sequence[Point], d: Disk, i: int, j: int) -> bool:
     return True
 
 
-def disks_internally_tangent(outer: Disk, inner: Disk) -> bool:
-    """dist(centers) = R - r, tested as a rational identity on squares."""
-    if inner.radius_sq > outer.radius_sq:
-        return False
-    d2 = dist_sq(outer.center, inner.center)
-    m = outer.radius_sq + inner.radius_sq - d2
-    return m >= 0 and m * m == 4 * outer.radius_sq * inner.radius_sq
-
-
 def disks_externally_tangent(a: Disk, b: Disk) -> bool:
     """dist(centers) = R + r, tested as a rational identity on squares."""
     d2 = dist_sq(a.center, b.center)
     m = d2 - a.radius_sq - b.radius_sq
     return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
-
-
-def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
-    """Closed containment: dist(centers) <= R - r, in squared form."""
-    if inner.radius_sq > outer.radius_sq:
-        return False
-    d2 = dist_sq(outer.center, inner.center)
-    m = outer.radius_sq + inner.radius_sq - d2
-    return m >= 0 and m * m >= 4 * outer.radius_sq * inner.radius_sq
 
 
 def disks_interior_disjoint(a: Disk, b: Disk) -> bool:

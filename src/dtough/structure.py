@@ -24,10 +24,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .delaunay import Triangulation, build, edge_angle_check, extend
+from .delaunay import Triangulation, _extend_scaled, build, edge_angle_check
 from .errors import (
     DegenerateInput,
     InvariantBroken,
+    NoPerfectMatching,
     NotIndependent,
     PreconditionViolated,
     SearchExhausted,
@@ -228,11 +229,12 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     """A perfect matching of a Delaunay triangulation, or None for odd order.
 
     The search is a memoized exhaustive backtrack over vertex bitmasks,
-    exact at desk scale. An even-order input with no matching found is
-    reported as a broken invariant rather than None, since even-order
-    Delaunay triangulations always have one. The matching is verified
-    before it is returned: every pair an edge of tri, no vertex in two
-    pairs, all n vertices covered; anything else is a broken invariant.
+    exact at desk scale. An even-order input with no matching found raises
+    ``NoPerfectMatching``, a broken invariant, rather than returning None,
+    since even-order Delaunay triangulations always have one. The matching
+    is verified before it is returned: every pair an edge of tri, no vertex
+    in two pairs, all n vertices covered; anything else is a broken
+    invariant.
     """
     # TODO: switch to a blossom matcher if instances outgrow the memoized search.
     n = len(tri)
@@ -260,7 +262,7 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
 
     pairs = search((1 << n) - 1)
     if pairs is None:
-        raise InvariantBroken("even-order Delaunay triangulation without a perfect matching")
+        raise NoPerfectMatching("even-order Delaunay triangulation without a perfect matching")
     for u, v in pairs:  # u is the least vertex left, so u < v
         if not tri.is_edge(u, v):
             raise InvariantBroken(f"matched pair ({u}, {v}) is not an edge")
@@ -301,10 +303,11 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     one sentinel steps around any exact degeneracy a symmetric placement
     happens to hit.
 
-    Sentinels are placed in the caller's coordinates; every check on a
-    candidate runs on the lcm-scaled integer copy of the enlarged point set,
-    and ``extend``, which certifies only the tuples that hold a sentinel, is
-    its only general-position scan.
+    Sentinels are placed in the caller's coordinates; each candidate's
+    enlarged point set is scaled to integers once, and every check on it
+    reads that copy, ``extend``'s too (``delaunay._extend_scaled``), which
+    certifies only the tuples that hold a sentinel and is the candidate's
+    only general-position scan.
     """
     gone = frozenset(removed)
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -354,7 +357,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
             u_pt.x + reach * (d_b.x + tilt * n_b.x),
             u_pt.y + reach * (d_b.y + tilt * n_b.y),
         )
-        big = scaled_to_integers(tri.vertices + (s1, s2))
+        pts = tri.vertices + (s1, s2)
+        big = scaled_to_integers(pts)
         bu, b1, b2 = big[anchor], big[n], big[n + 1]
         if orient(bu, b1, b2) is Orientation.COLLINEAR:
             continue
@@ -365,7 +369,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         ):
             continue
         try:
-            augmented = extend(tri, (s1, s2))
+            augmented = _extend_scaled(tri, pts, big)
         except DegenerateInput as exc:
             if max(exc.violation.indices) < n:
                 raise  # the input itself is degenerate; no sentinel helps

@@ -20,10 +20,14 @@ from hypothesis import strategies as st
 
 from dtough import blocking, build, cli
 from dtough.delaunay import CounterExample, EdgeKind, from_triangles
+from dtough.diskpath import DiskPath, _splice_simple, check_disk_path
 from dtough.errors import (
+    CollinearInput,
     DegenerateInput,
+    InvariantBroken,
     NotInteriorEdge,
     PreconditionViolated,
+    TieOnBoundary,
     WitnessSearchFailed,
 )
 from dtough.exactgeom import (
@@ -34,7 +38,7 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
-    circumdisk,
+    circumcenter_terms,
     cycle_area2,
     disk_classify,
     dist_sq,
@@ -439,6 +443,154 @@ def toughness_reverse_oracle(tri):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+# ---------------------------------------------------------------------------
+# Rational disk algebra and the in-disk path recursion on ``Fraction``
+# ---------------------------------------------------------------------------
+
+
+def circumdisk(a: Point, b: Point, c: Point) -> Disk:
+    """The disk whose boundary passes through a, b, and c.
+
+    The center is the intersection of two perpendicular bisectors; with
+    rational inputs it is rational, as is the squared radius.
+    """
+    if orient(a, b, c) is Orientation.COLLINEAR:
+        raise CollinearInput(f"no circumdisk of collinear points {a}, {b}, {c}")
+    ux, uy, d = circumcenter_terms(a, b, c)
+    center = Point(ux / d, uy / d)
+    return Disk(center, dist_sq(center, a))
+
+
+def shrink_parameter(d: Disk, anchor: Point, target: Point) -> Fraction:
+    """Parameter t* on the anchor-to-center segment equalizing the two distances.
+
+    With x(t) = anchor + t * (center - anchor), this is the unique t solving
+    |x(t) - anchor|^2 = |x(t) - target|^2. The quadratic terms cancel, so t*
+    is rational:  t* = |anchor - target|^2 / (2 (center - anchor).(target - anchor)).
+
+    For a target interior to the disk and an anchor on its boundary the
+    denominator is strictly positive and t* lies in (0, 1).
+    """
+    num = dist_sq(anchor, target)
+    c, t = d.center, target
+    den = 2 * ((c.x - anchor.x) * (t.x - anchor.x) + (c.y - anchor.y) * (t.y - anchor.y))
+    if den == 0:
+        raise PreconditionViolated("shrink direction is degenerate (anchor equals target?)")
+    return num / den
+
+
+def shrink_toward(d: Disk, anchor: Point, target: Point) -> Disk:
+    """Shrink d along the ray from anchor through its center until target
+    lies on the boundary.
+
+    The result passes through anchor and target exactly, stays inside d, and
+    is internally tangent to d at anchor. Preconditions (anchor on the
+    boundary, target strictly interior) are checked exactly.
+    """
+    if disk_classify(d, anchor) is not Position.BOUNDARY:
+        raise PreconditionViolated(f"anchor {anchor} is not on the disk boundary")
+    if disk_classify(d, target) is not Position.INTERIOR:
+        raise PreconditionViolated(f"target {target} is not interior to the disk")
+    t = shrink_parameter(d, anchor, target)
+    cx = anchor.x + t * (d.center.x - anchor.x)
+    cy = anchor.y + t * (d.center.y - anchor.y)
+    center = Point(cx, cy)
+    shrunk = Disk(center, dist_sq(center, anchor))
+    # Internal tangency at the anchor, in squared form; a failure here would
+    # mean the algebra above is wrong, not that the input is bad.
+    if not disks_internally_tangent(d, shrunk):
+        raise InvariantBroken("shrunken disk lost tangency with its parent")
+    return shrunk
+
+
+def disks_internally_tangent(outer: Disk, inner: Disk) -> bool:
+    """dist(centers) = R - r, tested as a rational identity on squares."""
+    if inner.radius_sq > outer.radius_sq:
+        return False
+    d2 = dist_sq(outer.center, inner.center)
+    m = outer.radius_sq + inner.radius_sq - d2
+    return m >= 0 and m * m == 4 * outer.radius_sq * inner.radius_sq
+
+
+def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
+    """Closed containment: dist(centers) <= R - r, in squared form."""
+    if inner.radius_sq > outer.radius_sq:
+        return False
+    d2 = dist_sq(outer.center, inner.center)
+    m = outer.radius_sq + inner.radius_sq - d2
+    return m >= 0 and m * m >= 4 * outer.radius_sq * inner.radius_sq
+
+
+def _classify_all_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
+    interior = []
+    stray = []
+    for i, pt in enumerate(tri.vertices):
+        pos = disk_classify(d, pt)
+        if i == p or i == q:
+            if pos is not Position.BOUNDARY:
+                raise PreconditionViolated(f"vertex {i} must lie on the disk boundary")
+        elif pos is Position.BOUNDARY:
+            stray.append(i)
+        elif pos is Position.INTERIOR:
+            interior.append(i)
+    if stray:
+        raise TieOnBoundary(
+            f"vertices {stray} lie exactly on the disk boundary", witnesses=stray
+        )
+    return interior
+
+
+def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
+    interior = _classify_all_fraction(tri, d, p, q)
+    if not interior:
+        if not tri.is_edge(p, q):
+            raise InvariantBroken(
+                f"empty disk through {p} and {q} but no Delaunay edge between them"
+            )
+        return [p, q]
+    pp = tri.vertices[p]
+    params = [(shrink_parameter(d, pp, tri.vertices[x]), x) for x in interior]
+    best_t = min(t for t, _ in params)
+    hits = [x for t, x in params if t == best_t]
+    if len(hits) > 1:
+        raise TieOnBoundary(
+            f"vertices {hits} reach the shrinking boundary simultaneously",
+            witnesses=hits,
+        )
+    r = hits[0]
+    rp = tri.vertices[r]
+    d_pr = shrink_toward(d, pp, rp)
+    d_qr = shrink_toward(d, tri.vertices[q], rp)
+    for sub in (d_pr, d_qr):
+        if not disk_contains_disk(d, sub):
+            raise InvariantBroken("shrunken disk escaped its parent")
+    if disk_classify(d_pr, tri.vertices[q]) is not Position.EXTERIOR:
+        raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
+    if disk_classify(d_qr, pp) is not Position.EXTERIOR:
+        raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
+    for sub in (d_pr, d_qr):
+        survivors = sum(
+            1 for x in interior if disk_classify(sub, tri.vertices[x]) is Position.INTERIOR
+        )
+        if survivors >= len(interior):
+            raise InvariantBroken("interior vertex count failed to decrease")
+    left = _find_fraction(tri, p, r, d_pr)
+    right = _find_fraction(tri, q, r, d_qr)
+    return _splice_simple(left, right[::-1])
+
+
+def find_path_fraction_oracle(tri, p: int, q: int, d: Disk) -> DiskPath:
+    """``diskpath.find_path`` with its recursion on the ``Fraction`` disks:
+    each shrink moves the center along the anchor-to-center segment to the
+    least ``shrink_parameter`` of the interior vertices (``shrink_toward``),
+    and every check classifies ``Fraction`` vertices against ``Fraction``
+    disks. p and q must be distinct vertex ids. It shares only the walk
+    splice with ``find_path``."""
+    path = DiskPath(tuple(_find_fraction(tri, p, q, d)), d)
+    check_disk_path(tri, path)
+    return path
 
 
 # ---------------------------------------------------------------------------

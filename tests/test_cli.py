@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtough import blocking, cli, delaunay, exactgeom, generate, pointfile, structure
+from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import PointFileError
 from dtough.exactgeom import point, general_position
@@ -250,7 +250,7 @@ def test_matching_on_a_non_edge_is_caught(tmp_path, monkeypatch, capsys):
         return [full & ~masks[0] & ~1] + [full & ~(1 << v) for v in range(1, len(tri))]
 
     verdict = _matching_on_masks(tmp_path, monkeypatch, swap_first)
-    assert verdict["exists"] is False and verdict["ok"] is False
+    assert verdict["exists"] is True and verdict["ok"] is False
     assert "is not an edge" in verdict["error"]
     assert "Traceback" not in capsys.readouterr().err
 
@@ -369,6 +369,23 @@ def test_path_command(tmp_path):
         assert json.loads(out)["error"] == error
 
 
+def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):
+    # a shrunken circle whose constant is off by one misses its anchor
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    shrink = diskpath._shrink
+
+    def off_by_one(*args):
+        w, u, v, k = shrink(*args)
+        return w, u, v, k + 1
+
+    monkeypatch.setattr(diskpath, "_shrink", off_by_one)
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "2", "8"])
+    assert code == 1
+    assert "tangency" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_path_disk_arguments_are_parsed_like_point_files(tmp_path, monkeypatch):
     f = tmp_path / "quad.txt"
     f.write_text("0 0\n4 0\n2 1\n2 -1\n")
@@ -436,13 +453,13 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
         sizes.append(len(points))
         return delaunay.build(points)
 
-    def counting_extend(tri, added):
-        extended.append(len(tri) + len(added))
-        return delaunay.extend(tri, added)
+    def counting_extend(tri, pts, q):
+        extended.append(len(pts))
+        return delaunay._extend_scaled(tri, pts, q)
 
     for module in (cli, structure):
         monkeypatch.setattr(module, "build", counting)
-    monkeypatch.setattr(structure, "extend", counting_extend)
+    monkeypatch.setattr(structure, "_extend_scaled", counting_extend)
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
     assert code == 0
     assert sizes == [7]  # the input

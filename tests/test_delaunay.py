@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dtough import delaunay, exactgeom
+from dtough import delaunay, exactgeom, structure
 from dtough.delaunay import (
     EdgeKind,
     Triangulation,
@@ -206,12 +206,16 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
         calls.append(len(points))
         return scale(points)
 
-    for module in (delaunay, exactgeom):
+    for module in (delaunay, exactgeom, structure):
         monkeypatch.setattr(module, "scaled_to_integers", counting)
     t = build(pts[:10])
     assert calls == [10]
     extend(t, pts[10:])
     assert calls == [10, 12]
+    # the sentinel search scales each candidate once, for its own checks and
+    # for extending the triangulation by it; the first candidate is taken
+    structure.sentinel_augment(t, t.hull[:1])
+    assert calls == [10, 12, 12]
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))

@@ -2,20 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dtough import diskpath
 from dtough.delaunay import build, witness_disk
 from dtough.diskpath import DiskPath, check_disk_path, find_path, path_oracle
-from dtough.errors import InvariantBroken, PreconditionViolated, TieOnBoundary
-from dtough.exactgeom import (
-    Disk,
-    Position,
-    disk_classify,
-    disk_contains_disk,
-    point,
-    shrink_toward,
-)
+from dtough.errors import DToughError, InvariantBroken, PreconditionViolated, TieOnBoundary
+from dtough.exactgeom import Disk, Point, Position, disk_classify, point
 
 import helpers
+from helpers import disk_contains_disk, shrink_toward
 
 P = point
 
@@ -141,3 +138,82 @@ def test_check_disk_path_catches_tampering():
     detour = DiskPath((e.u, far, e.v), d)
     with pytest.raises(InvariantBroken):
         check_disk_path(t, detour)
+
+
+def _outcome(search, t, p, q, d):
+    """The path a search returns, or its error's class, message and witnesses."""
+    try:
+        return search(t, p, q, d).vertices
+    except DToughError as exc:
+        return type(exc), str(exc), getattr(exc, "witnesses", None)
+
+
+def _pencil_at(t, p, q, k) -> Disk:
+    """The disk through vertices p and q centered at their midpoint plus k
+    times the perpendicular of q - p."""
+    a, b = t.vertices[p], t.vertices[q]
+    center = Point((a.x + b.x) / 2 - k * (b.y - a.y), (a.y + b.y) / 2 + k * (b.x - a.x))
+    return Disk(center, (center.x - a.x) ** 2 + (center.y - a.y) ** 2)
+
+
+# Unit scale, or a ratio of integers up to 10^12 that moves the points far
+# from it and gives them large denominators.
+_factors = st.one_of(
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(helpers.grid_points, min_size=3, max_size=12), _factors, st.data())
+def test_find_path_matches_fraction_oracle(candidates, factor, data):
+    # a kite symmetric about the line through 0 and 1: disks through 0 and 1
+    # centered on that line reach its two other corners at once
+    kite = data.draw(st.booleans())
+    if kite:
+        candidates = [P(-1, 0), P(1, 0), P(0, "1/2"), P(0, "-1/2")] + candidates
+    pts = [Point(p.x * factor, p.y * factor) for p in helpers.thinned(candidates)]
+    assume(len(pts) >= 3)
+    t = build(pts)
+    ends = st.lists(st.integers(0, len(t) - 1), min_size=2, max_size=2, unique=True)
+    p, q = (0, 1) if kite else data.draw(ends)
+    if data.draw(st.booleans()):
+        d = helpers.pencil_disk(t, p, q, data.draw(st.integers(0, len(t))))
+        assume(d is not None)
+    else:  # a grid parameter on the pencil: third vertices land on the boundary
+        d = _pencil_at(t, p, q, data.draw(helpers.grid_fraction))
+    expected = _outcome(helpers.find_path_fraction_oracle, t, p, q, d)
+    assert _outcome(find_path, t, p, q, d) == expected
+
+
+def test_integer_shrink_is_the_fraction_shrink():
+    # denominators 2 and 3 put the integer copy at six times the points
+    pts = [P(0, 2), P(4, -1), P("1/2", 9), P(-5, "-1/3"), P(8, "7/3")]
+    t = build(pts)
+    d = Disk(P(3, -2), Fraction(25))
+    lifted = [(x, y, x * x + y * y) for x, y in t.scaled]
+    c = diskpath._lift(t, d)
+    assert diskpath._power(c, lifted[0]) == 0
+    power = diskpath._power(c, lifted[1])
+    assert power < 0
+    expected = diskpath._lift(t, helpers.shrink_toward(d, pts[0], pts[1]))
+    assert diskpath._shrink(c, lifted[0], lifted[1], -power) == expected
+
+
+def test_recursion_classifies_no_fraction_disk(monkeypatch):
+    # only the final check of the path and the BFS oracle read the disk
+    t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
+    d = Disk(P(2, 2), Fraction(8))  # through 0 and 1, with 2 inside
+    calls = []
+    classify = diskpath.disk_classify
+
+    def counting(disk, pt):
+        calls.append(pt)
+        return classify(disk, pt)
+
+    monkeypatch.setattr(diskpath, "disk_classify", counting)
+    path = find_path(t, 0, 1, d)
+    assert path.vertices == (0, 2, 1)
+    assert len(calls) == 3  # check_disk_path, once per path vertex
+    path_oracle(t, 0, 1, d)
+    assert len(calls) == 3 + len(t)

@@ -15,27 +15,29 @@ from dtough.exactgeom import (
     Violation,
     ViolationKind,
     circle_classifier,
-    circumdisk,
     coord,
     disk,
     disk_classify,
-    disk_contains_disk,
     disks_interior_disjoint,
-    disks_internally_tangent,
     general_position,
     general_position_added,
     in_circle,
     orient,
     point,
     scaled_to_integers,
-    shrink_parameter,
-    shrink_toward,
     triangle_classify,
 )
 from dtough.blocking import fan_instance
 from dtough.generate import convex_points
 
 import helpers
+from helpers import (
+    circumdisk,
+    disk_contains_disk,
+    disks_internally_tangent,
+    shrink_parameter,
+    shrink_toward,
+)
 
 P = point
 

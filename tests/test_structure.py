@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
-from dtough.delaunay import build, extend
+from dtough.delaunay import build
 from dtough.errors import (
     DegenerateInput,
     NotIndependent,
@@ -257,22 +257,24 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     first = sentinel_augment(t, removed)
     sizes = []
 
-    def first_candidate_cocircular(tri, added):
-        sizes.append(len(tri) + len(added))
+    extend_scaled = structure._extend_scaled
+
+    def first_candidate_cocircular(tri, pts, q):
+        sizes.append(len(pts))
         if len(sizes) == 1:  # a sentinel on a circle through three vertices
             raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, sizes[0] - 1)))
-        return extend(tri, added)
+        return extend_scaled(tri, pts, q)
 
-    monkeypatch.setattr(structure, "extend", first_candidate_cocircular)
+    monkeypatch.setattr(structure, "_extend_scaled", first_candidate_cocircular)
     second = sentinel_augment(t, removed)
     assert sizes == [12, 12]
     assert second.sentinels != first.sentinels
 
-    def input_collinear(tri, added):
+    def input_collinear(tri, pts, q):
         raise DegenerateInput(Violation(ViolationKind.COLLINEAR, (0, 1, 2)))
 
     # a violation among the input's own points is not the sentinels' fault
-    monkeypatch.setattr(structure, "extend", input_collinear)
+    monkeypatch.setattr(structure, "_extend_scaled", input_collinear)
     with pytest.raises(DegenerateInput):
         sentinel_augment(t, removed)
 
