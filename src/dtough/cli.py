@@ -138,7 +138,7 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
         and rep.strict_inequality_ok
         and rep.bad_face_bound_ok
         and rep.independent_matches_bad
-        and rep.float_agrees
+        and rep.angle_census_ok
     )
     return {
         "independent_set": cert,
@@ -154,7 +154,7 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
         "strict_inequality_ok": rep.strict_inequality_ok,
         "bad_face_bound_ok": rep.bad_face_bound_ok,
         "independent_matches_bad": rep.independent_matches_bad,
-        "float_agrees": rep.float_agrees,
+        "angle_census_ok": rep.angle_census_ok,
         "ok": ok,
     }
 
@@ -177,6 +177,9 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
     except (PointFileError, DegenerateInput, TooFewPoints, OSError) as exc:
         report["error"] = str(exc)
         return EXIT_INPUT, report
+    except InvariantBroken as exc:  # the builder refuted its own output
+        report["error"] = str(exc)
+        return EXIT_ALARM, report
     report["instance"] = _instance_summary(tri)
     verdicts: dict = {}
     report["verdicts"] = verdicts
@@ -192,6 +195,8 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
             verdicts[name] = {"refused": str(exc) or "out of memory"}
             code = max(code, EXIT_GATE)
             continue
+        except InvariantBroken as exc:  # an alarm raised inside the check
+            verdicts[name] = {"error": str(exc), "ok": False}
         if not verdicts[name]["ok"]:
             code = max(code, EXIT_ALARM)
     return code, report
@@ -272,6 +277,7 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     except TieOnBoundary as exc:
         report["error"] = "tie_on_boundary"
         report["witnesses"] = list(exc.witnesses)
+        report["message"] = str(exc)
         return EXIT_INPUT, report
     except PreconditionViolated as exc:
         report["error"] = str(exc)

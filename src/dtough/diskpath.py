@@ -119,9 +119,10 @@ def _nesting(outer: Circle, inner: Circle) -> tuple[bool, bool]:
     return m * m >= 4 * big * small, m * m == 4 * big * small
 
 
-def _classify_all(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, int]]:
+def _classify_all(pts: list[Lifted], c: Circle, p: int, q: int, top: bool) -> list[tuple[int, int]]:
     """Interior vertices with their (negative) powers; raises if p or q is off
-    the boundary or any third vertex is on it."""
+    the boundary or any third vertex is on it. On the caller's disk (``top``)
+    a third vertex breaks the precondition; on a shrunken one it is a tie."""
     interior = []
     stray = []
     for i, pt in enumerate(pts):
@@ -134,9 +135,10 @@ def _classify_all(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[in
         elif power < 0:
             interior.append((i, power))
     if stray:
-        raise TieOnBoundary(
-            f"vertices {stray} lie exactly on the disk boundary", witnesses=stray
-        )
+        message = f"vertices {stray} lie exactly on the disk boundary"
+        if top:
+            raise PreconditionViolated(f"{message}; only {p} and {q} may")
+        raise TieOnBoundary(message, witnesses=stray)
     return interior
 
 
@@ -177,7 +179,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     """
     _check_endpoints(tri, p, q)
     pts = [(x, y, x * x + y * y) for x, y in tri.scaled]
-    path = _find(tri, pts, p, q, _lift(tri, d))
+    path = _find(tri, pts, p, q, _lift(tri, d), top=True)
     result = DiskPath(tuple(path), d)
     check_disk_path(tri, result)
     if result.vertices[0] != p or result.vertices[-1] != q:
@@ -185,8 +187,8 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     return result
 
 
-def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> list[int]:
-    interior = _classify_all(pts, c, p, q)
+def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, top=False) -> list[int]:
+    interior = _classify_all(pts, c, p, q, top)
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(

@@ -1,8 +1,8 @@
 """Static SVG rendering of triangulations, disks, paths, and blockers.
 
 Pure string assembly, deterministic for identical inputs. Exact coordinates
-are rounded to 1e-6 here and only here; the drawing is documentation, never
-evidence. The y axis is flipped so pictures match the usual mathematical
+become floats, printed to six decimal places, here and only here; the
+drawing is documentation, never evidence. The y axis is flipped so pictures match the usual mathematical
 orientation.
 """
 

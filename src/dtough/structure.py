@@ -16,7 +16,6 @@ nothing about the placement is trusted.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -473,9 +472,7 @@ class AuditReport:
 
     ``angle_total_exact`` is the total of the angles opposite each surviving
     edge, computed from the face census (180 per hole-free face, 360 per
-    hole). ``angle_total_float`` recomputes the same total as a plain
-    floating-point angle sum; agreement within 1e-6 relative is a sanity
-    check on the geometry, while every load-bearing verdict is exact.
+    hole); ``angle_census_ok`` proves it exactly (``_angle_census``).
     """
 
     anchor: int
@@ -486,30 +483,28 @@ class AuditReport:
     subgraph_vertices: int
     euler_ok: bool  # edges == vertices + faces - 1
     angle_total_exact: int  # degrees: 180 * good + 360 * bad
-    angle_total_float: float
-    float_agrees: bool
+    angle_census_ok: bool  # the opposite-angle sum is 180 * good + 360 * bad, exactly
     per_edge_ok: bool  # every edge's opposite-angle sum is below 180, exactly
     strict_inequality_ok: bool  # angle_total_exact < 180 * subgraph_edges
     bad_face_bound_ok: bool  # bad_faces <= subgraph_vertices - 2
     independent_matches_bad: bool  # every removed vertex claims exactly one face
 
 
-def _opposite_angles_deg(q: Sequence[Point], u: int, v: int, apexes: Iterable[int]) -> float:
-    """The angles opposite edge uv at its face apexes, in degrees, from cross
-    and dot products on the integer coordinates q. Both are divided by the
-    larger of their magnitudes before ``atan2``; int-by-int true division is
-    correctly rounded and never overflows, so the angle does not depend on
-    the scale of the points."""
-    total = 0.0
-    pu, pv = q[u], q[v]
-    for w in apexes:
-        a = q[w]
-        d1x, d1y, d2x, d2y = pu.x - a.x, pu.y - a.y, pv.x - a.x, pv.y - a.y
-        cross = abs(d1x * d2y - d1y * d2x)
-        dot = d1x * d2x + d1y * d2y
-        m = max(cross, abs(dot))
-        total += math.degrees(math.atan2(cross / m, dot / m))
-    return total
+def _angle_census(big: Triangulation, chosen: VertexSet) -> tuple[int, bool]:
+    """F0, the faces of big with no chosen vertex, and whether every chosen
+    vertex x has a closed fan: ``apex[(x, u)]`` steps from a neighbour around
+    x through every neighbour and back, none of them chosen. Split by faces,
+    the angles opposite the edges between unchosen vertices then sum to
+    180 per such face and 360 per fan: 180 F0 + 360 |chosen|, exactly."""
+    f0 = sum(1 for (u, v), w in big.apex.items() if u < v and u < w and not chosen & {u, v, w})
+    for x in chosen:
+        u, fan = big.neighbors[x][0], set()
+        while u is not None and u not in fan and u not in chosen:
+            fan.add(u)
+            u = big.apex.get((x, u))
+        if u != big.neighbors[x][0] or fan != set(big.neighbors[x]):
+            return f0, False
+    return f0, True
 
 
 def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
@@ -520,7 +515,9 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     removed vertices they contain (0 or 1; anything else is structurally
     impossible and raises). The face census and the per-edge angle bound
     then pin the number of holes below the subgraph order minus two, which
-    is exactly the floor(n/2) independence bound for this instance.
+    is exactly the floor(n/2) independence bound for this instance. The
+    angle census recounts both kinds of face off the augmented
+    triangulation's ``apex`` map, which makes the angle total exact.
     """
     chosen = frozenset(independent)
     if not chosen <= frozenset(range(len(tri))):
@@ -567,22 +564,16 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
             located.append(inside[0])
         else:
             raise InvariantBroken("interior face contains two removed vertices")
-    independent_matches_bad = sorted(located) == sorted(chosen)
 
     e_count = len(sub_edges)
     s_size = len(keep)
-    euler_ok = e_count == s_size + bad + good - 1
     angle_exact = 180 * good + 360 * bad
-    angle_float = 0.0
-    per_edge_ok = True
-    for u, v in sub_edges:
-        opp = big.opposite_vertices(u, v)
-        angle_float += _opposite_angles_deg(q, u, v, opp)
-        # A boundary edge has a single opposite angle, below 180 like any
-        # triangle angle; only two-sided edges need the exact test.
-        if per_edge_ok and len(opp) == 2 and not edge_angle_check(big, u, v):
-            per_edge_ok = False
-    float_agrees = abs(angle_exact - angle_float) < 1e-6 * angle_exact
+    f0, fans_closed = _angle_census(big, chosen)
+    # A boundary edge has a single opposite angle, below 180 like any
+    # triangle angle; only two-sided edges need the exact test.
+    per_edge_ok = all(
+        len(big.opposite_vertices(u, v)) < 2 or edge_angle_check(big, u, v) for u, v in sub_edges
+    )
 
     return AuditReport(
         anchor=aug.anchor,
@@ -591,14 +582,13 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
         bad_faces=bad,
         subgraph_edges=e_count,
         subgraph_vertices=s_size,
-        euler_ok=euler_ok,
+        euler_ok=e_count == s_size + bad + good - 1,
         angle_total_exact=angle_exact,
-        angle_total_float=angle_float,
-        float_agrees=float_agrees,
+        angle_census_ok=fans_closed and f0 == good and len(chosen) == bad,
         per_edge_ok=per_edge_ok,
         strict_inequality_ok=angle_exact < 180 * e_count,
         bad_face_bound_ok=bad <= s_size - 2,
-        independent_matches_bad=independent_matches_bad,
+        independent_matches_bad=sorted(located) == sorted(chosen),
     )
 
 

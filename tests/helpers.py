@@ -241,8 +241,9 @@ def incidence_oracle(tri):
 def opposite_angles_deg_fraction(tri, u, v) -> float:
     """The angles opposite edge uv, in degrees, from cross and dot products
     on the ``Fraction`` vertices, each turned into a float before ``atan2``.
-    Agrees with the audit's ledger at ordinary scales; the products underflow
-    or overflow a float on points scaled far from 1."""
+    Summed over the audit's subgraph edges it matches the audit's exact angle
+    total at ordinary scales; the products underflow or overflow a float on
+    points scaled far from 1."""
     total = 0.0
     for face in tri.triangles:
         if u not in face or v not in face:
@@ -523,7 +524,7 @@ def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
     return m >= 0 and m * m >= 4 * outer.radius_sq * inner.radius_sq
 
 
-def _classify_all_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
+def _classify_all_fraction(tri, d: Disk, p: int, q: int, top: bool) -> list[int]:
     interior = []
     stray = []
     for i, pt in enumerate(tri.vertices):
@@ -536,14 +537,15 @@ def _classify_all_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
         elif pos is Position.INTERIOR:
             interior.append(i)
     if stray:
-        raise TieOnBoundary(
-            f"vertices {stray} lie exactly on the disk boundary", witnesses=stray
-        )
+        message = f"vertices {stray} lie exactly on the disk boundary"
+        if top:  # the caller's disk breaks the precondition; a shrunken one ties
+            raise PreconditionViolated(f"{message}; only {p} and {q} may")
+        raise TieOnBoundary(message, witnesses=stray)
     return interior
 
 
-def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
-    interior = _classify_all_fraction(tri, d, p, q)
+def _find_fraction(tri, p: int, q: int, d: Disk, top: bool = False) -> list[int]:
+    interior = _classify_all_fraction(tri, d, p, q, top)
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(
@@ -588,7 +590,7 @@ def find_path_fraction_oracle(tri, p: int, q: int, d: Disk) -> DiskPath:
     and every check classifies ``Fraction`` vertices against ``Fraction``
     disks. p and q must be distinct vertex ids. It shares only the walk
     splice with ``find_path``."""
-    path = DiskPath(tuple(_find_fraction(tri, p, q, d)), d)
+    path = DiskPath(tuple(_find_fraction(tri, p, q, d, top=True)), d)
     check_disk_path(tri, path)
     return path
 

@@ -6,7 +6,7 @@ import pytest
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
-from dtough.errors import PointFileError
+from dtough.errors import InvariantBroken, PointFileError
 from dtough.exactgeom import point, general_position
 
 import helpers
@@ -190,20 +190,48 @@ def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(structure, "_point_in_cycle", lambda p, ring: True)
     code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
     assert code == 1
-    assert "two removed vertices" in json.loads(out)["error"]
+    verdict = json.loads(out)["verdicts"]["audit"]
+    assert verdict["ok"] is False and "two removed vertices" in verdict["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_audit_open_fan_fails_the_angle_census(tmp_path, monkeypatch, capsys):
+    # an augmented triangulation whose apex map lost one face corner at a
+    # chosen vertex x leaves x with an open fan: its angles no longer sum to
+    # 360, and only the census reads them
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
+    _, cert = structure.max_independent_set(delaunay.build(pointfile.read_points(f)))
+    x = min(cert)
+    extend = structure._extend_scaled
+
+    def open_fan(tri, pts, q):
+        aug = extend(tri, pts, q)
+        apex = dict(aug.apex)
+        del apex[(x, aug.neighbors[x][0])]
+        return dataclasses.replace(aug, apex=apex)
+
+    monkeypatch.setattr(structure, "_extend_scaled", open_fan)
+    code, out = helpers.run_cli(["check", str(f), "--checks", "mis,audit"])
+    assert code == 1
+    verdict = json.loads(out)["verdicts"]["audit"]
+    assert verdict["independent_set"] == sorted(cert)
+    assert verdict["angle_census_ok"] is False and verdict["ok"] is False
+    others = ("euler_ok", "per_edge_ok", "strict_inequality_ok", "bad_face_bound_ok")
+    assert all(verdict[key] for key in others + ("independent_matches_bad",))
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 10**400), Fraction(1), Fraction(10**300)])
-def test_audit_float_ledger_ignores_scale(tmp_path, capsys, factor):
+def test_audit_angle_census_ignores_scale(tmp_path, capsys, factor):
     # float products of coordinates near 10^-400 underflow and near 10^300
-    # overflow; the ledger must read the same angles at every scale
+    # overflow; the exact census must read the same faces at every scale
     pts = [point(p.x * factor, p.y * factor) for p in generate.random_points(10, 1)]
     f = tmp_path / "r10.txt"
     f.write_text(format_points(pts))
     code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,audit"])
     assert code == 0
-    assert json.loads(out)["verdicts"]["audit"]["float_agrees"] is True
+    assert json.loads(out)["verdicts"]["audit"]["angle_census_ok"] is True
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -306,7 +334,8 @@ def test_toughness_witness_is_recounted(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(structure, "_adjacency_masks", lambda t: masks(cut))
     code, out = helpers.run_cli(["check", str(f), "--checks", "toughness"])
     assert code == 1
-    assert "not the 2 the table counted" in json.loads(out)["error"]
+    verdict = json.loads(out)["verdicts"]["toughness"]
+    assert verdict["ok"] is False and "not the 2 the table counted" in verdict["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -341,6 +370,34 @@ def test_check_multiple_files(tmp_path):
     assert len(report["reports"]) == 2
 
 
+def test_check_alarm_keeps_the_other_reports(tmp_path, monkeypatch, capsys):
+    # an alarm raised inside one file's audit is that check's verdict: the
+    # file's other checks run and the first file's report is kept whole
+    files = []
+    for n in (8, 10):
+        f = tmp_path / f"r{n}.txt"
+        helpers.run_cli(["gen", "random", str(n), "--seed", "1", "--out", str(f)])
+        files.append(str(f))
+    checks = ["--checks", "delaunay,audit,matching"]
+    _, alone = helpers.run_cli(["check", files[0], *checks])
+    audit = structure.angle_audit
+
+    def faulted(tri, cert):
+        if len(tri) == 10:
+            raise InvariantBroken("doctored audit")
+        return audit(tri, cert)
+
+    monkeypatch.setattr(structure, "angle_audit", faulted)
+    code, out = helpers.run_cli(["check", *files, *checks])
+    assert code == 1
+    first, second = json.loads(out)["reports"]
+    assert json.dumps(first, indent=2) == helpers.report_without_timing(alone)
+    assert second["file"] == files[1]
+    assert second["verdicts"]["audit"] == {"error": "doctored audit", "ok": False}
+    assert second["verdicts"]["delaunay"]["ok"] and second["verdicts"]["matching"]["ok"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_path_command(tmp_path):
     f = tmp_path / "quad.txt"
     f.write_text("0 0\n4 0\n2 1\n2 -1\n")
@@ -367,6 +424,23 @@ def test_path_command(tmp_path):
         code, out = helpers.run_cli(["path", "--", str(f), p, q, "2", "0", "1"])
         assert code == 2
         assert json.loads(out)["error"] == error
+
+
+def test_path_tells_a_precondition_breach_from_a_shrink_tie(tmp_path):
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    # vertex 2 on the caller's own boundary breaks the precondition
+    code, out = helpers.run_cli(["path", "--", str(f), "0", "1", "2", "-3/2", "25/4"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "vertices [2] lie exactly on the disk boundary; only 0 and 1 may"
+    assert "witnesses" not in report
+    # a valid disk whose first shrink pins 2 and 3 at once
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "0", "4"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "tie_on_boundary" and sorted(report["witnesses"]) == [2, 3]
+    assert report["message"] == "vertices [2, 3] reach the shrinking boundary simultaneously"
 
 
 def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):

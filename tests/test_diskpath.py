@@ -114,6 +114,16 @@ def test_tie_on_boundary_surfaces():
     assert set(exc.value.witnesses) == {2, 3}
 
 
+def test_third_vertex_on_the_callers_boundary_breaks_the_precondition():
+    # the same kite; vertex 2 is on the disk through 0 and 1, vertex 3 inside
+    t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
+    d = Disk(P(2, "-3/2"), Fraction(25, 4))
+    assert disk_classify(d, t.vertices[2]) is Position.BOUNDARY
+    for search in (find_path, helpers.find_path_fraction_oracle):
+        with pytest.raises(PreconditionViolated, match=r"vertices \[2\] lie exactly"):
+            search(t, 0, 1, d)
+
+
 def test_nesting_of_shrunken_disks():
     d = Disk(P(0, 0), Fraction(25))
     anchor, target = P(3, 4), P(1, -2)
