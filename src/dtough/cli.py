@@ -2,11 +2,13 @@
 verdicts, and SVG rendering.
 
 Verdict reports are JSON on stdout with exact rationals serialized as
-``a/b`` strings (never floats). Exit codes: 0 every requested verdict
-affirms, 1 a verified invariant failed (a falsification alarm), 2 input
-could not be parsed or is degenerate, or an output file could not be
-written, 3 a size gate refused an exhaustive check (raise it with --max-n) or
-a check ran out of memory.
+``a/b`` strings (never floats), usage errors included. Exit codes: 0 every
+requested verdict affirms, 1 a verified invariant failed (a falsification
+alarm), 2 bad input (unparsable, degenerate, a usage error, an unwritable
+output file) or a construction that gave up, 3 a size gate refused an
+exhaustive search (raise it with --max-n) or a command ran out of memory.
+``_exit_code`` maps every exception to its code and ``_worst`` merges the
+codes of checks, files and the path picture: an alarm outranks everything.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import blocking, diskpath, generate, pointfile, render, structure
 from .delaunay import (
@@ -30,26 +32,41 @@ from .delaunay import (
     witness_disk,
 )
 from .errors import (
-    DegenerateInput,
     DToughError,
     InvariantBroken,
     NoPerfectMatching,
-    PointFileError,
-    PreconditionViolated,
     TieOnBoundary,
-    TooFewPoints,
     TooLarge,
 )
 from .exactgeom import Disk, Point
+from .structure import MIS_GATE, TOUGHNESS_GATE
 
 EXIT_OK = 0
 EXIT_ALARM = 1
 EXIT_INPUT = 2
 EXIT_GATE = 3
 
-TOUGHNESS_GATE = 18
-MIS_GATE = 30
-AUDIT_GATE = 30
+# The exceptions a command reports instead of raising; any other is a bug.
+HANDLED = (DToughError, OSError, ValueError, MemoryError)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a handled exception."""
+    if isinstance(exc, InvariantBroken):
+        return EXIT_ALARM
+    if isinstance(exc, (TooLarge, MemoryError)):
+        return EXIT_GATE
+    return EXIT_INPUT
+
+
+def _worst(codes: Iterable[int]) -> int:
+    """The code of several verdicts: an alarm if any, else the highest."""
+    codes = list(codes)
+    return EXIT_ALARM if EXIT_ALARM in codes else max(codes, default=EXIT_OK)
+
+
+def _message(exc: Exception) -> str:
+    return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
 
 
 def _frac(f: Fraction) -> str:
@@ -160,12 +177,13 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
 
 
 # Check name -> (default size gate, or None when ungated; check function).
+# The audit's only exponential step is its independent-set search.
 CHECKS = {
     "delaunay": (None, _check_delaunay),
     "toughness": (TOUGHNESS_GATE, _check_toughness),
     "mis": (MIS_GATE, _check_mis),
     "matching": (None, _check_matching),
-    "audit": (AUDIT_GATE, _check_audit),
+    "audit": (MIS_GATE, _check_audit),
 }
 ALL_CHECKS = tuple(CHECKS)
 
@@ -174,32 +192,25 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
     report: dict = {"command": "check", "file": path}
     try:
         tri = build(pointfile.read_points(path))
-    except (PointFileError, DegenerateInput, TooFewPoints, OSError) as exc:
-        report["error"] = str(exc)
-        return EXIT_INPUT, report
-    except InvariantBroken as exc:  # the builder refuted its own output
-        report["error"] = str(exc)
-        return EXIT_ALARM, report
+    except HANDLED as exc:
+        report["error"] = _message(exc)
+        return _exit_code(exc), report
     report["instance"] = _instance_summary(tri)
     verdicts: dict = {}
     report["verdicts"] = verdicts
-    code = EXIT_OK
+    codes = []
     for name in checks:
         gate, run = CHECKS[name]
-        limit = None if gate is None else max(gate, max_n or 0)
         try:
-            if limit is not None and len(tri) > limit:
-                raise TooLarge(f"n={len(tri)} exceeds gate {limit}; raise with --max-n")
-            verdicts[name] = run(tri, limit, verdicts)
-        except (TooLarge, MemoryError) as exc:  # a size gate, or a check out of room
-            verdicts[name] = {"refused": str(exc) or "out of memory"}
-            code = max(code, EXIT_GATE)
-            continue
-        except InvariantBroken as exc:  # an alarm raised inside the check
-            verdicts[name] = {"error": str(exc), "ok": False}
-        if not verdicts[name]["ok"]:
-            code = max(code, EXIT_ALARM)
-    return code, report
+            verdicts[name] = run(tri, None if gate is None else max(gate, max_n or 0), verdicts)
+            codes.append(EXIT_OK if verdicts[name]["ok"] else EXIT_ALARM)
+        except HANDLED as exc:  # the other checks still run
+            code, message = _exit_code(exc), _message(exc)
+            verdicts[name] = (
+                {"refused": message} if code == EXIT_GATE else {"error": message, "ok": False}
+            )
+            codes.append(code)
+    return _worst(codes), report
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
@@ -210,7 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     results = [_check_one(f, checks, args.max_n) for f in args.files]
     if len(results) == 1:
         return results[0]
-    return max(c for c, _ in results), {"command": "check", "reports": [r for _, r in results]}
+    return _worst(c for c, _ in results), {"command": "check", "reports": [r for _, r in results]}
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +241,14 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
         inst = blocking.fan_instance(n, seed)
         body = pointfile.format_points(inst.points)
         blockers_body = pointfile.format_points(inst.blockers)
-    elif kind == "disjoint-arc":
+    else:  # disjoint-arc, the last of the parser's choices
         inst = blocking.disjoint_disk_instance(n)
         body = pointfile.format_points(inst.points)
         blockers_body = None
-    else:  # pragma: no cover - argparse choices guard this
-        raise PreconditionViolated(f"unknown kind {kind}")
 
     if args.out == "-":
         if blockers_body is not None:
-            return EXIT_INPUT, {
-                "command": "gen",
-                "error": "fan emits two files; --out is required",
-            }
+            return EXIT_INPUT, {"command": "gen", "error": "fan emits two files; --out is required"}
         sys.stdout.write(body)
         return EXIT_OK, None
     out = Path(args.out)
@@ -263,28 +269,19 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
     tri = build(pointfile.read_points(args.file))
-    try:  # a disk argument that the point-file field parser refuses
-        cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
-    except ValueError as exc:
-        report["error"] = str(exc)
-        return EXIT_INPUT, report
+    cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
     d = Disk(Point(cx, cy), r2)
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": _frac(d.radius_sq)}
     p, q = args.p, args.q
     try:
         found = diskpath.find_path(tri, p, q, d)
-    except TieOnBoundary as exc:
-        report["error"] = "tie_on_boundary"
-        report["witnesses"] = list(exc.witnesses)
-        report["message"] = str(exc)
-        return EXIT_INPUT, report
-    except PreconditionViolated as exc:
-        report["error"] = str(exc)
-        return EXIT_INPUT, report
-    except InvariantBroken as exc:
-        report["error"] = str(exc)
-        return EXIT_ALARM, report
+    except HANDLED as exc:
+        if isinstance(exc, TieOnBoundary):
+            report.update(error="tie_on_boundary", witnesses=list(exc.witnesses), message=str(exc))
+        else:
+            report["error"] = _message(exc)
+        return _exit_code(exc), report
     oracle = diskpath.path_oracle(tri, p, q, d)
     agree = oracle is not None
     report["path"] = list(found.vertices)
@@ -297,9 +294,9 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
         try:
             Path(args.svg).write_text(doc, encoding="utf-8")
             report["svg"] = args.svg
-        except OSError as exc:  # an alarm outranks the unwritable picture
+        except OSError as exc:
             report["error"] = str(exc)
-            code = code or EXIT_INPUT
+            code = _worst([code, _exit_code(exc)])
     return code, report
 
 
@@ -333,35 +330,22 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "render"}
     points = pointfile.read_points(args.file)
     blockers = pointfile.read_points(args.blockers) if args.blockers else ()
-    tri = build(tuple(points) + tuple(blockers)) if blockers else build(points)
+    limit = max(MIS_GATE, args.max_n or 0)
     hollow: frozenset[int] = frozenset()
     sentinel_triangle = None
-    disks: list[Disk] = []
-    n_shown = len(points)
-    if args.audit:
-        base = build(points) if blockers else tri
-        if len(base) > max(AUDIT_GATE, args.max_n or 0):
-            report["error"] = f"audit overlay refused for n={len(base)}"
-            return EXIT_GATE, report
-        _, cert = structure.max_independent_set(base, max_n=max(MIS_GATE, args.max_n or 0))
-        aug = structure.sentinel_augment(base, frozenset(range(len(base))) - cert)
-        tri = aug.tri
-        hollow = cert
+    if args.audit:  # the input with its sentinels; blockers are not drawn
+        base = build(points)
+        _, hollow = structure.max_independent_set(base, max_n=limit)
+        aug = structure.sentinel_augment(base, frozenset(range(len(base))) - hollow)
+        tri, blockers = aug.tri, ()
         sentinel_triangle = (aug.anchor, len(base), len(base) + 1)
-    elif args.mis:
-        if len(tri) > max(MIS_GATE, args.max_n or 0):
-            report["error"] = f"independent-set overlay refused for n={len(tri)}"
-            return EXIT_GATE, report
-        _, cert = structure.max_independent_set(tri, max_n=max(MIS_GATE, args.max_n or 0))
-        hollow = cert
-    if args.witness_disks:
-        disks = [witness_disk(tri, e.u, e.v) for e in tri.edges]
+    else:
+        tri = build(points + blockers)
+        if args.mis:
+            _, hollow = structure.max_independent_set(tri, max_n=limit)
+    disks = [witness_disk(tri, e.u, e.v) for e in tri.edges] if args.witness_disks else []
     doc = render.render_svg(
-        tri,
-        hollow=hollow,
-        witness_disks=disks,
-        blockers=tuple(blockers) if args.blockers and not args.audit else (),
-        sentinel_triangle=sentinel_triangle,
+        tri, hollow=hollow, witness_disks=disks, blockers=blockers, sentinel_triangle=sentinel_triangle
     )
     Path(args.svg).write_text(doc, encoding="utf-8")
     report["svg"] = args.svg
@@ -375,9 +359,22 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+class UsageError(DToughError):
+    """A command line argparse refused, in ``command`` (None at the top level)."""
+
+    def __init__(self, message: str, command: Optional[str]):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # raise, instead of printing usage and exiting 2
+        raise UsageError(message, self.prog.partition(" ")[2] or None)
+
+
 @functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dtough",
         description="Exact Delaunay triangulations with mechanical theorem checks.",
     )
@@ -398,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--max-n", type=int, default=None, help="raise size gates")
     p_check.add_argument("--no-json", action="store_true", help="flat text verdict lines")
-    p_check.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p_path = sub.add_parser("path", help="path between two vertices inside a disk")
     p_path.add_argument("file")
@@ -435,23 +431,23 @@ def _flat_lines(report: dict, indent: str = "") -> list[str]:
     return lines
 
 
+HANDLERS = {
+    "gen": _cmd_gen, "check": _cmd_check, "path": _cmd_path, "block": _cmd_block, "render": _cmd_render
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
-    handlers = {
-        "gen": _cmd_gen,
-        "check": _cmd_check,
-        "path": _cmd_path,
-        "block": _cmd_block,
-        "render": _cmd_render,
-    }
+    args = None
     try:
-        code, report = handlers[args.command](args)
-    except InvariantBroken as exc:  # a falsification alarm, wherever it surfaced
-        code, report = EXIT_ALARM, {"command": args.command, "error": str(exc)}
-    except (DToughError, OSError) as exc:  # unmapped errors and unwritable output files
-        code, report = EXIT_INPUT, {"command": args.command, "error": str(exc)}
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}", args.command)
+        code, report = HANDLERS[args.command](args)
+    except HANDLED as exc:
+        command = exc.command if isinstance(exc, UsageError) else args.command
+        code, report = _exit_code(exc), {"command": command, "error": _message(exc)}
     if report is not None:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         if getattr(args, "no_json", False):

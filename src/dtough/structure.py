@@ -50,6 +50,10 @@ from .exactgeom import (
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
 
+# Default size gates of the exhaustive searches; callers raise them by max_n.
+TOUGHNESS_GATE = 18
+MIS_GATE = 30
+
 
 # ---------------------------------------------------------------------------
 # Connectivity and toughness
@@ -98,7 +102,7 @@ class ToughnessWitness(NamedTuple):
     component_count: int
 
 
-def toughness_exhaustive(tri: Triangulation, max_n: int = 18) -> Optional[ToughnessWitness]:
+def toughness_exhaustive(tri: Triangulation, max_n: int = TOUGHNESS_GATE) -> Optional[ToughnessWitness]:
     """Minimum of |S| / components(T - S) over all disconnecting S, exactly.
 
     One dynamic programme over the alive sets A = V - S, in increasing mask
@@ -163,7 +167,7 @@ def toughness_exhaustive(tri: Triangulation, max_n: int = 18) -> Optional[Toughn
 # ---------------------------------------------------------------------------
 
 
-def max_independent_set(tri: Triangulation, max_n: int = 30) -> tuple[int, VertexSet]:
+def max_independent_set(tri: Triangulation, max_n: int = MIS_GATE) -> tuple[int, VertexSet]:
     """Exact maximum independent set by branch and bound with degree pivoting.
 
     Vertices with at most one available neighbor are taken greedily (always

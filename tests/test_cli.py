@@ -1,12 +1,22 @@
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
-from dtough.errors import InvariantBroken, PointFileError
+from dtough.errors import (
+    InvariantBroken,
+    NoPerfectMatching,
+    PointFileError,
+    SearchExhausted,
+    TooLarge,
+)
 from dtough.exactgeom import point, general_position
 
 import helpers
@@ -71,11 +81,49 @@ def test_parser_is_built_once_and_reused(tmp_path):
     f.write_text(stdout)
     good = ["check", str(f), "--checks", "delaunay,audit"]
     _, first = helpers.run_cli(good)
-    with pytest.raises(SystemExit) as exc:
-        helpers.run_cli(["check", str(f), "--checks"])  # a usage error
-    assert exc.value.code == 2
+    code, out = helpers.run_cli(["check", str(f), "--checks"])  # a usage error
+    assert code == 2
+    report = json.loads(out)
+    assert report["command"] == "check"
+    assert report["error"] == "argument --checks: expected one argument"
     _, again = helpers.run_cli(good)
     assert helpers.report_without_timing(again) == helpers.report_without_timing(first)
+
+
+def test_usage_errors_are_json_reports(tmp_path, capsys):
+    f = tmp_path / "tri.txt"
+    f.write_text("0 0\n1 0\n0 1\n")
+    for argv, command, error in (
+        (["check", str(f), "--json"], "check", "unrecognized arguments: --json"),
+        (["check", str(f), "--max-n"], "check", "argument --max-n: expected one argument"),
+        (["render", str(f)], "render", "the following arguments are required: --svg"),
+        (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+    ):
+        code, out = helpers.run_cli(argv)
+        report = json.loads(out)
+        assert (code, report["command"]) == (2, command), argv
+        assert report["error"].startswith(error), argv  # the choice list's format varies
+    assert capsys.readouterr().err == ""  # no usage text
+    with pytest.raises(SystemExit) as exc:
+        helpers.run_cli(["--help"])
+    assert exc.value.code == 0
+
+
+def test_exit_code_rule():
+    for exc, code in (
+        (InvariantBroken("x"), 1),
+        (NoPerfectMatching("x"), 1),
+        (TooLarge("x"), 3),
+        (MemoryError(), 3),
+        (SearchExhausted("x"), 2),
+        (PointFileError(1, "x"), 2),
+        (OSError("x"), 2),
+        (ValueError("x"), 2),
+    ):
+        assert cli._exit_code(exc) == code, exc
+    assert cli._worst([]) == 0
+    assert cli._worst([0, 2, 3]) == 3
+    assert cli._worst([3, 1, 2]) == 1  # an alarm outranks a refusal and bad input
 
 
 def test_gen_random_deterministic(tmp_path):
@@ -357,6 +405,64 @@ def test_checks_out_of_memory_are_refused(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _doctored_matching(tri):
+    raise InvariantBroken("doctored matching")
+
+
+def test_an_alarm_outranks_a_refusal(tmp_path, monkeypatch, capsys):
+    # toughness is refused above 18 points; an alarm in another check of the
+    # same file still exits 1
+    f = tmp_path / "r20.txt"
+    helpers.run_cli(["gen", "random", "20", "--seed", "5", "--out", str(f)])
+    monkeypatch.setattr(structure, "perfect_matching", _doctored_matching)
+    code, out = helpers.run_cli(["check", str(f)])
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["toughness"] == {"refused": "toughness scan on 20 > 18 vertices refused"}
+    assert verdicts["matching"] == {"exists": True, "error": "doctored matching", "ok": False}
+    assert all(verdicts[name]["ok"] for name in ("delaunay", "mis", "audit"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_alarm_outranks_bad_input(tmp_path, monkeypatch):
+    alarm, square = tmp_path / "alarm.txt", tmp_path / "square.txt"
+    helpers.run_cli(["gen", "random", "8", "--seed", "1", "--out", str(alarm)])
+    square.write_text("0 0\n1 0\n0 1\n1 1\n")  # cocircular: exits 2 alone
+    monkeypatch.setattr(structure, "perfect_matching", _doctored_matching)
+    code, out = helpers.run_cli(["check", str(alarm), str(square)])
+    assert code == 1
+    first, second = json.loads(out)["reports"]
+    assert first["verdicts"]["matching"]["ok"] is False
+    assert "degenerate" in second["error"]
+
+
+def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, capsys):
+    # a sentinel search that gives up is no alarm and no refusal: the audit
+    # records it and exits 2, and every other verdict and report is kept
+    files = []
+    for n in (8, 10):
+        f = tmp_path / f"r{n}.txt"
+        helpers.run_cli(["gen", "random", str(n), "--seed", "1", "--out", str(f)])
+        files.append(str(f))
+    checks = ["--checks", "delaunay,audit"]
+    _, alone = helpers.run_cli(["check", files[0], *checks])
+    augment = structure.sentinel_augment
+
+    def gives_up(tri, removed):
+        if len(tri) == 10:
+            raise SearchExhausted("doctored sentinel search")
+        return augment(tri, removed)
+
+    monkeypatch.setattr(structure, "sentinel_augment", gives_up)
+    code, out = helpers.run_cli(["check", *files, *checks])
+    assert code == 2
+    first, second = json.loads(out)["reports"]
+    assert json.dumps(first, indent=2) == helpers.report_without_timing(alone)
+    assert second["file"] == files[1] and second["verdicts"]["delaunay"]["ok"]
+    assert second["verdicts"]["audit"] == {"error": "doctored sentinel search", "ok": False}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_multiple_files(tmp_path):
     files = []
     for seed in (1, 2):
@@ -539,6 +645,43 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
     assert sizes == [7]  # the input
     assert extended == [9]  # the input with two sentinels, extended
 
+    # blockers are not drawn on the audit overlay, so their union is not built
+    fan = tmp_path / "fan8.txt"
+    helpers.run_cli(["gen", "fan", "8", "--seed", "1", "--out", str(fan)])
+    n = len(pointfile.read_points(fan))
+    svgs = [tmp_path / "plain.svg", tmp_path / "blockers.svg"]
+    sizes.clear()
+    extended.clear()
+    code, _ = helpers.run_cli(["render", str(fan), "--svg", str(svgs[0]), "--audit"])
+    assert code == 0
+    argv = ["render", str(fan), "--svg", str(svgs[1]), "--audit", "--blockers", f"{fan}.blockers"]
+    code, _ = helpers.run_cli(argv)
+    assert code == 0
+    assert sizes == [n, n] and extended == [n + 2, n + 2]
+    assert svgs[0].read_bytes() == svgs[1].read_bytes()
+
+
+def test_render_refusals_come_from_the_library(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "r31.txt"
+    helpers.run_cli(["gen", "random", "31", "--seed", "1", "--out", str(f)])
+    svg = str(tmp_path / "r.svg")
+    for overlay in ("--mis", "--audit"):
+        code, out = helpers.run_cli(["render", str(f), "--svg", svg, overlay])
+        assert code == 3
+        assert json.loads(out)["error"] == "independent set search on 31 > 30 vertices refused"
+
+    def no_room(*args, **kwargs):
+        raise MemoryError
+
+    f = tmp_path / "r9.txt"
+    helpers.run_cli(["gen", "random", "9", "--seed", "1", "--out", str(f)])
+    monkeypatch.setattr(structure, "max_independent_set", no_room)
+    code, out = helpers.run_cli(["render", str(f), "--svg", svg, "--mis"])
+    assert code == 3
+    report = json.loads(out)
+    assert (report["command"], report["error"]) == ("render", "out of memory")
+    assert "Traceback" not in capsys.readouterr().err
+
 
 def test_check_json_determinism(tmp_path):
     f = tmp_path / "pts.txt"
@@ -640,3 +783,110 @@ def test_random_sweep_exit_zero(tmp_path):
         f.write_text(stdout)
         code, out = helpers.run_cli(["check", str(f)])
         assert code == 0, json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# main(argv) over drawn argument lists
+# ---------------------------------------------------------------------------
+
+_KINDS = ("random", "convex", "fan", "disjoint-arc")
+_CHECK_LISTS = ("delaunay", "toughness,mis,matching", "mis,audit", "audit", "delaunay,bogus", ",")
+_JUNK = (
+    "--json", "--bogus", "-x", "--", "1e400", "1e999999999", "1/0", "nan", "a\x00b", "", "gen", "check",
+)
+# "@name" stands for the file tmp_path / name: three drawn point files,
+# outputs, and a file in a directory that does not exist
+_INPUTS = ("@f0.txt", "@f1.txt", "@f2.txt")
+_OUTPUTS = ("@out.txt", "@out.svg", "@missing/out.svg", "@f0.txt")
+_INT = st.integers(-3, 12).map(str)
+_COORD = st.builds(Fraction, st.integers(-240, 240), st.integers(1, 4)).map(str)
+_RATIONAL = st.one_of(_COORD, st.sampled_from(("1e2", "0.5", "1e400", "1/0", "x")))
+_TOKEN = st.one_of(
+    st.sampled_from(_JUNK + _KINDS + _CHECK_LISTS + _INPUTS + _OUTPUTS),
+    _INT,
+    _RATIONAL,
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=4),
+)
+
+
+def _option(flag, value):
+    return st.one_of(st.just([]), value.map(lambda v: [flag, v]))
+
+
+# one argument list per subcommand, in the shape its parser expects
+_COMMANDS = st.one_of(
+    st.tuples(
+        st.just(["gen"]), st.sampled_from(_KINDS).map(lambda k: [k]),
+        st.integers(2, 12).map(lambda n: [str(n)]),
+        _option("--seed", _INT), _option("--out", st.sampled_from(_OUTPUTS + ("-",))),
+    ),
+    st.tuples(
+        st.just(["check"]), st.lists(st.sampled_from(_INPUTS), min_size=1, max_size=2),
+        _option("--checks", st.sampled_from(_CHECK_LISTS)), _option("--max-n", _INT),
+    ),
+    st.tuples(
+        st.just(["path"]), _option("--svg", st.sampled_from(_OUTPUTS)),
+        st.sampled_from(_INPUTS).map(lambda f: ["--", f]),
+        st.lists(st.integers(-1, 8).map(str), min_size=2, max_size=2),
+        st.lists(_RATIONAL, min_size=3, max_size=3),
+    ),
+    st.tuples(st.just(["block"]), st.lists(st.sampled_from(_INPUTS), min_size=2, max_size=2)),
+    st.tuples(
+        st.just(["render"]), st.sampled_from(_INPUTS).map(lambda f: [f]),
+        st.sampled_from(_OUTPUTS).map(lambda f: ["--svg", f]),
+        st.lists(st.sampled_from(("--mis", "--witness-disks", "--audit")), unique=True),
+        _option("--blockers", st.sampled_from(_INPUTS)), _option("--max-n", _INT),
+    ),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+# at least half of the commands are left well formed
+_EDIT = st.tuples(st.integers(0, 15), st.booleans(), _TOKEN)
+_EDITS = st.one_of(st.just(()), st.lists(_EDIT, max_size=2))
+
+
+def _edited(argv, edits):
+    """argv with each (position, replace, token) of edits applied."""
+    for i, replace, token in edits:
+        i %= len(argv) + 1
+        argv[i:i + replace] = [token]
+    return argv
+
+
+_POINT_FILE = st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=8, unique=True).map(
+    lambda pts: "".join(f"{x} {y}\n" for x, y in pts).encode()
+)
+_FILE = st.one_of(_POINT_FILE, _POINT_FILE, _POINT_FILE, st.binary(max_size=32))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    files=st.lists(_FILE, min_size=3, max_size=3),
+    argv=st.builds(_edited, _COMMANDS, _EDITS),
+)
+def test_main_answers_every_argv(tmp_path, monkeypatch, files, argv):
+    # every run ends in a documented code and one JSON report (or, for gen
+    # to stdout, a point file), never in a traceback; nothing here is
+    # doctored, so no run may raise an alarm
+    monkeypatch.chdir(tmp_path)  # outputs named by a drawn token land here
+    for i, data in enumerate(files):
+        (tmp_path / f"f{i}.txt").write_bytes(data)
+    argv = [str(tmp_path / t[1:]) if t.startswith("@") else t for t in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, out.getvalue())
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    if text.startswith("{"):
+        report = json.loads(text)
+        assert isinstance(report, dict) and "timing_ms" in report
+        assert code != 0 or "error" not in report
+    else:
+        assert code == 0 and "gen" in argv
+        assert parse_points(text)
