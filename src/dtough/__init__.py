@@ -37,7 +37,6 @@ from .errors import (
     PointFileError,
     PreconditionViolated,
     SearchExhausted,
-    TieOnBoundary,
     TooFewPoints,
     TooLarge,
     WitnessSearchFailed,

@@ -31,13 +31,7 @@ from .delaunay import (
     verify_delaunay,
     witness_disk,
 )
-from .errors import (
-    DToughError,
-    InvariantBroken,
-    NoPerfectMatching,
-    TieOnBoundary,
-    TooLarge,
-)
+from .errors import DToughError, InvariantBroken, NoPerfectMatching, TooLarge
 from .exactgeom import Disk, Point
 from .structure import MIS_GATE, TOUGHNESS_GATE
 
@@ -214,7 +208,7 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    checks = tuple(args.checks.split(",")) if args.checks is not None else ALL_CHECKS
     for c in checks:
         if c not in CHECKS:
             return EXIT_INPUT, {"command": "check", "error": f"unknown check {c!r}"}
@@ -277,10 +271,7 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     try:
         found = diskpath.find_path(tri, p, q, d)
     except HANDLED as exc:
-        if isinstance(exc, TieOnBoundary):
-            report.update(error="tie_on_boundary", witnesses=list(exc.witnesses), message=str(exc))
-        else:
-            report["error"] = _message(exc)
+        report["error"] = _message(exc)
         return _exit_code(exc), report
     oracle = diskpath.path_oracle(tri, p, q, d)
     agree = oracle is not None

@@ -15,13 +15,21 @@ Shrinking toward a boundary anchor a until the interior vertex r reaches the
 boundary is one step in the pencil of circles tangent at a:
 |r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its coefficients. The
 first vertex pinned is the interior x of greatest -P(x) / |x - a|^2,
-compared by cross-multiplication. Every check of the recursion (boundary
-preconditions, tangency to and containment in the parent, exclusion of the
-far endpoint, strict progress) is an exact integer identity. An exact tie,
-or any vertex landing exactly on a shrunken boundary, is surfaced as
-``TieOnBoundary`` instead of being perturbed away. The finished path is
-checked against the caller's ``Fraction`` disk (``check_disk_path``), and
-``path_oracle`` reads that disk too.
+compared by cross-multiplication; on a tie the least index is pinned. Every
+check of the recursion (anchors on their circle, tangency to and containment
+in the parent, exclusion of the far endpoint, strict progress) is an exact
+integer identity, and a failed one is ``InvariantBroken``.
+
+Ties need no alarm. ``find_path`` checks once that only p and q lie on the
+caller's boundary. A shrunken circle passes through its two anchors, so
+general position leaves room on it for at most one more vertex: a second
+vertex pinned by a tie, or one that the circle through q and r happens to
+meet. That vertex counts as outside. Every further shrink is tangent to this
+circle at one of its anchors, so it stays outside, and a circle through two
+vertices with none inside still certifies them as an edge (with a third on
+it, the three bound a Delaunay face). The finished path is checked against the caller's
+``Fraction`` disk (``check_disk_path``), and ``path_oracle`` reads that disk
+too.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .delaunay import Triangulation
-from .errors import InvariantBroken, PreconditionViolated, TieOnBoundary
+from .errors import InvariantBroken, PreconditionViolated
 from .exactgeom import Disk, Position, denominator_lcm, disk_classify
 
 # An integer circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K.
@@ -119,27 +127,13 @@ def _nesting(outer: Circle, inner: Circle) -> tuple[bool, bool]:
     return m * m >= 4 * big * small, m * m == 4 * big * small
 
 
-def _classify_all(pts: list[Lifted], c: Circle, p: int, q: int, top: bool) -> list[tuple[int, int]]:
-    """Interior vertices with their (negative) powers; raises if p or q is off
-    the boundary or any third vertex is on it. On the caller's disk (``top``)
-    a third vertex breaks the precondition; on a shrunken one it is a tie."""
-    interior = []
-    stray = []
-    for i, pt in enumerate(pts):
-        power = _power(c, pt)
-        if i == p or i == q:
-            if power != 0:
-                raise PreconditionViolated(f"vertex {i} must lie on the disk boundary")
-        elif power == 0:
-            stray.append(i)
-        elif power < 0:
-            interior.append((i, power))
-    if stray:
-        message = f"vertices {stray} lie exactly on the disk boundary"
-        if top:
-            raise PreconditionViolated(f"{message}; only {p} and {q} may")
-        raise TieOnBoundary(message, witnesses=stray)
-    return interior
+def _interior(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, int]]:
+    """Vertices strictly inside c with their (negative) powers. p and q must
+    lie on c; a third vertex on it counts as outside."""
+    for a in (p, q):
+        if _power(c, pts[a]):
+            raise InvariantBroken(f"shrunken disk lost its anchor {a}")
+    return [(i, power) for i, pt in enumerate(pts) if (power := _power(c, pt)) < 0]
 
 
 def _splice_simple(left: list[int], right: list[int]) -> list[int]:
@@ -172,23 +166,35 @@ def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
 def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     """Constructive path from p to q through edges of tri, inside d.
 
-    Preconditions (checked exactly): p and q are distinct vertex ids, both
-    on the boundary of d, and no other vertex is on it. Base case: no
-    interior vertex forces (p, q) to be an edge; a miss there would falsify
-    the empty-disk edge characterization and raises ``InvariantBroken``.
+    Preconditions (checked exactly, here and only here): p and q are
+    distinct vertex ids, both on the boundary of d, and no other vertex is
+    on it. Inside the recursion a vertex on a shrunken boundary other than
+    its two anchors counts as outside: general position allows at most one,
+    and it lies outside every further shrink. Base case: no interior vertex
+    forces (p, q) to be an edge; a miss there would falsify the empty-disk
+    edge characterization and raises ``InvariantBroken``.
     """
     _check_endpoints(tri, p, q)
     pts = [(x, y, x * x + y * y) for x, y in tri.scaled]
-    path = _find(tri, pts, p, q, _lift(tri, d), top=True)
-    result = DiskPath(tuple(path), d)
+    c = _lift(tri, d)
+    on = [i for i, pt in enumerate(pts) if _power(c, pt) == 0]
+    for v in sorted((p, q)):
+        if v not in on:
+            raise PreconditionViolated(f"vertex {v} must lie on the disk boundary")
+    stray = [i for i in on if i != p and i != q]
+    if stray:
+        raise PreconditionViolated(
+            f"vertices {stray} lie exactly on the disk boundary; only {p} and {q} may"
+        )
+    result = DiskPath(tuple(_find(tri, pts, p, q, c)), d)
     check_disk_path(tri, result)
     if result.vertices[0] != p or result.vertices[-1] != q:
         raise InvariantBroken("path endpoints drifted")
     return result
 
 
-def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, top=False) -> list[int]:
-    interior = _classify_all(pts, c, p, q, top)
+def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> list[int]:
+    interior = _interior(pts, c, p, q)
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(
@@ -197,22 +203,14 @@ def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, top=
         return [p, q]
 
     # The first vertex pinned shrinking toward p has the greatest
-    # -P(x) / |x - p|^2, kept as the pair (-P(x), |x - p|^2).
+    # -P(x) / |x - p|^2, kept as the pair (-P(x), |x - p|^2); the strict
+    # comparison keeps the least index of a tie.
     px, py, _ = pts[p]
-    quotients = [
-        (-power, (pts[x][0] - px) ** 2 + (pts[x][1] - py) ** 2, x) for x, power in interior
-    ]
-    num, den, _ = quotients[0]
-    for n, m, _ in quotients[1:]:
-        if n * den > num * m:
-            num, den = n, m
-    hits = [x for n, m, x in quotients if n * den == num * m]
-    if len(hits) > 1:
-        raise TieOnBoundary(
-            f"vertices {hits} reach the shrinking boundary simultaneously",
-            witnesses=hits,
-        )
-    r = hits[0]
+    num, den, r = 0, 1, None
+    for x, power in interior:
+        m = (pts[x][0] - px) ** 2 + (pts[x][1] - py) ** 2
+        if -power * den > num * m:
+            num, den, r = -power, m, x
     c_pr = _shrink(c, pts[p], pts[r], num)
     c_qr = _shrink(c, pts[q], pts[r], num)
     for sub in (c_pr, c_qr):

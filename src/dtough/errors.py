@@ -48,18 +48,6 @@ class SearchExhausted(DToughError):
     """A doubling search ran out of attempts without satisfying all conditions."""
 
 
-class TieOnBoundary(DToughError):
-    """Two vertices landed exactly on a shrunken disk boundary.
-
-    Reached only through exact cocircular coincidences on the shrink pencil;
-    surfaced with the witnesses instead of silently perturbing.
-    """
-
-    def __init__(self, message, witnesses=()):
-        super().__init__(message)
-        self.witnesses = tuple(witnesses)
-
-
 class InvariantBroken(DToughError):
     """A verified-theorem invariant failed. This is a falsification alarm."""
 

@@ -27,7 +27,6 @@ from dtough.errors import (
     InvariantBroken,
     NotInteriorEdge,
     PreconditionViolated,
-    TieOnBoundary,
     WitnessSearchFailed,
 )
 from dtough.exactgeom import (
@@ -524,28 +523,19 @@ def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
     return m >= 0 and m * m >= 4 * outer.radius_sq * inner.radius_sq
 
 
-def _classify_all_fraction(tri, d: Disk, p: int, q: int, top: bool) -> list[int]:
-    interior = []
-    stray = []
-    for i, pt in enumerate(tri.vertices):
-        pos = disk_classify(d, pt)
-        if i == p or i == q:
-            if pos is not Position.BOUNDARY:
-                raise PreconditionViolated(f"vertex {i} must lie on the disk boundary")
-        elif pos is Position.BOUNDARY:
-            stray.append(i)
-        elif pos is Position.INTERIOR:
-            interior.append(i)
-    if stray:
-        message = f"vertices {stray} lie exactly on the disk boundary"
-        if top:  # the caller's disk breaks the precondition; a shrunken one ties
-            raise PreconditionViolated(f"{message}; only {p} and {q} may")
-        raise TieOnBoundary(message, witnesses=stray)
-    return interior
+def _interior_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
+    """Vertices strictly inside d; p and q must be on its boundary. A third
+    vertex on a shrunken boundary counts as outside."""
+    for a in (p, q):
+        if disk_classify(d, tri.vertices[a]) is not Position.BOUNDARY:
+            raise InvariantBroken(f"shrunken disk lost its anchor {a}")
+    return [
+        i for i, pt in enumerate(tri.vertices) if disk_classify(d, pt) is Position.INTERIOR
+    ]
 
 
-def _find_fraction(tri, p: int, q: int, d: Disk, top: bool = False) -> list[int]:
-    interior = _classify_all_fraction(tri, d, p, q, top)
+def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
+    interior = _interior_fraction(tri, d, p, q)
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(
@@ -553,15 +543,8 @@ def _find_fraction(tri, p: int, q: int, d: Disk, top: bool = False) -> list[int]
             )
         return [p, q]
     pp = tri.vertices[p]
-    params = [(shrink_parameter(d, pp, tri.vertices[x]), x) for x in interior]
-    best_t = min(t for t, _ in params)
-    hits = [x for t, x in params if t == best_t]
-    if len(hits) > 1:
-        raise TieOnBoundary(
-            f"vertices {hits} reach the shrinking boundary simultaneously",
-            witnesses=hits,
-        )
-    r = hits[0]
+    # the least shrink parameter pins first; a tie pins its least index
+    _, r = min((shrink_parameter(d, pp, tri.vertices[x]), x) for x in interior)
     rp = tri.vertices[r]
     d_pr = shrink_toward(d, pp, rp)
     d_qr = shrink_toward(d, tri.vertices[q], rp)
@@ -588,9 +571,18 @@ def find_path_fraction_oracle(tri, p: int, q: int, d: Disk) -> DiskPath:
     each shrink moves the center along the anchor-to-center segment to the
     least ``shrink_parameter`` of the interior vertices (``shrink_toward``),
     and every check classifies ``Fraction`` vertices against ``Fraction``
-    disks. p and q must be distinct vertex ids. It shares only the walk
-    splice with ``find_path``."""
-    path = DiskPath(tuple(_find_fraction(tri, p, q, d, top=True)), d)
+    disks. p and q must be distinct vertex ids, and only they may lie on
+    d's boundary. It shares only the walk splice with ``find_path``."""
+    on = [i for i, pt in enumerate(tri.vertices) if disk_classify(d, pt) is Position.BOUNDARY]
+    for v in sorted((p, q)):
+        if v not in on:
+            raise PreconditionViolated(f"vertex {v} must lie on the disk boundary")
+    stray = [i for i in on if i not in (p, q)]
+    if stray:
+        raise PreconditionViolated(
+            f"vertices {stray} lie exactly on the disk boundary; only {p} and {q} may"
+        )
+    path = DiskPath(tuple(_find_fraction(tri, p, q, d)), d)
     check_disk_path(tri, path)
     return path
 

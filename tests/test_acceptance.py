@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from dtough.delaunay import EdgeKind, build, edge_angle_check, verify_delaunay
 from dtough.diskpath import check_disk_path, find_path, path_oracle
-from dtough.errors import DegenerateInput, TieOnBoundary
+from dtough.errors import DegenerateInput
 from dtough.exactgeom import Point
 from dtough.blocking import lower_bound_report, verify_blocking
 from dtough.structure import (
@@ -143,7 +143,6 @@ def test_criterion_4_perfect_matchings():
 
 def test_criterion_5_disk_paths():
     failures = []
-    ties = 0
     triples = 0
     rng = random.Random("disk-path-acceptance")
     attempt = 0
@@ -159,10 +158,6 @@ def test_criterion_5_disk_paths():
         triples += 1
         try:
             path = find_path(tri, p, q, d)
-        except TieOnBoundary:
-            ties += 1
-            continue
-        try:
             check_disk_path(tri, path)
         except Exception as exc:
             failures.append((n, seed, p, q, str(exc)))
@@ -174,9 +169,6 @@ def test_criterion_5_disk_paths():
             failures.append((n, seed, p, q, "oracle-disagrees"))
     if triples < 100:
         failures.append(("insufficient-triples", triples))
-    print(f"criterion 5 ties excluded: {ties}")
-    if ties != 0:
-        failures.append(("unexpected-ties", ties))
     _verdict(5, "constructed in-disk paths agree with the oracle", failures)
 
 

@@ -213,8 +213,10 @@ def test_check_exit_codes(tmp_path):
     assert code == 3  # size gate
     code, _ = helpers.run_cli(["check", str(big), "--checks", "delaunay,mis"])
     assert code == 0
-    code, _ = helpers.run_cli(["check", str(big), "--checks", "bogus"])
-    assert code == 2
+    for checks in ("bogus", "", ","):  # an empty name is unknown too, not "all"
+        code, out = helpers.run_cli(["check", str(big), "--checks", checks])
+        name = checks.split(",")[0]
+        assert (code, json.loads(out)["error"]) == (2, f"unknown check {name!r}"), checks
 
 
 def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
@@ -514,12 +516,13 @@ def test_path_command(tmp_path):
     assert report["path"] == [2, 3]
     assert report["agree"] and report["ok"]
 
-    # the symmetric tie: disk through 0 and 1 catches 2 and 3 simultaneously
+    # the symmetric tie: shrinking the disk through 0 and 1 pins 2 and 3 at
+    # once; the least index is pinned and 3 counts as outside
     code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "0", "4"])
-    assert code == 2
+    assert code == 0
     report = json.loads(out)
-    assert report["error"] == "tie_on_boundary"
-    assert sorted(report["witnesses"]) == [2, 3]
+    assert report["path"] == report["oracle_path"] == [0, 2, 1]
+    assert report["agree"] is True
 
     # vertex ids outside the file, or equal endpoints, are bad input
     for p, q, error in (
@@ -540,13 +543,12 @@ def test_path_tells_a_precondition_breach_from_a_shrink_tie(tmp_path):
     assert code == 2
     report = json.loads(out)
     assert report["error"] == "vertices [2] lie exactly on the disk boundary; only 0 and 1 may"
-    assert "witnesses" not in report
-    # a valid disk whose first shrink pins 2 and 3 at once
+    # a valid disk whose first shrink pins 2 and 3 at once yields a path
     code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "0", "4"])
-    assert code == 2
+    assert code == 0
     report = json.loads(out)
-    assert report["error"] == "tie_on_boundary" and sorted(report["witnesses"]) == [2, 3]
-    assert report["message"] == "vertices [2, 3] reach the shrinking boundary simultaneously"
+    assert report["path"] == report["oracle_path"] == [0, 2, 1]
+    assert report["agree"] is True and "error" not in report
 
 
 def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):
@@ -563,6 +565,19 @@ def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):
     code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "2", "8"])
     assert code == 1
     assert "tangency" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_path_alarm_on_a_shrunken_circle_that_misses_its_anchor(tmp_path, monkeypatch, capsys):
+    # a pencil weight one too large keeps the circle tangent and inside its
+    # parent but leaves the pinned vertex 2 strictly outside it
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    shrink = diskpath._shrink
+    monkeypatch.setattr(diskpath, "_shrink", lambda c, a, r, lam: shrink(c, a, r, lam + 1))
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "2", "8"])
+    assert code == 1
+    assert json.loads(out)["error"] == "shrunken disk lost its anchor 2"
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dtough import diskpath
 from dtough.delaunay import build, witness_disk
 from dtough.diskpath import DiskPath, check_disk_path, find_path, path_oracle
-from dtough.errors import DToughError, InvariantBroken, PreconditionViolated, TieOnBoundary
+from dtough.errors import DToughError, InvariantBroken, PreconditionViolated
 from dtough.exactgeom import Disk, Point, Position, disk_classify, point
 
 import helpers
@@ -102,16 +102,17 @@ def test_endpoints_must_be_two_vertex_ids(p, q):
             search(t, p, q, d)
 
 
-def test_tie_on_boundary_surfaces():
-    # two vertices placed mirror-symmetric about the shrink axis tie exactly
+def test_a_shrink_tie_pins_its_least_index():
+    # two vertices mirror-symmetric about the shrink axis tie exactly; the
+    # tie pins 2, and 3 on the shrunken circle through 0 and 2 counts as
+    # outside it, so (0, 2) is the base case
     pts = [P(0, 0), P(4, 0), P(2, 1), P(2, -1)]
     t = build(pts)
     d = Disk(P(2, 0), Fraction(4))
     assert disk_classify(d, pts[0]) is Position.BOUNDARY
     assert disk_classify(d, pts[1]) is Position.BOUNDARY
-    with pytest.raises(TieOnBoundary) as exc:
-        find_path(t, 0, 1, d)
-    assert set(exc.value.witnesses) == {2, 3}
+    for search in (find_path, helpers.find_path_fraction_oracle):
+        assert search(t, 0, 1, d).vertices == (0, 2, 1)
 
 
 def test_third_vertex_on_the_callers_boundary_breaks_the_precondition():
@@ -151,11 +152,11 @@ def test_check_disk_path_catches_tampering():
 
 
 def _outcome(search, t, p, q, d):
-    """The path a search returns, or its error's class, message and witnesses."""
+    """The path a search returns, or its error's class and message."""
     try:
         return search(t, p, q, d).vertices
     except DToughError as exc:
-        return type(exc), str(exc), getattr(exc, "witnesses", None)
+        return type(exc), str(exc)
 
 
 def _pencil_at(t, p, q, k) -> Disk:
@@ -194,6 +195,12 @@ def test_find_path_matches_fraction_oracle(candidates, factor, data):
         d = _pencil_at(t, p, q, data.draw(helpers.grid_fraction))
     expected = _outcome(helpers.find_path_fraction_oracle, t, p, q, d)
     assert _outcome(find_path, t, p, q, d) == expected
+    on = [i for i, pt in enumerate(t.vertices) if disk_classify(d, pt) is Position.BOUNDARY]
+    if on == sorted((p, q)):  # a valid disk, ties on shrunken circles included
+        path = find_path(t, p, q, d)
+        check_disk_path(t, path)
+        assert path.vertices[0] == p and path.vertices[-1] == q
+        assert path_oracle(t, p, q, d) is not None
 
 
 def test_integer_shrink_is_the_fraction_shrink():
