@@ -42,7 +42,6 @@ from .errors import (
     WitnessSearchFailed,
 )
 from .exactgeom import (
-    CirclePosition,
     Coord,
     Disk,
     Orientation,

@@ -143,14 +143,6 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
     else:
         cert = sorted(structure.max_independent_set(tri, max_n=limit)[1])
     rep = structure.angle_audit(tri, cert)
-    ok = (
-        rep.euler_ok
-        and rep.per_edge_ok
-        and rep.strict_inequality_ok
-        and rep.bad_face_bound_ok
-        and rep.independent_matches_bad
-        and rep.angle_census_ok
-    )
     return {
         "independent_set": cert,
         "anchor": rep.anchor,
@@ -166,7 +158,7 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
         "bad_face_bound_ok": rep.bad_face_bound_ok,
         "independent_matches_bad": rep.independent_matches_bad,
         "angle_census_ok": rep.angle_census_ok,
-        "ok": ok,
+        "ok": rep.ok,
     }
 
 
@@ -208,7 +200,8 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
-    checks = tuple(args.checks.split(",")) if args.checks is not None else ALL_CHECKS
+    # a check named twice runs once, where it is first named
+    checks = tuple(dict.fromkeys(args.checks.split(","))) if args.checks is not None else ALL_CHECKS
     for c in checks:
         if c not in CHECKS:
             return EXIT_INPUT, {"command": "check", "error": f"unknown check {c!r}"}

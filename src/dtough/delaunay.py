@@ -14,8 +14,9 @@ one lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
 which gives the same faces as the rational points; the returned
 ``Triangulation`` holds the caller's points.
 Their output is never trusted: ``verify_delaunay`` re-checks the
-empty-circumdisk property of every face against every vertex by brute force
-with exact in-circle tests, and tests run both.
+empty-circumdisk property of every face against every vertex by brute force,
+the sign of each vertex's power on the face's circle
+(``exactgeom.circle_through``), and tests run both.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``: the copy ``build`` or ``extend`` scanned, or the one
@@ -53,19 +54,21 @@ from .errors import (
     WitnessSearchFailed,
 )
 from .exactgeom import (
-    CirclePosition,
     Disk,
     Orientation,
     Point,
-    circle_classifier,
+    Position,
+    circle_through,
     delaunay_faces,
     dist_sq,
     general_position,
     general_position_added,
     in_circle,
     is_witness_disk,
+    lifted,
     orient,
     pencil_gap,
+    power,
     scaled_to_integers,
 )
 
@@ -255,10 +258,11 @@ def _extend_scaled(
     violation = general_position_added(q[:n], q[n:])
     if violation is not None:
         raise DegenerateInput(violation)
+    new = lifted(q[n:])
     kept = []
     for t in tri.triangles:
-        position = circle_classifier(*(q[i] for i in t))
-        if all(position(p) is CirclePosition.OUTSIDE for p in q[n:]):
+        c = circle_through(*(q[i] for i in t))
+        if all(power(c, p) > 0 for p in new):
             kept.append(t)
     return _certified(pts, q, kept + delaunay_faces(q, n))
 
@@ -284,14 +288,15 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
 
     None when every face's circumdisk excludes every non-incident vertex;
     otherwise the first counterexample in face order (vertices in index
-    order within a face). Runs one ``circle_classifier`` per face on
-    ``tri.scaled``.
+    order within a face). Builds one ``exactgeom.circle_through`` per face on
+    ``tri.scaled`` and tests each vertex by the sign of its ``power``.
     """
     q = tri.scaled
+    pts = lifted(q)
     for t in tri.triangles:
-        position = circle_classifier(*(q[i] for i in t))
-        for vi, p in enumerate(q):
-            if vi not in t and position(p) is not CirclePosition.OUTSIDE:
+        c = circle_through(*(q[i] for i in t))
+        for vi, p in enumerate(pts):
+            if vi not in t and power(c, p) <= 0:
                 return CounterExample(t, vi)
     return None
 
@@ -311,8 +316,7 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
         raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
     r, s = opp
     q = tri.scaled
-    pos = in_circle(q[u], q[r], q[v], q[s])
-    return pos is CirclePosition.OUTSIDE
+    return in_circle(q[u], q[r], q[v], q[s]) is Position.EXTERIOR
 
 
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:

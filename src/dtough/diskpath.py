@@ -8,10 +8,11 @@ the disk is shrunk toward each boundary vertex until the first interior
 vertex is pinned on the boundary, splitting the problem in two.
 
 The recursion runs on the triangulation's integer copy of its vertices
-(``Triangulation.scaled``). The caller's disk is lifted once to an integer
-circle on that copy, held as (W, U, V, K) with W > 0: its power at X is
-P(X) = W |X|^2 - 2 (U x + V y) + K, negative inside, zero on the boundary.
-Shrinking toward a boundary anchor a until the interior vertex r reaches the
+(``Triangulation.scaled``), lifted once to (x, y, x^2 + y^2). The caller's
+disk is lifted once to the package's one circle on that copy,
+``exactgeom.Circle`` (W, U, V, K) with W > 0, whose power
+P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
+and zero on the boundary. Shrinking toward a boundary anchor a until the interior vertex r reaches the
 boundary is one step in the pencil of circles tangent at a:
 |r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its coefficients. The
 first vertex pinned is the interior x of greatest -P(x) / |x - a|^2,
@@ -27,9 +28,9 @@ vertex pinned by a tie, or one that the circle through q and r happens to
 meet. That vertex counts as outside. Every further shrink is tangent to this
 circle at one of its anchors, so it stays outside, and a circle through two
 vertices with none inside still certifies them as an edge (with a third on
-it, the three bound a Delaunay face). The finished path is checked against the caller's
-``Fraction`` disk (``check_disk_path``), and ``path_oracle`` reads that disk
-too.
+it, the three bound a Delaunay face). The finished path is checked against
+the caller's ``Fraction`` disk (``check_disk_path``), and ``path_oracle``
+reads that disk too.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from typing import NamedTuple, Optional
 
 from .delaunay import Triangulation
 from .errors import InvariantBroken, PreconditionViolated
-from .exactgeom import Disk, Position, denominator_lcm, disk_classify
-
-# An integer circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K.
-Circle = tuple[int, int, int, int]
-# A scaled vertex as (x, y, x^2 + y^2).
-Lifted = tuple[int, int, int]
+from .exactgeom import Circle, Disk, Lifted, Position, denominator_lcm, disk_classify, lifted, power
 
 
 class DiskPath(NamedTuple):
@@ -87,12 +83,6 @@ def _lift(tri: Triangulation, d: Disk) -> Circle:
     )
 
 
-def _power(c: Circle, pt: Lifted) -> int:
-    w, u, v, k = c
-    x, y, s = pt
-    return w * s - 2 * (u * x + v * y) + k
-
-
 def _shrink(c: Circle, a: Lifted, r: Lifted, lam: int) -> Circle:
     """The circle through a and r tangent to c at a, for a on c and r inside
     it with lam = -P(r) > 0: |r - a|^2 P + lam |X - a|^2, reduced.
@@ -131,9 +121,9 @@ def _interior(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, i
     """Vertices strictly inside c with their (negative) powers. p and q must
     lie on c; a third vertex on it counts as outside."""
     for a in (p, q):
-        if _power(c, pts[a]):
+        if power(c, pts[a]):
             raise InvariantBroken(f"shrunken disk lost its anchor {a}")
-    return [(i, power) for i, pt in enumerate(pts) if (power := _power(c, pt)) < 0]
+    return [(i, value) for i, pt in enumerate(pts) if (value := power(c, pt)) < 0]
 
 
 def _splice_simple(left: list[int], right: list[int]) -> list[int]:
@@ -175,9 +165,9 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     edge characterization and raises ``InvariantBroken``.
     """
     _check_endpoints(tri, p, q)
-    pts = [(x, y, x * x + y * y) for x, y in tri.scaled]
+    pts = lifted(tri.scaled)
     c = _lift(tri, d)
-    on = [i for i, pt in enumerate(pts) if _power(c, pt) == 0]
+    on = [i for i, pt in enumerate(pts) if power(c, pt) == 0]
     for v in sorted((p, q)):
         if v not in on:
             raise PreconditionViolated(f"vertex {v} must lie on the disk boundary")
@@ -207,10 +197,10 @@ def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> l
     # comparison keeps the least index of a tie.
     px, py, _ = pts[p]
     num, den, r = 0, 1, None
-    for x, power in interior:
+    for x, value in interior:
         m = (pts[x][0] - px) ** 2 + (pts[x][1] - py) ** 2
-        if -power * den > num * m:
-            num, den, r = -power, m, x
+        if -value * den > num * m:
+            num, den, r = -value, m, x
     c_pr = _shrink(c, pts[p], pts[r], num)
     c_qr = _shrink(c, pts[q], pts[r], num)
     for sub in (c_pr, c_qr):
@@ -219,13 +209,13 @@ def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> l
             raise InvariantBroken("shrunken disk lost tangency with its parent")
         if not contained:
             raise InvariantBroken("shrunken disk escaped its parent")
-    if _power(c_pr, pts[q]) <= 0:
+    if power(c_pr, pts[q]) <= 0:
         raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
-    if _power(c_qr, pts[p]) <= 0:
+    if power(c_qr, pts[p]) <= 0:
         raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
     # Strict progress: r left the interior and nesting admits no newcomers.
     for sub in (c_pr, c_qr):
-        survivors = sum(1 for x, _ in interior if _power(sub, pts[x]) < 0)
+        survivors = sum(1 for x, _ in interior if power(sub, pts[x]) < 0)
         if survivors >= len(interior):
             raise InvariantBroken("interior vertex count failed to decrease")
     left = _find(tri, pts, p, r, c_pr)

@@ -6,10 +6,14 @@ floating-point rounding and are invariant under rational rescaling of the
 input. Disks store the *squared* radius; radii themselves are irrational in
 general and never materialize.
 
-``orient`` and ``in_circle`` are generic over the number type; the
-in-circle determinant has one home, ``circle_classifier``, which does the
-work that depends on the circle once and then tests any number of query
-points. Every sign test on a point set's own points (the general-position
+``orient`` and ``in_circle`` are generic over the number type. The package
+has one circle: (W, U, V, K) with W > 0, whose power
+W |X|^2 - 2 (U x + V y) + K is negative inside, zero on and positive outside
+it. ``circle_through`` gives the circle through three points, and every
+in-circle question is the sign of one ``power`` at a point ``lifted`` to
+(x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``.
+
+Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan of ``delaunay.build`` and
 ``delaunay.extend``, ``from_triangles``, ``verify_delaunay``, the sentinel
 search and the audit's face traversal) runs on a copy of the point set
@@ -43,12 +47,17 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import CollinearInput
 
 Coord = Fraction
 Scalar = Union[int, str, Fraction]
+# A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
+# ints on integer points, Fractions on rational ones.
+Circle = tuple[int, int, int, int]
+# A point X as (x, y, x^2 + y^2).
+Lifted = tuple[int, int, int]
 
 
 def coord(value: Scalar) -> Fraction:
@@ -91,12 +100,6 @@ class Orientation(Enum):
     CCW = 1
     CW = -1
     COLLINEAR = 0
-
-
-class CirclePosition(Enum):
-    INSIDE = "inside"
-    ON = "on"
-    OUTSIDE = "outside"
 
 
 class Position(Enum):
@@ -174,18 +177,17 @@ def orient(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def circle_classifier(a: Point, b: Point, c: Point) -> Callable[[Point], CirclePosition]:
-    """The in-circle test against the circle through a, b, c, as a function
-    of the query point.
+def circle_through(a: Point, b: Point, c: Point) -> Circle:
+    """The circle through a, b, c as (W, U, V, K) with W > 0.
 
-    Everything that depends on the circle alone is computed once: with
-    B = b - a, C = c - a and D = d - a, the lifted determinant of (a, b, c, d)
-    is |B|^2 cross(C, D) - |C|^2 cross(B, D) + |D|^2 cross(B, C), which is
-    D.y px - D.x py + |D|^2 cross(B, C) for px = |B|^2 C.x - |C|^2 B.x and
-    py = |B|^2 C.y - |C|^2 B.y. Its sign is normalized by the orientation of
-    (a, b, c), the sign of cross(B, C), so the test depends only on the
-    circle, not on the order the defining points are given in; it is then
-    positive outside, zero on and negative inside the circle.
+    Its power ``power(c, X)`` is the lifted determinant of (a, b, c, X)
+    expanded about a, times two and normalized by the orientation of
+    (a, b, c), so it depends only on the circle, not on the order the
+    defining points are given in. With B = b - a, C = c - a,
+    px = |B|^2 C.x - |C|^2 B.x and py = |B|^2 C.y - |C|^2 B.y, signs flipped
+    so that cross(B, C) > 0: W = 2 cross(B, C), U = W a.x + py,
+    V = W a.y - px and K = W |a|^2 + 2 (py a.x - px a.y). The center is
+    (U, V) / W. On integer points all four are ints.
     """
     ax, ay = a.x, a.y
     bx, by = b.x - ax, b.y - ay
@@ -199,47 +201,41 @@ def circle_classifier(a: Point, b: Point, c: Point) -> Callable[[Point], CircleP
     py = b2 * cy - c2 * by
     if cross < 0:
         cross, px, py = -cross, -px, -py
-
-    def classify(d: Point) -> CirclePosition:
-        dx, dy = d.x - ax, d.y - ay
-        det = dy * px - dx * py + (dx * dx + dy * dy) * cross
-        if det > 0:
-            return CirclePosition.OUTSIDE
-        if det < 0:
-            return CirclePosition.INSIDE
-        return CirclePosition.ON
-
-    return classify
+    w = 2 * cross
+    return w, w * ax + py, w * ay - px, w * (ax * ax + ay * ay) + 2 * (py * ax - px * ay)
 
 
-def in_circle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
-    """Classify d against the circle through a, b, c (``circle_classifier``)."""
-    return circle_classifier(a, b, c)(d)
+def power(c: Circle, pt: Lifted) -> int:
+    """W |X|^2 - 2 (U x + V y) + K at the lifted point X: negative inside the
+    circle, zero on it, positive outside."""
+    w, u, v, k = c
+    x, y, s = pt
+    return w * s - 2 * (u * x + v * y) + k
 
 
-def circumcenter_terms(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction, Fraction]:
-    """The circumcenter of a non-collinear a, b, c as (x numerator,
-    y numerator, common denominator): the center is (ux / d, uy / d).
-
-    No division happens, so on integer coordinates all three are ints.
-    """
-    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-    a2 = a.x * a.x + a.y * a.y
-    b2 = b.x * b.x + b.y * b.y
-    c2 = c.x * c.x + c.y * c.y
-    ux = a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)
-    uy = a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)
-    return ux, uy, d
+def lifted(points: Iterable[Point]) -> list[Lifted]:
+    """Each point as (x, y, x^2 + y^2), the argument of ``power``."""
+    return [(x, y, x * x + y * y) for x, y in points]
 
 
-def disk_classify(d: Disk, p: Point) -> Position:
-    """Exact comparison of squared distance against squared radius."""
-    gap = dist_sq(d.center, p) - d.radius_sq
+def _position(gap: Fraction) -> Position:
+    """The region of a point whose signed gap (negative inside) is gap."""
     if gap < 0:
         return Position.INTERIOR
     if gap > 0:
         return Position.EXTERIOR
     return Position.BOUNDARY
+
+
+def in_circle(a: Point, b: Point, c: Point, d: Point) -> Position:
+    """Classify d against the closed disk bounded by the circle through a,
+    b, c: the sign of ``power(circle_through(a, b, c), d)``."""
+    return _position(power(circle_through(a, b, c), lifted((d,))[0]))
+
+
+def disk_classify(d: Disk, p: Point) -> Position:
+    """Exact comparison of squared distance against squared radius."""
+    return _position(dist_sq(d.center, p) - d.radius_sq)
 
 
 def triangle_classify(a: Point, b: Point, c: Point, p: Point) -> Position:

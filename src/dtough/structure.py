@@ -37,7 +37,7 @@ from .exactgeom import (
     Orientation,
     Point,
     Position,
-    circumcenter_terms,
+    circle_through,
     cycle_area2,
     denominator_lcm,
     int_at_least_sqrt,
@@ -333,17 +333,16 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
 
     # The reach bound: twice the largest |center - anchor|^2 + radius^2 over
     # the face circumdisks, in caller coordinates. On the scaled vertices a
-    # center is (ux / d, uy / d); undoing the factor L divides by L^2.
-    q = tri.scaled
-    qu = q[anchor]
+    # face's circle (W, U, V, K) has center (U, V) / W and squared radius
+    # (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
+    qu = tri.scaled[anchor]
     scale_sq = denominator_lcm(tri.vertices) ** 2
     bound = Fraction(0)
     for t in tri.triangles:
-        qa = q[t[0]]
-        ux, uy, d = circumcenter_terms(*(q[i] for i in t))
-        num = (ux - d * qu.x) ** 2 + (uy - d * qu.y) ** 2  # d^2 |center - anchor|^2
-        num += (ux - d * qa.x) ** 2 + (uy - d * qa.y) ** 2  # d^2 radius^2
-        bound = max(bound, Fraction(2 * num, d * d * scale_sq))
+        w, u, v, k = circle_through(*(tri.scaled[i] for i in t))
+        num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
+        num += u * u + v * v - k * w  # W^2 radius^2
+        bound = max(bound, Fraction(2 * num, w * w * scale_sq))
     scale = 4 * int_at_least_sqrt(bound)
     tri_faces = set(tri.triangles)
     n = len(tri)
@@ -492,6 +491,12 @@ class AuditReport:
     strict_inequality_ok: bool  # angle_total_exact < 180 * subgraph_edges
     bad_face_bound_ok: bool  # bad_faces <= subgraph_vertices - 2
     independent_matches_bad: bool  # every removed vertex claims exactly one face
+
+    @property
+    def ok(self) -> bool:
+        """The audit's verdict: every check of the ledger holds."""
+        return all((self.euler_ok, self.angle_census_ok, self.per_edge_ok,
+                    self.strict_inequality_ok, self.bad_face_bound_ok, self.independent_matches_bad))
 
 
 def _angle_census(big: Triangulation, chosen: VertexSet) -> tuple[int, bool]:

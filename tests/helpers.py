@@ -30,14 +30,12 @@ from dtough.errors import (
     WitnessSearchFailed,
 )
 from dtough.exactgeom import (
-    CirclePosition,
     Disk,
     Orientation,
     Point,
     Position,
     Violation,
     ViolationKind,
-    circumcenter_terms,
     cycle_area2,
     disk_classify,
     dist_sq,
@@ -144,7 +142,7 @@ def general_position_naive(points):
         if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
             return Violation(ViolationKind.COLLINEAR, (i, j, k))
     for i, j, k, m in combinations(range(n), 4):
-        if in_circle(pts[i], pts[j], pts[k], pts[m]) is CirclePosition.ON:
+        if in_circle(pts[i], pts[j], pts[k], pts[m]) is Position.BOUNDARY:
             return Violation(ViolationKind.COCIRCULAR, (i, j, k, m))
     return None
 
@@ -169,10 +167,10 @@ def in_circle_lifted(a, b, c, d):
         raise ValueError("collinear points have no circle")
     signed = lifted if turn > 0 else -lifted
     if signed > 0:
-        return CirclePosition.INSIDE
+        return Position.INTERIOR
     if signed < 0:
-        return CirclePosition.OUTSIDE
-    return CirclePosition.ON
+        return Position.EXTERIOR
+    return Position.BOUNDARY
 
 
 def general_position_added_naive(base, added):
@@ -193,7 +191,7 @@ def general_position_added_naive(base, added):
         for i, j, k in combinations(range(a), 3):
             if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
                 continue  # caught above when it involves an added point
-            if in_circle(pts[i], pts[j], pts[k], pts[a]) is CirclePosition.ON:
+            if in_circle(pts[i], pts[j], pts[k], pts[a]) is Position.BOUNDARY:
                 return Violation(ViolationKind.COCIRCULAR, (i, j, k, a))
     return None
 
@@ -453,13 +451,18 @@ def toughness_reverse_oracle(tri):
 def circumdisk(a: Point, b: Point, c: Point) -> Disk:
     """The disk whose boundary passes through a, b, and c.
 
-    The center is the intersection of two perpendicular bisectors; with
-    rational inputs it is rational, as is the squared radius.
+    The center is the intersection of two perpendicular bisectors: it is
+    m + s perp(b - a) on the bisector of ab, m its midpoint, with s chosen so
+    that it is equidistant from a and c, (center - midpoint(a, c)).(c - a) = 0.
+    With rational inputs it is rational, as is the squared radius.
     """
     if orient(a, b, c) is Orientation.COLLINEAR:
         raise CollinearInput(f"no circumdisk of collinear points {a}, {b}, {c}")
-    ux, uy, d = circumcenter_terms(a, b, c)
-    center = Point(ux / d, uy / d)
+    m, n = midpoint(a, b), midpoint(a, c)
+    perp = Point(a.y - b.y, b.x - a.x)
+    ac = Point(c.x - a.x, c.y - a.y)
+    s = ((n.x - m.x) * ac.x + (n.y - m.y) * ac.y) / (perp.x * ac.x + perp.y * ac.y)
+    center = Point(m.x + s * perp.x, m.y + s * perp.y)
     return Disk(center, dist_sq(center, a))
 
 

@@ -746,6 +746,28 @@ def test_check_files_match_single_runs(tmp_path):
     ]
 
 
+def test_a_check_named_twice_runs_once(tmp_path, monkeypatch):
+    f = tmp_path / "pts.txt"
+    _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "3"])
+    f.write_text(stdout)
+    calls = []
+    verify = cli.verify_delaunay
+
+    def counting(tri):
+        calls.append(len(tri))
+        return verify(tri)
+
+    monkeypatch.setattr(cli, "verify_delaunay", counting)
+    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,delaunay"])
+    assert calls == [7]
+    single = helpers.run_cli(["check", str(f), "--checks", "delaunay"])
+    assert (code, helpers.report_without_timing(out)) == (
+        single[0], helpers.report_without_timing(single[1])
+    )
+    _, out = helpers.run_cli(["check", str(f), "--checks", "matching,delaunay,matching"])
+    assert list(json.loads(out)["verdicts"]) == ["matching", "delaunay"]  # first-seen order
+
+
 def test_block_scans_the_union_once(tmp_path, monkeypatch):
     inst = helpers.fan(6)
     pts, blockers = tmp_path / "fan6.txt", tmp_path / "fan6.blockers"

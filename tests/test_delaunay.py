@@ -18,7 +18,6 @@ from dtough.delaunay import (
 )
 from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
 from dtough.exactgeom import (
-    CirclePosition,
     Orientation,
     Point,
     Position,
@@ -149,7 +148,7 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
             if e.kind is EdgeKind.INTERIOR:
                 r, s = t.opposite_vertices(e.u, e.v)
                 exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
-                assert edge_angle_check(t, e.u, e.v) is (exact is CirclePosition.OUTSIDE)
+                assert edge_angle_check(t, e.u, e.v) is (exact is Position.EXTERIOR)
 
 
 @settings(max_examples=100, derandomize=True)

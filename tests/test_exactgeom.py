@@ -2,19 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from itertools import permutations
+
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtough.errors import CollinearInput, PreconditionViolated
 from dtough.exactgeom import (
-    CirclePosition,
     Disk,
     Orientation,
     Point,
     Position,
     Violation,
     ViolationKind,
-    circle_classifier,
+    circle_through,
     coord,
     disk,
     disk_classify,
@@ -22,8 +23,10 @@ from dtough.exactgeom import (
     general_position,
     general_position_added,
     in_circle,
+    lifted,
     orient,
     point,
+    power,
     scaled_to_integers,
     triangle_classify,
 )
@@ -58,9 +61,9 @@ def test_orient_basic():
 
 def test_in_circle_unit_square():
     a, b, c = P(0, 0), P(1, 0), P(0, 1)
-    assert in_circle(a, b, c, P(1, 1)) is CirclePosition.ON
-    assert in_circle(a, b, c, P(2, 2)) is CirclePosition.OUTSIDE
-    assert in_circle(a, b, c, P("1/2", "1/2")) is CirclePosition.INSIDE
+    assert in_circle(a, b, c, P(1, 1)) is Position.BOUNDARY
+    assert in_circle(a, b, c, P(2, 2)) is Position.EXTERIOR
+    assert in_circle(a, b, c, P("1/2", "1/2")) is Position.INTERIOR
 
 
 def test_in_circle_rejects_collinear():
@@ -187,7 +190,7 @@ def test_on_circle_iff_cocircular():
     # reflecting a boundary point across the center yields an exact fourth
     # cocircular point
     fourth = P(2 * d.center.x - pts[0].x, 2 * d.center.y - pts[0].y)
-    assert in_circle(*pts, fourth) is CirclePosition.ON
+    assert in_circle(*pts, fourth) is Position.BOUNDARY
     assert general_position(pts + [fourth]) == Violation(
         ViolationKind.COCIRCULAR, (0, 1, 2, 3)
     )
@@ -240,16 +243,24 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
 
 
+def _sign_position(value) -> Position:
+    return [Position.BOUNDARY, Position.EXTERIOR, Position.INTERIOR][(value > 0) - (value < 0)]
+
+
 @given(helpers.grid_points, helpers.grid_points, helpers.grid_points, helpers.grid_points)
-def test_circle_classifier_matches_lifted_determinant(a, b, c, d):
+def test_circle_through_power_matches_lifted_determinant(a, b, c, d):
     assume(orient(a, b, c) is not Orientation.COLLINEAR)
-    for query in (d, a, b, c):  # the defining points are ON
-        expected = helpers.in_circle_lifted(a, b, c, query)
-        assert circle_classifier(a, b, c)(query) is expected
-        assert circle_classifier(a, c, b)(query) is expected
-        assert in_circle(c, b, a, query) is expected
+    expected = helpers.in_circle_lifted(a, b, c, d)
     integers = scaled_to_integers([a, b, c, d])
-    assert circle_classifier(*integers[:3])(integers[3]) is helpers.in_circle_lifted(a, b, c, d)
+    for pts in ([a, b, c, d], integers):
+        defining, query = pts[:3], lifted(pts)
+        for order in permutations(defining):
+            circle = circle_through(*order)
+            assert circle[0] > 0
+            assert [power(circle, x) for x in query[:3]] == [0, 0, 0]
+            assert _sign_position(power(circle, query[3])) is expected
+            assert in_circle(*order, pts[3]) is expected
+    assert all(type(v) is int for v in circle_through(*integers[:3]))
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9))

@@ -9,7 +9,9 @@ import pytest
 
 import dtough
 
-EXACT_MODULES = ("exactgeom", "delaunay", "structure", "diskpath", "blocking")
+EXACT_MODULES = (
+    "exactgeom", "delaunay", "structure", "diskpath", "blocking", "generate", "pointfile"
+)
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "ceil"}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -335,6 +336,19 @@ def test_audit_empty_independent_set():
     # with nothing removed the surviving subgraph is the full augmented
     # triangulation, whose interior faces are all triangles
     assert rep.good_faces == rep.subgraph_edges - rep.subgraph_vertices + 1
+
+
+def test_audit_ok_needs_every_flag():
+    t = helpers.fan_tri(8)
+    rep = angle_audit(t, max_independent_set(t)[1])
+    assert rep.ok
+    flags = [f.name for f in dataclasses.fields(rep) if isinstance(getattr(rep, f.name), bool)]
+    assert sorted(flags) == sorted([
+        "euler_ok", "angle_census_ok", "per_edge_ok", "strict_inequality_ok",
+        "bad_face_bound_ok", "independent_matches_bad",
+    ])
+    for name in flags:
+        assert not dataclasses.replace(rep, **{name: False}).ok, name
 
 
 def test_audit_fan_eight():
