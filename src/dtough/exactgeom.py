@@ -15,8 +15,8 @@ in-circle question is the sign of one ``power`` at a point ``lifted`` to
 
 Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan of ``delaunay.build`` and
-``delaunay.extend``, ``from_triangles``, ``verify_delaunay``, the sentinel
-search and the audit's face traversal) runs on a copy of the point set
+``delaunay.extend``, ``from_triangles``, ``verify_delaunay``,
+``edge_angle_check`` and the sentinel search) runs on a copy of the point set
 multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
 triangulation as ``Triangulation.scaled``): the answers are the same, the
 arithmetic is plain ``int`` and still exact. The certificates accept that
@@ -149,17 +149,6 @@ def outward_normal(a: Point, b: Point, probe: Point) -> Point:
     if _cross(a, b, probe) > 0:
         return Point(b.y - a.y, a.x - b.x)
     return Point(a.y - b.y, b.x - a.x)
-
-
-def cycle_area2(points: Sequence[Point], cycle: Sequence[int]) -> Fraction:
-    """Twice the signed area of the polygon visiting ``cycle``; positive when
-    it runs counterclockwise."""
-    total = 0
-    for i in range(len(cycle)):
-        a = points[cycle[i]]
-        b = points[cycle[(i + 1) % len(cycle)]]
-        total += a.x * b.y - b.x * a.y
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +288,9 @@ def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
     """The points multiplied by the lcm of all their coordinate denominators.
 
     Every coordinate of the result is an ``int``. The factor is positive, so
-    ``orient``, ``in_circle``, ``triangle_classify`` and the sign of
-    ``cycle_area2`` give the same answer on the scaled points as on the
-    originals, and integer arithmetic skips the gcd normalisation that every
-    ``Fraction`` operation pays.
+    ``orient``, ``in_circle`` and ``triangle_classify`` give the same answer
+    on the scaled points as on the originals, and integer arithmetic skips
+    the gcd normalisation that every ``Fraction`` operation pays.
     """
     scale = denominator_lcm(points)
     return tuple(

@@ -11,7 +11,10 @@ staying outside every face circumdisk. The enclosure makes the removed-set
 subgraph's outer face a triangle and every hole a bounded simple polygon,
 which is what the face/edge double count needs. Sentinel placement is a
 doubling search whose every candidate is verified with exact arithmetic;
-nothing about the placement is trusted.
+nothing about the placement is trusted. The subgraph's faces are read off
+the augmented triangulation's ``apex`` map in one walk (``planar_faces``),
+which steps round each removed vertex and so names the vertex each hole
+encloses; no second incidence structure is built.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .delaunay import Triangulation, _extend_scaled, build, edge_angle_check
 from .errors import (
@@ -38,7 +40,6 @@ from .exactgeom import (
     Point,
     Position,
     circle_through,
-    cycle_area2,
     denominator_lcm,
     int_at_least_sqrt,
     orient,
@@ -60,14 +61,21 @@ MIS_GATE = 30
 # ---------------------------------------------------------------------------
 
 
+def _vertex_set(tri: Triangulation, ids: Iterable[int], what: str) -> VertexSet:
+    """ids as a set of tri's vertices; an id out of range is a precondition
+    violation."""
+    vertices = frozenset(ids)
+    if not vertices <= frozenset(range(len(tri))):
+        raise PreconditionViolated(f"{what} contains out-of-range indices")
+    return vertices
+
+
 def components_after_removal(tri: Triangulation, removed: Iterable[int]) -> tuple[VertexSet, ...]:
     """Connected components of the graph induced on the surviving vertices.
 
     Sorted by smallest member, so the partition is deterministic.
     """
-    gone = frozenset(removed)
-    if not gone <= frozenset(range(len(tri))):
-        raise PreconditionViolated("removed set contains out-of-range indices")
+    gone = _vertex_set(tri, removed, "removed set")
     alive = [v for v in range(len(tri)) if v not in gone]
     seen: set[int] = set()
     comps = []
@@ -312,7 +320,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     certifies only the tuples that hold a sentinel and is the candidate's
     only general-position scan.
     """
-    gone = frozenset(removed)
+    gone = _vertex_set(tri, removed, "removed set")
     hull_in_removed = [h for h in tri.hull if h in gone]
     if not hull_in_removed:
         raise PreconditionViolated("removed set must contain a hull vertex")
@@ -385,88 +393,46 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
 
 
 # ---------------------------------------------------------------------------
-# Plane subgraph faces (rotation system traversal)
-# ---------------------------------------------------------------------------
-
-
-def _ccw_neighbor_order(points: Sequence[Point], center: int, nbrs: Iterable[int]) -> list[int]:
-    """Neighbors sorted counterclockwise around a vertex, by exact comparisons."""
-    c = points[center]
-
-    def half(i: int) -> int:
-        d = points[i]
-        if d.y > c.y or (d.y == c.y and d.x > c.x):
-            return 0
-        return 1
-
-    def cmp(i: int, j: int) -> int:
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        o = orient(c, points[i], points[j])
-        if o is Orientation.CCW:
-            return -1
-        if o is Orientation.CW:
-            return 1
-        raise InvariantBroken(f"neighbors {i} and {j} collinear with vertex {center}")
-
-    return sorted(nbrs, key=cmp_to_key(cmp))
-
-
-def planar_faces(points: Sequence[Point], edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Face cycles of a plane graph given by its straight-line embedding.
-
-    Traverses the dart permutation induced by the counterclockwise rotation
-    at each vertex. Interior faces come out counterclockwise (positive
-    signed area), the single outer face clockwise.
-    """
-    nbrs: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    rot = {v: _ccw_neighbor_order(points, v, ns) for v, ns in sorted(nbrs.items())}
-    slot = {(v, u): k for v, order in rot.items() for k, u in enumerate(order)}
-    darts = sorted(slot)
-    seen: set[tuple[int, int]] = set()
-    faces = []
-    for start in darts:
-        if start in seen:
-            continue
-        cycle = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cycle.append(cur[0])
-            a, b = cur
-            order = rot[b]
-            cur = (b, order[(slot[(b, a)] - 1) % len(order)])
-        if cur != start:
-            raise InvariantBroken("face traversal did not close on its starting dart")
-        faces.append(cycle)
-    return faces
-
-
-def _point_in_cycle(p: Point, cycle_pts: Sequence[Point]) -> bool:
-    """Exact crossing-parity test; the point must not lie on the boundary."""
-    inside = False
-    m = len(cycle_pts)
-    for i in range(m):
-        a = cycle_pts[i]
-        b = cycle_pts[(i + 1) % m]
-        if (a.y <= p.y) == (b.y <= p.y):
-            continue
-        o = orient(a, b, p)
-        if o is Orientation.COLLINEAR:
-            raise InvariantBroken("query point lies on a face boundary")
-        upward = b.y > a.y
-        if (upward and o is Orientation.CCW) or (not upward and o is Orientation.CW):
-            inside = not inside
-    return inside
-
-
-# ---------------------------------------------------------------------------
 # The counting audit
 # ---------------------------------------------------------------------------
+
+
+def planar_faces(big: Triangulation, chosen: VertexSet) -> list[tuple[tuple[int, ...], VertexSet]]:
+    """Interior faces of big minus the chosen vertices, each as its boundary
+    cycle and the set of chosen vertices it encloses.
+
+    The faces are walked off ``big.apex``: the face left of a dart u -> v
+    continues along v -> w, where w = ``apex[(u, v)]``. When w is chosen the
+    face is the hole around w, and the walk steps round it to
+    v -> ``apex[(w, v)]``, the next neighbour of w. Only darts that are
+    ``apex`` keys with both ends kept are walked, so the outer face, big's
+    hull, is never visited; ``sentinel_augment`` verifies that it is the
+    sentinel triangle. A fan that does not close around a chosen vertex is a
+    broken invariant.
+    """
+    apex = big.apex
+    seen: set[tuple[int, int]] = set()
+    faces = []
+    for start in apex:
+        if start in seen or start[0] in chosen or start[1] in chosen:
+            continue
+        cycle, enclosed = [], set()
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            u, v = dart
+            cycle.append(u)
+            w = apex[dart]
+            if w in chosen:
+                enclosed.add(w)
+                x, w = w, apex.get((w, v))
+                if w is None or w in chosen:
+                    raise InvariantBroken(f"the fan of removed vertex {x} does not close")
+            dart = (v, w)
+        if dart != start:
+            raise InvariantBroken("face walk did not close on its starting dart")
+        faces.append((tuple(cycle), frozenset(enclosed)))
+    return faces
 
 
 @dataclass(frozen=True)
@@ -475,7 +441,10 @@ class AuditReport:
 
     ``angle_total_exact`` is the total of the angles opposite each surviving
     edge, computed from the face census (180 per hole-free face, 360 per
-    hole); ``angle_census_ok`` proves it exactly (``_angle_census``).
+    hole). ``angle_census_ok`` proves it exactly: the hole-free faces are the
+    triangles of the augmented triangulation with no chosen vertex, and each
+    hole is bounded by exactly the neighbours of the one chosen vertex it
+    encloses, so the angles split into 180 per triangle and 360 per fan.
     """
 
     anchor: int
@@ -499,38 +468,20 @@ class AuditReport:
                     self.strict_inequality_ok, self.bad_face_bound_ok, self.independent_matches_bad))
 
 
-def _angle_census(big: Triangulation, chosen: VertexSet) -> tuple[int, bool]:
-    """F0, the faces of big with no chosen vertex, and whether every chosen
-    vertex x has a closed fan: ``apex[(x, u)]`` steps from a neighbour around
-    x through every neighbour and back, none of them chosen. Split by faces,
-    the angles opposite the edges between unchosen vertices then sum to
-    180 per such face and 360 per fan: 180 F0 + 360 |chosen|, exactly."""
-    f0 = sum(1 for (u, v), w in big.apex.items() if u < v and u < w and not chosen & {u, v, w})
-    for x in chosen:
-        u, fan = big.neighbors[x][0], set()
-        while u is not None and u not in fan and u not in chosen:
-            fan.add(u)
-            u = big.apex.get((x, u))
-        if u != big.neighbors[x][0] or fan != set(big.neighbors[x]):
-            return f0, False
-    return f0, True
-
-
 def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     """Run the full double-counting argument on one instance and report it.
 
     The independent set is removed, sentinels are added around the rest, and
-    the surviving plane subgraph's interior faces are classified by how many
-    removed vertices they contain (0 or 1; anything else is structurally
-    impossible and raises). The face census and the per-edge angle bound
-    then pin the number of holes below the subgraph order minus two, which
-    is exactly the floor(n/2) independence bound for this instance. The
-    angle census recounts both kinds of face off the augmented
-    triangulation's ``apex`` map, which makes the angle total exact.
+    the surviving plane subgraph's interior faces, walked off the augmented
+    triangulation's ``apex`` map (``planar_faces``), are classified by how
+    many removed vertices they enclose (0 or 1; anything else is
+    structurally impossible and raises). The face census and the per-edge
+    angle bound then pin the number of holes below the subgraph order minus
+    two, which is exactly the floor(n/2) independence bound for this
+    instance. The angle census checks each face against the triangles and
+    fans it is made of, which makes the angle total exact.
     """
-    chosen = frozenset(independent)
-    if not chosen <= frozenset(range(len(tri))):
-        raise PreconditionViolated("independent set contains out-of-range indices")
+    chosen = _vertex_set(tri, independent, "independent set")
     for e in tri.edges:
         if e.u in chosen and e.v in chosen:
             raise NotIndependent(f"edge ({e.u}, {e.v}) joins two chosen vertices")
@@ -545,39 +496,26 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     if incident != keep:
         raise InvariantBroken("a surviving vertex became isolated after removal")
 
-    # Face traversal and point location run on the integer vertices.
-    q = big.scaled
-    faces = planar_faces(q, sub_edges)
-    areas = [cycle_area2(q, f) for f in faces]
-    outer = [f for f, area in zip(faces, areas) if area < 0]
-    if len(outer) != 1:
-        raise InvariantBroken(f"expected one outer face, found {len(outer)}")
-    if set(outer[0]) != {aug.anchor, n, n + 1}:
-        raise InvariantBroken("outer face is not the sentinel triangle")
-    interior = [f for f, area in zip(faces, areas) if area > 0]
-    if len(interior) + 1 != len(faces):
-        raise InvariantBroken("degenerate zero-area face in traversal")
-
     good = 0
-    bad = 0
     located: list[int] = []
-    for f in interior:
-        ring = [q[i] for i in f]
-        inside = [x for x in chosen if _point_in_cycle(q[x], ring)]
-        if not inside:
-            if len(f) != 3:
+    fans_closed = True
+    for cycle, enclosed in planar_faces(big, chosen):
+        if not enclosed:
+            if len(cycle) != 3:
                 raise InvariantBroken("hole-free interior face is not a triangle")
             good += 1
-        elif len(inside) == 1:
-            bad += 1
-            located.append(inside[0])
+        elif len(enclosed) == 1:
+            (x,) = enclosed
+            located.append(x)
+            fans_closed = fans_closed and sorted(cycle) == list(big.neighbors[x])
         else:
             raise InvariantBroken("interior face contains two removed vertices")
 
+    bad = len(located)
     e_count = len(sub_edges)
     s_size = len(keep)
     angle_exact = 180 * good + 360 * bad
-    f0, fans_closed = _angle_census(big, chosen)
+    f0 = sum(1 for t in big.triangles if chosen.isdisjoint(t))
     # A boundary edge has a single opposite angle, below 180 like any
     # triangle angle; only two-sided edges need the exact test.
     per_edge_ok = all(
@@ -620,7 +558,7 @@ def representative_independence(tri: Triangulation, removed: Iterable[int]) -> R
     They always should; a False here would falsify the toughness argument,
     so the operation reports instead of assuming.
     """
-    gone = frozenset(removed)
+    gone = _vertex_set(tri, removed, "removed set")
     comps = components_after_removal(tri, gone)
     reps = frozenset(min(c) for c in comps)
     keep = sorted(gone | reps)

@@ -13,7 +13,7 @@ import json
 import math
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -36,7 +36,6 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
-    cycle_area2,
     disk_classify,
     dist_sq,
     general_position,
@@ -233,6 +232,83 @@ def incidence_oracle(tri):
     if cycle_area2(tri.vertices, cycle) < 0:
         cycle = [cycle[0]] + cycle[:0:-1]
     return opposite, tuple(cycle)
+
+
+def cycle_area2(points, cycle):
+    """Twice the signed area of the polygon visiting ``cycle``; positive when
+    it runs counterclockwise."""
+    total = 0
+    for i in range(len(cycle)):
+        a = points[cycle[i]]
+        b = points[cycle[(i + 1) % len(cycle)]]
+        total += a.x * b.y - b.x * a.y
+    return total
+
+
+def _ccw_neighbor_order(points, center, nbrs):
+    """Neighbors sorted counterclockwise around a vertex, by exact comparisons."""
+    c = points[center]
+
+    def half(i):
+        d = points[i]
+        return 0 if d.y > c.y or (d.y == c.y and d.x > c.x) else 1
+
+    def cmp(i, j):
+        hi, hj = half(i), half(j)
+        if hi != hj:
+            return -1 if hi < hj else 1
+        o = orient(c, points[i], points[j])
+        if o is Orientation.COLLINEAR:
+            raise InvariantBroken(f"neighbors {i} and {j} collinear with vertex {center}")
+        return -1 if o is Orientation.CCW else 1
+
+    return sorted(nbrs, key=cmp_to_key(cmp))
+
+
+def rotation_faces(points, edges):
+    """Face cycles of a plane graph from its straight-line embedding alone:
+    the dart permutation of the counterclockwise rotation at each vertex,
+    sorted by angle. Interior faces come out counterclockwise (positive
+    ``cycle_area2``), the single outer face clockwise."""
+    nbrs: dict = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    rot = {v: _ccw_neighbor_order(points, v, ns) for v, ns in sorted(nbrs.items())}
+    slot = {(v, u): k for v, order in rot.items() for k, u in enumerate(order)}
+    seen: set = set()
+    faces = []
+    for start in sorted(slot):
+        if start in seen:
+            continue
+        cycle = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cycle.append(cur[0])
+            a, b = cur
+            order = rot[b]
+            cur = (b, order[(slot[(b, a)] - 1) % len(order)])
+        assert cur == start, "face traversal did not close on its starting dart"
+        faces.append(cycle)
+    return faces
+
+
+def point_in_cycle(p, cycle_pts) -> bool:
+    """Exact crossing-parity test; the point must not lie on the boundary."""
+    inside = False
+    m = len(cycle_pts)
+    for i in range(m):
+        a = cycle_pts[i]
+        b = cycle_pts[(i + 1) % m]
+        if (a.y <= p.y) == (b.y <= p.y):
+            continue
+        o = orient(a, b, p)
+        assert o is not Orientation.COLLINEAR, "query point lies on a face boundary"
+        upward = b.y > a.y
+        if (upward and o is Orientation.CCW) or (not upward and o is Orientation.CW):
+            inside = not inside
+    return inside
 
 
 def opposite_angles_deg_fraction(tri, u, v) -> float:

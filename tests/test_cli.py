@@ -233,11 +233,19 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
 
 
 def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
-    # a point-location test that puts every removed vertex in every face
-    # breaks the face census; the check must report it, not crash
+    # a face walk that merges two holes into one face breaks the face
+    # census; the check must report it, not crash
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
-    monkeypatch.setattr(structure, "_point_in_cycle", lambda p, ring: True)
+    walk = structure.planar_faces
+
+    def merged_holes(big, chosen):
+        faces = walk(big, chosen)
+        a, b = [k for k, (_, enclosed) in enumerate(faces) if enclosed][:2]
+        faces[a] = (faces[a][0], faces[a][1] | faces[b][1])
+        return faces
+
+    monkeypatch.setattr(structure, "planar_faces", merged_holes)
     code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
     assert code == 1
     verdict = json.loads(out)["verdicts"]["audit"]
@@ -245,26 +253,47 @@ def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_audit_open_fan_fails_the_angle_census(tmp_path, monkeypatch, capsys):
-    # an augmented triangulation whose apex map lost one face corner at a
-    # chosen vertex x leaves x with an open fan: its angles no longer sum to
-    # 360, and only the census reads them
+def _audit_with_doctored_fan(tmp_path, monkeypatch, doctor):
+    """check --checks mis,audit on random n=10 seed 4, with the augmented
+    triangulation's ``apex`` and ``neighbors`` passed through ``doctor(aug,
+    x, apex, neighbors)`` for x the least vertex of the independent set."""
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
     _, cert = structure.max_independent_set(delaunay.build(pointfile.read_points(f)))
     x = min(cert)
-    extend = structure._extend_scaled
+    extend = delaunay._extend_scaled
 
-    def open_fan(tri, pts, q):
+    def doctored(tri, pts, q):
         aug = extend(tri, pts, q)
-        apex = dict(aug.apex)
-        del apex[(x, aug.neighbors[x][0])]
-        return dataclasses.replace(aug, apex=apex)
+        apex, neighbors = dict(aug.apex), list(aug.neighbors)
+        doctor(aug, x, apex, neighbors)
+        return dataclasses.replace(aug, apex=apex, neighbors=tuple(neighbors))
 
-    monkeypatch.setattr(structure, "_extend_scaled", open_fan)
+    monkeypatch.setattr(structure, "_extend_scaled", doctored)
     code, out = helpers.run_cli(["check", str(f), "--checks", "mis,audit"])
+    return code, x, cert, json.loads(out)["verdicts"]["audit"]
+
+
+def test_audit_open_fan_fails_the_angle_census(tmp_path, monkeypatch, capsys):
+    # an apex map that lost one face corner at a chosen vertex x leaves x
+    # with an open fan: the face walk cannot step round x
+    def lose_corner(aug, x, apex, neighbors):
+        del apex[(x, aug.neighbors[x][0])]
+
+    code, x, _, verdict = _audit_with_doctored_fan(tmp_path, monkeypatch, lose_corner)
     assert code == 1
-    verdict = json.loads(out)["verdicts"]["audit"]
+    assert verdict == {"error": f"the fan of removed vertex {x} does not close", "ok": False}
+    assert "Traceback" not in capsys.readouterr().err
+
+    # a neighbour list with one vertex too many no longer matches the hole
+    # the walk found round x: its angles no longer sum to 360, and only the
+    # census reads them
+    def spurious_neighbor(aug, x, apex, neighbors):
+        extra = next(v for v in range(len(aug)) if v != x and v not in aug.neighbors[x])
+        neighbors[x] = tuple(sorted(aug.neighbors[x] + (extra,)))
+
+    code, _, cert, verdict = _audit_with_doctored_fan(tmp_path, monkeypatch, spurious_neighbor)
+    assert code == 1
     assert verdict["independent_set"] == sorted(cert)
     assert verdict["angle_census_ok"] is False and verdict["ok"] is False
     others = ("euler_ok", "per_edge_ok", "strict_inequality_ok", "bad_face_bound_ok")

@@ -231,6 +231,15 @@ def test_sentinel_requires_hull_vertex():
         sentinel_augment(t, frozenset(interior[:1]))
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_vertex_sets_reject_out_of_range_ids(bad):
+    # a hull vertex in the set does not excuse an id that names no vertex
+    t = build([P(0, 0), P(1, 0), P(0, 1)])
+    for call in (sentinel_augment, components_after_removal, representative_independence, angle_audit):
+        with pytest.raises(PreconditionViolated, match="out-of-range"):
+            call(t, [t.hull[0], bad] if call is sentinel_augment else [bad])
+
+
 def _mis_complement(t):
     _, cert = max_independent_set(t)
     return frozenset(range(len(t))) - cert
@@ -317,6 +326,26 @@ def test_angle_total_matches_float_oracle(candidates, data):
         if e.u not in chosen and e.v not in chosen
     )
     assert total == pytest.approx(rep.angle_total_exact, rel=1e-9)
+    # the faces walked off apex, against the angle-sorted rotation system
+    # and the crossing-parity locator, which read the embedding alone
+    n, pts = len(t), big.vertices
+    sub_edges = [(e.u, e.v) for e in big.edges if e.u not in chosen and e.v not in chosen]
+    oracle = helpers.rotation_faces(pts, sub_edges)
+    outer = [f for f in oracle if helpers.cycle_area2(pts, f) < 0]
+    assert len(outer) == 1 and sorted(outer[0]) == sorted([rep.anchor, n, n + 1])
+
+    def rotated(cycle):
+        k = cycle.index(min(cycle))
+        return tuple(cycle[k:]) + tuple(cycle[:k])
+
+    located = {
+        rotated(f): frozenset(x for x in chosen if helpers.point_in_cycle(pts[x], [pts[i] for i in f]))
+        for f in oracle
+        if f is not outer[0]
+    }
+    walked = structure.planar_faces(big, frozenset(chosen))
+    assert len(walked) == len(oracle) - 1
+    assert {rotated(f): enclosed for f, enclosed in walked} == located
 
 
 def test_audit_single_triangle():
