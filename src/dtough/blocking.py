@@ -133,9 +133,7 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         except DegenerateInput:
             eps /= 2
             continue
-        if len(tri.hull) != n:
-            eps /= 2
-            continue
+        # spokes and rim are 2n - 3 = 3n - 3 - h edges: h = n hull vertices
         spokes = {(0, i) for i in range(1, n)}
         rim = {(i, i + 1) for i in range(1, n - 1)}
         if tri.edge_set() != spokes | rim:
@@ -200,11 +198,9 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
         if n == 2:
             d = Disk(midpoint(points[0], points[1]), dist_sq(midpoint(points[0], points[1]), points[0]))
             return DisjointDiskInstance(points, (d,), True)
-        try:
-            tri = build(points)
-        except DegenerateInput:  # unreachable for this arc; kept as a guard
-            flat *= 2
-            continue
+        # distinct x >= 0 on a parabola: no three on a line, and no four on
+        # a circle, where their x would sum to 0
+        tri = build(points)
         if not all(tri.is_edge(i, i + 1) for i in range(n - 1)):
             flat *= 2
             continue

@@ -18,7 +18,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -63,12 +62,8 @@ def _message(exc: Exception) -> str:
     return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
 
 
-def _frac(f: Fraction) -> str:
-    return pointfile.fraction_str(f)
-
-
 def _point_json(p: Point) -> list[str]:
-    return [_frac(p.x), _frac(p.y)]
+    return [pointfile.fraction_str(p.x), pointfile.fraction_str(p.y)]
 
 
 def _instance_summary(tri: Triangulation) -> dict:
@@ -108,7 +103,7 @@ def _check_toughness(tri: Triangulation, limit: Optional[int], earlier: dict) ->
     if worst is None:
         return {"toughness": None, "witness": None, "ok": True}
     return {
-        "toughness": _frac(worst.ratio),
+        "toughness": pointfile.fraction_str(worst.ratio),
         "witness": sorted(worst.separator),
         "components": worst.component_count,
         "ok": worst.ratio >= 1,
@@ -143,23 +138,8 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
     else:
         cert = sorted(structure.max_independent_set(tri, max_n=limit)[1])
     rep = structure.angle_audit(tri, cert)
-    return {
-        "independent_set": cert,
-        "anchor": rep.anchor,
-        "sentinels": [_point_json(s) for s in rep.sentinels],
-        "good_faces": rep.good_faces,
-        "bad_faces": rep.bad_faces,
-        "subgraph_edges": rep.subgraph_edges,
-        "subgraph_vertices": rep.subgraph_vertices,
-        "euler_ok": rep.euler_ok,
-        "angle_total_exact": rep.angle_total_exact,
-        "per_edge_ok": rep.per_edge_ok,
-        "strict_inequality_ok": rep.strict_inequality_ok,
-        "bad_face_bound_ok": rep.bad_face_bound_ok,
-        "independent_matches_bad": rep.independent_matches_bad,
-        "angle_census_ok": rep.angle_census_ok,
-        "ok": rep.ok,
-    }
+    sentinels = [_point_json(s) for s in rep.sentinels]
+    return {"independent_set": cert, **vars(rep), "sentinels": sentinels, "ok": rep.ok}
 
 
 # Check name -> (default size gate, or None when ungated; check function).
@@ -218,12 +198,13 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
     kind, n, seed = args.kind, args.n, args.seed
+    if kind == "fan" and args.out == "-":  # refused before the construction runs
+        return EXIT_INPUT, {"command": "gen", "error": "fan emits two files; --out is required"}
+    blockers_body = None
     if kind == "random":
         body = pointfile.format_points(generate.random_points(n, seed))
-        blockers_body = None
     elif kind == "convex":
         body = pointfile.format_points(generate.convex_points(n, seed))
-        blockers_body = None
     elif kind == "fan":
         inst = blocking.fan_instance(n, seed)
         body = pointfile.format_points(inst.points)
@@ -231,11 +212,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
     else:  # disjoint-arc, the last of the parser's choices
         inst = blocking.disjoint_disk_instance(n)
         body = pointfile.format_points(inst.points)
-        blockers_body = None
 
     if args.out == "-":
-        if blockers_body is not None:
-            return EXIT_INPUT, {"command": "gen", "error": "fan emits two files; --out is required"}
         sys.stdout.write(body)
         return EXIT_OK, None
     out = Path(args.out)
@@ -259,7 +237,7 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
     d = Disk(Point(cx, cy), r2)
     report["instance"] = _instance_summary(tri)
-    report["disk"] = {"center": _point_json(d.center), "radius_sq": _frac(d.radius_sq)}
+    report["disk"] = {"center": _point_json(d.center), "radius_sq": pointfile.fraction_str(d.radius_sq)}
     p, q = args.p, args.q
     try:
         found = diskpath.find_path(tri, p, q, d)
@@ -290,18 +268,16 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_block(args: argparse.Namespace) -> tuple[int, dict]:
-    report: dict = {"command": "block"}
     p = pointfile.read_points(args.points)
     b = pointfile.read_points(args.blockers)
     bound = blocking.lower_bound_report(p, b)
-    report["p_size"] = bound.p_size
-    report["b_size"] = bound.b_size
-    report["blocked"] = bound.blocked
-    report["witness"] = None if bound.witness is None else list(bound.witness)
-    report["p_independent"] = bound.blocked  # no P-P edge survives
-    report["size_ok"] = bound.size_ok
-    report["tight"] = bound.blocked and bound.p_size == bound.b_size
-    report["ok"] = not bound.alarm
+    report = {
+        "command": "block",
+        **vars(bound),
+        "p_independent": bound.blocked,  # no P-P edge survives
+        "tight": bound.blocked and bound.p_size == bound.b_size,
+        "ok": not bound.alarm,
+    }
     return (EXIT_ALARM if bound.alarm else EXIT_OK), report
 
 

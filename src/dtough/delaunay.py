@@ -239,21 +239,15 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     tri must be the Delaunay triangulation of its vertices, as ``build``
     returns it. General position is hereditary, so only the tuples ending in
     an added point are certified (``exactgeom.general_position_added``,
-    O(k n^2)). An old face stays a face exactly when no added point lies in
-    its circumdisk, and every new face has an added vertex (Bowyer; Watson,
-    Computer Journal 1981), which ``exactgeom.delaunay_faces`` finds from the
-    pairs that end in an added point, O(k n^2). Everything runs on one
-    lcm-scaled copy of the union.
+    ``build``'s scan from ``len(tri)``, O(k n^2)). An old face stays a face
+    exactly when no added point lies in its circumdisk, and every new face
+    has an added vertex (Bowyer; Watson, Computer Journal 1981), which
+    ``exactgeom.delaunay_faces`` finds from the pairs that end in an added
+    point, O(k n^2). Everything runs on one lcm-scaled copy of the union.
+    ``structure.sentinel_augment`` adds its sentinels here too.
     """
     pts = tri.vertices + tuple(added)
-    return _extend_scaled(tri, pts, scaled_to_integers(pts))
-
-
-def _extend_scaled(
-    tri: Triangulation, pts: tuple[Point, ...], q: tuple[Point, ...]
-) -> Triangulation:
-    """``extend`` to the union pts of tri's vertices and the added points,
-    whose lcm-scaled copy q is already known."""
+    q = scaled_to_integers(pts)
     n = len(tri)
     violation = general_position_added(q[:n], q[n:])
     if violation is not None:

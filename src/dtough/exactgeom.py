@@ -24,12 +24,13 @@ copy in place of the points, so a build scales its points once. The in-disk
 path recursion (``diskpath``) lifts its disk to an integer circle on that
 copy; only witness disks, whose centers are arbitrary rationals, and the
 checks that read a caller's disk stay on ``Fraction``. The certificate and
-the face scan are both O(n^3), or O(k n^2) for the tuples and faces that
-hold one of k added points, and both walk the pencil of circles through each
-pair of points: one bisector row per pair finds every collinear triple and
-cocircular quadruple through that pair (``_bisector_row``), and the pencil
-gap of a pair (``pencil_gap``) holds the parameters of the circles through
-it that contain no other point. That gap is the one empty-disk test of the
+the face scan both walk the pencil of circles through each pair (a, b) of
+points with b at or above a start index: O(n^3) from 0, O(k n^2) for the
+tuples and faces that hold one of k added points. One bisector row per pair
+finds every collinear triple and cocircular quadruple whose least and
+greatest index the pair is (``_bisector_row``), and the pencil gap of a pair
+(``pencil_gap``) holds the parameters of the circles through it that
+contain no other point. That gap is the one empty-disk test of the
 package: the face scan (``delaunay_faces``) reads the apexes of a pair's
 Delaunay faces off its ends, ``delaunay.witness_disk`` takes its center from
 inside it, and a blocking verdict asks whether any pair of the blocked set
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import CollinearInput
@@ -405,26 +405,6 @@ def delaunay_faces(pts: Sequence[Point], start: int = 0) -> list[tuple[int, int,
     return out
 
 
-def _pair_scan(
-    pts: Sequence[Point], pairs: Iterable[tuple[int, int, Sequence[int]]]
-) -> Optional[Violation]:
-    """Collinear and cocircular violations over rows (i, j, members).
-
-    Rows come in an order whose concatenation lists the triples (i, j, k)
-    in the caller's violation order, so the first collinear member of the
-    first row that has one is the first collinear triple. Any collinear
-    triple outranks every cocircular quadruple, so a cocircular hit is only
-    held until the remaining rows show no collinear triple.
-    """
-    cocircular: Optional[Violation] = None
-    for i, j, members in pairs:
-        hit = _bisector_row(pts, i, j, members)
-        if hit is not None and hit.kind is ViolationKind.COLLINEAR:
-            return hit
-        cocircular = cocircular or hit
-    return cocircular
-
-
 def _on_integers(points: Sequence[Point]) -> Sequence[Point]:
     """The points as given when every coordinate is an ``int`` (a copy that
     ``scaled_to_integers`` already made, as ``delaunay.build`` passes), else
@@ -434,47 +414,56 @@ def _on_integers(points: Sequence[Point]) -> Sequence[Point]:
     return scaled_to_integers(points)
 
 
+def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]:
+    """The least violation among the tuples whose greatest index is at least
+    ``start``: the first point from ``start`` on that repeats an earlier one,
+    else the least collinear triple, else the least cocircular quadruple.
+
+    Each tuple is scanned once, in the bisector row of its least index a and
+    greatest index b over a < k < b; the rows are the pairs that
+    ``delaunay_faces(pts, start)`` walks. They come in blocks by a, and the
+    first block with a collinear triple holds the least one.
+    """
+    n = len(points)
+    seen: dict[Point, int] = {}
+    for i, p in enumerate(points):
+        if p in seen and i >= start:
+            return Violation(ViolationKind.DUPLICATE, (seen[p], i))
+        seen.setdefault(p, i)
+    q = _on_integers(points)
+    collinear: list[tuple[int, ...]] = []
+    cocircular: list[tuple[int, ...]] = []
+    for a in range(n):
+        for b in range(max(start, a + 2), n):
+            hit = _bisector_row(q, a, b, range(a + 1, b))
+            if hit is not None:
+                (collinear if hit.kind is ViolationKind.COLLINEAR else cocircular).append(hit.indices)
+        if collinear:
+            return Violation(ViolationKind.COLLINEAR, min(collinear))
+    return Violation(ViolationKind.COCIRCULAR, min(cocircular)) if cocircular else None
+
+
 def general_position(points: Sequence[Point]) -> Optional[Violation]:
     """None when no two points coincide, no three are collinear, and no four
-    are cocircular; otherwise the first violation in ``combinations`` order:
-    any duplicate pair before any collinear triple before any cocircular
-    quadruple, each the lexicographically least of its kind.
+    are cocircular; otherwise the first duplicate, the first point that
+    repeats an earlier one ([A, B, B, A] gives (1, 2), not (0, 3)), else the
+    lexicographically least collinear triple, else the least cocircular
+    quadruple.
 
-    O(n^3) on lcm-scaled integer coordinates: for each pair (a, b) one
-    bisector row over k > b finds the collinear triples (a, b, k) and the
-    cocircular quadruples (a, b, j, k). The answer is exact and equals the
-    naive O(n^4) scan's, which the tests keep as an oracle. Scaling changes
-    no answer, so a caller holding the scaled copy passes that instead.
+    O(n^3) on lcm-scaled integer coordinates (``_least_violation`` from 0),
+    equal to the naive O(n^4) scan that the tests keep as an oracle. A
+    caller holding the scaled copy passes that instead.
     """
-    pts = list(points)
-    n = len(pts)
-    seen: dict[Point, int] = {}
-    for i, p in enumerate(pts):
-        if p in seen:
-            return Violation(ViolationKind.DUPLICATE, (seen[p], i))
-        seen[p] = i
-    q = _on_integers(pts)
-    return _pair_scan(q, ((a, b, range(b + 1, n)) for a in range(n) for b in range(a + 1, n)))
+    return _least_violation(points, 0)
 
 
 def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Optional[Violation]:
-    """General-position check of base + added, assuming base alone passes.
-
-    Only tuples whose largest index is an added point are scanned: for each
-    added a and each i < a, one bisector row over i < j < a, which is
-    O(k n^2). Violations come in the order (a, i, j, k) of those tuples;
-    indices refer to the concatenated sequence. Like ``general_position``
-    it runs on, and accepts, the lcm-scaled integer copy of base + added.
+    """``general_position(base + added)`` when base alone passes, scanning
+    only the tuples whose greatest index is an added point
+    (``_least_violation`` from ``len(base)``), O(k n^2) for k added points.
+    Like ``general_position`` it accepts the lcm-scaled copy of the union.
     """
-    pts = list(base) + list(added)
-    n = len(pts)
-    added_range = range(len(base), n)
-    for i in added_range:
-        for j in range(n):
-            if j != i and pts[j] == pts[i]:
-                return Violation(ViolationKind.DUPLICATE, tuple(sorted((j, i))))
-    q = _on_integers(pts)
-    return _pair_scan(q, ((i, a, range(i + 1, a)) for a in added_range for i in range(a)))
+    return _least_violation(list(base) + list(added), len(base))
 
 
 def int_at_least_sqrt(value: Fraction) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .delaunay import Triangulation, _extend_scaled, build, edge_angle_check
+from .delaunay import Triangulation, build, edge_angle_check, extend
 from .errors import (
     DegenerateInput,
     InvariantBroken,
@@ -299,7 +299,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     Requirements checked exactly for every candidate placement:
 
     * every original vertex except the anchor lies strictly inside the
-      triangle (anchor, s1, s2); the anchor is its corner;
+      triangle (anchor, s1, s2), its corner. Testing the other hull vertices
+      suffices, since the rest lie in their hull with the anchor;
     * the enlarged point set is still in general position;
     * every face of the input survives into the augmented triangulation
       (``extend``), so both sentinels are exterior to every face circumdisk
@@ -314,10 +315,9 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     one sentinel steps around any exact degeneracy a symmetric placement
     happens to hit.
 
-    Sentinels are placed in the caller's coordinates; each candidate's
-    enlarged point set is scaled to integers once, and every check on it
-    reads that copy, ``extend``'s too (``delaunay._extend_scaled``), which
-    certifies only the tuples that hold a sentinel and is the candidate's
+    Sentinels are placed in the caller's coordinates. A candidate's
+    triangle test runs on one integer copy of the hull and the sentinels;
+    ``extend(tri, (s1, s2))`` scales the union once and is the candidate's
     only general-position scan.
     """
     gone = _vertex_set(tri, removed, "removed set")
@@ -354,6 +354,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     scale = 4 * int_at_least_sqrt(bound)
     tri_faces = set(tri.triangles)
     n = len(tri)
+    rim = tuple(tri.vertices[i] for i in tri.hull if i != anchor)
 
     for attempt in range(64):
         reach = scale * 2**attempt
@@ -367,19 +368,13 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
             u_pt.x + reach * (d_b.x + tilt * n_b.x),
             u_pt.y + reach * (d_b.y + tilt * n_b.y),
         )
-        pts = tri.vertices + (s1, s2)
-        big = scaled_to_integers(pts)
-        bu, b1, b2 = big[anchor], big[n], big[n + 1]
+        bu, b1, b2, *inner = scaled_to_integers((u_pt, s1, s2) + rim)
         if orient(bu, b1, b2) is Orientation.COLLINEAR:
             continue
-        if not all(
-            triangle_classify(bu, b1, b2, big[i]) is Position.INTERIOR
-            for i in range(n)
-            if i != anchor
-        ):
+        if not all(triangle_classify(bu, b1, b2, p) is Position.INTERIOR for p in inner):
             continue
         try:
-            augmented = _extend_scaled(tri, pts, big)
+            augmented = extend(tri, (s1, s2))
         except DegenerateInput as exc:
             if max(exc.violation.indices) < n:
                 raise  # the input itself is degenerate; no sentinel helps

@@ -42,6 +42,7 @@ from dtough.exactgeom import (
     in_circle,
     midpoint,
     orient,
+    point,
 )
 from dtough.generate import random_points
 from dtough.structure import ToughnessWitness
@@ -100,6 +101,45 @@ def fan(n: int, seed: int = 1):
 @lru_cache(maxsize=None)
 def fan_tri(n: int, seed: int = 1):
     return build(fan(n, seed).points)
+
+
+# The octahedron drawn in the plane: an outer and an inner triangle, and its
+# seven bounded faces.
+OCTAHEDRON = tuple(point(x, y) for x, y in ((0, 0), (30, 0), (15, 26), (15, 6), (20, 14), (10, 14)))
+OCTAHEDRON_FACES = ((0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5), (3, 4, 5))
+
+
+def _kleetope(points, faces):
+    """The straight-line triangulation of points and faces with the centroid
+    of each face added, in face order, and joined to the face's corners."""
+    pts = list(points)
+    triangles = []
+    for a, b, c in faces:
+        if orient(pts[a], pts[b], pts[c]) is Orientation.CW:
+            b, c = c, b
+        pts.append(Point(sum(pts[i].x for i in (a, b, c)) / 3, sum(pts[i].y for i in (a, b, c)) / 3))
+        m = len(pts) - 1
+        triangles += [(a, b, m), (b, c, m), (c, a, m)]
+    return from_triangles(pts, triangles)
+
+
+@lru_cache(maxsize=None)
+def kleetope():
+    """The Kleetope of the octahedron, n = 13: vertices 0-5 the octahedron,
+    6-12 the centroids of its faces. Removing the octahedron leaves 7
+    components, so it is not 1-tough, and no such triangulation is Delaunay
+    realizable (Dillencourt, DCG 1990)."""
+    return _kleetope(OCTAHEDRON, OCTAHEDRON_FACES)
+
+
+@lru_cache(maxsize=None)
+def kleetope_even():
+    """The even-order Kleetope, n = 16: the octahedron with (15, 11) splitting
+    its inner triangle in three, and a centroid in each of the 9 bounded
+    faces. Its 7 base vertices leave 9 odd components, so it has no perfect
+    matching."""
+    faces = OCTAHEDRON_FACES[:-1] + ((3, 4, 6), (4, 5, 6), (5, 3, 6))
+    return _kleetope(OCTAHEDRON + (point(15, 11),), faces)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +210,6 @@ def in_circle_lifted(a, b, c, d):
     if signed < 0:
         return Position.EXTERIOR
     return Position.BOUNDARY
-
-
-def general_position_added_naive(base, added):
-    """The O(k n^3) scan of base + added over tuples ending in an added point,
-    assuming base alone is in general position."""
-    pts = list(base) + list(added)
-    n = len(pts)
-    added_range = range(len(base), n)
-    for i in added_range:
-        for j in range(n):
-            if j != i and pts[j] == pts[i]:
-                return Violation(ViolationKind.DUPLICATE, tuple(sorted((j, i))))
-    for a in added_range:
-        for i, j in combinations(range(a), 2):
-            if orient(pts[i], pts[j], pts[a]) is Orientation.COLLINEAR:
-                return Violation(ViolationKind.COLLINEAR, (i, j, a))
-    for a in added_range:
-        for i, j, k in combinations(range(a), 3):
-            if orient(pts[i], pts[j], pts[k]) is Orientation.COLLINEAR:
-                continue  # caught above when it involves an added point
-            if in_circle(pts[i], pts[j], pts[k], pts[a]) is Position.BOUNDARY:
-                return Violation(ViolationKind.COCIRCULAR, (i, j, k, a))
-    return None
 
 
 def verify_delaunay_naive(tri):

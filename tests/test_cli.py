@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
 from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
 from dtough.errors import (
+    ConstructionFailed,
     InvariantBroken,
     NoPerfectMatching,
     PointFileError,
@@ -160,6 +161,17 @@ def test_gen_fan_needs_out():
     assert code == 2
 
 
+def test_gen_fan_refuses_stdout_before_constructing(monkeypatch):
+    def construction(n, seed):
+        raise ConstructionFailed("the fan was constructed")
+
+    monkeypatch.setattr(blocking, "fan_instance", construction)
+    code, out = helpers.run_cli(["gen", "fan", "40"])
+    assert code == 2
+    report = json.loads(helpers.report_without_timing(out))
+    assert report == {"command": "gen", "error": "fan emits two files; --out is required"}
+
+
 def test_gen_convex_and_disjoint(tmp_path):
     code, out = helpers.run_cli(["gen", "convex", "9", "--seed", "3"])
     assert code == 0
@@ -261,15 +273,13 @@ def _audit_with_doctored_fan(tmp_path, monkeypatch, doctor):
     helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
     _, cert = structure.max_independent_set(delaunay.build(pointfile.read_points(f)))
     x = min(cert)
-    extend = delaunay._extend_scaled
-
-    def doctored(tri, pts, q):
-        aug = extend(tri, pts, q)
+    def doctored(tri, added):
+        aug = delaunay.extend(tri, added)
         apex, neighbors = dict(aug.apex), list(aug.neighbors)
         doctor(aug, x, apex, neighbors)
         return dataclasses.replace(aug, apex=apex, neighbors=tuple(neighbors))
 
-    monkeypatch.setattr(structure, "_extend_scaled", doctored)
+    monkeypatch.setattr(structure, "extend", doctored)
     code, out = helpers.run_cli(["check", str(f), "--checks", "mis,audit"])
     return code, x, cert, json.loads(out)["verdicts"]["audit"]
 
@@ -677,13 +687,13 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
         sizes.append(len(points))
         return delaunay.build(points)
 
-    def counting_extend(tri, pts, q):
-        extended.append(len(pts))
-        return delaunay._extend_scaled(tri, pts, q)
+    def counting_extend(tri, added):
+        extended.append(len(tri) + len(added))
+        return delaunay.extend(tri, added)
 
     for module in (cli, structure):
         monkeypatch.setattr(module, "build", counting)
-    monkeypatch.setattr(structure, "_extend_scaled", counting_extend)
+    monkeypatch.setattr(structure, "extend", counting_extend)
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
     assert code == 0
     assert sizes == [7]  # the input

@@ -21,6 +21,8 @@ from dtough.exactgeom import (
     Orientation,
     Point,
     Position,
+    Violation,
+    ViolationKind,
     disk_classify,
     in_circle,
     is_witness_disk,
@@ -186,14 +188,37 @@ def test_extend_matches_build_of_the_union(candidates, added):
     t = build(base)
     try:
         expected = build(base + added)
-    except DegenerateInput:
+    except DegenerateInput as built:
         with pytest.raises(DegenerateInput) as exc:
             extend(t, added)
+        assert exc.value.violation == built.violation
         assert max(exc.value.violation.indices) >= len(base)  # an added point is to blame
         return
     grown = extend(t, added)
     assert grown == expected
     assert grown.scaled == expected.scaled
+
+
+def test_extend_reports_the_violation_build_reports():
+    # two collinear triples end in an added point: (0, 3, 7) and (1, 2, 6);
+    # both calls name the lexicographically least
+    base = [P(0, 0), P(7, 1), P(2, 9), P(11, 4), P(5, 13), P(13, 11)]
+    added = [P(-3, 17), P(33, 12)]
+    least = Violation(ViolationKind.COLLINEAR, (0, 3, 7))
+    with pytest.raises(DegenerateInput) as built:
+        build(base + added)
+    with pytest.raises(DegenerateInput) as extended:
+        extend(build(base), added)
+    assert built.value.violation == extended.value.violation == least
+
+
+def test_verify_delaunay_flags_the_kleetope():
+    # no Kleetope of the octahedron is Delaunay realizable
+    t = helpers.kleetope()
+    counter = verify_delaunay(t)
+    assert counter is not None and counter.vertex not in counter.triangle
+    face = (t.vertices[i] for i in counter.triangle)
+    assert helpers.in_circle_lifted(*face, t.vertices[counter.vertex]) is not Position.EXTERIOR
 
 
 def test_build_and_extend_scale_the_points_once(monkeypatch):
@@ -211,10 +236,11 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
     assert calls == [10]
     extend(t, pts[10:])
     assert calls == [10, 12]
-    # the sentinel search scales each candidate once, for its own checks and
-    # for extending the triangulation by it; the first candidate is taken
+    # the sentinel search tests its first candidate's triangle on the anchor,
+    # the sentinels and the other hull vertices, takes it, and extends the
+    # triangulation by it, scaling the union once
     structure.sentinel_augment(t, t.hull[:1])
-    assert calls == [10, 12, 12]
+    assert calls == [10, 12, len(t.hull) + 2, 12]
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))

@@ -181,7 +181,7 @@ def test_general_position_large_denominators():
         grown = list(base) + [fourth]
         found = general_position(grown)
         assert found is not None and found == helpers.general_position_naive(grown)
-        assert general_position_added(base, [fourth]) == helpers.general_position_added_naive(base, [fourth])
+        assert general_position_added(base, [fourth]) == helpers.general_position_naive(grown)
 
 
 def test_on_circle_iff_cocircular():
@@ -277,6 +277,6 @@ def test_general_position_added_matches_naive_scan(candidates, added):
         if helpers.general_position_naive(base + [p]) is None:
             base.append(p)
     found = general_position_added(base, added)
-    assert found == helpers.general_position_added_naive(base, added)
+    assert found == helpers.general_position_naive(base + added)
     union = scaled_to_integers(base + added)  # as extend passes it
     assert general_position_added(union[: len(base)], union[len(base):]) == found

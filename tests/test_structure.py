@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from dtough import exactgeom, structure
 from dtough.delaunay import build
 from dtough.errors import (
     DegenerateInput,
+    NoPerfectMatching,
     NotIndependent,
     PreconditionViolated,
     TooLarge,
@@ -121,6 +123,13 @@ def test_toughness_table_out_of_room_is_too_large(monkeypatch, failure):
         toughness_exhaustive(t)
 
 
+def test_toughness_flags_the_kleetope():
+    # the 6 octahedron vertices leave the 7 face centroids apart
+    worst = toughness_exhaustive(helpers.kleetope())
+    assert worst.ratio == Fraction(6, 7)
+    assert worst.separator == frozenset(range(6)) and worst.component_count == 7
+
+
 def test_toughness_gate():
     _, t = helpers.random_tri(19, 1)
     with pytest.raises(TooLarge):
@@ -156,6 +165,11 @@ def test_mis_matches_exhaustive():
         assert size == helpers.mis_exhaustive(n, edges)
         assert len(cert) == size
         assert not any(e.u in cert and e.v in cert for e in t.edges)
+
+
+def test_mis_flags_the_kleetope():
+    # the 7 face centroids, more than floor(13/2)
+    assert max_independent_set(helpers.kleetope()) == (7, frozenset(range(6, 13)))
 
 
 def test_mis_gate():
@@ -194,6 +208,14 @@ def test_matching_even_random_cross_checked():
         assert all(t.is_edge(u, v) for u, v in m)
         edges = [(e.u, e.v) for e in t.edges]
         assert helpers.has_perfect_matching_exhaustive(n, edges)
+
+
+def test_matching_flags_the_even_kleetope():
+    # the 7 base vertices leave 9 odd components
+    t = helpers.kleetope_even()
+    assert len(t) == 16
+    with pytest.raises(NoPerfectMatching):
+        perfect_matching(t)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +270,13 @@ def _mis_complement(t):
 def test_sentinel_candidate_scanned_once(monkeypatch):
     # the augmented build is the only general-position scan of a candidate
     scans = []
-    real = exactgeom._pair_scan
+    real = exactgeom._least_violation
 
-    def counting(pts, rows):
+    def counting(pts, start):
         scans.append(len(pts))
-        return real(pts, rows)
+        return real(pts, start)
 
-    monkeypatch.setattr(exactgeom, "_pair_scan", counting)
+    monkeypatch.setattr(exactgeom, "_least_violation", counting)
     _, t = helpers.random_tri(10, 3)
     aug = sentinel_augment(t, _mis_complement(t))
     assert len(aug.tri) == 12
@@ -267,24 +289,24 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     first = sentinel_augment(t, removed)
     sizes = []
 
-    extend_scaled = structure._extend_scaled
+    real_extend = structure.extend
 
-    def first_candidate_cocircular(tri, pts, q):
-        sizes.append(len(pts))
+    def first_candidate_cocircular(tri, added):
+        sizes.append(len(tri) + len(added))
         if len(sizes) == 1:  # a sentinel on a circle through three vertices
             raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, sizes[0] - 1)))
-        return extend_scaled(tri, pts, q)
+        return real_extend(tri, added)
 
-    monkeypatch.setattr(structure, "_extend_scaled", first_candidate_cocircular)
+    monkeypatch.setattr(structure, "extend", first_candidate_cocircular)
     second = sentinel_augment(t, removed)
     assert sizes == [12, 12]
     assert second.sentinels != first.sentinels
 
-    def input_collinear(tri, pts, q):
+    def input_collinear(tri, added):
         raise DegenerateInput(Violation(ViolationKind.COLLINEAR, (0, 1, 2)))
 
     # a violation among the input's own points is not the sentinels' fault
-    monkeypatch.setattr(structure, "_extend_scaled", input_collinear)
+    monkeypatch.setattr(structure, "extend", input_collinear)
     with pytest.raises(DegenerateInput):
         sentinel_augment(t, removed)
 
@@ -408,6 +430,13 @@ def test_audit_sentinels_in_caller_coordinates():
     rep = angle_audit(t, frozenset({1, 3}))
     assert rep.anchor == 0
     assert rep.sentinels == (P("-309/70", "552/35"), P("511/30", "-28/15"))
+
+
+def test_audit_flags_the_kleetope():
+    # the ledger fails exactly at the proof's Delaunay step
+    rep = angle_audit(helpers.kleetope(), range(6, 13))
+    failed = [f.name for f in dataclasses.fields(rep) if getattr(rep, f.name) is False]
+    assert failed == ["per_edge_ok", "strict_inequality_ok", "bad_face_bound_ok"]
 
 
 def test_audit_rejects_dependent_set():
