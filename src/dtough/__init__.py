@@ -36,7 +36,6 @@ from .errors import (
     NotInteriorEdge,
     PointFileError,
     PreconditionViolated,
-    SearchExhausted,
     TooFewPoints,
     TooLarge,
     WitnessSearchFailed,

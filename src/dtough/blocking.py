@@ -6,9 +6,10 @@ union has no edge joining two points of P. Verification needs no
 triangulation: two points of P are joined exactly when some circle through
 them holds no other point of the union, that is when their pencil gap in
 the union is open (``exactgeom.pencil_gap``). The constructions realize
-"close" and "approximately" with a halving loop whose every emitted instance
-is checked exactly before being returned, so instances are unconditionally
-correct rather than asymptotically plausible.
+"close" and "approximately" with a halving loop: each attempt builds a
+candidate and tests it once with the exact verifiers, then returns it or
+retries, and a loop out of attempts raises ``ConstructionFailed``. So
+instances are unconditionally correct rather than asymptotically plausible.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class LowerBoundReport:
 class BlockingInstance:
     points: tuple[Point, ...]
     blockers: tuple[Point, ...]
-    verified: bool
 
 
 def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[int, int]]:
@@ -103,25 +103,43 @@ def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundRepo
 # ---------------------------------------------------------------------------
 
 
+def _fan_blockers(points: Sequence[Point], eps: Fraction) -> tuple[Point, ...]:
+    """Two blockers close to the hub (``points[0]``), just outside its hull
+    edges, then one just outside each far hull edge at its midpoint."""
+    hub, n = points[0], len(points)
+    blockers = []
+    for arm, probe in ((1, n - 1), (n - 1, 1)):
+        c = points[arm]
+        nrm = outward_normal(hub, c, points[probe])
+        blockers.append(Point(eps * c.x + eps * eps * nrm.x, eps * c.y + eps * eps * nrm.y))
+    for a, c in zip(points[1:-1], points[2:]):
+        m = midpoint(a, c)
+        nrm = outward_normal(a, c, hub)
+        blockers.append(Point(m.x + eps * nrm.x, m.y + eps * nrm.y))
+    return tuple(blockers)
+
+
 def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
     """A hub-and-arc point set whose triangulation is blocked by n points.
 
     One point sits at the origin; n-1 points sit at rational near-unit radii
     on a sub-quarter arc parameterized rationally (half-angle substitution),
     so the hub connects to every arc point and consecutive arc points are
-    adjacent. Blockers: one just outside each of the two hub edges, hugging
-    the hub, and one just outside each far hull edge at its midpoint. The
-    jitter and offset scale halves until general position, the expected edge
-    pattern, and the blocking verdict all verify exactly.
+    adjacent. The blockers hug the hull edges (``_fan_blockers``). Each
+    attempt has one accept test, the exact edge pattern and then the
+    blocking verdict; a degenerate attempt fails it too. The jitter and
+    offset scale halves per rejected attempt, and ``ConstructionFailed``
+    ends the search.
     """
     if n < 4:
         raise PreconditionViolated(f"fan instances need n >= 4, got {n}")
+    # spokes and rim are 2n - 3 = 3n - 3 - h edges: h = n hull vertices
+    spokes_and_rim = {(0, i) for i in range(1, n)} | {(i, i + 1) for i in range(1, n - 1)}
     eps = Fraction(1, 8)
     for attempt in range(40):
         rng = random.Random(f"fan-{n}-{seed}-{attempt}")
         magnitudes = rng.sample(range(1, 257), n - 1)
-        hub = Point(Fraction(0), Fraction(0))
-        pts = [hub]
+        pts = [Point(Fraction(0), Fraction(0))]
         for i in range(n - 1):
             t = Fraction(1, 8) + Fraction(3, 4) * Fraction(i, n - 2)
             radius = 1 + eps * rng.choice((-1, 1)) * Fraction(magnitudes[i], 512)
@@ -129,41 +147,14 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
             pts.append(Point(radius * (1 - t * t) / den, radius * 2 * t / den))
         points = tuple(pts)
         try:
-            tri = build(points)
+            if (
+                build(points).edge_set() == spokes_and_rim
+                and verify_blocking(points, b := _fan_blockers(points, eps)).blocked
+            ):
+                return BlockingInstance(points, b)
         except DegenerateInput:
-            eps /= 2
-            continue
-        # spokes and rim are 2n - 3 = 3n - 3 - h edges: h = n hull vertices
-        spokes = {(0, i) for i in range(1, n)}
-        rim = {(i, i + 1) for i in range(1, n - 1)}
-        if tri.edge_set() != spokes | rim:
-            eps /= 2
-            continue
-
-        blockers: list[Point] = []
-        # Two blockers close to the hub, just outside the hub's hull edges.
-        for arm, probe in ((1, n - 1), (n - 1, 1)):
-            c = points[arm]
-            nrm = outward_normal(hub, c, points[probe])
-            blockers.append(
-                Point(eps * c.x + eps * eps * nrm.x, eps * c.y + eps * eps * nrm.y)
-            )
-        # One blocker just outside each far hull edge, at its midpoint.
-        for i in range(1, n - 1):
-            a, c = points[i], points[i + 1]
-            m = midpoint(a, c)
-            nrm = outward_normal(a, c, hub)
-            blockers.append(Point(m.x + eps * nrm.x, m.y + eps * nrm.y))
-
-        b = tuple(blockers)
-        try:
-            blocked = verify_blocking(points, b).blocked
-        except DegenerateInput:
-            blocked = False
-        if not blocked:
-            eps /= 2
-            continue
-        return BlockingInstance(points, b, verified=True)
+            pass
+        eps /= 2
     raise ConstructionFailed(f"fan construction did not verify after 40 halvings (n={n})")
 
 
@@ -175,7 +166,28 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
 class DisjointDiskInstance(NamedTuple):
     points: tuple[Point, ...]
     disks: tuple[Disk, ...]  # one verified empty witness per consecutive edge
-    pairwise_disjoint: bool
+
+
+def _tangent_chain(points: Sequence[Point]) -> Optional[tuple[Disk, ...]]:
+    """One disk per consecutive pair of points, each externally tangent to
+    the one before at their shared point, or None when the chain turns back.
+
+    The first disk has its diameter on the first pair. Each later center
+    lies on the line through the shared point and the previous center, at
+    the parameter that puts the next point on its boundary.
+    """
+    c0 = midpoint(points[0], points[1])
+    disks = [Disk(c0, dist_sq(c0, points[0]))]
+    for shared, after in zip(points[1:-1], points[2:]):
+        prev = disks[-1].center
+        d = Point(shared.x - prev.x, shared.y - prev.y)
+        den = 2 * (d.x * (after.x - shared.x) + d.y * (after.y - shared.y))
+        if den <= 0:
+            return None
+        s = dist_sq(shared, after) / den
+        center = Point(shared.x + s * d.x, shared.y + s * d.y)
+        disks.append(Disk(center, dist_sq(center, shared)))
+    return tuple(disks)
 
 
 def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
@@ -184,58 +196,34 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
 
     Disks of consecutive edges share a boundary vertex, so the best possible
     separation there is exact external tangency; the chain is built to be
-    tangent by construction (each center lies on the line through the shared
-    vertex and the previous center) and verified. Non-consecutive pairs come
-    out strictly disjoint. The arc flattens (denominator doubling) until
-    every disk verifies as an empty witness.
+    tangent (``_tangent_chain``) and checked once per attempt: every
+    consecutive pair an edge with its disk an empty witness, consecutive
+    disks tangent, and every pair interior-disjoint. Non-consecutive pairs
+    come out strictly disjoint. The arc flattens (denominator doubling) per
+    rejected attempt, and ``ConstructionFailed`` ends the search.
     """
     if n < 2:
         raise PreconditionViolated(f"need n >= 2, got {n}")
     xs = [Fraction(3**i - 1, 2) for i in range(n)]
     flat = 2**20
+    if n == 2:  # the diameter disk of the only pair holds no other point
+        points = tuple(Point(x, x * x / flat) for x in xs)
+        return DisjointDiskInstance(points, _tangent_chain(points))
     for attempt in range(40):
         points = tuple(Point(x, x * x / flat) for x in xs)
-        if n == 2:
-            d = Disk(midpoint(points[0], points[1]), dist_sq(midpoint(points[0], points[1]), points[0]))
-            return DisjointDiskInstance(points, (d,), True)
         # distinct x >= 0 on a parabola: no three on a line, and no four on
         # a circle, where their x would sum to 0
         tri = build(points)
-        if not all(tri.is_edge(i, i + 1) for i in range(n - 1)):
-            flat *= 2
-            continue
-
-        disks = []
-        c0 = midpoint(points[0], points[1])
-        disks.append(Disk(c0, dist_sq(c0, points[0])))
-        ok = is_witness_disk(points, disks[0], 0, 1)
-        for i in range(1, n - 1):
-            if not ok:
-                break
-            shared = points[i]
-            after = points[i + 1]
-            prev_center = disks[-1].center
-            d = Point(shared.x - prev_center.x, shared.y - prev_center.y)
-            den = 2 * (d.x * (after.x - shared.x) + d.y * (after.y - shared.y))
-            if den <= 0:
-                ok = False
-                break
-            s = dist_sq(shared, after) / den
-            center = Point(shared.x + s * d.x, shared.y + s * d.y)
-            nxt = Disk(center, dist_sq(center, shared))
-            if not is_witness_disk(points, nxt, i, i + 1):
-                ok = False
-                break
-            if not disks_externally_tangent(disks[-1], nxt):
-                ok = False
-                break
-            disks.append(nxt)
-        if ok and len(disks) == n - 1:
-            if all(
-                disks_interior_disjoint(disks[i], disks[j])
-                for i in range(len(disks))
-                for j in range(i + 1, len(disks))
-            ):
-                return DisjointDiskInstance(points, tuple(disks), True)
+        disks = _tangent_chain(points)
+        if (
+            disks is not None
+            and all(
+                tri.is_edge(i, i + 1) and is_witness_disk(points, d, i, i + 1)
+                for i, d in enumerate(disks)
+            )
+            and all(disks_externally_tangent(a, b) for a, b in zip(disks, disks[1:]))
+            and all(disks_interior_disjoint(a, b) for a, b in combinations(disks, 2))
+        ):
+            return DisjointDiskInstance(points, disks)
         flat *= 2
     raise ConstructionFailed(f"disjoint-disk construction failed after 40 doublings (n={n})")

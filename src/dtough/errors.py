@@ -44,10 +44,6 @@ class NotIndependent(DToughError):
     """The supplied vertex set contains an edge of the triangulation."""
 
 
-class SearchExhausted(DToughError):
-    """A doubling search ran out of attempts without satisfying all conditions."""
-
-
 class InvariantBroken(DToughError):
     """A verified-theorem invariant failed. This is a falsification alarm."""
 
@@ -70,7 +66,9 @@ class WitnessSearchFailed(InvariantBroken):
 
 
 class ConstructionFailed(DToughError):
-    """A halving/doubling construction loop hit its attempt cap."""
+    """A construction or search loop hit its attempt cap: every attempt
+    failed its accept test. ``gen`` and the sentinel search give up this
+    way; the CLI maps it to bad input (exit 2)."""
 
 
 class PointFileError(DToughError):

@@ -405,15 +405,6 @@ def delaunay_faces(pts: Sequence[Point], start: int = 0) -> list[tuple[int, int,
     return out
 
 
-def _on_integers(points: Sequence[Point]) -> Sequence[Point]:
-    """The points as given when every coordinate is an ``int`` (a copy that
-    ``scaled_to_integers`` already made, as ``delaunay.build`` passes), else
-    their lcm-scaled integer copy."""
-    if all(type(p.x) is int and type(p.y) is int for p in points):
-        return points
-    return scaled_to_integers(points)
-
-
 def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]:
     """The least violation among the tuples whose greatest index is at least
     ``start``: the first point from ``start`` on that repeats an earlier one,
@@ -430,7 +421,7 @@ def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]
         if p in seen and i >= start:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
         seen.setdefault(p, i)
-    q = _on_integers(points)
+    q = scaled_to_integers(points)
     collinear: list[tuple[int, ...]] = []
     cocircular: list[tuple[int, ...]] = []
     for a in range(n):
@@ -451,8 +442,7 @@ def general_position(points: Sequence[Point]) -> Optional[Violation]:
     quadruple.
 
     O(n^3) on lcm-scaled integer coordinates (``_least_violation`` from 0),
-    equal to the naive O(n^4) scan that the tests keep as an oracle. A
-    caller holding the scaled copy passes that instead.
+    equal to the naive O(n^4) scan that the tests keep as an oracle.
     """
     return _least_violation(points, 0)
 
@@ -461,7 +451,6 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
     """``general_position(base + added)`` when base alone passes, scanning
     only the tuples whose greatest index is an added point
     (``_least_violation`` from ``len(base)``), O(k n^2) for k added points.
-    Like ``general_position`` it accepts the lcm-scaled copy of the union.
     """
     return _least_violation(list(base) + list(added), len(base))
 

@@ -54,22 +54,27 @@ def render_svg(
 ) -> str:
     """Compose one SVG document. ``hollow`` vertices render unfilled,
     boundary edges bold, blockers as crosses, disks as thin circles."""
-    xs: list[float] = []
-    ys: list[float] = []
-
-    def take(p: Point) -> None:
-        xs.append(float(p.x))
-        ys.append(float(p.y))
-
-    for p in tri.vertices:
-        take(p)
-    for p in blockers:
-        take(p)
-    for d in list(witness_disks) + ([extra_disk] if extra_disk else []):
+    disks = [(d, "#999999", 0.7) for d in witness_disks]
+    if extra_disk is not None:
+        disks.append((extra_disk, "#1f77b4", 1.2))
+    xs = [float(p.x) for p in (*tri.vertices, *blockers)]
+    ys = [float(p.y) for p in (*tri.vertices, *blockers)]
+    for d, _, _ in disks:
         r = math.sqrt(float(d.radius_sq))
         xs.extend((float(d.center.x) - r, float(d.center.x) + r))
         ys.extend((float(d.center.y) - r, float(d.center.y) + r))
     frame = _Frame(xs, ys)
+
+    def line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: float) -> str:
+        return (
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>'
+        )
+
+    def chain(tag: str, indices: Sequence[int], style: str) -> str:
+        corners = (frame.to(tri.vertices[i]) for i in indices)
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
+        return f'<{tag} points="{pts}" fill="none" {style}/>'
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -77,49 +82,22 @@ def render_svg(
         f'height="{_fmt(frame.height)}" viewBox="0 0 {_fmt(frame.width)} {_fmt(frame.height)}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-
-    for d in witness_disks:
+    for d, stroke, width in disks:
         cx, cy = frame.to(d.center)
         r = math.sqrt(float(d.radius_sq)) * frame.scale
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            'fill="none" stroke="#999999" stroke-width="0.7"/>'
+            f'fill="none" stroke="{stroke}" stroke-width="{width}"/>'
         )
-    if extra_disk is not None:
-        cx, cy = frame.to(extra_disk.center)
-        r = math.sqrt(float(extra_disk.radius_sq)) * frame.scale
-        parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            'fill="none" stroke="#1f77b4" stroke-width="1.2"/>'
-        )
-
     for e in tri.edges:
-        x1, y1 = frame.to(tri.vertices[e.u])
-        x2, y2 = frame.to(tri.vertices[e.v])
         width = 2.4 if e.kind is EdgeKind.BOUNDARY else 0.9
-        parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="black" stroke-width="{width}"/>'
-        )
-
+        ends = (*frame.to(tri.vertices[e.u]), *frame.to(tri.vertices[e.v]))
+        parts.append(line(*ends, "black", width))
     if sentinel_triangle is not None:
-        a, b, c = sentinel_triangle
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.to(tri.vertices[i]) for i in (a, b, c))
-        )
-        parts.append(
-            f'<polygon points="{pts}" fill="none" stroke="#d62728" '
-            'stroke-width="1.0" stroke-dasharray="6,4"/>'
-        )
-
+        dashed = 'stroke="#d62728" stroke-width="1.0" stroke-dasharray="6,4"'
+        parts.append(chain("polygon", sentinel_triangle, dashed))
     if path:
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.to(tri.vertices[i]) for i in path)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="3.0"/>'
-        )
-
+        parts.append(chain("polyline", path, 'stroke="#2ca02c" stroke-width="3.0"'))
     for i, p in enumerate(tri.vertices):
         x, y = frame.to(p)
         if i in hollow:
@@ -129,18 +107,10 @@ def render_svg(
             )
         else:
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.2" fill="black"/>')
-
+    arm = 4.5
     for p in blockers:
         x, y = frame.to(p)
-        arm = 4.5
-        parts.append(
-            f'<line x1="{_fmt(x - arm)}" y1="{_fmt(y - arm)}" x2="{_fmt(x + arm)}" '
-            f'y2="{_fmt(y + arm)}" stroke="#d62728" stroke-width="1.6"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(x - arm)}" y1="{_fmt(y + arm)}" x2="{_fmt(x + arm)}" '
-            f'y2="{_fmt(y - arm)}" stroke="#d62728" stroke-width="1.6"/>'
-        )
-
+        parts.append(line(x - arm, y - arm, x + arm, y + arm, "#d62728", 1.6))
+        parts.append(line(x - arm, y + arm, x + arm, y - arm, "#d62728", 1.6))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

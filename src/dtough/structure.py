@@ -11,10 +11,11 @@ staying outside every face circumdisk. The enclosure makes the removed-set
 subgraph's outer face a triangle and every hole a bounded simple polygon,
 which is what the face/edge double count needs. Sentinel placement is a
 doubling search whose every candidate is verified with exact arithmetic;
-nothing about the placement is trusted. The subgraph's faces are read off
-the augmented triangulation's ``apex`` map in one walk (``planar_faces``),
-which steps round each removed vertex and so names the vertex each hole
-encloses; no second incidence structure is built.
+nothing about the placement is trusted, and a search out of attempts raises
+``ConstructionFailed``. The subgraph's faces are read off the augmented
+triangulation's ``apex`` map in one walk (``planar_faces``), which steps
+round each removed vertex and so names the vertex each hole encloses; no
+second incidence structure is built.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from typing import Iterable, NamedTuple, Optional
 
 from .delaunay import Triangulation, build, edge_angle_check, extend
 from .errors import (
+    ConstructionFailed,
     DegenerateInput,
     InvariantBroken,
     NoPerfectMatching,
     NotIndependent,
     PreconditionViolated,
-    SearchExhausted,
     TooLarge,
 )
 from .exactgeom import (
@@ -180,7 +181,9 @@ def max_independent_set(tri: Triangulation, max_n: int = MIS_GATE) -> tuple[int,
 
     Vertices with at most one available neighbor are taken greedily (always
     safe), then the search branches on a maximum-degree pivot. The
-    certificate is deterministic for a given triangulation.
+    certificate is deterministic for a given triangulation, and it is
+    verified before it is returned: ``best_size`` members, no edge of
+    ``tri.edges`` joining two of them; anything else is a broken invariant.
     """
     n = len(tri)
     if n > max_n:
@@ -228,6 +231,13 @@ def max_independent_set(tri: Triangulation, max_n: int = MIS_GATE) -> tuple[int,
 
     grab((1 << n) - 1, 0, 0)
     cert = frozenset(i for i in range(n) if best_mask >> i & 1)
+    if len(cert) != best_size:
+        raise InvariantBroken(
+            f"independent set {sorted(cert)} has {len(cert)} members, not the {best_size} counted"
+        )
+    joined = next((e for e in tri.edges if e.u in cert and e.v in cert), None)
+    if joined is not None:
+        raise InvariantBroken(f"independent set holds the edge ({joined.u}, {joined.v})")
     return best_size, cert
 
 
@@ -247,7 +257,6 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     in two pairs, all n vertices covered; anything else is a broken
     invariant.
     """
-    # TODO: switch to a blossom matcher if instances outgrow the memoized search.
     n = len(tri)
     if n % 2:
         return None
@@ -313,7 +322,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     outward to pull the edges' far endpoints strictly inside. The reach
     doubles and the tilt halves per attempt; a shrinking vertical nudge on
     one sentinel steps around any exact degeneracy a symmetric placement
-    happens to hit.
+    happens to hit. After 64 rejected candidates it raises
+    ``ConstructionFailed``.
 
     Sentinels are placed in the caller's coordinates. A candidate's
     triangle test runs on one integer copy of the hull and the sentinels;
@@ -384,7 +394,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         if set(augmented.hull) != {anchor, n, n + 1}:
             continue
         return SentinelAugmentation(augmented, anchor, (s1, s2))
-    raise SearchExhausted("no sentinel placement satisfied all conditions in 64 attempts")
+    raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
 
 
 # ---------------------------------------------------------------------------

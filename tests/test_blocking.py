@@ -101,7 +101,6 @@ def test_constructions_scan_each_point_set_once(monkeypatch):
 def test_fan_instances_blocked_and_tight():
     for n in range(4, 11):
         inst = helpers.fan(n)
-        assert inst.verified
         assert len(inst.points) == n and len(inst.blockers) == n
         rep = lower_bound_report(inst.points, inst.blockers)
         assert rep.blocked and rep.size_ok
@@ -163,8 +162,7 @@ def test_two_points_one_blocker_sweep():
 
 def test_disjoint_disk_instances():
     for n in (2, 5, 8):
-        pts, disks, disjoint = disjoint_disk_instance(n)
-        assert disjoint
+        pts, disks = disjoint_disk_instance(n)
         assert len(disks) == n - 1
         # each disk re-verified as an empty witness of its consecutive edge
         for i, d in enumerate(disks):
@@ -194,7 +192,7 @@ def test_disjoint_instance_needs_two():
 def test_small_blocker_attempt_fails():
     # n - 1 blockers, one inside each disk, cannot block n points
     n = 8
-    pts, disks, _ = disjoint_disk_instance(n)
+    pts, disks = disjoint_disk_instance(n)
     eps = Fraction(1, 2**40)
     attempt = tuple(
         P(d.center.x + eps * (k + 1), d.center.y + eps) for k, d in enumerate(disks)

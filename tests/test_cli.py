@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
@@ -15,7 +16,6 @@ from dtough.errors import (
     InvariantBroken,
     NoPerfectMatching,
     PointFileError,
-    SearchExhausted,
     TooLarge,
 )
 from dtough.exactgeom import point, general_position
@@ -116,7 +116,7 @@ def test_exit_code_rule():
         (NoPerfectMatching("x"), 1),
         (TooLarge("x"), 3),
         (MemoryError(), 3),
-        (SearchExhausted("x"), 2),
+        (ConstructionFailed("x"), 2),
         (PointFileError(1, "x"), 2),
         (OSError("x"), 2),
         (ValueError("x"), 2),
@@ -372,6 +372,19 @@ def test_matching_on_a_non_edge_is_caught(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_mis_alarm_on_an_unverified_certificate(tmp_path, monkeypatch, capsys):
+    # masks without edges make the search return every vertex, which the
+    # certificate check refuses as a broken invariant
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
+    monkeypatch.setattr(structure, "_adjacency_masks", lambda tri: [0] * len(tri))
+    code, out = helpers.run_cli(["check", str(f), "--checks", "mis"])
+    assert code == 1
+    verdict = json.loads(out)["verdicts"]["mis"]
+    assert verdict["ok"] is False and "holds the edge" in verdict["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _cut_hull_vertex(tri, keep):
     """tri with every edge of its first hull vertex h dropped but the one
     to each vertex in keep: a graph that is not 1-tough when keep is one
@@ -491,7 +504,7 @@ def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, ca
 
     def gives_up(tri, removed):
         if len(tri) == 10:
-            raise SearchExhausted("doctored sentinel search")
+            raise ConstructionFailed("doctored sentinel search")
         return augment(tri, removed)
 
     monkeypatch.setattr(structure, "sentinel_augment", gives_up)
@@ -871,7 +884,8 @@ _JUNK = (
     "--json", "--bogus", "-x", "--", "1e400", "1e999999999", "1/0", "nan", "a\x00b", "", "gen", "check",
 )
 # "@name" stands for the file tmp_path / name: three drawn point files,
-# outputs, and a file in a directory that does not exist
+# outputs, and a file in a directory that does not exist; "@fan.txt" and its
+# ".blockers" are a drawn fan instance
 _INPUTS = ("@f0.txt", "@f1.txt", "@f2.txt")
 _OUTPUTS = ("@out.txt", "@out.svg", "@missing/out.svg", "@f0.txt")
 _INT = st.integers(-3, 12).map(str)
@@ -903,10 +917,22 @@ _COMMANDS = st.one_of(
     st.tuples(
         st.just(["path"]), _option("--svg", st.sampled_from(_OUTPUTS)),
         st.sampled_from(_INPUTS).map(lambda f: ["--", f]),
-        st.lists(st.integers(-1, 8).map(str), min_size=2, max_size=2),
-        st.lists(_RATIONAL, min_size=3, max_size=3),
+        st.one_of(
+            st.tuples(
+                st.lists(st.integers(-1, 8).map(str), min_size=2, max_size=2),
+                st.lists(_RATIONAL, min_size=3, max_size=3),
+            ).map(lambda pq_disk: pq_disk[0] + pq_disk[1]),
+            # "%witness k" stands for an edge of the file before it and its witness disk
+            st.integers(0, 20).map(lambda k: [f"%witness {k}"]),
+        ),
     ),
-    st.tuples(st.just(["block"]), st.lists(st.sampled_from(_INPUTS), min_size=2, max_size=2)),
+    st.tuples(
+        st.just(["block"]),
+        st.one_of(
+            st.lists(st.sampled_from(_INPUTS), min_size=2, max_size=2),
+            st.just(["@fan.txt", "@fan.txt.blockers"]),
+        ),
+    ),
     st.tuples(
         st.just(["render"]), st.sampled_from(_INPUTS).map(lambda f: [f]),
         st.sampled_from(_OUTPUTS).map(lambda f: ["--svg", f]),
@@ -935,34 +961,69 @@ _POINT_FILE = st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=8, unique
 _FILE = st.one_of(_POINT_FILE, _POINT_FILE, _POINT_FILE, st.binary(max_size=32))
 
 
-@settings(
-    max_examples=300,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    files=st.lists(_FILE, min_size=3, max_size=3),
-    argv=st.builds(_edited, _COMMANDS, _EDITS),
-)
-def test_main_answers_every_argv(tmp_path, monkeypatch, files, argv):
+@functools.cache
+def _fan_files(n, seed):
+    inst = blocking.fan_instance(n, seed)
+    return format_points(inst.points), format_points(inst.blockers)
+
+
+def _witness_args(previous, k):
+    """p, q and the disk of the witness disk of edge k (mod the edge count)
+    of the point file previous, or of a unit disk when it does not build."""
+    try:
+        tri = delaunay.build(pointfile.read_points(previous))
+    except cli.HANDLED:
+        return ["0", "1", "0", "0", "1"]
+    e = tri.edges[k % len(tri.edges)]
+    d = delaunay.witness_disk(tri, e.u, e.v)
+    return [str(e.u), str(e.v), str(d.center.x), str(d.center.y), str(d.radius_sq)]
+
+
+def test_main_answers_every_argv(tmp_path, monkeypatch):
     # every run ends in a documented code and one JSON report (or, for gen
     # to stdout, a point file), never in a traceback; nothing here is
     # doctored, so no run may raise an alarm
     monkeypatch.chdir(tmp_path)  # outputs named by a drawn token land here
-    for i, data in enumerate(files):
-        (tmp_path / f"f{i}.txt").write_bytes(data)
-    argv = [str(tmp_path / t[1:]) if t.startswith("@") else t for t in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2, 3), (argv, out.getvalue())
-    assert err.getvalue() == ""
-    text = out.getvalue()
-    if text.startswith("{"):
-        report = json.loads(text)
-        assert isinstance(report, dict) and "timing_ms" in report
-        assert code != 0 or "error" not in report
-    else:
-        assert code == 0 and "gen" in argv
-        assert parse_points(text)
+    answered = []  # (command, exit code, report) of every run
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        files=st.lists(_FILE, min_size=3, max_size=3),
+        fan=st.tuples(st.integers(4, 7), st.integers(0, 3)),
+        argv=st.builds(_edited, _COMMANDS, _EDITS),
+    )
+    def answers(files, fan, argv):
+        for i, data in enumerate(files):
+            (tmp_path / f"f{i}.txt").write_bytes(data)
+        points, blockers = _fan_files(*fan)
+        (tmp_path / "fan.txt").write_text(points)
+        (tmp_path / "fan.txt.blockers").write_text(blockers)
+        argv = [str(tmp_path / t[1:]) if t.startswith("@") else t for t in argv]
+        argv = [
+            word
+            for i, t in enumerate(argv)
+            for word in (
+                _witness_args(argv[i - 1] if i else "", int(t.split()[1]))
+                if t.startswith("%witness ")
+                else [t]
+            )
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3), (argv, out.getvalue())
+        assert err.getvalue() == ""
+        text = out.getvalue()
+        if text.startswith("{"):
+            report = json.loads(text)
+            assert isinstance(report, dict) and "timing_ms" in report
+            assert code != 0 or "error" not in report
+            answered.append((report.get("command"), code, report))
+        else:
+            assert code == 0 and "gen" in argv
+            assert parse_points(text)
+
+    answers()
+    # the drawn witness disks and fan files reach the commands' success paths
+    assert any(c == "path" and code == 0 for c, code, _ in answered)
+    assert any(c == "block" and code == 0 and r["blocked"] for c, code, r in answered)

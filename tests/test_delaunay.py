@@ -227,7 +227,12 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
     scale = delaunay.scaled_to_integers
 
     def counting(points):
-        calls.append(len(points))
+        # the certificate passes the copy through again, which is the
+        # identity on integer points; only a real scaling counts
+        if all(type(c) is int for p in points for c in p):
+            assert scale(points) == tuple(points)
+        else:
+            calls.append(len(points))
         return scale(points)
 
     for module in (delaunay, exactgeom, structure):

@@ -10,6 +10,7 @@ from dtough import exactgeom, structure
 from dtough.delaunay import build
 from dtough.errors import (
     DegenerateInput,
+    InvariantBroken,
     NoPerfectMatching,
     NotIndependent,
     PreconditionViolated,
@@ -170,6 +171,15 @@ def test_mis_matches_exhaustive():
 def test_mis_flags_the_kleetope():
     # the 7 face centroids, more than floor(13/2)
     assert max_independent_set(helpers.kleetope()) == (7, frozenset(range(6, 13)))
+
+
+def test_mis_certificate_is_verified(monkeypatch):
+    # a search on masks without edges takes every vertex; the certificate
+    # check reads tri.edges, not the masks, and refuses the set
+    _, t = helpers.random_tri(10, 3)
+    monkeypatch.setattr(structure, "_adjacency_masks", lambda tri: [0] * len(tri))
+    with pytest.raises(InvariantBroken, match="holds the edge"):
+        max_independent_set(t)
 
 
 def test_mis_gate():
