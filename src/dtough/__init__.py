@@ -41,7 +41,6 @@ from .errors import (
     WitnessSearchFailed,
 )
 from .exactgeom import (
-    Coord,
     Disk,
     Orientation,
     Point,

@@ -25,6 +25,7 @@ from .errors import ConstructionFailed, DegenerateInput, PreconditionViolated
 from .exactgeom import (
     Disk,
     Point,
+    arc_point,
     disks_externally_tangent,
     disks_interior_disjoint,
     dist_sq,
@@ -143,8 +144,7 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         for i in range(n - 1):
             t = Fraction(1, 8) + Fraction(3, 4) * Fraction(i, n - 2)
             radius = 1 + eps * rng.choice((-1, 1)) * Fraction(magnitudes[i], 512)
-            den = 1 + t * t
-            pts.append(Point(radius * (1 - t * t) / den, radius * 2 * t / den))
+            pts.append(arc_point(radius, t))
         points = tuple(pts)
         try:
             if (

@@ -127,21 +127,19 @@ def _interior(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, i
 
 
 def _splice_simple(left: list[int], right: list[int]) -> list[int]:
-    """Concatenate two vertex walks sharing their junction and cut the first
-    repetition scanning from the start, until the walk is simple."""
-    walk = left + right[1:]
-    while True:
-        first_seen: dict[int, int] = {}
-        cut = None
-        for idx, v in enumerate(walk):
-            if v in first_seen:
-                cut = (first_seen[v], idx)
-                break
-            first_seen[v] = idx
-        if cut is None:
-            return walk
-        i, j = cut
-        walk = walk[: i + 1] + walk[j + 1 :]
+    """Concatenate two vertex walks sharing their junction into a simple walk
+    in one pass: a vertex met again cuts the walk back to its first visit."""
+    walk: list[int] = []
+    at: dict[int, int] = {}
+    for v in left + right[1:]:
+        if v in at:
+            for u in walk[at[v] + 1 :]:
+                del at[u]
+            del walk[at[v] + 1 :]
+        else:
+            at[v] = len(walk)
+            walk.append(v)
+    return walk
 
 
 def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:

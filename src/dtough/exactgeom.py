@@ -15,12 +15,12 @@ in-circle question is the sign of one ``power`` at a point ``lifted`` to
 
 Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan of ``delaunay.build`` and
-``delaunay.extend``, ``from_triangles``, ``verify_delaunay``,
-``edge_angle_check`` and the sentinel search) runs on a copy of the point set
-multiplied by the lcm of its denominators (``scaled_to_integers``, kept on a
-triangulation as ``Triangulation.scaled``): the answers are the same, the
-arithmetic is plain ``int`` and still exact. The certificates accept that
-copy in place of the points, so a build scales its points once. The in-disk
+``delaunay.extend``, ``from_triangles``, ``verify_delaunay`` and
+``edge_angle_check``) runs on a copy of the point set multiplied by the lcm
+of its denominators (``scaled_to_integers``, kept on a triangulation as
+``Triangulation.scaled``): the answers are the same, the arithmetic is
+plain ``int`` and still exact. The certificates accept that copy in place of
+the points, so a build scales its points once. The in-disk
 path recursion (``diskpath``) lifts its disk to an integer circle on that
 copy; only witness disks, whose centers are arbitrary rationals, and the
 checks that read a caller's disk stay on ``Fraction``. The certificate and
@@ -51,7 +51,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import CollinearInput
 
-Coord = Fraction
 Scalar = Union[int, str, Fraction]
 # A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
 # ints on integer points, Fractions on rational ones.
@@ -136,6 +135,14 @@ def dist_sq(a: Point, b: Point) -> Fraction:
 
 def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+
+
+def arc_point(radius: Fraction, t: Fraction) -> Point:
+    """The point at the given distance from the origin in the direction with
+    half-angle tangent t: (r (1 - t^2), 2 r t) / (1 + t^2), rational when
+    r and t are."""
+    den = 1 + t * t
+    return Point(radius * (1 - t * t) / den, radius * 2 * t / den)
 
 
 def _cross(a: Point, b: Point, c: Point) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .delaunay import build
 from .errors import ConstructionFailed, DegenerateInput, TooFewPoints
-from .exactgeom import Point, general_position
+from .exactgeom import Point, arc_point, general_position
 
 GRID_BITS = 20  # random coordinates are k / 2**20 in [0, 1]
 
@@ -56,8 +56,7 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
         for i in range(n):
             t = Fraction(-3) + Fraction(6) * Fraction(2 * i + 1, 2 * n)
             radius = 1 + jitter * rng.choice((-1, 1)) * Fraction(magnitudes[i], 1024)
-            den = 1 + t * t
-            pts.append(Point(radius * (1 - t * t) / den, radius * 2 * t / den))
+            pts.append(arc_point(radius, t))
         try:
             if len(build(pts).hull) == n:
                 return tuple(pts)

@@ -9,17 +9,19 @@ The audit machinery works on an augmented triangulation: two far-away
 the removed set, they enclose the whole triangulation in a triangle while
 staying outside every face circumdisk. The enclosure makes the removed-set
 subgraph's outer face a triangle and every hole a bounded simple polygon,
-which is what the face/edge double count needs. Sentinel placement is a
-doubling search whose every candidate is verified with exact arithmetic;
-nothing about the placement is trusted, and a search out of attempts raises
-``ConstructionFailed``. The subgraph's faces are read off the augmented
-triangulation's ``apex`` map in one walk (``planar_faces``), which steps
-round each removed vertex and so names the vertex each hole encloses; no
-second incidence structure is built.
+which is what the face/edge double count needs. The sentinels are placed in
+closed form, far along the two edges of a cone at that hull vertex which
+holds the whole hull, and the placement is verified with exact arithmetic by
+the extension that adds them; nothing about it is trusted. A rejected
+placement doubles its reach, and 64 rejections raise ``ConstructionFailed``.
+The subgraph's faces are read off the augmented triangulation's ``apex`` map
+in one walk (``planar_faces``), which steps round each removed vertex and so
+names the vertex each hole encloses; no second incidence structure is built.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -36,18 +38,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .exactgeom import (
-    Orientation,
-    Point,
-    Position,
-    circle_through,
-    denominator_lcm,
-    int_at_least_sqrt,
-    orient,
-    outward_normal,
-    scaled_to_integers,
-    triangle_classify,
-)
+from .exactgeom import Point, circle_through, denominator_lcm, int_at_least_sqrt
 
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
@@ -305,30 +296,30 @@ class SentinelAugmentation(NamedTuple):
 def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugmentation:
     """Add two verified sentinel points enclosing the triangulation.
 
-    Requirements checked exactly for every candidate placement:
+    Let A and B be the vectors from the anchor u to its two hull neighbours.
+    The interior angle at u is below a straight angle, so every vertex lies
+    in the cone at u spanned by A and B, and that cone lies inside the wider
+    cone spanned by e1 = A - B/2 and e2 = B - A/2: A = 2/3 (2 e1 + e2) and
+    B = 2/3 (e1 + 2 e2). The sentinels are s1 = u + r e1 and
+    s2 = u + (r + 1) e2, where the reach r is the larger of two integers:
 
-    * every original vertex except the anchor lies strictly inside the
-      triangle (anchor, s1, s2), its corner. Testing the other hull vertices
-      suffices, since the rest lie in their hull with the anchor;
-    * the enlarged point set is still in general position;
-    * every face of the input survives into the augmented triangulation
-      (``extend``), so both sentinels are exterior to every face circumdisk
-      and every edge of the input survives, and its hull is exactly the
-      sentinel triangle.
+    * ceil(2 max(x + y)) over the hull vertices u + x e1 + y e2, which puts
+      every vertex but u strictly inside the triangle (u, s1, s2), since
+      x, y > 0 and x + y < r;
+    * an integer whose square times min(|e1|^2, |e2|^2) exceeds twice the
+      largest |center - u|^2 + radius^2 over the face circumdisks, which
+      puts both sentinels outside every one of them.
 
-    Every vertex sits in the wedge at the anchor spanned by its two hull
-    edges (the interior angle is below a straight angle), so the sentinels
-    are placed far along those two edge directions, each tilted slightly
-    outward to pull the edges' far endpoints strictly inside. The reach
-    doubles and the tilt halves per attempt; a shrinking vertical nudge on
-    one sentinel steps around any exact degeneracy a symmetric placement
-    happens to hit. After 64 rejected candidates it raises
-    ``ConstructionFailed``.
+    The "+ 1" keeps the triangle from being isosceles, which would make a
+    mirror-symmetric input such as (0,0), (1,0), (0,1) cocircular with the
+    sentinels at every reach.
 
-    Sentinels are placed in the caller's coordinates. A candidate's
-    triangle test runs on one integer copy of the hull and the sentinels;
-    ``extend(tri, (s1, s2))`` scales the union once and is the candidate's
-    only general-position scan.
+    Nothing about the placement is trusted: ``extend(tri, (s1, s2))``
+    certifies general position, and the candidate is taken only when every
+    face of the input survives and the augmented hull is exactly the
+    sentinel triangle. A rejected candidate doubles r; after 64 rejections
+    the search raises ``ConstructionFailed``. The sentinels are in the
+    caller's coordinates.
     """
     gone = _vertex_set(tri, removed, "removed set")
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -336,24 +327,27 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         raise PreconditionViolated("removed set must contain a hull vertex")
     anchor = min(hull_in_removed)
     pos = tri.hull.index(anchor)
-    a_pt = tri.vertices[tri.hull[pos - 1]]
-    b_pt = tri.vertices[tri.hull[(pos + 1) % len(tri.hull)]]
-    u_pt = tri.vertices[anchor]
+    a, b = tri.hull[pos - 1], tri.hull[(pos + 1) % len(tri.hull)]
+    u_pt, a_pt, b_pt = tri.vertices[anchor], tri.vertices[a], tri.vertices[b]
+    ax, ay = a_pt.x - u_pt.x, a_pt.y - u_pt.y
+    bx, by = b_pt.x - u_pt.x, b_pt.y - u_pt.y
+    e1 = Point(ax - bx / 2, ay - by / 2)
+    e2 = Point(bx - ax / 2, by - ay / 2)
 
-    def unit_ish(v: Point) -> Point:
-        m = max(abs(v.x), abs(v.y))
-        return Point(v.x / m, v.y / m)  # length in [1, sqrt(2)]
+    # x + y = 2 - 2 area(a, b, h) / area(a, b, u), 2 on the segment ab; the
+    # integer copy gives the same area ratio
+    qa, qb, qu = tri.scaled[a], tri.scaled[b], tri.scaled[anchor]
 
-    d_a = unit_ish(Point(a_pt.x - u_pt.x, a_pt.y - u_pt.y))
-    d_b = unit_ish(Point(b_pt.x - u_pt.x, b_pt.y - u_pt.y))
-    n_a = outward_normal(u_pt, Point(u_pt.x + d_a.x, u_pt.y + d_a.y), b_pt)
-    n_b = outward_normal(u_pt, Point(u_pt.x + d_b.x, u_pt.y + d_b.y), a_pt)
+    def area2(q: Point) -> int:
+        return (qb.x - qa.x) * (q.y - qa.y) - (qb.y - qa.y) * (q.x - qa.x)
 
-    # The reach bound: twice the largest |center - anchor|^2 + radius^2 over
-    # the face circumdisks, in caller coordinates. On the scaled vertices a
-    # face's circle (W, U, V, K) has center (U, V) / W and squared radius
-    # (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
-    qu = tri.scaled[anchor]
+    far = max(Fraction(-area2(tri.scaled[h]), area2(qu)) for h in tri.hull if h != anchor)
+    inside = math.ceil(4 + 4 * far)
+
+    # The circumdisk bound: twice the largest |center - anchor|^2 + radius^2
+    # over the face circumdisks, in caller coordinates. On the scaled
+    # vertices a face's circle (W, U, V, K) has center (U, V) / W and squared
+    # radius (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
     scale_sq = denominator_lcm(tri.vertices) ** 2
     bound = Fraction(0)
     for t in tri.triangles:
@@ -361,39 +355,21 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
         num += u * u + v * v - k * w  # W^2 radius^2
         bound = max(bound, Fraction(2 * num, w * w * scale_sq))
-    scale = 4 * int_at_least_sqrt(bound)
+    outside = int_at_least_sqrt(bound / min(e.x * e.x + e.y * e.y for e in (e1, e2)))
+
     tri_faces = set(tri.triangles)
     n = len(tri)
-    rim = tuple(tri.vertices[i] for i in tri.hull if i != anchor)
-
-    for attempt in range(64):
-        reach = scale * 2**attempt
-        tilt = Fraction(1, 2 ** (attempt + 2))
-        nudge = Fraction(0) if attempt == 0 else Fraction(1, 2**attempt)
-        s1 = Point(
-            u_pt.x + reach * (d_a.x + tilt * n_a.x),
-            u_pt.y + reach * (d_a.y + tilt * n_a.y) + nudge,
-        )
-        s2 = Point(
-            u_pt.x + reach * (d_b.x + tilt * n_b.x),
-            u_pt.y + reach * (d_b.y + tilt * n_b.y),
-        )
-        bu, b1, b2, *inner = scaled_to_integers((u_pt, s1, s2) + rim)
-        if orient(bu, b1, b2) is Orientation.COLLINEAR:
-            continue
-        if not all(triangle_classify(bu, b1, b2, p) is Position.INTERIOR for p in inner):
-            continue
+    reach = max(inside, outside)
+    for _ in range(64):
+        s1 = Point(u_pt.x + reach * e1.x, u_pt.y + reach * e1.y)
+        s2 = Point(u_pt.x + (reach + 1) * e2.x, u_pt.y + (reach + 1) * e2.y)
+        reach *= 2
         try:
             augmented = extend(tri, (s1, s2))
-        except DegenerateInput as exc:
-            if max(exc.violation.indices) < n:
-                raise  # the input itself is degenerate; no sentinel helps
+        except DegenerateInput:
             continue
-        if not tri_faces <= set(augmented.triangles):
-            continue
-        if set(augmented.hull) != {anchor, n, n + 1}:
-            continue
-        return SentinelAugmentation(augmented, anchor, (s1, s2))
+        if tri_faces <= set(augmented.triangles) and set(augmented.hull) == {anchor, n, n + 1}:
+            return SentinelAugmentation(augmented, anchor, (s1, s2))
     raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
 
 
@@ -411,9 +387,11 @@ def planar_faces(big: Triangulation, chosen: VertexSet) -> list[tuple[tuple[int,
     face is the hole around w, and the walk steps round it to
     v -> ``apex[(w, v)]``, the next neighbour of w. Only darts that are
     ``apex`` keys with both ends kept are walked, so the outer face, big's
-    hull, is never visited; ``sentinel_augment`` verifies that it is the
-    sentinel triangle. A fan that does not close around a chosen vertex is a
-    broken invariant.
+    hull, is never visited. That hull is the sentinel triangle (anchor, s1,
+    s2): ``sentinel_augment`` places every other vertex strictly inside it
+    and accepts the extension only when its hull is exactly those three
+    points, all of them kept. A fan that does not close around a chosen
+    vertex is a broken invariant.
     """
     apex = big.apex
     seen: set[tuple[int, int]] = set()

