@@ -1,15 +1,16 @@
 """Delaunay triangulation construction and verification.
 
-``build`` certifies general position and reads each face off the pencil of
-circles through a pair of its vertices: ab is a Delaunay edge exactly when
-some circle through a and b has no other point inside (Dillencourt, DCG
-1990), that is when the pair's pencil gap is open (``exactgeom.pencil_gap``),
-and the apexes of its faces are the points at the two ends of that gap
-(``exactgeom.delaunay_faces``, O(n^3)). ``extend`` adds points to a built
-triangulation and returns what ``build`` returns for the union: it
-certifies only the tuples that hold an added point, keeps each old face
-whose circumdisk no added point enters, and scans for new faces only the
-pairs that end in an added point, O(k n^2) for k added points. Both run on
+``build`` certifies general position (O(n^3)) and gift-wraps the faces off
+the pencils of circles through their edges: ab is a Delaunay edge exactly
+when some circle through a and b has no other point inside (Dillencourt,
+DCG 1990), that is when the pair's pencil gap is open
+(``exactgeom.pencil_gap``), and the apex of the face left of a -> b is the
+point at the gap's left end. One such scan per face and per hull edge finds
+them all (``exactgeom.delaunay_faces``, O(n^2)). ``extend`` adds points to
+a built triangulation and returns what ``build`` returns for the union: it
+certifies only the tuples that hold an added point (O(k n^2) for k added
+points), keeps each old face whose circumdisk no added point enters, and
+wraps the new faces outward from the edges of the kept ones. Both run on
 one lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
 which gives the same faces as the rational points; the returned
 ``Triangulation`` holds the caller's points.
@@ -213,8 +214,8 @@ def _assemble(
 def build(points: Sequence[Point]) -> Triangulation:
     """Delaunay triangulation of a general-position point set.
 
-    Certifies general position, then reads the faces off the pencils of
-    circles through each pair of points (``exactgeom.delaunay_faces``), on
+    Certifies general position, then gift-wraps the faces, one pencil gap
+    scan per face and per hull edge (``exactgeom.delaunay_faces``), on
     integer coordinates scaled by the lcm of all denominators; the
     predicates are invariant under that positive factor. The points are
     scaled once, and the certificate, the face scan and the returned
@@ -240,10 +241,11 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     returns it. General position is hereditary, so only the tuples ending in
     an added point are certified (``exactgeom.general_position_added``,
     ``build``'s scan from ``len(tri)``, O(k n^2)). An old face stays a face
-    exactly when no added point lies in its circumdisk, and every new face
-    has an added vertex (Bowyer; Watson, Computer Journal 1981), which
-    ``exactgeom.delaunay_faces`` finds from the pairs that end in an added
-    point, O(k n^2). Everything runs on one lcm-scaled copy of the union.
+    exactly when no added point lies in its circumdisk (Bowyer; Watson,
+    Computer Journal 1981), and ``exactgeom.delaunay_faces`` wraps the new
+    faces outward from the kept ones, one pencil gap scan per new face and
+    per hull edge it reaches; with no face kept it wraps the whole union.
+    Everything runs on one lcm-scaled copy of the union.
     ``structure.sentinel_augment`` adds its sentinels here too.
     """
     pts = tri.vertices + tuple(added)
@@ -258,7 +260,7 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
         c = circle_through(*(q[i] for i in t))
         if all(power(c, p) > 0 for p in new):
             kept.append(t)
-    return _certified(pts, q, kept + delaunay_faces(q, n))
+    return _certified(pts, q, delaunay_faces(q, kept))
 
 
 def _certified(

@@ -23,18 +23,19 @@ plain ``int`` and still exact. The certificates accept that copy in place of
 the points, so a build scales its points once. The in-disk
 path recursion (``diskpath``) lifts its disk to an integer circle on that
 copy; only witness disks, whose centers are arbitrary rationals, and the
-checks that read a caller's disk stay on ``Fraction``. The certificate and
-the face scan both walk the pencil of circles through each pair (a, b) of
-points with b at or above a start index: O(n^3) from 0, O(k n^2) for the
-tuples and faces that hold one of k added points. One bisector row per pair
-finds every collinear triple and cocircular quadruple whose least and
-greatest index the pair is (``_bisector_row``), and the pencil gap of a pair
-(``pencil_gap``) holds the parameters of the circles through it that
-contain no other point. That gap is the one empty-disk test of the
-package: the face scan (``delaunay_faces``) reads the apexes of a pair's
-Delaunay faces off its ends, ``delaunay.witness_disk`` takes its center from
-inside it, and a blocking verdict asks whether any pair of the blocked set
-has it open.
+checks that read a caller's disk stay on ``Fraction``. The certificate
+walks the pencil of circles through each pair (a, b) of points with b at or
+above a start index: O(n^3) from 0, O(k n^2) for the tuples that hold one
+of k added points. One bisector row per pair finds every collinear triple
+and cocircular quadruple whose least and greatest index the pair is
+(``_bisector_row``). The pencil gap of a pair (``pencil_gap``) holds the
+parameters of the circles through it that contain no other point. That gap
+is the one empty-disk test of the package: the face scan
+(``delaunay_faces``) gift-wraps the triangulation, reading the face left of
+each directed edge off the left end of its gap, one O(n) scan per face and
+per hull edge; ``delaunay.witness_disk`` takes its center from inside it,
+and a blocking verdict asks whether any pair of the blocked set has it
+open.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -49,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import CollinearInput
+from .errors import CollinearInput, InvariantBroken
 
 Scalar = Union[int, str, Fraction]
 # A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
@@ -383,33 +384,51 @@ def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
     return left, right
 
 
-def delaunay_faces(pts: Sequence[Point], start: int = 0) -> list[tuple[int, int, int]]:
+def delaunay_faces(
+    pts: Sequence[Point], known: Sequence[tuple[int, int, int]] = ()
+) -> list[tuple[int, int, int]]:
     """The CCW faces of the Delaunay triangulation of integer points in
-    general position that have a vertex at index ``start`` or above, read
-    off the pencil gap of each pair (``pencil_gap``); every face when
-    ``start`` is 0.
+    general position, found by gift wrapping (the face step of DeWall:
+    Cignoni, Montani and Scopigno, Computer-Aided Design 1998). ``known``
+    must be some of those faces; they come first in the result.
 
-    The least left t_k of an open gap is the apex of the face left of ab, the
-    greatest right t_k the apex of the face right of it. Each face is emitted
-    from the pair of its smallest and largest index, whose apex lies strictly
-    between the two, so only the pairs (a, b) with b >= start are scanned:
-    O(n^3) for all faces, O(k n^2) for the faces of the last k points.
+    A dart (u, v) is a directed Delaunay edge, and one ``pencil_gap`` scan
+    of it gives the face on its left: none when the gap has no left end (a
+    hull dart), else (u, v, k) for k the left end, whose circle is empty
+    because the gap is open. The wrap starts from each dart whose reverse is
+    a dart of a known face and which is not one itself; with no known face,
+    from both darts of point 0 and its nearest neighbour, a Gabriel edge and
+    so a Delaunay one. Each face found queues the reverses of its two other
+    darts, so each face and each hull dart is scanned once: F + h = 2n - 2
+    scans of O(n) for the whole triangulation, O(n^2). A closed gap means a
+    queued dart is no Delaunay edge, a broken invariant.
     """
-    n = len(pts)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    out = []
-    for b in range(start, n):
-        for a in range(b):
-            gap = pencil_gap(xs, ys, a, b)
-            if gap is None:
-                continue
-            left, right = gap
-            if left and a < left[2] < b:
-                out.append((a, b, left[2]))
-            if right and a < right[2] < b:
-                out.append((a, right[2], b))
-    return out
+    apex: dict[tuple[int, int], int] = {}
+    for a, b, c in known:
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+    if apex:
+        stack = [(v, u) for u, v in apex if (v, u) not in apex]
+    else:
+        near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
+        stack = [(0, near), (near, 0)]
+    faces = list(known)
+    while stack:
+        dart = stack.pop()
+        if dart in apex:
+            continue
+        u, v = dart
+        gap = pencil_gap(xs, ys, u, v)
+        if gap is None:
+            raise InvariantBroken(f"every circle through the queued dart {dart} holds a point")
+        if gap[0] is None:
+            continue  # a hull dart: no point lies left of it
+        k = gap[0][2]
+        faces.append((u, v, k))
+        apex[dart], apex[(v, k)], apex[(k, u)] = k, u, v
+        stack += ((k, v), (u, k))
+    return faces
 
 
 def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]:
@@ -418,9 +437,9 @@ def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]
     else the least collinear triple, else the least cocircular quadruple.
 
     Each tuple is scanned once, in the bisector row of its least index a and
-    greatest index b over a < k < b; the rows are the pairs that
-    ``delaunay_faces(pts, start)`` walks. They come in blocks by a, and the
-    first block with a collinear triple holds the least one.
+    greatest index b >= start over a < k < b: O(n^3) from 0, O(k n^2) for
+    the last k points. The rows come in blocks by a, and the first block
+    with a collinear triple holds the least one.
     """
     n = len(points)
     seen: dict[Point, int] = {}

@@ -341,20 +341,24 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     def area2(q: Point) -> int:
         return (qb.x - qa.x) * (q.y - qa.y) - (qb.y - qa.y) * (q.x - qa.x)
 
-    far = max(Fraction(-area2(tri.scaled[h]), area2(qu)) for h in tri.hull if h != anchor)
+    # max of -area2(h) / d, times d^2 > 0 to stay on ints
+    d = area2(qu)
+    far = Fraction(max(-area2(tri.scaled[h]) * d for h in tri.hull if h != anchor), d * d)
     inside = math.ceil(4 + 4 * far)
 
     # The circumdisk bound: twice the largest |center - anchor|^2 + radius^2
     # over the face circumdisks, in caller coordinates. On the scaled
     # vertices a face's circle (W, U, V, K) has center (U, V) / W and squared
     # radius (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
-    scale_sq = denominator_lcm(tri.vertices) ** 2
-    bound = Fraction(0)
+    # The largest num / W^2 is picked by integer cross-multiplication.
+    best, best_w2 = 0, 1
     for t in tri.triangles:
         w, u, v, k = circle_through(*(tri.scaled[i] for i in t))
         num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
         num += u * u + v * v - k * w  # W^2 radius^2
-        bound = max(bound, Fraction(2 * num, w * w * scale_sq))
+        if num * best_w2 > best * w * w:
+            best, best_w2 = num, w * w
+    bound = Fraction(2 * best, best_w2 * denominator_lcm(tri.vertices) ** 2)
     outside = int_at_least_sqrt(bound / min(e.x * e.x + e.y * e.y for e in (e1, e2)))
 
     tri_faces = set(tri.triangles)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from dtough import blocking, build, cli
+from dtough import blocking, build, cli, exactgeom
 from dtough.delaunay import CounterExample, EdgeKind, from_triangles
 from dtough.diskpath import DiskPath, _splice_simple, check_disk_path
 from dtough.errors import (
@@ -42,6 +42,7 @@ from dtough.exactgeom import (
     in_circle,
     midpoint,
     orient,
+    pencil_gap,
     point,
 )
 from dtough.generate import random_points
@@ -85,6 +86,40 @@ def thinned(candidates) -> list[Point]:
         if general_position(pts + [p]) is None:
             pts.append(p)
     return pts
+
+
+@st.composite
+def rescaled_sets(draw) -> list[Point]:
+    """Fractional points thinned to general position, then all multiplied by
+    one drawn rational factor, so their lcm scaling is rarely trivial."""
+    frac = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+    pts = thinned(draw(st.lists(st.builds(Point, frac, frac), min_size=3, max_size=10)))
+    factor = draw(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)))
+    return [Point(p.x * factor, p.y * factor) for p in pts]
+
+
+def pair_scan_faces(q) -> set[tuple[int, int, int]]:
+    """The Delaunay faces of integer points in general position, read off
+    the pencil gap of every pair (a, b), a < b: the least left t_k of an open
+    gap is the apex of the face left of ab, the greatest right t_k that of
+    the face right of it. Each face is taken from the pair of its smallest
+    and largest index, whose apex lies between the two, so it comes out once,
+    CCW and led by its smallest index, as ``Triangulation.triangles`` holds
+    it. n(n - 1)/2 scans, O(n^3)."""
+    xs = [p.x for p in q]
+    ys = [p.y for p in q]
+    faces = set()
+    for b in range(len(q)):
+        for a in range(b):
+            gap = pencil_gap(xs, ys, a, b)
+            if gap is None:
+                continue
+            left, right = gap
+            if left and a < left[2] < b:
+                faces.add((a, b, left[2]))
+            if right and a < right[2] < b:
+                faces.add((a, right[2], b))
+    return faces
 
 
 @lru_cache(maxsize=None)
@@ -755,6 +790,21 @@ def interior_count(tri, d: Disk) -> int:
 # ---------------------------------------------------------------------------
 # CLI harness
 # ---------------------------------------------------------------------------
+
+
+def close_first_gap(monkeypatch) -> None:
+    """Make the next ``exactgeom.pencil_gap`` call report a closed gap (every
+    circle through the pair holds a point); later calls scan as before."""
+    scan = exactgeom.pencil_gap
+    first = [True]
+
+    def closed_once(*args):
+        if first:
+            first.pop()
+            return None
+        return scan(*args)
+
+    monkeypatch.setattr(exactgeom, "pencil_gap", closed_once)
 
 
 def run_cli(argv) -> tuple[int, str]:

@@ -244,6 +244,16 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_closed_gap_is_an_alarm(tmp_path, monkeypatch, capsys):
+    quad = tmp_path / "quad.txt"
+    quad.write_text("0 0\n2 0\n3 2\n1 3\n")
+    helpers.close_first_gap(monkeypatch)
+    code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
+    assert code == 1
+    assert "holds a point" in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
     # a face walk that merges two holes into one face breaks the face
     # census; the check must report it, not crash

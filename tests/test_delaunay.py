@@ -212,6 +212,51 @@ def test_extend_reports_the_violation_build_reports():
     assert built.value.violation == extended.value.violation == least
 
 
+@given(
+    st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10).map(helpers.thinned), helpers.rescaled_sets()),
+    st.data(),
+)
+def test_build_and_extend_match_the_pair_scan(pts, data):
+    # n = 3 included; extend wraps from the faces it keeps
+    assume(len(pts) >= 3)
+    faces = helpers.pair_scan_faces(scaled_to_integers(pts))
+    assert set(build(pts).triangles) == faces
+    m = data.draw(st.integers(3, len(pts)), label="split")
+    assert set(extend(build(pts[:m]), pts[m:]).triangles) == faces
+
+
+def test_extend_that_keeps_no_face_matches_the_pair_scan():
+    # (1, 1) lies inside the one old circumdisk, so the wrap restarts from
+    # point 0 and its nearest neighbour
+    base = [P(0, 0), P(4, 0), P(0, 4)]
+    added = [P(1, 1), P(5, 3), P(-2, 5), P(4, -1)]
+    grown = extend(build(base), added)
+    assert not set(build(base).triangles) & set(grown.triangles)
+    assert set(grown.triangles) == helpers.pair_scan_faces(scaled_to_integers(base + added))
+
+
+def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
+    # F + h = 2n - 2 scans for a build, one per new face and hull edge for
+    # the sentinels; a scan per pair would make n (n - 1) / 2
+    calls = []
+    scan = exactgeom.pencil_gap
+
+    def counting(*args):
+        calls.append(args[2:])
+        return scan(*args)
+
+    monkeypatch.setattr(exactgeom, "pencil_gap", counting)
+    for n in (3, 16, 30):
+        for seed in (1, 2):
+            pts, _ = helpers.random_tri(n, seed)
+            calls.clear()
+            t = build(pts)
+            assert len(calls) == 2 * n - 2
+            calls.clear()
+            aug = structure.sentinel_augment(t, t.hull[:1])
+            assert len(calls) <= len(aug.tri.triangles) - len(t.triangles) + 3
+
+
 def test_verify_delaunay_flags_the_kleetope():
     # no Kleetope of the octahedron is Delaunay realizable
     t = helpers.kleetope()
@@ -266,6 +311,14 @@ def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
     scan = delaunay.delaunay_faces
     monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
     with pytest.raises(InvariantBroken, match="do not triangulate"):
+        build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
+
+
+def test_closed_gap_is_an_invariant_alarm(monkeypatch):
+    # every dart the face scan queues is a Delaunay edge; one whose gap
+    # closes refutes the scan
+    helpers.close_first_gap(monkeypatch)
+    with pytest.raises(InvariantBroken, match="holds a point"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 
 
