@@ -57,13 +57,11 @@ from .exactgeom import (
     midpoint,
     orient,
     point,
-    triangle_classify,
 )
 from .generate import convex_points, random_points
 from .structure import (
     AuditReport,
     Matching,
-    RepresentativeReport,
     SentinelAugmentation,
     ToughnessWitness,
     VertexSet,
@@ -71,7 +69,6 @@ from .structure import (
     components_after_removal,
     max_independent_set,
     perfect_matching,
-    representative_independence,
     sentinel_augment,
     toughness_exhaustive,
 )

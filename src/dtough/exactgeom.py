@@ -103,7 +103,7 @@ class Orientation(Enum):
 
 
 class Position(Enum):
-    """Classification against a closed region (disk or triangle)."""
+    """Classification against a closed disk."""
 
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -235,20 +235,6 @@ def disk_classify(d: Disk, p: Point) -> Position:
     return _position(dist_sq(d.center, p) - d.radius_sq)
 
 
-def triangle_classify(a: Point, b: Point, c: Point, p: Point) -> Position:
-    """Classify p against the closed triangle (a, b, c)."""
-    if orient(a, b, c) is Orientation.CW:
-        b, c = c, b
-    elif orient(a, b, c) is Orientation.COLLINEAR:
-        raise CollinearInput("degenerate triangle")
-    sides = (orient(a, b, p), orient(b, c, p), orient(c, a, p))
-    if any(s is Orientation.CW for s in sides):
-        return Position.EXTERIOR
-    if any(s is Orientation.COLLINEAR for s in sides):
-        return Position.BOUNDARY
-    return Position.INTERIOR
-
-
 # ---------------------------------------------------------------------------
 # Disk algebra
 # ---------------------------------------------------------------------------
@@ -296,9 +282,9 @@ def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
     """The points multiplied by the lcm of all their coordinate denominators.
 
     Every coordinate of the result is an ``int``. The factor is positive, so
-    ``orient``, ``in_circle`` and ``triangle_classify`` give the same answer
-    on the scaled points as on the originals, and integer arithmetic skips
-    the gcd normalisation that every ``Fraction`` operation pays.
+    ``orient`` and ``in_circle`` give the same answer on the scaled points as
+    on the originals, and integer arithmetic skips the gcd normalisation that
+    every ``Fraction`` operation pays.
     """
     scale = denominator_lcm(points)
     return tuple(
@@ -482,7 +468,8 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
 
 
 def int_at_least_sqrt(value: Fraction) -> int:
-    """Smallest convenient integer >= sqrt(value), for rational scale bounds."""
+    """isqrt(ceil(value)) + 1: strictly greater than sqrt(value), though not the
+    least such integer. The sentinel bound needs the strict inequality."""
     if value < 0:
         raise ValueError("negative value")
     return math.isqrt(math.ceil(value)) + 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .delaunay import Triangulation, build, edge_angle_check, extend
+from .delaunay import Triangulation, edge_angle_check, extend
 from .errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -524,35 +524,3 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
         bad_face_bound_ok=bad <= s_size - 2,
         independent_matches_bad=sorted(located) == sorted(chosen),
     )
-
-
-# ---------------------------------------------------------------------------
-# Representatives after removal
-# ---------------------------------------------------------------------------
-
-
-class RepresentativeReport(NamedTuple):
-    component_count: int
-    tri: Triangulation  # triangulation of removed set plus representatives
-    representatives: VertexSet  # original indices, lowest of each component
-    independent: bool  # no edge of the new triangulation joins two representatives
-
-
-def representative_independence(tri: Triangulation, removed: Iterable[int]) -> RepresentativeReport:
-    """Re-triangulate the removed set plus one representative per component
-    and report whether the representatives stay independent.
-
-    They always should; a False here would falsify the toughness argument,
-    so the operation reports instead of assuming.
-    """
-    gone = _vertex_set(tri, removed, "removed set")
-    comps = components_after_removal(tri, gone)
-    reps = frozenset(min(c) for c in comps)
-    keep = sorted(gone | reps)
-    if len(keep) < 3:
-        raise PreconditionViolated("need at least 3 points to triangulate")
-    sub = build([tri.vertices[i] for i in keep])
-    new_index = {orig: k for k, orig in enumerate(keep)}
-    rep_new = {new_index[r] for r in reps}
-    independent = not any(e.u in rep_new and e.v in rep_new for e in sub.edges)
-    return RepresentativeReport(len(comps), sub, reps, independent)

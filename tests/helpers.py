@@ -363,6 +363,22 @@ def point_in_cycle(p, cycle_pts) -> bool:
     return inside
 
 
+def triangle_classify(a: Point, b: Point, c: Point, p: Point) -> Position:
+    """Classify p against the closed triangle (a, b, c) by three orientation
+    tests. The sentinel placement it checks is closed-form cone arithmetic;
+    ``orient`` reaches it only as ``extend``'s check that each face is CCW."""
+    if orient(a, b, c) is Orientation.CW:
+        b, c = c, b
+    elif orient(a, b, c) is Orientation.COLLINEAR:
+        raise CollinearInput("degenerate triangle")
+    sides = (orient(a, b, p), orient(b, c, p), orient(c, a, p))
+    if any(s is Orientation.CW for s in sides):
+        return Position.EXTERIOR
+    if any(s is Orientation.COLLINEAR for s in sides):
+        return Position.BOUNDARY
+    return Position.INTERIOR
+
+
 def opposite_angles_deg_fraction(tri, u, v) -> float:
     """The angles opposite edge uv, in degrees, from cross and dot products
     on the ``Fraction`` vertices, each turned into a float before ``atan2``.

@@ -714,8 +714,10 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
         extended.append(len(tri) + len(added))
         return delaunay.extend(tri, added)
 
-    for module in (cli, structure):
-        monkeypatch.setattr(module, "build", counting)
+    # structure only extends the caller's triangulation, so cli.build is
+    # the one build a render makes
+    assert not hasattr(structure, "build")
+    monkeypatch.setattr(cli, "build", counting)
     monkeypatch.setattr(structure, "extend", counting_extend)
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
     assert code == 0

@@ -28,7 +28,6 @@ from dtough.exactgeom import (
     point,
     power,
     scaled_to_integers,
-    triangle_classify,
 )
 from dtough.blocking import fan_instance
 from dtough.generate import convex_points
@@ -198,9 +197,9 @@ def test_on_circle_iff_cocircular():
 
 def test_triangle_classify():
     a, b, c = P(0, 0), P(4, 0), P(0, 4)
-    assert triangle_classify(a, b, c, P(1, 1)) is Position.INTERIOR
-    assert triangle_classify(a, b, c, P(2, 0)) is Position.BOUNDARY
-    assert triangle_classify(a, b, c, P(5, 5)) is Position.EXTERIOR
+    assert helpers.triangle_classify(a, b, c, P(1, 1)) is Position.INTERIOR
+    assert helpers.triangle_classify(a, b, c, P(2, 0)) is Position.BOUNDARY
+    assert helpers.triangle_classify(a, b, c, P(5, 5)) is Position.EXTERIOR
 
 
 def test_disjointness_predicates():

@@ -16,14 +16,13 @@ from dtough.errors import (
     PreconditionViolated,
     TooLarge,
 )
-from dtough.exactgeom import Position, Violation, ViolationKind, point, triangle_classify
+from dtough.exactgeom import Position, Violation, ViolationKind, point
 from dtough.generate import convex_points
 from dtough.structure import (
     angle_audit,
     components_after_removal,
     max_independent_set,
     perfect_matching,
-    representative_independence,
     sentinel_augment,
     toughness_exhaustive,
 )
@@ -244,7 +243,7 @@ def test_sentinel_single_triangle():
     u_pt = t.vertices[aug.anchor]
     for i in range(3):
         expected = Position.BOUNDARY if i == aug.anchor else Position.INTERIOR
-        assert triangle_classify(u_pt, s1, s2, t.vertices[i]) is expected
+        assert helpers.triangle_classify(u_pt, s1, s2, t.vertices[i]) is expected
 
 
 def test_sentinel_fan_complement_of_mis():
@@ -268,7 +267,7 @@ def test_sentinel_requires_hull_vertex():
 def test_vertex_sets_reject_out_of_range_ids(bad):
     # a hull vertex in the set does not excuse an id that names no vertex
     t = build([P(0, 0), P(1, 0), P(0, 1)])
-    for call in (sentinel_augment, components_after_removal, representative_independence, angle_audit):
+    for call in (sentinel_augment, components_after_removal, angle_audit):
         with pytest.raises(PreconditionViolated, match="out-of-range"):
             call(t, [t.hull[0], bad] if call is sentinel_augment else [bad])
 
@@ -320,7 +319,7 @@ def test_sentinel_first_candidate_encloses_and_avoids_every_circumdisk(monkeypat
         u_pt = t.vertices[aug.anchor]
         for i, pt in enumerate(t.vertices):
             if i != aug.anchor:
-                assert triangle_classify(u_pt, s1, s2, pt) is Position.INTERIOR
+                assert helpers.triangle_classify(u_pt, s1, s2, pt) is Position.INTERIOR
         for face in t.triangles:
             corners = [t.vertices[i] for i in face]
             for s in (s1, s2):
@@ -489,18 +488,23 @@ def test_audit_rejects_dependent_set():
 # ---------------------------------------------------------------------------
 
 
+def _representative_edges(t, removed):
+    """R, the least vertex of each component of t - S with S = removed, and
+    the edges of build(S | R) that join two members of R. The toughness
+    proof says there are none: R is independent in DT(S | R)."""
+    reps = frozenset(min(c) for c in components_after_removal(t, removed))
+    keep = sorted(removed | reps)
+    sub = build([t.vertices[i] for i in keep])
+    edges = [(keep[e.u], keep[e.v]) for e in sub.edges]
+    return reps, [(u, v) for u, v in edges if u in reps and v in reps]
+
+
 def test_representative_fan():
     t = helpers.fan_tri(8)
     removed = frozenset({0, 2, 5})  # hub and two rim vertices
-    rep = representative_independence(t, removed)
-    assert rep.independent
-    assert len(rep.representatives) == rep.component_count <= len(removed)
-
-
-def test_representative_small_precondition():
-    t = build([P(0, 0), P(1, 0), P(0, 1)])
-    with pytest.raises(PreconditionViolated):
-        representative_independence(t, frozenset({0}))  # one rep + one removed = 2
+    reps, joined = _representative_edges(t, removed)
+    assert joined == []
+    assert len(reps) == len(components_after_removal(t, removed)) <= len(removed)
 
 
 def test_representative_random_sweep():
@@ -513,8 +517,8 @@ def test_representative_random_sweep():
         comps = components_after_removal(t, removed)
         if len(removed) + len(comps) < 3:
             continue
-        rep = representative_independence(t, removed)
-        assert rep.independent
-        assert rep.component_count == len(comps)
+        reps, joined = _representative_edges(t, removed)
+        assert joined == []
+        assert len(reps) == len(comps)
         checked += 1
     assert checked >= 50
