@@ -14,8 +14,6 @@ from .blocking import (
 )
 from .delaunay import (
     CounterExample,
-    Edge,
-    EdgeKind,
     Triangulation,
     build,
     edge_angle_check,

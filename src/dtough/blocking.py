@@ -148,7 +148,7 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         points = tuple(pts)
         try:
             if (
-                build(points).edge_set() == spokes_and_rim
+                set(build(points).edges) == spokes_and_rim
                 and verify_blocking(points, b := _fan_blockers(points, eps)).blocked
             ):
                 return BlockingInstance(points, b)

@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 
 from . import blocking, diskpath, generate, pointfile, render, structure
 from .delaunay import (
-    EdgeKind,
     Triangulation,
     build,
     edge_angle_check,
@@ -31,7 +30,7 @@ from .delaunay import (
     witness_disk,
 )
 from .errors import DToughError, InvariantBroken, NoPerfectMatching, TooLarge
-from .exactgeom import Disk, Point
+from .exactgeom import Point, disk
 from .structure import MIS_GATE, TOUGHNESS_GATE
 
 EXIT_OK = 0
@@ -86,7 +85,7 @@ def _instance_summary(tri: Triangulation) -> dict:
 def _check_delaunay(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
     counter = verify_delaunay(tri)
     angles_ok = all(
-        edge_angle_check(tri, e.u, e.v) for e in tri.edges if e.kind is EdgeKind.INTERIOR
+        edge_angle_check(tri, u, v) for u, v in tri.edges if len(tri.opposite_vertices(u, v)) == 2
     )
     return {
         "empty_circumdisks": counter is None,
@@ -234,8 +233,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
     tri = build(pointfile.read_points(args.file))
-    cx, cy, r2 = (pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2))
-    d = Disk(Point(cx, cy), r2)
+    d = disk(*(pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2)))
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": pointfile.fraction_str(d.radius_sq)}
     p, q = args.p, args.q
@@ -303,7 +301,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
         tri = build(points + blockers)
         if args.mis:
             _, hollow = structure.max_independent_set(tri, max_n=limit)
-    disks = [witness_disk(tri, e.u, e.v) for e in tri.edges] if args.witness_disks else []
+    disks = [witness_disk(tri, u, v) for u, v in tri.edges] if args.witness_disks else []
     doc = render.render_svg(
         tri, hollow=hollow, witness_disks=disks, blockers=blockers, sentinel_triangle=sentinel_triangle
     )

@@ -35,15 +35,14 @@ a CCW cycle starting at its smallest index. Its incidence is one map,
 ``apex``, from each directed edge (u, v) of a CCW face to the face's third
 vertex, as in Guibas and Stolfi's edge algebra (ACM TOG 1985): that vertex
 lies left of u -> v, and in a Delaunay triangulation it is the ``left`` end
-of the pair's pencil gap. An edge is interior when both its directions are
-keys and on the hull when one is; the edges, their kinds, the neighbours,
-the hull and the vertices opposite an edge are all read off the map.
+of the pair's pencil gap. The edges, neighbours, hull and opposite vertices
+are all read off the map: edge (u, v) is interior exactly when
+``opposite_vertices(u, v)`` has two entries, and on the hull when it has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -74,17 +73,6 @@ from .exactgeom import (
 )
 
 
-class EdgeKind(Enum):
-    BOUNDARY = "boundary"
-    INTERIOR = "interior"
-
-
-class Edge(NamedTuple):
-    u: int  # smaller index
-    v: int
-    kind: EdgeKind
-
-
 class CounterExample(NamedTuple):
     """A face whose circumdisk is not empty, with the offending vertex."""
 
@@ -103,7 +91,8 @@ class Triangulation:
     of u -> v; in a Delaunay triangulation w is the ``left`` end of the pair's
     pencil gap (``exactgeom.pencil_gap(xs, ys, u, v)``). An edge is interior
     when both directions are keys and boundary when only the one along the
-    CCW hull is.
+    CCW hull is. ``edges`` holds each undirected edge once, as the pair
+    (u, v) with u < v, in sorted order.
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
     ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
@@ -114,15 +103,12 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]
     apex: dict[tuple[int, int], int]
     hull: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     scaled: tuple[Point, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((e.u, e.v) for e in self.edges)
 
     def is_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.apex or (v, u) in self.apex
@@ -202,10 +188,7 @@ def _assemble(
         triangles=tuple(sorted((u, v, w) for (u, v), w in apex.items() if u < v and u < w)),
         apex=apex,
         hull=tuple(hull),
-        edges=tuple(
-            Edge(u, v, EdgeKind.INTERIOR if (u, v) in apex and (v, u) in apex else EdgeKind.BOUNDARY)
-            for u, v in keys
-        ),
+        edges=tuple(keys),
         neighbors=tuple(map(tuple, nbrs)),
         scaled=q,
     )

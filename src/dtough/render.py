@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .delaunay import EdgeKind, Triangulation
+from .delaunay import Triangulation
 from .exactgeom import Disk, Point
 
 _CANVAS = 640.0
@@ -89,9 +89,9 @@ def render_svg(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
             f'fill="none" stroke="{stroke}" stroke-width="{width}"/>'
         )
-    for e in tri.edges:
-        width = 2.4 if e.kind is EdgeKind.BOUNDARY else 0.9
-        ends = (*frame.to(tri.vertices[e.u]), *frame.to(tri.vertices[e.v]))
+    for u, v in tri.edges:
+        width = 2.4 if len(tri.opposite_vertices(u, v)) == 1 else 0.9
+        ends = (*frame.to(tri.vertices[u]), *frame.to(tri.vertices[v]))
         parts.append(line(*ends, "black", width))
     if sentinel_triangle is not None:
         dashed = 'stroke="#d62728" stroke-width="1.0" stroke-dasharray="6,4"'

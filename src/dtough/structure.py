@@ -90,9 +90,9 @@ def components_after_removal(tri: Triangulation, removed: Iterable[int]) -> tupl
 
 def _adjacency_masks(tri: Triangulation) -> list[int]:
     masks = [0] * len(tri)
-    for e in tri.edges:
-        masks[e.u] |= 1 << e.v
-        masks[e.v] |= 1 << e.u
+    for u, v in tri.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     return masks
 
 
@@ -226,9 +226,9 @@ def max_independent_set(tri: Triangulation, max_n: int = MIS_GATE) -> tuple[int,
         raise InvariantBroken(
             f"independent set {sorted(cert)} has {len(cert)} members, not the {best_size} counted"
         )
-    joined = next((e for e in tri.edges if e.u in cert and e.v in cert), None)
+    joined = next(((u, v) for u, v in tri.edges if u in cert and v in cert), None)
     if joined is not None:
-        raise InvariantBroken(f"independent set holds the edge ({joined.u}, {joined.v})")
+        raise InvariantBroken(f"independent set holds the edge {joined}")
     return best_size, cert
 
 
@@ -469,16 +469,16 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     fans it is made of, which makes the angle total exact.
     """
     chosen = _vertex_set(tri, independent, "independent set")
-    for e in tri.edges:
-        if e.u in chosen and e.v in chosen:
-            raise NotIndependent(f"edge ({e.u}, {e.v}) joins two chosen vertices")
+    for u, v in tri.edges:
+        if u in chosen and v in chosen:
+            raise NotIndependent(f"edge ({u}, {v}) joins two chosen vertices")
     removed = frozenset(range(len(tri))) - chosen
     aug = sentinel_augment(tri, removed)
     big = aug.tri
     n = len(tri)
     keep = removed | {n, n + 1}
 
-    sub_edges = sorted((e.u, e.v) for e in big.edges if e.u in keep and e.v in keep)
+    sub_edges = [(u, v) for u, v in big.edges if u in keep and v in keep]
     incident = {v for e in sub_edges for v in e}
     if incident != keep:
         raise InvariantBroken("a surviving vertex became isolated after removal")

@@ -19,7 +19,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from dtough import blocking, build, cli, exactgeom
-from dtough.delaunay import CounterExample, EdgeKind, from_triangles
+from dtough.delaunay import CounterExample, from_triangles
 from dtough.diskpath import DiskPath, _splice_simple, check_disk_path
 from dtough.errors import (
     CollinearInput,
@@ -64,18 +64,18 @@ def flip_first_convex_edge(t):
     ``from_triangles``; None when no interior edge has a convex quad. The
     edge's two faces are found by scanning ``triangles``."""
     v = t.vertices
-    for e in t.edges:
-        if e.kind is not EdgeKind.INTERIOR:
+    for a, b in t.edges:
+        if len(t.opposite_vertices(a, b)) != 2:
             continue
-        faces = [tr for tr in t.triangles if e.u in tr and e.v in tr]
-        r, s = (_third(tr, e.u, e.v) for tr in faces)
-        side_u, side_v = orient(v[r], v[s], v[e.u]), orient(v[r], v[s], v[e.v])
+        faces = [tr for tr in t.triangles if a in tr and b in tr]
+        r, s = (_third(tr, a, b) for tr in faces)
+        side_u, side_v = orient(v[r], v[s], v[a]), orient(v[r], v[s], v[b])
         if side_u is side_v:
             continue  # u and v on one side of rs: the quad is not convex
         if side_u is not Orientation.CCW:
             r, s = s, r
         kept = [tr for tr in t.triangles if tr not in faces]
-        return from_triangles(v, kept + [(r, s, e.u), (s, r, e.v)])
+        return from_triangles(v, kept + [(r, s, a), (s, r, b)])
     return None
 
 
@@ -456,7 +456,7 @@ def surviving_pp_edge_oracle(p, b):
         if violation is not None:
             raise DegenerateInput(violation)
         return (0, 1)
-    return next(((e.u, e.v) for e in build(pts).edges if e.u < len(p) and e.v < len(p)), None)
+    return next(((u, v) for u, v in build(pts).edges if u < len(p) and v < len(p)), None)
 
 
 def mis_exhaustive(n: int, edges) -> int:
@@ -529,9 +529,9 @@ def toughness_scan_oracle(tri):
     ``ToughnessWitness``, or None when no S disconnects."""
     n = len(tri)
     masks = [0] * n
-    for e in tri.edges:
-        masks[e.u] |= 1 << e.v
-        masks[e.v] |= 1 << e.u
+    for u, v in tri.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     full = (1 << n) - 1
     best = None
     for s_mask in range(1, full + 1):
@@ -555,9 +555,9 @@ def toughness_reverse_oracle(tri):
     """Re-run the subset scan in descending mask order; min ratio must agree."""
     n = len(tri)
     adj = [0] * n
-    for e in tri.edges:
-        adj[e.u] |= 1 << e.v
-        adj[e.v] |= 1 << e.u
+    for u, v in tri.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     full = (1 << n) - 1
     best = None
     for s_mask in range(full, 0, -1):

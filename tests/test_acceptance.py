@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from dtough.delaunay import EdgeKind, build, edge_angle_check, verify_delaunay
+from dtough.delaunay import build, edge_angle_check, verify_delaunay
 from dtough.diskpath import check_disk_path, find_path, path_oracle
 from dtough.errors import DegenerateInput
 from dtough.exactgeom import Point
@@ -45,9 +45,9 @@ def test_criterion_1_toughness_exhaustive():
     for n, seed in RANDOM_INSTANCES:
         _, tri = _instance(n, seed)
         adj = [0] * n
-        for e in tri.edges:
-            adj[e.u] |= 1 << e.v
-            adj[e.v] |= 1 << e.u
+        for u, v in tri.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         full = (1 << n) - 1
         for s_mask in range(1, full + 1):
             alive = full & ~s_mask
@@ -83,7 +83,7 @@ def test_criterion_2_independent_set_bound_and_tightness():
         size, cert = max_independent_set(tri)
         if size > n // 2:
             failures.append(("random", n, seed, size))
-        if any(e.u in cert and e.v in cert for e in tri.edges):
+        if any(u in cert and v in cert for u, v in tri.edges):
             failures.append(("random-cert", n, seed))
     for n in FAN_RANGE:
         tri = helpers.fan_tri(n)
@@ -127,16 +127,14 @@ def test_criterion_4_perfect_matchings():
         if not all(tri.is_edge(u, v) for u, v in m):
             failures.append(("random-edges", n, seed))
         if n <= 12:
-            edges = [(e.u, e.v) for e in tri.edges]
-            if not helpers.has_perfect_matching_exhaustive(n, edges):
+            if not helpers.has_perfect_matching_exhaustive(n, tri.edges):
                 failures.append(("oracle", n, seed))
     for n in (4, 6, 8, 10):
         tri = helpers.fan_tri(n)
         m = perfect_matching(tri)
         if m is None or {v for e in m for v in e} != set(range(n)):
             failures.append(("fan", n))
-        edges = [(e.u, e.v) for e in tri.edges]
-        if not helpers.has_perfect_matching_exhaustive(n, edges):
+        if not helpers.has_perfect_matching_exhaustive(n, tri.edges):
             failures.append(("fan-oracle", n))
     _verdict(4, "perfect matchings on every even instance", failures)
 
@@ -217,9 +215,9 @@ def test_criterion_7_interior_angle_inequality_everywhere():
 
     triangulations += [build(convex_points(n, seed)) for n, seed in ((8, 0), (12, 1))]
     for tri in triangulations:
-        for e in tri.edges:
-            if e.kind is EdgeKind.INTERIOR and not edge_angle_check(tri, e.u, e.v):
-                failures.append((len(tri), (e.u, e.v)))
+        for u, v in tri.edges:
+            if len(tri.opposite_vertices(u, v)) == 2 and not edge_angle_check(tri, u, v):
+                failures.append((len(tri), (u, v)))
     _verdict(7, "opposite-angle inequality on every interior edge", failures)
 
 
@@ -236,17 +234,15 @@ def test_criterion_8_oracle_equivalences():
         n = rng.randrange(4, 13)
         _, tri = _instance(n, 100 + rng.randrange(0, 50))
         removed = {v for v in range(n) if rng.random() < 0.4}
-        edges = [(e.u, e.v) for e in tri.edges]
         if len(components_after_removal(tri, removed)) != helpers.uf_components(
-            n, edges, removed
+            n, tri.edges, removed
         ):
             failures.append(("components", n, trial))
     # independent-set sizes against subset enumeration, up to n = 16
     for n, seed in [(10, 300), (12, 301), (14, 302), (16, 303)]:
         pts, tri = helpers.random_tri(n, seed)
         size, _ = max_independent_set(tri)
-        edges = [(e.u, e.v) for e in tri.edges]
-        if size != helpers.mis_exhaustive(n, edges):
+        if size != helpers.mis_exhaustive(n, tri.edges):
             failures.append(("mis", n, seed))
     _verdict(8, "independent oracles agree exactly", failures)
 

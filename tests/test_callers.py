@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dtough"
 # Public entry points with no caller in the package by design.
 ENTRY_POINTS = {
     "from_triangles",  # non-Delaunay triangulations for the non-vacuity tests
-    "disk",  # the validating Disk constructor for library callers
 }
 
 

@@ -400,11 +400,11 @@ def _cut_hull_vertex(tri, keep):
     to each vertex in keep: a graph that is not 1-tough when keep is one
     vertex, and disconnected when keep is empty."""
     h = tri.hull[0]
-    edges = tuple(e for e in tri.edges if h not in (e.u, e.v) or ({e.u, e.v} - {h}) <= set(keep))
+    edges = tuple(e for e in tri.edges if h not in e or set(e) - {h} <= set(keep))
     neighbors = [set() for _ in range(len(tri))]
-    for e in edges:
-        neighbors[e.u].add(e.v)
-        neighbors[e.v].add(e.u)
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
     return h, dataclasses.replace(tri, edges=edges, neighbors=tuple(map(tuple, neighbors)))
 
 
@@ -611,6 +611,19 @@ def test_path_tells_a_precondition_breach_from_a_shrink_tie(tmp_path):
     report = json.loads(out)
     assert report["path"] == report["oracle_path"] == [0, 2, 1]
     assert report["agree"] is True and "error" not in report
+
+
+def test_path_refuses_a_negative_squared_radius(tmp_path):
+    # the disk goes through exactgeom.disk, which refuses it before any
+    # path search; no disk is echoed back
+    f = tmp_path / "quad.txt"
+    f.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "0", "-1"])
+    assert code == 2
+    assert json.loads(helpers.report_without_timing(out)) == {
+        "command": "path",
+        "error": "squared radius must be nonnegative",
+    }
 
 
 def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):
@@ -986,9 +999,9 @@ def _witness_args(previous, k):
         tri = delaunay.build(pointfile.read_points(previous))
     except cli.HANDLED:
         return ["0", "1", "0", "0", "1"]
-    e = tri.edges[k % len(tri.edges)]
-    d = delaunay.witness_disk(tri, e.u, e.v)
-    return [str(e.u), str(e.v), str(d.center.x), str(d.center.y), str(d.radius_sq)]
+    u, v = tri.edges[k % len(tri.edges)]
+    d = delaunay.witness_disk(tri, u, v)
+    return [str(u), str(v), str(d.center.x), str(d.center.y), str(d.radius_sq)]
 
 
 def test_main_answers_every_argv(tmp_path, monkeypatch):

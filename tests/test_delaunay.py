@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dtough import delaunay, exactgeom, structure
 from dtough.delaunay import (
-    EdgeKind,
     Triangulation,
     build,
     edge_angle_check,
@@ -39,13 +38,16 @@ def test_single_triangle():
     t = build([P(0, 0), P(1, 0), P(0, 1)])
     assert t.triangles == ((0, 1, 2),)
     assert len(t.edges) == 3
-    assert all(e.kind is EdgeKind.BOUNDARY for e in t.edges)
+    assert t.edges == ((0, 1), (0, 2), (1, 2))
+    assert all(len(t.opposite_vertices(*e)) == 1 for e in t.edges)
     assert verify_delaunay(t) is None
 
 
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         build([P(0, 0), P(1, 0)])
+    with pytest.raises(TooFewPoints):
+        from_triangles([P(0, 0), P(1, 0)], [])
 
 
 def test_degenerate_input():
@@ -66,6 +68,9 @@ def test_quad_diagonal_choice():
     assert edge_angle_check(t, 1, 3)
     with pytest.raises(NotInteriorEdge):
         edge_angle_check(t, 0, 1)  # boundary edge
+    for query in (edge_angle_check, witness_disk):
+        with pytest.raises(NotInteriorEdge, match=r"\(0, 2\) is not an edge"):
+            query(t, 0, 2)
 
     # the flipped diagonal must fail both verifications
     flipped = from_triangles(pts, [(0, 1, 2), (0, 2, 3)])
@@ -80,7 +85,7 @@ def test_four_points_with_interior_vertex():
     t = build([P(0, 0), P(3, 0), P(1, 1), P(2, 5)])
     assert len(t.triangles) == 3
     assert len(t.hull) == 3
-    assert sum(1 for e in t.edges if e.kind is EdgeKind.INTERIOR) == 3
+    assert sum(1 for e in t.edges if len(t.opposite_vertices(*e)) == 2) == 3
     assert verify_delaunay(t) is None
 
 
@@ -92,6 +97,13 @@ def test_from_triangles_validation():
         from_triangles(pts, [(0, 1, 2)])  # vertex 3 unused
     with pytest.raises(ValueError):
         from_triangles(pts, [(0, 1, 3), (1, 2, 3), (0, 1, 3)])  # duplicate
+    for face in ((0, 0, 1), (0, 1, 5)):  # a repeated vertex, an id out of range
+        with pytest.raises(ValueError, match="bad triangle"):
+            from_triangles(pts, [face])
+    # two CCW faces whose union is a dart with a reflex corner at vertex 1
+    dart = [P(0, 0), P(2, 1), P(4, 0), P(2, 3)]
+    with pytest.raises(ValueError, match="hull is not convex"):
+        from_triangles(dart, [(0, 1, 3), (1, 2, 3)])
     # 2 and 3 both lie left of 0 -> 1
     with pytest.raises(ValueError, match="two faces on one side"):
         from_triangles([P(0, 0), P(4, 0), P(1, 2), P(3, 3)], [(0, 1, 2), (0, 1, 3)])
@@ -117,9 +129,9 @@ def test_build_verify_sweep():
         _, t = helpers.random_tri(n, 1000 + i)
         assert verify_delaunay(t) is None
         assert _euler_ok(t)
-        for e in t.edges:
-            if e.kind is EdgeKind.INTERIOR:
-                assert edge_angle_check(t, e.u, e.v)
+        for u, v in t.edges:
+            if len(t.opposite_vertices(u, v)) == 2:
+                assert edge_angle_check(t, u, v)
 
 
 def test_build_keeps_caller_points_and_ignores_scale():
@@ -146,11 +158,12 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
         assert t.scaled == scaled_to_integers(t.vertices)
         assert all(type(c) is int for p in t.scaled for c in p)
         assert verify_delaunay(t) == helpers.verify_delaunay_naive(t)
-        for e in t.edges:
-            if e.kind is EdgeKind.INTERIOR:
-                r, s = t.opposite_vertices(e.u, e.v)
-                exact = in_circle(t.vertices[e.u], t.vertices[r], t.vertices[e.v], t.vertices[s])
-                assert edge_angle_check(t, e.u, e.v) is (exact is Position.EXTERIOR)
+        for u, v in t.edges:
+            opp = t.opposite_vertices(u, v)
+            if len(opp) == 2:
+                r, s = opp
+                exact = in_circle(t.vertices[u], t.vertices[r], t.vertices[v], t.vertices[s])
+                assert edge_angle_check(t, u, v) is (exact is Position.EXTERIOR)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -163,8 +176,10 @@ def test_apex_map_matches_incidence_oracle(candidates):
     for t in filter(None, (built, helpers.flip_first_convex_edge(built))):
         opposite, hull = helpers.incidence_oracle(t)
         assert t.hull == hull
-        kinds = {key: EdgeKind.INTERIOR if len(ws) == 2 else EdgeKind.BOUNDARY for key, ws in opposite.items()}
-        assert {(e.u, e.v): e.kind for e in t.edges} == kinds
+        assert t.edges == tuple(sorted(opposite))
+        assert {e: len(t.opposite_vertices(*e)) for e in t.edges} == {
+            key: len(ws) for key, ws in opposite.items()
+        }
         v = t.vertices
         for a in range(len(t)):
             assert set(t.neighbors[a]) == {b for key in opposite if a in key for b in key} - {a}
@@ -299,10 +314,10 @@ def test_witness_disks_match_candidate_oracle(candidates):
     pts = helpers.thinned(candidates)
     assume(len(pts) >= 3)
     t = build(pts)
-    for e in t.edges:
-        d = witness_disk(t, e.u, e.v)
-        assert d == helpers.witness_disk_oracle(t, e.u, e.v)
-        assert is_witness_disk(t.vertices, d, e.u, e.v)
+    for u, v in t.edges:
+        d = witness_disk(t, u, v)
+        assert d == helpers.witness_disk_oracle(t, u, v)
+        assert is_witness_disk(t.vertices, d, u, v)
 
 
 def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
@@ -324,7 +339,7 @@ def test_closed_gap_is_an_invariant_alarm(monkeypatch):
 
 def _edge_points(t: Triangulation) -> frozenset:
     return frozenset(
-        frozenset((t.vertices[e.u], t.vertices[e.v])) for e in t.edges
+        frozenset((t.vertices[u], t.vertices[v])) for u, v in t.edges
     )
 
 
@@ -351,8 +366,8 @@ def test_witness_single_triangle():
     # includes the right-angle hypotenuse, where the circumcenter sits
     # exactly on the edge midpoint
     t = build([P(0, 0), P(1, 0), P(0, 1)])
-    for e in t.edges:
-        _assert_witness(t, e.u, e.v)
+    for u, v in t.edges:
+        _assert_witness(t, u, v)
 
 
 def test_witness_interior_edge():
@@ -369,13 +384,13 @@ def test_witness_fan_spoke():
 def test_witness_every_edge_random():
     for seed in (0, 1, 2):
         _, t = helpers.random_tri(11, 3000 + seed)
-        for e in t.edges:
-            _assert_witness(t, e.u, e.v)
+        for u, v in t.edges:
+            _assert_witness(t, u, v)
 
 
 def test_obtuse_boundary_witness():
     # the long edge of a very flat triangle: its apex is inside the edge's
     # diametral disk, so the witness center must leave the hull side
     t = build([P(0, 0), P(10, 0), P(5, 1)])
-    for e in t.edges:
-        _assert_witness(t, e.u, e.v)
+    for u, v in t.edges:
+        _assert_witness(t, u, v)

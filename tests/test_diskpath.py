@@ -19,12 +19,24 @@ P = point
 
 def test_base_case_on_witness_disk():
     _, t = helpers.random_tri(8, 42)
-    e = t.edges[0]
-    d = witness_disk(t, e.u, e.v)
-    path = find_path(t, e.u, e.v, d)
-    assert path.vertices == (e.u, e.v)
-    oracle = path_oracle(t, e.u, e.v, d)
-    assert oracle is not None and oracle.vertices == (e.u, e.v)
+    u, v = t.edges[0]
+    d = witness_disk(t, u, v)
+    path = find_path(t, u, v, d)
+    assert path.vertices == (u, v)
+    oracle = path_oracle(t, u, v, d)
+    assert oracle is not None and oracle.vertices == (u, v)
+
+
+def test_empty_disk_without_an_edge_is_an_alarm():
+    # the witness disk of an edge that a flip removed is empty but joins
+    # two vertices that are no longer adjacent: Delaunay is broken
+    _, t = helpers.random_tri(9, 3)
+    f = helpers.flip_first_convex_edge(t)
+    assert set(t.edges) - set(f.edges) == {(0, 2)}
+    d = witness_disk(t, 0, 2)
+    with pytest.raises(InvariantBroken, match="empty disk through 0 and 2 but no Delaunay edge"):
+        find_path(f, 0, 2, d)
+    assert path_oracle(f, 0, 2, d) is None
 
 
 def test_fan_three_vertex_path():
@@ -139,14 +151,14 @@ def test_nesting_of_shrunken_disks():
 
 def test_check_disk_path_catches_tampering():
     _, t = helpers.random_tri(8, 42)
-    e = t.edges[0]
-    d = witness_disk(t, e.u, e.v)
-    good = find_path(t, e.u, e.v, d)
+    u, v = t.edges[0]
+    d = witness_disk(t, u, v)
+    good = find_path(t, u, v, d)
     broken = DiskPath(good.vertices + good.vertices[:1], d)
     with pytest.raises(InvariantBroken):
         check_disk_path(t, broken)
-    far = next(i for i in range(len(t)) if i not in (e.u, e.v))
-    detour = DiskPath((e.u, far, e.v), d)
+    far = next(i for i in range(len(t)) if i not in (u, v))
+    detour = DiskPath((u, far, v), d)
     with pytest.raises(InvariantBroken):
         check_disk_path(t, detour)
 

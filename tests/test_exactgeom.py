@@ -23,6 +23,7 @@ from dtough.exactgeom import (
     general_position,
     general_position_added,
     in_circle,
+    is_witness_disk,
     lifted,
     orient,
     point,
@@ -109,6 +110,18 @@ def test_disk_classify():
     assert disk_classify(d, P(1, 0)) is Position.BOUNDARY
     assert disk_classify(d, P(0, 0)) is Position.INTERIOR
     assert disk_classify(d, P(2, 0)) is Position.EXTERIOR
+
+
+def test_disk_refuses_a_negative_squared_radius():
+    with pytest.raises(ValueError, match="squared radius must be nonnegative"):
+        disk(0, 0, -1)
+
+
+def test_is_witness_disk_needs_every_other_point_outside():
+    # the disk on diameter (0,0)-(2,0): a third point inside spoils it
+    d = disk(1, 0, 1)
+    assert is_witness_disk((P(0, 0), P(2, 0), P(5, 5)), d, 0, 1)
+    assert not is_witness_disk((P(0, 0), P(2, 0), P(1, "1/2")), d, 0, 1)
 
 
 def test_shrink_toward_examples():

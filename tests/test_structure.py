@@ -52,8 +52,7 @@ def test_components_fan_against_union_find():
     t = helpers.fan_tri(6)
     removed = {0, 2}  # hub plus one rim vertex
     comps = components_after_removal(t, removed)
-    edges = [(e.u, e.v) for e in t.edges]
-    assert len(comps) == helpers.uf_components(len(t), edges, removed)
+    assert len(comps) == helpers.uf_components(len(t), t.edges, removed)
 
 
 def test_components_random_against_union_find():
@@ -62,9 +61,8 @@ def test_components_random_against_union_find():
         n = rng.randrange(4, 13)
         _, t = helpers.random_tri(n, 4000 + trial)
         removed = {v for v in range(n) if rng.random() < 0.35}
-        edges = [(e.u, e.v) for e in t.edges]
         assert len(components_after_removal(t, removed)) == helpers.uf_components(
-            len(t), edges, removed
+            len(t), t.edges, removed
         )
 
 
@@ -154,7 +152,7 @@ def test_mis_fans_hit_half():
         t = helpers.fan_tri(n)
         size, cert = max_independent_set(t)
         assert size == n // 2
-        assert not any(e.u in cert and e.v in cert for e in t.edges)
+        assert not any(u in cert and v in cert for u, v in t.edges)
 
 
 def test_mis_matches_exhaustive():
@@ -162,10 +160,9 @@ def test_mis_matches_exhaustive():
         n = 6 + seed
         _, t = helpers.random_tri(n, 6000 + seed)
         size, cert = max_independent_set(t)
-        edges = [(e.u, e.v) for e in t.edges]
-        assert size == helpers.mis_exhaustive(n, edges)
+        assert size == helpers.mis_exhaustive(n, t.edges)
         assert len(cert) == size
-        assert not any(e.u in cert and e.v in cert for e in t.edges)
+        assert not any(u in cert and v in cert for u, v in t.edges)
 
 
 def test_mis_flags_the_kleetope():
@@ -216,8 +213,7 @@ def test_matching_even_random_cross_checked():
         covered = sorted(v for e in m for v in e)
         assert covered == list(range(n))
         assert all(t.is_edge(u, v) for u, v in m)
-        edges = [(e.u, e.v) for e in t.edges]
-        assert helpers.has_perfect_matching_exhaustive(n, edges)
+        assert helpers.has_perfect_matching_exhaustive(n, t.edges)
 
 
 def test_matching_flags_the_even_kleetope():
@@ -237,7 +233,7 @@ def test_sentinel_single_triangle():
     t = build([P(0, 0), P(1, 0), P(0, 1)])
     aug = sentinel_augment(t, frozenset({0}))
     assert len(aug.tri) == 5
-    assert t.edge_set() <= aug.tri.edge_set()
+    assert set(t.edges) <= set(aug.tri.edges)
     assert set(aug.tri.hull) == {0, 3, 4}
     s1, s2 = aug.sentinels
     u_pt = t.vertices[aug.anchor]
@@ -251,7 +247,7 @@ def test_sentinel_fan_complement_of_mis():
     _, cert = max_independent_set(t)
     removed = frozenset(range(len(t))) - cert
     aug = sentinel_augment(t, removed)
-    assert t.edge_set() <= aug.tri.edge_set()
+    assert set(t.edges) <= set(aug.tri.edges)
     assert aug.anchor in removed
 
 
@@ -378,15 +374,15 @@ def test_angle_total_matches_float_oracle(candidates, data):
     _assert_full_chain(rep, len(chosen))
     big = build(t.vertices + rep.sentinels)
     total = sum(
-        helpers.opposite_angles_deg_fraction(big, e.u, e.v)
-        for e in big.edges
-        if e.u not in chosen and e.v not in chosen
+        helpers.opposite_angles_deg_fraction(big, u, v)
+        for u, v in big.edges
+        if u not in chosen and v not in chosen
     )
     assert total == pytest.approx(rep.angle_total_exact, rel=1e-9)
     # the faces walked off apex, against the angle-sorted rotation system
     # and the crossing-parity locator, which read the embedding alone
     n, pts = len(t), big.vertices
-    sub_edges = [(e.u, e.v) for e in big.edges if e.u not in chosen and e.v not in chosen]
+    sub_edges = [(u, v) for u, v in big.edges if u not in chosen and v not in chosen]
     oracle = helpers.rotation_faces(pts, sub_edges)
     outer = [f for f in oracle if helpers.cycle_area2(pts, f) < 0]
     assert len(outer) == 1 and sorted(outer[0]) == sorted([rep.anchor, n, n + 1])
@@ -478,9 +474,8 @@ def test_audit_flags_the_kleetope():
 
 def test_audit_rejects_dependent_set():
     t = helpers.fan_tri(6)
-    e = t.edges[0]
     with pytest.raises(NotIndependent):
-        angle_audit(t, frozenset({e.u, e.v}))
+        angle_audit(t, frozenset(t.edges[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +490,7 @@ def _representative_edges(t, removed):
     reps = frozenset(min(c) for c in components_after_removal(t, removed))
     keep = sorted(removed | reps)
     sub = build([t.vertices[i] for i in keep])
-    edges = [(keep[e.u], keep[e.v]) for e in sub.edges]
+    edges = [(keep[u], keep[v]) for u, v in sub.edges]
     return reps, [(u, v) for u, v in edges if u in reps and v in reps]
 
 
