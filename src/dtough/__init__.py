@@ -4,7 +4,6 @@ blocking-set lower bounds."""
 
 from .blocking import (
     BlockingInstance,
-    BlockingVerdict,
     DisjointDiskInstance,
     LowerBoundReport,
     disjoint_disk_instance,

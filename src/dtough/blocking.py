@@ -4,8 +4,9 @@ instance families.
 A point set B blocks a point set P when the Delaunay triangulation of their
 union has no edge joining two points of P. Verification needs no
 triangulation: two points of P are joined exactly when some circle through
-them holds no other point of the union, that is when their pencil gap in
-the union is open (``exactgeom.pencil_gap``). The constructions realize
+them holds no other point of the union (an open ``exactgeom.pencil_gap``),
+and the verdict is the first such pair, or None. The disjoint-arc family's
+witness disks are such circles for its edges. The constructions realize
 "close" and "approximately" with a halving loop: each attempt builds a
 candidate and tests it once with the exact verifiers, then returns it or
 retries, and a loop out of attempts raises ``ConstructionFailed``. So
@@ -38,11 +39,6 @@ from .exactgeom import (
 )
 
 
-class BlockingVerdict(NamedTuple):
-    blocked: bool
-    witness: Optional[tuple[int, int]]  # a surviving P-P edge when not blocked
-
-
 @dataclass(frozen=True)
 class LowerBoundReport:
     blocked: bool  # equally: P is an independent set of the union triangulation
@@ -63,9 +59,9 @@ class BlockingInstance:
     blockers: tuple[Point, ...]
 
 
-def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[int, int]]:
+def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[int, int]]:
     """The first P-P edge, in lexicographic order, of the union's Delaunay
-    triangulation, or None.
+    triangulation, or None when B blocks P.
 
     The union is certified once (DegenerateInput otherwise); a pair of P is
     an edge exactly when its pencil gap in the union is open. The bare pair
@@ -82,12 +78,6 @@ def _surviving_pp_edge(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple
     return next((e for e in pairs if pencil_gap(xs, ys, *e) is not None), None)
 
 
-def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> BlockingVerdict:
-    """BLOCKED iff the union's Delaunay triangulation has no P-P edge."""
-    witness = _surviving_pp_edge(p, b)
-    return BlockingVerdict(witness is None, witness)
-
-
 def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundReport:
     """Blocking verdict plus the size fact a blocked instance must satisfy,
     |B| >= |P|. Blocked means P is independent in the union triangulation.
@@ -95,7 +85,7 @@ def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundRepo
     A blocked instance failing the size bound is an alarm, never silently
     accepted; callers check ``.alarm``.
     """
-    witness = _surviving_pp_edge(p, b)
+    witness = verify_blocking(p, b)
     return LowerBoundReport(witness is None, len(b) >= len(p), len(p), len(b), witness)
 
 
@@ -149,7 +139,7 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
         try:
             if (
                 set(build(points).edges) == spokes_and_rim
-                and verify_blocking(points, b := _fan_blockers(points, eps)).blocked
+                and verify_blocking(points, b := _fan_blockers(points, eps)) is None
             ):
                 return BlockingInstance(points, b)
         except DegenerateInput:
@@ -196,31 +186,28 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
 
     Disks of consecutive edges share a boundary vertex, so the best possible
     separation there is exact external tangency; the chain is built to be
-    tangent (``_tangent_chain``) and checked once per attempt: every
-    consecutive pair an edge with its disk an empty witness, consecutive
-    disks tangent, and every pair interior-disjoint. Non-consecutive pairs
-    come out strictly disjoint. The arc flattens (denominator doubling) per
-    rejected attempt, and ``ConstructionFailed`` ends the search.
+    tangent (``_tangent_chain``) and checked once per attempt: the points in
+    general position (else ``DegenerateInput``), each disk an empty witness,
+    which certifies its pair as a Delaunay edge, consecutive disks tangent,
+    and every pair interior-disjoint. Non-consecutive pairs come out
+    strictly disjoint. The arc flattens (denominator doubling) per rejected
+    attempt, and ``ConstructionFailed`` ends the search.
     """
     if n < 2:
         raise PreconditionViolated(f"need n >= 2, got {n}")
     xs = [Fraction(3**i - 1, 2) for i in range(n)]
     flat = 2**20
-    if n == 2:  # the diameter disk of the only pair holds no other point
-        points = tuple(Point(x, x * x / flat) for x in xs)
-        return DisjointDiskInstance(points, _tangent_chain(points))
     for attempt in range(40):
         points = tuple(Point(x, x * x / flat) for x in xs)
         # distinct x >= 0 on a parabola: no three on a line, and no four on
         # a circle, where their x would sum to 0
-        tri = build(points)
+        violation = general_position(points)
+        if violation is not None:
+            raise DegenerateInput(violation)
         disks = _tangent_chain(points)
         if (
             disks is not None
-            and all(
-                tri.is_edge(i, i + 1) and is_witness_disk(points, d, i, i + 1)
-                for i, d in enumerate(disks)
-            )
+            and all(is_witness_disk(points, d, i, i + 1) for i, d in enumerate(disks))
             and all(disks_externally_tangent(a, b) for a, b in zip(disks, disks[1:]))
             and all(disks_interior_disjoint(a, b) for a, b in combinations(disks, 2))
         ):

@@ -232,8 +232,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
-    tri = build(pointfile.read_points(args.file))
     d = disk(*(pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2)))
+    tri = build(pointfile.read_points(args.file))
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": pointfile.fraction_str(d.radius_sq)}
     p, q = args.p, args.q

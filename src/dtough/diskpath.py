@@ -12,14 +12,16 @@ The recursion runs on the triangulation's integer copy of its vertices
 disk is lifted once to the package's one circle on that copy,
 ``exactgeom.Circle`` (W, U, V, K) with W > 0, whose power
 P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
-and zero on the boundary. Shrinking toward a boundary anchor a until the interior vertex r reaches the
-boundary is one step in the pencil of circles tangent at a:
-|r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its coefficients. The
-first vertex pinned is the interior x of greatest -P(x) / |x - a|^2,
-compared by cross-multiplication; on a tie the least index is pinned. Every
-check of the recursion (anchors on their circle, tangency to and containment
-in the parent, exclusion of the far endpoint, strict progress) is an exact
-integer identity, and a failed one is ``InvariantBroken``.
+and zero on the boundary. Shrinking toward a boundary anchor a until the
+interior vertex r reaches the boundary is one step in the pencil of circles
+tangent at a: |r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its
+coefficients. The first vertex pinned is the interior x of greatest
+-P(x) / |x - a|^2, compared by cross-multiplication; on a tie the least
+index is pinned. Every check of the recursion (anchors on their circle,
+internal tangency to the parent, which implies containment, and exclusion
+of the far endpoint) is an exact integer identity, and a failed one is
+``InvariantBroken``. Contained in its parent, a shrink finds its interior
+among the parent's, less its pinned anchor: progress is strict.
 
 Ties need no alarm. ``find_path`` checks once that only p and q lie on the
 caller's boundary. A shrunken circle passes through its two anchors, so
@@ -96,34 +98,33 @@ def _shrink(c: Circle, a: Lifted, r: Lifted, lam: int) -> Circle:
     return _reduced(m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * a2)
 
 
-def _nesting(outer: Circle, inner: Circle) -> tuple[bool, bool]:
-    """Whether inner lies in outer (closed) and whether it is internally
-    tangent to it: dist(centers) <= R - r and = R - r in squared form.
+def _internally_tangent(outer: Circle, inner: Circle) -> bool:
+    """Whether inner is internally tangent to outer, dist(centers) = R - r in
+    squared form, which puts inner's closed disk inside outer's.
 
     A circle's center is (U, V) / W and its squared radius N / W^2 with
     N = U^2 + V^2 - K W. Times W1^2 W2^2 the squared radii are
     big = N1 W2^2 and small = N2 W1^2 and the squared center distance is
     (U1 W2 - U2 W1)^2 + (V1 W2 - V2 W1)^2; with m = big + small - that
-    distance, the tests are small <= big, m >= 0 and m^2 >= 4 big small,
-    with equality for tangency.
+    distance, the test is small <= big, m >= 0 and m^2 = 4 big small.
     """
     w1, u1, v1, k1 = outer
     w2, u2, v2, k2 = inner
     big = (u1 * u1 + v1 * v1 - k1 * w1) * w2 * w2
     small = (u2 * u2 + v2 * v2 - k2 * w2) * w1 * w1
     m = big + small - (u1 * w2 - u2 * w1) ** 2 - (v1 * w2 - v2 * w1) ** 2
-    if small > big or m < 0:
-        return False, False
-    return m * m >= 4 * big * small, m * m == 4 * big * small
+    return small <= big and m >= 0 and m * m == 4 * big * small
 
 
-def _interior(pts: list[Lifted], c: Circle, p: int, q: int) -> list[tuple[int, int]]:
-    """Vertices strictly inside c with their (negative) powers. p and q must
-    lie on c; a third vertex on it counts as outside."""
+def _interior(
+    pts: list[Lifted], c: Circle, p: int, q: int, among: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The vertices of among strictly inside c with their (negative) powers.
+    p and q must lie on c; a third vertex on it counts as outside."""
     for a in (p, q):
         if power(c, pts[a]):
             raise InvariantBroken(f"shrunken disk lost its anchor {a}")
-    return [(i, value) for i, pt in enumerate(pts) if (value := power(c, pt)) < 0]
+    return [(i, value) for i, _ in among if (value := power(c, pts[i])) < 0]
 
 
 def _splice_simple(left: list[int], right: list[int]) -> list[int]:
@@ -165,7 +166,8 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     _check_endpoints(tri, p, q)
     pts = lifted(tri.scaled)
     c = _lift(tri, d)
-    on = [i for i, pt in enumerate(pts) if power(c, pt) == 0]
+    powers = [power(c, pt) for pt in pts]
+    on = [i for i, value in enumerate(powers) if value == 0]
     for v in sorted((p, q)):
         if v not in on:
             raise PreconditionViolated(f"vertex {v} must lie on the disk boundary")
@@ -174,15 +176,17 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
         raise PreconditionViolated(
             f"vertices {stray} lie exactly on the disk boundary; only {p} and {q} may"
         )
-    result = DiskPath(tuple(_find(tri, pts, p, q, c)), d)
+    interior = [(i, value) for i, value in enumerate(powers) if value < 0]
+    result = DiskPath(tuple(_find(tri, pts, p, q, c, interior)), d)
     check_disk_path(tri, result)
     if result.vertices[0] != p or result.vertices[-1] != q:
         raise InvariantBroken("path endpoints drifted")
     return result
 
 
-def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> list[int]:
-    interior = _interior(pts, c, p, q)
+def _find(
+    tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
+) -> list[int]:
     if not interior:
         if not tri.is_edge(p, q):
             raise InvariantBroken(
@@ -201,23 +205,15 @@ def _find(tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle) -> l
             num, den, r = -value, m, x
     c_pr = _shrink(c, pts[p], pts[r], num)
     c_qr = _shrink(c, pts[q], pts[r], num)
-    for sub in (c_pr, c_qr):
-        contained, tangent = _nesting(c, sub)
-        if not tangent:
-            raise InvariantBroken("shrunken disk lost tangency with its parent")
-        if not contained:
-            raise InvariantBroken("shrunken disk escaped its parent")
+    if not (_internally_tangent(c, c_pr) and _internally_tangent(c, c_qr)):
+        raise InvariantBroken("shrunken disk lost tangency with its parent")
     if power(c_pr, pts[q]) <= 0:
         raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
     if power(c_qr, pts[p]) <= 0:
         raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
-    # Strict progress: r left the interior and nesting admits no newcomers.
-    for sub in (c_pr, c_qr):
-        survivors = sum(1 for x, _ in interior if power(sub, pts[x]) < 0)
-        if survivors >= len(interior):
-            raise InvariantBroken("interior vertex count failed to decrease")
-    left = _find(tri, pts, p, r, c_pr)
-    right = _find(tri, pts, q, r, c_qr)
+    # each shrink lies in c: its interior is among c's, less r
+    left = _find(tri, pts, p, r, c_pr, _interior(pts, c_pr, p, r, interior))
+    right = _find(tri, pts, q, r, c_qr, _interior(pts, c_qr, q, r, interior))
     return _splice_simple(left, right[::-1])
 
 

@@ -197,10 +197,10 @@ def test_criterion_6_blocking_lower_bound():
             my + Fraction(rng.randrange(-denom, denom), denom**2),
         )
         try:
-            verdict = verify_blocking((a, b), (blocker,))
+            witness = verify_blocking((a, b), (blocker,))
         except DegenerateInput:
             continue
-        if verdict.blocked:
+        if witness is None:
             blocked_count += 1
     if blocked_count:
         failures.append(("pair-sweep-blocked", blocked_count))

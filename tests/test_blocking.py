@@ -13,7 +13,7 @@ from dtough.blocking import (
     verify_blocking,
 )
 from dtough.delaunay import build
-from dtough.errors import DegenerateInput, PreconditionViolated
+from dtough.errors import ConstructionFailed, DegenerateInput, PreconditionViolated
 from dtough.generate import convex_points
 from dtough.exactgeom import (
     Position,
@@ -31,11 +31,9 @@ P = point
 
 def test_empty_blockers_never_block():
     pts, _ = helpers.random_tri(5, 77)
-    verdict = verify_blocking(pts, ())
-    assert not verdict.blocked and verdict.witness is not None
+    assert verify_blocking(pts, ()) is not None
     # two bare points: their single edge survives by definition
-    verdict = verify_blocking((P(0, 0), P(1, 0)), ())
-    assert not verdict.blocked and verdict.witness == (0, 1)
+    assert verify_blocking((P(0, 0), P(1, 0)), ()) == (0, 1)
 
 
 def test_needs_two_points():
@@ -60,7 +58,7 @@ def test_union_is_scanned_once(monkeypatch):
 
     for module in (blocking, delaunay):
         monkeypatch.setattr(module, "general_position", counting)
-    assert verify_blocking(inst.points, inst.blockers).blocked
+    assert verify_blocking(inst.points, inst.blockers) is None
     assert lower_bound_report(inst.points, inst.blockers).blocked
     assert sizes == [12, 12]
 
@@ -80,7 +78,7 @@ def test_verdict_matches_union_triangulation_oracle(candidates, split, thin):
             verify_blocking(p, b)
         assert raised.value.violation == exc.violation
         return
-    assert verify_blocking(p, b) == (witness is None, witness)
+    assert verify_blocking(p, b) == witness
 
 
 def test_constructions_scan_each_point_set_once(monkeypatch):
@@ -126,14 +124,13 @@ def test_fan_deletion_reexposes_an_edge():
     # blockers 2.. guard the rim edges (i, i+1) in order
     for j in range(2, n):
         reduced = inst.blockers[:j] + inst.blockers[j + 1 :]
-        verdict = verify_blocking(inst.points, reduced)
-        assert not verdict.blocked
+        witness = verify_blocking(inst.points, reduced)
+        assert witness is not None
         # the specific rim edge that blocker guarded must be back
         union = build(tuple(inst.points) + tuple(reduced))
         rim = (j - 1, j)
         assert union.is_edge(*rim)
-        assert verdict.witness is not None
-        u, v = verdict.witness
+        u, v = witness
         assert u < n and v < n
 
 
@@ -152,10 +149,10 @@ def test_two_points_one_blocker_sweep():
             my + Fraction(rng.randrange(-denom, denom), denom**2),
         )
         try:
-            verdict = verify_blocking((a, b), (bl,))
+            witness = verify_blocking((a, b), (bl,))
         except DegenerateInput:
             continue
-        if verdict.blocked:
+        if witness is None:
             blocked += 1
     assert blocked == 0
 
@@ -184,6 +181,13 @@ def test_disjoint_disk_instances():
             assert all(tri.is_edge(i, i + 1) for i in range(n - 1))
 
 
+def test_two_point_disjoint_instance_is_checked(monkeypatch):
+    # the two-point arc goes through the same witness test as every other n
+    monkeypatch.setattr(blocking, "is_witness_disk", lambda *args: False)
+    with pytest.raises(ConstructionFailed):
+        disjoint_disk_instance(2)
+
+
 def test_disjoint_instance_needs_two():
     with pytest.raises(PreconditionViolated):
         disjoint_disk_instance(1)
@@ -199,7 +203,6 @@ def test_small_blocker_attempt_fails():
     )
     for k, d in enumerate(disks):
         assert disk_classify(d, attempt[k]) is Position.INTERIOR
-    verdict = verify_blocking(pts, attempt)
-    assert not verdict.blocked
+    assert verify_blocking(pts, attempt) is not None
     rep = lower_bound_report(pts, attempt)
     assert not rep.blocked and not rep.alarm

@@ -615,15 +615,17 @@ def test_path_tells_a_precondition_breach_from_a_shrink_tie(tmp_path):
 
 def test_path_refuses_a_negative_squared_radius(tmp_path):
     # the disk goes through exactgeom.disk, which refuses it before any
-    # path search; no disk is echoed back
+    # path search and before the point file is read, so its error also wins
+    # over a missing file's; no disk is echoed back
     f = tmp_path / "quad.txt"
     f.write_text("0 0\n4 0\n2 1\n2 -1\n")
-    code, out = helpers.run_cli(["path", str(f), "0", "1", "2", "0", "-1"])
-    assert code == 2
-    assert json.loads(helpers.report_without_timing(out)) == {
-        "command": "path",
-        "error": "squared radius must be nonnegative",
-    }
+    for points in (f, tmp_path / "absent.txt"):
+        code, out = helpers.run_cli(["path", str(points), "0", "1", "2", "0", "-1"])
+        assert code == 2
+        assert json.loads(helpers.report_without_timing(out)) == {
+            "command": "path",
+            "error": "squared radius must be nonnegative",
+        }
 
 
 def test_path_alarm_on_a_faulty_shrink(tmp_path, monkeypatch, capsys):

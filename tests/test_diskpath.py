@@ -161,6 +161,30 @@ def test_check_disk_path_catches_tampering():
     detour = DiskPath((u, far, v), d)
     with pytest.raises(InvariantBroken):
         check_disk_path(t, detour)
+    # a disk of radius zero at u leaves v, the other end of the edge, outside
+    point_disk = Disk(t.vertices[u], Fraction(0))
+    with pytest.raises(InvariantBroken, match=f"path vertex {v} is outside the disk"):
+        check_disk_path(t, DiskPath((u, v), point_disk))
+    assert path_oracle(t, u, v, point_disk) is None
+
+
+def _circle(cx, cy, r2):
+    """The integer circle (W, U, V, K) = (1, cx, cy, cx^2 + cy^2 - r2)."""
+    return 1, cx, cy, cx * cx + cy * cy - r2
+
+
+def test_internal_tangency():
+    outer = _circle(0, 0, 25)
+    assert diskpath._internally_tangent(outer, _circle(2, 0, 9))
+    # the same circle with every coefficient doubled
+    assert diskpath._internally_tangent(outer, (2, 4, 0, 2 * (4 - 9)))
+    for inner in (
+        _circle(1, 0, 4),  # strictly nested, not touching
+        _circle(4, 0, 9),  # crossing
+        _circle(-1, 0, 36),  # larger, and tangent around outer
+        _circle(8, 0, 9),  # externally tangent
+    ):
+        assert not diskpath._internally_tangent(outer, inner)
 
 
 def _outcome(search, t, p, q, d):
