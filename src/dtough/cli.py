@@ -232,7 +232,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[int, Optional[dict]]:
 
 def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
-    d = disk(*(pointfile.coordinate(v) for v in (args.cx, args.cy, args.r2)))
+    d = disk(args.cx, args.cy, args.r2)
     tri = build(pointfile.read_points(args.file))
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": pointfile.fraction_str(d.radius_sq)}
@@ -381,6 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _flat_lines(report: dict, indent: str = "") -> list[str]:
     lines = []
     for key, value in report.items():
+        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            value = {f"[{i}]": v for i, v in enumerate(value)}
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.extend(_flat_lines(value, indent + "  "))

@@ -1,13 +1,18 @@
-"""Paths inside a disk: recursive construction and a BFS reference oracle.
+"""Paths inside a disk: the induction of the disk-path lemma, and a BFS
+reference oracle.
 
 Given a closed disk whose boundary carries exactly two vertices of a
 Delaunay triangulation, a path between them exists inside the disk. The
-constructive form recurses: if no vertex is interior, the two boundary
-vertices are Delaunay-adjacent (the disk itself is the witness); otherwise
-the disk is shrunk toward each boundary vertex until the first interior
-vertex is pinned on the boundary, splitting the problem in two.
+proof is an induction on the vertices strictly inside the disk. With none,
+the disk witnesses the two as an edge. Otherwise shrink the disk toward one
+boundary vertex a, tangent there, until the first interior vertex r is
+pinned on its boundary: that disk is empty, so (a, r) is an edge. The disk
+through r tangent at the other boundary vertex b lies in the first and
+holds fewer vertices, and the induction goes on with b and r. ``find_path``
+runs it as a loop, one pinned vertex and one edge per step, growing the
+path from both ends.
 
-The recursion runs on the triangulation's integer copy of its vertices
+The loop runs on the triangulation's integer copy of its vertices
 (``Triangulation.scaled``), lifted once to (x, y, x^2 + y^2). The caller's
 disk is lifted once to the package's one circle on that copy,
 ``exactgeom.Circle`` (W, U, V, K) with W > 0, whose power
@@ -17,16 +22,18 @@ interior vertex r reaches the boundary is one step in the pencil of circles
 tangent at a: |r - a|^2 P + (-P(r)) |X - a|^2, reduced by the gcd of its
 coefficients. The first vertex pinned is the interior x of greatest
 -P(x) / |x - a|^2, compared by cross-multiplication; on a tie the least
-index is pinned. Every check of the recursion (anchors on their circle,
-internal tangency to the parent, which implies containment, and exclusion
-of the far endpoint) is an exact integer identity, and a failed one is
-``InvariantBroken``. Contained in its parent, a shrink finds its interior
-among the parent's, less its pinned anchor: progress is strict.
+index is pinned. That circle's power at any x inside the parent is
+|r - a|^2 P(x) - P(r) |x - a|^2 >= 0, so it is empty and its interior is
+never scanned. Every check of a step (both shrinks internally tangent to
+their parent, which implies containment, the anchors on their circles, and
+the edge) is an exact integer identity or a lookup, and a failed one is
+``InvariantBroken``. Contained in its parent, the next circle finds its
+interior among the parent's, less its pinned anchor: progress is strict.
 
 Ties need no alarm. ``find_path`` checks once that only p and q lie on the
 caller's boundary. A shrunken circle passes through its two anchors, so
 general position leaves room on it for at most one more vertex: a second
-vertex pinned by a tie, or one that the circle through q and r happens to
+vertex pinned by a tie, or one that the circle through b and r happens to
 meet. That vertex counts as outside. Every further shrink is tangent to this
 circle at one of its anchors, so it stays outside, and a circle through two
 vertices with none inside still certifies them as an edge (with a third on
@@ -116,31 +123,15 @@ def _internally_tangent(outer: Circle, inner: Circle) -> bool:
     return small <= big and m >= 0 and m * m == 4 * big * small
 
 
-def _interior(
-    pts: list[Lifted], c: Circle, p: int, q: int, among: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The vertices of among strictly inside c with their (negative) powers.
-    p and q must lie on c; a third vertex on it counts as outside."""
-    for a in (p, q):
-        if power(c, pts[a]):
-            raise InvariantBroken(f"shrunken disk lost its anchor {a}")
-    return [(i, value) for i, _ in among if (value := power(c, pts[i])) < 0]
+def _check_anchors(pts: list[Lifted], c: Circle, a: int, b: int) -> None:
+    for x in (a, b):
+        if power(c, pts[x]):
+            raise InvariantBroken(f"shrunken disk lost its anchor {x}")
 
 
-def _splice_simple(left: list[int], right: list[int]) -> list[int]:
-    """Concatenate two vertex walks sharing their junction into a simple walk
-    in one pass: a vertex met again cuts the walk back to its first visit."""
-    walk: list[int] = []
-    at: dict[int, int] = {}
-    for v in left + right[1:]:
-        if v in at:
-            for u in walk[at[v] + 1 :]:
-                del at[u]
-            del walk[at[v] + 1 :]
-        else:
-            at[v] = len(walk)
-            walk.append(v)
-    return walk
+def _check_edge(tri: Triangulation, a: int, b: int) -> None:
+    if not tri.is_edge(a, b):
+        raise InvariantBroken(f"empty disk through {a} and {b} but no Delaunay edge between them")
 
 
 def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
@@ -157,11 +148,15 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
 
     Preconditions (checked exactly, here and only here): p and q are
     distinct vertex ids, both on the boundary of d, and no other vertex is
-    on it. Inside the recursion a vertex on a shrunken boundary other than
-    its two anchors counts as outside: general position allows at most one,
-    and it lies outside every further shrink. Base case: no interior vertex
-    forces (p, q) to be an edge; a miss there would falsify the empty-disk
-    edge characterization and raises ``InvariantBroken``.
+    on it. Each step of the induction shrinks the current circle toward its
+    near anchor a until the first interior vertex r is pinned; that empty
+    circle makes (a, r) an edge, and the circle through r tangent at the
+    far anchor b, with fewer vertices inside, is the next step's. With no
+    interior vertex left the two anchors must be an edge. A vertex on a
+    shrunken boundary other than its two anchors counts as outside: general
+    position allows at most one, and it lies outside every further shrink.
+    A missing edge would falsify the empty-disk edge characterization and
+    raises ``InvariantBroken``.
     """
     _check_endpoints(tri, p, q)
     pts = lifted(tri.scaled)
@@ -187,40 +182,40 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
 def _find(
     tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
 ) -> list[int]:
-    if not interior:
-        if not tri.is_edge(p, q):
-            raise InvariantBroken(
-                f"empty disk through {p} and {q} but no Delaunay edge between them"
-            )
-        return [p, q]
-
-    # The first vertex pinned shrinking toward p has the greatest
-    # -P(x) / |x - p|^2, kept as the pair (-P(x), |x - p|^2); the strict
-    # comparison keeps the least index of a tie.
-    px, py, _ = pts[p]
-    num, den, r = 0, 1, None
-    for x, value in interior:
-        m = (pts[x][0] - px) ** 2 + (pts[x][1] - py) ** 2
-        if -value * den > num * m:
-            num, den, r = -value, m, x
-    c_pr = _shrink(c, pts[p], pts[r], num)
-    c_qr = _shrink(c, pts[q], pts[r], num)
-    if not (_internally_tangent(c, c_pr) and _internally_tangent(c, c_qr)):
-        raise InvariantBroken("shrunken disk lost tangency with its parent")
-    if power(c_pr, pts[q]) <= 0:
-        raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
-    if power(c_qr, pts[p]) <= 0:
-        raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
-    # each shrink lies in c: its interior is among c's, less r
-    left = _find(tri, pts, p, r, c_pr, _interior(pts, c_pr, p, r, interior))
-    right = _find(tri, pts, q, r, c_qr, _interior(pts, c_qr, q, r, interior))
-    return _splice_simple(left, right[::-1])
+    near, far = [p], [q]  # the walks from the two anchors; near pins next
+    while interior:
+        a, b = near[-1], far[-1]
+        # The first vertex pinned shrinking toward a has the greatest
+        # -P(x) / |x - a|^2, kept as the pair (-P(x), |x - a|^2); the strict
+        # comparison keeps the least index of a tie.
+        ax, ay, _ = pts[a]
+        num, den, r = 0, 1, None
+        for x, value in interior:
+            m = (pts[x][0] - ax) ** 2 + (pts[x][1] - ay) ** 2
+            if -value * den > num * m:
+                num, den, r = -value, m, x
+        c_ar = _shrink(c, pts[a], pts[r], num)
+        c_br = _shrink(c, pts[b], pts[r], num)
+        if not (_internally_tangent(c, c_ar) and _internally_tangent(c, c_br)):
+            raise InvariantBroken("shrunken disk lost tangency with its parent")
+        # no vertex of c beats r, so c_ar holds none: (a, r) is an edge
+        _check_anchors(pts, c_ar, a, r)
+        _check_edge(tri, a, r)
+        _check_anchors(pts, c_br, b, r)
+        near.append(r)
+        # c_br lies in c: its interior is among c's, less r
+        c = c_br
+        interior = [(i, value) for i, _ in interior if (value := power(c, pts[i])) < 0]
+        near, far = far, near
+    _check_edge(tri, near[-1], far[-1])
+    from_p, from_q = (near, far) if near[0] == p else (far, near)
+    return from_p + from_q[::-1]
 
 
 def path_oracle(tri: Triangulation, p: int, q: int, d: Disk) -> Optional[DiskPath]:
     """Shortest path through vertices inside or on the disk, by plain BFS.
 
-    Independent of the recursive construction; used to cross-examine it.
+    Independent of the constructive induction; used to cross-examine it.
     Returns None when no such path exists. p and q must be distinct vertex
     ids.
     """

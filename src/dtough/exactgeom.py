@@ -21,7 +21,7 @@ of its denominators (``scaled_to_integers``, kept on a triangulation as
 ``Triangulation.scaled``): the answers are the same, the arithmetic is
 plain ``int`` and still exact. The certificates accept that copy in place of
 the points, so a build scales its points once. The in-disk
-path recursion (``diskpath``) lifts its disk to an integer circle on that
+path construction (``diskpath``) lifts its disk to an integer circle on that
 copy; only witness disks, whose centers are arbitrary rationals, and the
 checks that read a caller's disk stay on ``Fraction``. The certificate
 walks the pencil of circles through each pair (a, b) of points with b at or
@@ -46,6 +46,7 @@ amount of concurrency.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -60,16 +61,31 @@ Circle = tuple[int, int, int, int]
 Lifted = tuple[int, int, int]
 
 
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")  # the exponent of a Fraction literal
+
+
 def coord(value: Scalar) -> Fraction:
     """Coerce a value to an exact coordinate.
 
     Accepts ints, Fractions, and strings (``"3"``, ``"-7/2"``, ``"0.125"``;
-    decimal strings parse exactly). Floats are rejected: their binary
-    expansion is rarely what the caller meant, and exactness is the whole
-    point of this package.
+    decimal strings parse exactly). A string with a zero denominator, or
+    with a decimal exponent above ``MAX_EXPONENT`` in magnitude, raises
+    ValueError; the exponent is refused before ``Fraction`` sees it, since
+    ``1e999999999`` would make it build a billion-digit integer. Floats are
+    rejected: their binary expansion is rarely what the caller meant, and
+    exactness is the whole point of this package.
     """
     if isinstance(value, float):
         raise TypeError("float coordinates are inexact; pass a str, int, or Fraction")
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match and abs(int(match.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError("zero denominator") from exc
     return Fraction(value)
 
 
@@ -146,7 +162,7 @@ def arc_point(radius: Fraction, t: Fraction) -> Point:
     return Point(radius * (1 - t * t) / den, radius * 2 * t / den)
 
 
-def _cross(a: Point, b: Point, c: Point) -> Fraction:
+def cross(a: Point, b: Point, c: Point) -> Fraction:
     """Twice the signed area of triangle (a, b, c)."""
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
@@ -154,7 +170,7 @@ def _cross(a: Point, b: Point, c: Point) -> Fraction:
 def outward_normal(a: Point, b: Point, probe: Point) -> Point:
     """The perpendicular of b - a that points away from the side of line ab
     holding probe (the left-hand one when probe is on the line)."""
-    if _cross(a, b, probe) > 0:
+    if cross(a, b, probe) > 0:
         return Point(b.y - a.y, a.x - b.x)
     return Point(a.y - b.y, b.x - a.x)
 
@@ -166,7 +182,7 @@ def outward_normal(a: Point, b: Point, probe: Point) -> Point:
 
 def orient(a: Point, b: Point, c: Point) -> Orientation:
     """Turn direction of the path a -> b -> c."""
-    det = _cross(a, b, c)
+    det = cross(a, b, c)
     if det > 0:
         return Orientation.CCW
     if det < 0:

@@ -2,42 +2,21 @@
 
 One point per line as ``x y``. Coordinates are decimal literals (parsed
 exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
-blank lines are skipped, duplicates are rejected at load. A decimal
-exponent may be at most ``MAX_EXPONENT`` in magnitude: ``1e999999999`` would
-otherwise make ``Fraction`` build a billion-digit integer. ``coordinate``
-parses one field; it also parses the disk arguments of ``dtough path``.
-Emission is canonical (always ``a/b`` or a bare integer), so
-emit -> parse -> emit is byte-identical.
+blank lines are skipped, duplicates are rejected at load. Each field is
+parsed by ``exactgeom.coord``, which refuses a zero denominator and a
+decimal exponent above ``exactgeom.MAX_EXPONENT`` in magnitude. Emission is
+canonical (always ``a/b`` or a bare integer), so emit -> parse -> emit is
+byte-identical.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from .errors import PointFileError
-from .exactgeom import Point
-
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")  # the exponent of a Fraction literal
-
-
-def coordinate(field: str) -> Fraction:
-    """One exact coordinate from a decimal or ``a/b`` literal.
-
-    Raises ValueError for anything else, including a zero denominator and a
-    decimal exponent above ``MAX_EXPONENT`` in magnitude, which is refused
-    before ``Fraction`` sees the field.
-    """
-    match = _EXPONENT.search(field)
-    if match and abs(int(match.group(1))) > MAX_EXPONENT:
-        raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
-    try:
-        return Fraction(field)
-    except ZeroDivisionError as exc:
-        raise ValueError("zero denominator") from exc
+from .exactgeom import Point, coord
 
 
 def parse_points(text: str) -> tuple[Point, ...]:
@@ -53,7 +32,7 @@ def parse_points(text: str) -> tuple[Point, ...]:
         coords = []
         for field in fields:
             try:
-                coords.append(coordinate(field))
+                coords.append(coord(field))
             except ValueError as exc:
                 raise PointFileError(line_no, f"bad coordinate {field!r}: {exc}") from exc
         p = Point(coords[0], coords[1])

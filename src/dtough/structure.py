@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .exactgeom import Point, circle_through, denominator_lcm, int_at_least_sqrt
+from .exactgeom import Point, circle_through, cross, denominator_lcm, int_at_least_sqrt
 
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
@@ -337,13 +337,9 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     # x + y = 2 - 2 area(a, b, h) / area(a, b, u), 2 on the segment ab; the
     # integer copy gives the same area ratio
     qa, qb, qu = tri.scaled[a], tri.scaled[b], tri.scaled[anchor]
-
-    def area2(q: Point) -> int:
-        return (qb.x - qa.x) * (q.y - qa.y) - (qb.y - qa.y) * (q.x - qa.x)
-
-    # max of -area2(h) / d, times d^2 > 0 to stay on ints
-    d = area2(qu)
-    far = Fraction(max(-area2(tri.scaled[h]) * d for h in tri.hull if h != anchor), d * d)
+    # max of -cross(a, b, h) / d, times d^2 > 0 to stay on ints
+    d = cross(qa, qb, qu)
+    far = Fraction(max(-cross(qa, qb, tri.scaled[h]) * d for h in tri.hull if h != anchor), d * d)
     inside = math.ceil(4 + 4 * far)
 
     # The circumdisk bound: twice the largest |center - anchor|^2 + radius^2

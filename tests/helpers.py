@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from dtough import blocking, build, cli, exactgeom
 from dtough.delaunay import CounterExample, from_triangles
-from dtough.diskpath import DiskPath, _splice_simple, check_disk_path
+from dtough.diskpath import DiskPath, check_disk_path
 from dtough.errors import (
     CollinearInput,
     DegenerateInput,
@@ -672,8 +672,7 @@ def disk_contains_disk(outer: Disk, inner: Disk) -> bool:
 
 def splice_simple_rescan(left: list[int], right: list[int]) -> list[int]:
     """Concatenate two vertex walks sharing their junction and cut the first
-    repetition scanning from the start, until the walk is simple: the
-    repeated-rescan splice that ``diskpath._splice_simple`` replaced."""
+    repetition scanning from the start, until the walk is simple."""
     walk = left + right[1:]
     while True:
         first_seen: dict[int, int] = {}
@@ -717,10 +716,6 @@ def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
     for sub in (d_pr, d_qr):
         if not disk_contains_disk(d, sub):
             raise InvariantBroken("shrunken disk escaped its parent")
-    if disk_classify(d_pr, tri.vertices[q]) is not Position.EXTERIOR:
-        raise InvariantBroken("first shrunken disk failed to exclude the far endpoint")
-    if disk_classify(d_qr, pp) is not Position.EXTERIOR:
-        raise InvariantBroken("second shrunken disk failed to exclude the near endpoint")
     for sub in (d_pr, d_qr):
         survivors = sum(
             1 for x in interior if disk_classify(sub, tri.vertices[x]) is Position.INTERIOR
@@ -729,16 +724,19 @@ def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
             raise InvariantBroken("interior vertex count failed to decrease")
     left = _find_fraction(tri, p, r, d_pr)
     right = _find_fraction(tri, q, r, d_qr)
-    return _splice_simple(left, right[::-1])
+    return splice_simple_rescan(left, right[::-1])
 
 
 def find_path_fraction_oracle(tri, p: int, q: int, d: Disk) -> DiskPath:
-    """``diskpath.find_path`` with its recursion on the ``Fraction`` disks:
-    each shrink moves the center along the anchor-to-center segment to the
-    least ``shrink_parameter`` of the interior vertices (``shrink_toward``),
-    and every check classifies ``Fraction`` vertices against ``Fraction``
-    disks. p and q must be distinct vertex ids, and only they may lie on
-    d's boundary. It shares only the walk splice with ``find_path``."""
+    """The path of ``diskpath.find_path``, by a binary recursion on
+    ``Fraction`` disks: each shrink moves the center along the
+    anchor-to-center segment to the least ``shrink_parameter`` of the
+    interior vertices (``shrink_toward``), and every check classifies
+    ``Fraction`` vertices against ``Fraction`` disks. p and q must be
+    distinct vertex ids, and only they may lie on d's boundary. It shares
+    only the final ``check_disk_path`` with ``find_path``, which runs the
+    induction as a loop: this oracle recurses on both shrunken disks, scans
+    each one's interior, and splices the two walks."""
     on = [i for i, pt in enumerate(tri.vertices) if disk_classify(d, pt) is Position.BOUNDARY]
     for v in sorted((p, q)):
         if v not in on:

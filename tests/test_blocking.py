@@ -188,6 +188,13 @@ def test_two_point_disjoint_instance_is_checked(monkeypatch):
         disjoint_disk_instance(2)
 
 
+def test_tangent_chain_refuses_a_chain_that_turns_back():
+    # the third point lies behind the shared one, or level with it, seen
+    # from the first disk's center: no disk through it continues the chain
+    for after in (point(1, 0), point(2, 1)):
+        assert blocking._tangent_chain([point(0, 0), point(2, 0), after]) is None
+
+
 def test_disjoint_instance_needs_two():
     with pytest.raises(PreconditionViolated):
         disjoint_disk_instance(1)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
-from dtough.pointfile import MAX_EXPONENT, format_points, parse_points
+from dtough.exactgeom import MAX_EXPONENT
+from dtough.pointfile import format_points, parse_points
 from dtough.errors import (
     ConstructionFailed,
     InvariantBroken,
@@ -672,11 +673,11 @@ def test_path_disk_arguments_are_parsed_like_point_files(tmp_path, monkeypatch):
         parsed.append(field)
         return parse_coordinate(field)
 
-    parse_coordinate = pointfile.coordinate
-    monkeypatch.setattr(pointfile, "coordinate", recording)
+    parse_coordinate = exactgeom.coord
+    monkeypatch.setattr(exactgeom, "coord", recording)
     code, out = helpers.run_cli(["path", str(f), "0", "1", "1e1000000000", "0", "1"])
     assert code == 2 and "exponent" in json.loads(out)["error"]
-    assert parsed[-1] == "1e1000000000"  # after the eight point-file fields
+    assert parsed[-1] == "1e1000000000"
 
 
 def test_path_svg(tmp_path):
@@ -792,6 +793,13 @@ def test_no_json_mode(tmp_path):
     code, out = helpers.run_cli(["check", str(f), "--no-json", "--checks", "delaunay"])
     assert code == 0
     assert "ok: True" in out
+    # several files: each report is flattened under its index, not printed as a dict
+    g = tmp_path / "kite.txt"
+    g.write_text("0 0\n4 0\n2 1\n2 -1\n")
+    code, out = helpers.run_cli(["check", str(f), str(g), "--no-json", "--checks", "delaunay"])
+    assert code == 0 and "{" not in out
+    assert "  [1]:\n    command: check\n    file: " + str(g) in out
+    assert out.count("      ok: True") == 2
 
 
 def test_max_n_raises_gate(tmp_path):

@@ -271,14 +271,3 @@ def test_recursion_classifies_no_fraction_disk(monkeypatch):
     path_oracle(t, 0, 1, d)
     assert len(calls) == 3 + len(t)
 
-
-@given(
-    st.lists(st.integers(0, 7), min_size=1, max_size=12),
-    st.lists(st.integers(0, 7), max_size=12),
-)
-def test_splice_matches_rescan_oracle(left, right):
-    # small vertex ids make walks with many, nested and overlapping repeats
-    right = [left[-1], *right]
-    walk = diskpath._splice_simple(left, right)
-    assert walk == helpers.splice_simple_rescan(left, right)
-    assert len(set(walk)) == len(walk)

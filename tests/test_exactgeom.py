@@ -23,6 +23,7 @@ from dtough.exactgeom import (
     general_position,
     general_position_added,
     in_circle,
+    int_at_least_sqrt,
     is_witness_disk,
     lifted,
     orient,
@@ -51,6 +52,29 @@ def test_coord_parses_exactly():
     assert coord(3) == 3
     with pytest.raises(TypeError):
         coord(0.25)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["1e1001", " 1e1001\t", "-3E-1_001", "1/0"],
+    ids=["exponent", "padded-exponent", "negative-exponent", "zero-denominator"],
+)
+def test_coord_refuses_huge_exponents_and_zero_denominators(field):
+    # the cap holds for every caller of coord, not only point files, and a
+    # space Fraction ignores does not hide the exponent from it
+    with pytest.raises(ValueError):
+        coord(field)
+    with pytest.raises(ValueError):
+        point(field, 0)
+
+
+def test_int_at_least_sqrt_is_strictly_above_the_root():
+    # squares, where isqrt alone would only reach the root, and non-squares
+    for value in (0, 1, 4, 2, Fraction(9, 4), Fraction(1, 3), 10**40, 10**40 + 1):
+        k = int_at_least_sqrt(Fraction(value))
+        assert k * k > value
+    with pytest.raises(ValueError):
+        int_at_least_sqrt(Fraction(-1, 3))
 
 
 def test_orient_basic():
