@@ -9,6 +9,14 @@ output file) or a construction that gave up, 3 a size gate refused an
 exhaustive search (raise it with --max-n) or a command ran out of memory.
 ``_exit_code`` maps every exception to its code and ``_worst`` merges the
 codes of checks, files and the path picture: an alarm outranks everything.
+
+``check`` builds T without certifying general position (``delaunay.build``
+needs only that T is strictly Delaunay), and reports the paper's hypothesis
+as a check of its own, ``hypothesis``. A failed check is an alarm only
+where the hypothesis holds; elsewhere it exits 2, like the failed
+hypothesis itself. When a check fails and ``hypothesis`` was not asked
+for, the certificate runs before the exit code is chosen, so an alarm
+always comes with the hypothesis certified.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from .delaunay import (
     verify_delaunay,
     witness_disk,
 )
-from .errors import DToughError, InvariantBroken, NoPerfectMatching, TooLarge
-from .exactgeom import Point, disk
+from .errors import DegenerateInput, DToughError, InvariantBroken, NoPerfectMatching, TooLarge
+from .exactgeom import Point, disk, general_position
 from .structure import MIS_GATE, TOUGHNESS_GATE
 
 EXIT_OK = 0
@@ -80,6 +88,17 @@ def _instance_summary(tri: Triangulation) -> dict:
 # Each check takes the triangulation, its size limit (None when ungated) and
 # the verdicts of the checks before it, and returns its verdict. A verdict
 # whose "ok" is false is a falsification alarm.
+
+
+def _check_hypothesis(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
+    violation = general_position(tri.scaled)
+    return {
+        "general_position": violation is None,
+        "violation": None
+        if violation is None
+        else {"kind": violation.kind.value, "indices": list(violation.indices)},
+        "ok": violation is None,
+    }
 
 
 def _check_delaunay(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
@@ -143,7 +162,9 @@ def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dic
 
 # Check name -> (default size gate, or None when ungated; check function).
 # The audit's only exponential step is its independent-set search.
+# "hypothesis" is the paper's: the points in general position.
 CHECKS = {
+    "hypothesis": (None, _check_hypothesis),
     "delaunay": (None, _check_delaunay),
     "toughness": (TOUGHNESS_GATE, _check_toughness),
     "mis": (MIS_GATE, _check_mis),
@@ -175,7 +196,17 @@ def _check_one(path: str, checks: Sequence[str], max_n: Optional[int]) -> tuple[
                 {"refused": message} if code == EXIT_GATE else {"error": message, "ok": False}
             )
             codes.append(code)
+    if EXIT_ALARM in codes and not _hypothesis_holds(tri, verdicts):
+        # outside the paper's hypothesis a failed check refutes nothing
+        codes = [EXIT_INPUT if c == EXIT_ALARM else c for c in codes]
     return _worst(codes), report
+
+
+def _hypothesis_holds(tri: Triangulation, verdicts: dict) -> bool:
+    """The hypothesis verdict, or the certificate when it was not asked for."""
+    if "hypothesis" in verdicts:
+        return verdicts["hypothesis"].get("ok") is True
+    return general_position(tri.scaled) is None
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
@@ -234,6 +265,11 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "path"}
     d = disk(args.cx, args.cy, args.r2)
     tri = build(pointfile.read_points(args.file))
+    # find_path's induction leaves room on a shrunken circle for one more
+    # vertex only in general position
+    violation = general_position(tri.scaled)
+    if violation is not None:
+        raise DegenerateInput(violation)
     report["instance"] = _instance_summary(tri)
     report["disk"] = {"center": _point_json(d.center), "radius_sq": pointfile.fraction_str(d.radius_sq)}
     p, q = args.p, args.q
@@ -386,8 +422,8 @@ def _flat_lines(report: dict, indent: str = "") -> list[str]:
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.extend(_flat_lines(value, indent + "  "))
-        else:
-            lines.append(f"{indent}{key}: {value}")
+        else:  # a string as it is, any other value as JSON
+            lines.append(f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}")
     return lines
 
 

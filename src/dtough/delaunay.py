@@ -1,19 +1,33 @@
 """Delaunay triangulation construction and verification.
 
-``build`` certifies general position (O(n^3)) and gift-wraps the faces off
-the pencils of circles through their edges: ab is a Delaunay edge exactly
-when some circle through a and b has no other point inside (Dillencourt,
-DCG 1990), that is when the pair's pencil gap is open
-(``exactgeom.pencil_gap``), and the apex of the face left of a -> b is the
-point at the gap's left end. One such scan per face and per hull edge finds
-them all (``exactgeom.delaunay_faces``, O(n^2)). ``extend`` adds points to
-a built triangulation and returns what ``build`` returns for the union: it
-certifies only the tuples that hold an added point (O(k n^2) for k added
-points), keeps each old face whose circumdisk no added point enters, and
-wraps the new faces outward from the edges of the kept ones. Both run on
-one lcm-scaled integer copy of the points (``exactgeom.scaled_to_integers``),
-which gives the same faces as the rational points; the returned
-``Triangulation`` holds the caller's points.
+``build`` gift-wraps the faces off the pencils of circles through their
+edges: ab is a Delaunay edge exactly when some circle through a and b has
+no other point inside (Dillencourt, DCG 1990), that is when the pair's
+pencil gap is open (``exactgeom.pencil_gap``), and the apex of the face
+left of a -> b is the point at the gap's left end. One such scan per face
+and per hull edge finds them all (``exactgeom.delaunay_faces``, O(n^2)).
+``build`` then checks that the faces tile a strictly convex hull and tests
+every interior edge strictly: the far apex strictly outside the circle
+through the edge and the near one, O(1) per edge. By Delaunay's lemma
+(Delaunay 1934; Lawson 1977) such a tiling is the Delaunay triangulation,
+and strictness makes it unique, so ``build`` needs no general-position
+certificate. The O(n^3) certificate (``exactgeom.general_position``) runs
+only when a step fails, to name the violation (``DegenerateInput``); on
+points in general position a failure is a broken invariant. So ``build``
+accepts some point sets outside general position, those whose Delaunay
+triangulation is unique and strict, such as four cocircular points with a
+fifth inside their circle; the paper's hypothesis is reported apart, by
+the ``hypothesis`` check of ``cli``.
+
+``extend`` adds points to a built triangulation and returns what ``build``
+returns for the union: it keeps each old face whose circumcircle every
+added point lies strictly outside, wraps the new faces outward from the
+edges of the kept ones, and tests only the new faces' interior edges.
+When that fails, the certificate scans only the tuples that hold an added
+point (``exactgeom.general_position_added``, O(k n^2) for k added points).
+Both run on one lcm-scaled integer copy of the points
+(``exactgeom.scaled_to_integers``), which gives the same faces as the
+rational points; the returned ``Triangulation`` holds the caller's points.
 Their output is never trusted: ``verify_delaunay`` re-checks the
 empty-circumdisk property of every face against every vertex by brute force,
 the sign of each vertex's power on the face's circle
@@ -44,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -54,12 +69,14 @@ from .errors import (
     WitnessSearchFailed,
 )
 from .exactgeom import (
+    Circle,
     Disk,
     Orientation,
     Point,
     Position,
     circle_through,
     delaunay_faces,
+    denominator_lcm,
     dist_sq,
     general_position,
     general_position_added,
@@ -96,7 +113,9 @@ class Triangulation:
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
     ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
-    the one on ``vertices``.
+    the one on ``vertices``. ``circles`` holds each face's circle on
+    ``scaled``, computed on first use: ``structure.sentinel_augment`` and
+    every ``extend`` of the same triangulation share it.
     """
 
     vertices: tuple[Point, ...]
@@ -109,6 +128,13 @@ class Triangulation:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def circles(self) -> tuple[Circle, ...]:
+        """``exactgeom.circle_through`` of each face of ``triangles`` on
+        ``scaled``, in the same order; computed on first use, then kept."""
+        q = self.scaled
+        return tuple(circle_through(q[a], q[b], q[c]) for a, b, c in self.triangles)
 
     def is_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.apex or (v, u) in self.apex
@@ -195,66 +221,109 @@ def _assemble(
 
 
 def build(points: Sequence[Point]) -> Triangulation:
-    """Delaunay triangulation of a general-position point set.
+    """The Delaunay triangulation of a point set, when it is unique and
+    strict: every point strictly outside the circumcircle of every face it
+    is not a vertex of. General position implies this.
 
-    Certifies general position, then gift-wraps the faces, one pencil gap
-    scan per face and per hull edge (``exactgeom.delaunay_faces``), on
-    integer coordinates scaled by the lcm of all denominators; the
-    predicates are invariant under that positive factor. The points are
-    scaled once, and the certificate, the face scan and the returned
-    ``scaled`` share that copy. The faces depend only on the point set,
-    never on the input order; tests check this by shuffling inputs. Faces
-    that ``from_triangles`` rejects are a broken invariant, not bad input.
+    Gift-wraps the faces, one pencil gap scan per face and per hull edge
+    (``exactgeom.delaunay_faces``), on integer coordinates scaled by the lcm
+    of all denominators; the predicates are invariant under that positive
+    factor. ``_assemble`` checks that the faces tile a strictly convex hull,
+    and each interior edge is tested strictly (``_check_strict``). By
+    Delaunay's lemma (Delaunay 1934; Lawson 1977) a tiling that is strictly
+    locally Delaunay at every interior edge is the strict Delaunay
+    triangulation, so no general-position certificate is needed. Only when
+    one of these steps fails does ``exactgeom.general_position`` run: a
+    violation it finds raises ``DegenerateInput``, and on points in general
+    position the failure stands as a broken invariant. The points are
+    scaled once, and the face scan, the tests and the returned ``scaled``
+    share that copy. The faces depend only on the point set, never on the
+    input order; tests check this by shuffling inputs.
     """
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
     q = scaled_to_integers(pts)
-    violation = general_position(q)
-    if violation is not None:
-        raise DegenerateInput(violation)
-    return _certified(pts, q, delaunay_faces(q))
+    try:
+        tri = _assembled(pts, q, delaunay_faces(q))
+        _check_strict(tri, tri.edges)
+    except InvariantBroken:
+        violation = general_position(q)
+        if violation is not None:
+            raise DegenerateInput(violation) from None
+        raise
+    return tri
 
 
 def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
-    """The Delaunay triangulation of tri's vertices followed by ``added``;
-    it equals ``build(tri.vertices + added)``, DegenerateInput included.
+    """The Delaunay triangulation of tri's vertices followed by ``added``,
+    as ``build`` of the union returns it.
 
-    tri must be the Delaunay triangulation of its vertices, as ``build``
-    returns it. General position is hereditary, so only the tuples ending in
-    an added point are certified (``exactgeom.general_position_added``,
-    ``build``'s scan from ``len(tri)``, O(k n^2)). An old face stays a face
-    exactly when no added point lies in its circumdisk (Bowyer; Watson,
-    Computer Journal 1981), and ``exactgeom.delaunay_faces`` wraps the new
-    faces outward from the kept ones, one pencil gap scan per new face and
-    per hull edge it reaches; with no face kept it wraps the whole union.
-    Everything runs on one lcm-scaled copy of the union.
-    ``structure.sentinel_augment`` adds its sentinels here too.
+    tri must be strictly Delaunay, as ``build`` returns it. An old face
+    stays a face exactly when every added point lies strictly outside its
+    circumcircle (Bowyer; Watson, Computer Journal 1981). Each face's circle
+    is ``Triangulation.circles`` on ``tri.scaled``, computed once per
+    triangulation; the union's copy is that one times the integer
+    m = L' / L (L and L' the denominator lcms of the old points and of the
+    union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K).
+    ``exactgeom.delaunay_faces`` wraps the new faces outward from the kept
+    ones, one pencil gap scan per new face and per hull edge it reaches;
+    with no face kept it wraps the whole union. Only the interior edges of
+    the new faces are tested strictly: an edge between two kept faces was
+    strict in tri. When a step fails,
+    ``exactgeom.general_position_added`` names the violation among the
+    tuples that hold an added point (``DegenerateInput``); when it finds
+    none the failure stands. Everything runs on one lcm-scaled copy of the
+    union. ``structure.sentinel_augment`` adds its sentinels here.
     """
     pts = tri.vertices + tuple(added)
     q = scaled_to_integers(pts)
     n = len(tri)
-    violation = general_position_added(q[:n], q[n:])
-    if violation is not None:
-        raise DegenerateInput(violation)
+    m = denominator_lcm(pts) // denominator_lcm(tri.vertices)
     new = lifted(q[n:])
-    kept = []
-    for t in tri.triangles:
-        c = circle_through(*(q[i] for i in t))
-        if all(power(c, p) > 0 for p in new):
-            kept.append(t)
-    return _certified(pts, q, delaunay_faces(q, kept))
+    kept = [
+        t
+        for t, (w, u, v, k) in zip(tri.triangles, tri.circles)
+        if all(power((w, m * u, m * v, m * m * k), p) > 0 for p in new)
+    ]
+    try:
+        faces = delaunay_faces(q, kept)
+        grown = _assembled(pts, q, faces)
+        sides = {(min(e), max(e)) for a, b, c in faces[len(kept):] for e in ((a, b), (b, c), (c, a))}
+        _check_strict(grown, sorted(sides))
+    except InvariantBroken:
+        violation = general_position_added(q[:n], q[n:])
+        if violation is not None:
+            raise DegenerateInput(violation) from None
+        raise
+    return grown
 
 
-def _certified(
+def _assembled(
     pts: tuple[Point, ...], q: tuple[Point, ...], faces: list[tuple[int, int, int]]
 ) -> Triangulation:
-    """Assemble the empty-disk faces of certified points; faces that do not
-    triangulate them are a broken invariant."""
+    """Assemble the empty-disk faces of the face scan; faces that do not
+    tile the points' hull are a broken invariant."""
     try:
         return _assemble(pts, q, faces)
     except ValueError as exc:
         raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
+
+
+def _check_strict(tri: Triangulation, edges: Sequence[tuple[int, int]]) -> None:
+    """Raise ``InvariantBroken`` at the first interior edge (u, v) of
+    ``edges`` that is not strictly locally Delaunay: with faces (u, v, r)
+    and (v, u, s), s must lie strictly outside the circle through u, v and
+    r, one ``circle_through`` and one ``power`` on ``tri.scaled``
+    (``edge_angle_check``'s test). Boundary edges are skipped."""
+    q, apex = tri.scaled, tri.apex
+    for u, v in edges:
+        r, s = apex.get((u, v)), apex.get((v, u))
+        if r is None or s is None:
+            continue
+        x, y = q[s]
+        if power(circle_through(q[u], q[v], q[r]), (x, y, x * x + y * y)) <= 0:
+            raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,9 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     shrunken boundary other than its two anchors counts as outside: general
     position allows at most one, and it lies outside every further shrink.
     A missing edge would falsify the empty-disk edge characterization and
-    raises ``InvariantBroken``.
+    raises ``InvariantBroken``. ``delaunay.build`` does not certify general
+    position, so the caller does: ``dtough path`` runs
+    ``exactgeom.general_position`` on ``tri.scaled`` first.
     """
     _check_endpoints(tri, p, q)
     pts = lifted(tri.scaled)

@@ -14,28 +14,36 @@ in-circle question is the sign of one ``power`` at a point ``lifted`` to
 (x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``.
 
 Every sign test on a point set's own points (the general-position
-certificates, the Delaunay face scan of ``delaunay.build`` and
-``delaunay.extend``, ``from_triangles``, ``verify_delaunay`` and
-``edge_angle_check``) runs on a copy of the point set multiplied by the lcm
-of its denominators (``scaled_to_integers``, kept on a triangulation as
-``Triangulation.scaled``): the answers are the same, the arithmetic is
-plain ``int`` and still exact. The certificates accept that copy in place of
-the points, so a build scales its points once. The in-disk
-path construction (``diskpath``) lifts its disk to an integer circle on that
-copy; only witness disks, whose centers are arbitrary rationals, and the
-checks that read a caller's disk stay on ``Fraction``. The certificate
-walks the pencil of circles through each pair (a, b) of points with b at or
-above a start index: O(n^3) from 0, O(k n^2) for the tuples that hold one
-of k added points. One bisector row per pair finds every collinear triple
-and cocircular quadruple whose least and greatest index the pair is
-(``_bisector_row``). The pencil gap of a pair (``pencil_gap``) holds the
-parameters of the circles through it that contain no other point. That gap
-is the one empty-disk test of the package: the face scan
-(``delaunay_faces``) gift-wraps the triangulation, reading the face left of
-each directed edge off the left end of its gap, one O(n) scan per face and
-per hull edge; ``delaunay.witness_disk`` takes its center from inside it,
-and a blocking verdict asks whether any pair of the blocked set has it
-open.
+certificates, the Delaunay face scan and strict edge tests of
+``delaunay.build`` and ``delaunay.extend``, ``from_triangles``,
+``verify_delaunay`` and ``edge_angle_check``) runs on a copy of the point
+set multiplied by the lcm of its denominators (``scaled_to_integers``, kept
+on a triangulation as ``Triangulation.scaled``): the answers are the same,
+the arithmetic is plain ``int`` and still exact. The certificates accept
+that copy in place of the points, so a build scales its points once. The
+in-disk path construction (``diskpath``) lifts its disk to an integer
+circle on that copy. Witness disks, whose centers are arbitrary rationals,
+are built in ``Fraction``; ``disk_classify``, which the checks that read a
+caller's disk call, takes a ``Fraction`` disk and point but compares them
+by integer cross-multiplication of their numerators and denominators.
+
+The certificate (``general_position``) is the paper's hypothesis, not a
+step of building T: ``delaunay.build`` runs it only to name the violation
+when its local tests fail, and ``cli``'s ``hypothesis`` check, ``gen`` and
+the callers whose proofs need it (``path``, ``blocking.verify_blocking``)
+run it themselves. It walks the pencil of circles through each pair (a, b)
+of points with b at or above a start index: O(n^3) from 0, O(k n^2) for
+the tuples that hold one of k added points. One bisector row per pair
+finds every collinear triple and cocircular quadruple whose least and
+greatest index the pair is (``_bisector_row``).
+
+The pencil gap of a pair (``pencil_gap``) holds the parameters of the
+circles through it that contain no other point. That gap is the one
+empty-disk test of the package: the face scan (``delaunay_faces``)
+gift-wraps the triangulation, reading the face left of each directed edge
+off the left end of its gap, one O(n) scan per face and per hull edge;
+``delaunay.witness_disk`` takes its center from inside it, and a blocking
+verdict asks whether any pair of the blocked set has it open.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -71,8 +79,9 @@ def coord(value: Scalar) -> Fraction:
     Accepts ints, Fractions, and strings (``"3"``, ``"-7/2"``, ``"0.125"``;
     decimal strings parse exactly). A string with a zero denominator, or
     with a decimal exponent above ``MAX_EXPONENT`` in magnitude, raises
-    ValueError; the exponent is refused before ``Fraction`` sees it, since
-    ``1e999999999`` would make it build a billion-digit integer. Floats are
+    ValueError; the exponent is refused by its digit count before
+    ``Fraction`` or ``int`` sees it, since ``1e999999999`` would make
+    ``Fraction`` build a billion-digit integer. Floats are
     rejected: their binary expansion is rarely what the caller meant, and
     exactness is the whole point of this package.
     """
@@ -80,8 +89,11 @@ def coord(value: Scalar) -> Fraction:
         raise TypeError("float coordinates are inexact; pass a str, int, or Fraction")
     if isinstance(value, str):
         match = _EXPONENT.search(value)
-        if match and abs(int(match.group(1))) > MAX_EXPONENT:
-            raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
+        if match:
+            # counted before int(), which refuses more than 4,300 digits
+            digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+                raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:
@@ -231,7 +243,7 @@ def lifted(points: Iterable[Point]) -> list[Lifted]:
     return [(x, y, x * x + y * y) for x, y in points]
 
 
-def _position(gap: Fraction) -> Position:
+def _position(gap: Union[int, Fraction]) -> Position:
     """The region of a point whose signed gap (negative inside) is gap."""
     if gap < 0:
         return Position.INTERIOR
@@ -247,8 +259,21 @@ def in_circle(a: Point, b: Point, c: Point, d: Point) -> Position:
 
 
 def disk_classify(d: Disk, p: Point) -> Position:
-    """Exact comparison of squared distance against squared radius."""
-    return _position(dist_sq(d.center, p) - d.radius_sq)
+    """Exact comparison of squared distance against squared radius.
+
+    Computed on integers: each coordinate difference is a numerator over
+    the product of the two denominators, and the sign of
+    dx^2 + dy^2 - r^2 is that of the sum cross-multiplied by its positive
+    denominators. This skips the gcd normalisation of every ``Fraction``
+    operation.
+    """
+    (cx, cy), r2 = d
+    px, py = p
+    xd, yd = cx.denominator * px.denominator, cy.denominator * py.denominator
+    xn = cx.numerator * px.denominator - px.numerator * cx.denominator
+    yn = cy.numerator * py.denominator - py.numerator * cy.denominator
+    xd, yd = xd * xd, yd * yd
+    return _position(r2.denominator * (xn * xn * yd + yn * yn * xd) - r2.numerator * xd * yd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Seeded point-set generators with exact coordinates.
 
-Both generators verify general position (and convexity, where promised)
-before returning; sampling repeats with a fresh stream or a smaller jitter
-until the exact checks pass, so emitted sets are unconditionally valid.
+Both generators certify general position (``exactgeom.general_position``;
+``delaunay.build`` does not) and convexity, where promised, before
+returning; sampling repeats with a fresh stream or a smaller jitter until
+the exact checks pass, so emitted sets are unconditionally valid.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .delaunay import build
-from .errors import ConstructionFailed, DegenerateInput, TooFewPoints
+from .errors import ConstructionFailed, TooFewPoints
 from .exactgeom import Point, arc_point, general_position
 
 GRID_BITS = 20  # random coordinates are k / 2**20 in [0, 1]
@@ -57,10 +58,7 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
             t = Fraction(-3) + Fraction(6) * Fraction(2 * i + 1, 2 * n)
             radius = 1 + jitter * rng.choice((-1, 1)) * Fraction(magnitudes[i], 1024)
             pts.append(arc_point(radius, t))
-        try:
-            if len(build(pts).hull) == n:
-                return tuple(pts)
-        except DegenerateInput:
-            pass
+        if general_position(pts) is None and len(build(pts).hull) == n:
+            return tuple(pts)
         jitter /= 2
     raise ConstructionFailed(f"no convex-position sample after 64 attempts (n={n})")

@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .exactgeom import Point, circle_through, cross, denominator_lcm, int_at_least_sqrt
+from .exactgeom import Point, cross, denominator_lcm, int_at_least_sqrt
 
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
@@ -315,11 +315,14 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     sentinels at every reach.
 
     Nothing about the placement is trusted: ``extend(tri, (s1, s2))``
-    certifies general position, and the candidate is taken only when every
+    tests every new face strictly and raises ``DegenerateInput`` when a
+    sentinel is collinear or cocircular with input points in a way that
+    spoils the triangulation, and the candidate is taken only when every
     face of the input survives and the augmented hull is exactly the
     sentinel triangle. A rejected candidate doubles r; after 64 rejections
-    the search raises ``ConstructionFailed``. The sentinels are in the
-    caller's coordinates.
+    the search raises ``ConstructionFailed``. The face circles of the bound
+    are ``tri.circles``, which ``extend`` reads for every candidate, so
+    each is computed once. The sentinels are in the caller's coordinates.
     """
     gone = _vertex_set(tri, removed, "removed set")
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -348,8 +351,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     # radius (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
     # The largest num / W^2 is picked by integer cross-multiplication.
     best, best_w2 = 0, 1
-    for t in tri.triangles:
-        w, u, v, k = circle_through(*(tri.scaled[i] for i in t))
+    for w, u, v, k in tri.circles:  # kept on tri, so extend reuses them
         num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
         num += u * u + v * v - k * w  # W^2 radius^2
         if num * best_w2 > best * w * w:

@@ -27,6 +27,7 @@ from dtough.errors import (
     InvariantBroken,
     NotInteriorEdge,
     PreconditionViolated,
+    TooFewPoints,
     WitnessSearchFailed,
 )
 from dtough.exactgeom import (
@@ -36,7 +37,6 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
-    disk_classify,
     dist_sq,
     general_position,
     in_circle,
@@ -44,6 +44,7 @@ from dtough.exactgeom import (
     orient,
     pencil_gap,
     point,
+    scaled_to_integers,
 )
 from dtough.generate import random_points
 from dtough.structure import ToughnessWitness
@@ -53,6 +54,13 @@ from dtough.structure import ToughnessWitness
 # quadruples are all common at this size.
 grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 grid_points = st.builds(Point, grid_fraction, grid_fraction)
+
+
+def disk_classify_fraction(d: Disk, p: Point) -> Position:
+    """``exactgeom.disk_classify`` in ``Fraction`` arithmetic: the sign of
+    ``dist_sq(center, p) - radius_sq``."""
+    gap = dist_sq(d.center, p) - d.radius_sq
+    return Position.INTERIOR if gap < 0 else Position.EXTERIOR if gap > 0 else Position.BOUNDARY
 
 
 def _third(face, u, v) -> int:
@@ -120,6 +128,21 @@ def pair_scan_faces(q) -> set[tuple[int, int, int]]:
             if right and a < right[2] < b:
                 faces.add((a, right[2], b))
     return faces
+
+
+def certified_build(points):
+    """The Delaunay triangulation of points in general position, built the
+    way ``build`` did before its local test: certify first
+    (``DegenerateInput`` otherwise), then assemble the faces of the pair
+    scan (``pair_scan_faces``) through ``from_triangles``."""
+    pts = tuple(points)
+    if len(pts) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
+    q = scaled_to_integers(pts)
+    violation = general_position(q)
+    if violation is not None:
+        raise DegenerateInput(violation)
+    return from_triangles(pts, sorted(pair_scan_faces(q)))
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +277,7 @@ def verify_delaunay_naive(tri):
     for t in tri.triangles:
         d = circumdisk(*(tri.vertices[i] for i in t))
         for vi, p in enumerate(tri.vertices):
-            if vi not in t and disk_classify(d, p) is not Position.EXTERIOR:
+            if vi not in t and disk_classify_fraction(d, p) is not Position.EXTERIOR:
                 return CounterExample(t, vi)
     return None
 
@@ -430,14 +453,14 @@ def witness_disk_oracle(tri, u, v) -> Disk:
             candidates = [Point(mid.x + sign * t * perp.x, mid.y + sign * t * perp.y) for t in steps]
         else:
             diametral = Disk(mid, dist_sq(mid, pu))
-            sign = -1 if disk_classify(diametral, ap) is Position.INTERIOR else 1
+            sign = -1 if disk_classify_fraction(diametral, ap) is Position.INTERIOR else 1
             candidates = [
                 Point(c.x + sign * t * (mid.x - c.x), c.y + sign * t * (mid.y - c.y)) for t in steps
             ]
     for center in candidates:
         d = Disk(center, dist_sq(center, pu))
         if all(
-            disk_classify(d, p) is (Position.BOUNDARY if i in key else Position.EXTERIOR)
+            disk_classify_fraction(d, p) is (Position.BOUNDARY if i in key else Position.EXTERIOR)
             for i, p in enumerate(tri.vertices)
         ):
             return d
@@ -446,8 +469,9 @@ def witness_disk_oracle(tri, u, v) -> Disk:
 
 def surviving_pp_edge_oracle(p, b):
     """The first P-P edge of the union's Delaunay triangulation, scanned in
-    ``build(union).edges``, or None. The bare pair (two points, no blockers)
-    has its single edge by definition."""
+    ``certified_build(union).edges``, or None; a union outside general
+    position raises ``DegenerateInput``. The bare pair (two points, no
+    blockers) has its single edge by definition."""
     pts = tuple(p) + tuple(b)
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
@@ -456,7 +480,7 @@ def surviving_pp_edge_oracle(p, b):
         if violation is not None:
             raise DegenerateInput(violation)
         return (0, 1)
-    return next(((u, v) for u, v in build(pts).edges if u < len(p) and v < len(p)), None)
+    return next(((u, v) for u, v in certified_build(pts).edges if u < len(p) and v < len(p)), None)
 
 
 def mis_exhaustive(n: int, edges) -> int:
@@ -636,9 +660,9 @@ def shrink_toward(d: Disk, anchor: Point, target: Point) -> Disk:
     is internally tangent to d at anchor. Preconditions (anchor on the
     boundary, target strictly interior) are checked exactly.
     """
-    if disk_classify(d, anchor) is not Position.BOUNDARY:
+    if disk_classify_fraction(d, anchor) is not Position.BOUNDARY:
         raise PreconditionViolated(f"anchor {anchor} is not on the disk boundary")
-    if disk_classify(d, target) is not Position.INTERIOR:
+    if disk_classify_fraction(d, target) is not Position.INTERIOR:
         raise PreconditionViolated(f"target {target} is not interior to the disk")
     t = shrink_parameter(d, anchor, target)
     cx = anchor.x + t * (d.center.x - anchor.x)
@@ -692,10 +716,10 @@ def _interior_fraction(tri, d: Disk, p: int, q: int) -> list[int]:
     """Vertices strictly inside d; p and q must be on its boundary. A third
     vertex on a shrunken boundary counts as outside."""
     for a in (p, q):
-        if disk_classify(d, tri.vertices[a]) is not Position.BOUNDARY:
+        if disk_classify_fraction(d, tri.vertices[a]) is not Position.BOUNDARY:
             raise InvariantBroken(f"shrunken disk lost its anchor {a}")
     return [
-        i for i, pt in enumerate(tri.vertices) if disk_classify(d, pt) is Position.INTERIOR
+        i for i, pt in enumerate(tri.vertices) if disk_classify_fraction(d, pt) is Position.INTERIOR
     ]
 
 
@@ -718,7 +742,7 @@ def _find_fraction(tri, p: int, q: int, d: Disk) -> list[int]:
             raise InvariantBroken("shrunken disk escaped its parent")
     for sub in (d_pr, d_qr):
         survivors = sum(
-            1 for x in interior if disk_classify(sub, tri.vertices[x]) is Position.INTERIOR
+            1 for x in interior if disk_classify_fraction(sub, tri.vertices[x]) is Position.INTERIOR
         )
         if survivors >= len(interior):
             raise InvariantBroken("interior vertex count failed to decrease")
@@ -737,7 +761,7 @@ def find_path_fraction_oracle(tri, p: int, q: int, d: Disk) -> DiskPath:
     only the final ``check_disk_path`` with ``find_path``, which runs the
     induction as a loop: this oracle recurses on both shrunken disks, scans
     each one's interior, and splices the two walks."""
-    on = [i for i, pt in enumerate(tri.vertices) if disk_classify(d, pt) is Position.BOUNDARY]
+    on = [i for i, pt in enumerate(tri.vertices) if disk_classify_fraction(d, pt) is Position.BOUNDARY]
     for v in sorted((p, q)):
         if v not in on:
             raise PreconditionViolated(f"vertex {v} must lie on the disk boundary")
@@ -790,14 +814,14 @@ def pencil_disk(tri, p: int, q: int, gap_index: int) -> Disk | None:
     for i, x in enumerate(tri.vertices):
         if i in (p, q):
             continue
-        if disk_classify(d, x) is Position.BOUNDARY:
+        if disk_classify_fraction(d, x) is Position.BOUNDARY:
             return None
     return d
 
 
 def interior_count(tri, d: Disk) -> int:
     return sum(
-        1 for x in tri.vertices if disk_classify(d, x) is Position.INTERIOR
+        1 for x in tri.vertices if disk_classify_fraction(d, x) is Position.INTERIOR
     )
 
 

@@ -790,16 +790,89 @@ def test_check_json_determinism(tmp_path):
 def test_no_json_mode(tmp_path):
     f = tmp_path / "tri.txt"
     f.write_text("0 0\n1 0\n0 1\n")
-    code, out = helpers.run_cli(["check", str(f), "--no-json", "--checks", "delaunay"])
+    code, out = helpers.run_cli(["check", str(f), "--no-json", "--checks", "delaunay,audit"])
     assert code == 0
-    assert "ok: True" in out
+    # strings print as they are, every other value as JSON, not as a repr
+    assert "ok: true" in out and "counterexample: null" in out
+    assert not any(word in out for word in ("True", "None", "'"))
+    flat = dict(line.strip().split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert flat["command"] == "check"
+    _, plain = helpers.run_cli(["check", str(f), "--checks", "delaunay,audit"])
+    audit = json.loads(plain)["verdicts"]["audit"]
+    assert json.loads(flat["sentinels"]) == audit["sentinels"]
+    assert json.loads(flat["independent_set"]) == audit["independent_set"]
     # several files: each report is flattened under its index, not printed as a dict
     g = tmp_path / "kite.txt"
     g.write_text("0 0\n4 0\n2 1\n2 -1\n")
     code, out = helpers.run_cli(["check", str(f), str(g), "--no-json", "--checks", "delaunay"])
     assert code == 0 and "{" not in out
     assert "  [1]:\n    command: check\n    file: " + str(g) in out
-    assert out.count("      ok: True") == 2
+    assert out.count("      ok: true") == 2
+
+
+# Points 0, 1, 3 and 4 are cocircular, and 2 lies inside their circle: no
+# empty circle holds four points, so T is unique and strictly Delaunay.
+COCIRCULAR_FIVE = "0 0\n0 1\n1 0\n1 2\n2 2\n"
+
+
+def test_outside_the_hypothesis_check_reports_every_verdict(tmp_path):
+    f = tmp_path / "five.txt"
+    f.write_text(COCIRCULAR_FIVE)
+    code, out = helpers.run_cli(["check", str(f)])
+    assert code == 2
+    report = json.loads(out)
+    assert "error" not in report and list(report["verdicts"]) == list(cli.ALL_CHECKS)
+    verdicts = report["verdicts"]
+    assert verdicts["hypothesis"] == {
+        "general_position": False,
+        "violation": {"kind": "cocircular", "indices": [0, 1, 3, 4]},
+        "ok": False,
+    }
+    assert verdicts["delaunay"]["ok"] and verdicts["toughness"]["toughness"] == "1"
+    # path's induction needs general position, so path still refuses the file
+    code, out = helpers.run_cli(["path", str(f), "0", "4", "1", "1", "2"])
+    assert code == 2 and "cocircular" in json.loads(out)["error"]
+
+
+def test_a_failed_check_is_an_alarm_only_under_the_hypothesis(tmp_path, monkeypatch):
+    five, general = tmp_path / "five.txt", tmp_path / "r8.txt"
+    five.write_text(COCIRCULAR_FIVE)
+    helpers.run_cli(["gen", "random", "8", "--seed", "1", "--out", str(general)])
+
+    def failing(tri, limit, earlier):
+        return {"ok": False}
+
+    monkeypatch.setitem(cli.CHECKS, "delaunay", (None, failing))
+    # with hypothesis asked for, and without it, when check runs the certificate
+    for checks in (cli.ALL_CHECKS, ("delaunay",), ("delaunay", "matching")):
+        argv = ["--checks", ",".join(checks)]
+        assert helpers.run_cli(["check", str(five), *argv])[0] == 2, checks
+        assert helpers.run_cli(["check", str(general), *argv])[0] == 1, checks
+    code, out = helpers.run_cli(["check", str(five), "--checks", "delaunay"])
+    assert list(json.loads(out)["verdicts"]) == ["delaunay"]  # the certificate is not reported
+
+
+def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch):
+    f = tmp_path / "r12.txt"
+    helpers.run_cli(["gen", "random", "12", "--seed", "3", "--out", str(f)])
+    pts = pointfile.read_points(f)
+    scans = []
+    real = exactgeom._least_violation
+
+    def counting(points, start):
+        scans.append((len(points), start))
+        return real(points, start)
+
+    monkeypatch.setattr(exactgeom, "_least_violation", counting)
+    t = delaunay.build(pts)
+    assert scans == []  # the local tests certify T
+    structure.sentinel_augment(t, t.hull[:1])
+    assert scans == []  # an extension that passes its local tests
+    code, _ = helpers.run_cli(["check", str(f)])
+    assert code == 0 and scans == [(12, 0)]  # the hypothesis check's one scan
+    scans.clear()
+    code, _ = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
+    assert code == 0 and scans == []
 
 
 def test_max_n_raises_gate(tmp_path):

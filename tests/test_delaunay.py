@@ -215,16 +215,46 @@ def test_extend_matches_build_of_the_union(candidates, added):
 
 
 def test_extend_reports_the_violation_build_reports():
-    # two collinear triples end in an added point: (0, 3, 7) and (1, 2, 6);
-    # both calls name the lexicographically least
+    # three collinear triples end in an added point: (0, 3, 7) and (1, 2, 6)
+    # inside the hull, (0, 6, 8) along it, which no triangulation of a
+    # strictly convex hull can hold; both calls fail and name the
+    # lexicographically least, as the certifying oracle does
     base = [P(0, 0), P(7, 1), P(2, 9), P(11, 4), P(5, 13), P(13, 11)]
-    added = [P(-3, 17), P(33, 12)]
+    added = [P(-3, 17), P(33, 12), P(-6, 34)]
     least = Violation(ViolationKind.COLLINEAR, (0, 3, 7))
+    with pytest.raises(DegenerateInput) as certified:
+        helpers.certified_build(base + added)
     with pytest.raises(DegenerateInput) as built:
         build(base + added)
     with pytest.raises(DegenerateInput) as extended:
         extend(build(base), added)
-    assert built.value.violation == extended.value.violation == least
+    assert certified.value.violation == built.value.violation == extended.value.violation == least
+    # without the point on the hull line the interior triples spoil nothing:
+    # the local tests accept the strict triangulation the oracle refuses
+    with pytest.raises(DegenerateInput):
+        helpers.certified_build(base + added[:2])
+    grown = extend(build(base), added[:2])
+    assert grown == build(base + added[:2])
+    assert verify_delaunay(grown) is None and helpers.verify_delaunay_naive(grown) is None
+
+
+@given(st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10), helpers.rescaled_sets()))
+def test_local_build_matches_the_certified_oracle(pts):
+    # where the oracle builds, the same faces; where the local build fails,
+    # the oracle's violation; where only the oracle fails, a T whose every
+    # circumdisk holds no other vertex, inside or on its circle
+    assume(len(pts) >= 3)
+    try:
+        expected = helpers.certified_build(pts)
+    except DegenerateInput as refused:
+        try:
+            t = build(pts)
+        except DegenerateInput as exc:
+            assert exc.violation == refused.violation
+            return
+        assert verify_delaunay(t) is None and helpers.verify_delaunay_naive(t) is None
+        return
+    assert build(pts) == expected
 
 
 @given(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dtough.errors import CollinearInput, PreconditionViolated
 from dtough.exactgeom import (
+    MAX_EXPONENT,
     Disk,
     Orientation,
     Point,
@@ -20,6 +21,7 @@ from dtough.exactgeom import (
     disk,
     disk_classify,
     disks_interior_disjoint,
+    dist_sq,
     general_position,
     general_position_added,
     in_circle,
@@ -66,6 +68,16 @@ def test_coord_refuses_huge_exponents_and_zero_denominators(field):
         coord(field)
     with pytest.raises(ValueError):
         point(field, 0)
+
+
+def test_coord_counts_exponent_digits_before_int():
+    # int() refuses more than 4,300 digits with a message naming an
+    # interpreter setting; the cap's own message must come first
+    for field in ("1e" + "9" * 5000, "1e-" + "9" * 5000, "1e1_" + "0" * 4400):
+        with pytest.raises(ValueError, match=f"exponent magnitude above {MAX_EXPONENT}"):
+            coord(field)
+    # leading zeros are no magnitude
+    assert coord("1e" + "0" * 10 + "3") == 1000
 
 
 def test_int_at_least_sqrt_is_strictly_above_the_root():
@@ -277,6 +289,22 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         disk_before = circumdisk(a, b, c)
         disk_after = Disk(scale(disk_before.center), disk_before.radius_sq * factor**2)
         assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
+
+
+# wide numerators and denominators, so the cross-multiplied products of
+# disk_classify are large
+wide_fraction = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
+wide_points = st.builds(Point, wide_fraction, wide_fraction)
+
+
+@given(st.one_of(points, wide_points), st.one_of(points, wide_points), st.one_of(points, wide_points))
+def test_disk_classify_matches_fraction_arithmetic(center, on, p):
+    # the radius through a drawn point puts that point on the boundary
+    d = Disk(center, dist_sq(center, on))
+    assert disk_classify(d, on) is Position.BOUNDARY
+    assert disk_classify(d, p) is helpers.disk_classify_fraction(d, p)
+    grown = Disk(center, d.radius_sq + Fraction(1, 3))
+    assert disk_classify(grown, p) is helpers.disk_classify_fraction(grown, p)
 
 
 def _sign_position(value) -> Position:

@@ -273,8 +273,9 @@ def _mis_complement(t):
     return frozenset(range(len(t))) - cert
 
 
-def test_sentinel_candidate_scanned_once(monkeypatch):
-    # the augmented build is the only general-position scan of a candidate
+def test_sentinel_candidate_is_not_certified(monkeypatch):
+    # an accepted candidate's extension passes its strict local tests, so
+    # no general-position scan runs; only a failed extension scans
     scans = []
     real = exactgeom._least_violation
 
@@ -286,7 +287,7 @@ def test_sentinel_candidate_scanned_once(monkeypatch):
     _, t = helpers.random_tri(10, 3)
     aug = sentinel_augment(t, _mis_complement(t))
     assert len(aug.tri) == 12
-    assert scans == [12]
+    assert scans == []
 
 
 def _sentinel_inputs():
