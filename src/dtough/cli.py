@@ -103,9 +103,8 @@ def _check_hypothesis(tri: Triangulation, limit: Optional[int], earlier: dict) -
 
 def _check_delaunay(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
     counter = verify_delaunay(tri)
-    angles_ok = all(
-        edge_angle_check(tri, u, v) for u, v in tri.edges if len(tri.opposite_vertices(u, v)) == 2
-    )
+    apex = tri.apex  # each interior edge once, as its dart (u, v) with u < v
+    angles_ok = all(edge_angle_check(tri, u, v) for u, v in apex if u < v and (v, u) in apex)
     return {
         "empty_circumdisks": counter is None,
         "interior_angle_ok": angles_ok,

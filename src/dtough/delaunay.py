@@ -21,24 +21,31 @@ the ``hypothesis`` check of ``cli``.
 
 ``extend`` adds points to a built triangulation and returns what ``build``
 returns for the union: it keeps each old face whose circumcircle every
-added point lies strictly outside, wraps the new faces outward from the
-edges of the kept ones, and tests only the new faces' interior edges.
-When that fails, the certificate scans only the tuples that hold an added
-point (``exactgeom.general_position_added``, O(k n^2) for k added points).
+added point lies strictly outside, carries those faces over with their
+circles, wraps the new faces outward from the edges of the kept ones, and
+checks and tests only the new faces. When that fails, the certificate scans
+only the tuples that hold an added point
+(``exactgeom.general_position_added``, O(k n^2) for k added points).
 Both run on one lcm-scaled integer copy of the points
 (``exactgeom.scaled_to_integers``), which gives the same faces as the
 rational points; the returned ``Triangulation`` holds the caller's points.
 Their output is never trusted: ``verify_delaunay`` re-checks the
 empty-circumdisk property of every face against every vertex by brute force,
-the sign of each vertex's power on the face's circle
-(``exactgeom.circle_through``), and tests run both.
+the sign of each vertex's power on the face's circle, and tests run both.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``: the copy ``build`` or ``extend`` scanned, or the one
-``from_triangles`` computes. Every exact sign
-test on a triangulation's own vertices (its structural checks,
-``verify_delaunay``, ``edge_angle_check``) reads that copy. ``witness_disk``
-finds its center's pencil parameter in the edge's pencil gap on that copy
+``from_triangles`` computes; ``lifted``, that copy lifted to
+(x, y, x^2 + y^2); and ``circle``, each face's circle on that copy
+(``exactgeom.circle_through``), computed once and read under any of the
+face's three darts. Every in-circle question about a triangulation (the
+strict edge tests of ``build`` and ``extend``, ``verify_delaunay``,
+``edge_angle_check``, the sentinel bound of ``structure``) is the sign of
+one ``power`` of such a circle at a lifted vertex. A circle is a pure
+function of its face's three scaled vertices, up to a positive factor that
+no sign sees, so reading it makes no verifier depend on how the
+triangulation was built. ``witness_disk`` finds
+its center's pencil parameter in the edge's pencil gap on the scaled copy
 too, the same empty-disk test that ``build`` reads its faces off; only the
 disk itself, whose center is an arbitrary rational, uses the ``Fraction``
 vertices.
@@ -58,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -72,15 +78,14 @@ from .exactgeom import (
     Circle,
     Disk,
     Orientation,
+    Lifted,
     Point,
-    Position,
     circle_through,
     delaunay_faces,
     denominator_lcm,
     dist_sq,
     general_position,
     general_position_added,
-    in_circle,
     is_witness_disk,
     lifted,
     orient,
@@ -95,6 +100,29 @@ class CounterExample(NamedTuple):
 
     triangle: tuple[int, int, int]
     vertex: int
+
+
+class FaceCircles(dict):
+    """The circle of the face left of each dart: ``circle[(u, v)]`` is
+    ``exactgeom.circle_through`` of that face on the scaled vertices, or a
+    positive multiple of it, held under all three darts of the face.
+
+    A dart looked up before its face has a circle gets it then, once, from
+    ``apex`` and the scaled vertices; a dart of no face raises ``KeyError``.
+    ``in`` tells whether a face's circle is held yet, and computes nothing.
+    Two threads that fill one face at once store equal circles.
+    """
+
+    def __init__(self, apex: dict[tuple[int, int], int], scaled: tuple[Point, ...]):
+        super().__init__()
+        self._apex, self._scaled = apex, scaled
+
+    def __missing__(self, dart: tuple[int, int]) -> Circle:
+        u, v = dart
+        w = self._apex[dart]
+        q = self._scaled
+        c = self[dart] = self[(v, w)] = self[(w, u)] = circle_through(q[u], q[v], q[w])
+        return c
 
 
 @dataclass(frozen=True)
@@ -113,9 +141,14 @@ class Triangulation:
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
     ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
-    the one on ``vertices``. ``circles`` holds each face's circle on
-    ``scaled``, computed on first use: ``structure.sentinel_augment`` and
-    every ``extend`` of the same triangulation share it.
+    the one on ``vertices``. ``lifted`` is ``exactgeom.lifted(scaled)``.
+    ``circle`` maps each dart (u, v) to the circle of the face left of it on
+    ``scaled`` (``FaceCircles``), so an in-circle question is one lookup and
+    one ``power`` at a ``lifted`` vertex. ``build`` computes every face's
+    circle in its strict pass, ``extend`` carries the kept faces' circles
+    over and computes the new ones, and a ``from_triangles`` triangulation
+    computes each on first use. The three are derived from the other
+    fields, so they take no part in equality.
     """
 
     vertices: tuple[Point, ...]
@@ -125,16 +158,11 @@ class Triangulation:
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     scaled: tuple[Point, ...] = field(compare=False, repr=False)
+    lifted: tuple[Lifted, ...] = field(compare=False, repr=False)
+    circle: FaceCircles = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def circles(self) -> tuple[Circle, ...]:
-        """``exactgeom.circle_through`` of each face of ``triangles`` on
-        ``scaled``, in the same order; computed on first use, then kept."""
-        q = self.scaled
-        return tuple(circle_through(q[a], q[b], q[c]) for a, b, c in self.triangles)
 
     def is_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.apex or (v, u) in self.apex
@@ -159,19 +187,30 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
 
 
 def _assemble(
-    pts: tuple[Point, ...], q: tuple[Point, ...], triangles: Sequence[tuple[int, int, int]]
+    pts: tuple[Point, ...],
+    q: tuple[Point, ...],
+    triangles: Sequence[tuple[int, int, int]],
+    carried: Sequence[tuple[tuple[int, int, int], Circle]] = (),
 ) -> Triangulation:
-    """``from_triangles`` on points whose lcm-scaled copy q is already known.
+    """``from_triangles`` on points whose lcm-scaled copy q is already known,
+    plus the ``carried`` faces, each with its circle on q.
 
-    One pass over the faces fills ``apex``; everything else is read off it.
-    The boundary is the directed edges whose reverse is absent, and the hull
-    follows their successors from the least index, CCW because every face
-    lies left of its edges.
+    A carried face was checked when it was first assembled, on a copy that q
+    is a positive multiple of (``extend``'s kept faces), so it enters
+    ``apex`` and ``circle`` unchecked. One pass over ``triangles`` checks
+    each face and fills ``apex``; everything else is read off it, over all
+    faces. The boundary is the directed edges whose reverse is absent, and
+    the hull follows their successors from the least index, CCW because
+    every face lies left of its edges.
     """
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     apex: dict[tuple[int, int], int] = {}
+    circle = FaceCircles(apex, q)
+    for (a, b, c), known in carried:
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = known
     for a, b, c in triangles:
         if len({a, b, c}) != 3 or not all(0 <= i < n for i in (a, b, c)):
             raise ValueError(f"bad triangle {(a, b, c)}")
@@ -217,6 +256,8 @@ def _assemble(
         edges=tuple(keys),
         neighbors=tuple(map(tuple, nbrs)),
         scaled=q,
+        lifted=tuple(lifted(q)),
+        circle=circle,
     )
 
 
@@ -229,7 +270,8 @@ def build(points: Sequence[Point]) -> Triangulation:
     (``exactgeom.delaunay_faces``), on integer coordinates scaled by the lcm
     of all denominators; the predicates are invariant under that positive
     factor. ``_assemble`` checks that the faces tile a strictly convex hull,
-    and each interior edge is tested strictly (``_check_strict``). By
+    and each interior edge is tested strictly (``_check_strict``), which
+    computes every face's circle once. By
     Delaunay's lemma (Delaunay 1934; Lawson 1977) a tiling that is strictly
     locally Delaunay at every interior edge is the strict Delaunay
     triangulation, so no general-position certificate is needed. Only when
@@ -246,7 +288,7 @@ def build(points: Sequence[Point]) -> Triangulation:
     q = scaled_to_integers(pts)
     try:
         tri = _assembled(pts, q, delaunay_faces(q))
-        _check_strict(tri, tri.edges)
+        _check_strict(tri, tri.triangles)
     except InvariantBroken:
         violation = general_position(q)
         if violation is not None:
@@ -262,15 +304,19 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     tri must be strictly Delaunay, as ``build`` returns it. An old face
     stays a face exactly when every added point lies strictly outside its
     circumcircle (Bowyer; Watson, Computer Journal 1981). Each face's circle
-    is ``Triangulation.circles`` on ``tri.scaled``, computed once per
-    triangulation; the union's copy is that one times the integer
-    m = L' / L (L and L' the denominator lcms of the old points and of the
-    union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K).
+    is ``tri.circle`` on ``tri.scaled``; the union's copy is that one times
+    the integer m = L' / L (L and L' the denominator lcms of the old points
+    and of the union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K),
+    ``circle_through`` on the union's copy divided by m^2 > 0. Each kept
+    face goes to the union with that circle, unchecked: its orientation was
+    checked in tri, and a positive factor keeps it.
     ``exactgeom.delaunay_faces`` wraps the new faces outward from the kept
     ones, one pencil gap scan per new face and per hull edge it reaches;
-    with no face kept it wraps the whole union. Only the interior edges of
-    the new faces are tested strictly: an edge between two kept faces was
-    strict in tri. When a step fails,
+    with no face kept it wraps the whole union. Only the new faces are
+    checked for orientation and sides, get their circles computed and have
+    their interior edges tested strictly: an edge between two kept faces was
+    strict in tri. The checks of the whole union (every vertex used, one
+    convex boundary cycle, the face count) still run. When a step fails,
     ``exactgeom.general_position_added`` names the violation among the
     tuples that hold an added point (``DegenerateInput``); when it finds
     none the failure stands. Everything runs on one lcm-scaled copy of the
@@ -281,16 +327,16 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     n = len(tri)
     m = denominator_lcm(pts) // denominator_lcm(tri.vertices)
     new = lifted(q[n:])
-    kept = [
-        t
-        for t, (w, u, v, k) in zip(tri.triangles, tri.circles)
-        if all(power((w, m * u, m * v, m * m * k), p) > 0 for p in new)
-    ]
+    carried = []
+    for a, b, c in tri.triangles:
+        w, u, v, k = tri.circle[(a, b)]
+        u, v, k = m * u, m * v, m * m * k
+        if all(w * s - 2 * (u * x + v * y) + k > 0 for x, y, s in new):  # power > 0
+            carried.append(((a, b, c), (w, u, v, k)))
     try:
-        faces = delaunay_faces(q, kept)
-        grown = _assembled(pts, q, faces)
-        sides = {(min(e), max(e)) for a, b, c in faces[len(kept):] for e in ((a, b), (b, c), (c, a))}
-        _check_strict(grown, sorted(sides))
+        faces = delaunay_faces(q, [t for t, _ in carried])[len(carried):]
+        grown = _assembled(pts, q, faces, carried)
+        _check_strict(grown, faces)
     except InvariantBroken:
         violation = general_position_added(q[:n], q[n:])
         if violation is not None:
@@ -300,30 +346,40 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
 
 
 def _assembled(
-    pts: tuple[Point, ...], q: tuple[Point, ...], faces: list[tuple[int, int, int]]
+    pts: tuple[Point, ...],
+    q: tuple[Point, ...],
+    faces: list[tuple[int, int, int]],
+    carried: Sequence[tuple[tuple[int, int, int], Circle]] = (),
 ) -> Triangulation:
-    """Assemble the empty-disk faces of the face scan; faces that do not
-    tile the points' hull are a broken invariant."""
+    """Assemble the empty-disk faces of the face scan with the ``carried``
+    ones (``_assemble``); faces that do not tile the points' hull are a
+    broken invariant."""
     try:
-        return _assemble(pts, q, faces)
+        return _assemble(pts, q, faces, carried)
     except ValueError as exc:
         raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
 
 
-def _check_strict(tri: Triangulation, edges: Sequence[tuple[int, int]]) -> None:
-    """Raise ``InvariantBroken`` at the first interior edge (u, v) of
-    ``edges`` that is not strictly locally Delaunay: with faces (u, v, r)
-    and (v, u, s), s must lie strictly outside the circle through u, v and
-    r, one ``circle_through`` and one ``power`` on ``tri.scaled``
-    (``edge_angle_check``'s test). Boundary edges are skipped."""
-    q, apex = tri.scaled, tri.apex
-    for u, v in edges:
-        r, s = apex.get((u, v)), apex.get((v, u))
-        if r is None or s is None:
-            continue
-        x, y = q[s]
-        if power(circle_through(q[u], q[v], q[r]), (x, y, x * x + y * y)) <= 0:
-            raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
+def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> None:
+    """Compute the circle of each of ``faces`` (``tri.circle``) and raise
+    ``InvariantBroken`` at the first interior edge that is not strictly
+    locally Delaunay: for faces (u, v, r) and (v, u, s), s must lie strictly
+    outside the circle of (u, v, r), one ``power`` at ``tri.lifted[s]``
+    (``edge_angle_check``'s test).
+
+    ``tri.circle`` must hold no face of ``faces`` yet. An edge is tested
+    once, when the second of its two faces comes, against that face's
+    circle: an edge whose other face's circle is not held yet waits for it,
+    a boundary edge has none, and an edge between two faces outside
+    ``faces`` whose circles are held (``extend``'s kept faces) is not
+    tested."""
+    apex, circle, lift, q = tri.apex, tri.circle, tri.lifted, tri.scaled
+    for a, b, c in faces:
+        w = circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = circle_through(q[a], q[b], q[c])
+        for dart in ((b, a), (c, b), (a, c)):
+            if dart in circle and power(w, lift[apex[dart]]) <= 0:
+                u, v = sorted(dart)
+                raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +392,14 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
 
     None when every face's circumdisk excludes every non-incident vertex;
     otherwise the first counterexample in face order (vertices in index
-    order within a face). Builds one ``exactgeom.circle_through`` per face on
-    ``tri.scaled`` and tests each vertex by the sign of its ``power``.
+    order within a face). Reads each face's circle (``tri.circle``, a pure
+    function of the face's scaled vertices) and tests each vertex by the
+    sign of its ``power``.
     """
-    q = tri.scaled
-    pts = lifted(q)
+    circle = tri.circle
     for t in tri.triangles:
-        c = circle_through(*(q[i] for i in t))
-        for vi, p in enumerate(pts):
+        c = circle[t[:2]]
+        for vi, p in enumerate(tri.lifted):
             if vi not in t and power(c, p) <= 0:
                 return CounterExample(t, vi)
     return None
@@ -353,18 +409,16 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
     """Whether the two angles opposite an interior edge sum below a straight
     angle, decided by the exact in-circle form of that inequality.
 
-    For faces (u, v, r) and (u, v, s) the angle sum at r and s is less than
+    For faces (u, v, r) and (v, u, s) the angle sum at r and s is less than
     180 degrees exactly when s lies strictly outside the circle through
-    u, r, v.
+    u, v, r: the power of ``tri.circle[(u, v)]`` at s is positive.
     """
-    opp = tri.opposite_vertices(u, v)
-    if not opp:
+    apex = tri.apex
+    if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
-    if len(opp) != 2:
+    if (u, v) not in apex or (v, u) not in apex:
         raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
-    r, s = opp
-    q = tri.scaled
-    return in_circle(q[u], q[r], q[v], q[s]) is Position.EXTERIOR
+    return power(tri.circle[(u, v)], tri.lifted[apex[(v, u)]]) > 0
 
 
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:

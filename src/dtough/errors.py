@@ -25,10 +25,13 @@ class TooFewPoints(DToughError):
 
 
 class DegenerateInput(DToughError):
-    """Input point set fails general position. Carries the violation witness."""
+    """Input point set fails general position. Carries the violation witness,
+    an ``exactgeom.Violation``, and words it as ``degenerate input:
+    cocircular points 0, 1, 2, 3``."""
 
     def __init__(self, violation):
-        super().__init__(f"degenerate input: {violation}")
+        indices = ", ".join(map(str, violation.indices))
+        super().__init__(f"degenerate input: {violation.kind.value} points {indices}")
         self.violation = violation
 
 

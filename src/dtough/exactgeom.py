@@ -11,7 +11,9 @@ has one circle: (W, U, V, K) with W > 0, whose power
 W |X|^2 - 2 (U x + V y) + K is negative inside, zero on and positive outside
 it. ``circle_through`` gives the circle through three points, and every
 in-circle question is the sign of one ``power`` at a point ``lifted`` to
-(x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``.
+(x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``. A
+triangulation keeps each face's circle (``delaunay.Triangulation.circle``),
+so the questions about its own faces compute no circle again.
 
 Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan and strict edge tests of
@@ -70,6 +72,7 @@ Lifted = tuple[int, int, int]
 
 
 MAX_EXPONENT = 1000
+MAX_LITERAL = 4000  # characters; int() refuses a run of more than 4,300 digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")  # the exponent of a Fraction literal
 
 
@@ -77,11 +80,13 @@ def coord(value: Scalar) -> Fraction:
     """Coerce a value to an exact coordinate.
 
     Accepts ints, Fractions, and strings (``"3"``, ``"-7/2"``, ``"0.125"``;
-    decimal strings parse exactly). A string with a zero denominator, or
-    with a decimal exponent above ``MAX_EXPONENT`` in magnitude, raises
-    ValueError; the exponent is refused by its digit count before
-    ``Fraction`` or ``int`` sees it, since ``1e999999999`` would make
-    ``Fraction`` build a billion-digit integer. Floats are
+    decimal strings parse exactly). A string with a zero denominator, with
+    a decimal exponent above ``MAX_EXPONENT`` in magnitude, or longer than
+    ``MAX_LITERAL`` characters raises ValueError. The exponent and the
+    length are refused before ``Fraction`` or ``int`` sees the string:
+    ``1e999999999`` would make ``Fraction`` build a billion-digit integer,
+    and the interpreter refuses to read an integer of more than 4,300
+    digits with a message about its own settings. Floats are
     rejected: their binary expansion is rarely what the caller meant, and
     exactness is the whole point of this package.
     """
@@ -94,6 +99,8 @@ def coord(value: Scalar) -> Fraction:
             digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
                 raise ValueError(f"exponent magnitude above {MAX_EXPONENT}")
+        if len(value) > MAX_LITERAL:
+            raise ValueError(f"literal longer than {MAX_LITERAL} characters")
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:

@@ -3,8 +3,9 @@
 One point per line as ``x y``. Coordinates are decimal literals (parsed
 exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
 blank lines are skipped, duplicates are rejected at load. Each field is
-parsed by ``exactgeom.coord``, which refuses a zero denominator and a
-decimal exponent above ``exactgeom.MAX_EXPONENT`` in magnitude. Emission is
+parsed by ``exactgeom.coord``, which refuses a zero denominator, a
+decimal exponent above ``exactgeom.MAX_EXPONENT`` in magnitude and a field
+longer than ``exactgeom.MAX_LITERAL`` characters. Emission is
 canonical (always ``a/b`` or a bare integer), so emit -> parse -> emit is
 byte-identical.
 """
@@ -36,9 +37,9 @@ def parse_points(text: str) -> tuple[Point, ...]:
             except ValueError as exc:
                 raise PointFileError(line_no, f"bad coordinate {field!r}: {exc}") from exc
         p = Point(coords[0], coords[1])
-        if p in seen:
-            raise PointFileError(line_no, f"duplicate of point on line {seen[p]}")
-        seen[p] = line_no
+        first = seen.setdefault(p, line_no)  # one hash of p
+        if first != line_no:
+            raise PointFileError(line_no, f"duplicate of point on line {first}")
         points.append(p)
     return tuple(points)
 

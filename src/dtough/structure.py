@@ -321,8 +321,9 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     face of the input survives and the augmented hull is exactly the
     sentinel triangle. A rejected candidate doubles r; after 64 rejections
     the search raises ``ConstructionFailed``. The face circles of the bound
-    are ``tri.circles``, which ``extend`` reads for every candidate, so
-    each is computed once. The sentinels are in the caller's coordinates.
+    are ``tri.circle``, which ``extend`` reads for every candidate and
+    carries over to the augmented triangulation, so each is computed once.
+    The sentinels are in the caller's coordinates.
     """
     gone = _vertex_set(tri, removed, "removed set")
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -351,7 +352,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     # radius (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
     # The largest num / W^2 is picked by integer cross-multiplication.
     best, best_w2 = 0, 1
-    for w, u, v, k in tri.circles:  # kept on tri, so extend reuses them
+    for a, b, _ in tri.triangles:
+        w, u, v, k = tri.circle[(a, b)]  # kept on tri, so extend reuses them
         num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
         num += u * u + v * v - k * w  # W^2 radius^2
         if num * best_w2 > best * w * w:
@@ -503,8 +505,9 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     f0 = sum(1 for t in big.triangles if chosen.isdisjoint(t))
     # A boundary edge has a single opposite angle, below 180 like any
     # triangle angle; only two-sided edges need the exact test.
+    apex = big.apex
     per_edge_ok = all(
-        len(big.opposite_vertices(u, v)) < 2 or edge_angle_check(big, u, v) for u, v in sub_edges
+        edge_angle_check(big, u, v) for u, v in sub_edges if (u, v) in apex and (v, u) in apex
     )
 
     return AuditReport(

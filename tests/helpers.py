@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -843,6 +844,23 @@ def close_first_gap(monkeypatch) -> None:
         return scan(*args)
 
     monkeypatch.setattr(exactgeom, "pencil_gap", closed_once)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``exactgeom.<name>`` made through any ``dtough``
+    module that binds it, as its argument tuple, in the returned list."""
+    real = getattr(exactgeom, name)
+    calls: list = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "dtough"]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def run_cli(argv) -> tuple[int, str]:

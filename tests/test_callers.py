@@ -16,6 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dtough"
 # Public entry points with no caller in the package by design.
 ENTRY_POINTS = {
     "from_triangles",  # non-Delaunay triangulations for the non-vacuity tests
+    # bench/tracing.py counts its calls by this name; every in-circle
+    # question about a triangulation reads Triangulation.circle instead
+    "in_circle",
 }
 
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
-from dtough.exactgeom import MAX_EXPONENT
+from dtough.exactgeom import MAX_EXPONENT, MAX_LITERAL
 from dtough.pointfile import format_points, parse_points
 from dtough.errors import (
     ConstructionFailed,
+    DegenerateInput,
     InvariantBroken,
     NoPerfectMatching,
     PointFileError,
@@ -873,6 +874,60 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
     scans.clear()
     code, _ = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
     assert code == 0 and scans == []
+
+
+def test_check_computes_each_face_circle_once(tmp_path, monkeypatch):
+    # every in-circle question of the delaunay check, the sentinel bound,
+    # the extension and the audit's per-edge test reads Triangulation.circle,
+    # so one circle per face of the augmented triangulation is computed
+    f = tmp_path / "r16.txt"
+    helpers.run_cli(["gen", "random", "16", "--seed", "100", "--out", str(f)])
+    circles = helpers.count_calls(monkeypatch, "circle_through")
+    asked = helpers.count_calls(monkeypatch, "in_circle")
+    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
+    assert code == 0
+    counted = len(circles)
+    t = delaunay.build(pointfile.read_points(f))
+    chosen = json.loads(out)["verdicts"]["audit"]["independent_set"]
+    aug = structure.sentinel_augment(t, frozenset(range(len(t))) - frozenset(chosen))
+    assert counted == len(aug.tri.triangles)
+    assert asked == []
+
+
+def test_an_over_long_coordinate_gets_the_package_message(tmp_path):
+    f = tmp_path / "long.txt"
+    f.write_text("0 0\n1 0\n0 " + "1" * 5000 + "\n")
+    code, out = helpers.run_cli(["check", str(f)])
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error.startswith("line 3: bad coordinate")
+    assert error.endswith(f"literal longer than {MAX_LITERAL} characters")
+
+
+def test_degenerate_input_is_worded_without_a_repr(tmp_path):
+    square = tmp_path / "square.txt"
+    square.write_text("0 0\n1 0\n0 1\n1 1\n")
+    other = tmp_path / "other.txt"
+    other.write_text("5 7\n")
+    runs = [
+        ["check", str(square)],
+        ["path", str(square), "0", "1", "1/2", "-1", "5/4"],
+        ["block", str(square), str(other)],
+        ["render", str(square), "--svg", str(tmp_path / "square.svg")],
+    ]
+    for argv in runs:
+        code, out = helpers.run_cli(argv)
+        error = json.loads(out)["error"]
+        assert code == 2, argv
+        assert error == "degenerate input: cocircular points 0, 1, 2, 3", argv
+        assert "Violation(" not in error and "<ViolationKind" not in error
+    dup = DegenerateInput(exactgeom.Violation(exactgeom.ViolationKind.DUPLICATE, (0, 4)))
+    assert str(dup) == "degenerate input: duplicate points 0, 4"
+
+
+def test_pointfile_names_the_first_line_of_a_duplicate():
+    with pytest.raises(PointFileError, match="line 4: duplicate of point on line 2$"):
+        parse_points("1 2\n3 4\n5 6\n3 4\n")
 
 
 def test_max_n_raises_gate(tmp_path):

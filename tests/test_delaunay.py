@@ -311,6 +311,57 @@ def test_verify_delaunay_flags_the_kleetope():
     assert helpers.in_circle_lifted(*face, t.vertices[counter.vertex]) is not Position.EXTERIOR
 
 
+def _assert_face_circles(t):
+    # each dart's circle is a positive multiple of circle_through on its
+    # face's scaled vertices, and lifted is the lifted scaled copy
+    q = t.scaled
+    assert t.lifted == tuple(exactgeom.lifted(q))
+    for (u, v), w in t.apex.items():
+        held = t.circle[(u, v)]
+        exact = exactgeom.circle_through(q[u], q[v], q[w])
+        factor = Fraction(held[0], exact[0])
+        assert factor > 0
+        assert [Fraction(h) for h in held] == [factor * e for e in exact]
+
+
+def _assert_edge_test_matches_in_circle(t):
+    for u, v in t.edges:
+        opp = t.opposite_vertices(u, v)
+        if len(opp) == 2:
+            r, s = opp
+            exact = in_circle(t.vertices[u], t.vertices[r], t.vertices[v], t.vertices[s])
+            assert edge_angle_check(t, u, v) is (exact is Position.EXTERIOR)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(helpers.rescaled_sets(), st.data())
+def test_built_and_extended_triangulations_carry_every_face_circle(pts, data):
+    assume(len(pts) >= 4)
+    k = data.draw(st.integers(1, len(pts) - 3))
+    base = build(pts[:-k])
+    grown = extend(base, pts[-k:])
+    augmented = structure.sentinel_augment(base, base.hull[:1]).tri
+    flipped = helpers.flip_first_convex_edge(base)
+    for t in (base, grown, augmented):  # computed by the build or carried over
+        assert set(t.circle) == set(t.apex)
+    for t in filter(None, (base, grown, augmented, flipped)):
+        _assert_face_circles(t)
+        _assert_edge_test_matches_in_circle(t)
+
+
+def test_kleetopes_compute_their_face_circles_on_first_use():
+    for kleetope in (helpers.kleetope(), helpers.kleetope_even()):
+        t = from_triangles(kleetope.vertices, kleetope.triangles)
+        assert len(t.circle) == 0
+        assert verify_delaunay(t) == verify_delaunay(kleetope) is not None
+        _assert_face_circles(t)
+        assert set(t.circle) == set(t.apex)
+        _assert_edge_test_matches_in_circle(t)
+        assert not all(  # neither is Delaunay: some edge fails the test
+            edge_angle_check(t, u, v) for u, v in t.edges if len(t.opposite_vertices(u, v)) == 2
+        )
+
+
 def test_build_and_extend_scale_the_points_once(monkeypatch):
     pts, _ = helpers.random_tri(12, 7)
     calls = []

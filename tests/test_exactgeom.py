@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dtough.errors import CollinearInput, PreconditionViolated
 from dtough.exactgeom import (
     MAX_EXPONENT,
+    MAX_LITERAL,
     Disk,
     Orientation,
     Point,
@@ -78,6 +79,15 @@ def test_coord_counts_exponent_digits_before_int():
             coord(field)
     # leading zeros are no magnitude
     assert coord("1e" + "0" * 10 + "3") == 1000
+
+
+def test_coord_refuses_over_long_literals_before_int():
+    # a mantissa, a fraction part or a zero-padded exponent longer than the
+    # interpreter reads as one int gets the package's message, not its own
+    for field in ("1" * 5000, "0." + "1" * 5000, "1e" + "0" * 5000 + "5", "1/" + "3" * 5000):
+        with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL} characters$"):
+            coord(field)
+    assert coord("7" * MAX_LITERAL) == int("7" * MAX_LITERAL)
 
 
 def test_int_at_least_sqrt_is_strictly_above_the_root():
