@@ -29,26 +29,25 @@ only the tuples that hold an added point
 Both run on one lcm-scaled integer copy of the points
 (``exactgeom.scaled_to_integers``), which gives the same faces as the
 rational points; the returned ``Triangulation`` holds the caller's points.
-Their output is never trusted: ``verify_delaunay`` re-checks the
-empty-circumdisk property of every face against every vertex by brute force,
-the sign of each vertex's power on the face's circle, and tests run both.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``: the copy ``build`` or ``extend`` scanned, or the one
 ``from_triangles`` computes; ``lifted``, that copy lifted to
 (x, y, x^2 + y^2); and ``circle``, each face's circle on that copy
-(``exactgeom.circle_through``), computed once and read under any of the
-face's three darts. Every in-circle question about a triangulation (the
-strict edge tests of ``build`` and ``extend``, ``verify_delaunay``,
-``edge_angle_check``, the sentinel bound of ``structure``) is the sign of
-one ``power`` of such a circle at a lifted vertex. A circle is a pure
-function of its face's three scaled vertices, up to a positive factor that
-no sign sees, so reading it makes no verifier depend on how the
-triangulation was built. ``witness_disk`` finds
-its center's pencil parameter in the edge's pencil gap on the scaled copy
-too, the same empty-disk test that ``build`` reads its faces off; only the
-disk itself, whose center is an arbitrary rational, uses the ``Fraction``
-vertices.
+(``exactgeom.circle_through``), computed when the face is assembled and
+read under any of the face's three darts. One strict edge test
+(``_strictly_delaunay``: the far apex has positive ``power`` on the near
+face's circle) certifies ``build`` and ``extend`` and answers
+``edge_angle_check`` and ``verify_delaunay``. Every triangulation tiles a
+strictly convex hull (``_assemble``), so by the lemma ``verify_delaunay``
+scans every face against every vertex only to name the counterexample
+that a failed edge guarantees. A circle is a pure function of its face's
+three scaled vertices, up to a positive factor that no sign sees, so
+reading it makes no verifier depend on how the triangulation was built.
+``witness_disk`` finds its center's pencil parameter in the edge's pencil
+gap on the scaled copy too, the same empty-disk test that ``build`` reads
+its faces off; only the disk itself, whose center is an arbitrary
+rational, uses the ``Fraction`` vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -102,29 +101,6 @@ class CounterExample(NamedTuple):
     vertex: int
 
 
-class FaceCircles(dict):
-    """The circle of the face left of each dart: ``circle[(u, v)]`` is
-    ``exactgeom.circle_through`` of that face on the scaled vertices, or a
-    positive multiple of it, held under all three darts of the face.
-
-    A dart looked up before its face has a circle gets it then, once, from
-    ``apex`` and the scaled vertices; a dart of no face raises ``KeyError``.
-    ``in`` tells whether a face's circle is held yet, and computes nothing.
-    Two threads that fill one face at once store equal circles.
-    """
-
-    def __init__(self, apex: dict[tuple[int, int], int], scaled: tuple[Point, ...]):
-        super().__init__()
-        self._apex, self._scaled = apex, scaled
-
-    def __missing__(self, dart: tuple[int, int]) -> Circle:
-        u, v = dart
-        w = self._apex[dart]
-        q = self._scaled
-        c = self[dart] = self[(v, w)] = self[(w, u)] = circle_through(q[u], q[v], q[w])
-        return c
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """Vertices, CCW triangles, the directed-edge apex map, and the convex
@@ -143,12 +119,12 @@ class Triangulation:
     integer coordinates on which every orientation and in-circle sign equals
     the one on ``vertices``. ``lifted`` is ``exactgeom.lifted(scaled)``.
     ``circle`` maps each dart (u, v) to the circle of the face left of it on
-    ``scaled`` (``FaceCircles``), so an in-circle question is one lookup and
-    one ``power`` at a ``lifted`` vertex. ``build`` computes every face's
-    circle in its strict pass, ``extend`` carries the kept faces' circles
-    over and computes the new ones, and a ``from_triangles`` triangulation
-    computes each on first use. The three are derived from the other
-    fields, so they take no part in equality.
+    ``scaled`` (``exactgeom.circle_through``, or a positive multiple of it),
+    held for every face from construction on, so an in-circle question is
+    one lookup and one ``power`` at a ``lifted`` vertex. ``_assemble``
+    computes each face's circle when it checks the face, and ``extend``
+    carries the kept faces' circles over. The three are derived from the
+    other fields, so they take no part in equality.
     """
 
     vertices: tuple[Point, ...]
@@ -159,7 +135,7 @@ class Triangulation:
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     scaled: tuple[Point, ...] = field(compare=False, repr=False)
     lifted: tuple[Lifted, ...] = field(compare=False, repr=False)
-    circle: FaceCircles = field(compare=False, repr=False)
+    circle: dict[tuple[int, int], Circle] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -198,16 +174,16 @@ def _assemble(
     A carried face was checked when it was first assembled, on a copy that q
     is a positive multiple of (``extend``'s kept faces), so it enters
     ``apex`` and ``circle`` unchecked. One pass over ``triangles`` checks
-    each face and fills ``apex``; everything else is read off it, over all
-    faces. The boundary is the directed edges whose reverse is absent, and
-    the hull follows their successors from the least index, CCW because
-    every face lies left of its edges.
+    each face, computes its circle and fills ``apex``; everything else is
+    read off it, over all faces. The boundary is the directed edges whose
+    reverse is absent, and the hull follows their successors from the least
+    index, CCW because every face lies left of its edges.
     """
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     apex: dict[tuple[int, int], int] = {}
-    circle = FaceCircles(apex, q)
+    circle: dict[tuple[int, int], Circle] = {}
     for (a, b, c), known in carried:
         apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
         circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = known
@@ -220,6 +196,7 @@ def _assemble(
             if (u, v) in apex:
                 raise ValueError(f"edge {(u, v)} has two faces on one side")
             apex[(u, v)] = w
+        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = circle_through(q[a], q[b], q[c])
     if len({u for u, _ in apex}) != n:
         raise ValueError("some vertices belong to no triangle")
     succ: dict[int, int] = {}
@@ -269,9 +246,9 @@ def build(points: Sequence[Point]) -> Triangulation:
     Gift-wraps the faces, one pencil gap scan per face and per hull edge
     (``exactgeom.delaunay_faces``), on integer coordinates scaled by the lcm
     of all denominators; the predicates are invariant under that positive
-    factor. ``_assemble`` checks that the faces tile a strictly convex hull,
-    and each interior edge is tested strictly (``_check_strict``), which
-    computes every face's circle once. By
+    factor. ``_assemble`` checks that the faces tile a strictly convex hull
+    and computes every face's circle once, and each interior edge is tested
+    strictly (``_check_strict``). By
     Delaunay's lemma (Delaunay 1934; Lawson 1977) a tiling that is strictly
     locally Delaunay at every interior edge is the strict Delaunay
     triangulation, so no general-position certificate is needed. Only when
@@ -301,9 +278,12 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     """The Delaunay triangulation of tri's vertices followed by ``added``,
     as ``build`` of the union returns it.
 
-    tri must be strictly Delaunay, as ``build`` returns it. An old face
+    When tri is strictly Delaunay, as ``build`` returns it, an old face
     stays a face exactly when every added point lies strictly outside its
-    circumcircle (Bowyer; Watson, Computer Journal 1981). Each face's circle
+    circumcircle (Bowyer; Watson, Computer Journal 1981). Only the new faces
+    are tested, so on any other tri (the tests' Kleetopes) the result is a
+    triangulation of the union that is strictly locally Delaunay at every
+    edge of a new face, and may not be Delaunay. Each face's circle
     is ``tri.circle`` on ``tri.scaled``; the union's copy is that one times
     the integer m = L' / L (L and L' the denominator lcms of the old points
     and of the union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K),
@@ -314,8 +294,8 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     ones, one pencil gap scan per new face and per hull edge it reaches;
     with no face kept it wraps the whole union. Only the new faces are
     checked for orientation and sides, get their circles computed and have
-    their interior edges tested strictly: an edge between two kept faces was
-    strict in tri. The checks of the whole union (every vertex used, one
+    their interior edges tested strictly: an edge between two kept faces is
+    strict when tri is. The checks of the whole union (every vertex used, one
     convex boundary cycle, the face count) still run. When a step fails,
     ``exactgeom.general_position_added`` names the violation among the
     tuples that hold an added point (``DegenerateInput``); when it finds
@@ -360,26 +340,28 @@ def _assembled(
         raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
 
 
-def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> None:
-    """Compute the circle of each of ``faces`` (``tri.circle``) and raise
-    ``InvariantBroken`` at the first interior edge that is not strictly
-    locally Delaunay: for faces (u, v, r) and (v, u, s), s must lie strictly
-    outside the circle of (u, v, r), one ``power`` at ``tri.lifted[s]``
-    (``edge_angle_check``'s test).
+def _strictly_delaunay(tri: Triangulation, u: int, v: int) -> bool:
+    """Whether the edge of the interior dart (u, v) is strictly locally
+    Delaunay: the apex of the face left of v -> u lies strictly outside the
+    circle of the face left of u -> v, one ``power`` at a lifted vertex. The
+    test is symmetric in the two darts of an edge."""
+    return power(tri.circle[(u, v)], tri.lifted[tri.apex[(v, u)]]) > 0
 
-    ``tri.circle`` must hold no face of ``faces`` yet. An edge is tested
-    once, when the second of its two faces comes, against that face's
-    circle: an edge whose other face's circle is not held yet waits for it,
-    a boundary edge has none, and an edge between two faces outside
-    ``faces`` whose circles are held (``extend``'s kept faces) is not
-    tested."""
-    apex, circle, lift, q = tri.apex, tri.circle, tri.lifted, tri.scaled
-    for a, b, c in faces:
-        w = circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = circle_through(q[a], q[b], q[c])
-        for dart in ((b, a), (c, b), (a, c)):
-            if dart in circle and power(w, lift[apex[dart]]) <= 0:
-                u, v = sorted(dart)
-                raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
+
+def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> None:
+    """Raise ``InvariantBroken`` at the first interior edge of ``faces`` that
+    is not strictly locally Delaunay (``_strictly_delaunay``).
+
+    Each such edge is tested once, also when both its faces are in
+    ``faces``. An edge between two faces outside ``faces`` (``extend``'s
+    kept faces) is not tested."""
+    apex = tri.apex
+    darts = [d for a, b, c in faces for d in ((a, b), (b, c), (c, a))]
+    own = set(darts)
+    for u, v in darts:
+        if (v, u) in apex and (u < v or (v, u) not in own) and not _strictly_delaunay(tri, u, v):
+            u, v = sorted((u, v))
+            raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +370,26 @@ def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> 
 
 
 def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
-    """Brute-force empty-circumdisk check, independent of how tri was built.
+    """The empty-circumdisk check: None when every face's circumdisk
+    excludes every non-incident vertex, otherwise the first counterexample
+    in face order (vertices in index order within a face).
 
-    None when every face's circumdisk excludes every non-incident vertex;
-    otherwise the first counterexample in face order (vertices in index
-    order within a face). Reads each face's circle (``tri.circle``, a pure
-    function of the face's scaled vertices) and tests each vertex by the
-    sign of its ``power``.
+    tri tiles a strictly convex hull with every vertex used (``_assemble``),
+    so by Delaunay's lemma it has no counterexample when every interior edge
+    passes ``_strictly_delaunay``, one test per edge. A failed edge is itself
+    a counterexample, its far apex in the near face's closed circumdisk; only
+    then does the brute-force scan of each face's circle against every
+    vertex run, to name the first one.
     """
-    circle = tri.circle
+    apex = tri.apex
+    if all(_strictly_delaunay(tri, u, v) for u, v in apex if u < v and (v, u) in apex):
+        return None
     for t in tri.triangles:
-        c = circle[t[:2]]
+        c = tri.circle[t[:2]]
         for vi, p in enumerate(tri.lifted):
             if vi not in t and power(c, p) <= 0:
                 return CounterExample(t, vi)
-    return None
+    raise InvariantBroken("an interior edge fails its strict test, yet no circumdisk holds a vertex")
 
 
 def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
@@ -411,14 +398,13 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
 
     For faces (u, v, r) and (v, u, s) the angle sum at r and s is less than
     180 degrees exactly when s lies strictly outside the circle through
-    u, v, r: the power of ``tri.circle[(u, v)]`` at s is positive.
+    u, v, r (``_strictly_delaunay``).
     """
-    apex = tri.apex
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
-    if (u, v) not in apex or (v, u) not in apex:
+    if (u, v) not in tri.apex or (v, u) not in tri.apex:
         raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
-    return power(tri.circle[(u, v)], tri.lifted[apex[(v, u)]]) > 0
+    return _strictly_delaunay(tri, u, v)
 
 
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:

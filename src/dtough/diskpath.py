@@ -13,7 +13,8 @@ runs it as a loop, one pinned vertex and one edge per step, growing the
 path from both ends.
 
 The loop runs on the triangulation's integer copy of its vertices
-(``Triangulation.scaled``), lifted once to (x, y, x^2 + y^2). The caller's
+(``Triangulation.scaled``), lifted to (x, y, x^2 + y^2) as the
+triangulation carries it (``Triangulation.lifted``). The caller's
 disk is lifted once to the package's one circle on that copy,
 ``exactgeom.Circle`` (W, U, V, K) with W > 0, whose power
 P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
@@ -47,11 +48,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .delaunay import Triangulation
 from .errors import InvariantBroken, PreconditionViolated
-from .exactgeom import Circle, Disk, Lifted, Position, denominator_lcm, disk_classify, lifted, power
+from .exactgeom import Circle, Disk, Lifted, Position, denominator_lcm, disk_classify, power
 
 
 class DiskPath(NamedTuple):
@@ -123,7 +124,7 @@ def _internally_tangent(outer: Circle, inner: Circle) -> bool:
     return small <= big and m >= 0 and m * m == 4 * big * small
 
 
-def _check_anchors(pts: list[Lifted], c: Circle, a: int, b: int) -> None:
+def _check_anchors(pts: Sequence[Lifted], c: Circle, a: int, b: int) -> None:
     for x in (a, b):
         if power(c, pts[x]):
             raise InvariantBroken(f"shrunken disk lost its anchor {x}")
@@ -161,7 +162,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     ``exactgeom.general_position`` on ``tri.scaled`` first.
     """
     _check_endpoints(tri, p, q)
-    pts = lifted(tri.scaled)
+    pts = tri.lifted
     c = _lift(tri, d)
     powers = [power(c, pt) for pt in pts]
     on = [i for i, value in enumerate(powers) if value == 0]
@@ -182,7 +183,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
 
 
 def _find(
-    tri: Triangulation, pts: list[Lifted], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
+    tri: Triangulation, pts: Sequence[Lifted], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
 ) -> list[int]:
     near, far = [p], [q]  # the walks from the two anchors; near pins next
     while interior:

@@ -12,8 +12,9 @@ W |X|^2 - 2 (U x + V y) + K is negative inside, zero on and positive outside
 it. ``circle_through`` gives the circle through three points, and every
 in-circle question is the sign of one ``power`` at a point ``lifted`` to
 (x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``. A
-triangulation keeps each face's circle (``delaunay.Triangulation.circle``),
-so the questions about its own faces compute no circle again.
+triangulation computes each face's circle when it is assembled and keeps it
+(``delaunay.Triangulation.circle``), so the questions about its own faces
+compute no circle again.
 
 Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan and strict edge tests of
@@ -82,12 +83,13 @@ def coord(value: Scalar) -> Fraction:
     Accepts ints, Fractions, and strings (``"3"``, ``"-7/2"``, ``"0.125"``;
     decimal strings parse exactly). A string with a zero denominator, with
     a decimal exponent above ``MAX_EXPONENT`` in magnitude, or longer than
-    ``MAX_LITERAL`` characters raises ValueError. The exponent and the
-    length are refused before ``Fraction`` or ``int`` sees the string:
-    ``1e999999999`` would make ``Fraction`` build a billion-digit integer,
-    and the interpreter refuses to read an integer of more than 4,300
-    digits with a message about its own settings. Floats are
-    rejected: their binary expansion is rarely what the caller meant, and
+    ``MAX_LITERAL`` characters raises ValueError, and so does any other
+    string that ``Fraction`` refuses; no message repeats the string. The
+    exponent and the length are refused before ``Fraction`` or ``int`` sees
+    the string: ``1e999999999`` would make ``Fraction`` build a
+    billion-digit integer, and the interpreter refuses to read an integer
+    of more than 4,300 digits with a message about its own settings. Floats
+    are rejected: their binary expansion is rarely what the caller meant, and
     exactness is the whole point of this package.
     """
     if isinstance(value, float):
@@ -105,6 +107,8 @@ def coord(value: Scalar) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError as exc:
             raise ValueError("zero denominator") from exc
+        except ValueError:
+            raise ValueError("not an integer, decimal or fraction a/b") from None
     return Fraction(value)
 
 

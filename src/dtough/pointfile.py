@@ -5,7 +5,8 @@ exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
 blank lines are skipped, duplicates are rejected at load. Each field is
 parsed by ``exactgeom.coord``, which refuses a zero denominator, a
 decimal exponent above ``exactgeom.MAX_EXPONENT`` in magnitude and a field
-longer than ``exactgeom.MAX_LITERAL`` characters. Emission is
+longer than ``exactgeom.MAX_LITERAL`` characters; its error quotes at
+most the first ``SHOWN`` characters of the field. Emission is
 canonical (always ``a/b`` or a bare integer), so emit -> parse -> emit is
 byte-identical.
 """
@@ -18,6 +19,8 @@ from typing import Sequence
 
 from .errors import PointFileError
 from .exactgeom import Point, coord
+
+SHOWN = 40  # characters of a bad field quoted in its error
 
 
 def parse_points(text: str) -> tuple[Point, ...]:
@@ -35,7 +38,8 @@ def parse_points(text: str) -> tuple[Point, ...]:
             try:
                 coords.append(coord(field))
             except ValueError as exc:
-                raise PointFileError(line_no, f"bad coordinate {field!r}: {exc}") from exc
+                shown = repr(field[:SHOWN]) + ("..." if len(field) > SHOWN else "")
+                raise PointFileError(line_no, f"bad coordinate {shown}: {exc}") from exc
         p = Point(coords[0], coords[1])
         first = seen.setdefault(p, line_no)  # one hash of p
         if first != line_no:

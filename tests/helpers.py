@@ -70,8 +70,8 @@ def _third(face, u, v) -> int:
 
 def flip_first_convex_edge(t):
     """t with its first flippable interior edge flipped, assembled through
-    ``from_triangles``; None when no interior edge has a convex quad. The
-    edge's two faces are found by scanning ``triangles``."""
+    ``from_triangles``; None when no interior edge has a strictly convex
+    quad. The edge's two faces are found by scanning ``triangles``."""
     v = t.vertices
     for a, b in t.edges:
         if len(t.opposite_vertices(a, b)) != 2:
@@ -79,8 +79,8 @@ def flip_first_convex_edge(t):
         faces = [tr for tr in t.triangles if a in tr and b in tr]
         r, s = (_third(tr, a, b) for tr in faces)
         side_u, side_v = orient(v[r], v[s], v[a]), orient(v[r], v[s], v[b])
-        if side_u is side_v:
-            continue  # u and v on one side of rs: the quad is not convex
+        if {side_u, side_v} != {Orientation.CCW, Orientation.CW}:
+            continue  # u and v not strictly on two sides of rs: no strictly convex quad
         if side_u is not Orientation.CCW:
             r, s = s, r
         kept = [tr for tr in t.triangles if tr not in faces]

@@ -904,6 +904,19 @@ def test_an_over_long_coordinate_gets_the_package_message(tmp_path):
     assert error.endswith(f"literal longer than {MAX_LITERAL} characters")
 
 
+def test_a_bad_coordinate_error_quotes_only_the_start_of_its_field(tmp_path):
+    # neither the field nor Fraction's own message, which repeats it, is
+    # copied whole into the error
+    for field in ("1" * 5000, "x" * 3000):
+        f = tmp_path / "bad.txt"
+        f.write_text("0 0\n1 0\n0 " + field + "\n")
+        code, out = helpers.run_cli(["check", str(f)])
+        error = json.loads(out)["error"]
+        assert code == 2
+        assert error.startswith("line 3: bad coordinate")
+        assert len(error) < 200
+
+
 def test_degenerate_input_is_worded_without_a_repr(tmp_path):
     square = tmp_path / "square.txt"
     square.write_text("0 0\n1 0\n0 1\n1 1\n")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtough import delaunay, exactgeom, structure
@@ -349,17 +349,47 @@ def test_built_and_extended_triangulations_carry_every_face_circle(pts, data):
         _assert_edge_test_matches_in_circle(t)
 
 
-def test_kleetopes_compute_their_face_circles_on_first_use():
+def test_kleetopes_carry_every_face_circle_from_assembly():
     for kleetope in (helpers.kleetope(), helpers.kleetope_even()):
         t = from_triangles(kleetope.vertices, kleetope.triangles)
-        assert len(t.circle) == 0
+        assert set(t.circle) == set(t.apex)
         assert verify_delaunay(t) == verify_delaunay(kleetope) is not None
         _assert_face_circles(t)
-        assert set(t.circle) == set(t.apex)
         _assert_edge_test_matches_in_circle(t)
         assert not all(  # neither is Delaunay: some edge fails the test
             edge_angle_check(t, u, v) for u, v in t.edges if len(t.opposite_vertices(u, v)) == 2
         )
+
+
+def test_verify_delaunay_tests_each_interior_edge_once(monkeypatch):
+    # by Delaunay's lemma a strictly Delaunay T needs one power per interior
+    # edge, not one per face and vertex
+    _, t = helpers.random_tri(64, 26)
+    interior = [e for e in t.edges if len(t.opposite_vertices(*e)) == 2]
+    powers = helpers.count_calls(monkeypatch, "power")
+    assert verify_delaunay(t) is None
+    assert 0 < len(powers) <= len(interior)
+
+
+@given(
+    st.lists(helpers.grid_points, min_size=3, max_size=10).flatmap(
+        lambda pts: st.sampled_from([pts, helpers.thinned(pts)])
+    )
+)
+@example([P(0, 0), P(0, 1), P(0, -1), P(1, 0), P(-1, 0)])  # no quad strictly convex
+def test_every_edge_passes_exactly_when_every_circumdisk_is_empty(pts):
+    # Delaunay's lemma and its converse on tilings of a strictly convex hull:
+    # built, flipped and the two Kleetopes, against the Fraction oracle
+    assume(len(pts) >= 3)
+    try:
+        built = build(pts)
+    except DegenerateInput:
+        return
+    flipped = helpers.flip_first_convex_edge(built)
+    for t in filter(None, (built, flipped, helpers.kleetope(), helpers.kleetope_even())):
+        interior = [e for e in t.edges if len(t.opposite_vertices(*e)) == 2]
+        every_edge = all(edge_angle_check(t, u, v) for u, v in interior)
+        assert every_edge is (helpers.verify_delaunay_naive(t) is None)
 
 
 def test_build_and_extend_scale_the_points_once(monkeypatch):
