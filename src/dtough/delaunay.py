@@ -1,53 +1,54 @@
 """Delaunay triangulation construction and verification.
 
-``build`` gift-wraps the faces off the pencils of circles through their
+One routine builds every triangulation (``_construct``): ``build`` runs it
+on a point set with no face known, and ``extend`` on a built triangulation
+plus added points, carrying over each old face whose circumcircle every
+added point lies strictly outside (Bowyer; Watson, Computer Journal 1981).
+It gift-wraps the missing faces off the pencils of circles through their
 edges: ab is a Delaunay edge exactly when some circle through a and b has
 no other point inside (Dillencourt, DCG 1990), that is when the pair's
 pencil gap is open (``exactgeom.pencil_gap``), and the apex of the face
 left of a -> b is the point at the gap's left end. One such scan per face
-and per hull edge finds them all (``exactgeom.delaunay_faces``, O(n^2)).
-``build`` then checks that the faces tile a strictly convex hull and tests
-every interior edge strictly: the far apex strictly outside the circle
-through the edge and the near one, O(1) per edge. By Delaunay's lemma
-(Delaunay 1934; Lawson 1977) such a tiling is the Delaunay triangulation,
-and strictness makes it unique, so ``build`` needs no general-position
-certificate. The O(n^3) certificate (``exactgeom.general_position``) runs
-only when a step fails, to name the violation (``DegenerateInput``); on
-points in general position a failure is a broken invariant. So ``build``
-accepts some point sets outside general position, those whose Delaunay
+and per hull edge finds them (``exactgeom.delaunay_faces``, O(n^2) from no
+face). It then checks that the faces tile a strictly convex hull and tests
+every interior edge of a new face strictly: the far apex strictly outside
+the circle through the edge and the near one, O(1) per edge. By Delaunay's
+lemma (Delaunay 1934; Lawson 1977) such a tiling is the Delaunay
+triangulation, and strictness makes it unique, so the routine needs no
+general-position certificate. The certificate runs only when a step
+fails, to name the violation (``DegenerateInput``) among the tuples that
+hold a point the carried faces never saw
+(``exactgeom.general_position_added``: O(n^3) for ``build``, where it is
+``general_position``, and O(k n^2) for k added points); on points in
+general position a failure is a broken invariant. So the routine accepts
+some point sets outside general position, those whose Delaunay
 triangulation is unique and strict, such as four cocircular points with a
 fifth inside their circle; the paper's hypothesis is reported apart, by
-the ``hypothesis`` check of ``cli``.
-
-``extend`` adds points to a built triangulation and returns what ``build``
-returns for the union: it keeps each old face whose circumcircle every
-added point lies strictly outside, carries those faces over with their
-circles, wraps the new faces outward from the edges of the kept ones, and
-checks and tests only the new faces. When that fails, the certificate scans
-only the tuples that hold an added point
-(``exactgeom.general_position_added``, O(k n^2) for k added points).
-Both run on one lcm-scaled integer copy of the points
-(``exactgeom.scaled_to_integers``), which gives the same faces as the
-rational points; the returned ``Triangulation`` holds the caller's points.
+the ``hypothesis`` check of ``cli``. It runs on one lcm-scaled integer copy
+of the points (``exactgeom.scaled_to_integers``), which gives the same
+faces as the rational points; the returned ``Triangulation`` holds the
+caller's points.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
-``scaled``: the copy ``build`` or ``extend`` scanned, or the one
+``scaled``: the copy the construction scanned, or the one
 ``from_triangles`` computes; ``lifted``, that copy lifted to
 (x, y, x^2 + y^2); and ``circle``, each face's circle on that copy
 (``exactgeom.circle_through``), computed when the face is assembled and
 read under any of the face's three darts. One strict edge test
 (``_strictly_delaunay``: the far apex has positive ``power`` on the near
-face's circle) certifies ``build`` and ``extend`` and answers
-``edge_angle_check`` and ``verify_delaunay``. Every triangulation tiles a
-strictly convex hull (``_assemble``), so by the lemma ``verify_delaunay``
-scans every face against every vertex only to name the counterexample
-that a failed edge guarantees. A circle is a pure function of its face's
-three scaled vertices, up to a positive factor that no sign sees, so
-reading it makes no verifier depend on how the triangulation was built.
-``witness_disk`` finds its center's pencil parameter in the edge's pencil
-gap on the scaled copy too, the same empty-disk test that ``build`` reads
-its faces off; only the disk itself, whose center is an arbitrary
-rational, uses the ``Fraction`` vertices.
+face's circle) answers ``edge_angle_check``, and one walk over the
+interior edges of some faces (``_loose_edge``) runs it for the
+construction, on the new faces, and for ``verify_delaunay``, on all of
+them. Every triangulation tiles a strictly convex hull (``_assemble``), so
+by the lemma ``verify_delaunay`` scans every face against every vertex
+only to name the counterexample that a failed edge guarantees. A circle is
+a pure function of its face's three scaled vertices, up to a positive
+factor that no sign sees, so reading it makes no verifier depend on how
+the triangulation was built. ``witness_disk`` finds its center's pencil
+parameter in the edge's pencil gap on the scaled copy too, the same
+empty-disk test that the construction reads its faces off; only the disk
+itself, whose center is an arbitrary rational, uses the ``Fraction``
+vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -83,7 +84,7 @@ from .exactgeom import (
     delaunay_faces,
     denominator_lcm,
     dist_sq,
-    general_position,
+    general_position,  # not called here; bench/test_bench.py reads it off this module
     general_position_added,
     is_witness_disk,
     lifted,
@@ -115,7 +116,7 @@ class Triangulation:
     CCW hull is. ``edges`` holds each undirected edge once, as the pair
     (u, v) with u < v, in sorted order.
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
-    ``build`` or ``extend`` scanned or the one ``from_triangles`` derives:
+    the construction scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
     the one on ``vertices``. ``lifted`` is ``exactgeom.lifted(scaled)``.
     ``circle`` maps each dart (u, v) to the circle of the face left of it on
@@ -243,35 +244,18 @@ def build(points: Sequence[Point]) -> Triangulation:
     strict: every point strictly outside the circumcircle of every face it
     is not a vertex of. General position implies this.
 
-    Gift-wraps the faces, one pencil gap scan per face and per hull edge
-    (``exactgeom.delaunay_faces``), on integer coordinates scaled by the lcm
-    of all denominators; the predicates are invariant under that positive
-    factor. ``_assemble`` checks that the faces tile a strictly convex hull
-    and computes every face's circle once, and each interior edge is tested
-    strictly (``_check_strict``). By
-    Delaunay's lemma (Delaunay 1934; Lawson 1977) a tiling that is strictly
-    locally Delaunay at every interior edge is the strict Delaunay
-    triangulation, so no general-position certificate is needed. Only when
-    one of these steps fails does ``exactgeom.general_position`` run: a
-    violation it finds raises ``DegenerateInput``, and on points in general
-    position the failure stands as a broken invariant. The points are
-    scaled once, and the face scan, the tests and the returned ``scaled``
-    share that copy. The faces depend only on the point set, never on the
-    input order; tests check this by shuffling inputs.
+    ``_construct`` with no face known, on the points scaled once by the lcm
+    of their denominators; the predicates are invariant under that positive
+    factor. Outside that case it raises ``DegenerateInput`` with the least
+    general-position violation (``exactgeom.general_position``), or
+    ``InvariantBroken`` when there is none. The faces depend only on the
+    point set, never on the input order; tests check this by shuffling
+    inputs.
     """
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    q = scaled_to_integers(pts)
-    try:
-        tri = _assembled(pts, q, delaunay_faces(q))
-        _check_strict(tri, tri.triangles)
-    except InvariantBroken:
-        violation = general_position(q)
-        if violation is not None:
-            raise DegenerateInput(violation) from None
-        raise
-    return tri
+    return _construct(pts, scaled_to_integers(pts), (), 0)
 
 
 def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
@@ -280,27 +264,19 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
 
     When tri is strictly Delaunay, as ``build`` returns it, an old face
     stays a face exactly when every added point lies strictly outside its
-    circumcircle (Bowyer; Watson, Computer Journal 1981). Only the new faces
-    are tested, so on any other tri (the tests' Kleetopes) the result is a
+    circumcircle (Bowyer; Watson, Computer Journal 1981), and
+    ``_construct`` carries the kept faces over and tests only the new ones.
+    So on any other tri (the tests' Kleetopes) the result is a
     triangulation of the union that is strictly locally Delaunay at every
-    edge of a new face, and may not be Delaunay. Each face's circle
-    is ``tri.circle`` on ``tri.scaled``; the union's copy is that one times
-    the integer m = L' / L (L and L' the denominator lcms of the old points
-    and of the union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K),
+    edge of a new face, and may not be Delaunay. Each face's circle is
+    ``tri.circle`` on ``tri.scaled``; the union's copy is that one times the
+    integer m = L' / L (L and L' the denominator lcms of the old points and
+    of the union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K),
     ``circle_through`` on the union's copy divided by m^2 > 0. Each kept
     face goes to the union with that circle, unchecked: its orientation was
-    checked in tri, and a positive factor keeps it.
-    ``exactgeom.delaunay_faces`` wraps the new faces outward from the kept
-    ones, one pencil gap scan per new face and per hull edge it reaches;
-    with no face kept it wraps the whole union. Only the new faces are
-    checked for orientation and sides, get their circles computed and have
-    their interior edges tested strictly: an edge between two kept faces is
-    strict when tri is. The checks of the whole union (every vertex used, one
-    convex boundary cycle, the face count) still run. When a step fails,
-    ``exactgeom.general_position_added`` names the violation among the
-    tuples that hold an added point (``DegenerateInput``); when it finds
-    none the failure stands. Everything runs on one lcm-scaled copy of the
-    union. ``structure.sentinel_augment`` adds its sentinels here.
+    checked in tri, and a positive factor keeps it. A violation is named
+    among the tuples that hold an added point. ``structure.sentinel_augment``
+    adds its sentinels here.
     """
     pts = tri.vertices + tuple(added)
     q = scaled_to_integers(pts)
@@ -313,31 +289,49 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
         u, v, k = m * u, m * v, m * m * k
         if all(w * s - 2 * (u * x + v * y) + k > 0 for x, y, s in new):  # power > 0
             carried.append(((a, b, c), (w, u, v, k)))
+    return _construct(pts, q, carried, n)
+
+
+def _construct(
+    pts: tuple[Point, ...],
+    q: tuple[Point, ...],
+    carried: Sequence[tuple[tuple[int, int, int], Circle]],
+    start: int,
+) -> Triangulation:
+    """The triangulation of pts, whose lcm-scaled copy is q, made of the
+    ``carried`` faces, each with its circle on q and on points before
+    ``start`` only, and of new faces strictly locally Delaunay at every
+    edge: the strict Delaunay triangulation when the carried faces are
+    faces of it.
+
+    1. ``exactgeom.delaunay_faces`` wraps the new faces outward from the
+       carried ones, or from scratch when there are none.
+    2. ``_assemble`` checks that all faces tile a strictly convex hull and
+       computes the new faces' circles; a failed check is a broken
+       invariant.
+    3. Each interior edge of a new face is tested strictly (``_loose_edge``);
+       a loose one is a broken invariant.
+    4. On a broken invariant from any step, the certificate scans the
+       tuples that hold a point from ``start`` on
+       (``exactgeom.general_position_added``; with ``start`` 0 it is
+       ``general_position``): a violation it finds raises
+       ``DegenerateInput``, and without one the alarm stands.
+    """
     try:
-        faces = delaunay_faces(q, [t for t, _ in carried])[len(carried):]
-        grown = _assembled(pts, q, faces, carried)
-        _check_strict(grown, faces)
+        faces = delaunay_faces(q, [t for t, _ in carried])
+        try:
+            tri = _assemble(pts, q, faces, carried)
+        except ValueError as exc:
+            raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
+        loose = _loose_edge(tri, faces)
+        if loose is not None:
+            raise InvariantBroken(f"interior edge {loose} is not strictly locally Delaunay")
     except InvariantBroken:
-        violation = general_position_added(q[:n], q[n:])
+        violation = general_position_added(q[:start], q[start:])
         if violation is not None:
             raise DegenerateInput(violation) from None
         raise
-    return grown
-
-
-def _assembled(
-    pts: tuple[Point, ...],
-    q: tuple[Point, ...],
-    faces: list[tuple[int, int, int]],
-    carried: Sequence[tuple[tuple[int, int, int], Circle]] = (),
-) -> Triangulation:
-    """Assemble the empty-disk faces of the face scan with the ``carried``
-    ones (``_assemble``); faces that do not tile the points' hull are a
-    broken invariant."""
-    try:
-        return _assemble(pts, q, faces, carried)
-    except ValueError as exc:
-        raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
+    return tri
 
 
 def _strictly_delaunay(tri: Triangulation, u: int, v: int) -> bool:
@@ -348,9 +342,9 @@ def _strictly_delaunay(tri: Triangulation, u: int, v: int) -> bool:
     return power(tri.circle[(u, v)], tri.lifted[tri.apex[(v, u)]]) > 0
 
 
-def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> None:
-    """Raise ``InvariantBroken`` at the first interior edge of ``faces`` that
-    is not strictly locally Delaunay (``_strictly_delaunay``).
+def _loose_edge(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> Optional[tuple[int, int]]:
+    """The first interior edge (u, v), u < v, of ``faces`` that is not
+    strictly locally Delaunay (``_strictly_delaunay``), or None.
 
     Each such edge is tested once, also when both its faces are in
     ``faces``. An edge between two faces outside ``faces`` (``extend``'s
@@ -359,9 +353,9 @@ def _check_strict(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> 
     darts = [d for a, b, c in faces for d in ((a, b), (b, c), (c, a))]
     own = set(darts)
     for u, v in darts:
-        if (v, u) in apex and (u < v or (v, u) not in own) and not _strictly_delaunay(tri, u, v):
-            u, v = sorted((u, v))
-            raise InvariantBroken(f"interior edge {(u, v)} is not strictly locally Delaunay")
+        if (u < v or (v, u) not in own) and (v, u) in apex and not _strictly_delaunay(tri, u, v):
+            return (u, v) if u < v else (v, u)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +369,13 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
     in face order (vertices in index order within a face).
 
     tri tiles a strictly convex hull with every vertex used (``_assemble``),
-    so by Delaunay's lemma it has no counterexample when every interior edge
-    passes ``_strictly_delaunay``, one test per edge. A failed edge is itself
-    a counterexample, its far apex in the near face's closed circumdisk; only
-    then does the brute-force scan of each face's circle against every
-    vertex run, to name the first one.
+    so by Delaunay's lemma it has no counterexample when no interior edge is
+    loose (``_loose_edge`` over every face), one test per edge. A loose edge
+    is itself a counterexample, its far apex in the near face's closed
+    circumdisk; only then does the brute-force scan of each face's circle
+    against every vertex run, to name the first one.
     """
-    apex = tri.apex
-    if all(_strictly_delaunay(tri, u, v) for u, v in apex if u < v and (v, u) in apex):
+    if _loose_edge(tri, tri.triangles) is None:
         return None
     for t in tri.triangles:
         c = tri.circle[t[:2]]

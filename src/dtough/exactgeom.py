@@ -31,14 +31,15 @@ caller's disk call, takes a ``Fraction`` disk and point but compares them
 by integer cross-multiplication of their numerators and denominators.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
-step of building T: ``delaunay.build`` runs it only to name the violation
-when its local tests fail, and ``cli``'s ``hypothesis`` check, ``gen`` and
-the callers whose proofs need it (``path``, ``blocking.verify_blocking``)
-run it themselves. It walks the pencil of circles through each pair (a, b)
-of points with b at or above a start index: O(n^3) from 0, O(k n^2) for
-the tuples that hold one of k added points. One bisector row per pair
-finds every collinear triple and cocircular quadruple whose least and
-greatest index the pair is (``_bisector_row``).
+step of building T: ``delaunay``'s construction runs it only to name the
+violation when its local tests fail, and ``cli``'s ``hypothesis`` check,
+``gen`` and the callers whose proofs need it (``path``,
+``blocking.verify_blocking``) run it themselves. It walks the pencil of
+circles through each pair (a, b) of points with b at or above a start
+index: O(n^3) from 0, O(k n^2) for the tuples that hold one of k added
+points. One bisector row per pair finds every collinear triple and
+cocircular quadruple whose least and greatest index the pair is
+(``_bisector_row``).
 
 The pencil gap of a pair (``pencil_gap``) holds the parameters of the
 circles through it that contain no other point. That gap is the one
@@ -423,12 +424,12 @@ def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
 
 
 def delaunay_faces(
-    pts: Sequence[Point], known: Sequence[tuple[int, int, int]] = ()
+    pts: Sequence[Point], known: Sequence[tuple[int, int, int]]
 ) -> list[tuple[int, int, int]]:
     """The CCW faces of the Delaunay triangulation of integer points in
-    general position, found by gift wrapping (the face step of DeWall:
-    Cignoni, Montani and Scopigno, Computer-Aided Design 1998). ``known``
-    must be some of those faces; they come first in the result.
+    general position that are not in ``known``, found by gift wrapping (the
+    face step of DeWall: Cignoni, Montani and Scopigno, Computer-Aided
+    Design 1998). ``known`` must be some of those faces.
 
     A dart (u, v) is a directed Delaunay edge, and one ``pencil_gap`` scan
     of it gives the face on its left: none when the gap has no left end (a
@@ -451,7 +452,7 @@ def delaunay_faces(
     else:
         near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
         stack = [(0, near), (near, 0)]
-    faces = list(known)
+    faces = []
     while stack:
         dart = stack.pop()
         if dart in apex:

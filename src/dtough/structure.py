@@ -241,39 +241,41 @@ def perfect_matching(tri: Triangulation) -> Optional[Matching]:
     """A perfect matching of a Delaunay triangulation, or None for odd order.
 
     The search is a memoized exhaustive backtrack over vertex bitmasks,
-    exact at desk scale. An even-order input with no matching found raises
-    ``NoPerfectMatching``, a broken invariant, rather than returning None,
-    since even-order Delaunay triangulations always have one. The matching
-    is verified before it is returned: every pair an edge of tri, no vertex
-    in two pairs, all n vertices covered; anything else is a broken
-    invariant.
+    exact at desk scale, matching the least vertex left to each neighbour in
+    index order. It keeps its branch on an explicit stack, one frame per
+    pair, so no recursion limit bounds n. An even-order input with no
+    matching found raises ``NoPerfectMatching``, a broken invariant, rather
+    than returning None, since even-order Delaunay triangulations always
+    have one. The matching is verified before it is returned: every pair an
+    edge of tri, no vertex in two pairs, all n vertices covered; anything
+    else is a broken invariant.
     """
     n = len(tri)
     if n % 2:
         return None
     adj = _adjacency_masks(tri)
     dead: set[int] = set()
-
-    def search(rem: int) -> Optional[list[tuple[int, int]]]:
-        if rem == 0:
-            return []
-        if rem in dead:
-            return None
-        v = (rem & -rem).bit_length() - 1
-        cand = adj[v] & rem
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            rest = search(rem & ~(1 << v) & ~(1 << u))
-            if rest is not None:
-                rest.append((v, u))
-                return rest
-        dead.add(rem)
-        return None
-
-    pairs = search((1 << n) - 1)
-    if pairs is None:
+    # one frame [rem, v, untried candidates, chosen u] per pair on the
+    # current branch, v the least vertex left in rem
+    frames = [[(1 << n) - 1, 0, adj[0], -1]]
+    while frames:
+        frame = frames[-1]
+        rem, v, cand, _ = frame
+        if not cand:
+            dead.add(rem)
+            frames.pop()
+            continue
+        u = (cand & -cand).bit_length() - 1
+        frame[2], frame[3] = cand & (cand - 1), u
+        rest = rem & ~(1 << v) & ~(1 << u)
+        if not rest:
+            break
+        if rest not in dead:
+            w = (rest & -rest).bit_length() - 1
+            frames.append([rest, w, adj[w] & rest, -1])
+    else:
         raise NoPerfectMatching("even-order Delaunay triangulation without a perfect matching")
+    pairs = [(v, u) for _, v, _, u in frames]
     for u, v in pairs:  # u is the least vertex left, so u < v
         if not tri.is_edge(u, v):
             raise InvariantBroken(f"matched pair ({u}, {v}) is not an edge")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dtough import blocking, delaunay, exactgeom, generate
+from dtough import blocking, exactgeom
 from dtough.blocking import (
     disjoint_disk_instance,
     fan_instance,
@@ -51,13 +51,13 @@ def test_degenerate_union_rejected():
 def test_union_is_scanned_once(monkeypatch):
     inst = helpers.fan(6)
     sizes = []
+    real = exactgeom._least_violation
 
-    def counting(points):
+    def counting(points, start):
         sizes.append(len(points))
-        return exactgeom.general_position(points)
+        return real(points, start)
 
-    for module in (blocking, delaunay):
-        monkeypatch.setattr(module, "general_position", counting)
+    monkeypatch.setattr(exactgeom, "_least_violation", counting)
     assert verify_blocking(inst.points, inst.blockers) is None
     assert lower_bound_report(inst.points, inst.blockers).blocked
     assert sizes == [12, 12]
@@ -83,13 +83,13 @@ def test_verdict_matches_union_triangulation_oracle(candidates, split, thin):
 
 def test_constructions_scan_each_point_set_once(monkeypatch):
     scanned = []
+    real = exactgeom._least_violation
 
-    def recording(points):
+    def recording(points, start):
         scanned.append(tuple(points))
-        return exactgeom.general_position(points)
+        return real(points, start)
 
-    for module in (blocking, delaunay, generate):
-        monkeypatch.setattr(module, "general_position", recording)
+    monkeypatch.setattr(exactgeom, "_least_violation", recording)
     fan_instance(7, 2)
     convex_points(9, 3)
     assert scanned

@@ -239,7 +239,7 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
     quad = tmp_path / "quad.txt"
     quad.write_text("0 0\n2 0\n3 2\n1 3\n")
     scan = delaunay.delaunay_faces
-    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q, known: scan(q, known)[1:])
     code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
     assert code == 1
     assert "do not triangulate" in json.loads(out)["error"]
@@ -1002,13 +1002,13 @@ def test_block_scans_the_union_once(tmp_path, monkeypatch):
     pts.write_text(format_points(inst.points))
     blockers.write_text(format_points(inst.blockers))
     sizes = []
+    real = exactgeom._least_violation
 
-    def counting(points):
+    def counting(points, start):
         sizes.append(len(points))
-        return exactgeom.general_position(points)
+        return real(points, start)
 
-    for module in (blocking, delaunay):
-        monkeypatch.setattr(module, "general_position", counting)
+    monkeypatch.setattr(exactgeom, "_least_violation", counting)
     code, out = helpers.run_cli(["block", str(pts), str(blockers)])
     assert code == 0 and json.loads(out)["blocked"]
     assert sizes == [12]

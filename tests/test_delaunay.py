@@ -280,6 +280,16 @@ def test_extend_that_keeps_no_face_matches_the_pair_scan():
     assert set(grown.triangles) == helpers.pair_scan_faces(scaled_to_integers(base + added))
 
 
+def test_face_scan_returns_only_the_faces_it_finds():
+    # with each prefix of T's faces known, the wrap returns the other faces,
+    # each once, and none of the known ones
+    _, t = helpers.random_tri(12, 5)
+    for k in range(len(t.triangles) + 1):
+        found = exactgeom.delaunay_faces(t.scaled, t.triangles[:k])
+        led = {min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in found}
+        assert len(led) == len(found) and led == set(t.triangles[k:])
+
+
 def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
     # F + h = 2n - 2 scans for a build, one per new face and hull edge for
     # the sentinels; a scan per pair would make n (n - 1) / 2
@@ -435,7 +445,7 @@ def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
     # faces of general-position input always triangulate it; a face scan
     # that loses one must surface as an alarm, not as a bare ValueError
     scan = delaunay.delaunay_faces
-    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q, known: scan(q, known)[1:])
     with pytest.raises(InvariantBroken, match="do not triangulate"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 

@@ -341,7 +341,8 @@ def test_circle_through_power_matches_lifted_determinant(a, b, c, d):
 def test_general_position_matches_naive_scan(pts):
     expected = helpers.general_position_naive(pts)
     assert general_position(pts) == expected
-    assert general_position(scaled_to_integers(pts)) == expected  # as build passes it
+    assert general_position(scaled_to_integers(pts)) == expected
+    assert general_position_added((), scaled_to_integers(pts)) == expected  # as build passes it
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.lists(helpers.grid_points, min_size=1, max_size=3))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
-from dtough.delaunay import build
+from dtough.delaunay import build, from_triangles
 from dtough.errors import (
     DegenerateInput,
     InvariantBroken,
@@ -214,6 +214,14 @@ def test_matching_even_random_cross_checked():
         assert covered == list(range(n))
         assert all(t.is_edge(u, v) for u, v in m)
         assert helpers.has_perfect_matching_exhaustive(n, t.edges)
+
+
+def test_matching_search_depth_is_not_bounded_by_recursion():
+    # the fan (0, i, i + 1) over 2,100 points x x^2: the search goes 1,050
+    # pairs deep, past Python's default recursion limit
+    n = 2100
+    t = from_triangles([P(x, x * x) for x in range(n)], [(0, i, i + 1) for i in range(1, n - 1)])
+    assert perfect_matching(t) == frozenset((i, i + 1) for i in range(0, n, 2))
 
 
 def test_matching_flags_the_even_kleetope():
