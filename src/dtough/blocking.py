@@ -93,6 +93,8 @@ def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundRepo
 # Fan instances (tightness family: n points blocked by exactly n)
 # ---------------------------------------------------------------------------
 
+MAX_FAN = 257  # the hub and n - 1 arc points with distinct radius jitters k / 512, 1 <= k < MAX_FAN
+
 
 def _fan_blockers(points: Sequence[Point], eps: Fraction) -> tuple[Point, ...]:
     """Two blockers close to the hub (``points[0]``), just outside its hull
@@ -120,16 +122,20 @@ def fan_instance(n: int, seed: int = 0) -> BlockingInstance:
     attempt has one accept test, the exact edge pattern and then the
     blocking verdict; a degenerate attempt fails it too. The jitter and
     offset scale halves per rejected attempt, and ``ConstructionFailed``
-    ends the search.
+    ends the search. The arc points draw distinct radius jitters, so n is at
+    most ``MAX_FAN``; a larger n raises ``PreconditionViolated`` before any
+    draw.
     """
     if n < 4:
         raise PreconditionViolated(f"fan instances need n >= 4, got {n}")
+    if n > MAX_FAN:
+        raise PreconditionViolated(f"fan instances need n <= {MAX_FAN}, got {n}")
     # spokes and rim are 2n - 3 = 3n - 3 - h edges: h = n hull vertices
     spokes_and_rim = {(0, i) for i in range(1, n)} | {(i, i + 1) for i in range(1, n - 1)}
     eps = Fraction(1, 8)
     for attempt in range(40):
         rng = random.Random(f"fan-{n}-{seed}-{attempt}")
-        magnitudes = rng.sample(range(1, 257), n - 1)
+        magnitudes = rng.sample(range(1, MAX_FAN), n - 1)
         pts = [Point(Fraction(0), Fraction(0))]
         for i in range(n - 1):
             t = Fraction(1, 8) + Fraction(3, 4) * Fraction(i, n - 2)

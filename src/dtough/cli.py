@@ -5,8 +5,9 @@ Verdict reports are JSON on stdout with exact rationals serialized as
 ``a/b`` strings (never floats), usage errors included. Exit codes: 0 every
 requested verdict affirms, 1 a verified invariant failed (a falsification
 alarm), 2 bad input (unparsable, degenerate, a usage error, an unwritable
-output file) or a construction that gave up, 3 a size gate refused an
-exhaustive search (raise it with --max-n) or a command ran out of memory.
+output file or a closed stdout) or a construction that gave up, 3 a size
+gate refused an exhaustive search (raise it with --max-n) or a command ran
+out of memory.
 ``_exit_code`` maps every exception to its code and ``_worst`` merges the
 codes of checks, files and the path picture: an alarm outranks everything.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -442,12 +444,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HANDLED as exc:
         command = exc.command if isinstance(exc, UsageError) else args.command
         code, report = _exit_code(exc), {"command": command, "error": _message(exc)}
-    if report is not None:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        if getattr(args, "no_json", False):
-            print("\n".join(_flat_lines(report)))
-        else:
-            print(json.dumps(report, indent=2))
+    try:
+        if report is not None:
+            report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+            if getattr(args, "no_json", False):
+                print("\n".join(_flat_lines(report)))
+            else:
+                print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so the
+        # flush at shutdown stays silent, and the output was not written
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return _worst([code, EXIT_INPUT])
     return code
 
 

@@ -31,8 +31,7 @@ caller's points.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``: the copy the construction scanned, or the one
-``from_triangles`` computes; ``lifted``, that copy lifted to
-(x, y, x^2 + y^2); and ``circle``, each face's circle on that copy
+``from_triangles`` computes; and ``circle``, each face's circle on that copy
 (``exactgeom.circle_through``), computed when the face is assembled and
 read under any of the face's three darts. One strict edge test
 (``_strictly_delaunay``: the far apex has positive ``power`` on the near
@@ -78,7 +77,6 @@ from .exactgeom import (
     Circle,
     Disk,
     Orientation,
-    Lifted,
     Point,
     circle_through,
     delaunay_faces,
@@ -87,7 +85,6 @@ from .exactgeom import (
     general_position,  # not called here; bench/test_bench.py reads it off this module
     general_position_added,
     is_witness_disk,
-    lifted,
     orient,
     pencil_gap,
     power,
@@ -118,14 +115,14 @@ class Triangulation:
     ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
     the construction scanned or the one ``from_triangles`` derives:
     integer coordinates on which every orientation and in-circle sign equals
-    the one on ``vertices``. ``lifted`` is ``exactgeom.lifted(scaled)``.
-    ``circle`` maps each dart (u, v) to the circle of the face left of it on
-    ``scaled`` (``exactgeom.circle_through``, or a positive multiple of it),
-    held for every face from construction on, so an in-circle question is
-    one lookup and one ``power`` at a ``lifted`` vertex. ``_assemble``
-    computes each face's circle when it checks the face, and ``extend``
-    carries the kept faces' circles over. The three are derived from the
-    other fields, so they take no part in equality.
+    the one on ``vertices``. ``circle`` maps each dart (u, v) to the
+    circle of the face left of it on ``scaled``
+    (``exactgeom.circle_through``, or a positive multiple of it), held for
+    every face from construction on, so an in-circle question is one lookup
+    and one ``power`` at a ``scaled`` vertex. ``_assemble`` computes each
+    face's circle when it checks the face, and ``extend`` carries the kept
+    faces' circles over. The two are derived from the other fields, so they
+    take no part in equality.
     """
 
     vertices: tuple[Point, ...]
@@ -135,7 +132,6 @@ class Triangulation:
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     scaled: tuple[Point, ...] = field(compare=False, repr=False)
-    lifted: tuple[Lifted, ...] = field(compare=False, repr=False)
     circle: dict[tuple[int, int], Circle] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -234,7 +230,6 @@ def _assemble(
         edges=tuple(keys),
         neighbors=tuple(map(tuple, nbrs)),
         scaled=q,
-        lifted=tuple(lifted(q)),
         circle=circle,
     )
 
@@ -282,13 +277,12 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     q = scaled_to_integers(pts)
     n = len(tri)
     m = denominator_lcm(pts) // denominator_lcm(tri.vertices)
-    new = lifted(q[n:])
     carried = []
     for a, b, c in tri.triangles:
         w, u, v, k = tri.circle[(a, b)]
-        u, v, k = m * u, m * v, m * m * k
-        if all(w * s - 2 * (u * x + v * y) + k > 0 for x, y, s in new):  # power > 0
-            carried.append(((a, b, c), (w, u, v, k)))
+        circle = (w, m * u, m * v, m * m * k)
+        if all(power(circle, p) > 0 for p in q[n:]):
+            carried.append(((a, b, c), circle))
     return _construct(pts, q, carried, n)
 
 
@@ -337,9 +331,9 @@ def _construct(
 def _strictly_delaunay(tri: Triangulation, u: int, v: int) -> bool:
     """Whether the edge of the interior dart (u, v) is strictly locally
     Delaunay: the apex of the face left of v -> u lies strictly outside the
-    circle of the face left of u -> v, one ``power`` at a lifted vertex. The
+    circle of the face left of u -> v, one ``power`` at a scaled vertex. The
     test is symmetric in the two darts of an edge."""
-    return power(tri.circle[(u, v)], tri.lifted[tri.apex[(v, u)]]) > 0
+    return power(tri.circle[(u, v)], tri.scaled[tri.apex[(v, u)]]) > 0
 
 
 def _loose_edge(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> Optional[tuple[int, int]]:
@@ -379,7 +373,7 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
         return None
     for t in tri.triangles:
         c = tri.circle[t[:2]]
-        for vi, p in enumerate(tri.lifted):
+        for vi, p in enumerate(tri.scaled):
             if vi not in t and power(c, p) <= 0:
                 return CounterExample(t, vi)
     raise InvariantBroken("an interior edge fails its strict test, yet no circumdisk holds a vertex")

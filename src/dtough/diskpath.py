@@ -13,10 +13,9 @@ runs it as a loop, one pinned vertex and one edge per step, growing the
 path from both ends.
 
 The loop runs on the triangulation's integer copy of its vertices
-(``Triangulation.scaled``), lifted to (x, y, x^2 + y^2) as the
-triangulation carries it (``Triangulation.lifted``). The caller's
-disk is lifted once to the package's one circle on that copy,
-``exactgeom.Circle`` (W, U, V, K) with W > 0, whose power
+(``Triangulation.scaled``). The caller's disk is written once as the
+package's one circle on that copy, ``exactgeom.Circle`` (W, U, V, K) with
+W > 0, whose power
 P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
 and zero on the boundary. Shrinking toward a boundary anchor a until the
 interior vertex r reaches the boundary is one step in the pencil of circles
@@ -52,7 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .delaunay import Triangulation
 from .errors import InvariantBroken, PreconditionViolated
-from .exactgeom import Circle, Disk, Lifted, Position, denominator_lcm, disk_classify, power
+from .exactgeom import Circle, Disk, Point, Position, denominator_lcm, disk_classify, power
 
 
 class DiskPath(NamedTuple):
@@ -93,7 +92,7 @@ def _lift(tri: Triangulation, d: Disk) -> Circle:
     )
 
 
-def _shrink(c: Circle, a: Lifted, r: Lifted, lam: int) -> Circle:
+def _shrink(c: Circle, a: Point, r: Point, lam: int) -> Circle:
     """The circle through a and r tangent to c at a, for a on c and r inside
     it with lam = -P(r) > 0: |r - a|^2 P + lam |X - a|^2, reduced.
 
@@ -101,9 +100,9 @@ def _shrink(c: Circle, a: Lifted, r: Lifted, lam: int) -> Circle:
     circle of the pencil is tangent to c at a; the weights make r vanish.
     """
     w, u, v, k = c
-    ax, ay, a2 = a
-    m = (r[0] - ax) ** 2 + (r[1] - ay) ** 2
-    return _reduced(m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * a2)
+    ax, ay = a
+    m = (r.x - ax) ** 2 + (r.y - ay) ** 2
+    return _reduced(m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * (ax * ax + ay * ay))
 
 
 def _internally_tangent(outer: Circle, inner: Circle) -> bool:
@@ -124,7 +123,7 @@ def _internally_tangent(outer: Circle, inner: Circle) -> bool:
     return small <= big and m >= 0 and m * m == 4 * big * small
 
 
-def _check_anchors(pts: Sequence[Lifted], c: Circle, a: int, b: int) -> None:
+def _check_anchors(pts: Sequence[Point], c: Circle, a: int, b: int) -> None:
     for x in (a, b):
         if power(c, pts[x]):
             raise InvariantBroken(f"shrunken disk lost its anchor {x}")
@@ -162,7 +161,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     ``exactgeom.general_position`` on ``tri.scaled`` first.
     """
     _check_endpoints(tri, p, q)
-    pts = tri.lifted
+    pts = tri.scaled
     c = _lift(tri, d)
     powers = [power(c, pt) for pt in pts]
     on = [i for i, value in enumerate(powers) if value == 0]
@@ -183,7 +182,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
 
 
 def _find(
-    tri: Triangulation, pts: Sequence[Lifted], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
+    tri: Triangulation, pts: Sequence[Point], p: int, q: int, c: Circle, interior: list[tuple[int, int]]
 ) -> list[int]:
     near, far = [p], [q]  # the walks from the two anchors; near pins next
     while interior:
@@ -191,10 +190,10 @@ def _find(
         # The first vertex pinned shrinking toward a has the greatest
         # -P(x) / |x - a|^2, kept as the pair (-P(x), |x - a|^2); the strict
         # comparison keeps the least index of a tie.
-        ax, ay, _ = pts[a]
+        ax, ay = pts[a]
         num, den, r = 0, 1, None
         for x, value in interior:
-            m = (pts[x][0] - ax) ** 2 + (pts[x][1] - ay) ** 2
+            m = (pts[x].x - ax) ** 2 + (pts[x].y - ay) ** 2
             if -value * den > num * m:
                 num, den, r = -value, m, x
         c_ar = _shrink(c, pts[a], pts[r], num)

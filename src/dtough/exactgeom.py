@@ -10,11 +10,10 @@ general and never materialize.
 has one circle: (W, U, V, K) with W > 0, whose power
 W |X|^2 - 2 (U x + V y) + K is negative inside, zero on and positive outside
 it. ``circle_through`` gives the circle through three points, and every
-in-circle question is the sign of one ``power`` at a point ``lifted`` to
-(x, y, x^2 + y^2); ``in_circle`` reads that sign as a ``Position``. A
-triangulation computes each face's circle when it is assembled and keeps it
-(``delaunay.Triangulation.circle``), so the questions about its own faces
-compute no circle again.
+in-circle question is the sign of one ``power`` at a point; ``in_circle``
+reads that sign as a ``Position``. A triangulation computes each face's
+circle when it is assembled and keeps it (``delaunay.Triangulation.circle``),
+so the questions about its own faces compute no circle again.
 
 Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan and strict edge tests of
@@ -61,7 +60,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import CollinearInput, InvariantBroken
 
@@ -69,8 +68,6 @@ Scalar = Union[int, str, Fraction]
 # A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
 # ints on integer points, Fractions on rational ones.
 Circle = tuple[int, int, int, int]
-# A point X as (x, y, x^2 + y^2).
-Lifted = tuple[int, int, int]
 
 
 MAX_EXPONENT = 1000
@@ -242,17 +239,12 @@ def circle_through(a: Point, b: Point, c: Point) -> Circle:
     return w, w * ax + py, w * ay - px, w * (ax * ax + ay * ay) + 2 * (py * ax - px * ay)
 
 
-def power(c: Circle, pt: Lifted) -> int:
-    """W |X|^2 - 2 (U x + V y) + K at the lifted point X: negative inside the
+def power(c: Circle, pt: Point) -> int:
+    """W |X|^2 - 2 (U x + V y) + K at the point X: negative inside the
     circle, zero on it, positive outside."""
     w, u, v, k = c
-    x, y, s = pt
-    return w * s - 2 * (u * x + v * y) + k
-
-
-def lifted(points: Iterable[Point]) -> list[Lifted]:
-    """Each point as (x, y, x^2 + y^2), the argument of ``power``."""
-    return [(x, y, x * x + y * y) for x, y in points]
+    x, y = pt
+    return w * (x * x + y * y) - 2 * (u * x + v * y) + k
 
 
 def _position(gap: Union[int, Fraction]) -> Position:
@@ -267,7 +259,7 @@ def _position(gap: Union[int, Fraction]) -> Position:
 def in_circle(a: Point, b: Point, c: Point, d: Point) -> Position:
     """Classify d against the closed disk bounded by the circle through a,
     b, c: the sign of ``power(circle_through(a, b, c), d)``."""
-    return _position(power(circle_through(a, b, c), lifted((d,))[0]))
+    return _position(power(circle_through(a, b, c), d))
 
 
 def disk_classify(d: Disk, p: Point) -> Position:

@@ -12,10 +12,11 @@ import random
 from fractions import Fraction
 
 from .delaunay import build
-from .errors import ConstructionFailed, TooFewPoints
+from .errors import ConstructionFailed, PreconditionViolated, TooFewPoints
 from .exactgeom import Point, arc_point, general_position
 
 GRID_BITS = 20  # random coordinates are k / 2**20 in [0, 1]
+MAX_CONVEX = 512  # convex points draw distinct radius jitters k / 1024, 1 <= k <= MAX_CONVEX
 
 
 def random_points(n: int, seed: int = 0) -> tuple[Point, ...]:
@@ -45,14 +46,18 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
 
     Directions come from the rational circle parameterization, radii carry a
     small rational jitter (to dodge cocircularity), and the jitter halves
-    until the triangulated hull uses all n points.
+    until the triangulated hull uses all n points. The jitters are distinct,
+    so n is at most ``MAX_CONVEX``; a larger n raises
+    ``PreconditionViolated`` before any draw.
     """
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    if n > MAX_CONVEX:
+        raise PreconditionViolated(f"convex sets need n <= {MAX_CONVEX}, got {n}")
     jitter = Fraction(1, 16)
     for attempt in range(64):
         rng = random.Random(f"convex-{n}-{seed}-{attempt}")
-        magnitudes = rng.sample(range(1, 513), n)
+        magnitudes = rng.sample(range(1, MAX_CONVEX + 1), n)
         pts = []
         for i in range(n):
             t = Fraction(-3) + Fraction(6) * Fraction(2 * i + 1, 2 * n)

@@ -112,6 +112,14 @@ def test_fan_requires_four():
         fan_instance(3)
 
 
+def test_generators_refuse_sizes_they_cannot_draw():
+    # each drawn point takes its own radius jitter, and the jitters run out
+    with pytest.raises(PreconditionViolated, match="n <= 512, got 513"):
+        convex_points(513)
+    with pytest.raises(PreconditionViolated, match="n <= 257, got 258"):
+        fan_instance(258)
+
+
 def test_fan_mis_is_half():
     inst = helpers.fan(10)
     size, _ = max_independent_set(build(inst.points))

@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a caller inside it.
+"""Every top-level function, class and assigned name (a constant or a type
+alias) of the package has a caller inside it.
 
 Library code that only tests reach costs upkeep and gives nothing; it moves
 into ``tests/helpers.py`` as an oracle or goes. A reference is a ``Name``
@@ -34,13 +35,24 @@ def _uncalled(src: Path) -> list[str]:
                 if node.value.id in trees:
                     attributes.add((node.value.id, node.attr))
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in names | ENTRY_POINTS
-        and (module, node.name) not in attributes
+        for name in _defined(tree)
+        if name not in names | ENTRY_POINTS and (module, name) not in attributes
     ]
+
+
+def _defined(tree: ast.Module):
+    """The names a module defines at top level: functions, classes and the
+    targets of plain and annotated assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t)):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id
 
 
 def test_every_top_level_definition_has_a_caller():
@@ -48,10 +60,13 @@ def test_every_top_level_definition_has_a_caller():
 
 
 def test_the_guard_sees_an_orphan(tmp_path):
-    # a stored field of the same name, or a re-export, is no caller
+    # a stored field of the same name, or a re-export, is no caller; an
+    # alias or constant that nothing reads is an orphan too
     (tmp_path / "a.py").write_text(
-        "def used():\n    pass\n\ndef orphan():\n    used()\n\nclass Box:\n    orphan = 1\n"
+        "def used():\n    pass\n\ndef orphan():\n    used()\n\nclass Box:\n    orphan = 1\n\n"
+        "Pair = tuple[int, int]\nStale = tuple[int, int, int]\nLIMIT: int = 3\n\n"
+        "def sized(p: Pair) -> bool:\n    return len(p) < LIMIT\n"
     )
-    (tmp_path / "b.py").write_text("from . import a\n\na.Box\n")
-    (tmp_path / "__init__.py").write_text("from .a import orphan\n")
-    assert _uncalled(tmp_path) == ["a.orphan"]
+    (tmp_path / "b.py").write_text("from . import a\n\na.Box\na.sized((1, 2))\n")
+    (tmp_path / "__init__.py").write_text("from .a import orphan, Stale\n")
+    assert _uncalled(tmp_path) == ["a.orphan", "a.Stale"]

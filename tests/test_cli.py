@@ -2,8 +2,12 @@ import dataclasses
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +176,16 @@ def test_gen_fan_refuses_stdout_before_constructing(monkeypatch):
     assert code == 2
     report = json.loads(helpers.report_without_timing(out))
     assert report == {"command": "gen", "error": "fan emits two files; --out is required"}
+
+
+def test_gen_refuses_sizes_it_cannot_draw(tmp_path):
+    for argv, cap in (
+        (["gen", "convex", "513"], "n <= 512, got 513"),
+        (["gen", "fan", "258", "--out", str(tmp_path / "fan.txt")], "n <= 257, got 258"),
+    ):
+        code, out = helpers.run_cli(argv)
+        assert code == 2
+        assert cap in json.loads(out)["error"]
 
 
 def test_gen_convex_and_disjoint(tmp_path):
@@ -527,6 +541,30 @@ def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, ca
     assert second["file"] == files[1] and second["verdicts"]["delaunay"]["ok"]
     assert second["verdicts"]["audit"] == {"error": "doctored sentinel search", "ok": False}
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("copies, lines", [(150, 1), (1, 0)])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, copies, lines):
+    # The reader reads some lines and quits, as `| head -1` does. After one
+    # line of 150 reports (about 200 kB), the report's own write fails; a
+    # report of one file fits the buffer, and its flush fails.
+    f = tmp_path / "r11.txt"
+    f.write_text(format_points(generate.random_points(11, 1)))
+    argv = [sys.executable, "-m", "dtough.cli", "check", *[str(f)] * copies, "--checks", "delaunay,mis,audit"]
+    # buffered, as stdout to a pipe is by default, so a report left in the
+    # buffer is flushed again at shutdown
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_check_multiple_files(tmp_path):

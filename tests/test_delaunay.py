@@ -323,9 +323,8 @@ def test_verify_delaunay_flags_the_kleetope():
 
 def _assert_face_circles(t):
     # each dart's circle is a positive multiple of circle_through on its
-    # face's scaled vertices, and lifted is the lifted scaled copy
+    # face's scaled vertices
     q = t.scaled
-    assert t.lifted == tuple(exactgeom.lifted(q))
     for (u, v), w in t.apex.items():
         held = t.circle[(u, v)]
         exact = exactgeom.circle_through(q[u], q[v], q[w])

@@ -9,7 +9,7 @@ from dtough import diskpath
 from dtough.delaunay import build, witness_disk
 from dtough.diskpath import DiskPath, check_disk_path, find_path, path_oracle
 from dtough.errors import DToughError, InvariantBroken, PreconditionViolated
-from dtough.exactgeom import Disk, Point, Position, disk_classify, lifted, point, power
+from dtough.exactgeom import Disk, Point, Position, disk_classify, point, power
 
 import helpers
 from helpers import disk_contains_disk, shrink_toward
@@ -244,13 +244,13 @@ def test_integer_shrink_is_the_fraction_shrink():
     pts = [P(0, 2), P(4, -1), P("1/2", 9), P(-5, "-1/3"), P(8, "7/3")]
     t = build(pts)
     d = Disk(P(3, -2), Fraction(25))
-    lifts = lifted(t.scaled)
+    q = t.scaled
     c = diskpath._lift(t, d)
-    assert power(c, lifts[0]) == 0
-    inside = power(c, lifts[1])
+    assert power(c, q[0]) == 0
+    inside = power(c, q[1])
     assert inside < 0
     expected = diskpath._lift(t, helpers.shrink_toward(d, pts[0], pts[1]))
-    assert diskpath._shrink(c, lifts[0], lifts[1], -inside) == expected
+    assert diskpath._shrink(c, q[0], q[1], -inside) == expected
 
 
 def test_recursion_classifies_no_fraction_disk(monkeypatch):

@@ -28,7 +28,6 @@ from dtough.exactgeom import (
     in_circle,
     int_at_least_sqrt,
     is_witness_disk,
-    lifted,
     orient,
     point,
     power,
@@ -327,12 +326,11 @@ def test_circle_through_power_matches_lifted_determinant(a, b, c, d):
     expected = helpers.in_circle_lifted(a, b, c, d)
     integers = scaled_to_integers([a, b, c, d])
     for pts in ([a, b, c, d], integers):
-        defining, query = pts[:3], lifted(pts)
-        for order in permutations(defining):
+        for order in permutations(pts[:3]):
             circle = circle_through(*order)
             assert circle[0] > 0
-            assert [power(circle, x) for x in query[:3]] == [0, 0, 0]
-            assert _sign_position(power(circle, query[3])) is expected
+            assert [power(circle, x) for x in pts[:3]] == [0, 0, 0]
+            assert _sign_position(power(circle, pts[3])) is expected
             assert in_circle(*order, pts[3]) is expected
     assert all(type(v) is int for v in circle_through(*integers[:3]))
 
