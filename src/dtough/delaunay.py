@@ -31,23 +31,22 @@ caller's points.
 
 Each ``Triangulation`` carries its own integer copy of its vertices,
 ``scaled``: the copy the construction scanned, or the one
-``from_triangles`` computes; and ``circle``, each face's circle on that copy
-(``exactgeom.circle_through``), computed when the face is assembled and
-read under any of the face's three darts. One strict edge test
+``from_triangles`` computes; and ``circle``, each face's circle on that
+copy (``exactgeom.circle_through``), computed when the face is assembled
+and read under any of the face's three darts. One strict edge test
 (``_strictly_delaunay``: the far apex has positive ``power`` on the near
-face's circle) answers ``edge_angle_check``, and one walk over the
-interior edges of some faces (``_loose_edge``) runs it for the
-construction, on the new faces, and for ``verify_delaunay``, on all of
-them. Every triangulation tiles a strictly convex hull (``_assemble``), so
-by the lemma ``verify_delaunay`` scans every face against every vertex
-only to name the counterexample that a failed edge guarantees. A circle is
-a pure function of its face's three scaled vertices, up to a positive
-factor that no sign sees, so reading it makes no verifier depend on how
-the triangulation was built. ``witness_disk`` finds its center's pencil
-parameter in the edge's pencil gap on the scaled copy too, the same
-empty-disk test that the construction reads its faces off; only the disk
-itself, whose center is an arbitrary rational, uses the ``Fraction``
-vertices.
+face's circle) answers ``edge_angle_check``, and one walk over the interior
+edges of some faces (``_loose_edge``) runs it for the construction, on the
+new faces, and for ``verify_delaunay``, on all of them. Every triangulation
+tiles a convex polygon traversed once (``_assemble``), so by the lemma the
+first loose edge's face and far apex are ``verify_delaunay``'s
+counterexample. A circle is a pure function of its face's three scaled
+vertices, up to a positive factor that no sign sees, so reading it makes no
+verifier depend on how the triangulation was built. ``witness_disk`` finds
+its center's pencil parameter in the edge's pencil gap on the scaled copy
+too, the same empty-disk test that the construction reads its faces off;
+only the disk itself, whose center is an arbitrary rational, uses the
+``Fraction`` vertices.
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -102,7 +101,7 @@ class CounterExample(NamedTuple):
 @dataclass(frozen=True)
 class Triangulation:
     """Vertices, CCW triangles, the directed-edge apex map, and the convex
-    hull cycle.
+    hull cycle: a convex polygon traversed once, which the triangles tile.
 
     Treat instances as immutable; every operation in this package builds new
     values instead of mutating. ``apex`` has one entry per directed edge of
@@ -150,10 +149,10 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
     """Assemble and structurally validate a triangulation.
 
     Checks: CCW faces, at most one face on each side of an edge, a boundary
-    that is a single convex CCW cycle with no pinched vertex, every vertex
-    used, and the face count implied by Euler's formula. Does NOT check the
-    empty circle property; that is ``verify_delaunay``'s job, which lets tests
-    assemble deliberately non-Delaunay triangulations.
+    that is one unpinched CCW cycle around a convex polygon traversed once,
+    every vertex used, and the face count of Euler's formula. Does NOT check
+    the empty circle property; that is ``verify_delaunay``'s job, which lets
+    tests assemble deliberately non-Delaunay triangulations.
     """
     pts = tuple(points)
     return _assemble(pts, scaled_to_integers(pts), triangles)
@@ -174,7 +173,9 @@ def _assemble(
     each face, computes its circle and fills ``apex``; everything else is
     read off it, over all faces. The boundary is the directed edges whose
     reverse is absent, and the hull follows their successors from the least
-    index, CCW because every face lies left of its edges.
+    index, CCW because every face lies left of its edges. Lest a star winding
+    twice pass, the fan from the hull vertex with the least scaled point,
+    which sees the rest in one half-plane, must be CCW too.
     """
     n = len(pts)
     if n < 3:
@@ -214,6 +215,10 @@ def _assemble(
         a, b, c = hull[i], hull[(i + 1) % h], hull[(i + 2) % h]
         if orient(q[a], q[b], q[c]) is not Orientation.CCW:
             raise ValueError("hull is not convex")
+    s = hull.index(min(hull, key=q.__getitem__))
+    e, *ring = hull[s:] + hull[:s]
+    if any(orient(q[e], q[b], q[c]) is not Orientation.CCW for b, c in zip(ring, ring[1:])):
+        raise ValueError("boundary winds around the hull more than once")
     faces = len(apex) // 3
     if faces != 2 * n - 2 - h:
         raise ValueError(f"face count {faces} does not tile the hull (expected {2 * n - 2 - h})")
@@ -359,24 +364,19 @@ def _loose_edge(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> Op
 
 def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
     """The empty-circumdisk check: None when every face's circumdisk
-    excludes every non-incident vertex, otherwise the first counterexample
-    in face order (vertices in index order within a face).
+    excludes every non-incident vertex, otherwise a counterexample.
 
-    tri tiles a strictly convex hull with every vertex used (``_assemble``),
-    so by Delaunay's lemma it has no counterexample when no interior edge is
-    loose (``_loose_edge`` over every face), one test per edge. A loose edge
-    is itself a counterexample, its far apex in the near face's closed
-    circumdisk; only then does the brute-force scan of each face's circle
-    against every vertex run, to name the first one.
+    tri tiles a convex polygon (``_assemble``), so by Delaunay's lemma it
+    has none when no interior edge is loose (``_loose_edge``). The first
+    loose edge (u, v) names one, not always the first in face order: the
+    face left of u -> v, led by its least index, and the far apex.
     """
-    if _loose_edge(tri, tri.triangles) is None:
+    loose = _loose_edge(tri, tri.triangles)
+    if loose is None:
         return None
-    for t in tri.triangles:
-        c = tri.circle[t[:2]]
-        for vi, p in enumerate(tri.scaled):
-            if vi not in t and power(c, p) <= 0:
-                return CounterExample(t, vi)
-    raise InvariantBroken("an interior edge fails its strict test, yet no circumdisk holds a vertex")
+    u, v = loose
+    w = tri.apex[(u, v)]
+    return CounterExample(min((u, v, w), (v, w, u), (w, u, v)), tri.apex[(v, u)])
 
 
 def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,20 @@ from dtough.delaunay import (
     verify_delaunay,
     witness_disk,
 )
-from dtough.errors import DegenerateInput, InvariantBroken, NotInteriorEdge, TooFewPoints
+from dtough.errors import (
+    DegenerateInput,
+    InvariantBroken,
+    NotInteriorEdge,
+    TooFewPoints,
+    WitnessSearchFailed,
+)
 from dtough.exactgeom import (
     Orientation,
     Point,
     Position,
     Violation,
     ViolationKind,
+    arc_point,
     disk_classify,
     in_circle,
     is_witness_disk,
@@ -117,6 +126,57 @@ def test_from_triangles_validation():
         from_triangles(apart, [(0, 1, 2), (3, 4, 5)])
 
 
+def _winding_two_fan(seed: int):
+    """A hub joined to a ring of k = 5..11 points that winds twice around it,
+    labels shuffled: CCW faces, each dart used once, a boundary that turns
+    left at every vertex, and Euler's face count, so only the winding is
+    wrong. The ring's angles and radii are jittered floats rounded to
+    rationals; a draw that breaks a turn or a face is drawn again."""
+    rng = random.Random(seed)
+
+    def milli(f: float) -> Fraction:
+        return Fraction(round(f * 1000), 1000)
+
+    while True:
+        k = rng.randrange(5, 12)
+        turn = rng.uniform(0, 2 * math.pi)
+        pts = [Point(milli(rng.uniform(-0.1, 0.1)), milli(rng.uniform(-0.1, 0.1)))]
+        for j in range(k):
+            a = turn + 4 * math.pi * (j + rng.uniform(-0.2, 0.2)) / k
+            r = rng.uniform(0.8, 1.2)
+            pts.append(Point(milli(r * math.cos(a)), milli(r * math.sin(a))))
+        faces = [(0, i, i % k + 1) for i in range(1, k + 1)]
+        turns = [(i, i % k + 1, (i + 1) % k + 1) for i in range(1, k + 1)]
+        if len(set(pts)) == len(pts) and all(
+            exactgeom.orient(*(pts[i] for i in f)) is Orientation.CCW for f in faces + turns
+        ):
+            break
+    label = list(range(k + 1))
+    rng.shuffle(label)  # point i is labelled label[i]
+    return [pts[label.index(i)] for i in range(k + 1)], [tuple(label[i] for i in f) for f in faces]
+
+
+def test_from_triangles_refuses_a_boundary_that_winds_twice():
+    # every boundary turn is left, yet the boundary is a star around the hub;
+    # anchoring the fan test at the least index would miss the hexagon
+    ring = (0, 7265, 30777, -30777, -7265)
+    pentagram = [P(0, 0)] + [arc_point(Fraction(1), Fraction(t, 10000)) for t in ring]
+    hexagon = [
+        Point(Fraction(x), Fraction(y))
+        for x, y in (
+            (0, 0), ("527/1000", 0), ("-77/50", "13/250"), ("1183/1000", "-143/1000"),
+            ("54/25", "681/1000"), ("-1307/500", "461/500"), ("72/125", "-283/250"),
+        )
+    ]
+    cases = [
+        (pentagram, [(0, 1, 3), (0, 3, 5), (0, 5, 2), (0, 2, 4), (0, 4, 1)]),
+        (hexagon, [(0, i, i % 6 + 1) for i in range(1, 7)]),
+    ] + [_winding_two_fan(seed) for seed in range(200)]
+    for pts, faces in cases:
+        with pytest.raises(ValueError, match="winds around the hull more than once"):
+            from_triangles(pts, faces)
+
+
 def _euler_ok(t: Triangulation) -> bool:
     n, h = len(t), len(t.hull)
     return len(t.triangles) == 2 * n - 2 - h and len(t.edges) == 3 * n - 3 - h
@@ -157,7 +217,7 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
     for t in filter(None, (built, flipped)):
         assert t.scaled == scaled_to_integers(t.vertices)
         assert all(type(c) is int for p in t.scaled for c in p)
-        assert verify_delaunay(t) == helpers.verify_delaunay_naive(t)
+        _assert_counterexample(t)
         for u, v in t.edges:
             opp = t.opposite_vertices(u, v)
             if len(opp) == 2:
@@ -312,13 +372,40 @@ def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
             assert len(calls) <= len(aug.tri.triangles) - len(t.triangles) + 3
 
 
+def _assert_counterexample(t):
+    # the oracle's verdict; a counterexample is a face of t and a vertex off
+    # it in its closed circumdisk, across one of its edges, though not always
+    # the oracle's first in face order
+    counter = verify_delaunay(t)
+    assert (counter is None) is (helpers.verify_delaunay_naive(t) is None)
+    if counter is not None:
+        (a, b, c), w = counter
+        assert (a, b, c) in t.triangles and w not in (a, b, c)
+        face = (t.vertices[i] for i in (a, b, c))
+        assert helpers.in_circle_lifted(*face, t.vertices[w]) is not Position.EXTERIOR
+        assert w in (t.apex.get((b, a)), t.apex.get((c, b)), t.apex.get((a, c)))
+
+
 def test_verify_delaunay_flags_the_kleetope():
     # no Kleetope of the octahedron is Delaunay realizable
     t = helpers.kleetope()
-    counter = verify_delaunay(t)
-    assert counter is not None and counter.vertex not in counter.triangle
-    face = (t.vertices[i] for i in counter.triangle)
-    assert helpers.in_circle_lifted(*face, t.vertices[counter.vertex]) is not Position.EXTERIOR
+    assert verify_delaunay(t) is not None
+    _assert_counterexample(t)
+
+
+def test_witness_disk_fails_exactly_on_the_kleetopes_non_delaunay_edges():
+    # an edge of T has an empty circle through it exactly when it is an edge
+    # of the Delaunay triangulation of T's vertices
+    for t, missing in ((helpers.kleetope(), 7), (helpers.kleetope_even(), 12)):
+        delaunay_edges = set(build(t.vertices).edges)
+        assert len(set(t.edges) - delaunay_edges) == missing
+        for u, v in t.edges:
+            if (u, v) in delaunay_edges:
+                assert is_witness_disk(t.vertices, witness_disk(t, u, v), u, v)
+            else:
+                message = f"every circle through edge {(u, v)} holds a vertex"
+                with pytest.raises(WitnessSearchFailed, match=re.escape(message)):
+                    witness_disk(t, u, v)
 
 
 def _assert_face_circles(t):
@@ -380,6 +467,17 @@ def test_verify_delaunay_tests_each_interior_edge_once(monkeypatch):
     assert 0 < len(powers) <= len(interior)
 
 
+def test_verify_delaunay_names_a_counterexample_without_a_vertex_scan(monkeypatch):
+    # the failed edge is the counterexample: no face is scanned against
+    # every vertex to name one
+    _, t = helpers.random_tri(64, 26)
+    flipped = helpers.flip_first_convex_edge(t)
+    interior = [e for e in flipped.edges if len(flipped.opposite_vertices(*e)) == 2]
+    powers = helpers.count_calls(monkeypatch, "power")
+    assert verify_delaunay(flipped) is not None
+    assert 0 < len(powers) <= len(interior)
+
+
 @given(
     st.lists(helpers.grid_points, min_size=3, max_size=10).flatmap(
         lambda pts: st.sampled_from([pts, helpers.thinned(pts)])
@@ -399,6 +497,7 @@ def test_every_edge_passes_exactly_when_every_circumdisk_is_empty(pts):
         interior = [e for e in t.edges if len(t.opposite_vertices(*e)) == 2]
         every_edge = all(edge_angle_check(t, u, v) for u, v in interior)
         assert every_edge is (helpers.verify_delaunay_naive(t) is None)
+        _assert_counterexample(t)
 
 
 def test_build_and_extend_scale_the_points_once(monkeypatch):
