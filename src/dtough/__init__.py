@@ -46,8 +46,6 @@ from .exactgeom import (
     ViolationKind,
     coord,
     disk,
-    disk_classify,
-    disks_interior_disjoint,
     dist_sq,
     general_position,
     in_circle,

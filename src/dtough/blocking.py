@@ -27,10 +27,11 @@ from .exactgeom import (
     Disk,
     Point,
     arc_point,
-    disks_externally_tangent,
-    disks_interior_disjoint,
+    circle_of,
     dist_sq,
+    externally_tangent,
     general_position,
+    interior_disjoint,
     is_witness_disk,
     midpoint,
     outward_normal,
@@ -193,11 +194,12 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
     Disks of consecutive edges share a boundary vertex, so the best possible
     separation there is exact external tangency; the chain is built to be
     tangent (``_tangent_chain``) and checked once per attempt: the points in
-    general position (else ``DegenerateInput``), each disk an empty witness,
-    which certifies its pair as a Delaunay edge, consecutive disks tangent,
-    and every pair interior-disjoint. Non-consecutive pairs come out
-    strictly disjoint. The arc flattens (denominator doubling) per rejected
-    attempt, and ``ConstructionFailed`` ends the search.
+    general position (else ``DegenerateInput``), and, on each disk's circle
+    on the points' integer copy (``exactgeom.circle_of``), each disk an
+    empty witness, which certifies its pair as a Delaunay edge, consecutive
+    disks tangent, and every pair interior-disjoint. Non-consecutive pairs
+    come out strictly disjoint. The arc flattens (denominator doubling) per
+    rejected attempt, and ``ConstructionFailed`` ends the search.
     """
     if n < 2:
         raise PreconditionViolated(f"need n >= 2, got {n}")
@@ -207,15 +209,17 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
         points = tuple(Point(x, x * x / flat) for x in xs)
         # distinct x >= 0 on a parabola: no three on a line, and no four on
         # a circle, where their x would sum to 0
-        violation = general_position(points)
+        q = scaled_to_integers(points)
+        violation = general_position(q)
         if violation is not None:
             raise DegenerateInput(violation)
         disks = _tangent_chain(points)
+        circles = [circle_of(d, points) for d in disks or ()]
         if (
             disks is not None
-            and all(is_witness_disk(points, d, i, i + 1) for i, d in enumerate(disks))
-            and all(disks_externally_tangent(a, b) for a, b in zip(disks, disks[1:]))
-            and all(disks_interior_disjoint(a, b) for a, b in combinations(disks, 2))
+            and all(is_witness_disk(q, c, i, i + 1) for i, c in enumerate(circles))
+            and all(externally_tangent(a, b) for a, b in zip(circles, circles[1:]))
+            and all(interior_disjoint(a, b) for a, b in combinations(circles, 2))
         ):
             return DisjointDiskInstance(points, disks)
         flat *= 2

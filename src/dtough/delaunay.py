@@ -45,8 +45,9 @@ vertices, up to a positive factor that no sign sees, so reading it makes no
 verifier depend on how the triangulation was built. ``witness_disk`` finds
 its center's pencil parameter in the edge's pencil gap on the scaled copy
 too, the same empty-disk test that the construction reads its faces off;
-only the disk itself, whose center is an arbitrary rational, uses the
-``Fraction`` vertices.
+only the disk's center, an arbitrary rational, is built from the
+``Fraction`` vertices, and the disk is verified as a circle on the scaled
+copy (``exactgeom.circle_of``).
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -77,6 +78,7 @@ from .exactgeom import (
     Disk,
     Orientation,
     Point,
+    circle_of,
     circle_through,
     delaunay_faces,
     denominator_lcm,
@@ -148,12 +150,17 @@ class Triangulation:
 def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, int]]) -> Triangulation:
     """Assemble and structurally validate a triangulation.
 
-    Checks: CCW faces, at most one face on each side of an edge, a boundary
-    that is one unpinched CCW cycle around a convex polygon traversed once,
-    every vertex used, and the face count of Euler's formula. Does NOT check
-    the empty circle property; that is ``verify_delaunay``'s job, which lets
-    tests assemble deliberately non-Delaunay triangulations.
+    Checks, each raising ``ValueError``: each face three distinct int vertex
+    ids in range, CCW faces, at most one face on each side of an edge, a
+    boundary that is one unpinched CCW cycle around a convex polygon
+    traversed once, and every vertex used; the faces then tile the polygon
+    (``_assemble``). Does NOT check the empty circle property; that is
+    ``verify_delaunay``'s job, which lets tests assemble deliberately
+    non-Delaunay triangulations.
     """
+    for face in triangles:
+        if not (isinstance(face, Sequence) and len(face) == 3 and all(isinstance(v, int) for v in face)):
+            raise ValueError(f"face {face!r} is not three int vertex ids")
     pts = tuple(points)
     return _assemble(pts, scaled_to_integers(pts), triangles)
 
@@ -176,6 +183,13 @@ def _assemble(
     index, CCW because every face lies left of its edges. Lest a star winding
     twice pass, the fan from the hull vertex with the least scaled point,
     which sees the rest in one half-plane, must be CCW too.
+
+    The faces then tile the hull, so Euler's face count needs no check:
+    interior darts cancel in pairs, so a point off every edge lies in as
+    many faces as the hull cycle winds around it, once inside and never
+    outside, and a vertex inside another face's edge would leave points
+    next to it covered twice. So the faces tile a convex h-gon with all n
+    points as vertices, which takes 2n - 2 - h faces.
     """
     n = len(pts)
     if n < 3:
@@ -219,9 +233,6 @@ def _assemble(
     e, *ring = hull[s:] + hull[:s]
     if any(orient(q[e], q[b], q[c]) is not Orientation.CCW for b, c in zip(ring, ring[1:])):
         raise ValueError("boundary winds around the hull more than once")
-    faces = len(apex) // 3
-    if faces != 2 * n - 2 - h:
-        raise ValueError(f"face count {faces} does not tile the hull (expected {2 * n - 2 - h})")
     keys = sorted({(u, v) if u < v else (v, u) for u, v in apex})
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in keys:  # in key order each list fills in increasing order
@@ -403,7 +414,8 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     of the edge, t is the midpoint of the gap. A boundary edge has points on
     one side only: t steps |t_apex|/2 away from the apex's t_apex, or 1/2
     when t_apex = 0 (a right angle at the apex). The disk is verified
-    exactly against all vertices before it is returned.
+    exactly against all vertices before it is returned, as a circle on
+    ``tri.scaled`` (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``).
     """
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
@@ -422,6 +434,6 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     bx, by = pv.x - pu.x, pv.y - pu.y
     center = Point(pu.x + bx / 2 - t * by, pu.y + by / 2 + t * bx)
     d = Disk(center, dist_sq(center, pu))
-    if not is_witness_disk(tri.vertices, d, a, b):
+    if not is_witness_disk(tri.scaled, circle_of(d, tri.vertices), a, b):
         raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
     return d

@@ -14,8 +14,8 @@ path from both ends.
 
 The loop runs on the triangulation's integer copy of its vertices
 (``Triangulation.scaled``). The caller's disk is written once as the
-package's one circle on that copy, ``exactgeom.Circle`` (W, U, V, K) with
-W > 0, whose power
+package's one circle on that copy (``exactgeom.circle_of``), (W, U, V, K)
+with W > 0, whose power
 P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
 and zero on the boundary. Shrinking toward a boundary anchor a until the
 interior vertex r reaches the boundary is one step in the pencil of circles
@@ -38,20 +38,19 @@ meet. That vertex counts as outside. Every further shrink is tangent to this
 circle at one of its anchors, so it stays outside, and a circle through two
 vertices with none inside still certifies them as an edge (with a third on
 it, the three bound a Delaunay face). The finished path is checked against
-the caller's ``Fraction`` disk (``check_disk_path``), and ``path_oracle``
-reads that disk too.
+the caller's disk (``check_disk_path``), and ``path_oracle`` reads that disk
+too; each lifts it once, as the loop does, and tests a vertex by the sign
+of its power.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .delaunay import Triangulation
 from .errors import InvariantBroken, PreconditionViolated
-from .exactgeom import Circle, Disk, Point, Position, denominator_lcm, disk_classify, power
+from .exactgeom import Circle, Disk, Point, circle_of, internally_tangent, power, reduced
 
 
 class DiskPath(NamedTuple):
@@ -60,36 +59,19 @@ class DiskPath(NamedTuple):
 
 
 def check_disk_path(tri: Triangulation, path: DiskPath) -> None:
-    """Raise if the path violates its own invariants (exact checks)."""
+    """Raise if the path violates its own invariants: two or more vertices,
+    none repeated, consecutive ones joined by edges, and each in the disk, a
+    nonpositive ``power`` on its circle (``exactgeom.circle_of``)."""
     vs = path.vertices
     if len(vs) < 2 or len(set(vs)) != len(vs):
         raise InvariantBroken("path repeats a vertex or is too short")
     for a, b in zip(vs, vs[1:]):
         if not tri.is_edge(a, b):
             raise InvariantBroken(f"({a}, {b}) is not an edge of the triangulation")
+    c = circle_of(path.disk, tri.vertices)
     for v in vs:
-        if disk_classify(path.disk, tri.vertices[v]) is Position.EXTERIOR:
+        if power(c, tri.scaled[v]) > 0:
             raise InvariantBroken(f"path vertex {v} is outside the disk")
-
-
-def _reduced(w: int, u: int, v: int, k: int) -> Circle:
-    g = math.gcd(w, u, v, k)
-    return w // g, u // g, v // g, k // g
-
-
-def _lift(tri: Triangulation, d: Disk) -> Circle:
-    """d as an integer circle on ``tri.scaled``, whose factor is L: the power
-    |X - L c|^2 - L^2 r^2 times the lcm of its coefficients' denominators."""
-    scale = denominator_lcm(tri.vertices)
-    cx, cy = scale * Fraction(d.center.x), scale * Fraction(d.center.y)
-    k = cx * cx + cy * cy - scale * scale * Fraction(d.radius_sq)
-    w = math.lcm(cx.denominator, cy.denominator, k.denominator)
-    return _reduced(
-        w,
-        cx.numerator * (w // cx.denominator),
-        cy.numerator * (w // cy.denominator),
-        k.numerator * (w // k.denominator),
-    )
 
 
 def _shrink(c: Circle, a: Point, r: Point, lam: int) -> Circle:
@@ -102,25 +84,7 @@ def _shrink(c: Circle, a: Point, r: Point, lam: int) -> Circle:
     w, u, v, k = c
     ax, ay = a
     m = (r.x - ax) ** 2 + (r.y - ay) ** 2
-    return _reduced(m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * (ax * ax + ay * ay))
-
-
-def _internally_tangent(outer: Circle, inner: Circle) -> bool:
-    """Whether inner is internally tangent to outer, dist(centers) = R - r in
-    squared form, which puts inner's closed disk inside outer's.
-
-    A circle's center is (U, V) / W and its squared radius N / W^2 with
-    N = U^2 + V^2 - K W. Times W1^2 W2^2 the squared radii are
-    big = N1 W2^2 and small = N2 W1^2 and the squared center distance is
-    (U1 W2 - U2 W1)^2 + (V1 W2 - V2 W1)^2; with m = big + small - that
-    distance, the test is small <= big, m >= 0 and m^2 = 4 big small.
-    """
-    w1, u1, v1, k1 = outer
-    w2, u2, v2, k2 = inner
-    big = (u1 * u1 + v1 * v1 - k1 * w1) * w2 * w2
-    small = (u2 * u2 + v2 * v2 - k2 * w2) * w1 * w1
-    m = big + small - (u1 * w2 - u2 * w1) ** 2 - (v1 * w2 - v2 * w1) ** 2
-    return small <= big and m >= 0 and m * m == 4 * big * small
+    return reduced((m * w + lam, m * u + lam * ax, m * v + lam * ay, m * k + lam * (ax * ax + ay * ay)))
 
 
 def _check_anchors(pts: Sequence[Point], c: Circle, a: int, b: int) -> None:
@@ -135,9 +99,10 @@ def _check_edge(tri: Triangulation, a: int, b: int) -> None:
 
 
 def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
-    """Raise ``PreconditionViolated`` unless p and q are two distinct vertex ids."""
+    """Raise ``PreconditionViolated`` unless p and q are two distinct members
+    of ``range(len(tri))``: 1.5 is out of range."""
     for v in (p, q):
-        if not 0 <= v < len(tri):
+        if v not in range(len(tri)):
             raise PreconditionViolated(f"vertex {v} is not in range(0, {len(tri)})")
     if p == q:
         raise PreconditionViolated(f"path endpoints must differ, got {p} twice")
@@ -146,23 +111,26 @@ def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
 def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     """Constructive path from p to q through edges of tri, inside d.
 
-    Preconditions (checked exactly, here and only here): p and q are
-    distinct vertex ids, both on the boundary of d, and no other vertex is
-    on it. Each step of the induction shrinks the current circle toward its
-    near anchor a until the first interior vertex r is pinned; that empty
-    circle makes (a, r) an edge, and the circle through r tangent at the
-    far anchor b, with fewer vertices inside, is the next step's. With no
-    interior vertex left the two anchors must be an edge. A vertex on a
-    shrunken boundary other than its two anchors counts as outside: general
-    position allows at most one, and it lies outside every further shrink.
-    A missing edge would falsify the empty-disk edge characterization and
-    raises ``InvariantBroken``. ``delaunay.build`` does not certify general
-    position, so the caller does: ``dtough path`` runs
-    ``exactgeom.general_position`` on ``tri.scaled`` first.
+    Every in-disk test is the sign of ``power`` on d's circle on
+    ``tri.scaled`` (``exactgeom.circle_of``). Preconditions (checked
+    exactly, here and only here): p and q are distinct vertex ids, both on
+    the boundary of d, and no other vertex is on it. Each step of the
+    induction shrinks the current circle toward its near anchor a until the
+    first interior vertex r is pinned; that empty circle makes (a, r) an
+    edge, and the circle through r tangent at the far anchor b, with fewer
+    vertices inside, is the next step's. With no interior vertex left the
+    two anchors must be an edge. A vertex on a shrunken boundary other than
+    its two anchors counts as outside: general position allows at most one,
+    and it lies outside every further shrink. A missing edge would falsify
+    the empty-disk edge characterization and raises ``InvariantBroken``.
+    ``delaunay.build`` does not certify general position, so the caller
+    does: ``dtough path`` runs ``exactgeom.general_position`` on
+    ``tri.scaled`` first. The finished path goes through
+    ``check_disk_path``.
     """
     _check_endpoints(tri, p, q)
     pts = tri.scaled
-    c = _lift(tri, d)
+    c = circle_of(d, tri.vertices)
     powers = [power(c, pt) for pt in pts]
     on = [i for i, value in enumerate(powers) if value == 0]
     for v in sorted((p, q)):
@@ -198,7 +166,7 @@ def _find(
                 num, den, r = -value, m, x
         c_ar = _shrink(c, pts[a], pts[r], num)
         c_br = _shrink(c, pts[b], pts[r], num)
-        if not (_internally_tangent(c, c_ar) and _internally_tangent(c, c_br)):
+        if not (internally_tangent(c, c_ar) and internally_tangent(c, c_br)):
             raise InvariantBroken("shrunken disk lost tangency with its parent")
         # no vertex of c beats r, so c_ar holds none: (a, r) is an edge
         _check_anchors(pts, c_ar, a, r)
@@ -222,11 +190,8 @@ def path_oracle(tri: Triangulation, p: int, q: int, d: Disk) -> Optional[DiskPat
     ids.
     """
     _check_endpoints(tri, p, q)
-    allowed = {
-        i
-        for i, pt in enumerate(tri.vertices)
-        if disk_classify(d, pt) is not Position.EXTERIOR
-    }
+    c = circle_of(d, tri.vertices)
+    allowed = {i for i, pt in enumerate(tri.scaled) if power(c, pt) <= 0}
     if p not in allowed or q not in allowed:
         return None
     parent: dict[int, int] = {p: p}

@@ -22,12 +22,12 @@ certificates, the Delaunay face scan and strict edge tests of
 set multiplied by the lcm of its denominators (``scaled_to_integers``, kept
 on a triangulation as ``Triangulation.scaled``): the answers are the same,
 the arithmetic is plain ``int`` and still exact. The certificates accept
-that copy in place of the points, so a build scales its points once. The
-in-disk path construction (``diskpath``) lifts its disk to an integer
-circle on that copy. Witness disks, whose centers are arbitrary rationals,
-are built in ``Fraction``; ``disk_classify``, which the checks that read a
-caller's disk call, takes a ``Fraction`` disk and point but compares them
-by integer cross-multiplication of their numerators and denominators.
+that copy in place of the points, so a build scales its points once. A
+``Disk`` becomes a circle on that copy in one place (``circle_of``), so
+every in-disk test is the sign of ``power`` too (``diskpath``,
+``is_witness_disk``), and one formula on two circles answers their
+tangency and disjointness (``_circle_pair``). Only disk centers, arbitrary
+rationals, are built in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay``'s construction runs it only to name the
@@ -262,55 +262,65 @@ def in_circle(a: Point, b: Point, c: Point, d: Point) -> Position:
     return _position(power(circle_through(a, b, c), d))
 
 
-def disk_classify(d: Disk, p: Point) -> Position:
-    """Exact comparison of squared distance against squared radius.
-
-    Computed on integers: each coordinate difference is a numerator over
-    the product of the two denominators, and the sign of
-    dx^2 + dy^2 - r^2 is that of the sum cross-multiplied by its positive
-    denominators. This skips the gcd normalisation of every ``Fraction``
-    operation.
-    """
-    (cx, cy), r2 = d
-    px, py = p
-    xd, yd = cx.denominator * px.denominator, cy.denominator * py.denominator
-    xn = cx.numerator * px.denominator - px.numerator * cx.denominator
-    yn = cy.numerator * py.denominator - py.numerator * cy.denominator
-    xd, yd = xd * xd, yd * yd
-    return _position(r2.denominator * (xn * xn * yd + yn * yn * xd) - r2.numerator * xd * yd)
-
-
 # ---------------------------------------------------------------------------
 # Disk algebra
 # ---------------------------------------------------------------------------
 
 
-def is_witness_disk(points: Sequence[Point], d: Disk, i: int, j: int) -> bool:
-    """Whether points i and j lie on the boundary of d and every other point
-    strictly outside it: d then certifies the Delaunay edge (i, j)."""
-    for k, p in enumerate(points):
-        pos = disk_classify(d, p)
-        if pos is not (Position.BOUNDARY if k in (i, j) else Position.EXTERIOR):
-            return False
-    return True
+def reduced(c: Circle) -> Circle:
+    """The integer circle c divided by the gcd of its four coefficients."""
+    g = math.gcd(*c)
+    return c[0] // g, c[1] // g, c[2] // g, c[3] // g
 
 
-def disks_externally_tangent(a: Disk, b: Disk) -> bool:
-    """dist(centers) = R + r, tested as a rational identity on squares."""
-    d2 = dist_sq(a.center, b.center)
-    m = d2 - a.radius_sq - b.radius_sq
-    return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
+def circle_of(d: Disk, points: Sequence[Point]) -> Circle:
+    """The disk d as a circle on the points' integer copy
+    (``scaled_to_integers``), whose factor is the lcm L of their
+    denominators: the power |X - L c|^2 - L^2 r^2 times the lcm of its
+    coefficients' denominators, reduced. Its ``power`` at the copy of a
+    point is negative inside d, zero on its boundary and positive outside."""
+    scale = denominator_lcm(points)
+    cx, cy = scale * d.center.x, scale * d.center.y
+    k = cx * cx + cy * cy - scale * scale * d.radius_sq
+    w = math.lcm(cx.denominator, cy.denominator, k.denominator)
+    return reduced((w, *(f.numerator * (w // f.denominator) for f in (cx, cy, k))))
 
 
-def disks_interior_disjoint(a: Disk, b: Disk) -> bool:
-    """Open interiors disjoint: dist(centers) >= R + r, in squared form.
+def is_witness_disk(points: Sequence[Point], c: Circle, i: int, j: int) -> bool:
+    """Whether integer points i and j lie on the circle c and every other
+    point strictly outside it: c then certifies the Delaunay edge (i, j)."""
+    return all(power(c, p) == 0 if k in (i, j) else power(c, p) > 0 for k, p in enumerate(points))
 
-    External tangency counts as disjoint (the shared point is a boundary
-    point of both disks, not an interior point of either).
-    """
-    d2 = dist_sq(a.center, b.center)
-    m = d2 - a.radius_sq - b.radius_sq
-    return m >= 0 and m * m >= 4 * a.radius_sq * b.radius_sq
+
+def _circle_pair(a: Circle, b: Circle) -> tuple[int, int, int]:
+    """R^2, r^2 and R^2 + r^2 - d^2, each times W1^2 W2^2, for circles a and
+    b of radii R and r whose centers are d apart: a circle's center is
+    (U, V) / W and its squared radius N / W^2 with N = U^2 + V^2 - K W."""
+    w1, u1, v1, k1 = a
+    w2, u2, v2, k2 = b
+    big = (u1 * u1 + v1 * v1 - k1 * w1) * w2 * w2
+    small = (u2 * u2 + v2 * v2 - k2 * w2) * w1 * w1
+    return big, small, big + small - (u1 * w2 - u2 * w1) ** 2 - (v1 * w2 - v2 * w1) ** 2
+
+
+def internally_tangent(outer: Circle, inner: Circle) -> bool:
+    """d = R - r in squared form: r <= R, R^2 + r^2 - d^2 = 2Rr >= 0. It
+    puts inner's closed disk inside outer's."""
+    big, small, m = _circle_pair(outer, inner)
+    return small <= big and m >= 0 and m * m == 4 * big * small
+
+
+def externally_tangent(a: Circle, b: Circle) -> bool:
+    """d = R + r in squared form: R^2 + r^2 - d^2 = -2Rr <= 0."""
+    big, small, m = _circle_pair(a, b)
+    return m <= 0 and m * m == 4 * big * small
+
+
+def interior_disjoint(a: Circle, b: Circle) -> bool:
+    """Open interiors disjoint, d >= R + r in squared form: d^2 - R^2 - r^2
+    >= 2Rr. External tangency counts as disjoint."""
+    big, small, m = _circle_pair(a, b)
+    return m <= 0 and m * m >= 4 * big * small
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ grid_points = st.builds(Point, grid_fraction, grid_fraction)
 
 
 def disk_classify_fraction(d: Disk, p: Point) -> Position:
-    """``exactgeom.disk_classify`` in ``Fraction`` arithmetic: the sign of
-    ``dist_sq(center, p) - radius_sq``."""
+    """p against the closed disk d in ``Fraction`` arithmetic, the sign of
+    ``dist_sq(center, p) - radius_sq``: what the sign of ``exactgeom.power``
+    on ``exactgeom.circle_of(d, points)`` at p's integer copy must say."""
     gap = dist_sq(d.center, p) - d.radius_sq
     return Position.INTERIOR if gap < 0 else Position.EXTERIOR if gap > 0 else Position.BOUNDARY
 
@@ -684,6 +685,19 @@ def disks_internally_tangent(outer: Disk, inner: Disk) -> bool:
     d2 = dist_sq(outer.center, inner.center)
     m = outer.radius_sq + inner.radius_sq - d2
     return m >= 0 and m * m == 4 * outer.radius_sq * inner.radius_sq
+
+
+def disks_externally_tangent(a: Disk, b: Disk) -> bool:
+    """dist(centers) = R + r, tested as a rational identity on squares."""
+    m = dist_sq(a.center, b.center) - a.radius_sq - b.radius_sq
+    return m >= 0 and m * m == 4 * a.radius_sq * b.radius_sq
+
+
+def disks_interior_disjoint(a: Disk, b: Disk) -> bool:
+    """Open interiors disjoint: dist(centers) >= R + r, in squared form;
+    external tangency counts as disjoint."""
+    m = dist_sq(a.center, b.center) - a.radius_sq - b.radius_sq
+    return m >= 0 and m * m >= 4 * a.radius_sq * b.radius_sq
 
 
 def disk_contains_disk(outer: Disk, inner: Disk) -> bool:

@@ -15,13 +15,7 @@ from dtough.blocking import (
 from dtough.delaunay import build
 from dtough.errors import ConstructionFailed, DegenerateInput, PreconditionViolated
 from dtough.generate import convex_points
-from dtough.exactgeom import (
-    Position,
-    disk_classify,
-    disks_interior_disjoint,
-    dist_sq,
-    point,
-)
+from dtough.exactgeom import Position, dist_sq, point
 from dtough.structure import max_independent_set
 
 import helpers
@@ -173,12 +167,12 @@ def test_disjoint_disk_instances():
         for i, d in enumerate(disks):
             for k, p in enumerate(pts):
                 expected = Position.BOUNDARY if k in (i, i + 1) else Position.EXTERIOR
-                assert disk_classify(d, p) is expected
+                assert helpers.disk_classify_fraction(d, p) is expected
         # adjacent disks: exactly tangent; non-adjacent: strictly apart
         for i in range(len(disks)):
             for j in range(i + 1, len(disks)):
                 a, b = disks[i], disks[j]
-                assert disks_interior_disjoint(a, b)
+                assert helpers.disks_interior_disjoint(a, b)
                 gap = dist_sq(a.center, b.center) - a.radius_sq - b.radius_sq
                 if j == i + 1:
                     assert gap * gap == 4 * a.radius_sq * b.radius_sq
@@ -217,7 +211,7 @@ def test_small_blocker_attempt_fails():
         P(d.center.x + eps * (k + 1), d.center.y + eps) for k, d in enumerate(disks)
     )
     for k, d in enumerate(disks):
-        assert disk_classify(d, attempt[k]) is Position.INTERIOR
+        assert helpers.disk_classify_fraction(d, attempt[k]) is Position.INTERIOR
     assert verify_blocking(pts, attempt) is not None
     rep = lower_bound_report(pts, attempt)
     assert not rep.blocked and not rep.alarm

@@ -31,7 +31,7 @@ from dtough.exactgeom import (
     Violation,
     ViolationKind,
     arc_point,
-    disk_classify,
+    circle_of,
     in_circle,
     is_witness_disk,
     point,
@@ -109,6 +109,10 @@ def test_from_triangles_validation():
     for face in ((0, 0, 1), (0, 1, 5)):  # a repeated vertex, an id out of range
         with pytest.raises(ValueError, match="bad triangle"):
             from_triangles(pts, [face])
+    # a float or str id, too few or too many ids
+    for face in ((0, 1, 2.0), ("0", 1, 2), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"face {face!r} is not three int vertex ids")):
+            from_triangles(pts, [(0, 2, 3), face])
     # two CCW faces whose union is a dart with a reflex corner at vertex 1
     dart = [P(0, 0), P(2, 1), P(4, 0), P(2, 3)]
     with pytest.raises(ValueError, match="hull is not convex"):
@@ -401,7 +405,8 @@ def test_witness_disk_fails_exactly_on_the_kleetopes_non_delaunay_edges():
         assert len(set(t.edges) - delaunay_edges) == missing
         for u, v in t.edges:
             if (u, v) in delaunay_edges:
-                assert is_witness_disk(t.vertices, witness_disk(t, u, v), u, v)
+                d = witness_disk(t, u, v)
+                assert is_witness_disk(t.scaled, circle_of(d, t.vertices), u, v)
             else:
                 message = f"every circle through edge {(u, v)} holds a vertex"
                 with pytest.raises(WitnessSearchFailed, match=re.escape(message)):
@@ -536,7 +541,7 @@ def test_witness_disks_match_candidate_oracle(candidates):
     for u, v in t.edges:
         d = witness_disk(t, u, v)
         assert d == helpers.witness_disk_oracle(t, u, v)
-        assert is_witness_disk(t.vertices, d, u, v)
+        assert is_witness_disk(t.scaled, circle_of(d, t.vertices), u, v)
 
 
 def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
@@ -578,7 +583,7 @@ def _assert_witness(t: Triangulation, u: int, v: int) -> None:
     d = witness_disk(t, u, v)
     for i, p in enumerate(t.vertices):
         expected = Position.BOUNDARY if i in (u, v) else Position.EXTERIOR
-        assert disk_classify(d, p) is expected
+        assert helpers.disk_classify_fraction(d, p) is expected
 
 
 def test_witness_single_triangle():

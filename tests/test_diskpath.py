@@ -9,10 +9,10 @@ from dtough import diskpath
 from dtough.delaunay import build, witness_disk
 from dtough.diskpath import DiskPath, check_disk_path, find_path, path_oracle
 from dtough.errors import DToughError, InvariantBroken, PreconditionViolated
-from dtough.exactgeom import Disk, Point, Position, disk_classify, point, power
+from dtough.exactgeom import Disk, Point, Position, circle_of, internally_tangent, point, power
 
 import helpers
-from helpers import disk_contains_disk, shrink_toward
+from helpers import disk_classify_fraction, disk_contains_disk, shrink_toward
 
 P = point
 
@@ -56,7 +56,7 @@ def test_fan_three_vertex_path():
     assert len(path.vertices) == 3
     assert path.vertices[0] == 0 and path.vertices[-1] == q
     mid = path.vertices[1]
-    assert disk_classify(d, t.vertices[mid]) is Position.INTERIOR
+    assert disk_classify_fraction(d, t.vertices[mid]) is Position.INTERIOR
     check_disk_path(t, path)
 
 
@@ -104,13 +104,14 @@ def test_precondition_rejected():
         find_path(t, 0, 1, d)
 
 
-@pytest.mark.parametrize("p, q", [(0, 99), (99, 0), (-1, 1), (2, 2)])
+@pytest.mark.parametrize("p, q", [(0, 99), (99, 0), (-1, 1), (2, 2), (2, 1.5), (1.5, 2)])
 def test_endpoints_must_be_two_vertex_ids(p, q):
-    # an id past the end or below zero, or a path from a vertex to itself
+    # an id past the end or below zero, one between 0 and len(t) that is no
+    # int, or a path from a vertex to itself
     t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
-    d = Disk(P(2, 0), Fraction(1))
+    d = Disk(P(2, 0), Fraction(1))  # through vertices 2 and 3
     for search in (find_path, path_oracle):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="is not in range|must differ"):
             search(t, p, q, d)
 
 
@@ -121,8 +122,8 @@ def test_a_shrink_tie_pins_its_least_index():
     pts = [P(0, 0), P(4, 0), P(2, 1), P(2, -1)]
     t = build(pts)
     d = Disk(P(2, 0), Fraction(4))
-    assert disk_classify(d, pts[0]) is Position.BOUNDARY
-    assert disk_classify(d, pts[1]) is Position.BOUNDARY
+    assert disk_classify_fraction(d, pts[0]) is Position.BOUNDARY
+    assert disk_classify_fraction(d, pts[1]) is Position.BOUNDARY
     for search in (find_path, helpers.find_path_fraction_oracle):
         assert search(t, 0, 1, d).vertices == (0, 2, 1)
 
@@ -131,7 +132,7 @@ def test_third_vertex_on_the_callers_boundary_breaks_the_precondition():
     # the same kite; vertex 2 is on the disk through 0 and 1, vertex 3 inside
     t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
     d = Disk(P(2, "-3/2"), Fraction(25, 4))
-    assert disk_classify(d, t.vertices[2]) is Position.BOUNDARY
+    assert disk_classify_fraction(d, t.vertices[2]) is Position.BOUNDARY
     for search in (find_path, helpers.find_path_fraction_oracle):
         with pytest.raises(PreconditionViolated, match=r"vertices \[2\] lie exactly"):
             search(t, 0, 1, d)
@@ -175,16 +176,16 @@ def _circle(cx, cy, r2):
 
 def test_internal_tangency():
     outer = _circle(0, 0, 25)
-    assert diskpath._internally_tangent(outer, _circle(2, 0, 9))
+    assert internally_tangent(outer, _circle(2, 0, 9))
     # the same circle with every coefficient doubled
-    assert diskpath._internally_tangent(outer, (2, 4, 0, 2 * (4 - 9)))
+    assert internally_tangent(outer, (2, 4, 0, 2 * (4 - 9)))
     for inner in (
         _circle(1, 0, 4),  # strictly nested, not touching
         _circle(4, 0, 9),  # crossing
         _circle(-1, 0, 36),  # larger, and tangent around outer
         _circle(8, 0, 9),  # externally tangent
     ):
-        assert not diskpath._internally_tangent(outer, inner)
+        assert not internally_tangent(outer, inner)
 
 
 def _outcome(search, t, p, q, d):
@@ -231,7 +232,7 @@ def test_find_path_matches_fraction_oracle(candidates, factor, data):
         d = _pencil_at(t, p, q, data.draw(helpers.grid_fraction))
     expected = _outcome(helpers.find_path_fraction_oracle, t, p, q, d)
     assert _outcome(find_path, t, p, q, d) == expected
-    on = [i for i, pt in enumerate(t.vertices) if disk_classify(d, pt) is Position.BOUNDARY]
+    on = [i for i, pt in enumerate(t.vertices) if disk_classify_fraction(d, pt) is Position.BOUNDARY]
     if on == sorted((p, q)):  # a valid disk, ties on shrunken circles included
         path = find_path(t, p, q, d)
         check_disk_path(t, path)
@@ -245,29 +246,29 @@ def test_integer_shrink_is_the_fraction_shrink():
     t = build(pts)
     d = Disk(P(3, -2), Fraction(25))
     q = t.scaled
-    c = diskpath._lift(t, d)
+    c = circle_of(d, pts)
     assert power(c, q[0]) == 0
     inside = power(c, q[1])
     assert inside < 0
-    expected = diskpath._lift(t, helpers.shrink_toward(d, pts[0], pts[1]))
+    expected = circle_of(helpers.shrink_toward(d, pts[0], pts[1]), pts)
     assert diskpath._shrink(c, q[0], q[1], -inside) == expected
 
 
 def test_recursion_classifies_no_fraction_disk(monkeypatch):
-    # only the final check of the path and the BFS oracle read the disk
+    # the disk is lifted to an integer circle once by find_path's loop, once
+    # by the final check of the path and once by the BFS oracle
     t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
     d = Disk(P(2, 2), Fraction(8))  # through 0 and 1, with 2 inside
-    calls = []
-    classify = diskpath.disk_classify
+    lifts = []
+    lift = diskpath.circle_of
 
-    def counting(disk, pt):
-        calls.append(pt)
-        return classify(disk, pt)
+    def counting(disk, points):
+        lifts.append(disk)
+        return lift(disk, points)
 
-    monkeypatch.setattr(diskpath, "disk_classify", counting)
+    monkeypatch.setattr(diskpath, "circle_of", counting)
     path = find_path(t, 0, 1, d)
     assert path.vertices == (0, 2, 1)
-    assert len(calls) == 3  # check_disk_path, once per path vertex
+    assert lifts == [d, d]  # the loop, then check_disk_path
     path_oracle(t, 0, 1, d)
-    assert len(calls) == 3 + len(t)
-
+    assert lifts == [d, d, d]

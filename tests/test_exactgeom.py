@@ -17,16 +17,18 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
+    circle_of,
     circle_through,
     coord,
     disk,
-    disk_classify,
-    disks_interior_disjoint,
     dist_sq,
+    externally_tangent,
     general_position,
     general_position_added,
     in_circle,
     int_at_least_sqrt,
+    interior_disjoint,
+    internally_tangent,
     is_witness_disk,
     orient,
     point,
@@ -146,15 +148,25 @@ def test_circumdisk_examples():
 def test_circumdisk_boundary_property():
     pts = (P(3, 7), P("-1/3", 2), P(5, "-4/9"))
     d = circumdisk(*pts)
-    assert all(disk_classify(d, p) is Position.BOUNDARY for p in pts)
+    assert all(helpers.disk_classify_fraction(d, p) is Position.BOUNDARY for p in pts)
     assert d.center == _bisector_solver(*pts)
 
 
-def test_disk_classify():
+def _classify(d: Disk, pts, k: int) -> Position:
+    """Point k of pts against d: the sign of ``power`` on the disk's circle
+    at the point's integer copy."""
+    return _sign_position(power(circle_of(d, pts), scaled_to_integers(pts)[k]))
+
+
+def test_circle_of():
     d = disk(0, 0, 1)
-    assert disk_classify(d, P(1, 0)) is Position.BOUNDARY
-    assert disk_classify(d, P(0, 0)) is Position.INTERIOR
-    assert disk_classify(d, P(2, 0)) is Position.EXTERIOR
+    pts = [P(1, 0), P(0, 0), P(2, 0), P("1/2", "1/3")]
+    assert [_classify(d, pts, k) for k in range(4)] == [
+        Position.BOUNDARY, Position.INTERIOR, Position.EXTERIOR, Position.INTERIOR
+    ]
+    # the copy is six times the points: |X - 0|^2 - 36, reduced
+    assert circle_of(d, pts) == (1, 0, 0, -36)
+    assert circle_of(disk("1/2", 0, "1/4"), [P(1, 0)]) == (2, 1, 0, 0)
 
 
 def test_disk_refuses_a_negative_squared_radius():
@@ -163,10 +175,11 @@ def test_disk_refuses_a_negative_squared_radius():
 
 
 def test_is_witness_disk_needs_every_other_point_outside():
-    # the disk on diameter (0,0)-(2,0): a third point inside spoils it
+    # the disk on diameter (0,0)-(2,0): a third point inside or on it spoils it
     d = disk(1, 0, 1)
-    assert is_witness_disk((P(0, 0), P(2, 0), P(5, 5)), d, 0, 1)
-    assert not is_witness_disk((P(0, 0), P(2, 0), P(1, "1/2")), d, 0, 1)
+    for third, witness in ((P(5, 5), True), (P(1, "1/2"), False), (P(1, 1), False)):
+        pts = (P(0, 0), P(2, 0), third)
+        assert is_witness_disk(scaled_to_integers(pts), circle_of(d, pts), 0, 1) is witness
 
 
 def test_shrink_toward_examples():
@@ -184,11 +197,11 @@ def test_shrink_toward_examples():
 def test_shrink_toward_properties():
     d = disk(3, -2, 25)
     anchor, target = P(0, 2), P(4, -1)
-    assert disk_classify(d, anchor) is Position.BOUNDARY
+    assert helpers.disk_classify_fraction(d, anchor) is Position.BOUNDARY
     s = shrink_toward(d, anchor, target)
     assert s.radius_sq < d.radius_sq
-    assert disk_classify(s, anchor) is Position.BOUNDARY
-    assert disk_classify(s, target) is Position.BOUNDARY
+    assert helpers.disk_classify_fraction(s, anchor) is Position.BOUNDARY
+    assert helpers.disk_classify_fraction(s, target) is Position.BOUNDARY
     assert disk_contains_disk(d, s)
     assert disks_internally_tangent(d, s)
     t = shrink_parameter(d, anchor, target)
@@ -261,9 +274,12 @@ def test_triangle_classify():
 
 
 def test_disjointness_predicates():
-    assert disks_interior_disjoint(disk(0, 0, 1), disk(2, 0, 1))  # tangent
-    assert disks_interior_disjoint(disk(0, 0, 1), disk(3, 0, 1))
-    assert not disks_interior_disjoint(disk(0, 0, 1), disk(1, 0, 1))
+    unit = circle_of(disk(0, 0, 1), [])
+    assert interior_disjoint(unit, circle_of(disk(2, 0, 1), []))  # tangent
+    assert externally_tangent(unit, circle_of(disk(2, 0, 1), []))
+    assert interior_disjoint(unit, circle_of(disk(3, 0, 1), []))
+    assert not externally_tangent(unit, circle_of(disk(3, 0, 1), []))
+    assert not interior_disjoint(unit, circle_of(disk(1, 0, 1), []))
     assert disk_contains_disk(disk(0, 0, 4), disk(0, 0, 1))
     assert not disk_contains_disk(disk(0, 0, 1), disk(0, 0, 4))
 
@@ -297,23 +313,62 @@ def test_predicates_scale_invariant(a, b, c, d, factor):
         assert in_circle(a, b, c, d) is in_circle(scale(a), scale(b), scale(c), scale(d))
         disk_before = circumdisk(a, b, c)
         disk_after = Disk(scale(disk_before.center), disk_before.radius_sq * factor**2)
-        assert disk_classify(disk_before, d) is disk_classify(disk_after, scale(d))
+        assert _classify(disk_before, [d], 0) is _classify(disk_after, [scale(d)], 0)
 
 
-# wide numerators and denominators, so the cross-multiplied products of
-# disk_classify are large
+# wide numerators and denominators, so the lcm of a set and the coefficients
+# of its circles are large
 wide_fraction = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
 wide_points = st.builds(Point, wide_fraction, wide_fraction)
+any_points = st.one_of(points, wide_points)
+# Unit scale, or a ratio of integers up to 10^12 that moves the points far
+# from it and gives them large denominators.
+factors = st.one_of(st.just(Fraction(1)), st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)))
 
 
-@given(st.one_of(points, wide_points), st.one_of(points, wide_points), st.one_of(points, wide_points))
-def test_disk_classify_matches_fraction_arithmetic(center, on, p):
-    # the radius through a drawn point puts that point on the boundary
-    d = Disk(center, dist_sq(center, on))
-    assert disk_classify(d, on) is Position.BOUNDARY
-    assert disk_classify(d, p) is helpers.disk_classify_fraction(d, p)
-    grown = Disk(center, d.radius_sq + Fraction(1, 3))
-    assert disk_classify(grown, p) is helpers.disk_classify_fraction(grown, p)
+def _scaled_disk(d: Disk, factor: Fraction) -> Disk:
+    return Disk(Point(d.center.x * factor, d.center.y * factor), d.radius_sq * factor * factor)
+
+
+@given(any_points, st.lists(any_points, min_size=1, max_size=6), st.data(), factors)
+def test_power_on_circle_of_matches_fraction_arithmetic(center, pts, data, factor):
+    # the radius through a drawn point puts that point on the boundary, and
+    # a grown disk moves it inside; the set rescaled by a drawn factor,
+    # with its disks, classifies every point as the set does
+    on = data.draw(st.integers(0, len(pts) - 1))
+    d = Disk(center, dist_sq(center, pts[on]))
+    assert helpers.disk_classify_fraction(d, pts[on]) is Position.BOUNDARY
+    rescaled = [Point(p.x * factor, p.y * factor) for p in pts]
+    for original in (d, Disk(center, d.radius_sq + Fraction(1, 3))):
+        expected = [helpers.disk_classify_fraction(original, p) for p in pts]
+        for copy, e in ((pts, original), (rescaled, _scaled_disk(original, factor))):
+            c = circle_of(e, copy)
+            assert c[0] > 0 and math.gcd(*c) == 1
+            assert [_sign_position(power(c, x)) for x in scaled_to_integers(copy)] == expected
+
+
+@given(any_points, any_points, st.data(), st.lists(any_points, max_size=3))
+def test_circle_pair_tests_match_fraction_oracles(center, on, data, pts):
+    # b's center is on + s (center - on), and b passes through on unless
+    # its squared radius is nudged: then s in [0, 1] puts b inside a and
+    # s >= 1 around it, internally tangent at on, and s <= 0 makes the two
+    # externally tangent there. Or b is any disk.
+    a = Disk(center, dist_sq(center, on))
+    s = data.draw(st.one_of(small_fraction, wide_fraction), label="s")
+    nudge = data.draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(5)]), label="nudge")
+    bc = Point(on.x + s * (center.x - on.x), on.y + s * (center.y - on.y))
+    b = Disk(bc, dist_sq(bc, on) + nudge)
+    if data.draw(st.booleans(), label="any b"):
+        b = Disk(data.draw(any_points), dist_sq(data.draw(any_points), center))
+    elif nudge == 0:
+        assert helpers.disks_externally_tangent(a, b) or s > 0
+        assert helpers.disks_internally_tangent(a, b) or s < 0 or s > 1
+        assert helpers.disks_internally_tangent(b, a) or s < 1
+    for x, y in ((a, b), (b, a)):
+        cx, cy = circle_of(x, pts), circle_of(y, pts)
+        assert internally_tangent(cx, cy) is helpers.disks_internally_tangent(x, y)
+        assert externally_tangent(cx, cy) is helpers.disks_externally_tangent(x, y)
+        assert interior_disjoint(cx, cy) is helpers.disks_interior_disjoint(x, y)
 
 
 def _sign_position(value) -> Position:

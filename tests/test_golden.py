@@ -44,6 +44,9 @@ def golden_results(workdir: Path) -> dict:
         run(f"gen {kind} {n}", ["gen", kind, str(n), "--seed", "1", "--out", str(files[kind])])
         results[f"gen {kind} {n}"]["sha256"] = _sha256(files[kind])
     results["gen fan 8"]["blockers_sha256"] = _sha256(Path(f"{files['fan']}.blockers"))
+    arc = workdir / "disjoint-arc6.txt"
+    run("gen disjoint-arc 6", ["gen", "disjoint-arc", "6", "--out", str(arc)])
+    results["gen disjoint-arc 6"]["sha256"] = _sha256(arc)
 
     for kind, f in files.items():
         run(f"check {kind}", ["check", str(f)])

@@ -43,8 +43,8 @@ def test_the_guard_sees_a_private_name():
         "from dtough import exactgeom, point\n"
         "from dtough.diskpath import _shrink, find_path\n"
         "exactgeom._least_violation\n"
-        "dtough.diskpath._lift\n"
+        "dtough.diskpath._find\n"
     )
     assert _private_names(source) == [
-        "dtough.diskpath._shrink", "exactgeom._least_violation", "dtough.diskpath._lift"
+        "dtough.diskpath._shrink", "exactgeom._least_violation", "dtough.diskpath._find"
     ]
