@@ -25,14 +25,13 @@ some point sets outside general position, those whose Delaunay
 triangulation is unique and strict, such as four cocircular points with a
 fifth inside their circle; the paper's hypothesis is reported apart, by
 the ``hypothesis`` check of ``cli``. It runs on one lcm-scaled integer copy
-of the points (``exactgeom.scaled_to_integers``), which gives the same
-faces as the rational points; the returned ``Triangulation`` holds the
-caller's points.
+of the points (``exactgeom.integer_copy``), which gives the same faces as
+the rational points.
 
-Each ``Triangulation`` carries its own integer copy of its vertices,
-``scaled``: the copy the construction scanned, or the one
-``from_triangles`` computes; and ``circle``, each face's circle on that
-copy (``exactgeom.circle_through``), computed when the face is assembled
+A ``Triangulation`` holds the caller's points, the copy its construction
+scanned (or ``from_triangles`` computed) as ``scaled`` with its factor
+``scale``, and ``circle``, each face's circle on that copy
+(``exactgeom.circle_through``), computed when the face is assembled
 and read under any of the face's three darts. One strict edge test
 (``_strictly_delaunay``: the far apex has positive ``power`` on the near
 face's circle) answers ``edge_angle_check``, and one walk over the interior
@@ -81,15 +80,14 @@ from .exactgeom import (
     circle_of,
     circle_through,
     delaunay_faces,
-    denominator_lcm,
     dist_sq,
     general_position,  # not called here; bench/test_bench.py reads it off this module
     general_position_added,
+    integer_copy,
     is_witness_disk,
     orient,
     pencil_gap,
     power,
-    scaled_to_integers,
 )
 
 
@@ -113,16 +111,16 @@ class Triangulation:
     when both directions are keys and boundary when only the one along the
     CCW hull is. ``edges`` holds each undirected edge once, as the pair
     (u, v) with u < v, in sorted order.
-    ``scaled`` is ``exactgeom.scaled_to_integers(vertices)``, the copy that
-    the construction scanned or the one ``from_triangles`` derives:
-    integer coordinates on which every orientation and in-circle sign equals
-    the one on ``vertices``. ``circle`` maps each dart (u, v) to the
-    circle of the face left of it on ``scaled``
+    ``(scale, scaled)`` is ``exactgeom.integer_copy(vertices)``: the lcm of
+    the denominators and the copy the construction scanned or
+    ``from_triangles`` derives, on which every orientation and in-circle
+    sign equals the one on ``vertices``. ``circle`` maps each dart (u, v)
+    to the circle of the face left of it on ``scaled``
     (``exactgeom.circle_through``, or a positive multiple of it), held for
     every face from construction on, so an in-circle question is one lookup
     and one ``power`` at a ``scaled`` vertex. ``_assemble`` computes each
     face's circle when it checks the face, and ``extend`` carries the kept
-    faces' circles over. The two are derived from the other fields, so they
+    faces' circles over. The three are derived from the other fields, so they
     take no part in equality.
     """
 
@@ -132,6 +130,7 @@ class Triangulation:
     hull: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
+    scale: int = field(compare=False, repr=False)
     scaled: tuple[Point, ...] = field(compare=False, repr=False)
     circle: dict[tuple[int, int], Circle] = field(compare=False, repr=False)
 
@@ -162,11 +161,12 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
         if not (isinstance(face, Sequence) and len(face) == 3 and all(isinstance(v, int) for v in face)):
             raise ValueError(f"face {face!r} is not three int vertex ids")
     pts = tuple(points)
-    return _assemble(pts, scaled_to_integers(pts), triangles)
+    return _assemble(pts, *integer_copy(pts), triangles)
 
 
 def _assemble(
     pts: tuple[Point, ...],
+    scale: int,
     q: tuple[Point, ...],
     triangles: Sequence[tuple[int, int, int]],
     carried: Sequence[tuple[tuple[int, int, int], Circle]] = (),
@@ -245,6 +245,7 @@ def _assemble(
         hull=tuple(hull),
         edges=tuple(keys),
         neighbors=tuple(map(tuple, nbrs)),
+        scale=scale,
         scaled=q,
         circle=circle,
     )
@@ -266,7 +267,7 @@ def build(points: Sequence[Point]) -> Triangulation:
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    return _construct(pts, scaled_to_integers(pts), (), 0)
+    return _construct(pts, *integer_copy(pts), (), 0)
 
 
 def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
@@ -279,31 +280,32 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     ``_construct`` carries the kept faces over and tests only the new ones.
     So on any other tri (the tests' Kleetopes) the result is a
     triangulation of the union that is strictly locally Delaunay at every
-    edge of a new face, and may not be Delaunay. Each face's circle is
-    ``tri.circle`` on ``tri.scaled``; the union's copy is that one times the
-    integer m = L' / L (L and L' the denominator lcms of the old points and
-    of the union), on which the circle (W, U, V, K) is (W, mU, mV, m^2 K),
-    ``circle_through`` on the union's copy divided by m^2 > 0. Each kept
-    face goes to the union with that circle, unchecked: its orientation was
-    checked in tri, and a positive factor keeps it. A violation is named
-    among the tuples that hold an added point. ``structure.sentinel_augment``
-    adds its sentinels here.
+    edge of a new face, and may not be Delaunay. The union's copy is m
+    times ``tri.scaled`` and then the added points' copy, whose factor L' is
+    the lcm of L = ``tri.scale`` and their denominators, m = L' / L: no old
+    vertex is read again. On it a face's circle (W, U, V, K) in
+    ``tri.circle`` is (W, mU, mV, m^2 K), ``circle_through`` on the union's
+    copy divided by m^2 > 0. Each kept face goes to the union with that
+    circle, unchecked: its orientation was checked in tri, and a positive
+    factor keeps it. A violation is named among the tuples that hold an
+    added point. ``structure.sentinel_augment`` adds its sentinels here.
     """
-    pts = tri.vertices + tuple(added)
-    q = scaled_to_integers(pts)
+    scale, new = integer_copy(added, tri.scale)
+    m = scale // tri.scale
+    q = tuple(Point(m * x, m * y) for x, y in tri.scaled) + new
     n = len(tri)
-    m = denominator_lcm(pts) // denominator_lcm(tri.vertices)
     carried = []
     for a, b, c in tri.triangles:
         w, u, v, k = tri.circle[(a, b)]
         circle = (w, m * u, m * v, m * m * k)
         if all(power(circle, p) > 0 for p in q[n:]):
             carried.append(((a, b, c), circle))
-    return _construct(pts, q, carried, n)
+    return _construct(tri.vertices + tuple(added), scale, q, carried, n)
 
 
 def _construct(
     pts: tuple[Point, ...],
+    scale: int,
     q: tuple[Point, ...],
     carried: Sequence[tuple[tuple[int, int, int], Circle]],
     start: int,
@@ -330,7 +332,7 @@ def _construct(
     try:
         faces = delaunay_faces(q, [t for t, _ in carried])
         try:
-            tri = _assemble(pts, q, faces, carried)
+            tri = _assemble(pts, scale, q, faces, carried)
         except ValueError as exc:
             raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
         loose = _loose_edge(tri, faces)

@@ -19,15 +19,16 @@ Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan and strict edge tests of
 ``delaunay.build`` and ``delaunay.extend``, ``from_triangles``,
 ``verify_delaunay`` and ``edge_angle_check``) runs on a copy of the point
-set multiplied by the lcm of its denominators (``scaled_to_integers``, kept
-on a triangulation as ``Triangulation.scaled``): the answers are the same,
-the arithmetic is plain ``int`` and still exact. The certificates accept
-that copy in place of the points, so a build scales its points once. A
-``Disk`` becomes a circle on that copy in one place (``circle_of``), so
-every in-disk test is the sign of ``power`` too (``diskpath``,
-``is_witness_disk``), and one formula on two circles answers their
-tangency and disjointness (``_circle_pair``). Only disk centers, arbitrary
-rationals, are built in ``Fraction``.
+set multiplied by the lcm of its denominators (``integer_copy``, kept on a
+triangulation as ``Triangulation.scaled`` with its factor): the answers
+are the same, the arithmetic is plain ``int`` and still exact. The
+certificates accept that copy in place of the points, so a build scales
+its points once, and an extension only those it adds. A ``Disk`` becomes
+a circle on that copy in one place (``circle_of``), so every in-disk test
+is the sign of ``power`` too (``diskpath``, ``is_witness_disk``), and one
+formula on two circles answers their tangency and disjointness
+(``_circle_pair``). Only disk centers and the audit's sentinels are built
+in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay``'s construction runs it only to name the
@@ -333,19 +334,20 @@ def denominator_lcm(points: Sequence[Point]) -> int:
     return math.lcm(*(c.denominator for p in points for c in p))
 
 
-def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
-    """The points multiplied by the lcm of all their coordinate denominators.
-
-    Every coordinate of the result is an ``int``. The factor is positive, so
-    ``orient`` and ``in_circle`` give the same answer on the scaled points as
-    on the originals, and integer arithmetic skips the gcd normalisation that
-    every ``Fraction`` operation pays.
-    """
-    scale = denominator_lcm(points)
-    return tuple(
+def integer_copy(points: Sequence[Point], scale: int = 1) -> tuple[int, tuple[Point, ...]]:
+    """L, the lcm of scale and all coordinate denominators, and the points
+    times L: ``int`` coordinates on which, as L > 0, every sign test answers
+    as on the points, without the gcd normalisation of ``Fraction``."""
+    scale = math.lcm(scale, denominator_lcm(points))
+    return scale, tuple(
         Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in points
     )
+
+
+def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
+    """The points multiplied by the lcm of all their coordinate denominators."""
+    return integer_copy(points)[1]
 
 
 def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) -> Optional[Violation]:
@@ -404,25 +406,25 @@ def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
     Returns (left, right), the least left and the greatest right t_k as
     (num, den, k) with 2t_k = num / den and den > 0, each None when its side
     has no point, or None once every circle holds a point. Points on the
-    line ab are skipped. O(n), comparing by cross-multiplication.
+    line ab, a and b among them, are skipped. O(n), comparing by
+    cross-multiplication; the gap is tested only when an end moves.
     """
     ax, ay = xs[a], ys[a]
     bx, by = xs[b] - ax, ys[b] - ay
-    left = right = None
+    ln, ld, lk, rn, rd, rk = 1, 0, -1, -1, 0, -1  # t = +inf and -inf: no point on either side yet
     for k in range(len(xs)):
-        if k == a or k == b:
-            continue
         cx, cy = xs[k] - ax, ys[k] - ay
         den = bx * cy - by * cx
         num = cx * (cx - bx) + cy * (cy - by)
-        if den > 0:
-            if left is None or num * left[1] < left[0] * den:
-                left = (num, den, k)
-        elif den < 0 and (right is None or num * right[1] < right[0] * den):
-            right = (-num, -den, k)  # stored with a positive denominator
-        if left and right and right[0] * left[1] >= left[0] * right[1]:
+        if den > 0 and num * ld < ln * den:
+            ln, ld, lk = num, den, k
+        elif den < 0 and num * rd < rn * den:
+            rn, rd, rk = -num, -den, k  # stored with a positive denominator
+        else:
+            continue
+        if rn * ld >= ln * rd:  # one end is finite, so infinities never meet here
             return None
-    return left, right
+    return (ln, ld, lk) if ld else None, (rn, rd, rk) if rd else None
 
 
 def delaunay_faces(
@@ -520,11 +522,3 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
     (``_least_violation`` from ``len(base)``), O(k n^2) for k added points.
     """
     return _least_violation(list(base) + list(added), len(base))
-
-
-def int_at_least_sqrt(value: Fraction) -> int:
-    """isqrt(ceil(value)) + 1: strictly greater than sqrt(value), though not the
-    least such integer. The sentinel bound needs the strict inequality."""
-    if value < 0:
-        raise ValueError("negative value")
-    return math.isqrt(math.ceil(value)) + 1

@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .exactgeom import Point, cross, denominator_lcm, int_at_least_sqrt
+from .exactgeom import Point, cross
 
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
@@ -325,7 +325,10 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     the search raises ``ConstructionFailed``. The face circles of the bound
     are ``tri.circle``, which ``extend`` reads for every candidate and
     carries over to the augmented triangulation, so each is computed once.
-    The sentinels are in the caller's coordinates.
+    The placement runs in ints on ``tri.scaled`` (the vertices times
+    L = ``tri.scale``), where A and B give E1 = 2A - B = 2L e1 and
+    E2 = 2B - A = 2L e2; only s1 = (2u + r E1) / 2L and s2 are built as
+    ``Fraction``s, in the caller's coordinates.
     """
     gone = _vertex_set(tri, removed, "removed set")
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -334,25 +337,22 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     anchor = min(hull_in_removed)
     pos = tri.hull.index(anchor)
     a, b = tri.hull[pos - 1], tri.hull[(pos + 1) % len(tri.hull)]
-    u_pt, a_pt, b_pt = tri.vertices[anchor], tri.vertices[a], tri.vertices[b]
-    ax, ay = a_pt.x - u_pt.x, a_pt.y - u_pt.y
-    bx, by = b_pt.x - u_pt.x, b_pt.y - u_pt.y
-    e1 = Point(ax - bx / 2, ay - by / 2)
-    e2 = Point(bx - ax / 2, by - ay / 2)
-
-    # x + y = 2 - 2 area(a, b, h) / area(a, b, u), 2 on the segment ab; the
-    # integer copy gives the same area ratio
     qa, qb, qu = tri.scaled[a], tri.scaled[b], tri.scaled[anchor]
-    # max of -cross(a, b, h) / d, times d^2 > 0 to stay on ints
+    ax, ay, bx, by = qa.x - qu.x, qa.y - qu.y, qb.x - qu.x, qb.y - qu.y
+    e1, e2 = (2 * ax - bx, 2 * ay - by), (2 * bx - ax, 2 * by - ay)
+
+    # x + y = 2 - 2 area(a, b, h) / area(a, b, u), 2 on the segment ab, so
+    # ceil(2 max(x + y)) = 4 + ceil(4 max(-cross(a, b, h) d) / d^2), d^2 > 0
     d = cross(qa, qb, qu)
-    far = Fraction(max(-cross(qa, qb, tri.scaled[h]) * d for h in tri.hull if h != anchor), d * d)
-    inside = math.ceil(4 + 4 * far)
+    far = max(-cross(qa, qb, tri.scaled[h]) * d for h in tri.hull if h != anchor)
+    inside = 4 - (-4 * far) // (d * d)
 
     # The circumdisk bound: twice the largest |center - anchor|^2 + radius^2
-    # over the face circumdisks, in caller coordinates. On the scaled
-    # vertices a face's circle (W, U, V, K) has center (U, V) / W and squared
-    # radius (U^2 + V^2 - K W) / W^2; undoing the factor L divides by L^2.
-    # The largest num / W^2 is picked by integer cross-multiplication.
+    # over the face circumdisks. A face's circle (W, U, V, K) has center
+    # (U, V) / W and squared radius (U^2 + V^2 - K W) / W^2; the largest
+    # num / W^2 is picked by integer cross-multiplication. As |e| = |E| / 2L,
+    # r^2 |e|^2 > 2 num / (W L)^2 asks r^2 > 8 num / (W |E|)^2, and
+    # isqrt(ceil(8 num / (W |E|)^2)) + 1 is strictly above its root.
     best, best_w2 = 0, 1
     for a, b, _ in tri.triangles:
         w, u, v, k = tri.circle[(a, b)]  # kept on tri, so extend reuses them
@@ -360,15 +360,16 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         num += u * u + v * v - k * w  # W^2 radius^2
         if num * best_w2 > best * w * w:
             best, best_w2 = num, w * w
-    bound = Fraction(2 * best, best_w2 * denominator_lcm(tri.vertices) ** 2)
-    outside = int_at_least_sqrt(bound / min(e.x * e.x + e.y * e.y for e in (e1, e2)))
+    outside = math.isqrt(-(-8 * best // (best_w2 * min(x * x + y * y for x, y in (e1, e2))))) + 1
 
     tri_faces = set(tri.triangles)
     n = len(tri)
     reach = max(inside, outside)
     for _ in range(64):
-        s1 = Point(u_pt.x + reach * e1.x, u_pt.y + reach * e1.y)
-        s2 = Point(u_pt.x + (reach + 1) * e2.x, u_pt.y + (reach + 1) * e2.y)
+        s1, s2 = (
+            Point(Fraction(2 * qu.x + r * ex, 2 * tri.scale), Fraction(2 * qu.y + r * ey, 2 * tri.scale))
+            for r, (ex, ey) in ((reach, e1), (reach + 1, e2))
+        )
         reach *= 2
         try:
             augmented = extend(tri, (s1, s2))

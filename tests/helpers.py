@@ -20,13 +20,15 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from dtough import blocking, build, cli, exactgeom
-from dtough.delaunay import CounterExample, from_triangles
+from dtough.delaunay import CounterExample, extend, from_triangles
 from dtough.diskpath import DiskPath, check_disk_path
 from dtough.errors import (
     CollinearInput,
+    ConstructionFailed,
     DegenerateInput,
     InvariantBroken,
     NotInteriorEdge,
+    PointFileError,
     PreconditionViolated,
     TooFewPoints,
     WitnessSearchFailed,
@@ -38,6 +40,8 @@ from dtough.exactgeom import (
     Position,
     Violation,
     ViolationKind,
+    coord,
+    cross,
     dist_sq,
     general_position,
     in_circle,
@@ -48,6 +52,7 @@ from dtough.exactgeom import (
     scaled_to_integers,
 )
 from dtough.generate import random_points
+from dtough.pointfile import SHOWN
 from dtough.structure import ToughnessWitness
 
 
@@ -244,6 +249,28 @@ def general_position_naive(points):
         if in_circle(pts[i], pts[j], pts[k], pts[m]) is Position.BOUNDARY:
             return Violation(ViolationKind.COCIRCULAR, (i, j, k, m))
     return None
+
+
+def pencil_gap_naive(xs, ys, a: int, b: int):
+    """``exactgeom.pencil_gap`` in its plain form: each end a tuple or None,
+    a and b skipped by index, and the gap tested after every point."""
+    ax, ay = xs[a], ys[a]
+    bx, by = xs[b] - ax, ys[b] - ay
+    left = right = None
+    for k in range(len(xs)):
+        if k == a or k == b:
+            continue
+        cx, cy = xs[k] - ax, ys[k] - ay
+        den = bx * cy - by * cx
+        num = cx * (cx - bx) + cy * (cy - by)
+        if den > 0:
+            if left is None or num * left[1] < left[0] * den:
+                left = (num, den, k)
+        elif den < 0 and (right is None or num * right[1] < right[0] * den):
+            right = (-num, -den, k)  # stored with a positive denominator
+        if left and right and right[0] * left[1] >= left[0] * right[1]:
+            return None
+    return left, right
 
 
 def _det(rows):
@@ -636,6 +663,40 @@ def circumdisk(a: Point, b: Point, c: Point) -> Disk:
     return Disk(center, dist_sq(center, a))
 
 
+def sentinels_fraction(tri, removed):
+    """The anchor and sentinels of ``structure.sentinel_augment``, placed on
+    the ``Fraction`` vertices: e1 = A - B/2 and e2 = B - A/2 from the
+    anchor's hull neighbours, the reach the larger of ceil(2 max(x + y)) and
+    isqrt(ceil(bound / min |e|^2)) + 1 with the bound twice the largest
+    |center - u|^2 + radius^2 of the face circumdisks (``circumdisk``), and
+    the first candidate (u + r e1, u + (r + 1) e2) that ``extend`` accepts,
+    the reach doubling after each rejection."""
+    gone = set(removed)
+    anchor = min(h for h in tri.hull if h in gone)
+    pos = tri.hull.index(anchor)
+    v = tri.vertices
+    u, pa, pb = v[anchor], v[tri.hull[pos - 1]], v[tri.hull[(pos + 1) % len(tri.hull)]]
+    ax, ay, bx, by = pa.x - u.x, pa.y - u.y, pb.x - u.x, pb.y - u.y
+    e1, e2 = Point(ax - bx / 2, ay - by / 2), Point(bx - ax / 2, by - ay / 2)
+    far = max(-cross(pa, pb, v[h]) / cross(pa, pb, u) for h in tri.hull if h != anchor)
+    disks = [circumdisk(*(v[i] for i in t)) for t in tri.triangles]
+    bound = 2 * max(dist_sq(d.center, u) + d.radius_sq for d in disks)
+    outside = math.isqrt(math.ceil(bound / min(e.x * e.x + e.y * e.y for e in (e1, e2)))) + 1
+    reach = max(math.ceil(4 + 4 * far), outside)
+    n = len(tri)
+    for _ in range(64):
+        s1 = Point(u.x + reach * e1.x, u.y + reach * e1.y)
+        s2 = Point(u.x + (reach + 1) * e2.x, u.y + (reach + 1) * e2.y)
+        reach *= 2
+        try:
+            augmented = extend(tri, (s1, s2))
+        except DegenerateInput:
+            continue
+        if set(tri.triangles) <= set(augmented.triangles) and set(augmented.hull) == {anchor, n, n + 1}:
+            return anchor, (s1, s2)
+    raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
+
+
 def shrink_parameter(d: Disk, anchor: Point, target: Point) -> Fraction:
     """Parameter t* on the anchor-to-center segment equalizing the two distances.
 
@@ -843,6 +904,33 @@ def interior_count(tri, d: Disk) -> int:
 # ---------------------------------------------------------------------------
 # CLI harness
 # ---------------------------------------------------------------------------
+
+
+def parse_points_naive(text: str) -> tuple[Point, ...]:
+    """``pointfile.parse_points`` with every field read by
+    ``exactgeom.coord`` and duplicates keyed on the ``Point``."""
+    points: list[Point] = []
+    seen: dict[Point, int] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise PointFileError(line_no, f"expected 'x y', got {len(fields)} field(s)")
+        coords = []
+        for field in fields:
+            try:
+                coords.append(coord(field))
+            except ValueError as exc:
+                shown = repr(field[:SHOWN]) + ("..." if len(field) > SHOWN else "")
+                raise PointFileError(line_no, f"bad coordinate {shown}: {exc}") from exc
+        p = Point(coords[0], coords[1])
+        first = seen.setdefault(p, line_no)
+        if first != line_no:
+            raise PointFileError(line_no, f"duplicate of point on line {first}")
+        points.append(p)
+    return tuple(points)
 
 
 def close_first_gap(monkeypatch) -> None:

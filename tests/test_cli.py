@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtough import blocking, cli, delaunay, diskpath, exactgeom, generate, pointfile, structure
@@ -47,6 +47,50 @@ def test_pointfile_errors_carry_line_numbers():
     with pytest.raises(PointFileError) as exc:
         parse_points("1 2 3\n")
     assert exc.value.line_no == 1
+
+
+# Point-file fields: canonical ints and fractions as gen writes them, with
+# leading zeros, -0 and unreduced or zero denominators; fields past the
+# length cap; spellings only coord reads or refuses. Small values, and
+# pairs of lines that spell one point two ways, make duplicates common.
+_SPELLED = [
+    "0", "-0", "007", "-007", "00/4", "2/4", "-0/3", "1/0", "-3/00", "1.0", "1e0", "0.5", "-2.50",
+    "2E-2", f"1e{MAX_EXPONENT + 1}", "1" * (MAX_LITERAL + 1), "1/" + "3" * MAX_LITERAL,
+    "9" * MAX_LITERAL, "-" + "9" * (MAX_LITERAL - 1), "\u0663", "\uff11\uff12", "1/\u0663", "1_000",
+    "+3", "+3/4", "abc", "1/2/3", "--1", "1/-2", "/2", "2/", "-", "1/2.0",
+]
+_FIELD = st.one_of(
+    st.integers(-1, 1).map(str),
+    st.builds("{}/{}".format, st.integers(-2, 2), st.integers(0, 2)),
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(_SPELLED),
+)
+_ONES = st.sampled_from(["1", "01", "2/2", "1.0", "1e0"])
+_LINE = st.one_of(
+    st.builds("{} {}".format, _FIELD, _FIELD),
+    st.builds("  {}\t{}  # note".format, _FIELD, _FIELD),
+    st.builds("{0} {2}\n{1} {2}".format, _ONES, _ONES, _FIELD),
+    st.sampled_from(["", "# comment", "", "# comment", "", "1 2 3"]),
+)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except PointFileError as exc:
+        return exc.line_no, str(exc)
+
+
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@example("1 2\n-3 1/0\n")
+@example("1 2\n1 " + "1" * (MAX_LITERAL + 1))
+@example("1/2 -0\n1 0\n2/4 0")
+@example("1 2\n\u0663 1")
+def test_parse_points_matches_the_coord_parser(text):
+    found = _parsed(parse_points, text)
+    assert found == _parsed(helpers.parse_points_naive, text)
+    if all(isinstance(p, exactgeom.Point) for p in found):
+        assert all(type(c) is Fraction for p in found for c in p)
 
 
 def test_pointfile_caps_decimal_exponents(tmp_path):

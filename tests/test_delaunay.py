@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -32,6 +33,7 @@ from dtough.exactgeom import (
     ViolationKind,
     arc_point,
     circle_of,
+    denominator_lcm,
     in_circle,
     is_witness_disk,
     point,
@@ -506,29 +508,56 @@ def test_every_edge_passes_exactly_when_every_circumdisk_is_empty(pts):
 
 
 def test_build_and_extend_scale_the_points_once(monkeypatch):
+    # build takes the lcm of its points and scales them once; extend takes
+    # the lcm of the added points and scales only them, multiplying the old
+    # copy by L' / L
     pts, _ = helpers.random_tri(12, 7)
-    calls = []
-    scale = delaunay.scaled_to_integers
+    copied = []
+    copy = delaunay.integer_copy
 
-    def counting(points):
-        # the certificate passes the copy through again, which is the
-        # identity on integer points; only a real scaling counts
-        if all(type(c) is int for p in points for c in p):
-            assert scale(points) == tuple(points)
-        else:
-            calls.append(len(points))
-        return scale(points)
+    def counting(points, scale=1):
+        copied.append((len(points), scale))
+        return copy(points, scale)
 
-    for module in (delaunay, exactgeom):
-        monkeypatch.setattr(module, "scaled_to_integers", counting)
+    monkeypatch.setattr(delaunay, "integer_copy", counting)
     t = build(pts[:10])
-    assert calls == [10]
-    extend(t, pts[10:])
-    assert calls == [10, 12]
-    # the sentinel placement reads the triangulation's integer copy, and its
-    # first candidate extends the triangulation, scaling the union once
-    structure.sentinel_augment(t, t.hull[:1])
-    assert calls == [10, 12, 12]
+    assert copied == [(10, 1)]
+    grown = extend(t, pts[10:])
+    assert copied == [(10, 1), (2, t.scale)]
+    # neither extend nor the sentinel placement reads an old vertex: on a
+    # copy of t whose vertices are opaque objects they give the same results
+    blind = dataclasses.replace(t, vertices=tuple(object() for _ in t.vertices))
+    unseen = extend(blind, pts[10:])
+    assert (unseen.triangles, unseen.scale, unseen.scaled) == (grown.triangles, grown.scale, grown.scaled)
+    placed = structure.sentinel_augment(t, t.hull[:1])
+    assert structure.sentinel_augment(blind, t.hull[:1]).sentinels == placed.sentinels
+
+
+@given(
+    st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10).map(helpers.thinned), helpers.rescaled_sets()),
+    st.data(),
+)
+def test_every_construction_scales_by_the_lcm_of_its_vertices(pts, data):
+    assume(len(pts) >= 3)
+    t = build(pts)
+    m = data.draw(st.integers(3, len(pts)), label="split")
+    grown = extend(build(pts[:m]), pts[m:])
+    assert grown == t
+    aug = structure.sentinel_augment(t, t.hull[:1])
+    for tri in (t, from_triangles(pts, t.triangles), grown, aug.tri):
+        assert tri.scale == denominator_lcm(tri.vertices)
+        assert tri.scaled == scaled_to_integers(tri.vertices)
+
+
+def test_extend_rescales_the_old_copy_only_for_new_denominators():
+    base = [P("1/2", 0), P(4, "1/4"), P(0, 4), P(3, 3)]
+    t = build(base)
+    assert t.scale == 4
+    for added, scale in (([P("3/2", "5/4")], 4), ([P("4/3", "3/2")], 12)):
+        grown = extend(t, added)
+        assert grown == build(base + added)
+        assert grown.scale == scale
+        assert grown.scaled == scaled_to_integers(base + added)
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))

@@ -7,7 +7,8 @@ from itertools import permutations
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dtough.errors import CollinearInput, PreconditionViolated
+from dtough.delaunay import build, extend
+from dtough.errors import CollinearInput, DegenerateInput, PreconditionViolated
 from dtough.exactgeom import (
     MAX_EXPONENT,
     MAX_LITERAL,
@@ -26,17 +27,17 @@ from dtough.exactgeom import (
     general_position,
     general_position_added,
     in_circle,
-    int_at_least_sqrt,
     interior_disjoint,
     internally_tangent,
     is_witness_disk,
     orient,
+    pencil_gap,
     point,
     power,
     scaled_to_integers,
 )
 from dtough.blocking import fan_instance
-from dtough.generate import convex_points
+from dtough.generate import convex_points, random_points
 
 import helpers
 from helpers import (
@@ -89,15 +90,6 @@ def test_coord_refuses_over_long_literals_before_int():
         with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL} characters$"):
             coord(field)
     assert coord("7" * MAX_LITERAL) == int("7" * MAX_LITERAL)
-
-
-def test_int_at_least_sqrt_is_strictly_above_the_root():
-    # squares, where isqrt alone would only reach the root, and non-squares
-    for value in (0, 1, 4, 2, Fraction(9, 4), Fraction(1, 3), 10**40, 10**40 + 1):
-        k = int_at_least_sqrt(Fraction(value))
-        assert k * k > value
-    with pytest.raises(ValueError):
-        int_at_least_sqrt(Fraction(-1, 3))
 
 
 def test_orient_basic():
@@ -406,5 +398,22 @@ def test_general_position_added_matches_naive_scan(candidates, added):
             base.append(p)
     found = general_position_added(base, added)
     assert found == helpers.general_position_naive(base + added)
-    union = scaled_to_integers(base + added)  # as extend passes it
+    union = scaled_to_integers(base + added)
     assert general_position_added(union[: len(base)], union[len(base):]) == found
+    if len(base) >= 3:
+        # extend scans that copy, and certifies it when a step fails
+        try:
+            assert extend(build(base), added).scaled == union
+        except DegenerateInput as exc:
+            assert exc.violation == found
+
+
+@given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.integers(3, 12), st.integers(0, 10**6))
+def test_pencil_gap_matches_naive_scan(grid, n, seed):
+    # every ordered pair of a grid set (duplicates, collinear and cocircular
+    # points included) and of a random set
+    for pts in (grid, random_points(n, seed)):
+        q = scaled_to_integers(pts)
+        xs, ys = [p.x for p in q], [p.y for p in q]
+        for a, b in permutations(range(len(q)), 2):
+            assert pencil_gap(xs, ys, a, b) == helpers.pencil_gap_naive(xs, ys, a, b)

@@ -351,6 +351,26 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     assert second.sentinels != first.sentinels
 
 
+def _assert_sentinels_match_fraction_placement(t):
+    for h in t.hull:  # each hull vertex as the anchor
+        aug = sentinel_augment(t, {h})
+        assert (aug.anchor, aug.sentinels) == helpers.sentinels_fraction(t, {h})
+
+
+def test_integer_sentinels_match_the_fraction_placement():
+    tris = [helpers.random_tri(n, seed)[1] for n in range(4, 17) for seed in range(3)]
+    tris += [build(convex_points(n, 1)) for n in range(4, 17)]
+    tris += [helpers.fan_tri(n, 0) for n in range(4, 16)]
+    for t in tris + [helpers.kleetope(), helpers.kleetope_even()]:
+        _assert_sentinels_match_fraction_placement(t)
+
+
+@given(helpers.rescaled_sets())
+def test_integer_sentinels_match_the_fraction_placement_on_rescaled_sets(pts):
+    assume(len(pts) >= 3)
+    _assert_sentinels_match_fraction_placement(build(pts))
+
+
 # ---------------------------------------------------------------------------
 # the audit
 # ---------------------------------------------------------------------------
