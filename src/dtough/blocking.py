@@ -31,12 +31,12 @@ from .exactgeom import (
     dist_sq,
     externally_tangent,
     general_position,
+    integer_copy,
     interior_disjoint,
     is_witness_disk,
     midpoint,
     outward_normal,
     pencil_gap,
-    scaled_to_integers,
 )
 
 
@@ -70,7 +70,7 @@ def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[in
     """
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
-    q = scaled_to_integers(tuple(p) + tuple(b))
+    q = integer_copy(tuple(p) + tuple(b))[1]
     violation = general_position(q)
     if violation is not None:
         raise DegenerateInput(violation)
@@ -209,12 +209,12 @@ def disjoint_disk_instance(n: int) -> DisjointDiskInstance:
         points = tuple(Point(x, x * x / flat) for x in xs)
         # distinct x >= 0 on a parabola: no three on a line, and no four on
         # a circle, where their x would sum to 0
-        q = scaled_to_integers(points)
+        scale, q = integer_copy(points)
         violation = general_position(q)
         if violation is not None:
             raise DegenerateInput(violation)
         disks = _tangent_chain(points)
-        circles = [circle_of(d, points) for d in disks or ()]
+        circles = [circle_of(d, scale) for d in disks or ()]
         if (
             disks is not None
             and all(is_witness_disk(q, c, i, i + 1) for i, c in enumerate(circles))

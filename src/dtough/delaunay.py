@@ -46,7 +46,7 @@ its center's pencil parameter in the edge's pencil gap on the scaled copy
 too, the same empty-disk test that the construction reads its faces off;
 only the disk's center, an arbitrary rational, is built from the
 ``Fraction`` vertices, and the disk is verified as a circle on the scaled
-copy (``exactgeom.circle_of``).
+copy, lifted with the copy's factor ``scale`` (``exactgeom.circle_of``).
 
 A ``Triangulation`` is an immutable value. Vertex indices refer to the
 ``vertices`` tuple, triangles are CCW index triples, and the convex hull is
@@ -417,7 +417,8 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     one side only: t steps |t_apex|/2 away from the apex's t_apex, or 1/2
     when t_apex = 0 (a right angle at the apex). The disk is verified
     exactly against all vertices before it is returned, as a circle on
-    ``tri.scaled`` (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``).
+    ``tri.scaled`` lifted with its factor ``tri.scale``
+    (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``).
     """
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
@@ -436,6 +437,6 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     bx, by = pv.x - pu.x, pv.y - pu.y
     center = Point(pu.x + bx / 2 - t * by, pu.y + by / 2 + t * bx)
     d = Disk(center, dist_sq(center, pu))
-    if not is_witness_disk(tri.scaled, circle_of(d, tri.vertices), a, b):
+    if not is_witness_disk(tri.scaled, circle_of(d, tri.scale), a, b):
         raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
     return d

@@ -14,7 +14,8 @@ path from both ends.
 
 The loop runs on the triangulation's integer copy of its vertices
 (``Triangulation.scaled``). The caller's disk is written once as the
-package's one circle on that copy (``exactgeom.circle_of``), (W, U, V, K)
+package's one circle on that copy, from the copy's factor
+``Triangulation.scale`` (``exactgeom.circle_of``), (W, U, V, K)
 with W > 0, whose power
 P(X) = W |X|^2 - 2 (U x + V y) + K (``exactgeom.power``) is negative inside
 and zero on the boundary. Shrinking toward a boundary anchor a until the
@@ -39,8 +40,9 @@ circle at one of its anchors, so it stays outside, and a circle through two
 vertices with none inside still certifies them as an edge (with a third on
 it, the three bound a Delaunay face). The finished path is checked against
 the caller's disk (``check_disk_path``), and ``path_oracle`` reads that disk
-too; each lifts it once, as the loop does, and tests a vertex by the sign
-of its power.
+too. Each lifts it once from ``Triangulation.scale``, as the loop does, and
+tests a vertex by the sign of its power at the vertex's copy, so none of
+them reads the ``Fraction`` vertices.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def check_disk_path(tri: Triangulation, path: DiskPath) -> None:
     for a, b in zip(vs, vs[1:]):
         if not tri.is_edge(a, b):
             raise InvariantBroken(f"({a}, {b}) is not an edge of the triangulation")
-    c = circle_of(path.disk, tri.vertices)
+    c = circle_of(path.disk, tri.scale)
     for v in vs:
         if power(c, tri.scaled[v]) > 0:
             raise InvariantBroken(f"path vertex {v} is outside the disk")
@@ -130,7 +132,7 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     """
     _check_endpoints(tri, p, q)
     pts = tri.scaled
-    c = circle_of(d, tri.vertices)
+    c = circle_of(d, tri.scale)
     powers = [power(c, pt) for pt in pts]
     on = [i for i, value in enumerate(powers) if value == 0]
     for v in sorted((p, q)):
@@ -190,7 +192,7 @@ def path_oracle(tri: Triangulation, p: int, q: int, d: Disk) -> Optional[DiskPat
     ids.
     """
     _check_endpoints(tri, p, q)
-    c = circle_of(d, tri.vertices)
+    c = circle_of(d, tri.scale)
     allowed = {i for i, pt in enumerate(tri.scaled) if power(c, pt) <= 0}
     if p not in allowed or q not in allowed:
         return None

@@ -19,16 +19,17 @@ Every sign test on a point set's own points (the general-position
 certificates, the Delaunay face scan and strict edge tests of
 ``delaunay.build`` and ``delaunay.extend``, ``from_triangles``,
 ``verify_delaunay`` and ``edge_angle_check``) runs on a copy of the point
-set multiplied by the lcm of its denominators (``integer_copy``, kept on a
-triangulation as ``Triangulation.scaled`` with its factor): the answers
-are the same, the arithmetic is plain ``int`` and still exact. The
-certificates accept that copy in place of the points, so a build scales
-its points once, and an extension only those it adds. A ``Disk`` becomes
-a circle on that copy in one place (``circle_of``), so every in-disk test
-is the sign of ``power`` too (``diskpath``, ``is_witness_disk``), and one
-formula on two circles answers their tangency and disjointness
-(``_circle_pair``). Only disk centers and the audit's sentinels are built
-in ``Fraction``.
+set multiplied by the lcm L of its denominators: the answers are the same,
+the arithmetic is plain ``int`` and still exact. ``integer_copy`` is the one
+routine that takes that lcm; a triangulation keeps its copy as
+``Triangulation.scaled`` and L as ``Triangulation.scale``. The certificates
+accept that copy in place of the points, so a build scales its points
+once, and an extension only those it adds. A ``Disk`` becomes a circle on
+a copy, given only the copy's factor, in one place (``circle_of``), so every
+in-disk test is the sign of ``power`` too (``diskpath``,
+``is_witness_disk``), and one formula on two circles answers their
+tangency and disjointness (``_circle_pair``). Only disk centers and the
+audit's sentinels are built in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay``'s construction runs it only to name the
@@ -274,13 +275,12 @@ def reduced(c: Circle) -> Circle:
     return c[0] // g, c[1] // g, c[2] // g, c[3] // g
 
 
-def circle_of(d: Disk, points: Sequence[Point]) -> Circle:
-    """The disk d as a circle on the points' integer copy
-    (``scaled_to_integers``), whose factor is the lcm L of their
-    denominators: the power |X - L c|^2 - L^2 r^2 times the lcm of its
-    coefficients' denominators, reduced. Its ``power`` at the copy of a
-    point is negative inside d, zero on its boundary and positive outside."""
-    scale = denominator_lcm(points)
+def circle_of(d: Disk, scale: int) -> Circle:
+    """The disk d as a circle on a point set's integer copy, given the
+    copy's factor L (``integer_copy``, ``Triangulation.scale``): the power
+    |X - L c|^2 - L^2 r^2 times the lcm of its coefficients' denominators,
+    reduced. Its ``power`` at the copy of a point is negative inside d, zero
+    on its boundary and positive outside. O(1): no point is read."""
     cx, cy = scale * d.center.x, scale * d.center.y
     k = cx * cx + cy * cy - scale * scale * d.radius_sq
     w = math.lcm(cx.denominator, cy.denominator, k.denominator)
@@ -329,25 +329,16 @@ def interior_disjoint(a: Circle, b: Circle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def denominator_lcm(points: Sequence[Point]) -> int:
-    """The lcm of all coordinate denominators: the factor of ``scaled_to_integers``."""
-    return math.lcm(*(c.denominator for p in points for c in p))
-
-
 def integer_copy(points: Sequence[Point], scale: int = 1) -> tuple[int, tuple[Point, ...]]:
     """L, the lcm of scale and all coordinate denominators, and the points
     times L: ``int`` coordinates on which, as L > 0, every sign test answers
-    as on the points, without the gcd normalisation of ``Fraction``."""
-    scale = math.lcm(scale, denominator_lcm(points))
+    as on the points, without the gcd normalisation of ``Fraction``. The
+    package takes that lcm here only; other routines are given L."""
+    scale = math.lcm(scale, *(c.denominator for p in points for c in p))
     return scale, tuple(
         Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in points
     )
-
-
-def scaled_to_integers(points: Sequence[Point]) -> tuple[Point, ...]:
-    """The points multiplied by the lcm of all their coordinate denominators."""
-    return integer_copy(points)[1]
 
 
 def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) -> Optional[Violation]:
@@ -490,7 +481,7 @@ def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]
         if p in seen and i >= start:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
         seen.setdefault(p, i)
-    q = scaled_to_integers(points)
+    q = integer_copy(points)[1]
     collinear: list[tuple[int, ...]] = []
     cocircular: list[tuple[int, ...]] = []
     for a in range(n):

@@ -8,6 +8,7 @@ implementations they check.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -49,7 +50,6 @@ from dtough.exactgeom import (
     orient,
     pencil_gap,
     point,
-    scaled_to_integers,
 )
 from dtough.generate import random_points
 from dtough.pointfile import SHOWN
@@ -62,10 +62,19 @@ grid_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 grid_points = st.builds(Point, grid_fraction, grid_fraction)
 
 
+def lcm_copy(points) -> tuple[int, tuple[Point, ...]]:
+    """The lcm L of the points' ``Fraction`` denominators and the points
+    times L as ``int``s: what ``exactgeom.integer_copy(points)`` must give,
+    computed without it."""
+    scale = math.lcm(*(Fraction(c).denominator for p in points for c in p))
+    return scale, tuple(Point(int(p.x * scale), int(p.y * scale)) for p in points)
+
+
 def disk_classify_fraction(d: Disk, p: Point) -> Position:
     """p against the closed disk d in ``Fraction`` arithmetic, the sign of
     ``dist_sq(center, p) - radius_sq``: what the sign of ``exactgeom.power``
-    on ``exactgeom.circle_of(d, points)`` at p's integer copy must say."""
+    on ``exactgeom.circle_of(d, L)`` at p's integer copy, of factor L, must
+    say."""
     gap = dist_sq(d.center, p) - d.radius_sq
     return Position.INTERIOR if gap < 0 else Position.EXTERIOR if gap > 0 else Position.BOUNDARY
 
@@ -145,11 +154,17 @@ def certified_build(points):
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    q = scaled_to_integers(pts)
+    q = lcm_copy(pts)[1]
     violation = general_position(q)
     if violation is not None:
         raise DegenerateInput(violation)
     return from_triangles(pts, sorted(pair_scan_faces(q)))
+
+
+def blind(tri):
+    """tri with opaque objects for its ``Fraction`` vertices: a routine that
+    answers on it as on tri reads only the integer copy and its factor."""
+    return dataclasses.replace(tri, vertices=tuple(object() for _ in tri.vertices))
 
 
 @lru_cache(maxsize=None)

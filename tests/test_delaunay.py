@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -33,11 +32,9 @@ from dtough.exactgeom import (
     ViolationKind,
     arc_point,
     circle_of,
-    denominator_lcm,
     in_circle,
     is_witness_disk,
     point,
-    scaled_to_integers,
 )
 
 import helpers
@@ -221,7 +218,7 @@ def test_integer_verifier_matches_fraction_oracle(candidates):
     if flipped is not None:  # Delaunay is unique in general position
         assert verify_delaunay(flipped) is not None
     for t in filter(None, (built, flipped)):
-        assert t.scaled == scaled_to_integers(t.vertices)
+        assert t.scaled == helpers.lcm_copy(t.vertices)[1]
         assert all(type(c) is int for p in t.scaled for c in p)
         _assert_counterexample(t)
         for u, v in t.edges:
@@ -330,7 +327,7 @@ def test_local_build_matches_the_certified_oracle(pts):
 def test_build_and_extend_match_the_pair_scan(pts, data):
     # n = 3 included; extend wraps from the faces it keeps
     assume(len(pts) >= 3)
-    faces = helpers.pair_scan_faces(scaled_to_integers(pts))
+    faces = helpers.pair_scan_faces(helpers.lcm_copy(pts)[1])
     assert set(build(pts).triangles) == faces
     m = data.draw(st.integers(3, len(pts)), label="split")
     assert set(extend(build(pts[:m]), pts[m:]).triangles) == faces
@@ -343,7 +340,7 @@ def test_extend_that_keeps_no_face_matches_the_pair_scan():
     added = [P(1, 1), P(5, 3), P(-2, 5), P(4, -1)]
     grown = extend(build(base), added)
     assert not set(build(base).triangles) & set(grown.triangles)
-    assert set(grown.triangles) == helpers.pair_scan_faces(scaled_to_integers(base + added))
+    assert set(grown.triangles) == helpers.pair_scan_faces(helpers.lcm_copy(base + added)[1])
 
 
 def test_face_scan_returns_only_the_faces_it_finds():
@@ -408,7 +405,7 @@ def test_witness_disk_fails_exactly_on_the_kleetopes_non_delaunay_edges():
         for u, v in t.edges:
             if (u, v) in delaunay_edges:
                 d = witness_disk(t, u, v)
-                assert is_witness_disk(t.scaled, circle_of(d, t.vertices), u, v)
+                assert is_witness_disk(t.scaled, circle_of(d, t.scale), u, v)
             else:
                 message = f"every circle through edge {(u, v)} holds a vertex"
                 with pytest.raises(WitnessSearchFailed, match=re.escape(message)):
@@ -526,7 +523,7 @@ def test_build_and_extend_scale_the_points_once(monkeypatch):
     assert copied == [(10, 1), (2, t.scale)]
     # neither extend nor the sentinel placement reads an old vertex: on a
     # copy of t whose vertices are opaque objects they give the same results
-    blind = dataclasses.replace(t, vertices=tuple(object() for _ in t.vertices))
+    blind = helpers.blind(t)
     unseen = extend(blind, pts[10:])
     assert (unseen.triangles, unseen.scale, unseen.scaled) == (grown.triangles, grown.scale, grown.scaled)
     placed = structure.sentinel_augment(t, t.hull[:1])
@@ -545,8 +542,7 @@ def test_every_construction_scales_by_the_lcm_of_its_vertices(pts, data):
     assert grown == t
     aug = structure.sentinel_augment(t, t.hull[:1])
     for tri in (t, from_triangles(pts, t.triangles), grown, aug.tri):
-        assert tri.scale == denominator_lcm(tri.vertices)
-        assert tri.scaled == scaled_to_integers(tri.vertices)
+        assert (tri.scale, tri.scaled) == helpers.lcm_copy(tri.vertices)
 
 
 def test_extend_rescales_the_old_copy_only_for_new_denominators():
@@ -557,7 +553,7 @@ def test_extend_rescales_the_old_copy_only_for_new_denominators():
         grown = extend(t, added)
         assert grown == build(base + added)
         assert grown.scale == scale
-        assert grown.scaled == scaled_to_integers(base + added)
+        assert grown.scaled == helpers.lcm_copy(base + added)[1]
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))
@@ -570,7 +566,7 @@ def test_witness_disks_match_candidate_oracle(candidates):
     for u, v in t.edges:
         d = witness_disk(t, u, v)
         assert d == helpers.witness_disk_oracle(t, u, v)
-        assert is_witness_disk(t.scaled, circle_of(d, t.vertices), u, v)
+        assert is_witness_disk(t.scaled, circle_of(d, t.scale), u, v)
 
 
 def test_rejected_faces_are_an_invariant_alarm(monkeypatch):

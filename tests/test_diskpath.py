@@ -246,11 +246,11 @@ def test_integer_shrink_is_the_fraction_shrink():
     t = build(pts)
     d = Disk(P(3, -2), Fraction(25))
     q = t.scaled
-    c = circle_of(d, pts)
+    c = circle_of(d, t.scale)
     assert power(c, q[0]) == 0
     inside = power(c, q[1])
     assert inside < 0
-    expected = circle_of(helpers.shrink_toward(d, pts[0], pts[1]), pts)
+    expected = circle_of(helpers.shrink_toward(d, pts[0], pts[1]), t.scale)
     assert diskpath._shrink(c, q[0], q[1], -inside) == expected
 
 
@@ -262,9 +262,9 @@ def test_recursion_classifies_no_fraction_disk(monkeypatch):
     lifts = []
     lift = diskpath.circle_of
 
-    def counting(disk, points):
+    def counting(disk, scale):
         lifts.append(disk)
-        return lift(disk, points)
+        return lift(disk, scale)
 
     monkeypatch.setattr(diskpath, "circle_of", counting)
     path = find_path(t, 0, 1, d)
@@ -272,3 +272,24 @@ def test_recursion_classifies_no_fraction_disk(monkeypatch):
     assert lifts == [d, d]  # the loop, then check_disk_path
     path_oracle(t, 0, 1, d)
     assert lifts == [d, d, d]
+
+
+def test_disk_path_never_reads_the_fraction_vertices():
+    # on a copy of T whose vertices are opaque objects, the loop, the path
+    # check and the BFS oracle answer as on T: each lifts the disk with
+    # T's factor and reads only T's integer copy
+    kite = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
+    cases = [(kite, 0, 1, Disk(P(2, 2), Fraction(8)))]
+    _, t = helpers.random_tri(12, 5)
+    for p, q in t.edges[:6]:
+        for gap in (0, len(t) // 2, len(t)):
+            d = helpers.pencil_disk(t, p, q, gap)
+            if d is not None:
+                cases.append((t, p, q, d))
+    assert any(helpers.interior_count(t, d) > 1 for t, *_, d in cases[1:])
+    for tri, p, q, d in cases:
+        blind = helpers.blind(tri)
+        path = find_path(tri, p, q, d)
+        assert find_path(blind, p, q, d) == path
+        assert check_disk_path(blind, path) is None
+        assert path_oracle(blind, p, q, d) == path_oracle(tri, p, q, d)

@@ -27,6 +27,7 @@ from dtough.exactgeom import (
     general_position,
     general_position_added,
     in_circle,
+    integer_copy,
     interior_disjoint,
     internally_tangent,
     is_witness_disk,
@@ -34,7 +35,6 @@ from dtough.exactgeom import (
     pencil_gap,
     point,
     power,
-    scaled_to_integers,
 )
 from dtough.blocking import fan_instance
 from dtough.generate import convex_points, random_points
@@ -147,7 +147,8 @@ def test_circumdisk_boundary_property():
 def _classify(d: Disk, pts, k: int) -> Position:
     """Point k of pts against d: the sign of ``power`` on the disk's circle
     at the point's integer copy."""
-    return _sign_position(power(circle_of(d, pts), scaled_to_integers(pts)[k]))
+    scale, q = helpers.lcm_copy(pts)
+    return _sign_position(power(circle_of(d, scale), q[k]))
 
 
 def test_circle_of():
@@ -157,8 +158,11 @@ def test_circle_of():
         Position.BOUNDARY, Position.INTERIOR, Position.EXTERIOR, Position.INTERIOR
     ]
     # the copy is six times the points: |X - 0|^2 - 36, reduced
-    assert circle_of(d, pts) == (1, 0, 0, -36)
-    assert circle_of(disk("1/2", 0, "1/4"), [P(1, 0)]) == (2, 1, 0, 0)
+    assert circle_of(d, 6) == (1, 0, 0, -36)
+    assert circle_of(disk("1/2", 0, "1/4"), 1) == (2, 1, 0, 0)
+    # a factor that leaves the center or the radius fractional: the lcm of
+    # the coefficients' denominators clears them
+    assert circle_of(disk("1/3", 0, "1/4"), 2) == (9, 6, 0, -5)
 
 
 def test_disk_refuses_a_negative_squared_radius():
@@ -171,7 +175,8 @@ def test_is_witness_disk_needs_every_other_point_outside():
     d = disk(1, 0, 1)
     for third, witness in ((P(5, 5), True), (P(1, "1/2"), False), (P(1, 1), False)):
         pts = (P(0, 0), P(2, 0), third)
-        assert is_witness_disk(scaled_to_integers(pts), circle_of(d, pts), 0, 1) is witness
+        scale, q = helpers.lcm_copy(pts)
+        assert is_witness_disk(q, circle_of(d, scale), 0, 1) is witness
 
 
 def test_shrink_toward_examples():
@@ -224,10 +229,14 @@ def test_general_position_reports_least_group_of_a_row():
     assert general_position(pts) == expected
 
 
-def test_scaled_to_integers():
-    scaled = scaled_to_integers([P("1/2", "1/3"), P(2, "-5/6")])
-    assert scaled == (Point(3, 2), Point(12, -5))
+def test_integer_copy():
+    scale, scaled = integer_copy([P("1/2", "1/3"), P(2, "-5/6")])
+    assert (scale, scaled) == (6, (Point(3, 2), Point(12, -5)))
     assert all(type(c) is int for p in scaled for c in p)
+    # a given factor is kept in the lcm: 4 and the denominators 2 and 6
+    assert integer_copy([P("1/2", "1/6")], 4) == (12, (Point(6, 2),))
+    assert integer_copy([P(3, -1)], 5) == (5, (Point(15, -5),))
+    assert integer_copy([]) == (1, ())
 
 
 def test_general_position_large_denominators():
@@ -266,12 +275,12 @@ def test_triangle_classify():
 
 
 def test_disjointness_predicates():
-    unit = circle_of(disk(0, 0, 1), [])
-    assert interior_disjoint(unit, circle_of(disk(2, 0, 1), []))  # tangent
-    assert externally_tangent(unit, circle_of(disk(2, 0, 1), []))
-    assert interior_disjoint(unit, circle_of(disk(3, 0, 1), []))
-    assert not externally_tangent(unit, circle_of(disk(3, 0, 1), []))
-    assert not interior_disjoint(unit, circle_of(disk(1, 0, 1), []))
+    unit = circle_of(disk(0, 0, 1), 1)
+    assert interior_disjoint(unit, circle_of(disk(2, 0, 1), 1))  # tangent
+    assert externally_tangent(unit, circle_of(disk(2, 0, 1), 1))
+    assert interior_disjoint(unit, circle_of(disk(3, 0, 1), 1))
+    assert not externally_tangent(unit, circle_of(disk(3, 0, 1), 1))
+    assert not interior_disjoint(unit, circle_of(disk(1, 0, 1), 1))
     assert disk_contains_disk(disk(0, 0, 4), disk(0, 0, 1))
     assert not disk_contains_disk(disk(0, 0, 1), disk(0, 0, 4))
 
@@ -334,9 +343,10 @@ def test_power_on_circle_of_matches_fraction_arithmetic(center, pts, data, facto
     for original in (d, Disk(center, d.radius_sq + Fraction(1, 3))):
         expected = [helpers.disk_classify_fraction(original, p) for p in pts]
         for copy, e in ((pts, original), (rescaled, _scaled_disk(original, factor))):
-            c = circle_of(e, copy)
+            scale, q = helpers.lcm_copy(copy)
+            c = circle_of(e, scale)
             assert c[0] > 0 and math.gcd(*c) == 1
-            assert [_sign_position(power(c, x)) for x in scaled_to_integers(copy)] == expected
+            assert [_sign_position(power(c, x)) for x in q] == expected
 
 
 @given(any_points, any_points, st.data(), st.lists(any_points, max_size=3))
@@ -357,7 +367,8 @@ def test_circle_pair_tests_match_fraction_oracles(center, on, data, pts):
         assert helpers.disks_internally_tangent(a, b) or s < 0 or s > 1
         assert helpers.disks_internally_tangent(b, a) or s < 1
     for x, y in ((a, b), (b, a)):
-        cx, cy = circle_of(x, pts), circle_of(y, pts)
+        scale = helpers.lcm_copy(pts)[0]
+        cx, cy = circle_of(x, scale), circle_of(y, scale)
         assert internally_tangent(cx, cy) is helpers.disks_internally_tangent(x, y)
         assert externally_tangent(cx, cy) is helpers.disks_externally_tangent(x, y)
         assert interior_disjoint(cx, cy) is helpers.disks_interior_disjoint(x, y)
@@ -371,7 +382,7 @@ def _sign_position(value) -> Position:
 def test_circle_through_power_matches_lifted_determinant(a, b, c, d):
     assume(orient(a, b, c) is not Orientation.COLLINEAR)
     expected = helpers.in_circle_lifted(a, b, c, d)
-    integers = scaled_to_integers([a, b, c, d])
+    integers = helpers.lcm_copy([a, b, c, d])[1]
     for pts in ([a, b, c, d], integers):
         for order in permutations(pts[:3]):
             circle = circle_through(*order)
@@ -386,8 +397,9 @@ def test_circle_through_power_matches_lifted_determinant(a, b, c, d):
 def test_general_position_matches_naive_scan(pts):
     expected = helpers.general_position_naive(pts)
     assert general_position(pts) == expected
-    assert general_position(scaled_to_integers(pts)) == expected
-    assert general_position_added((), scaled_to_integers(pts)) == expected  # as build passes it
+    integers = helpers.lcm_copy(pts)[1]
+    assert general_position(integers) == expected
+    assert general_position_added((), integers) == expected  # as build passes it
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.lists(helpers.grid_points, min_size=1, max_size=3))
@@ -398,7 +410,7 @@ def test_general_position_added_matches_naive_scan(candidates, added):
             base.append(p)
     found = general_position_added(base, added)
     assert found == helpers.general_position_naive(base + added)
-    union = scaled_to_integers(base + added)
+    union = helpers.lcm_copy(base + added)[1]
     assert general_position_added(union[: len(base)], union[len(base):]) == found
     if len(base) >= 3:
         # extend scans that copy, and certifies it when a step fails
@@ -413,7 +425,7 @@ def test_pencil_gap_matches_naive_scan(grid, n, seed):
     # every ordered pair of a grid set (duplicates, collinear and cocircular
     # points included) and of a random set
     for pts in (grid, random_points(n, seed)):
-        q = scaled_to_integers(pts)
+        q = helpers.lcm_copy(pts)[1]
         xs, ys = [p.x for p in q], [p.y for p in q]
         for a, b in permutations(range(len(q)), 2):
             assert pencil_gap(xs, ys, a, b) == helpers.pencil_gap_naive(xs, ys, a, b)

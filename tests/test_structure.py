@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dtough import exactgeom, structure
 from dtough.delaunay import build, from_triangles
 from dtough.errors import (
+    ConstructionFailed,
     DegenerateInput,
     InvariantBroken,
     NoPerfectMatching,
@@ -351,6 +352,26 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     assert second.sentinels != first.sentinels
 
 
+def test_sentinel_hull_must_be_the_sentinel_triangle(monkeypatch):
+    # a far point added after the two sentinels keeps every input face but
+    # joins the hull, so no candidate's hull is (anchor, n, n + 1)
+    far = P(10**40, 3 * 10**40 + 1)
+    _, t = helpers.random_tri(10, 3)
+    hulls = []
+    real_extend = structure.extend
+
+    def with_far_point(tri, added):
+        augmented = real_extend(tri, tuple(added) + (far,))
+        assert set(t.triangles) <= set(augmented.triangles)
+        hulls.append(augmented.hull)
+        return augmented
+
+    monkeypatch.setattr(structure, "extend", with_far_point)
+    with pytest.raises(ConstructionFailed, match="64 attempts"):
+        sentinel_augment(t, _mis_complement(t))
+    assert len(hulls) == 64 and all(len(t) + 2 in hull for hull in hulls)
+
+
 def _assert_sentinels_match_fraction_placement(t):
     for h in t.hull:  # each hull vertex as the anchor
         aug = sentinel_augment(t, {h})
@@ -428,6 +449,15 @@ def test_angle_total_matches_float_oracle(candidates, data):
     walked = structure.planar_faces(big, frozenset(chosen))
     assert len(walked) == len(oracle) - 1
     assert {rotated(f): enclosed for f, enclosed in walked} == located
+
+
+def test_face_walk_that_misses_its_start_is_an_alarm():
+    # a doctored apex: the walk from (0, 1) goes on to (1, 2) and (2, 1),
+    # then returns to (1, 2), never to its starting dart
+    t = build([P(0, 0), P(1, 0), P(0, 1)])
+    doctored = dataclasses.replace(t, apex={(0, 1): 2, (1, 2): 1, (2, 1): 2})
+    with pytest.raises(InvariantBroken, match="face walk did not close"):
+        structure.planar_faces(doctored, frozenset())
 
 
 def test_audit_single_triangle():
