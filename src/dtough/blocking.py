@@ -64,9 +64,11 @@ def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[in
     """The first P-P edge, in lexicographic order, of the union's Delaunay
     triangulation, or None when B blocks P.
 
-    The union is certified once (DegenerateInput otherwise); a pair of P is
-    an edge exactly when its pencil gap in the union is open. The bare pair
-    (two points, no blockers) has no other point, so its gap is open.
+    The union is certified once (DegenerateInput otherwise): the size alarm
+    of ``lower_bound_report`` is the paper's theorem, stated in general
+    position, and whether a strict union suffices is open (ROADMAP). A pair
+    of P is an edge exactly when its pencil gap in the union is open; the
+    bare pair (two points, no blockers) has no other point, so it is open.
     """
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")

@@ -278,6 +278,9 @@ def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
     stays a face exactly when every added point lies strictly outside its
     circumcircle (Bowyer; Watson, Computer Journal 1981), and
     ``_construct`` carries the kept faces over and tests only the new ones.
+    The keep test is strict: an added point on a face's circle, none inside,
+    leaves that empty circle with four points and the union with no strict
+    triangulation, so keeping the face or not, the same violation is named.
     So on any other tri (the tests' Kleetopes) the result is a
     triangulation of the union that is strictly locally Delaunay at every
     edge of a new face, and may not be Delaunay. The union's copy is m

@@ -31,18 +31,19 @@ the edge) is an exact integer identity or a lookup, and a failed one is
 ``InvariantBroken``. Contained in its parent, the next circle finds its
 interior among the parent's, less its pinned anchor: progress is strict.
 
-Ties need no alarm. ``find_path`` checks once that only p and q lie on the
-caller's boundary. A shrunken circle passes through its two anchors, so
-general position leaves room on it for at most one more vertex: a second
-vertex pinned by a tie, or one that the circle through b and r happens to
-meet. That vertex counts as outside. Every further shrink is tangent to this
-circle at one of its anchors, so it stays outside, and a circle through two
-vertices with none inside still certifies them as an edge (with a third on
-it, the three bound a Delaunay face). The finished path is checked against
-the caller's disk (``check_disk_path``), and ``path_oracle`` reads that disk
-too. Each lifts it once from ``Triangulation.scale``, as the loop does, and
-tests a vertex by the sign of its power at the vertex's copy, so none of
-them reads the ``Fraction`` vertices.
+Ties need no alarm, nor general position: T need only be strict, as
+``delaunay.build`` returns it. Then no empty circle carries four vertices:
+they would span one Delaunay cell, and a face of T triangulating it would have
+a fourth vertex on its circle. The induction uses that only on empty circles:
+the pinned one through a and r, so (a, r) is an edge, and the last, so its
+anchors are. ``find_path`` checks once that only p and q lie on the caller's
+boundary. The circle through b and r may carry any number of further vertices;
+each counts as outside, and lies strictly outside every later circle,
+internally tangent to this one at one anchor. The finished path is checked
+against the caller's disk (``check_disk_path``), and ``path_oracle`` reads
+that disk too. Each lifts it once from ``Triangulation.scale``, as the loop
+does, and tests a vertex by the sign of its power at the vertex's copy, so
+none of them reads the ``Fraction`` vertices.
 """
 
 from __future__ import annotations
@@ -122,13 +123,11 @@ def find_path(tri: Triangulation, p: int, q: int, d: Disk) -> DiskPath:
     edge, and the circle through r tangent at the far anchor b, with fewer
     vertices inside, is the next step's. With no interior vertex left the
     two anchors must be an edge. A vertex on a shrunken boundary other than
-    its two anchors counts as outside: general position allows at most one,
-    and it lies outside every further shrink. A missing edge would falsify
+    its two anchors counts as outside: it lies outside every further
+    shrink. tri need only be strict, as ``delaunay.build`` returns it, not
+    in general position (module docstring). A missing edge would falsify
     the empty-disk edge characterization and raises ``InvariantBroken``.
-    ``delaunay.build`` does not certify general position, so the caller
-    does: ``dtough path`` runs ``exactgeom.general_position`` on
-    ``tri.scaled`` first. The finished path goes through
-    ``check_disk_path``.
+    The finished path goes through ``check_disk_path``.
     """
     _check_endpoints(tri, p, q)
     pts = tri.scaled

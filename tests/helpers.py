@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -120,6 +121,26 @@ def rescaled_sets(draw) -> list[Point]:
     pts = thinned(draw(st.lists(st.builds(Point, frac, frac), min_size=3, max_size=10)))
     factor = draw(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)))
     return [Point(p.x * factor, p.y * factor) for p in pts]
+
+
+@st.composite
+def strict_grid_sets(draw) -> list[Point]:
+    """Subsets of a k x k integer grid, k from 4 to 7 and n from 5 to 14,
+    that ``build`` accepts and ``general_position`` refuses: strict
+    triangulations outside the paper's hypothesis. About one grid subset in
+    ten is one, so they are drawn by rejection from a seeded generator."""
+    k = draw(st.integers(4, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = [point(x, y) for x in range(k) for y in range(k)]
+    while True:
+        pts = rng.sample(grid, rng.randint(5, 14))
+        if general_position(pts) is None:
+            continue
+        try:
+            build(pts)
+        except DegenerateInput:
+            continue
+        return pts
 
 
 def pair_scan_faces(q) -> set[tuple[int, int, int]]:

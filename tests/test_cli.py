@@ -912,9 +912,27 @@ def test_outside_the_hypothesis_check_reports_every_verdict(tmp_path):
         "ok": False,
     }
     assert verdicts["delaunay"]["ok"] and verdicts["toughness"]["toughness"] == "1"
-    # path's induction needs general position, so path still refuses the file
+    # path's induction needs only a strict T, so path answers on the file too
     code, out = helpers.run_cli(["path", str(f), "0", "4", "1", "1", "2"])
-    assert code == 2 and "cocircular" in json.loads(out)["error"]
+    report = json.loads(out)
+    assert code == 0 and report["agree"]
+    assert report["path"] == [0, 1, 3, 4] and report["oracle_path"] == [0, 2, 4]
+
+
+# Points 0, 1 and 6 are collinear, and T is strict. The path below shrinks
+# to a circle through 0 and 8 that carries 4 and 6 too, with 2 inside.
+STRICT_NINE = "2 3\n0 4\n3 2\n0 3\n3 3\n1 4\n4 2\n1 0\n4 1\n"
+
+
+def test_path_runs_on_a_strict_set_outside_general_position(tmp_path):
+    f = tmp_path / "nine.txt"
+    f.write_text(STRICT_NINE)
+    violation = general_position(pointfile.read_points(f))
+    assert violation == exactgeom.Violation(exactgeom.ViolationKind.COLLINEAR, (0, 1, 6))
+    code, out = helpers.run_cli(["path", str(f), "5", "8", "7/4", "7/4", "45/8"])
+    report = json.loads(out)
+    assert code == 0 and report["agree"]
+    assert report["path"] == report["oracle_path"] == [5, 0, 2, 8]
 
 
 def test_a_failed_check_is_an_alarm_only_under_the_hypothesis(tmp_path, monkeypatch):
@@ -956,6 +974,12 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
     scans.clear()
     code, _ = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
     assert code == 0 and scans == []
+    # path's induction needs only the strict T that build certified
+    p, q = t.edges[0]
+    d = helpers.pencil_disk(t, p, q, len(t) // 2)
+    disk_args = [pointfile.fraction_str(x) for x in (*d.center, d.radius_sq)]
+    code, out = helpers.run_cli(["path", str(f), str(p), str(q), *disk_args])
+    assert code == 0 and len(json.loads(out)["path"]) > 2 and scans == []
 
 
 def test_check_computes_each_face_circle_once(tmp_path, monkeypatch):

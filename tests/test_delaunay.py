@@ -301,6 +301,25 @@ def test_extend_reports_the_violation_build_reports():
     assert verify_delaunay(grown) is None and helpers.verify_delaunay_naive(grown) is None
 
 
+def test_extend_by_a_point_on_a_face_circle_names_the_certified_violation():
+    # s on a face's circle puts four points on an empty circle, so the union
+    # has no strict triangulation: keeping or dropping that face, the
+    # extension fails its checks and names what the certificate names
+    for seed in (0, 1, 2):
+        pts, t = helpers.random_tri(8, seed)
+        for a, b, c in t.triangles:
+            d = helpers.circumdisk(pts[a], pts[b], pts[c])
+            s = Point(2 * d.center.x - pts[a].x, 2 * d.center.y - pts[a].y)  # a's antipode
+            if s in pts:
+                continue
+            with pytest.raises(DegenerateInput) as certified:
+                helpers.certified_build(pts + (s,))
+            with pytest.raises(DegenerateInput) as extended:
+                extend(t, [s])
+            assert extended.value.violation == certified.value.violation
+            assert max(extended.value.violation.indices) == len(pts)
+
+
 @given(st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10), helpers.rescaled_sets()))
 def test_local_build_matches_the_certified_oracle(pts):
     # where the oracle builds, the same faces; where the local build fails,

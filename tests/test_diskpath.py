@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -78,6 +79,27 @@ def test_path_matches_oracle_reachability():
         check_disk_path(t, oracle)
         runs += 1
     assert runs >= 40
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(helpers.strict_grid_sets())
+def test_paths_on_strict_sets_outside_general_position(pts):
+    # a strict T is all the induction needs: on every pencil disk of a grid
+    # set that build accepts and general position refuses, the path is found,
+    # passes its check and agrees with the oracle
+    t = build(pts)
+    runs = 0
+    for p, q in combinations(range(len(t)), 2):
+        for gap in range(len(t)):
+            d = helpers.pencil_disk(t, p, q, gap)
+            if d is None:
+                continue
+            path = find_path(t, p, q, d)
+            check_disk_path(t, path)
+            assert path.vertices[0] == p and path.vertices[-1] == q
+            assert path_oracle(t, p, q, d) is not None
+            runs += 1
+    assert runs > 0
 
 
 def test_small_disk_consistency_sweep():
