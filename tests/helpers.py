@@ -14,6 +14,7 @@ import json
 import math
 import random
 import sys
+from array import array
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -246,6 +247,19 @@ def kleetope_even():
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+
+def cut_hull_vertex(tri, keep):
+    """tri with every edge of its first hull vertex h dropped but the one
+    to each vertex in keep: a graph that is not 1-tough when keep is one
+    vertex, and disconnected when keep is empty."""
+    h = tri.hull[0]
+    edges = tuple(e for e in tri.edges if h not in e or set(e) - {h} <= set(keep))
+    neighbors = [set() for _ in range(len(tri))]
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return h, dataclasses.replace(tri, edges=edges, neighbors=tuple(map(tuple, neighbors)))
 
 
 def uf_components(n: int, edges, removed) -> int:
@@ -638,6 +652,49 @@ def toughness_scan_oracle(tri):
                 comps,
             )
     return best
+
+
+def toughness_table_oracle(tri):
+    """The minimum-ratio separator by a dynamic programme over all 2^n
+    alive sets, which shares nothing with the tight-separator search, as a
+    ``ToughnessWitness``, or None when no S disconnects.
+
+    In increasing mask order, with v the highest vertex of A and R = A - v,
+    ``top[A]`` is the component of A that holds v. R's components are
+    peeled off R by ``top`` of what is left, all of it smaller than A; v
+    merges the ones it touches into ``top[A]``, so A has one component plus
+    one per untouched component of R. Of equal ratios the numerically least
+    S mask wins. The table takes 8 * 2**n bytes."""
+    n = len(tri)
+    masks = [0] * n
+    for u, v in tri.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    top = array("Q", [0]) * (1 << n)
+    best_s, best_c, best_alive = 1, 0, 0  # 1/0: no separator seen yet
+    for v in range(n):
+        bit = 1 << v
+        nbrs = masks[v]
+        for rest in range(bit):
+            merged, lone, left = bit, 0, rest
+            while left:
+                comp = top[left]
+                if comp & nbrs:
+                    merged |= comp
+                else:
+                    lone += 1
+                left ^= comp
+            alive = bit | rest
+            top[alive] = merged
+            if lone:
+                s = n - alive.bit_count()
+                c = lone + 1
+                if s and s * best_c <= best_s * c:  # a later A is a smaller S mask
+                    best_s, best_c, best_alive = s, c, alive
+    if best_c == 0:
+        return None
+    separator = frozenset(i for i in range(n) if not best_alive >> i & 1)
+    return ToughnessWitness(Fraction(best_s, best_c), separator, best_c)
 
 
 def toughness_reverse_oracle(tri):

@@ -455,28 +455,15 @@ def test_mis_alarm_on_an_unverified_certificate(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _cut_hull_vertex(tri, keep):
-    """tri with every edge of its first hull vertex h dropped but the one
-    to each vertex in keep: a graph that is not 1-tough when keep is one
-    vertex, and disconnected when keep is empty."""
-    h = tri.hull[0]
-    edges = tuple(e for e in tri.edges if h not in e or set(e) - {h} <= set(keep))
-    neighbors = [set() for _ in range(len(tri))]
-    for u, v in edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return h, dataclasses.replace(tri, edges=edges, neighbors=tuple(map(tuple, neighbors)))
-
-
 @pytest.mark.parametrize("keep_one", [True, False])
 def test_toughness_alarm_fires(tmp_path, monkeypatch, capsys, keep_one):
-    # both the table and the witness recount read the doctored graph, as
+    # both the search and the witness recount read the doctored graph, as
     # they would read a triangulation that broke the theorem
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
     tri = delaunay.build(pointfile.read_points(f))
     w = tri.neighbors[tri.hull[0]][0]
-    h, cut = _cut_hull_vertex(tri, [w] if keep_one else [])
+    h, cut = helpers.cut_hull_vertex(tri, [w] if keep_one else [])
     masks, components = structure._adjacency_masks, structure.components_after_removal
     monkeypatch.setattr(structure, "_adjacency_masks", lambda t: masks(cut))
     monkeypatch.setattr(structure, "components_after_removal", lambda t, s: components(cut, s))
@@ -496,18 +483,18 @@ def test_toughness_alarm_fires(tmp_path, monkeypatch, capsys, keep_one):
 
 
 def test_toughness_witness_is_recounted(tmp_path, monkeypatch, capsys):
-    # a table built on another graph than the triangulation's own is caught
+    # a search run on another graph than the triangulation's own is caught
     # by the BFS recount of its separator
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
     tri = delaunay.build(pointfile.read_points(f))
-    _, cut = _cut_hull_vertex(tri, tri.neighbors[tri.hull[0]][:1])
+    _, cut = helpers.cut_hull_vertex(tri, tri.neighbors[tri.hull[0]][:1])
     masks = structure._adjacency_masks
     monkeypatch.setattr(structure, "_adjacency_masks", lambda t: masks(cut))
     code, out = helpers.run_cli(["check", str(f), "--checks", "toughness"])
     assert code == 1
     verdict = json.loads(out)["verdicts"]["toughness"]
-    assert verdict["ok"] is False and "not the 2 the table counted" in verdict["error"]
+    assert verdict["ok"] is False and "not the 2 the search counted" in verdict["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -518,12 +505,12 @@ def test_checks_out_of_memory_are_refused(tmp_path, monkeypatch, capsys):
     def no_room(*args):
         raise MemoryError
 
-    monkeypatch.setattr(structure, "array", no_room)
+    monkeypatch.setattr(structure, "_adjacency_masks", no_room)
     monkeypatch.setattr(structure, "perfect_matching", no_room)
     code, out = helpers.run_cli(["check", str(f), "--checks", "toughness,delaunay,matching"])
     assert code == 3
     verdicts = json.loads(out)["verdicts"]
-    assert verdicts["toughness"] == {"refused": "toughness table of 2^10 words could not be allocated"}
+    assert verdicts["toughness"] == {"refused": "out of memory"}
     assert verdicts["matching"] == {"refused": "out of memory"}
     assert verdicts["delaunay"]["ok"]
     assert "Traceback" not in capsys.readouterr().err

@@ -100,6 +100,12 @@ def test_toughness_fan_reverse_oracle():
     assert helpers.toughness_reverse_oracle(t) == worst.ratio
 
 
+def _assert_matches_oracles(t):
+    worst = toughness_exhaustive(t, max_n=len(t))
+    assert worst == helpers.toughness_scan_oracle(t) == helpers.toughness_table_oracle(t)
+    return worst
+
+
 @settings(max_examples=150, derandomize=True)
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10))
 def test_toughness_matches_scan_oracle(candidates):
@@ -109,18 +115,48 @@ def test_toughness_matches_scan_oracle(candidates):
     assume(len(pts) >= 3)
     built = build(pts)
     for t in filter(None, (built, helpers.flip_first_convex_edge(built))):
-        assert toughness_exhaustive(t) == helpers.toughness_scan_oracle(t)
+        _assert_matches_oracles(t)
 
 
-@pytest.mark.parametrize("failure", [MemoryError, OverflowError])
-def test_toughness_table_out_of_room_is_too_large(monkeypatch, failure):
-    def no_room(*args):
-        raise failure
+_NAMED_GRAPHS = {
+    **{f"random{n}": lambda n=n: helpers.random_tri(n, 1)[1] for n in range(8, 17)},
+    **{f"fan{n}": lambda n=n: helpers.fan_tri(n) for n in (4, 8, 12)},
+    **{f"convex{n}": lambda n=n: build(convex_points(n, 1)) for n in range(4, 17)},
+    "kleetope": helpers.kleetope,
+    "kleetope_even": helpers.kleetope_even,
+}
 
-    monkeypatch.setattr(structure, "array", no_room)
-    _, t = helpers.random_tri(8, 1)
-    with pytest.raises(TooLarge, match="2\\^8 words"):
-        toughness_exhaustive(t)
+
+@pytest.mark.parametrize("name", list(_NAMED_GRAPHS))
+def test_toughness_matches_both_oracles(name):
+    _assert_matches_oracles(_NAMED_GRAPHS[name]())
+
+
+def test_toughness_matches_both_oracles_on_a_cut_off_vertex():
+    # the optimum leaves the isolated vertex and the rest: a singleton whose
+    # neighbours stay connected, which the lemma on tight separators skips
+    _, t = helpers.random_tri(10, 3)
+    h, cut = helpers.cut_hull_vertex(t, [])
+    worst = _assert_matches_oracles(cut)
+    (x,) = worst.separator
+    assert worst.ratio == Fraction(1, 2) and x != h
+    assert helpers.uf_components(len(cut), cut.edges, set(range(len(cut))) - set(cut.neighbors[x])) == 1
+
+
+def test_toughness_scores_only_tight_separators(monkeypatch):
+    # on a connected T, every alive set the search counts components of has
+    # removed vertices whose live neighbours split
+    scored = []
+    count = structure._component_count
+    monkeypatch.setattr(structure, "_component_count", lambda masks, alive: scored.append(alive) or count(masks, alive))
+    t = build(convex_points(14, 1))
+    toughness_exhaustive(t)
+    n = len(t)
+    assert scored
+    for alive in scored:
+        for x in (x for x in range(n) if not alive >> x & 1):
+            live = {u for u in t.neighbors[x] if alive >> u & 1}
+            assert helpers.uf_components(n, t.edges, set(range(n)) - live) >= 2
 
 
 def test_toughness_flags_the_kleetope():
@@ -134,7 +170,7 @@ def test_toughness_gate():
     _, t = helpers.random_tri(19, 1)
     with pytest.raises(TooLarge):
         toughness_exhaustive(t)
-    # opting in via the parameter is allowed (not run here: exponential)
+    assert toughness_exhaustive(t, max_n=19) == helpers.toughness_table_oracle(t)
 
 
 # ---------------------------------------------------------------------------
