@@ -75,11 +75,7 @@ def _point_json(p: Point) -> list[str]:
 
 
 def _instance_summary(tri: Triangulation) -> dict:
-    return {
-        "n": len(tri),
-        "hull_size": len(tri.hull),
-        "edge_count": len(tri.edges),
-    }
+    return {"n": len(tri), "hull_size": len(tri.hull), "edge_count": len(tri.edges)}
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,11 @@ the ``hypothesis`` check of ``cli``. It runs on one lcm-scaled integer copy
 of the points (``exactgeom.integer_copy``), which gives the same faces as
 the rational points.
 
-A ``Triangulation`` holds the caller's points, the copy its construction
-scanned (or ``from_triangles`` computed) as ``scaled`` with its factor
-``scale``, and ``circle``, each face's circle on that copy
-(``exactgeom.circle_through``), computed when the face is assembled
-and read under any of the face's three darts. One strict edge test
-(``_strictly_delaunay``: the far apex has positive ``power`` on the near
-face's circle) answers ``edge_angle_check``, and one walk over the interior
-edges of some faces (``_loose_edge``) runs it for the construction, on the
-new faces, and for ``verify_delaunay``, on all of them. Every triangulation
+One strict edge test (``_strictly_delaunay``: the far apex has positive
+``power`` on the near face's circle, ``Triangulation.circle``) answers
+``edge_angle_check``, and one walk over the interior edges of some faces
+(``_loose_edge``) runs it for the construction, on the new faces, and for
+``verify_delaunay``, on all of them. Every triangulation
 tiles a convex polygon traversed once (``_assemble``), so by the lemma the
 first loose edge's face and far apex are ``verify_delaunay``'s
 counterexample. A circle is a pure function of its face's three scaled
@@ -47,28 +43,19 @@ too, the same empty-disk test that the construction reads its faces off;
 only the disk's center, an arbitrary rational, is built from the
 ``Fraction`` vertices, and the disk is verified as a circle on the scaled
 copy, lifted with the copy's factor ``scale`` (``exactgeom.circle_of``).
-
-A ``Triangulation`` is an immutable value. Vertex indices refer to the
-``vertices`` tuple, triangles are CCW index triples, and the convex hull is
-a CCW cycle starting at its smallest index. Its incidence is one map,
-``apex``, from each directed edge (u, v) of a CCW face to the face's third
-vertex, as in Guibas and Stolfi's edge algebra (ACM TOG 1985): that vertex
-lies left of u -> v, and in a Delaunay triangulation it is the ``left`` end
-of the pair's pencil gap. The edges, neighbours, hull and opposite vertices
-are all read off the map: edge (u, v) is interior exactly when
-``opposite_vertices(u, v)`` has two entries, and on the hull when it has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateInput,
     InvariantBroken,
     NotInteriorEdge,
+    PreconditionViolated,
     TooFewPoints,
     WitnessSearchFailed,
 )
@@ -101,16 +88,18 @@ class CounterExample(NamedTuple):
 @dataclass(frozen=True)
 class Triangulation:
     """Vertices, CCW triangles, the directed-edge apex map, and the convex
-    hull cycle: a convex polygon traversed once, which the triangles tile.
+    hull cycle from its least index: a convex polygon traversed once, which
+    the triangles tile.
 
     Treat instances as immutable; every operation in this package builds new
-    values instead of mutating. ``apex`` has one entry per directed edge of
-    each CCW face: ``apex[(u, v)] = w`` for the face (u, v, w), so w lies left
-    of u -> v; in a Delaunay triangulation w is the ``left`` end of the pair's
-    pencil gap (``exactgeom.pencil_gap(xs, ys, u, v)``). An edge is interior
-    when both directions are keys and boundary when only the one along the
-    CCW hull is. ``edges`` holds each undirected edge once, as the pair
-    (u, v) with u < v, in sorted order.
+    values instead of mutating. The incidence is one map, as in Guibas and
+    Stolfi's edge algebra (ACM TOG 1985): ``apex[(u, v)] = w`` for each CCW
+    face (u, v, w), so w lies left of u -> v; in a Delaunay triangulation w
+    is the ``left`` end of the pair's pencil gap
+    (``exactgeom.pencil_gap(xs, ys, u, v)``). An edge is interior when both
+    directions are keys and boundary when only the one along the CCW hull
+    is. ``edges`` (each undirected edge once, as (u, v) with u < v, sorted),
+    ``neighbors`` and ``hull`` are read off the map.
     ``(scale, scaled)`` is ``exactgeom.integer_copy(vertices)``: the lcm of
     the denominators and the copy the construction scanned or
     ``from_triangles`` derives, on which every orientation and in-circle
@@ -122,6 +111,10 @@ class Triangulation:
     face's circle when it checks the face, and ``extend`` carries the kept
     faces' circles over. The three are derived from the other fields, so they
     take no part in equality.
+
+    A vertex id is an ``int`` in ``range(len(tri))``, by one rule
+    (``vertex_set``): 1.0, True and "1" raise ``PreconditionViolated``.
+    ``joined`` is the one scan for an edge inside a vertex set.
     """
 
     vertices: tuple[Point, ...]
@@ -137,6 +130,20 @@ class Triangulation:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    def vertex_set(self, ids: Iterable[int]) -> frozenset[int]:
+        """ids as a set. The first, in the order given, that is no ``int``
+        in ``range(len(self))`` raises ``PreconditionViolated``."""
+        ids = tuple(ids)
+        n = len(self.vertices)
+        for v in ids:
+            if type(v) is not int or not 0 <= v < n:
+                raise PreconditionViolated(f"vertex {v!r} is not in range(0, {n})")
+        return frozenset(ids)
+
+    def joined(self, vertices: frozenset[int]) -> Optional[tuple[int, int]]:
+        """The first of ``edges`` with both ends in vertices, or None."""
+        return next(((u, v) for u, v in self.edges if u in vertices and v in vertices), None)
+
     def is_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.apex or (v, u) in self.apex
 
@@ -149,16 +156,16 @@ class Triangulation:
 def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, int]]) -> Triangulation:
     """Assemble and structurally validate a triangulation.
 
-    Checks, each raising ``ValueError``: each face three distinct int vertex
-    ids in range, CCW faces, at most one face on each side of an edge, a
-    boundary that is one unpinched CCW cycle around a convex polygon
-    traversed once, and every vertex used; the faces then tile the polygon
+    Checks, each raising ``ValueError``: each face three distinct vertex ids
+    (``int``s in range, as ``Triangulation.vertex_set`` asks), CCW faces, at
+    most one face on each side of an edge, a boundary that is one unpinched
+    CCW cycle around a convex polygon traversed once, and every vertex used; the faces then tile the polygon
     (``_assemble``). Does NOT check the empty circle property; that is
     ``verify_delaunay``'s job, which lets tests assemble deliberately
     non-Delaunay triangulations.
     """
     for face in triangles:
-        if not (isinstance(face, Sequence) and len(face) == 3 and all(isinstance(v, int) for v in face)):
+        if not (isinstance(face, Sequence) and len(face) == 3 and all(type(v) is int for v in face)):
             raise ValueError(f"face {face!r} is not three int vertex ids")
     pts = tuple(points)
     return _assemble(pts, *integer_copy(pts), triangles)
@@ -401,12 +408,12 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
 
     For faces (u, v, r) and (v, u, s) the angle sum at r and s is less than
     180 degrees exactly when s lies strictly outside the circle through
-    u, v, r (``_strictly_delaunay``).
+    u, v, r (``_strictly_delaunay``). u and v are vertex ids
+    (``Triangulation.vertex_set``).
     """
-    if not tri.is_edge(u, v):
-        raise NotInteriorEdge(f"({u}, {v}) is not an edge")
+    tri.vertex_set((u, v))
     if (u, v) not in tri.apex or (v, u) not in tri.apex:
-        raise NotInteriorEdge(f"({u}, {v}) is a boundary edge")
+        raise NotInteriorEdge(f"({u}, {v}) is {'a boundary edge' if tri.is_edge(u, v) else 'not an edge'}")
     return _strictly_delaunay(tri, u, v)
 
 
@@ -421,8 +428,10 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     when t_apex = 0 (a right angle at the apex). The disk is verified
     exactly against all vertices before it is returned, as a circle on
     ``tri.scaled`` lifted with its factor ``tri.scale``
-    (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``).
+    (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``). u and v are
+    vertex ids (``Triangulation.vertex_set``).
     """
+    tri.vertex_set((u, v))
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     key = a, b = min(u, v), max(u, v)

@@ -102,12 +102,9 @@ def _check_edge(tri: Triangulation, a: int, b: int) -> None:
 
 
 def _check_endpoints(tri: Triangulation, p: int, q: int) -> None:
-    """Raise ``PreconditionViolated`` unless p and q are two distinct members
-    of ``range(len(tri))``: 1.5 is out of range."""
-    for v in (p, q):
-        if v not in range(len(tri)):
-            raise PreconditionViolated(f"vertex {v} is not in range(0, {len(tri)})")
-    if p == q:
+    """Raise ``PreconditionViolated`` unless p and q are two distinct vertex
+    ids (``Triangulation.vertex_set``)."""
+    if len(tri.vertex_set((p, q))) < 2:
         raise PreconditionViolated(f"path endpoints must differ, got {p} twice")
 
 

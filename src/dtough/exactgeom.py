@@ -34,13 +34,12 @@ audit's sentinels are built in ``Fraction``.
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay``'s construction runs it only to name the
 violation when its local tests fail, and ``cli``'s ``hypothesis`` check,
-``gen`` and the callers whose proofs need it (``path``,
-``blocking.verify_blocking``) run it themselves. It walks the pencil of
-circles through each pair (a, b) of points with b at or above a start
-index: O(n^3) from 0, O(k n^2) for the tuples that hold one of k added
-points. One bisector row per pair finds every collinear triple and
-cocircular quadruple whose least and greatest index the pair is
-(``_bisector_row``).
+``gen`` and ``blocking.verify_blocking``, whose proof needs it, run it
+themselves. It walks the pencil of circles through each pair (a, b) of
+points with b at or above a start index: O(n^3) from 0, O(k n^2) for the
+tuples that hold one of k added points. One bisector row per pair finds
+every collinear triple and cocircular quadruple whose least and greatest
+index the pair is (``_bisector_row``).
 
 The pencil gap of a pair (``pencil_gap``) holds the parameters of the
 circles through it that contain no other point. That gap is the one
@@ -293,14 +292,20 @@ def is_witness_disk(points: Sequence[Point], c: Circle, i: int, j: int) -> bool:
     return all(power(c, p) == 0 if k in (i, j) else power(c, p) > 0 for k, p in enumerate(points))
 
 
+def radius_sq_w2(c: Circle) -> int:
+    """W^2 r^2 = U^2 + V^2 - K W for the circle c of radius r, whose center
+    is (U, V) / W."""
+    w, u, v, k = c
+    return u * u + v * v - k * w
+
+
 def _circle_pair(a: Circle, b: Circle) -> tuple[int, int, int]:
     """R^2, r^2 and R^2 + r^2 - d^2, each times W1^2 W2^2, for circles a and
-    b of radii R and r whose centers are d apart: a circle's center is
-    (U, V) / W and its squared radius N / W^2 with N = U^2 + V^2 - K W."""
-    w1, u1, v1, k1 = a
-    w2, u2, v2, k2 = b
-    big = (u1 * u1 + v1 * v1 - k1 * w1) * w2 * w2
-    small = (u2 * u2 + v2 * v2 - k2 * w2) * w1 * w1
+    b of radii R and r whose centers are d apart (``radius_sq_w2``)."""
+    w1, u1, v1, _ = a
+    w2, u2, v2, _ = b
+    big = radius_sq_w2(a) * w2 * w2
+    small = radius_sq_w2(b) * w1 * w1
     return big, small, big + small - (u1 * w2 - u2 * w1) ** 2 - (v1 * w2 - v2 * w1) ** 2
 
 

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .exactgeom import Point, cross
+from .exactgeom import Point, cross, radius_sq_w2
 
 VertexSet = frozenset[int]
 Matching = frozenset[tuple[int, int]]
@@ -52,21 +52,12 @@ MIS_GATE = 30
 # ---------------------------------------------------------------------------
 
 
-def _vertex_set(tri: Triangulation, ids: Iterable[int], what: str) -> VertexSet:
-    """ids as a set of tri's vertices; an id out of range is a precondition
-    violation."""
-    vertices = frozenset(ids)
-    if not vertices <= frozenset(range(len(tri))):
-        raise PreconditionViolated(f"{what} contains out-of-range indices")
-    return vertices
-
-
 def components_after_removal(tri: Triangulation, removed: Iterable[int]) -> tuple[VertexSet, ...]:
     """Connected components of the graph induced on the surviving vertices.
 
     Sorted by smallest member, so the partition is deterministic.
     """
-    gone = _vertex_set(tri, removed, "removed set")
+    gone = tri.vertex_set(removed)
     alive = [v for v in range(len(tri)) if v not in gone]
     seen: set[int] = set()
     comps = []
@@ -280,7 +271,7 @@ def max_independent_set(tri: Triangulation, max_n: int = MIS_GATE) -> tuple[int,
         raise InvariantBroken(
             f"independent set {sorted(cert)} has {len(cert)} members, not the {best_size} counted"
         )
-    joined = next(((u, v) for u, v in tri.edges if u in cert and v in cert), None)
+    joined = tri.joined(cert)
     if joined is not None:
         raise InvariantBroken(f"independent set holds the edge {joined}")
     return best_size, cert
@@ -384,7 +375,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     E2 = 2B - A = 2L e2; only s1 = (2u + r E1) / 2L and s2 are built as
     ``Fraction``s, in the caller's coordinates.
     """
-    gone = _vertex_set(tri, removed, "removed set")
+    gone = tri.vertex_set(removed)
     hull_in_removed = [h for h in tri.hull if h in gone]
     if not hull_in_removed:
         raise PreconditionViolated("removed set must contain a hull vertex")
@@ -403,15 +394,14 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
 
     # The circumdisk bound: twice the largest |center - anchor|^2 + radius^2
     # over the face circumdisks. A face's circle (W, U, V, K) has center
-    # (U, V) / W and squared radius (U^2 + V^2 - K W) / W^2; the largest
+    # (U, V) / W and squared radius ``radius_sq_w2`` / W^2; the largest
     # num / W^2 is picked by integer cross-multiplication. As |e| = |E| / 2L,
     # r^2 |e|^2 > 2 num / (W L)^2 asks r^2 > 8 num / (W |E|)^2, and
     # isqrt(ceil(8 num / (W |E|)^2)) + 1 is strictly above its root.
     best, best_w2 = 0, 1
     for a, b, _ in tri.triangles:
-        w, u, v, k = tri.circle[(a, b)]  # kept on tri, so extend reuses them
-        num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2  # W^2 |center - anchor|^2
-        num += u * u + v * v - k * w  # W^2 radius^2
+        c = w, u, v, _ = tri.circle[(a, b)]  # kept on tri, so extend reuses them
+        num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2 + radius_sq_w2(c)
         if num * best_w2 > best * w * w:
             best, best_w2 = num, w * w
     outside = math.isqrt(-(-8 * best // (best_w2 * min(x * x + y * y for x, y in (e1, e2))))) + 1
@@ -525,10 +515,10 @@ def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
     instance. The angle census checks each face against the triangles and
     fans it is made of, which makes the angle total exact.
     """
-    chosen = _vertex_set(tri, independent, "independent set")
-    for u, v in tri.edges:
-        if u in chosen and v in chosen:
-            raise NotIndependent(f"edge ({u}, {v}) joins two chosen vertices")
+    chosen = tri.vertex_set(independent)
+    joined = tri.joined(chosen)
+    if joined is not None:
+        raise NotIndependent(f"edge {joined} joins two chosen vertices")
     removed = frozenset(range(len(tri))) - chosen
     aug = sentinel_augment(tri, removed)
     big = aug.tri

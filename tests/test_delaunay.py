@@ -21,6 +21,7 @@ from dtough.errors import (
     DegenerateInput,
     InvariantBroken,
     NotInteriorEdge,
+    PreconditionViolated,
     TooFewPoints,
     WitnessSearchFailed,
 )
@@ -79,6 +80,9 @@ def test_quad_diagonal_choice():
     for query in (edge_angle_check, witness_disk):
         with pytest.raises(NotInteriorEdge, match=r"\(0, 2\) is not an edge"):
             query(t, 0, 2)
+        for bad in (1.0, 99):  # (1.0, 3) would pass as the edge (1, 3)
+            with pytest.raises(PreconditionViolated, match=f"vertex {bad!r} is not in range"):
+                query(t, bad, 3)
 
     # the flipped diagonal must fail both verifications
     flipped = from_triangles(pts, [(0, 1, 2), (0, 2, 3)])
@@ -108,8 +112,8 @@ def test_from_triangles_validation():
     for face in ((0, 0, 1), (0, 1, 5)):  # a repeated vertex, an id out of range
         with pytest.raises(ValueError, match="bad triangle"):
             from_triangles(pts, [face])
-    # a float or str id, too few or too many ids
-    for face in ((0, 1, 2.0), ("0", 1, 2), (0, 1), (0, 1, 2, 3)):
+    # a float, bool or str id, too few or too many ids
+    for face in ((0, 1, 2.0), (0, True, 2), ("0", 1, 2), (0, 1), (0, 1, 2, 3)):
         with pytest.raises(ValueError, match=re.escape(f"face {face!r} is not three int vertex ids")):
             from_triangles(pts, [(0, 2, 3), face])
     # two CCW faces whose union is a dart with a reflex corner at vertex 1

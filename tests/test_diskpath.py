@@ -126,10 +126,12 @@ def test_precondition_rejected():
         find_path(t, 0, 1, d)
 
 
-@pytest.mark.parametrize("p, q", [(0, 99), (99, 0), (-1, 1), (2, 2), (2, 1.5), (1.5, 2)])
+@pytest.mark.parametrize(
+    "p, q", [(0, 99), (99, 0), (-1, 1), (2, 2), (2, 1.5), (1.5, 2), (1.0, 2), (2, 1.0), (True, 2), ("1", 2)]
+)
 def test_endpoints_must_be_two_vertex_ids(p, q):
-    # an id past the end or below zero, one between 0 and len(t) that is no
-    # int, or a path from a vertex to itself
+    # an id past the end or below zero, one that is no int (even when it
+    # equals one: 1.0, True), or a path from a vertex to itself
     t = build([P(0, 0), P(4, 0), P(2, 1), P(2, -1)])
     d = Disk(P(2, 0), Fraction(1))  # through vertices 2 and 3
     for search in (find_path, path_oracle):

@@ -304,12 +304,13 @@ def test_sentinel_requires_hull_vertex():
         sentinel_augment(t, frozenset(interior[:1]))
 
 
-@pytest.mark.parametrize("bad", [99, -1])
+@pytest.mark.parametrize("bad", [99, -1, 1.0, True, None])
 def test_vertex_sets_reject_out_of_range_ids(bad):
-    # a hull vertex in the set does not excuse an id that names no vertex
+    # a hull vertex in the set does not excuse an id that names no vertex,
+    # nor one that is no int, even when it equals one
     t = build([P(0, 0), P(1, 0), P(0, 1)])
     for call in (sentinel_augment, components_after_removal, angle_audit):
-        with pytest.raises(PreconditionViolated, match="out-of-range"):
+        with pytest.raises(PreconditionViolated, match="is not in range"):
             call(t, [t.hull[0], bad] if call is sentinel_augment else [bad])
 
 
