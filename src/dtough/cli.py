@@ -148,16 +148,18 @@ def _check_matching(tri: Triangulation, limit: Optional[int], earlier: dict) -> 
 def _check_audit(tri: Triangulation, limit: Optional[int], earlier: dict) -> dict:
     mis = earlier.get("mis", {})
     if "certificate" in mis:  # the audit certifies the set the mis check found
-        cert = mis["certificate"]
-    else:
-        cert = sorted(structure.max_independent_set(tri, max_n=limit)[1])
+        cert, form = mis["certificate"], "maximum"
+    elif len(tri) <= limit:
+        cert, form = sorted(structure.max_independent_set(tri, max_n=limit)[1]), "maximum"
+    else:  # with no set removed, the premises bound every independent set at once
+        cert, form = [], "universal"
     rep = structure.angle_audit(tri, cert)
-    sentinels = [_point_json(s) for s in rep.sentinels]
-    return {"independent_set": cert, **vars(rep), "sentinels": sentinels, "ok": rep.ok}
+    return {"form": form, "independent_set": cert, **vars(rep), "ok": rep.ok}
 
 
 # Check name -> (default size gate, or None when ungated; check function).
-# The audit's only exponential step is its independent-set search.
+# Above its gate the audit removes no set, which bounds every independent
+# set at once, instead of refusing the search for a maximum one.
 # "hypothesis" is the paper's: the points in general position.
 CHECKS = {
     "hypothesis": (None, _check_hypothesis),

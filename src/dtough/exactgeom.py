@@ -29,7 +29,7 @@ a copy, given only the copy's factor, in one place (``circle_of``), so every
 in-disk test is the sign of ``power`` too (``diskpath``,
 ``is_witness_disk``), and one formula on two circles answers their
 tangency and disjointness (``_circle_pair``). Only disk centers and the
-audit's sentinels are built in ``Fraction``.
+sentinels of ``render --audit`` are built in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay``'s construction runs it only to name the

@@ -1,22 +1,32 @@
 """Combinatorial structure of Delaunay triangulations.
 
 Connectivity after vertex removal, exhaustive toughness, maximum independent
-sets, perfect matchings, and the counting audit that certifies the
-floor(n/2) independent-set bound instance by instance.
+sets, perfect matchings, and the angle ledger that certifies the floor(n/2)
+independent-set bound instance by instance.
 
-The audit machinery works on an augmented triangulation: two far-away
-"sentinel" points are added so that, together with one hull vertex kept in
-the removed set, they enclose the whole triangulation in a triangle while
-staying outside every face circumdisk. The enclosure makes the removed-set
-subgraph's outer face a triangle and every hole a bounded simple polygon,
-which is what the face/edge double count needs. The sentinels are placed in
-closed form, far along the two edges of a cone at that hull vertex which
-holds the whole hull, and the placement is verified with exact arithmetic by
-the extension that adds them; nothing about it is trusted. A rejected
+The ledger (``angle_audit``) reads one identity on T plus a vertex at
+infinity, joined to every hull vertex. Give each edge e of T the angle
+theta_e = pi - (the angles opposite e in its faces; one at a hull edge), and
+the edge from infinity to a hull vertex a the angle pi - (the hull's
+interior angle at a). Around every vertex the theta sum to 2 pi: a vertex of
+degree d in f faces has sum d pi - sum over its faces of (pi - its angle
+there), which is 2 pi inside, where f = d and the angles fill 2 pi, and
+pi + (hull angle) on the hull, where f = d - 1, before its edge to infinity
+adds the rest; at infinity the hull's exterior angles sum to 2 pi. Each
+edge is counted at both of its ends, so all theta sum to pi (n + 1). No edge
+joins two members of an independent set I, so the edges at I are distinct
+and their theta sum to 2 pi |I|; the others, the edges of
+G = (T + infinity) - I, sum to pi (n + 1 - 2 |I|). G has an edge, since I
+holds no two neighbours on the hull cycle. So when every edge of G has
+theta > 0, 2 |I| <= n. Each premise is an exact sign and no angle is
+computed: theta > 0 at an interior edge exactly when it is strictly locally
+Delaunay (``delaunay.edge_angle_check``), always at a hull edge, and at an
+edge to infinity exactly when the hull turns strictly left at its vertex.
+
+``sentinel_augment`` encloses T in a triangle of two far points and one
+hull vertex, for ``render --audit``'s overlay. The sentinels are placed in
+closed form and verified by the extension that adds them; a rejected
 placement doubles its reach, and 64 rejections raise ``ConstructionFailed``.
-The subgraph's faces are read off the augmented triangulation's ``apex`` map
-in one walk (``planar_faces``), which steps round each removed vertex and so
-names the vertex each hole encloses; no second incidence structure is built.
 """
 
 from __future__ import annotations
@@ -424,11 +434,6 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
 
 
-# ---------------------------------------------------------------------------
-# The counting audit
-# ---------------------------------------------------------------------------
-
-
 def planar_faces(big: Triangulation, chosen: VertexSet) -> list[tuple[tuple[int, ...], VertexSet]]:
     """Interior faces of big minus the chosen vertices, each as its boundary
     cycle and the set of chosen vertices it encloses.
@@ -438,11 +443,10 @@ def planar_faces(big: Triangulation, chosen: VertexSet) -> list[tuple[tuple[int,
     face is the hole around w, and the walk steps round it to
     v -> ``apex[(w, v)]``, the next neighbour of w. Only darts that are
     ``apex`` keys with both ends kept are walked, so the outer face, big's
-    hull, is never visited. That hull is the sentinel triangle (anchor, s1,
-    s2): ``sentinel_augment`` places every other vertex strictly inside it
-    and accepts the extension only when its hull is exactly those three
-    points, all of them kept. A fan that does not close around a chosen
-    vertex is a broken invariant.
+    hull, is never visited; on a ``sentinel_augment`` triangulation that
+    hull is the sentinel triangle, all of it kept. A fan that does not close
+    around a chosen vertex is a broken invariant. ``angle_audit`` walks no
+    face; the sentinel census oracle of the tests does.
     """
     apex = big.apex
     seen: set[tuple[int, int]] = set()
@@ -469,106 +473,63 @@ def planar_faces(big: Triangulation, chosen: VertexSet) -> list[tuple[tuple[int,
     return faces
 
 
+# ---------------------------------------------------------------------------
+# The angle ledger
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class AuditReport:
-    """Ledger of the face/edge double count over the removed-set subgraph.
+    """The ledger of one independent set I: how many premises of the bound
+    it read, the first of each kind that fails, and the bound itself."""
 
-    ``angle_total_exact`` is the total of the angles opposite each surviving
-    edge, computed from the face census (180 per hole-free face, 360 per
-    hole). ``angle_census_ok`` proves it exactly: the hole-free faces are the
-    triangles of the augmented triangulation with no chosen vertex, and each
-    hole is bounded by exactly the neighbours of the one chosen vertex it
-    encloses, so the angles split into 180 per triangle and 360 per fan.
-    """
-
-    anchor: int
-    sentinels: tuple[Point, Point]
-    good_faces: int  # interior faces containing no removed-independent vertex
-    bad_faces: int  # interior faces containing exactly one
-    subgraph_edges: int
-    subgraph_vertices: int
-    euler_ok: bool  # edges == vertices + faces - 1
-    angle_total_exact: int  # degrees: 180 * good + 360 * bad
-    angle_census_ok: bool  # the opposite-angle sum is 180 * good + 360 * bad, exactly
-    per_edge_ok: bool  # every edge's opposite-angle sum is below 180, exactly
-    strict_inequality_ok: bool  # angle_total_exact < 180 * subgraph_edges
-    bad_face_bound_ok: bool  # bad_faces <= subgraph_vertices - 2
-    independent_matches_bad: bool  # every removed vertex claims exactly one face
+    edges_checked: int  # interior edges of T with neither end in I
+    hull_turns_checked: int  # hull vertices outside I
+    loose_edge: Optional[tuple[int, int]]  # the first checked edge not strictly locally Delaunay
+    flat_turn: Optional[int]  # the first checked hull vertex where the hull does not turn strictly left
+    bound_ok: bool  # 2 |I| <= n
 
     @property
     def ok(self) -> bool:
-        """The audit's verdict: every check of the ledger holds."""
-        return all((self.euler_ok, self.angle_census_ok, self.per_edge_ok,
-                    self.strict_inequality_ok, self.bad_face_bound_ok, self.independent_matches_bad))
+        """The audit's verdict: every premise holds, and so does the bound."""
+        return self.loose_edge is None and self.flat_turn is None and self.bound_ok
 
 
 def angle_audit(tri: Triangulation, independent: Iterable[int]) -> AuditReport:
-    """Run the full double-counting argument on one instance and report it.
+    """Check the premises of the floor(n/2) bound for one independent set I,
+    by the identity in the module docstring, in O(n) exact signs.
 
-    The independent set is removed, sentinels are added around the rest, and
-    the surviving plane subgraph's interior faces, walked off the augmented
-    triangulation's ``apex`` map (``planar_faces``), are classified by how
-    many removed vertices they enclose (0 or 1; anything else is
-    structurally impossible and raises). The face census and the per-edge
-    angle bound then pin the number of holes below the subgraph order minus
-    two, which is exactly the floor(n/2) independence bound for this
-    instance. The angle census checks each face against the triangles and
-    fans it is made of, which makes the angle total exact.
+    The premises are the edges of G = (T + infinity) - I: every interior
+    edge of T with neither end in I must be strictly locally Delaunay
+    (``edge_angle_check``), and the hull must turn strictly left, on
+    ``tri.scaled``, at every hull vertex outside I. Every premise is checked
+    and the first failure of each kind is named. When none fails, 2 |I| <= n
+    follows, and a count that says otherwise is a broken invariant. With I
+    empty the premises are every interior edge and hull turn of T, and they
+    bound every independent set at once. A set that holds an edge raises
+    ``NotIndependent``.
     """
     chosen = tri.vertex_set(independent)
     joined = tri.joined(chosen)
     if joined is not None:
         raise NotIndependent(f"edge {joined} joins two chosen vertices")
-    removed = frozenset(range(len(tri))) - chosen
-    aug = sentinel_augment(tri, removed)
-    big = aug.tri
-    n = len(tri)
-    keep = removed | {n, n + 1}
-
-    sub_edges = [(u, v) for u, v in big.edges if u in keep and v in keep]
-    incident = {v for e in sub_edges for v in e}
-    if incident != keep:
-        raise InvariantBroken("a surviving vertex became isolated after removal")
-
-    good = 0
-    located: list[int] = []
-    fans_closed = True
-    for cycle, enclosed in planar_faces(big, chosen):
-        if not enclosed:
-            if len(cycle) != 3:
-                raise InvariantBroken("hole-free interior face is not a triangle")
-            good += 1
-        elif len(enclosed) == 1:
-            (x,) = enclosed
-            located.append(x)
-            fans_closed = fans_closed and sorted(cycle) == list(big.neighbors[x])
-        else:
-            raise InvariantBroken("interior face contains two removed vertices")
-
-    bad = len(located)
-    e_count = len(sub_edges)
-    s_size = len(keep)
-    angle_exact = 180 * good + 360 * bad
-    f0 = sum(1 for t in big.triangles if chosen.isdisjoint(t))
-    # A boundary edge has a single opposite angle, below 180 like any
-    # triangle angle; only two-sided edges need the exact test.
-    apex = big.apex
-    per_edge_ok = all(
-        edge_angle_check(big, u, v) for u, v in sub_edges if (u, v) in apex and (v, u) in apex
-    )
-
+    apex, q, hull = tri.apex, tri.scaled, tri.hull
+    edges = [
+        (u, v) for u, v in tri.edges
+        if u not in chosen and v not in chosen and (u, v) in apex and (v, u) in apex
+    ]
+    loose = [e for e in edges if not edge_angle_check(tri, *e)]
+    turns = [(hull[i - 1], a, hull[(i + 1) % len(hull)]) for i, a in enumerate(hull) if a not in chosen]
+    flat = [a for p, a, b in turns if cross(q[p], q[a], q[b]) <= 0]
+    bound_ok = 2 * len(chosen) <= len(tri)
+    if not (loose or flat or bound_ok):
+        raise InvariantBroken(
+            f"every premise holds, yet the independent set has {len(chosen)} > {len(tri)} / 2 vertices"
+        )
     return AuditReport(
-        anchor=aug.anchor,
-        sentinels=aug.sentinels,
-        good_faces=good,
-        bad_faces=bad,
-        subgraph_edges=e_count,
-        subgraph_vertices=s_size,
-        euler_ok=e_count == s_size + bad + good - 1,
-        angle_total_exact=angle_exact,
-        angle_census_ok=fans_closed and f0 == good and len(chosen) == bad,
-        per_edge_ok=per_edge_ok,
-        strict_inequality_ok=angle_exact < 180 * e_count,
-        bad_face_bound_ok=bad <= s_size - 2,
-        independent_matches_bad=sorted(located) == sorted(chosen),
+        edges_checked=len(edges),
+        hull_turns_checked=len(turns),
+        loose_edge=loose[0] if loose else None,
+        flat_turn=flat[0] if flat else None,
+        bound_ok=bound_ok,
     )

@@ -22,14 +22,15 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from dtough import blocking, build, cli, exactgeom
-from dtough.delaunay import CounterExample, extend, from_triangles
+from dtough import blocking, build, cli, exactgeom, structure
+from dtough.delaunay import CounterExample, edge_angle_check, extend, from_triangles
 from dtough.diskpath import DiskPath, check_disk_path
 from dtough.errors import (
     CollinearInput,
     ConstructionFailed,
     DegenerateInput,
     InvariantBroken,
+    NotIndependent,
     NotInteriorEdge,
     PointFileError,
     PreconditionViolated,
@@ -788,6 +789,113 @@ def sentinels_fraction(tri, removed):
         if set(tri.triangles) <= set(augmented.triangles) and set(augmented.hull) == {anchor, n, n + 1}:
             return anchor, (s1, s2)
     raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
+
+
+@dataclasses.dataclass(frozen=True)
+class CensusReport:
+    """Ledger of the face/edge double count over the removed-set subgraph.
+
+    ``angle_total_exact`` is the total of the angles opposite each surviving
+    edge, computed from the face census (180 per hole-free face, 360 per
+    hole). ``angle_census_ok`` proves it exactly: the hole-free faces are the
+    triangles of the augmented triangulation with no chosen vertex, and each
+    hole is bounded by exactly the neighbours of the one chosen vertex it
+    encloses, so the angles split into 180 per triangle and 360 per fan.
+    """
+
+    anchor: int
+    sentinels: tuple[Point, Point]
+    good_faces: int  # interior faces containing no removed-independent vertex
+    bad_faces: int  # interior faces containing exactly one
+    subgraph_edges: int
+    subgraph_vertices: int
+    euler_ok: bool  # edges == vertices + faces - 1
+    angle_total_exact: int  # degrees: 180 * good + 360 * bad
+    angle_census_ok: bool  # the opposite-angle sum is 180 * good + 360 * bad, exactly
+    per_edge_ok: bool  # every edge's opposite-angle sum is below 180, exactly
+    strict_inequality_ok: bool  # angle_total_exact < 180 * subgraph_edges
+    bad_face_bound_ok: bool  # bad_faces <= subgraph_vertices - 2
+    independent_matches_bad: bool  # every removed vertex claims exactly one face
+
+    @property
+    def ok(self) -> bool:
+        """Every check of the census holds."""
+        return all((self.euler_ok, self.angle_census_ok, self.per_edge_ok,
+                    self.strict_inequality_ok, self.bad_face_bound_ok, self.independent_matches_bad))
+
+
+def sentinel_census_oracle(tri, independent) -> CensusReport:
+    """The floor(n/2) bound for one independent set by the face census, the
+    way ``structure.angle_audit`` checked it before it read the angle ledger.
+
+    The independent set is removed, sentinels are added around the rest
+    (``structure.sentinel_augment``), and the surviving plane subgraph's
+    interior faces, walked off the augmented triangulation's ``apex`` map
+    (``structure.planar_faces``), are classified by how many removed
+    vertices they enclose (0 or 1; anything else is structurally impossible
+    and raises). The face census and the per-edge angle bound then pin the
+    number of holes below the subgraph order minus two, which is the
+    floor(n/2) bound for this instance. The angle census checks each face
+    against the triangles and fans it is made of, which makes the angle
+    total exact.
+    """
+    chosen = tri.vertex_set(independent)
+    joined = tri.joined(chosen)
+    if joined is not None:
+        raise NotIndependent(f"edge {joined} joins two chosen vertices")
+    removed = frozenset(range(len(tri))) - chosen
+    aug = structure.sentinel_augment(tri, removed)
+    big = aug.tri
+    n = len(tri)
+    keep = removed | {n, n + 1}
+
+    sub_edges = [(u, v) for u, v in big.edges if u in keep and v in keep]
+    incident = {v for e in sub_edges for v in e}
+    if incident != keep:
+        raise InvariantBroken("a surviving vertex became isolated after removal")
+
+    good = 0
+    located: list[int] = []
+    fans_closed = True
+    for cycle, enclosed in structure.planar_faces(big, chosen):
+        if not enclosed:
+            if len(cycle) != 3:
+                raise InvariantBroken("hole-free interior face is not a triangle")
+            good += 1
+        elif len(enclosed) == 1:
+            (x,) = enclosed
+            located.append(x)
+            fans_closed = fans_closed and sorted(cycle) == list(big.neighbors[x])
+        else:
+            raise InvariantBroken("interior face contains two removed vertices")
+
+    bad = len(located)
+    e_count = len(sub_edges)
+    s_size = len(keep)
+    angle_exact = 180 * good + 360 * bad
+    f0 = sum(1 for t in big.triangles if chosen.isdisjoint(t))
+    # A boundary edge has a single opposite angle, below 180 like any
+    # triangle angle; only two-sided edges need the exact test.
+    apex = big.apex
+    per_edge_ok = all(
+        edge_angle_check(big, u, v) for u, v in sub_edges if (u, v) in apex and (v, u) in apex
+    )
+
+    return CensusReport(
+        anchor=aug.anchor,
+        sentinels=aug.sentinels,
+        good_faces=good,
+        bad_faces=bad,
+        subgraph_edges=e_count,
+        subgraph_vertices=s_size,
+        euler_ok=e_count == s_size + bad + good - 1,
+        angle_total_exact=angle_exact,
+        angle_census_ok=fans_closed and f0 == good and len(chosen) == bad,
+        per_edge_ok=per_edge_ok,
+        strict_inequality_ok=angle_exact < 180 * e_count,
+        bad_face_bound_ok=bad <= s_size - 2,
+        independent_matches_bad=sorted(located) == sorted(chosen),
+    )
 
 
 def shrink_parameter(d: Disk, anchor: Point, target: Point) -> Fraction:

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Every tolerance is pinned here; nothing is deferred to later
-calibration. Every criterion is decided exactly: the audit's angle total is
-proved by its exact angle census, not by a floating-point angle sum.
+calibration. Every criterion is decided exactly: the audit's angle ledger
+reads exact signs, and its sentinel-census oracle proves its angle total by
+an exact angle census, never by a floating-point angle sum.
 """
 
 import json
@@ -99,17 +100,18 @@ def test_criterion_3_angle_audit():
     instances += [("fan", helpers.fan_tri(n)) for n in FAN_RANGE]
     for kind, tri in instances:
         _, cert = max_independent_set(tri)
-        rep = angle_audit(tri, cert)
+        ledger = angle_audit(tri, cert)
+        census = helpers.sentinel_census_oracle(tri, cert)
         chain = (
-            rep.euler_ok
-            and rep.per_edge_ok
-            and rep.angle_total_exact < 180 * rep.subgraph_edges
-            and rep.bad_faces == len(cert)
-            and rep.bad_faces <= rep.subgraph_vertices - 2
-            and rep.angle_census_ok
+            census.euler_ok
+            and census.per_edge_ok
+            and census.angle_total_exact < 180 * census.subgraph_edges
+            and census.bad_faces == len(cert)
+            and census.bad_faces <= census.subgraph_vertices - 2
+            and census.angle_census_ok
         )
-        if not chain:
-            failures.append((kind, len(tri), rep))
+        if not (chain and ledger.ok and angle_audit(tri, ()).ok):
+            failures.append((kind, len(tri), ledger, census))
     _verdict(3, "counting audit passes on every instance", failures)
 
 

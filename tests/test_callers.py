@@ -20,6 +20,9 @@ ENTRY_POINTS = {
     # bench/tracing.py counts its calls by this name; every in-circle
     # question about a triangulation reads Triangulation.circle instead
     "in_circle",
+    # bench/tracing.py spans it by this name; the audit reads the angle
+    # ledger instead, and only the sentinel census oracle walks faces
+    "planar_faces",
 }
 
 

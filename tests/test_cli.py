@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import json
@@ -314,83 +313,104 @@ def test_closed_gap_is_an_alarm(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
-    # a face walk that merges two holes into one face breaks the face
-    # census; the check must report it, not crash
+def _audit_with_a_loose_edge(tmp_path, monkeypatch, pick):
+    """check --checks mis,audit on random n=10 seed 4, with
+    ``structure.edge_angle_check`` doctored to fail at the one interior edge
+    ``pick(t, cert)`` names. Returns the exit code, the edge and the audit
+    verdict."""
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
-    walk = structure.planar_faces
+    t = delaunay.build(pointfile.read_points(f))
+    loose = pick(t, structure.max_independent_set(t)[1])
+    assert len(t.opposite_vertices(*loose)) == 2
+    real = delaunay.edge_angle_check
 
-    def merged_holes(big, chosen):
-        faces = walk(big, chosen)
-        a, b = [k for k, (_, enclosed) in enumerate(faces) if enclosed][:2]
-        faces[a] = (faces[a][0], faces[a][1] | faces[b][1])
-        return faces
+    def doctored(tri, u, v):
+        return (min(u, v), max(u, v)) != loose and real(tri, u, v)
 
-    monkeypatch.setattr(structure, "planar_faces", merged_holes)
-    code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
-    assert code == 1
-    verdict = json.loads(out)["verdicts"]["audit"]
-    assert verdict["ok"] is False and "two removed vertices" in verdict["error"]
-    assert "Traceback" not in capsys.readouterr().err
-
-
-def _audit_with_doctored_fan(tmp_path, monkeypatch, doctor):
-    """check --checks mis,audit on random n=10 seed 4, with the augmented
-    triangulation's ``apex`` and ``neighbors`` passed through ``doctor(aug,
-    x, apex, neighbors)`` for x the least vertex of the independent set."""
-    f = tmp_path / "r10.txt"
-    helpers.run_cli(["gen", "random", "10", "--seed", "4", "--out", str(f)])
-    _, cert = structure.max_independent_set(delaunay.build(pointfile.read_points(f)))
-    x = min(cert)
-    def doctored(tri, added):
-        aug = delaunay.extend(tri, added)
-        apex, neighbors = dict(aug.apex), list(aug.neighbors)
-        doctor(aug, x, apex, neighbors)
-        return dataclasses.replace(aug, apex=apex, neighbors=tuple(neighbors))
-
-    monkeypatch.setattr(structure, "extend", doctored)
+    monkeypatch.setattr(structure, "edge_angle_check", doctored)
     code, out = helpers.run_cli(["check", str(f), "--checks", "mis,audit"])
-    return code, x, cert, json.loads(out)["verdicts"]["audit"]
+    return code, loose, json.loads(out)["verdicts"]["audit"]
+
+
+def _interior(t, edges):
+    return [e for e in edges if len(t.opposite_vertices(*e)) == 2]
+
+
+def test_audit_fault_is_an_alarm(tmp_path, monkeypatch, capsys):
+    # an edge test that fails on an edge avoiding the set is a broken
+    # premise of the bound: the check names the edge, it does not crash
+    def avoiding(t, cert):
+        return _interior(t, [e for e in t.edges if not set(e) & cert])[-1]
+
+    code, loose, verdict = _audit_with_a_loose_edge(tmp_path, monkeypatch, avoiding)
+    assert code == 1
+    assert verdict["loose_edge"] == list(loose) and verdict["flat_turn"] is None
+    assert verdict["ok"] is False and verdict["form"] == "maximum"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_audit_open_fan_fails_the_angle_census(tmp_path, monkeypatch, capsys):
-    # an apex map that lost one face corner at a chosen vertex x leaves x
-    # with an open fan: the face walk cannot step round x
-    def lose_corner(aug, x, apex, neighbors):
-        del apex[(x, aug.neighbors[x][0])]
+    # round the least chosen vertex x, the edges of its fan's rim avoid the
+    # set and are premises: a loose one is an alarm that names it
+    def rim(t, cert):
+        x = min(cert)
+        edges = [tuple(sorted((w, t.apex[(x, w)]))) for w in t.neighbors[x] if (x, w) in t.apex]
+        return _interior(t, edges)[0]
 
-    code, x, _, verdict = _audit_with_doctored_fan(tmp_path, monkeypatch, lose_corner)
-    assert code == 1
-    assert verdict == {"error": f"the fan of removed vertex {x} does not close", "ok": False}
+    code, loose, verdict = _audit_with_a_loose_edge(tmp_path, monkeypatch, rim)
+    assert code == 1 and verdict["loose_edge"] == list(loose) and verdict["ok"] is False
     assert "Traceback" not in capsys.readouterr().err
 
-    # a neighbour list with one vertex too many no longer matches the hole
-    # the walk found round x: its angles no longer sum to 360, and only the
-    # census reads them
-    def spurious_neighbor(aug, x, apex, neighbors):
-        extra = next(v for v in range(len(aug)) if v != x and v not in aug.neighbors[x])
-        neighbors[x] = tuple(sorted(aug.neighbors[x] + (extra,)))
+    # an edge at x is no premise: its angles are the 2 pi the set takes
+    def spoke(t, cert):
+        x = min(cert)
+        return _interior(t, [tuple(sorted((x, w))) for w in t.neighbors[x]])[0]
 
-    code, _, cert, verdict = _audit_with_doctored_fan(tmp_path, monkeypatch, spurious_neighbor)
-    assert code == 1
-    assert verdict["independent_set"] == sorted(cert)
-    assert verdict["angle_census_ok"] is False and verdict["ok"] is False
-    others = ("euler_ok", "per_edge_ok", "strict_inequality_ok", "bad_face_bound_ok")
-    assert all(verdict[key] for key in others + ("independent_matches_bad",))
+    code, _, verdict = _audit_with_a_loose_edge(tmp_path, monkeypatch, spoke)
+    assert code == 0 and verdict["loose_edge"] is None and verdict["ok"] is True
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 10**400), Fraction(1), Fraction(10**300)])
 def test_audit_angle_census_ignores_scale(tmp_path, capsys, factor):
     # float products of coordinates near 10^-400 underflow and near 10^300
-    # overflow; the exact census must read the same faces at every scale
+    # overflow; the exact ledger, and the census it replaced, must read the
+    # same premises at every scale
     pts = [point(p.x * factor, p.y * factor) for p in generate.random_points(10, 1)]
     f = tmp_path / "r10.txt"
     f.write_text(format_points(pts))
     code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,audit"])
     assert code == 0
-    assert json.loads(out)["verdicts"]["audit"]["angle_census_ok"] is True
+    verdict = json.loads(out)["verdicts"]["audit"]
+    t = delaunay.build(pts)
+    assert verdict["loose_edge"] is None and verdict["flat_turn"] is None and verdict["ok"] is True
+    assert (verdict["edges_checked"], verdict["hull_turns_checked"]) == (6, 4)
+    assert helpers.sentinel_census_oracle(t, verdict["independent_set"]).angle_census_ok is True
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_audit_above_the_gate_is_universal(tmp_path, capsys):
+    # above 30 points no maximum set is searched for: the empty set's
+    # ledger reads every interior edge and hull turn, which bounds every
+    # independent set at once; --max-n brings the maximum set back
+    f = tmp_path / "r31.txt"
+    helpers.run_cli(["gen", "random", "31", "--seed", "1", "--out", str(f)])
+    t = delaunay.build(pointfile.read_points(f))
+    code, out = helpers.run_cli(["check", str(f), "--checks", "mis,audit"])
+    assert code == 3
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["mis"] == {"refused": "independent set search on 31 > 30 vertices refused"}
+    audit = verdicts["audit"]
+    assert (audit["form"], audit["independent_set"], audit["ok"]) == ("universal", [], True)
+    assert audit["edges_checked"] == len(_interior(t, t.edges))
+    assert audit["hull_turns_checked"] == len(t.hull)
+    code, out = helpers.run_cli(["check", str(f), "--checks", "audit"])
+    assert code == 0 and json.loads(out)["verdicts"]["audit"] == audit
+    code, out = helpers.run_cli(["check", str(f), "--checks", "audit", "--max-n", "31"])
+    audit = json.loads(out)["verdicts"]["audit"]
+    assert code == 0 and audit["form"] == "maximum" and audit["ok"] is True
+    assert 2 * len(audit["independent_set"]) <= 31
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -548,8 +568,9 @@ def test_an_alarm_outranks_bad_input(tmp_path, monkeypatch):
 
 
 def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, capsys):
-    # a sentinel search that gives up is no alarm and no refusal: the audit
-    # records it and exits 2, and every other verdict and report is kept
+    # a construction that gives up inside a check is no alarm and no
+    # refusal: the check records it and exits 2, and every other verdict
+    # and report is kept
     files = []
     for n in (8, 10):
         f = tmp_path / f"r{n}.txt"
@@ -557,20 +578,20 @@ def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, ca
         files.append(str(f))
     checks = ["--checks", "delaunay,audit"]
     _, alone = helpers.run_cli(["check", files[0], *checks])
-    augment = structure.sentinel_augment
+    audit = structure.angle_audit
 
-    def gives_up(tri, removed):
+    def gives_up(tri, cert):
         if len(tri) == 10:
-            raise ConstructionFailed("doctored sentinel search")
-        return augment(tri, removed)
+            raise ConstructionFailed("doctored construction")
+        return audit(tri, cert)
 
-    monkeypatch.setattr(structure, "sentinel_augment", gives_up)
+    monkeypatch.setattr(structure, "angle_audit", gives_up)
     code, out = helpers.run_cli(["check", *files, *checks])
     assert code == 2
     first, second = json.loads(out)["reports"]
     assert json.dumps(first, indent=2) == helpers.report_without_timing(alone)
     assert second["file"] == files[1] and second["verdicts"]["delaunay"]["ok"]
-    assert second["verdicts"]["audit"] == {"error": "doctored sentinel search", "ok": False}
+    assert second["verdicts"]["audit"] == {"error": "doctored construction", "ok": False}
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -869,7 +890,7 @@ def test_no_json_mode(tmp_path):
     assert flat["command"] == "check"
     _, plain = helpers.run_cli(["check", str(f), "--checks", "delaunay,audit"])
     audit = json.loads(plain)["verdicts"]["audit"]
-    assert json.loads(flat["sentinels"]) == audit["sentinels"]
+    assert json.loads(flat["loose_edge"]) is audit["loose_edge"] is None
     assert json.loads(flat["independent_set"]) == audit["independent_set"]
     # several files: each report is flattened under its index, not printed as a dict
     g = tmp_path / "kite.txt"
@@ -970,20 +991,18 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
 
 
 def test_check_computes_each_face_circle_once(tmp_path, monkeypatch):
-    # every in-circle question of the delaunay check, the sentinel bound,
-    # the extension and the audit's per-edge test reads Triangulation.circle,
-    # so one circle per face of the augmented triangulation is computed
+    # every in-circle question of the delaunay check and the audit's
+    # per-edge test reads Triangulation.circle, and the audit adds no
+    # point, so one circle per face of T is computed
     f = tmp_path / "r16.txt"
     helpers.run_cli(["gen", "random", "16", "--seed", "100", "--out", str(f)])
     circles = helpers.count_calls(monkeypatch, "circle_through")
     asked = helpers.count_calls(monkeypatch, "in_circle")
-    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
+    code, _ = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
     assert code == 0
     counted = len(circles)
     t = delaunay.build(pointfile.read_points(f))
-    chosen = json.loads(out)["verdicts"]["audit"]["independent_set"]
-    aug = structure.sentinel_augment(t, frozenset(range(len(t))) - frozenset(chosen))
-    assert counted == len(aug.tri.triangles)
+    assert counted == len(t.triangles)
     assert asked == []
 
 

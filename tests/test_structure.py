@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
-from dtough.delaunay import build, from_triangles
+from dtough.delaunay import build, edge_angle_check, from_triangles
 from dtough.errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -446,6 +446,16 @@ def _assert_full_chain(rep, i_size):
     assert rep.subgraph_edges == rep.subgraph_vertices + rep.bad_faces + rep.good_faces - 1
 
 
+def _assert_ledger_holds(t, chosen):
+    """The ledger of chosen on t passes, having read every interior edge of t
+    and every hull vertex that avoids chosen."""
+    rep = angle_audit(t, chosen)
+    assert rep.ok and rep.loose_edge is None and rep.flat_turn is None and rep.bound_ok
+    interior = [e for e in t.edges if len(t.opposite_vertices(*e)) == 2]
+    assert rep.edges_checked == sum(1 for e in interior if not set(e) & set(chosen))
+    assert rep.hull_turns_checked == sum(1 for h in t.hull if h not in chosen)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(helpers.grid_points, min_size=3, max_size=10), st.data())
 def test_angle_total_matches_float_oracle(candidates, data):
@@ -457,8 +467,9 @@ def test_angle_total_matches_float_oracle(candidates, data):
     for v in data.draw(st.lists(st.integers(0, len(t) - 1), unique=True)):
         if not any(t.is_edge(v, x) for x in chosen):
             chosen.add(v)
-    rep = angle_audit(t, chosen)
+    rep = helpers.sentinel_census_oracle(t, chosen)
     _assert_full_chain(rep, len(chosen))
+    _assert_ledger_holds(t, chosen)
     big = build(t.vertices + rep.sentinels)
     total = sum(
         helpers.opposite_angles_deg_fraction(big, u, v)
@@ -499,26 +510,32 @@ def test_face_walk_that_misses_its_start_is_an_alarm():
 
 def test_audit_single_triangle():
     t = build([P(0, 0), P(1, 0), P(0, 1)])
-    rep = angle_audit(t, frozenset({2}))
+    rep = helpers.sentinel_census_oracle(t, frozenset({2}))
     _assert_full_chain(rep, 1)
     assert rep.bad_faces == 1
     assert rep.subgraph_vertices == 4
     assert rep.bad_faces <= rep.subgraph_vertices - 2
+    # no interior edge, and the two hull turns outside the set
+    assert angle_audit(t, frozenset({2})) == structure.AuditReport(0, 2, None, None, True)
 
 
 def test_audit_empty_independent_set():
     t = build([P(0, 0), P(1, 0), P(0, 1)])
-    rep = angle_audit(t, frozenset())
+    rep = helpers.sentinel_census_oracle(t, frozenset())
     _assert_full_chain(rep, 0)
     assert rep.bad_faces == 0
     # with nothing removed the surviving subgraph is the full augmented
     # triangulation, whose interior faces are all triangles
     assert rep.good_faces == rep.subgraph_edges - rep.subgraph_vertices + 1
+    # with nothing removed the ledger reads every interior edge and hull turn
+    for t in (t, helpers.random_tri(12, 2)[1], helpers.fan_tri(8)):
+        _assert_ledger_holds(t, frozenset())
 
 
 def test_audit_ok_needs_every_flag():
     t = helpers.fan_tri(8)
-    rep = angle_audit(t, max_independent_set(t)[1])
+    cert = max_independent_set(t)[1]
+    rep = helpers.sentinel_census_oracle(t, cert)
     assert rep.ok
     flags = [f.name for f in dataclasses.fields(rep) if isinstance(getattr(rep, f.name), bool)]
     assert sorted(flags) == sorted([
@@ -527,17 +544,23 @@ def test_audit_ok_needs_every_flag():
     ])
     for name in flags:
         assert not dataclasses.replace(rep, **{name: False}).ok, name
+    # the ledger's verdict needs no loose edge, no flat turn and the bound
+    ledger = angle_audit(t, cert)
+    assert ledger.ok
+    for change in ({"loose_edge": t.edges[0]}, {"flat_turn": t.hull[0]}, {"bound_ok": False}):
+        assert not dataclasses.replace(ledger, **change).ok, change
 
 
 def test_audit_fan_eight():
     t = helpers.fan_tri(8)
     size, cert = max_independent_set(t)
     assert size == 4
-    rep = angle_audit(t, cert)
+    rep = helpers.sentinel_census_oracle(t, cert)
     _assert_full_chain(rep, 4)
     # tight: four holes against subgraph order six
     assert rep.subgraph_vertices == 6
     assert rep.bad_faces == rep.subgraph_vertices - 2
+    _assert_ledger_holds(t, cert)  # tight too: 2 |I| = n
 
 
 def test_audit_random_instances():
@@ -545,8 +568,9 @@ def test_audit_random_instances():
         n = 6 + 2 * seed
         _, t = helpers.random_tri(n, 8000 + seed)
         _, cert = max_independent_set(t)
-        rep = angle_audit(t, cert)
+        rep = helpers.sentinel_census_oracle(t, cert)
         _assert_full_chain(rep, len(cert))
+        _assert_ledger_holds(t, cert)
         assert 2 * len(cert) <= n  # the bound the audit certifies
 
 
@@ -556,22 +580,71 @@ def test_audit_sentinels_in_caller_coordinates():
     # the anchor (1/2, 0), so e1 = (-27/20, 19/12), e2 = (51/20, -13/24),
     # and the reach is 9, set by the vertex (9/4, 5/2).
     t = build([P("1/2", 0), P(3, "1/3"), P(1, 2), P("2/5", "7/4"), P("9/4", "5/2")])
-    rep = angle_audit(t, frozenset({1, 3}))
+    rep = helpers.sentinel_census_oracle(t, frozenset({1, 3}))
     assert rep.anchor == 0
     assert rep.sentinels == (P("-233/20", "57/4"), P(26, "-65/12"))
 
 
 def test_audit_flags_the_kleetope():
-    # the ledger fails exactly at the proof's Delaunay step
-    rep = angle_audit(helpers.kleetope(), range(6, 13))
+    # the census fails exactly at the proof's Delaunay step
+    rep = helpers.sentinel_census_oracle(helpers.kleetope(), range(6, 13))
     failed = [f.name for f in dataclasses.fields(rep) if getattr(rep, f.name) is False]
     assert failed == ["per_edge_ok", "strict_inequality_ok", "bad_face_bound_ok"]
 
 
+@pytest.mark.parametrize("t, chosen", [
+    (helpers.kleetope(), range(6, 13)),  # the 7 centroids, n = 13
+    (helpers.kleetope_even(), range(7, 16)),  # the 9 centroids, n = 16
+])
+def test_ledger_names_a_loose_edge_of_each_kleetope(t, chosen):
+    # more than n / 2 centroids: the ledger names an edge that avoids them
+    # and is not strictly locally Delaunay
+    rep = angle_audit(t, chosen)
+    assert not rep.ok and not rep.bound_ok and rep.flat_turn is None
+    u, v = rep.loose_edge
+    assert u not in chosen and v not in chosen
+    assert len(t.opposite_vertices(u, v)) == 2
+    assert not edge_angle_check(t, u, v)
+
+
+def test_ledger_names_a_flat_hull_turn():
+    # vertex 1, (2, -1), moved onto the segment between its hull neighbours
+    # (0, 0) and (4, 0) in the scaled copy: the hull no longer turns there
+    t = build([P(0, 0), P(2, -1), P(4, 0), P(3, 3), P(1, 3)])
+    assert t.scale == 1 and t.hull[:3] == (0, 1, 2)
+    flat = dataclasses.replace(t, scaled=(t.scaled[0], P(2, 0), *t.scaled[2:]))
+    rep = angle_audit(flat, [3])
+    assert rep.flat_turn == 1 and not rep.ok
+    # a hull vertex in the set is no premise
+    assert angle_audit(flat, [1]).flat_turn is None
+
+
+def test_ledger_with_every_premise_and_too_many_vertices_is_an_alarm(monkeypatch):
+    # the identity makes 2 |I| > n impossible when no premise fails; an
+    # edge test doctored to pass them all leaves the count to say so
+    monkeypatch.setattr(structure, "edge_angle_check", lambda tri, u, v: True)
+    with pytest.raises(InvariantBroken, match="7 > 13 / 2"):
+        angle_audit(helpers.kleetope(), range(6, 13))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(3, 16), st.integers(0, 40), st.booleans())
+def test_ledger_agrees_with_the_sentinel_census(n, seed, flip):
+    # on built sets and their first flips, with their maximum independent
+    # sets, the ledger and the census give one verdict
+    t = helpers.random_tri(n, seed)[1]
+    if flip:
+        t = helpers.flip_first_convex_edge(t)
+        assume(t is not None)
+    _, cert = max_independent_set(t)
+    assert angle_audit(t, cert).ok == helpers.sentinel_census_oracle(t, cert).ok
+
+
 def test_audit_rejects_dependent_set():
     t = helpers.fan_tri(6)
-    with pytest.raises(NotIndependent):
-        angle_audit(t, frozenset(t.edges[0]))
+    for audit in (angle_audit, helpers.sentinel_census_oracle):
+        with pytest.raises(NotIndependent):
+            audit(t, frozenset(t.edges[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_a_traced_extend_sees_the_sentinel_search():
     _, cert = structure.max_independent_set(t)
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.command(1):
-        structure.angle_audit(t, cert)
+        structure.sentinel_augment(t, frozenset(range(len(t))) - cert)
     assert tracer.missing == []
     by_id = {s.id: s for s in tracer.spans}
     extends = [s for s in tracer.spans if s.name == "delaunay.extend"]
