@@ -8,16 +8,17 @@ It gift-wraps the missing faces off the pencils of circles through their
 edges: ab is a Delaunay edge exactly when some circle through a and b has
 no other point inside (Dillencourt, DCG 1990), that is when the pair's
 pencil gap is open (``exactgeom.pencil_gap``), and the apex of the face
-left of a -> b is the point at the gap's left end. One such scan per face
-and per hull edge finds them (``exactgeom.delaunay_faces``, O(n^2) from no
-face). It then checks that the faces tile a strictly convex hull and tests
-every interior edge of a new face strictly: the far apex strictly outside
-the circle through the edge and the near one, O(1) per edge. By Delaunay's
-lemma (Delaunay 1934; Lawson 1977) such a tiling is the Delaunay
-triangulation, and strictness makes it unique, so the routine needs no
-general-position certificate. The certificate runs only when a step
-fails, to name the violation (``DegenerateInput``) among the tuples that
-hold a point the carried faces never saw
+left of a -> b is the point at the gap's left end. One scan per face and
+per hull edge reads that end alone (``exactgeom.delaunay_faces``, O(n^2)
+from no face) and proves no face empty. It then checks that the faces
+tile a strictly convex hull and tests every interior edge of a new face
+strictly: the far apex strictly outside the circle through the edge and
+the near one, O(1) per edge. By Delaunay's lemma (Delaunay 1934; Lawson
+1977) such a tiling is the Delaunay triangulation, whatever the scan did,
+and strictness makes it unique, so the routine needs no general-position
+certificate. The certificate runs only when a step fails, to name the
+violation (``DegenerateInput``) among the tuples that hold a point the
+carried faces never saw
 (``exactgeom.general_position_added``: O(n^3) for ``build``, where it is
 ``general_position``, and O(k n^2) for k added points); on points in
 general position a failure is a broken invariant. So the routine accepts
@@ -39,8 +40,7 @@ counterexample. A circle is a pure function of its face's three scaled
 vertices, up to a positive factor that no sign sees, so reading it makes no
 verifier depend on how the triangulation was built. ``witness_disk`` finds
 its center's pencil parameter in the edge's pencil gap on the scaled copy
-too, the same empty-disk test that the construction reads its faces off;
-only the disk's center, an arbitrary rational, is built from the
+too; only the disk's center, an arbitrary rational, is built from the
 ``Fraction`` vertices, and the disk is verified as a circle on the scaled
 copy, lifted with the copy's factor ``scale`` (``exactgeom.circle_of``).
 """
@@ -207,15 +207,16 @@ def _assemble(
         apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
         circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = known
     for a, b, c in triangles:
-        if len({a, b, c}) != 3 or not all(0 <= i < n for i in (a, b, c)):
+        if a == b or b == c or c == a or not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise ValueError(f"bad triangle {(a, b, c)}")
-        if orient(q[a], q[b], q[c]) is not Orientation.CCW:
+        pa, pb, pc = q[a], q[b], q[c]
+        if orient(pa, pb, pc) is not Orientation.CCW:
             raise ValueError(f"triangle {(a, b, c)} is not CCW")
         for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
             if (u, v) in apex:
                 raise ValueError(f"edge {(u, v)} has two faces on one side")
             apex[(u, v)] = w
-        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = circle_through(q[a], q[b], q[c])
+        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = circle_through(pa, pb, pc)
     if len({u for u, _ in apex}) != n:
         raise ValueError("some vertices belong to no triangle")
     succ: dict[int, int] = {}
@@ -327,7 +328,8 @@ def _construct(
     faces of it.
 
     1. ``exactgeom.delaunay_faces`` wraps the new faces outward from the
-       carried ones, or from scratch when there are none.
+       carried ones, or from scratch when there are none; it proves no
+       face empty, steps 2 and 3 do.
     2. ``_assemble`` checks that all faces tile a strictly convex hull and
        computes the new faces' circles; a failed check is a broken
        invariant.
@@ -344,7 +346,7 @@ def _construct(
         try:
             tri = _assemble(pts, scale, q, faces, carried)
         except ValueError as exc:
-            raise InvariantBroken(f"empty-disk faces do not triangulate the points: {exc}") from exc
+            raise InvariantBroken(f"wrapped faces do not triangulate the points: {exc}") from exc
         loose = _loose_edge(tri, faces)
         if loose is not None:
             raise InvariantBroken(f"interior edge {loose} is not strictly locally Delaunay")

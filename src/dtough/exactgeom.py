@@ -42,12 +42,13 @@ every collinear triple and cocircular quadruple whose least and greatest
 index the pair is (``_bisector_row``).
 
 The pencil gap of a pair (``pencil_gap``) holds the parameters of the
-circles through it that contain no other point. That gap is the one
-empty-disk test of the package: the face scan (``delaunay_faces``)
+circles through it that contain no other point: ``delaunay.witness_disk``
+takes its center from inside it, and a blocking verdict asks whether any
+pair of the blocked set has it open. The face scan (``delaunay_faces``)
 gift-wraps the triangulation, reading the face left of each directed edge
-off the left end of its gap, one O(n) scan per face and per hull edge;
-``delaunay.witness_disk`` takes its center from inside it, and a blocking
-verdict asks whether any pair of the blocked set has it open.
+off the left end of that gap only (``_left_apex``), one O(n) scan per face
+and per hull edge; ``delaunay``'s certificate, not the scan, proves each
+face empty.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -63,7 +64,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import CollinearInput, InvariantBroken
+from .errors import CollinearInput
 
 Scalar = Union[int, str, Fraction]
 # A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
@@ -423,6 +424,23 @@ def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
     return (ln, ld, lk) if ld else None, (rn, rd, rk) if rd else None
 
 
+def _left_apex(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional[int]:
+    """The left end of ``pencil_gap(xs, ys, a, b)`` alone: the point left of
+    a -> b with the least t_k, the first on a tie, or None when no point is
+    left of it. O(n); num is computed only left of the line."""
+    ax, ay = xs[a], ys[a]
+    bx, by = xs[b] - ax, ys[b] - ay
+    ln, ld, lk = 1, 0, None  # t = +inf: no point on the left yet
+    for k in range(len(xs)):
+        cx, cy = xs[k] - ax, ys[k] - ay
+        den = bx * cy - by * cx
+        if den > 0:
+            num = cx * (cx - bx) + cy * (cy - by)
+            if num * ld < ln * den:
+                ln, ld, lk = num, den, k
+    return lk
+
+
 def delaunay_faces(
     pts: Sequence[Point], known: Sequence[tuple[int, int, int]]
 ) -> list[tuple[int, int, int]]:
@@ -431,16 +449,15 @@ def delaunay_faces(
     face step of DeWall: Cignoni, Montani and Scopigno, Computer-Aided
     Design 1998). ``known`` must be some of those faces.
 
-    A dart (u, v) is a directed Delaunay edge, and one ``pencil_gap`` scan
-    of it gives the face on its left: none when the gap has no left end (a
-    hull dart), else (u, v, k) for k the left end, whose circle is empty
-    because the gap is open. The wrap starts from each dart whose reverse is
-    a dart of a known face and which is not one itself; with no known face,
-    from both darts of point 0 and its nearest neighbour, a Gabriel edge and
-    so a Delaunay one. Each face found queues the reverses of its two other
-    darts, so each face and each hull dart is scanned once: F + h = 2n - 2
-    scans of O(n) for the whole triangulation, O(n^2). A closed gap means a
-    queued dart is no Delaunay edge, a broken invariant.
+    A dart (u, v) is a directed Delaunay edge, and one ``_left_apex`` scan
+    of it gives the face on its left: none for a hull dart, else (u, v, k)
+    for k the left end of its gap. The scan proves no circle empty; the
+    caller's certificate does (``delaunay._construct``). The wrap starts
+    from each dart whose reverse is a dart of a known face and which is not
+    one itself; with no known face, from both darts of point 0 and its
+    nearest neighbour, a Gabriel edge and so a Delaunay one. Each face found
+    queues the reverses of its two other darts, so each face and each hull
+    dart is scanned once: F + h = 2n - 2 scans of O(n), O(n^2) in all.
     """
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
@@ -458,12 +475,9 @@ def delaunay_faces(
         if dart in apex:
             continue
         u, v = dart
-        gap = pencil_gap(xs, ys, u, v)
-        if gap is None:
-            raise InvariantBroken(f"every circle through the queued dart {dart} holds a point")
-        if gap[0] is None:
-            continue  # a hull dart: no point lies left of it
-        k = gap[0][2]
+        k = _left_apex(xs, ys, u, v)
+        if k is None:
+            continue  # a hull dart
         faces.append((u, v, k))
         apex[dart], apex[(v, k)], apex[(k, u)] = k, u, v
         stack += ((k, v), (u, k))
@@ -481,12 +495,12 @@ def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]
     with a collinear triple holds the least one.
     """
     n = len(points)
+    q = integer_copy(points)[1]
     seen: dict[Point, int] = {}
-    for i, p in enumerate(points):
+    for i, p in enumerate(q):  # ints hash faster than Fractions
         if p in seen and i >= start:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
         seen.setdefault(p, i)
-    q = integer_copy(points)[1]
     collinear: list[tuple[int, ...]] = []
     cocircular: list[tuple[int, ...]] = []
     for a in range(n):

@@ -27,15 +27,12 @@ def random_points(n: int, seed: int = 0) -> tuple[Point, ...]:
     for attempt in range(1000):
         rng = random.Random(f"random-{n}-{seed}-{attempt}")
         pts: list[Point] = []
-        seen = set()
+        seen = set()  # the drawn grid ints, cheaper to hash than Fractions
         while len(pts) < n:
-            p = Point(
-                Fraction(rng.randrange(denom + 1), denom),
-                Fraction(rng.randrange(denom + 1), denom),
-            )
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
+            xy = rng.randrange(denom + 1), rng.randrange(denom + 1)
+            if xy not in seen:
+                seen.add(xy)
+                pts.append(Point(Fraction(xy[0], denom), Fraction(xy[1], denom)))
         if general_position(pts) is None:
             return tuple(pts)
     raise ConstructionFailed(f"no general-position sample after 1000 attempts (n={n})")

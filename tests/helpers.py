@@ -169,6 +169,39 @@ def pair_scan_faces(q) -> set[tuple[int, int, int]]:
     return faces
 
 
+def two_sided_wrap(q, known) -> list[tuple[int, int, int]]:
+    """``exactgeom.delaunay_faces`` as a wrap on the whole pencil gap: each
+    queued dart's face is read off the left end of its ``pencil_gap``, and
+    a closed gap raises ``InvariantBroken``. Same start and same queue, so
+    on a strict set it returns the same faces in the same order."""
+    xs = [p.x for p in q]
+    ys = [p.y for p in q]
+    apex = {}
+    for a, b, c in known:
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+    if apex:
+        stack = [(v, u) for u, v in apex if (v, u) not in apex]
+    else:
+        near = min(range(1, len(q)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
+        stack = [(0, near), (near, 0)]
+    faces = []
+    while stack:
+        dart = stack.pop()
+        if dart in apex:
+            continue
+        u, v = dart
+        gap = pencil_gap(xs, ys, u, v)
+        if gap is None:
+            raise InvariantBroken(f"every circle through the queued dart {dart} holds a point")
+        if gap[0] is None:
+            continue  # a hull dart
+        k = gap[0][2]
+        faces.append((u, v, k))
+        apex[dart], apex[(v, k)], apex[(k, u)] = k, u, v
+        stack += ((k, v), (u, k))
+    return faces
+
+
 def certified_build(points):
     """The Delaunay triangulation of points in general position, built the
     way ``build`` did before its local test: certify first
@@ -1134,19 +1167,24 @@ def parse_points_naive(text: str) -> tuple[Point, ...]:
     return tuple(points)
 
 
-def close_first_gap(monkeypatch) -> None:
-    """Make the next ``exactgeom.pencil_gap`` call report a closed gap (every
-    circle through the pair holds a point); later calls scan as before."""
-    scan = exactgeom.pencil_gap
-    first = [True]
+def wrong_apex_once(scan):
+    """The face scan ``scan(xs, ys, a, b)`` (the apex left of a -> b, or
+    None), doctored once: on the first dart with another point left of it
+    than the apex, it answers the first such point by index instead. Later
+    calls scan as before."""
+    pending = [True]
 
-    def closed_once(*args):
-        if first:
-            first.pop()
-            return None
-        return scan(*args)
+    def doctored(xs, ys, a, b):
+        k = scan(xs, ys, a, b)
+        if pending and k is not None:
+            bx, by = xs[b] - xs[a], ys[b] - ys[a]
+            others = [j for j in range(len(xs)) if j != k and bx * (ys[j] - ys[a]) > by * (xs[j] - xs[a])]
+            if others:
+                pending.pop()
+                return others[0]
+        return k
 
-    monkeypatch.setattr(exactgeom, "pencil_gap", closed_once)
+    return doctored
 
 
 def count_calls(monkeypatch, name: str) -> list:

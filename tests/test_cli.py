@@ -304,12 +304,14 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
 
 
 def test_closed_gap_is_an_alarm(tmp_path, monkeypatch, capsys):
+    # the face scan proves no circle empty; a wrong apex (here 2 for the
+    # dart 0 -> 1, whose face circle holds 3) must fail the certificate
     quad = tmp_path / "quad.txt"
     quad.write_text("0 0\n2 0\n3 2\n1 3\n")
-    helpers.close_first_gap(monkeypatch)
+    monkeypatch.setattr(exactgeom, "_left_apex", helpers.wrong_apex_once(exactgeom._left_apex))
     code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
     assert code == 1
-    assert "holds a point" in json.loads(out)["error"]
+    assert "(0, 2) is not strictly locally Delaunay" in json.loads(out)["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -593,6 +595,14 @@ def test_a_failed_construction_keeps_the_other_reports(tmp_path, monkeypatch, ca
     assert second["file"] == files[1] and second["verdicts"]["delaunay"]["ok"]
     assert second["verdicts"]["audit"] == {"error": "doctored construction", "ok": False}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_python_m_dtough_runs_the_command_line():
+    argv = ["gen", "random", "5", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "dtough", *argv], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == helpers.run_cli(argv)[1].encode()
 
 
 @pytest.mark.parametrize("copies, lines", [(150, 1), (1, 0)])

@@ -120,6 +120,12 @@ def test_from_triangles_validation():
     dart = [P(0, 0), P(2, 1), P(4, 0), P(2, 3)]
     with pytest.raises(ValueError, match="hull is not convex"):
         from_triangles(dart, [(0, 1, 3), (1, 2, 3)])
+    # a flat face, and two CCW faces whose hull goes straight on at vertex 1
+    flat = [P(0, 0), P(1, 0), P(2, 0), P(1, 1)]
+    with pytest.raises(ValueError, match=re.escape("triangle (0, 1, 2) is not CCW")):
+        from_triangles(flat, [(0, 1, 2), (0, 2, 3)])
+    with pytest.raises(ValueError, match="hull is not convex"):
+        from_triangles(flat, [(0, 1, 3), (1, 2, 3)])
     # 2 and 3 both lie left of 0 -> 1
     with pytest.raises(ValueError, match="two faces on one side"):
         from_triangles([P(0, 0), P(4, 0), P(1, 2), P(3, 3)], [(0, 1, 2), (0, 1, 3)])
@@ -366,6 +372,25 @@ def test_extend_that_keeps_no_face_matches_the_pair_scan():
     assert set(grown.triangles) == helpers.pair_scan_faces(helpers.lcm_copy(base + added)[1])
 
 
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        st.lists(helpers.grid_points, min_size=3, max_size=10).map(helpers.thinned),
+        helpers.rescaled_sets(),
+        helpers.strict_grid_sets(),
+    )
+)
+def test_face_scan_matches_the_two_sided_wrap(pts):
+    # on a strict set the least left t_k is unique and is the left end of
+    # the open gap, so the one-sided scan finds the same faces in the same
+    # order, from scratch and from every prefix of T's faces
+    assume(len(pts) >= 3)
+    t = build(pts)
+    for k in range(len(t.triangles) + 1):
+        known = t.triangles[:k]
+        assert exactgeom.delaunay_faces(t.scaled, known) == helpers.two_sided_wrap(t.scaled, known)
+
+
 def test_face_scan_returns_only_the_faces_it_finds():
     # with each prefix of T's faces known, the wrap returns the other faces,
     # each once, and none of the known ones
@@ -377,16 +402,16 @@ def test_face_scan_returns_only_the_faces_it_finds():
 
 
 def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
-    # F + h = 2n - 2 scans for a build, one per new face and hull edge for
-    # the sentinels; a scan per pair would make n (n - 1) / 2
+    # F + h = 2n - 2 apex scans for a build, one per new face and hull edge
+    # for the sentinels; a scan per pair would make n (n - 1) / 2
     calls = []
-    scan = exactgeom.pencil_gap
+    scan = exactgeom._left_apex
 
     def counting(*args):
         calls.append(args[2:])
         return scan(*args)
 
-    monkeypatch.setattr(exactgeom, "pencil_gap", counting)
+    monkeypatch.setattr(exactgeom, "_left_apex", counting)
     for n in (3, 16, 30):
         for seed in (1, 2):
             pts, _ = helpers.random_tri(n, seed)
@@ -602,10 +627,10 @@ def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
 
 
 def test_closed_gap_is_an_invariant_alarm(monkeypatch):
-    # every dart the face scan queues is a Delaunay edge; one whose gap
-    # closes refutes the scan
-    helpers.close_first_gap(monkeypatch)
-    with pytest.raises(InvariantBroken, match="holds a point"):
+    # the face scan reads one end of each gap and proves no circle empty; a
+    # wrong apex, on points in general position, must fail the strict test
+    monkeypatch.setattr(exactgeom, "_left_apex", helpers.wrong_apex_once(exactgeom._left_apex))
+    with pytest.raises(InvariantBroken, match=r"\(0, 2\) is not strictly locally Delaunay"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 
 

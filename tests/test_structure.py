@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
-from dtough.delaunay import build, edge_angle_check, from_triangles
+from dtough.delaunay import Triangulation, build, edge_angle_check, from_triangles
 from dtough.errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -617,6 +617,44 @@ def test_ledger_names_a_flat_hull_turn():
     assert rep.flat_turn == 1 and not rep.ok
     # a hull vertex in the set is no premise
     assert angle_audit(flat, [1]).flat_turn is None
+
+
+def test_ledger_meets_the_equality_case_on_the_split_grid():
+    # the 3 x 3 grid, vertex 3y + x at (x, y), each unit square split by the
+    # diagonal through its two edge midpoints. The 4 corners and the centre
+    # are independent, 2 |I| = n + 1, so the theta of G sum to 0, and every
+    # one is 0: each diagonal's far apex lies on its near face's circle, and
+    # the hull goes straight on at each midpoint. from_triangles refuses the
+    # flat hull, so T is assembled here field by field.
+    scaled = tuple(exactgeom.Point(x, y) for y in range(3) for x in range(3))
+    faces = [(0, 1, 3), (1, 4, 3), (1, 2, 5), (1, 5, 4), (3, 7, 6), (3, 4, 7), (5, 8, 7), (4, 5, 7)]
+    apex, circle = {}, {}
+    for a, b, c in faces:
+        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = exactgeom.circle_through(
+            scaled[a], scaled[b], scaled[c]
+        )
+    edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in apex}))
+    t = Triangulation(
+        vertices=tuple(P(x, y) for x, y in scaled),
+        triangles=tuple(sorted(faces)),
+        apex=apex,
+        hull=(0, 1, 2, 5, 8, 7, 6, 3),
+        edges=edges,
+        neighbors=tuple(tuple(sorted({w for e in edges if u in e for w in e} - {u})) for u in range(9)),
+        scale=1,
+        scaled=scaled,
+        circle=circle,
+    )
+    assert len(edges) == 16  # 3n - 3 - h
+    rep = angle_audit(t, [0, 2, 4, 6, 8])
+    assert rep == structure.AuditReport(4, 4, (1, 3), 1, False)
+    for u, v in [(1, 3), (1, 5), (3, 7), (5, 7)]:
+        assert not edge_angle_check(t, u, v)
+        assert exactgeom.power(t.circle[(u, v)], t.scaled[t.apex[(v, u)]]) == 0
+    hull = t.hull
+    for i in (1, 3, 5, 7):  # the midpoints 1, 5, 7 and 3
+        assert exactgeom.cross(*(scaled[hull[j % 8]] for j in (i - 1, i, i + 1))) == 0
 
 
 def test_ledger_with_every_premise_and_too_many_vertices_is_an_alarm(monkeypatch):
