@@ -16,7 +16,6 @@ from .delaunay import (
     Triangulation,
     build,
     edge_angle_check,
-    extend,
     from_triangles,
     verify_delaunay,
     witness_disk,
@@ -57,14 +56,12 @@ from .generate import convex_points, random_points
 from .structure import (
     AuditReport,
     Matching,
-    SentinelAugmentation,
     ToughnessWitness,
     VertexSet,
     angle_audit,
     components_after_removal,
     max_independent_set,
     perfect_matching,
-    sentinel_augment,
     toughness_exhaustive,
 )
 

@@ -2,15 +2,15 @@
 instance families.
 
 A point set B blocks a point set P when the Delaunay triangulation of their
-union has no edge joining two points of P. Verification needs no
-triangulation: two points of P are joined exactly when some circle through
-them holds no other point of the union (an open ``exactgeom.pencil_gap``),
-and the verdict is the first such pair, or None. The disjoint-arc family's
-witness disks are such circles for its edges. The constructions realize
-"close" and "approximately" with a halving loop: each attempt builds a
-candidate and tests it once with the exact verifiers, then returns it or
-retries, and a loop out of attempts raises ``ConstructionFailed``. So
-instances are unconditionally correct rather than asymptotically plausible.
+union has no edge joining two points of P. Verification builds that
+triangulation (``delaunay.build``) and reads the first such edge off it, or
+None; ``build`` certifies the union only when its local tests fail, to name
+the violation. The disjoint-arc family's witness disks are empty circles
+through its edges. The constructions realize "close" and "approximately"
+with a halving loop: each attempt builds a candidate and tests it once with
+the exact verifiers, then returns it or retries, and a loop out of attempts
+raises ``ConstructionFailed``. So instances are unconditionally correct
+rather than asymptotically plausible.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .exactgeom import (
     is_witness_disk,
     midpoint,
     outward_normal,
-    pencil_gap,
 )
 
 
@@ -64,21 +63,24 @@ def verify_blocking(p: Sequence[Point], b: Sequence[Point]) -> Optional[tuple[in
     """The first P-P edge, in lexicographic order, of the union's Delaunay
     triangulation, or None when B blocks P.
 
-    The union is certified once (DegenerateInput otherwise): the size alarm
-    of ``lower_bound_report`` is the paper's theorem, stated in general
-    position, and whether a strict union suffices is open (ROADMAP). A pair
-    of P is an edge exactly when its pencil gap in the union is open; the
-    bare pair (two points, no blockers) has no other point, so it is open.
+    The union needs a strict triangulation, not general position: its edge
+    set is ``build(P + B)``'s, and ``build`` raises ``DegenerateInput``
+    with the least general-position violation otherwise. The size alarm of
+    ``lower_bound_report`` is the paper's theorem, and the angle ledger of
+    ``structure.angle_audit`` proves it on any strict triangulation: with
+    I = P independent, 2 |P| <= |P| + |B|. The bare pair (two points, no
+    blockers) has no triangulation; its one edge joins P unless the points
+    coincide.
     """
     if len(p) < 2:
         raise PreconditionViolated("need at least two points to block")
-    q = integer_copy(tuple(p) + tuple(b))[1]
-    violation = general_position(q)
-    if violation is not None:
-        raise DegenerateInput(violation)
-    xs, ys = [pt.x for pt in q], [pt.y for pt in q]
-    pairs = combinations(range(len(p)), 2)
-    return next((e for e in pairs if pencil_gap(xs, ys, *e) is not None), None)
+    union = tuple(p) + tuple(b)
+    if len(union) == 2:
+        violation = general_position(union)
+        if violation is not None:
+            raise DegenerateInput(violation)
+        return (0, 1)
+    return build(union).joined(frozenset(range(len(p))))
 
 
 def lower_bound_report(p: Sequence[Point], b: Sequence[Point]) -> LowerBoundReport:

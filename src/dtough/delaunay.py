@@ -1,39 +1,32 @@
 """Delaunay triangulation construction and verification.
 
-One routine builds every triangulation (``_construct``): ``build`` runs it
-on a point set with no face known, and ``extend`` on a built triangulation
-plus added points, carrying over each old face whose circumcircle every
-added point lies strictly outside (Bowyer; Watson, Computer Journal 1981).
-It gift-wraps the missing faces off the pencils of circles through their
-edges: ab is a Delaunay edge exactly when some circle through a and b has
-no other point inside (Dillencourt, DCG 1990), that is when the pair's
-pencil gap is open (``exactgeom.pencil_gap``), and the apex of the face
-left of a -> b is the point at the gap's left end. One scan per face and
-per hull edge reads that end alone (``exactgeom.delaunay_faces``, O(n^2)
-from no face) and proves no face empty. It then checks that the faces
-tile a strictly convex hull and tests every interior edge of a new face
-strictly: the far apex strictly outside the circle through the edge and
-the near one, O(1) per edge. By Delaunay's lemma (Delaunay 1934; Lawson
-1977) such a tiling is the Delaunay triangulation, whatever the scan did,
-and strictness makes it unique, so the routine needs no general-position
-certificate. The certificate runs only when a step fails, to name the
-violation (``DegenerateInput``) among the tuples that hold a point the
-carried faces never saw
-(``exactgeom.general_position_added``: O(n^3) for ``build``, where it is
-``general_position``, and O(k n^2) for k added points); on points in
-general position a failure is a broken invariant. So the routine accepts
-some point sets outside general position, those whose Delaunay
-triangulation is unique and strict, such as four cocircular points with a
-fifth inside their circle; the paper's hypothesis is reported apart, by
-the ``hypothesis`` check of ``cli``. It runs on one lcm-scaled integer copy
-of the points (``exactgeom.integer_copy``), which gives the same faces as
-the rational points.
+One routine builds every triangulation: ``build``. It gift-wraps the faces
+off the pencils of circles through their edges: ab is a Delaunay edge
+exactly when some circle through a and b has no other point inside
+(Dillencourt, DCG 1990), that is when the pair's pencil gap is open
+(``exactgeom.pencil_gap``), and the apex of the face left of a -> b is the
+point at the gap's left end. One scan per face and per hull edge reads that
+end alone (``exactgeom.delaunay_faces``, O(n^2)) and proves no face empty.
+``build`` then checks that the faces tile a strictly convex hull and tests
+every interior edge strictly: the far apex strictly outside the circle
+through the edge and the near one, O(1) per edge. By Delaunay's lemma
+(Delaunay 1934; Lawson 1977) such a tiling is the Delaunay triangulation,
+whatever the scan did, and strictness makes it unique, so ``build`` needs
+no general-position certificate. The certificate
+(``exactgeom.general_position``, O(n^3)) runs only when a step fails, to
+name the violation (``DegenerateInput``); on points in general position a
+failure is a broken invariant. So ``build`` accepts some point sets outside
+general position, those whose Delaunay triangulation is unique and strict,
+such as four cocircular points with a fifth inside their circle; the
+paper's hypothesis is reported apart, by the ``hypothesis`` check of
+``cli``. It runs on one lcm-scaled integer copy of the points
+(``exactgeom.integer_copy``), which gives the same faces as the rational
+points.
 
 One strict edge test (``_strictly_delaunay``: the far apex has positive
 ``power`` on the near face's circle, ``Triangulation.circle``) answers
-``edge_angle_check``, and one walk over the interior edges of some faces
-(``_loose_edge``) runs it for the construction, on the new faces, and for
-``verify_delaunay``, on all of them. Every triangulation
+``edge_angle_check``, and one walk over the interior edges (``_loose_edge``)
+runs it for ``build`` and for ``verify_delaunay``. Every triangulation
 tiles a convex polygon traversed once (``_assemble``), so by the lemma the
 first loose edge's face and far apex are ``verify_delaunay``'s
 counterexample. A circle is a pure function of its face's three scaled
@@ -68,8 +61,7 @@ from .exactgeom import (
     circle_through,
     delaunay_faces,
     dist_sq,
-    general_position,  # not called here; bench/test_bench.py reads it off this module
-    general_position_added,
+    general_position,
     integer_copy,
     is_witness_disk,
     orient,
@@ -105,12 +97,10 @@ class Triangulation:
     ``from_triangles`` derives, on which every orientation and in-circle
     sign equals the one on ``vertices``. ``circle`` maps each dart (u, v)
     to the circle of the face left of it on ``scaled``
-    (``exactgeom.circle_through``, or a positive multiple of it), held for
-    every face from construction on, so an in-circle question is one lookup
+    (``exactgeom.circle_through``), held for every face from construction on, so an in-circle question is one lookup
     and one ``power`` at a ``scaled`` vertex. ``_assemble`` computes each
-    face's circle when it checks the face, and ``extend`` carries the kept
-    faces' circles over. The three are derived from the other fields, so they
-    take no part in equality.
+    face's circle when it checks the face. The three are derived from the
+    other fields, so they take no part in equality.
 
     A vertex id is an ``int`` in ``range(len(tri))``, by one rule
     (``vertex_set``): 1.0, True and "1" raise ``PreconditionViolated``.
@@ -172,24 +162,22 @@ def from_triangles(points: Sequence[Point], triangles: Sequence[tuple[int, int, 
 
 
 def _assemble(
-    pts: tuple[Point, ...],
-    scale: int,
-    q: tuple[Point, ...],
-    triangles: Sequence[tuple[int, int, int]],
-    carried: Sequence[tuple[tuple[int, int, int], Circle]] = (),
+    pts: tuple[Point, ...], scale: int, q: tuple[Point, ...], triangles: Sequence[tuple[int, int, int]]
 ) -> Triangulation:
-    """``from_triangles`` on points whose lcm-scaled copy q is already known,
-    plus the ``carried`` faces, each with its circle on q.
+    """``from_triangles`` on points whose lcm-scaled copy q is already computed.
 
-    A carried face was checked when it was first assembled, on a copy that q
-    is a positive multiple of (``extend``'s kept faces), so it enters
-    ``apex`` and ``circle`` unchecked. One pass over ``triangles`` checks
-    each face, computes its circle and fills ``apex``; everything else is
-    read off it, over all faces. The boundary is the directed edges whose
-    reverse is absent, and the hull follows their successors from the least
-    index, CCW because every face lies left of its edges. Lest a star winding
-    twice pass, the fan from the hull vertex with the least scaled point,
-    which sees the rest in one half-plane, must be CCW too.
+    One pass over ``triangles`` checks each face, computes its circle and
+    fills ``apex``; everything else is read off it. The boundary is the
+    directed edges whose reverse is absent, and the hull follows their
+    successors from the least index, CCW because every face lies left of
+    its edges. Lest a star winding twice pass, the fan from the hull vertex
+    e with the least scaled point, which sees the rest in one half-plane,
+    must be CCW too. Refusing a flat fan pair as well as a CW one changes
+    no verdict: with no CW pair, the fan's triangles from e are CCW or flat
+    and sweep less than a straight angle without overlap, so their angles,
+    (h - 2) pi in all, make up the interior angles of the boundary, which
+    then turns once. Every turn strict, it is a strictly convex polygon,
+    where no three vertices are collinear, so no fan pair is flat.
 
     The faces then tile the hull, so Euler's face count needs no check:
     interior darts cancel in pairs, so a point off every edge lies in as
@@ -203,9 +191,6 @@ def _assemble(
         raise TooFewPoints(f"need at least 3 points, got {n}")
     apex: dict[tuple[int, int], int] = {}
     circle: dict[tuple[int, int], Circle] = {}
-    for (a, b, c), known in carried:
-        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
-        circle[(a, b)] = circle[(b, c)] = circle[(c, a)] = known
     for a, b, c in triangles:
         if a == b or b == c or c == a or not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise ValueError(f"bad triangle {(a, b, c)}")
@@ -264,94 +249,37 @@ def build(points: Sequence[Point]) -> Triangulation:
     strict: every point strictly outside the circumcircle of every face it
     is not a vertex of. General position implies this.
 
-    ``_construct`` with no face known, on the points scaled once by the lcm
-    of their denominators; the predicates are invariant under that positive
-    factor. Outside that case it raises ``DegenerateInput`` with the least
-    general-position violation (``exactgeom.general_position``), or
-    ``InvariantBroken`` when there is none. The faces depend only on the
-    point set, never on the input order; tests check this by shuffling
-    inputs.
+    1. ``exactgeom.delaunay_faces`` wraps the faces on the points scaled
+       once by the lcm of their denominators (``exactgeom.integer_copy``);
+       the predicates are invariant under that positive factor. The scan
+       proves no face empty; steps 2 and 3 do.
+    2. ``_assemble`` checks that the faces tile a strictly convex hull and
+       computes their circles; a failed check is a broken invariant.
+    3. Each interior edge is tested strictly (``_loose_edge``); a loose one
+       is a broken invariant.
+    4. On a broken invariant from any step, the certificate scans the copy
+       (``exactgeom.general_position``): a violation it finds raises
+       ``DegenerateInput``, the least one, and without one the alarm
+       stands.
+
+    The faces depend only on the point set, never on the input order; tests
+    check this by shuffling inputs.
     """
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    return _construct(pts, *integer_copy(pts), (), 0)
-
-
-def extend(tri: Triangulation, added: Sequence[Point]) -> Triangulation:
-    """The Delaunay triangulation of tri's vertices followed by ``added``,
-    as ``build`` of the union returns it.
-
-    When tri is strictly Delaunay, as ``build`` returns it, an old face
-    stays a face exactly when every added point lies strictly outside its
-    circumcircle (Bowyer; Watson, Computer Journal 1981), and
-    ``_construct`` carries the kept faces over and tests only the new ones.
-    The keep test is strict: an added point on a face's circle, none inside,
-    leaves that empty circle with four points and the union with no strict
-    triangulation, so keeping the face or not, the same violation is named.
-    So on any other tri (the tests' Kleetopes) the result is a
-    triangulation of the union that is strictly locally Delaunay at every
-    edge of a new face, and may not be Delaunay. The union's copy is m
-    times ``tri.scaled`` and then the added points' copy, whose factor L' is
-    the lcm of L = ``tri.scale`` and their denominators, m = L' / L: no old
-    vertex is read again. On it a face's circle (W, U, V, K) in
-    ``tri.circle`` is (W, mU, mV, m^2 K), ``circle_through`` on the union's
-    copy divided by m^2 > 0. Each kept face goes to the union with that
-    circle, unchecked: its orientation was checked in tri, and a positive
-    factor keeps it. A violation is named among the tuples that hold an
-    added point. ``structure.sentinel_augment`` adds its sentinels here.
-    """
-    scale, new = integer_copy(added, tri.scale)
-    m = scale // tri.scale
-    q = tuple(Point(m * x, m * y) for x, y in tri.scaled) + new
-    n = len(tri)
-    carried = []
-    for a, b, c in tri.triangles:
-        w, u, v, k = tri.circle[(a, b)]
-        circle = (w, m * u, m * v, m * m * k)
-        if all(power(circle, p) > 0 for p in q[n:]):
-            carried.append(((a, b, c), circle))
-    return _construct(tri.vertices + tuple(added), scale, q, carried, n)
-
-
-def _construct(
-    pts: tuple[Point, ...],
-    scale: int,
-    q: tuple[Point, ...],
-    carried: Sequence[tuple[tuple[int, int, int], Circle]],
-    start: int,
-) -> Triangulation:
-    """The triangulation of pts, whose lcm-scaled copy is q, made of the
-    ``carried`` faces, each with its circle on q and on points before
-    ``start`` only, and of new faces strictly locally Delaunay at every
-    edge: the strict Delaunay triangulation when the carried faces are
-    faces of it.
-
-    1. ``exactgeom.delaunay_faces`` wraps the new faces outward from the
-       carried ones, or from scratch when there are none; it proves no
-       face empty, steps 2 and 3 do.
-    2. ``_assemble`` checks that all faces tile a strictly convex hull and
-       computes the new faces' circles; a failed check is a broken
-       invariant.
-    3. Each interior edge of a new face is tested strictly (``_loose_edge``);
-       a loose one is a broken invariant.
-    4. On a broken invariant from any step, the certificate scans the
-       tuples that hold a point from ``start`` on
-       (``exactgeom.general_position_added``; with ``start`` 0 it is
-       ``general_position``): a violation it finds raises
-       ``DegenerateInput``, and without one the alarm stands.
-    """
+    scale, q = integer_copy(pts)
     try:
-        faces = delaunay_faces(q, [t for t, _ in carried])
+        faces = delaunay_faces(q)
         try:
-            tri = _assemble(pts, scale, q, faces, carried)
+            tri = _assemble(pts, scale, q, faces)
         except ValueError as exc:
             raise InvariantBroken(f"wrapped faces do not triangulate the points: {exc}") from exc
-        loose = _loose_edge(tri, faces)
+        loose = _loose_edge(tri)
         if loose is not None:
             raise InvariantBroken(f"interior edge {loose} is not strictly locally Delaunay")
     except InvariantBroken:
-        violation = general_position_added(q[:start], q[start:])
+        violation = general_position(q)
         if violation is not None:
             raise DegenerateInput(violation) from None
         raise
@@ -366,19 +294,15 @@ def _strictly_delaunay(tri: Triangulation, u: int, v: int) -> bool:
     return power(tri.circle[(u, v)], tri.scaled[tri.apex[(v, u)]]) > 0
 
 
-def _loose_edge(tri: Triangulation, faces: Sequence[tuple[int, int, int]]) -> Optional[tuple[int, int]]:
-    """The first interior edge (u, v), u < v, of ``faces`` that is not
-    strictly locally Delaunay (``_strictly_delaunay``), or None.
-
-    Each such edge is tested once, also when both its faces are in
-    ``faces``. An edge between two faces outside ``faces`` (``extend``'s
-    kept faces) is not tested."""
+def _loose_edge(tri: Triangulation) -> Optional[tuple[int, int]]:
+    """The first interior edge (u, v), u < v, in face order, that is not
+    strictly locally Delaunay (``_strictly_delaunay``), or None. Each
+    interior edge is tested once."""
     apex = tri.apex
-    darts = [d for a, b, c in faces for d in ((a, b), (b, c), (c, a))]
-    own = set(darts)
-    for u, v in darts:
-        if (u < v or (v, u) not in own) and (v, u) in apex and not _strictly_delaunay(tri, u, v):
-            return (u, v) if u < v else (v, u)
+    for a, b, c in tri.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if u < v and (v, u) in apex and not _strictly_delaunay(tri, u, v):
+                return u, v
     return None
 
 
@@ -396,7 +320,7 @@ def verify_delaunay(tri: Triangulation) -> Optional[CounterExample]:
     loose edge (u, v) names one, not always the first in face order: the
     face left of u -> v, led by its least index, and the far apex.
     """
-    loose = _loose_edge(tri, tri.triangles)
+    loose = _loose_edge(tri)
     if loose is None:
         return None
     u, v = loose

@@ -16,39 +16,37 @@ circle when it is assembled and keeps it (``delaunay.Triangulation.circle``),
 so the questions about its own faces compute no circle again.
 
 Every sign test on a point set's own points (the general-position
-certificates, the Delaunay face scan and strict edge tests of
-``delaunay.build`` and ``delaunay.extend``, ``from_triangles``,
-``verify_delaunay`` and ``edge_angle_check``) runs on a copy of the point
-set multiplied by the lcm L of its denominators: the answers are the same,
-the arithmetic is plain ``int`` and still exact. ``integer_copy`` is the one
-routine that takes that lcm; a triangulation keeps its copy as
-``Triangulation.scaled`` and L as ``Triangulation.scale``. The certificates
-accept that copy in place of the points, so a build scales its points
-once, and an extension only those it adds. A ``Disk`` becomes a circle on
-a copy, given only the copy's factor, in one place (``circle_of``), so every
-in-disk test is the sign of ``power`` too (``diskpath``,
+certificate, the Delaunay face scan and strict edge tests of
+``delaunay.build``, ``from_triangles``, ``verify_delaunay`` and
+``edge_angle_check``) runs on a copy of the point set multiplied by the lcm
+L of its denominators: the answers are the same, the arithmetic is plain
+``int`` and still exact. ``integer_copy`` is the one routine that takes
+that lcm; a triangulation keeps its copy as ``Triangulation.scaled`` and L
+as ``Triangulation.scale``. The certificate accepts that copy in place of
+the points, so a build scales its points once. A ``Disk`` becomes a circle
+on a copy, given only the copy's factor, in one place (``circle_of``), so
+every in-disk test is the sign of ``power`` too (``diskpath``,
 ``is_witness_disk``), and one formula on two circles answers their
 tangency and disjointness (``_circle_pair``). Only disk centers and the
 sentinels of ``render --audit`` are built in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
-step of building T: ``delaunay``'s construction runs it only to name the
-violation when its local tests fail, and ``cli``'s ``hypothesis`` check,
-``gen`` and ``blocking.verify_blocking``, whose proof needs it, run it
-themselves. It walks the pencil of circles through each pair (a, b) of
-points with b at or above a start index: O(n^3) from 0, O(k n^2) for the
-tuples that hold one of k added points. One bisector row per pair finds
-every collinear triple and cocircular quadruple whose least and greatest
-index the pair is (``_bisector_row``).
+step of building T: ``delaunay.build`` runs it only to name the violation
+when its local tests fail, and ``cli``'s ``hypothesis`` check, ``gen`` and
+``blocking.disjoint_disk_instance`` run it themselves. It walks the pencil
+of circles through each pair (a, b) of points with b at or above a start
+index: O(n^3) from 0, O(k n^2) for the tuples that hold one of k added
+points (``general_position_added``). One bisector row per pair finds every
+collinear triple and cocircular quadruple whose least and greatest index
+the pair is (``_bisector_row``).
 
 The pencil gap of a pair (``pencil_gap``) holds the parameters of the
 circles through it that contain no other point: ``delaunay.witness_disk``
-takes its center from inside it, and a blocking verdict asks whether any
-pair of the blocked set has it open. The face scan (``delaunay_faces``)
+takes its center from inside it. The face scan (``delaunay_faces``)
 gift-wraps the triangulation, reading the face left of each directed edge
 off the left end of that gap only (``_left_apex``), one O(n) scan per face
-and per hull edge; ``delaunay``'s certificate, not the scan, proves each
-face empty.
+and per hull edge; ``delaunay.build``'s local tests, not the scan, prove
+each face empty.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -335,12 +333,12 @@ def interior_disjoint(a: Circle, b: Circle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def integer_copy(points: Sequence[Point], scale: int = 1) -> tuple[int, tuple[Point, ...]]:
-    """L, the lcm of scale and all coordinate denominators, and the points
-    times L: ``int`` coordinates on which, as L > 0, every sign test answers
-    as on the points, without the gcd normalisation of ``Fraction``. The
-    package takes that lcm here only; other routines are given L."""
-    scale = math.lcm(scale, *(c.denominator for p in points for c in p))
+def integer_copy(points: Sequence[Point]) -> tuple[int, tuple[Point, ...]]:
+    """L, the lcm of all coordinate denominators, and the points times L:
+    ``int`` coordinates on which, as L > 0, every sign test answers as on
+    the points, without the gcd normalisation of ``Fraction``. The package
+    takes that lcm here only; other routines are given L."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
     return scale, tuple(
         Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in points
@@ -441,34 +439,25 @@ def _left_apex(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional
     return lk
 
 
-def delaunay_faces(
-    pts: Sequence[Point], known: Sequence[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
+def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
     """The CCW faces of the Delaunay triangulation of integer points in
-    general position that are not in ``known``, found by gift wrapping (the
-    face step of DeWall: Cignoni, Montani and Scopigno, Computer-Aided
-    Design 1998). ``known`` must be some of those faces.
+    general position, found by gift wrapping (the face step of DeWall:
+    Cignoni, Montani and Scopigno, Computer-Aided Design 1998).
 
     A dart (u, v) is a directed Delaunay edge, and one ``_left_apex`` scan
     of it gives the face on its left: none for a hull dart, else (u, v, k)
     for k the left end of its gap. The scan proves no circle empty; the
-    caller's certificate does (``delaunay._construct``). The wrap starts
-    from each dart whose reverse is a dart of a known face and which is not
-    one itself; with no known face, from both darts of point 0 and its
-    nearest neighbour, a Gabriel edge and so a Delaunay one. Each face found
-    queues the reverses of its two other darts, so each face and each hull
-    dart is scanned once: F + h = 2n - 2 scans of O(n), O(n^2) in all.
+    caller's certificate does (``delaunay.build``). The wrap starts from
+    both darts of point 0 and its nearest neighbour, a Gabriel edge and so
+    a Delaunay one. Each face found queues the reverses of its two other
+    darts, so each face and each hull dart is scanned once: F + h = 2n - 2
+    scans of O(n), O(n^2) in all.
     """
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
+    near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
+    stack = [(0, near), (near, 0)]
     apex: dict[tuple[int, int], int] = {}
-    for a, b, c in known:
-        apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
-    if apex:
-        stack = [(v, u) for u, v in apex if (v, u) not in apex]
-    else:
-        near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
-        stack = [(0, near), (near, 0)]
     faces = []
     while stack:
         dart = stack.pop()
@@ -530,5 +519,7 @@ def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Opt
     """``general_position(base + added)`` when base alone passes, scanning
     only the tuples whose greatest index is an added point
     (``_least_violation`` from ``len(base)``), O(k n^2) for k added points.
+    ``delaunay.build`` certifies its whole copy instead; the tests'
+    extension oracle calls this.
     """
     return _least_violation(list(base) + list(added), len(base))

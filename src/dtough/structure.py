@@ -25,8 +25,9 @@ edge to infinity exactly when the hull turns strictly left at its vertex.
 
 ``sentinel_augment`` encloses T in a triangle of two far points and one
 hull vertex, for ``render --audit``'s overlay. The sentinels are placed in
-closed form and verified by the extension that adds them; a rejected
-placement doubles its reach, and 64 rejections raise ``ConstructionFailed``.
+closed form and verified by ``build`` of T's vertices plus the sentinels; a
+rejected placement doubles its reach, and 64 rejections raise
+``ConstructionFailed``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .delaunay import Triangulation, edge_angle_check, extend
+from .delaunay import Triangulation, build, edge_angle_check
 from .errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -351,7 +352,8 @@ class SentinelAugmentation(NamedTuple):
 
 
 def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugmentation:
-    """Add two verified sentinel points enclosing the triangulation.
+    """Add two verified sentinel points enclosing tri, a triangulation as
+    ``build`` returns it.
 
     Let A and B be the vectors from the anchor u to its two hull neighbours.
     The interior angle at u is below a straight angle, so every vertex lies
@@ -371,19 +373,17 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     mirror-symmetric input such as (0,0), (1,0), (0,1) cocircular with the
     sentinels at every reach.
 
-    Nothing about the placement is trusted: ``extend(tri, (s1, s2))``
-    tests every new face strictly and raises ``DegenerateInput`` when a
+    Nothing about the placement is trusted: ``build(tri.vertices + (s1,
+    s2))`` tests every face strictly and raises ``DegenerateInput`` when a
     sentinel is collinear or cocircular with input points in a way that
     spoils the triangulation, and the candidate is taken only when every
     face of the input survives and the augmented hull is exactly the
     sentinel triangle. A rejected candidate doubles r; after 64 rejections
     the search raises ``ConstructionFailed``. The face circles of the bound
-    are ``tri.circle``, which ``extend`` reads for every candidate and
-    carries over to the augmented triangulation, so each is computed once.
-    The placement runs in ints on ``tri.scaled`` (the vertices times
-    L = ``tri.scale``), where A and B give E1 = 2A - B = 2L e1 and
-    E2 = 2B - A = 2L e2; only s1 = (2u + r E1) / 2L and s2 are built as
-    ``Fraction``s, in the caller's coordinates.
+    are ``tri.circle``. The placement runs in ints on ``tri.scaled`` (the
+    vertices times L = ``tri.scale``), where A and B give E1 = 2A - B =
+    2L e1 and E2 = 2B - A = 2L e2; only s1 = (2u + r E1) / 2L and s2 are
+    built as ``Fraction``s, in the caller's coordinates.
     """
     gone = tri.vertex_set(removed)
     hull_in_removed = [h for h in tri.hull if h in gone]
@@ -410,7 +410,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     # isqrt(ceil(8 num / (W |E|)^2)) + 1 is strictly above its root.
     best, best_w2 = 0, 1
     for a, b, _ in tri.triangles:
-        c = w, u, v, _ = tri.circle[(a, b)]  # kept on tri, so extend reuses them
+        c = w, u, v, _ = tri.circle[(a, b)]
         num = (u - w * qu.x) ** 2 + (v - w * qu.y) ** 2 + radius_sq_w2(c)
         if num * best_w2 > best * w * w:
             best, best_w2 = num, w * w
@@ -426,7 +426,7 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
         )
         reach *= 2
         try:
-            augmented = extend(tri, (s1, s2))
+            augmented = build(tri.vertices + (s1, s2))
         except DegenerateInput:
             continue
         if tri_faces <= set(augmented.triangles) and set(augmented.hull) == {anchor, n, n + 1}:

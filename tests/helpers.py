@@ -23,7 +23,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from dtough import blocking, build, cli, exactgeom, structure
-from dtough.delaunay import CounterExample, edge_angle_check, extend, from_triangles
+from dtough.delaunay import CounterExample, edge_angle_check, from_triangles
 from dtough.diskpath import DiskPath, check_disk_path
 from dtough.errors import (
     CollinearInput,
@@ -48,6 +48,7 @@ from dtough.exactgeom import (
     cross,
     dist_sq,
     general_position,
+    general_position_added,
     in_circle,
     midpoint,
     orient,
@@ -172,8 +173,11 @@ def pair_scan_faces(q) -> set[tuple[int, int, int]]:
 def two_sided_wrap(q, known) -> list[tuple[int, int, int]]:
     """``exactgeom.delaunay_faces`` as a wrap on the whole pencil gap: each
     queued dart's face is read off the left end of its ``pencil_gap``, and
-    a closed gap raises ``InvariantBroken``. Same start and same queue, so
-    on a strict set it returns the same faces in the same order."""
+    a closed gap raises ``InvariantBroken``. With no face known, same start
+    and same queue, so on a strict set it returns the same faces in the
+    same order. With faces known, the faces not in ``known``, wrapped
+    outward from the darts whose reverse is a dart of a known face and
+    which are not one themselves (``extension``)."""
     xs = [p.x for p in q]
     ys = [p.y for p in q]
     apex = {}
@@ -221,6 +225,41 @@ def blind(tri):
     """tri with opaque objects for its ``Fraction`` vertices: a routine that
     answers on it as on tri reads only the integer copy and its factor."""
     return dataclasses.replace(tri, vertices=tuple(object() for _ in tri.vertices))
+
+
+def extension(tri, added):
+    """tri's vertices followed by ``added``, triangulated from tri's faces
+    (Bowyer; Watson, Computer Journal 1981): keep each face whose circle
+    every added point lies strictly outside (``in_circle_lifted``), wrap
+    the rest from the kept ones (``two_sided_wrap``), assemble them all
+    (``from_triangles``) and test every interior edge of a new face
+    (``edge_angle_check``). On tri as ``build`` returns it, that is ``build``
+    of the union; on the Kleetopes, which no ``build`` returns, it keeps
+    their faces for the sentinel census. A failed step raises
+    ``DegenerateInput`` with the least violation among the tuples that hold
+    an added point (``exactgeom.general_position_added``), or
+    ``InvariantBroken`` when there is none."""
+    pts = tuple(tri.vertices) + tuple(added)
+    kept = [
+        f for f in tri.triangles
+        if all(in_circle_lifted(*(tri.vertices[i] for i in f), s) is Position.EXTERIOR for s in added)
+    ]
+    try:
+        faces = two_sided_wrap(lcm_copy(pts)[1], kept)
+        try:
+            grown = from_triangles(pts, kept + faces)
+        except ValueError as exc:
+            raise InvariantBroken(f"the extension does not triangulate the union: {exc}") from exc
+        for a, b, c in faces:
+            for u, v in ((a, b), (b, c), (c, a)):
+                if (v, u) in grown.apex and not edge_angle_check(grown, u, v):
+                    raise InvariantBroken(f"new edge {(u, v)} is not strictly locally Delaunay")
+    except InvariantBroken:
+        violation = general_position_added(tri.vertices, added)
+        if violation is not None:
+            raise DegenerateInput(violation) from None
+        raise
+    return grown
 
 
 @lru_cache(maxsize=None)
@@ -502,7 +541,7 @@ def point_in_cycle(p, cycle_pts) -> bool:
 def triangle_classify(a: Point, b: Point, c: Point, p: Point) -> Position:
     """Classify p against the closed triangle (a, b, c) by three orientation
     tests. The sentinel placement it checks is closed-form cone arithmetic;
-    ``orient`` reaches it only as ``extend``'s check that each face is CCW."""
+    ``orient`` reaches it only as ``build``'s check that each face is CCW."""
     if orient(a, b, c) is Orientation.CW:
         b, c = c, b
     elif orient(a, b, c) is Orientation.COLLINEAR:
@@ -594,6 +633,16 @@ def surviving_pp_edge_oracle(p, b):
             raise DegenerateInput(violation)
         return (0, 1)
     return next(((u, v) for u, v in certified_build(pts).edges if u < len(p) and v < len(p)), None)
+
+
+def pencil_gap_pair_scan(p, b):
+    """The first pair of P, in lexicographic order, whose pencil gap in the
+    union is open (``pencil_gap``), or None: how ``blocking.verify_blocking``
+    read its verdict before it built the union. Where the union has a
+    strict triangulation, a gap is open exactly when its pair is an edge."""
+    q = lcm_copy(tuple(p) + tuple(b))[1]
+    xs, ys = [pt.x for pt in q], [pt.y for pt in q]
+    return next((e for e in combinations(range(len(p)), 2) if pencil_gap(xs, ys, *e) is not None), None)
 
 
 def mis_exhaustive(n: int, edges) -> int:
@@ -792,12 +841,15 @@ def circumdisk(a: Point, b: Point, c: Point) -> Disk:
 
 def sentinels_fraction(tri, removed):
     """The anchor and sentinels of ``structure.sentinel_augment``, placed on
-    the ``Fraction`` vertices: e1 = A - B/2 and e2 = B - A/2 from the
-    anchor's hull neighbours, the reach the larger of ceil(2 max(x + y)) and
-    isqrt(ceil(bound / min |e|^2)) + 1 with the bound twice the largest
-    |center - u|^2 + radius^2 of the face circumdisks (``circumdisk``), and
-    the first candidate (u + r e1, u + (r + 1) e2) that ``extend`` accepts,
-    the reach doubling after each rejection."""
+    the ``Fraction`` vertices, and the extension that adds them: e1 = A - B/2
+    and e2 = B - A/2 from the anchor's hull neighbours, the reach the larger
+    of ceil(2 max(x + y)) and isqrt(ceil(bound / min |e|^2)) + 1 with the
+    bound twice the largest |center - u|^2 + radius^2 of the face
+    circumdisks (``circumdisk``), and the first candidate
+    (u + r e1, u + (r + 1) e2) whose ``extension`` keeps every face of tri
+    and has the sentinel triangle as its hull, the reach doubling after
+    each rejection. Unlike ``sentinel_augment``, it places sentinels around
+    any triangulation, the Kleetopes too."""
     gone = set(removed)
     anchor = min(h for h in tri.hull if h in gone)
     pos = tri.hull.index(anchor)
@@ -816,11 +868,11 @@ def sentinels_fraction(tri, removed):
         s2 = Point(u.x + (reach + 1) * e2.x, u.y + (reach + 1) * e2.y)
         reach *= 2
         try:
-            augmented = extend(tri, (s1, s2))
+            augmented = extension(tri, (s1, s2))
         except DegenerateInput:
             continue
         if set(tri.triangles) <= set(augmented.triangles) and set(augmented.hull) == {anchor, n, n + 1}:
-            return anchor, (s1, s2)
+            return anchor, (s1, s2), augmented
     raise ConstructionFailed("no sentinel placement satisfied all conditions in 64 attempts")
 
 
@@ -862,7 +914,7 @@ def sentinel_census_oracle(tri, independent) -> CensusReport:
     way ``structure.angle_audit`` checked it before it read the angle ledger.
 
     The independent set is removed, sentinels are added around the rest
-    (``structure.sentinel_augment``), and the surviving plane subgraph's
+    (``sentinels_fraction``), and the surviving plane subgraph's
     interior faces, walked off the augmented triangulation's ``apex`` map
     (``structure.planar_faces``), are classified by how many removed
     vertices they enclose (0 or 1; anything else is structurally impossible
@@ -877,8 +929,7 @@ def sentinel_census_oracle(tri, independent) -> CensusReport:
     if joined is not None:
         raise NotIndependent(f"edge {joined} joins two chosen vertices")
     removed = frozenset(range(len(tri))) - chosen
-    aug = structure.sentinel_augment(tri, removed)
-    big = aug.tri
+    anchor, sentinels, big = sentinels_fraction(tri, removed)
     n = len(tri)
     keep = removed | {n, n + 1}
 
@@ -915,8 +966,8 @@ def sentinel_census_oracle(tri, independent) -> CensusReport:
     )
 
     return CensusReport(
-        anchor=aug.anchor,
-        sentinels=aug.sentinels,
+        anchor=anchor,
+        sentinels=sentinels,
         good_faces=good,
         bad_faces=bad,
         subgraph_edges=e_count,

@@ -43,22 +43,32 @@ def test_degenerate_union_rejected():
 
 
 def test_union_is_scanned_once(monkeypatch):
+    # one build of the union per verdict, and no general-position scan on
+    # a fan in general position: build's local tests certify it
     inst = helpers.fan(6)
-    sizes = []
+    scans, built = [], []
     real = exactgeom._least_violation
+    build = blocking.build
 
     def counting(points, start):
-        sizes.append(len(points))
+        scans.append(len(points))
         return real(points, start)
 
+    def counting_build(points):
+        built.append(len(points))
+        return build(points)
+
     monkeypatch.setattr(exactgeom, "_least_violation", counting)
+    monkeypatch.setattr(blocking, "build", counting_build)
     assert verify_blocking(inst.points, inst.blockers) is None
     assert lower_bound_report(inst.points, inst.blockers).blocked
-    assert sizes == [12, 12]
+    assert built == [12, 12] and scans == []
 
 
 @given(st.lists(helpers.grid_points, min_size=2, max_size=9), st.integers(2, 9), st.booleans())
 def test_verdict_matches_union_triangulation_oracle(candidates, split, thin):
+    # where the certified oracle builds, its verdict; where it refuses, the
+    # build's violation, or on a strict union the pencil-gap pair scan
     pts: list = []
     for q in candidates:
         if not thin or exactgeom.general_position(pts + [q]) is None:
@@ -68,11 +78,27 @@ def test_verdict_matches_union_triangulation_oracle(candidates, split, thin):
     try:
         witness = helpers.surviving_pp_edge_oracle(p, b)
     except DegenerateInput as exc:
-        with pytest.raises(DegenerateInput) as raised:
-            verify_blocking(p, b)
-        assert raised.value.violation == exc.violation
+        try:
+            witness = verify_blocking(p, b)
+        except DegenerateInput as raised:
+            assert raised.violation == exc.violation
+            return
+        assert witness == helpers.pencil_gap_pair_scan(p, b)
         return
-    assert verify_blocking(p, b) == witness
+    assert verify_blocking(p, b) == witness == helpers.pencil_gap_pair_scan(p, b)
+
+
+def test_a_strict_union_outside_general_position_gets_a_verdict():
+    # four cocircular points with a fifth inside their circle, split into
+    # P and B: the certified oracle refuses it, build triangulates it
+    corners = [P(0, 0), P(4, 4), P(4, 0), P(0, 4)]
+    with pytest.raises(DegenerateInput):
+        helpers.surviving_pp_edge_oracle(corners[:2], corners[2:] + [P(1, 2)])
+    assert verify_blocking(corners[:2], corners[2:] + [P(1, 2)]) is None
+    rep = lower_bound_report(corners[:2], corners[2:] + [P(1, 2)])
+    assert rep.blocked and rep.size_ok and not rep.alarm
+    assert verify_blocking(corners[::2], corners[1::2] + [P(1, 2)]) == (0, 1)
+    assert helpers.pencil_gap_pair_scan(corners[::2], corners[1::2] + [P(1, 2)]) == (0, 1)
 
 
 def test_constructions_scan_each_point_set_once(monkeypatch):

@@ -23,6 +23,10 @@ ENTRY_POINTS = {
     # bench/tracing.py spans it by this name; the audit reads the angle
     # ledger instead, and only the sentinel census oracle walks faces
     "planar_faces",
+    # bench/tracing.py spans it by this name; build certifies the whole
+    # copy when it fails, and only the tests' extension oracle scans the
+    # tuples that hold an added point
+    "general_position_added",
 }
 
 

@@ -23,7 +23,7 @@ from dtough.errors import (
     PointFileError,
     TooLarge,
 )
-from dtough.exactgeom import point, general_position
+from dtough.exactgeom import Violation, ViolationKind, general_position, point
 
 import helpers
 
@@ -296,7 +296,7 @@ def test_builder_invariant_is_an_alarm(tmp_path, monkeypatch, capsys):
     quad = tmp_path / "quad.txt"
     quad.write_text("0 0\n2 0\n3 2\n1 3\n")
     scan = delaunay.delaunay_faces
-    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q, known: scan(q, known)[1:])
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
     code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
     assert code == 1
     assert "do not triangulate" in json.loads(out)["error"]
@@ -821,25 +821,24 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
     _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
     f.write_text(stdout)
     sizes = []
-    extended = []
+    unions = []
 
     def counting(points):
         sizes.append(len(points))
         return delaunay.build(points)
 
-    def counting_extend(tri, added):
-        extended.append(len(tri) + len(added))
-        return delaunay.extend(tri, added)
+    def counting_union(points):
+        unions.append(len(points))
+        return delaunay.build(points)
 
-    # structure only extends the caller's triangulation, so cli.build is
-    # the one build a render makes
-    assert not hasattr(structure, "build")
+    # cli.build builds the input, and the sentinel search builds the input
+    # with its sentinels through structure.build
     monkeypatch.setattr(cli, "build", counting)
-    monkeypatch.setattr(structure, "extend", counting_extend)
+    monkeypatch.setattr(structure, "build", counting_union)
     code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
     assert code == 0
     assert sizes == [7]  # the input
-    assert extended == [9]  # the input with two sentinels, extended
+    assert unions == [9]  # the input with two sentinels
 
     # blockers are not drawn on the audit overlay, so their union is not built
     fan = tmp_path / "fan8.txt"
@@ -847,13 +846,13 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
     n = len(pointfile.read_points(fan))
     svgs = [tmp_path / "plain.svg", tmp_path / "blockers.svg"]
     sizes.clear()
-    extended.clear()
+    unions.clear()
     code, _ = helpers.run_cli(["render", str(fan), "--svg", str(svgs[0]), "--audit"])
     assert code == 0
     argv = ["render", str(fan), "--svg", str(svgs[1]), "--audit", "--blockers", f"{fan}.blockers"]
     code, _ = helpers.run_cli(argv)
     assert code == 0
-    assert sizes == [n, n] and extended == [n + 2, n + 2]
+    assert sizes == [n, n] and unions == [n + 2, n + 2]
     assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
 
@@ -986,7 +985,7 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
     t = delaunay.build(pts)
     assert scans == []  # the local tests certify T
     structure.sentinel_augment(t, t.hull[:1])
-    assert scans == []  # an extension that passes its local tests
+    assert scans == []  # a build of the union that passes its local tests
     code, _ = helpers.run_cli(["check", str(f)])
     assert code == 0 and scans == [(12, 0)]  # the hypothesis check's one scan
     scans.clear()
@@ -1119,21 +1118,65 @@ def test_a_check_named_twice_runs_once(tmp_path, monkeypatch):
 
 
 def test_block_scans_the_union_once(tmp_path, monkeypatch):
+    # one build of the union, whose local tests certify it: no
+    # general-position scan on a fan in general position
     inst = helpers.fan(6)
     pts, blockers = tmp_path / "fan6.txt", tmp_path / "fan6.blockers"
     pts.write_text(format_points(inst.points))
     blockers.write_text(format_points(inst.blockers))
-    sizes = []
+    scans = []
     real = exactgeom._least_violation
 
     def counting(points, start):
-        sizes.append(len(points))
+        scans.append(len(points))
         return real(points, start)
 
     monkeypatch.setattr(exactgeom, "_least_violation", counting)
+    built = []
+    build = blocking.build
+
+    def counting_build(points):
+        built.append(len(points))
+        return build(points)
+
+    monkeypatch.setattr(blocking, "build", counting_build)
     code, out = helpers.run_cli(["block", str(pts), str(blockers)])
     assert code == 0 and json.loads(out)["blocked"]
-    assert sizes == [12]
+    assert built == [12] and scans == []
+
+
+def test_block_answers_on_a_strict_union_outside_general_position(tmp_path):
+    # four cocircular points with a fifth inside their circle: not in
+    # general position, yet its Delaunay triangulation is unique and strict,
+    # the star from (1, 2), so the opposite corners are blocked
+    pts, blockers = tmp_path / "p.txt", tmp_path / "b.txt"
+    pts.write_text("0 0\n4 4\n")
+    blockers.write_text("4 0\n0 4\n1 2\n")
+    union = [point(x, y) for x, y in ((0, 0), (4, 4), (4, 0), (0, 4), (1, 2))]
+    assert general_position(union) == Violation(ViolationKind.COCIRCULAR, (0, 1, 2, 3))
+    code, out = helpers.run_cli(["block", str(pts), str(blockers)])
+    report = json.loads(out)
+    assert code == 0
+    assert (report["blocked"], report["p_independent"], report["tight"]) == (True, True, False)
+    # P = two adjacent corners shares a hull edge
+    pts.write_text("0 0\n4 0\n")
+    blockers.write_text("4 4\n0 4\n1 2\n")
+    code, out = helpers.run_cli(["block", str(pts), str(blockers)])
+    assert code == 0 and json.loads(out)["blocked"] is False
+
+
+def test_block_on_a_union_with_no_strict_triangulation_names_the_violation(tmp_path):
+    # a collinear triple, and four cocircular points with nothing inside:
+    # exit 2, naming the violation general_position names
+    pts, blockers = tmp_path / "p.txt", tmp_path / "b.txt"
+    for p_text, b_text in (("0 0\n2 2\n", "1 1\n"), ("0 0\n4 4\n", "4 0\n0 4\n")):
+        pts.write_text(p_text)
+        blockers.write_text(b_text)
+        violation = general_position(pointfile.read_points(pts) + pointfile.read_points(blockers))
+        assert violation is not None
+        code, out = helpers.run_cli(["block", str(pts), str(blockers)])
+        assert code == 2
+        assert json.loads(out)["error"] == str(DegenerateInput(violation))
 
 
 def test_gen_into_missing_directory(tmp_path):

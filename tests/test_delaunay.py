@@ -12,7 +12,6 @@ from dtough.delaunay import (
     Triangulation,
     build,
     edge_angle_check,
-    extend,
     from_triangles,
     verify_delaunay,
     witness_disk,
@@ -271,6 +270,8 @@ def test_apex_map_matches_incidence_oracle(candidates):
     st.lists(helpers.grid_points, min_size=1, max_size=3),
 )
 def test_extend_matches_build_of_the_union(candidates, added):
+    # the tests' extension oracle, which the sentinel census runs, keeps
+    # the faces build of the union keeps, and names the same violation
     base = helpers.thinned(candidates)
     assume(len(base) >= 3)
     t = build(base)
@@ -278,11 +279,11 @@ def test_extend_matches_build_of_the_union(candidates, added):
         expected = build(base + added)
     except DegenerateInput as built:
         with pytest.raises(DegenerateInput) as exc:
-            extend(t, added)
+            helpers.extension(t, added)
         assert exc.value.violation == built.violation
         assert max(exc.value.violation.indices) >= len(base)  # an added point is to blame
         return
-    grown = extend(t, added)
+    grown = helpers.extension(t, added)
     assert grown == expected
     assert grown.scaled == expected.scaled
 
@@ -300,21 +301,22 @@ def test_extend_reports_the_violation_build_reports():
     with pytest.raises(DegenerateInput) as built:
         build(base + added)
     with pytest.raises(DegenerateInput) as extended:
-        extend(build(base), added)
+        helpers.extension(build(base), added)
     assert certified.value.violation == built.value.violation == extended.value.violation == least
     # without the point on the hull line the interior triples spoil nothing:
     # the local tests accept the strict triangulation the oracle refuses
     with pytest.raises(DegenerateInput):
         helpers.certified_build(base + added[:2])
-    grown = extend(build(base), added[:2])
-    assert grown == build(base + added[:2])
+    grown = build(base + added[:2])
+    assert grown == helpers.extension(build(base), added[:2])
     assert verify_delaunay(grown) is None and helpers.verify_delaunay_naive(grown) is None
 
 
 def test_extend_by_a_point_on_a_face_circle_names_the_certified_violation():
     # s on a face's circle puts four points on an empty circle, so the union
-    # has no strict triangulation: keeping or dropping that face, the
-    # extension fails its checks and names what the certificate names
+    # has no strict triangulation: build of the union, and the extension
+    # oracle keeping or dropping that face, fail and name what the
+    # certificate names
     for seed in (0, 1, 2):
         pts, t = helpers.random_tri(8, seed)
         for a, b, c in t.triangles:
@@ -324,9 +326,11 @@ def test_extend_by_a_point_on_a_face_circle_names_the_certified_violation():
                 continue
             with pytest.raises(DegenerateInput) as certified:
                 helpers.certified_build(pts + (s,))
+            with pytest.raises(DegenerateInput) as built:
+                build(pts + (s,))
             with pytest.raises(DegenerateInput) as extended:
-                extend(t, [s])
-            assert extended.value.violation == certified.value.violation
+                helpers.extension(t, [s])
+            assert built.value.violation == extended.value.violation == certified.value.violation
             assert max(extended.value.violation.indices) == len(pts)
 
 
@@ -354,20 +358,20 @@ def test_local_build_matches_the_certified_oracle(pts):
     st.data(),
 )
 def test_build_and_extend_match_the_pair_scan(pts, data):
-    # n = 3 included; extend wraps from the faces it keeps
+    # n = 3 included; the extension oracle wraps from the faces it keeps
     assume(len(pts) >= 3)
     faces = helpers.pair_scan_faces(helpers.lcm_copy(pts)[1])
     assert set(build(pts).triangles) == faces
     m = data.draw(st.integers(3, len(pts)), label="split")
-    assert set(extend(build(pts[:m]), pts[m:]).triangles) == faces
+    assert set(helpers.extension(build(pts[:m]), pts[m:]).triangles) == faces
 
 
 def test_extend_that_keeps_no_face_matches_the_pair_scan():
-    # (1, 1) lies inside the one old circumdisk, so the wrap restarts from
-    # point 0 and its nearest neighbour
+    # (1, 1) lies inside the one old circumdisk, so the extension oracle's
+    # wrap restarts from point 0 and its nearest neighbour
     base = [P(0, 0), P(4, 0), P(0, 4)]
     added = [P(1, 1), P(5, 3), P(-2, 5), P(4, -1)]
-    grown = extend(build(base), added)
+    grown = helpers.extension(build(base), added)
     assert not set(build(base).triangles) & set(grown.triangles)
     assert set(grown.triangles) == helpers.pair_scan_faces(helpers.lcm_copy(base + added)[1])
 
@@ -383,27 +387,24 @@ def test_extend_that_keeps_no_face_matches_the_pair_scan():
 def test_face_scan_matches_the_two_sided_wrap(pts):
     # on a strict set the least left t_k is unique and is the left end of
     # the open gap, so the one-sided scan finds the same faces in the same
-    # order, from scratch and from every prefix of T's faces
+    # order
     assume(len(pts) >= 3)
     t = build(pts)
-    for k in range(len(t.triangles) + 1):
-        known = t.triangles[:k]
-        assert exactgeom.delaunay_faces(t.scaled, known) == helpers.two_sided_wrap(t.scaled, known)
+    assert exactgeom.delaunay_faces(t.scaled) == helpers.two_sided_wrap(t.scaled, ())
 
 
 def test_face_scan_returns_only_the_faces_it_finds():
-    # with each prefix of T's faces known, the wrap returns the other faces,
-    # each once, and none of the known ones
-    _, t = helpers.random_tri(12, 5)
-    for k in range(len(t.triangles) + 1):
-        found = exactgeom.delaunay_faces(t.scaled, t.triangles[:k])
+    # the wrap returns every face of T once
+    for n, seed in ((3, 1), (12, 5), (40, 2)):
+        _, t = helpers.random_tri(n, seed)
+        found = exactgeom.delaunay_faces(t.scaled)
         led = {min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in found}
-        assert len(led) == len(found) and led == set(t.triangles[k:])
+        assert len(led) == len(found) and led == set(t.triangles)
 
 
 def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
-    # F + h = 2n - 2 apex scans for a build, one per new face and hull edge
-    # for the sentinels; a scan per pair would make n (n - 1) / 2
+    # F + h = 2n - 2 apex scans for a build, and 2 (n + 2) - 2 for the
+    # sentinels' build of the union; a scan per pair would make n (n - 1) / 2
     calls = []
     scan = exactgeom._left_apex
 
@@ -420,7 +421,7 @@ def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
             assert len(calls) == 2 * n - 2
             calls.clear()
             aug = structure.sentinel_augment(t, t.hull[:1])
-            assert len(calls) <= len(aug.tri.triangles) - len(t.triangles) + 3
+            assert len(calls) == 2 * len(aug.tri) - 2
 
 
 def _assert_counterexample(t):
@@ -487,10 +488,10 @@ def test_built_and_extended_triangulations_carry_every_face_circle(pts, data):
     assume(len(pts) >= 4)
     k = data.draw(st.integers(1, len(pts) - 3))
     base = build(pts[:-k])
-    grown = extend(base, pts[-k:])
+    grown = helpers.extension(base, pts[-k:])
     augmented = structure.sentinel_augment(base, base.hull[:1]).tri
     flipped = helpers.flip_first_convex_edge(base)
-    for t in (base, grown, augmented):  # computed by the build or carried over
+    for t in (base, grown, augmented):  # computed when each face is assembled
         assert set(t.circle) == set(t.apex)
     for t in filter(None, (base, grown, augmented, flipped)):
         _assert_face_circles(t)
@@ -553,53 +554,41 @@ def test_every_edge_passes_exactly_when_every_circumdisk_is_empty(pts):
 
 
 def test_build_and_extend_scale_the_points_once(monkeypatch):
-    # build takes the lcm of its points and scales them once; extend takes
-    # the lcm of the added points and scales only them, multiplying the old
-    # copy by L' / L
+    # build takes the lcm of its points and scales them once, and so does
+    # the sentinels' build of the union
     pts, _ = helpers.random_tri(12, 7)
     copied = []
     copy = delaunay.integer_copy
 
-    def counting(points, scale=1):
-        copied.append((len(points), scale))
-        return copy(points, scale)
+    def counting(points):
+        copied.append(len(points))
+        return copy(points)
 
     monkeypatch.setattr(delaunay, "integer_copy", counting)
     t = build(pts[:10])
-    assert copied == [(10, 1)]
-    grown = extend(t, pts[10:])
-    assert copied == [(10, 1), (2, t.scale)]
-    # neither extend nor the sentinel placement reads an old vertex: on a
-    # copy of t whose vertices are opaque objects they give the same results
-    blind = helpers.blind(t)
-    unseen = extend(blind, pts[10:])
-    assert (unseen.triangles, unseen.scale, unseen.scaled) == (grown.triangles, grown.scale, grown.scaled)
-    placed = structure.sentinel_augment(t, t.hull[:1])
-    assert structure.sentinel_augment(blind, t.hull[:1]).sentinels == placed.sentinels
+    assert copied == [10]
+    aug = structure.sentinel_augment(t, t.hull[:1])
+    assert copied == [10, 12]
+    assert (aug.tri.scale, aug.tri.scaled) == helpers.lcm_copy(aug.tri.vertices)
 
 
 @given(
-    st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10).map(helpers.thinned), helpers.rescaled_sets()),
-    st.data(),
+    st.one_of(st.lists(helpers.grid_points, min_size=3, max_size=10).map(helpers.thinned), helpers.rescaled_sets())
 )
-def test_every_construction_scales_by_the_lcm_of_its_vertices(pts, data):
+def test_every_construction_scales_by_the_lcm_of_its_vertices(pts):
     assume(len(pts) >= 3)
     t = build(pts)
-    m = data.draw(st.integers(3, len(pts)), label="split")
-    grown = extend(build(pts[:m]), pts[m:])
-    assert grown == t
     aug = structure.sentinel_augment(t, t.hull[:1])
-    for tri in (t, from_triangles(pts, t.triangles), grown, aug.tri):
+    for tri in (t, from_triangles(pts, t.triangles), aug.tri):
         assert (tri.scale, tri.scaled) == helpers.lcm_copy(tri.vertices)
 
 
-def test_extend_rescales_the_old_copy_only_for_new_denominators():
+def test_build_scales_by_the_lcm_of_the_union():
+    # the union's factor is the lcm of the old one and the new denominators
     base = [P("1/2", 0), P(4, "1/4"), P(0, 4), P(3, 3)]
-    t = build(base)
-    assert t.scale == 4
+    assert build(base).scale == 4
     for added, scale in (([P("3/2", "5/4")], 4), ([P("4/3", "3/2")], 12)):
-        grown = extend(t, added)
-        assert grown == build(base + added)
+        grown = build(base + added)
         assert grown.scale == scale
         assert grown.scaled == helpers.lcm_copy(base + added)[1]
 
@@ -621,7 +610,7 @@ def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
     # faces of general-position input always triangulate it; a face scan
     # that loses one must surface as an alarm, not as a bare ValueError
     scan = delaunay.delaunay_faces
-    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q, known: scan(q, known)[1:])
+    monkeypatch.setattr(delaunay, "delaunay_faces", lambda q: scan(q)[1:])
     with pytest.raises(InvariantBroken, match="do not triangulate"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 

@@ -7,7 +7,7 @@ from itertools import permutations
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dtough.delaunay import build, extend
+from dtough.delaunay import build
 from dtough.errors import CollinearInput, DegenerateInput, PreconditionViolated
 from dtough.exactgeom import (
     MAX_EXPONENT,
@@ -233,9 +233,6 @@ def test_integer_copy():
     scale, scaled = integer_copy([P("1/2", "1/3"), P(2, "-5/6")])
     assert (scale, scaled) == (6, (Point(3, 2), Point(12, -5)))
     assert all(type(c) is int for p in scaled for c in p)
-    # a given factor is kept in the lcm: 4 and the denominators 2 and 6
-    assert integer_copy([P("1/2", "1/6")], 4) == (12, (Point(6, 2),))
-    assert integer_copy([P(3, -1)], 5) == (5, (Point(15, -5),))
     assert integer_copy([]) == (1, ())
 
 
@@ -399,7 +396,7 @@ def test_general_position_matches_naive_scan(pts):
     assert general_position(pts) == expected
     integers = helpers.lcm_copy(pts)[1]
     assert general_position(integers) == expected
-    assert general_position_added((), integers) == expected  # as build passes it
+    assert general_position_added((), integers) == expected
 
 
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.lists(helpers.grid_points, min_size=1, max_size=3))
@@ -413,9 +410,10 @@ def test_general_position_added_matches_naive_scan(candidates, added):
     union = helpers.lcm_copy(base + added)[1]
     assert general_position_added(union[: len(base)], union[len(base):]) == found
     if len(base) >= 3:
-        # extend scans that copy, and certifies it when a step fails
+        # build of the union scans that copy, and when a step fails its
+        # certificate names the violation: an added point is to blame
         try:
-            assert extend(build(base), added).scaled == union
+            assert build(base + added).scaled == union
         except DegenerateInput as exc:
             assert exc.violation == found
 

@@ -320,8 +320,8 @@ def _mis_complement(t):
 
 
 def test_sentinel_candidate_is_not_certified(monkeypatch):
-    # an accepted candidate's extension passes its strict local tests, so
-    # no general-position scan runs; only a failed extension scans
+    # an accepted candidate's build passes its strict local tests, so no
+    # general-position scan runs; only a failed build scans
     scans = []
     real = exactgeom._least_violation
 
@@ -347,13 +347,13 @@ def _sentinel_inputs():
 
 def test_sentinel_first_candidate_encloses_and_avoids_every_circumdisk(monkeypatch):
     extended = []
-    real_extend = structure.extend
+    real_build = structure.build
 
-    def counting(tri, added):
-        extended.append(added)
-        return real_extend(tri, added)
+    def counting(points):
+        extended.append(tuple(points[-2:]))
+        return real_build(points)
 
-    monkeypatch.setattr(structure, "extend", counting)
+    monkeypatch.setattr(structure, "build", counting)
     for t in _sentinel_inputs():
         extended.clear()
         aug = sentinel_augment(t, _mis_complement(t))
@@ -375,15 +375,15 @@ def test_sentinel_degenerate_candidate_is_skipped(monkeypatch):
     first = sentinel_augment(t, removed)
     sizes = []
 
-    real_extend = structure.extend
+    real_build = structure.build
 
-    def first_candidate_cocircular(tri, added):
-        sizes.append(len(tri) + len(added))
+    def first_candidate_cocircular(points):
+        sizes.append(len(points))
         if len(sizes) == 1:  # a sentinel on a circle through three vertices
             raise DegenerateInput(Violation(ViolationKind.COCIRCULAR, (0, 1, 2, sizes[0] - 1)))
-        return real_extend(tri, added)
+        return real_build(points)
 
-    monkeypatch.setattr(structure, "extend", first_candidate_cocircular)
+    monkeypatch.setattr(structure, "build", first_candidate_cocircular)
     second = sentinel_augment(t, removed)
     assert sizes == [12, 12]
     assert second.sentinels != first.sentinels
@@ -395,15 +395,15 @@ def test_sentinel_hull_must_be_the_sentinel_triangle(monkeypatch):
     far = P(10**40, 3 * 10**40 + 1)
     _, t = helpers.random_tri(10, 3)
     hulls = []
-    real_extend = structure.extend
+    real_build = structure.build
 
-    def with_far_point(tri, added):
-        augmented = real_extend(tri, tuple(added) + (far,))
+    def with_far_point(points):
+        augmented = real_build(tuple(points) + (far,))
         assert set(t.triangles) <= set(augmented.triangles)
         hulls.append(augmented.hull)
         return augmented
 
-    monkeypatch.setattr(structure, "extend", with_far_point)
+    monkeypatch.setattr(structure, "build", with_far_point)
     with pytest.raises(ConstructionFailed, match="64 attempts"):
         sentinel_augment(t, _mis_complement(t))
     assert len(hulls) == 64 and all(len(t) + 2 in hull for hull in hulls)
@@ -412,15 +412,23 @@ def test_sentinel_hull_must_be_the_sentinel_triangle(monkeypatch):
 def _assert_sentinels_match_fraction_placement(t):
     for h in t.hull:  # each hull vertex as the anchor
         aug = sentinel_augment(t, {h})
-        assert (aug.anchor, aug.sentinels) == helpers.sentinels_fraction(t, {h})
+        assert (aug.anchor, aug.sentinels, aug.tri) == helpers.sentinels_fraction(t, {h})
 
 
 def test_integer_sentinels_match_the_fraction_placement():
+    # on triangulations as build returns them; the census places sentinels
+    # around the Kleetopes through sentinels_fraction alone
     tris = [helpers.random_tri(n, seed)[1] for n in range(4, 17) for seed in range(3)]
     tris += [build(convex_points(n, 1)) for n in range(4, 17)]
     tris += [helpers.fan_tri(n, 0) for n in range(4, 16)]
-    for t in tris + [helpers.kleetope(), helpers.kleetope_even()]:
+    for t in tris:
         _assert_sentinels_match_fraction_placement(t)
+    # build of the union never keeps a Kleetope's faces, so every candidate
+    # is rejected
+    for t in (helpers.kleetope(), helpers.kleetope_even()):
+        assert helpers.sentinels_fraction(t, t.hull[:1])[0] == min(t.hull)
+        with pytest.raises(ConstructionFailed, match="64 attempts"):
+            sentinel_augment(t, t.hull[:1])
 
 
 @given(helpers.rescaled_sets())

@@ -28,11 +28,10 @@ def test_every_traced_name_is_a_package_callable():
         assert callable(getattr(importlib.import_module(f"dtough.{module}"), name, None)), f"{module}.{name}"
 
 
-def test_a_traced_extend_sees_the_sentinel_search():
-    # the sentinel search adds its sentinels through delaunay.extend, so a
-    # span on extend books their extension under sentinel_augment
+def test_a_traced_build_of_the_union_sits_under_the_sentinel_search():
+    # the sentinel search builds the input with its sentinels through
+    # delaunay.build, so that build's span sits under sentinel_augment
     tracing = _load_tracing()
-    tracing.SPANNED["delaunay"] += ("extend",)
     _, t = helpers.random_tri(10, 3)
     _, cert = structure.max_independent_set(t)
     tracer = tracing.Tracer()
@@ -40,6 +39,6 @@ def test_a_traced_extend_sees_the_sentinel_search():
         structure.sentinel_augment(t, frozenset(range(len(t))) - cert)
     assert tracer.missing == []
     by_id = {s.id: s for s in tracer.spans}
-    extends = [s for s in tracer.spans if s.name == "delaunay.extend"]
-    assert len(extends) == 1
-    assert tracing.has_ancestor(extends[0], by_id, ("structure.sentinel_augment",))
+    builds = [s for s in tracer.spans if s.name == "delaunay.build"]
+    assert len(builds) == 1
+    assert tracing.has_ancestor(builds[0], by_id, ("structure.sentinel_augment",))
