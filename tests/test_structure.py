@@ -426,7 +426,6 @@ def test_integer_sentinels_match_the_fraction_placement():
     # build of the union never keeps a Kleetope's faces, so every candidate
     # is rejected
     for t in (helpers.kleetope(), helpers.kleetope_even()):
-        assert helpers.sentinels_fraction(t, t.hull[:1])[0] == min(t.hull)
         with pytest.raises(ConstructionFailed, match="64 attempts"):
             sentinel_augment(t, t.hull[:1])
 
