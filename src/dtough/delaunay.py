@@ -97,8 +97,9 @@ class Triangulation:
     ``from_triangles`` derives, on which every orientation and in-circle
     sign equals the one on ``vertices``. ``circle`` maps each dart (u, v)
     to the circle of the face left of it on ``scaled``
-    (``exactgeom.circle_through``), held for every face from construction on, so an in-circle question is one lookup
-    and one ``power`` at a ``scaled`` vertex. ``_assemble`` computes each
+    (``exactgeom.circle_through``), held for every face from construction
+    on, so an in-circle question is one lookup and one ``power`` at a
+    ``scaled`` vertex. ``_assemble`` computes each
     face's circle when it checks the face. The three are derived from the
     other fields, so they take no part in equality.
 
