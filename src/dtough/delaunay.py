@@ -3,25 +3,24 @@
 One routine builds every triangulation: ``build``. It gift-wraps the faces
 off the pencils of circles through their edges: ab is a Delaunay edge
 exactly when some circle through a and b has no other point inside
-(Dillencourt, DCG 1990), that is when the pair's pencil gap is open
-(``exactgeom.pencil_gap``), and the apex of the face left of a -> b is the
-point at the gap's left end. One scan per face and per hull edge reads that
-end alone (``exactgeom.delaunay_faces``, O(n^2)) and proves no face empty.
-``build`` then checks that the faces tile a strictly convex hull and tests
-every interior edge strictly: the far apex strictly outside the circle
-through the edge and the near one, O(1) per edge. By Delaunay's lemma
-(Delaunay 1934; Lawson 1977) such a tiling is the Delaunay triangulation,
-whatever the scan did, and strictness makes it unique, so ``build`` needs
-no general-position certificate. The certificate
-(``exactgeom.general_position``, O(n^3)) runs only when a step fails, to
-name the violation (``DegenerateInput``); on points in general position a
-failure is a broken invariant. So ``build`` accepts some point sets outside
-general position, those whose Delaunay triangulation is unique and strict,
-such as four cocircular points with a fifth inside their circle; the
-paper's hypothesis is reported apart, by the ``hypothesis`` check of
-``cli``. It runs on one lcm-scaled integer copy of the points
-(``exactgeom.integer_copy``), which gives the same faces as the rational
-points.
+(Dillencourt, DCG 1990), that is when the pair's pencil gap is open, and the
+apex of the face left of a -> b is the point at the gap's left end. One O(n)
+scan reads that end (``_left_apex``); the wrap (``delaunay_faces``) makes
+one per face and per hull edge, O(n^2), and proves no face empty. ``build``
+then checks that the faces tile a strictly convex hull and tests every
+interior edge strictly: the far apex strictly outside the circle through the
+edge and the near one, O(1) per edge. By Delaunay's lemma (Delaunay 1934;
+Lawson 1977) such a tiling is the Delaunay triangulation, whatever the scan
+did, and strictness makes it unique, so ``build`` needs no general-position
+certificate. The certificate (``exactgeom.general_position``, O(n^3)) runs
+only when a step fails, to name the violation (``DegenerateInput``); on
+points in general position a failure is a broken invariant. So ``build``
+accepts some point sets outside general position, those whose Delaunay
+triangulation is unique and strict, such as four cocircular points with a
+fifth inside their circle; the paper's hypothesis is reported apart, by the
+``hypothesis`` check of ``cli``. It runs on one lcm-scaled integer copy of
+the points (``exactgeom.integer_copy``), which gives the same faces as the
+rational points.
 
 One strict edge test (``_strictly_delaunay``: the far apex has positive
 ``power`` on the near face's circle, ``Triangulation.circle``) answers
@@ -31,11 +30,11 @@ tiles a convex polygon traversed once (``_assemble``), so by the lemma the
 first loose edge's face and far apex are ``verify_delaunay``'s
 counterexample. A circle is a pure function of its face's three scaled
 vertices, up to a positive factor that no sign sees, so reading it makes no
-verifier depend on how the triangulation was built. ``witness_disk`` finds
-its center's pencil parameter in the edge's pencil gap on the scaled copy
-too; only the disk's center, an arbitrary rational, is built from the
-``Fraction`` vertices, and the disk is verified as a circle on the scaled
-copy, lifted with the copy's factor ``scale`` (``exactgeom.circle_of``).
+verifier depend on how the triangulation was built. ``witness_disk`` reads
+both ends of an edge's pencil gap with the wrap's scan and takes its center
+from inside the gap; only the center, an arbitrary rational, is built from
+the ``Fraction`` vertices, and the disk is verified as a circle on the
+scaled copy (``exactgeom.circle_of``).
 """
 
 from __future__ import annotations
@@ -59,13 +58,11 @@ from .exactgeom import (
     Point,
     circle_of,
     circle_through,
-    delaunay_faces,
     dist_sq,
     general_position,
     integer_copy,
     is_witness_disk,
     orient,
-    pencil_gap,
     power,
 )
 
@@ -87,21 +84,20 @@ class Triangulation:
     values instead of mutating. The incidence is one map, as in Guibas and
     Stolfi's edge algebra (ACM TOG 1985): ``apex[(u, v)] = w`` for each CCW
     face (u, v, w), so w lies left of u -> v; in a Delaunay triangulation w
-    is the ``left`` end of the pair's pencil gap
-    (``exactgeom.pencil_gap(xs, ys, u, v)``). An edge is interior when both
-    directions are keys and boundary when only the one along the CCW hull
-    is. ``edges`` (each undirected edge once, as (u, v) with u < v, sorted),
-    ``neighbors`` and ``hull`` are read off the map.
-    ``(scale, scaled)`` is ``exactgeom.integer_copy(vertices)``: the lcm of
-    the denominators and the copy the construction scanned or
+    is the left end of the pair's pencil gap (``_left_apex(xs, ys, u, v)``).
+    An edge is interior when both directions are keys and boundary when only
+    the one along the CCW hull is. ``edges`` (each undirected edge once, as
+    (u, v) with u < v, sorted), ``neighbors`` and ``hull`` are read off the
+    map. ``(scale, scaled)`` is ``exactgeom.integer_copy(vertices)``: the
+    lcm of the denominators and the copy the construction scanned or
     ``from_triangles`` derives, on which every orientation and in-circle
-    sign equals the one on ``vertices``. ``circle`` maps each dart (u, v)
-    to the circle of the face left of it on ``scaled``
+    sign equals the one on ``vertices``. ``circle`` maps each dart (u, v) to
+    the circle of the face left of it on ``scaled``
     (``exactgeom.circle_through``), held for every face from construction
     on, so an in-circle question is one lookup and one ``power`` at a
-    ``scaled`` vertex. ``_assemble`` computes each
-    face's circle when it checks the face. The three are derived from the
-    other fields, so they take no part in equality.
+    ``scaled`` vertex. ``_assemble`` computes each face's circle when it
+    checks the face. The three are derived from the other fields, so they
+    take no part in equality.
 
     A vertex id is an ``int`` in ``range(len(tri))``, by one rule
     (``vertex_set``): 1.0, True and "1" raise ``PreconditionViolated``.
@@ -245,12 +241,70 @@ def _assemble(
     )
 
 
+def _left_apex(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional[tuple[int, int, int]]:
+    """The left end of the pencil gap of a -> b among integer points
+    (coordinates ``xs``, ``ys``): (num, den, k) for the point k left of
+    a -> b with the least t_k, 2t_k = num / den and den > 0, the first on a
+    tie; None when no point is left of it. With B = b - a and C = k - a,
+    the circle through a, b and k has center a + B/2 + t_k perp(B), where
+    2t_k = C.(C - B) / cross(B, C) (``exactgeom._bisector_row``). A point
+    left of a -> b lies inside the circles with t > t_k, one right of it
+    inside those with t < t_k, so the empty circles have t between the
+    greatest right and the least left t_k: the gap. Its right end is the
+    left end of b -> a's gap, the same circle at -t. O(n).
+    """
+    ax, ay = xs[a], ys[a]
+    bx, by = xs[b] - ax, ys[b] - ay
+    ln, ld, lk = 1, 0, -1  # t = +inf: no point on the left yet
+    for k in range(len(xs)):
+        cx, cy = xs[k] - ax, ys[k] - ay
+        den = bx * cy - by * cx
+        if den > 0:
+            num = cx * (cx - bx) + cy * (cy - by)
+            if num * ld < ln * den:
+                ln, ld, lk = num, den, k
+    return (ln, ld, lk) if ld else None
+
+
+def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
+    """The CCW faces of the Delaunay triangulation of integer points in
+    general position, found by gift wrapping (the face step of DeWall:
+    Cignoni, Montani and Scopigno, Computer-Aided Design 1998).
+
+    A dart (u, v) is a directed Delaunay edge, and one ``_left_apex`` scan of
+    it gives the face on its left: none for a hull dart, else (u, v, k) for k
+    the left end of its gap. The scan proves no circle empty; ``build``'s local
+    tests do. The wrap starts from both darts of point 0 and its nearest
+    neighbour, a Gabriel edge and so a Delaunay one. Each face found queues the
+    reverses of its two other darts, so each face and each hull dart is scanned
+    once: F + h = 2n - 2 scans, O(n^2) in all.
+    """
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
+    stack = [(0, near), (near, 0)]
+    apex: dict[tuple[int, int], int] = {}
+    faces = []
+    while stack:
+        dart = stack.pop()
+        if dart in apex:
+            continue
+        u, v = dart
+        end = _left_apex(xs, ys, u, v)
+        if end is None:
+            continue  # a hull dart
+        k = end[2]
+        faces.append((u, v, k))
+        apex[dart], apex[(v, k)], apex[(k, u)] = k, u, v
+        stack += ((k, v), (u, k))
+    return faces
+
+
 def build(points: Sequence[Point]) -> Triangulation:
     """The Delaunay triangulation of a point set, when it is unique and
     strict: every point strictly outside the circumcircle of every face it
     is not a vertex of. General position implies this.
 
-    1. ``exactgeom.delaunay_faces`` wraps the faces on the points scaled
+    1. ``delaunay_faces`` wraps the faces on the points scaled
        once by the lcm of their denominators (``exactgeom.integer_copy``);
        the predicates are invariant under that positive factor. The scan
        proves no face empty; steps 2 and 3 do.
@@ -347,30 +401,31 @@ def edge_angle_check(tri: Triangulation, u: int, v: int) -> bool:
 def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     """A verified empty disk with exactly the edge's endpoints on its boundary.
 
-    The center lies on the perpendicular bisector of the edge, at a pencil
-    parameter t inside the edge's pencil gap (``exactgeom.pencil_gap``, on
-    ``tri.scaled``; t does not change with scale). With points on both sides
-    of the edge, t is the midpoint of the gap. A boundary edge has points on
-    one side only: t steps |t_apex|/2 away from the apex's t_apex, or 1/2
-    when t_apex = 0 (a right angle at the apex). The disk is verified
-    exactly against all vertices before it is returned, as a circle on
-    ``tri.scaled`` lifted with its factor ``tri.scale``
-    (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``). u and v are
-    vertex ids (``Triangulation.vertex_set``).
+    The center lies on the perpendicular bisector of the edge (a, b), a < b, at
+    a pencil parameter t inside its pencil gap, whose ends the wrap's scan
+    reads off a -> b and b -> a (``_left_apex``, on ``tri.scaled``; t does not
+    change with scale). With points on both sides of the edge, t is the
+    midpoint of the gap. A boundary edge has points on one side only: t steps
+    |t_apex|/2 away from the apex's t_apex, or 1/2 when t_apex = 0 (a right
+    angle at the apex). The disk is verified exactly against all vertices
+    before it is returned, as a circle on ``tri.scaled`` lifted with its factor
+    ``tri.scale`` (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``). u
+    and v are vertex ids (``Triangulation.vertex_set``).
     """
     tri.vertex_set((u, v))
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     key = a, b = min(u, v), max(u, v)
-    gap = pencil_gap([p.x for p in tri.scaled], [p.y for p in tri.scaled], a, b)
-    if gap is None:
-        raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")
-    left, right = gap  # each end is (num, den, k) with 2t_k = num / den
+    xs, ys = [p.x for p in tri.scaled], [p.y for p in tri.scaled]
+    left, right = _left_apex(xs, ys, a, b), _left_apex(xs, ys, b, a)
+    t_left = left and Fraction(left[0], 2 * left[1])
+    t_right = right and Fraction(-right[0], 2 * right[1])  # b -> a's t is -t
     if left and right:
-        t = (Fraction(left[0], left[1]) + Fraction(right[0], right[1])) / 4
+        if t_right >= t_left:
+            raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")
+        t = (t_left + t_right) / 2
     else:
-        (num, den, _), away = (left, -1) if left else (right, 1)
-        t_apex = Fraction(num, 2 * den)
+        t_apex, away = (t_left, -1) if left else (t_right, 1)
         t = t_apex + away * (abs(t_apex) / 2 or Fraction(1, 2))
     pu, pv = tri.vertices[a], tri.vertices[b]
     bx, by = pv.x - pu.x, pv.y - pu.y

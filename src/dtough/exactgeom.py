@@ -1,10 +1,10 @@
 """Exact rational plane geometry: points, disks, and sign predicates.
 
-Every coordinate is a ``fractions.Fraction`` and every predicate is the sign
-of an exactly evaluated rational expression, so answers never depend on
-floating-point rounding and are invariant under rational rescaling of the
-input. Disks store the *squared* radius; radii themselves are irrational in
-general and never materialize.
+Every coordinate is an ``int`` or a ``fractions.Fraction`` (``_exact``) and
+every predicate is the sign of an exactly evaluated rational expression, so
+answers never depend on floating-point rounding and are invariant under
+rational rescaling of the input. Disks store the *squared* radius; radii
+themselves are irrational in general and never materialize.
 
 ``orient`` and ``in_circle`` are generic over the number type. The package
 has one circle: (W, U, V, K) with W > 0, whose power
@@ -40,13 +40,8 @@ points (``general_position_added``). One bisector row per pair finds every
 collinear triple and cocircular quadruple whose least and greatest index
 the pair is (``_bisector_row``).
 
-The pencil gap of a pair (``pencil_gap``) holds the parameters of the
-circles through it that contain no other point: ``delaunay.witness_disk``
-takes its center from inside it. The face scan (``delaunay_faces``)
-gift-wraps the triangulation, reading the face left of each directed edge
-off the left end of that gap only (``_left_apex``), one O(n) scan per face
-and per hull edge; ``delaunay.build``'s local tests, not the scan, prove
-each face empty.
+The module holds predicates, circles and the certificate; the pencil scan
+that wraps faces and finds witness disks is ``delaunay``'s.
 
 There is no floating-point filter layer: one misclassified in-circle test
 would invalidate every combinatorial audit built on top of this module. All
@@ -60,9 +55,9 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import CollinearInput
+from .errors import CollinearInput, PreconditionViolated
 
 Scalar = Union[int, str, Fraction]
 # A circle (W, U, V, K), W > 0, with power W |X|^2 - 2 (U x + V y) + K at X;
@@ -279,6 +274,7 @@ def circle_of(d: Disk, scale: int) -> Circle:
     |X - L c|^2 - L^2 r^2 times the lcm of its coefficients' denominators,
     reduced. Its ``power`` at the copy of a point is negative inside d, zero
     on its boundary and positive outside. O(1): no point is read."""
+    _exact((*d.center, d.radius_sq))
     cx, cy = scale * d.center.x, scale * d.center.y
     k = cx * cx + cy * cy - scale * scale * d.radius_sq
     w = math.lcm(cx.denominator, cy.denominator, k.denominator)
@@ -333,11 +329,19 @@ def interior_disjoint(a: Circle, b: Circle) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _exact(values: Iterable[object]) -> None:
+    """Refuse the first value whose type is not ``int`` or ``Fraction``."""
+    for c in values:
+        if type(c) not in (int, Fraction):
+            raise PreconditionViolated(f"coordinate {c!r} is not an int or a Fraction")
+
+
 def integer_copy(points: Sequence[Point]) -> tuple[int, tuple[Point, ...]]:
     """L, the lcm of all coordinate denominators, and the points times L:
     ``int`` coordinates on which, as L > 0, every sign test answers as on
     the points, without the gcd normalisation of ``Fraction``. The package
     takes that lcm here only; other routines are given L."""
+    _exact(c for p in points for c in p)
     scale = math.lcm(*(c.denominator for p in points for c in p))
     return scale, tuple(
         Point(p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
@@ -380,97 +384,6 @@ def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) 
     if best is None:
         return None
     return Violation(ViolationKind.COCIRCULAR, tuple(sorted((a, b) + best)))
-
-
-Gap = tuple[Optional[tuple[int, int, int]], Optional[tuple[int, int, int]]]
-
-
-def pencil_gap(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional[Gap]:
-    """The pencil gap of points a and b among integer points (coordinates
-    ``xs``, ``ys``): the parameters of the circles through a and b that hold
-    no other point.
-
-    The circles through a and b have centers a + B/2 + t perp(B), B = b - a
-    (see ``_bisector_row``); the one through a third point k has
-    2t_k = C.(C - B) / cross(B, C), C = k - a. A point left of ab
-    (cross(B, C) > 0) is inside the circles with t > t_k, a point right of it
-    inside those with t < t_k, so the empty circles are those with t between
-    the greatest right and the least left t_k, and ab is a Delaunay edge
-    exactly when that gap is open (Dillencourt's empty-disk characterisation).
-
-    Returns (left, right), the least left and the greatest right t_k as
-    (num, den, k) with 2t_k = num / den and den > 0, each None when its side
-    has no point, or None once every circle holds a point. Points on the
-    line ab, a and b among them, are skipped. O(n), comparing by
-    cross-multiplication; the gap is tested only when an end moves.
-    """
-    ax, ay = xs[a], ys[a]
-    bx, by = xs[b] - ax, ys[b] - ay
-    ln, ld, lk, rn, rd, rk = 1, 0, -1, -1, 0, -1  # t = +inf and -inf: no point on either side yet
-    for k in range(len(xs)):
-        cx, cy = xs[k] - ax, ys[k] - ay
-        den = bx * cy - by * cx
-        num = cx * (cx - bx) + cy * (cy - by)
-        if den > 0 and num * ld < ln * den:
-            ln, ld, lk = num, den, k
-        elif den < 0 and num * rd < rn * den:
-            rn, rd, rk = -num, -den, k  # stored with a positive denominator
-        else:
-            continue
-        if rn * ld >= ln * rd:  # one end is finite, so infinities never meet here
-            return None
-    return (ln, ld, lk) if ld else None, (rn, rd, rk) if rd else None
-
-
-def _left_apex(xs: Sequence[int], ys: Sequence[int], a: int, b: int) -> Optional[int]:
-    """The left end of ``pencil_gap(xs, ys, a, b)`` alone: the point left of
-    a -> b with the least t_k, the first on a tie, or None when no point is
-    left of it. O(n); num is computed only left of the line."""
-    ax, ay = xs[a], ys[a]
-    bx, by = xs[b] - ax, ys[b] - ay
-    ln, ld, lk = 1, 0, None  # t = +inf: no point on the left yet
-    for k in range(len(xs)):
-        cx, cy = xs[k] - ax, ys[k] - ay
-        den = bx * cy - by * cx
-        if den > 0:
-            num = cx * (cx - bx) + cy * (cy - by)
-            if num * ld < ln * den:
-                ln, ld, lk = num, den, k
-    return lk
-
-
-def delaunay_faces(pts: Sequence[Point]) -> list[tuple[int, int, int]]:
-    """The CCW faces of the Delaunay triangulation of integer points in
-    general position, found by gift wrapping (the face step of DeWall:
-    Cignoni, Montani and Scopigno, Computer-Aided Design 1998).
-
-    A dart (u, v) is a directed Delaunay edge, and one ``_left_apex`` scan
-    of it gives the face on its left: none for a hull dart, else (u, v, k)
-    for k the left end of its gap. The scan proves no circle empty; the
-    caller's certificate does (``delaunay.build``). The wrap starts from
-    both darts of point 0 and its nearest neighbour, a Gabriel edge and so
-    a Delaunay one. Each face found queues the reverses of its two other
-    darts, so each face and each hull dart is scanned once: F + h = 2n - 2
-    scans of O(n), O(n^2) in all.
-    """
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    near = min(range(1, len(pts)), key=lambda k: (xs[k] - xs[0]) ** 2 + (ys[k] - ys[0]) ** 2)
-    stack = [(0, near), (near, 0)]
-    apex: dict[tuple[int, int], int] = {}
-    faces = []
-    while stack:
-        dart = stack.pop()
-        if dart in apex:
-            continue
-        u, v = dart
-        k = _left_apex(xs, ys, u, v)
-        if k is None:
-            continue  # a hull dart
-        faces.append((u, v, k))
-        apex[dart], apex[(v, k)], apex[(k, u)] = k, u, v
-        stack += ((k, v), (u, k))
-    return faces
 
 
 def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .delaunay import Triangulation, build, edge_angle_check
+from .delaunay import Triangulation, build, edge_angle_check, verify_delaunay
 from .errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -353,7 +353,7 @@ class SentinelAugmentation(NamedTuple):
 
 def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugmentation:
     """Add two verified sentinel points enclosing tri, a triangulation as
-    ``build`` returns it.
+    ``build`` returns it, which ``verify_delaunay`` checks first.
 
     Let A and B be the vectors from the anchor u to its two hull neighbours.
     The interior angle at u is below a straight angle, so every vertex lies
@@ -389,6 +389,8 @@ def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugm
     hull_in_removed = [h for h in tri.hull if h in gone]
     if not hull_in_removed:
         raise PreconditionViolated("removed set must contain a hull vertex")
+    if (bad := verify_delaunay(tri)) is not None:
+        raise PreconditionViolated(f"tri is not Delaunay: face {bad.triangle} holds vertex {bad.vertex}")
     anchor = min(hull_in_removed)
     pos = tri.hull.index(anchor)
     a, b = tri.hull[pos - 1], tri.hull[(pos + 1) % len(tri.hull)]

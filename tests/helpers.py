@@ -52,7 +52,6 @@ from dtough.exactgeom import (
     in_circle,
     midpoint,
     orient,
-    pencil_gap,
     point,
 )
 from dtough.generate import random_points
@@ -159,7 +158,7 @@ def pair_scan_faces(q) -> set[tuple[int, int, int]]:
     faces = set()
     for b in range(len(q)):
         for a in range(b):
-            gap = pencil_gap(xs, ys, a, b)
+            gap = pencil_gap_naive(xs, ys, a, b)
             if gap is None:
                 continue
             left, right = gap
@@ -171,11 +170,11 @@ def pair_scan_faces(q) -> set[tuple[int, int, int]]:
 
 
 def two_sided_wrap(q, known) -> list[tuple[int, int, int]]:
-    """``exactgeom.delaunay_faces`` as a wrap on the whole pencil gap: each
-    queued dart's face is read off the left end of its ``pencil_gap``, and
-    a closed gap raises ``InvariantBroken``. With no face known, same start
-    and same queue, so on a strict set it returns the same faces in the
-    same order. With faces known, the faces not in ``known``, wrapped
+    """``delaunay.delaunay_faces`` as a wrap on the whole pencil gap: each
+    queued dart's face is read off the left end of its
+    ``pencil_gap_naive``, and a closed gap raises ``InvariantBroken``. With
+    no face known, same start and same queue, so on a strict set it returns
+    the same faces in the same order. With faces known, the faces not in ``known``, wrapped
     outward from the darts whose reverse is a dart of a known face and
     which are not one themselves (``extension``)."""
     xs = [p.x for p in q]
@@ -194,7 +193,7 @@ def two_sided_wrap(q, known) -> list[tuple[int, int, int]]:
         if dart in apex:
             continue
         u, v = dart
-        gap = pencil_gap(xs, ys, u, v)
+        gap = pencil_gap_naive(xs, ys, u, v)
         if gap is None:
             raise InvariantBroken(f"every circle through the queued dart {dart} holds a point")
         if gap[0] is None:
@@ -375,8 +374,13 @@ def general_position_naive(points):
 
 
 def pencil_gap_naive(xs, ys, a: int, b: int):
-    """``exactgeom.pencil_gap`` in its plain form: each end a tuple or None,
-    a and b skipped by index, and the gap tested after every point."""
+    """The pencil gap of points a and b among integer points (coordinates
+    ``xs``, ``ys``), two-sided: the least left and the greatest right t_k as
+    (num, den, k) with 2t_k = num / den and den > 0, each None when its side
+    has no point, or None once every circle through a and b holds a point.
+    a and b are skipped by index and the gap is tested after every point.
+    The package reads each end with a one-sided scan instead
+    (``delaunay.witness_disk``)."""
     ax, ay = xs[a], ys[a]
     bx, by = xs[b] - ax, ys[b] - ay
     left = right = None
@@ -637,12 +641,12 @@ def surviving_pp_edge_oracle(p, b):
 
 def pencil_gap_pair_scan(p, b):
     """The first pair of P, in lexicographic order, whose pencil gap in the
-    union is open (``pencil_gap``), or None: how ``blocking.verify_blocking``
-    read its verdict before it built the union. Where the union has a
+    union is open (``pencil_gap_naive``), or None: how
+    ``blocking.verify_blocking`` read its verdict before it built the union. Where the union has a
     strict triangulation, a gap is open exactly when its pair is an edge."""
     q = lcm_copy(tuple(p) + tuple(b))[1]
     xs, ys = [pt.x for pt in q], [pt.y for pt in q]
-    return next((e for e in combinations(range(len(p)), 2) if pencil_gap(xs, ys, *e) is not None), None)
+    return next((e for e in combinations(range(len(p)), 2) if pencil_gap_naive(xs, ys, *e) is not None), None)
 
 
 def mis_exhaustive(n: int, edges) -> int:
@@ -1219,21 +1223,24 @@ def parse_points_naive(text: str) -> tuple[Point, ...]:
 
 
 def wrong_apex_once(scan):
-    """The face scan ``scan(xs, ys, a, b)`` (the apex left of a -> b, or
-    None), doctored once: on the first dart with another point left of it
-    than the apex, it answers the first such point by index instead. Later
-    calls scan as before."""
+    """The face scan ``scan(xs, ys, a, b)`` (the left end (num, den, k) of
+    the pencil gap of a -> b, 2t_k = num / den, or None), doctored once: on
+    the first dart with another point left of it than the apex, it answers
+    the end of the first such point j by index, (num, den, j), instead.
+    Later calls scan as before."""
     pending = [True]
 
     def doctored(xs, ys, a, b):
-        k = scan(xs, ys, a, b)
-        if pending and k is not None:
+        end = scan(xs, ys, a, b)
+        if pending and end is not None:
             bx, by = xs[b] - xs[a], ys[b] - ys[a]
-            others = [j for j in range(len(xs)) if j != k and bx * (ys[j] - ys[a]) > by * (xs[j] - xs[a])]
-            if others:
-                pending.pop()
-                return others[0]
-        return k
+            for j in range(len(xs)):
+                cx, cy = xs[j] - xs[a], ys[j] - ys[a]
+                den = bx * cy - by * cx
+                if j != end[2] and den > 0:
+                    pending.pop()
+                    return cx * (cx - bx) + cy * (cy - by), den, j
+        return end
 
     return doctored
 

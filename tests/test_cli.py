@@ -308,7 +308,7 @@ def test_closed_gap_is_an_alarm(tmp_path, monkeypatch, capsys):
     # dart 0 -> 1, whose face circle holds 3) must fail the certificate
     quad = tmp_path / "quad.txt"
     quad.write_text("0 0\n2 0\n3 2\n1 3\n")
-    monkeypatch.setattr(exactgeom, "_left_apex", helpers.wrong_apex_once(exactgeom._left_apex))
+    monkeypatch.setattr(delaunay, "_left_apex", helpers.wrong_apex_once(delaunay._left_apex))
     code, out = helpers.run_cli(["check", str(quad), "--checks", "delaunay"])
     assert code == 1
     assert "(0, 2) is not strictly locally Delaunay" in json.loads(out)["error"]
@@ -421,10 +421,10 @@ def test_witness_disk_failure_is_an_alarm(tmp_path, monkeypatch, capsys):
     # one refutes the triangulation, it does not reject the input
     f = tmp_path / "r10.txt"
     helpers.run_cli(["gen", "random", "10", "--seed", "3", "--out", str(f)])
-    monkeypatch.setattr(delaunay, "pencil_gap", lambda *args: None)
+    monkeypatch.setattr(delaunay, "is_witness_disk", lambda *args: False)
     code, out = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "r.svg"), "--witness-disks"])
     assert code == 1
-    assert "holds a vertex" in json.loads(out)["error"]
+    assert "no verified witness disk" in json.loads(out)["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 

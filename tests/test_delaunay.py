@@ -390,14 +390,14 @@ def test_face_scan_matches_the_two_sided_wrap(pts):
     # order
     assume(len(pts) >= 3)
     t = build(pts)
-    assert exactgeom.delaunay_faces(t.scaled) == helpers.two_sided_wrap(t.scaled, ())
+    assert delaunay.delaunay_faces(t.scaled) == helpers.two_sided_wrap(t.scaled, ())
 
 
 def test_face_scan_returns_only_the_faces_it_finds():
     # the wrap returns every face of T once
     for n, seed in ((3, 1), (12, 5), (40, 2)):
         _, t = helpers.random_tri(n, seed)
-        found = exactgeom.delaunay_faces(t.scaled)
+        found = delaunay.delaunay_faces(t.scaled)
         led = {min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in found}
         assert len(led) == len(found) and led == set(t.triangles)
 
@@ -406,13 +406,13 @@ def test_face_scan_makes_one_pencil_scan_per_face_and_hull_edge(monkeypatch):
     # F + h = 2n - 2 apex scans for a build, and 2 (n + 2) - 2 for the
     # sentinels' build of the union; a scan per pair would make n (n - 1) / 2
     calls = []
-    scan = exactgeom._left_apex
+    scan = delaunay._left_apex
 
     def counting(*args):
         calls.append(args[2:])
         return scan(*args)
 
-    monkeypatch.setattr(exactgeom, "_left_apex", counting)
+    monkeypatch.setattr(delaunay, "_left_apex", counting)
     for n in (3, 16, 30):
         for seed in (1, 2):
             pts, _ = helpers.random_tri(n, seed)
@@ -459,6 +459,18 @@ def test_witness_disk_fails_exactly_on_the_kleetopes_non_delaunay_edges():
                 message = f"every circle through edge {(u, v)} holds a vertex"
                 with pytest.raises(WitnessSearchFailed, match=re.escape(message)):
                     witness_disk(t, u, v)
+
+
+def test_witness_disk_on_a_cocircular_diagonal_finds_the_gap_closed():
+    # the square's diagonal has one circle through it with a vertex on each
+    # side, both on it: the gap's two ends meet, and a gap closed at a
+    # single circle counts as closed
+    t = from_triangles([P(0, 0), P(1, 0), P(1, 1), P(0, 1)], [(0, 1, 2), (0, 2, 3)])
+    with pytest.raises(WitnessSearchFailed, match=re.escape("every circle through edge (0, 2) holds a vertex")):
+        witness_disk(t, 2, 0)
+    for u, v in ((0, 1), (1, 2), (2, 3), (0, 3)):
+        d = witness_disk(t, u, v)
+        assert is_witness_disk(t.scaled, circle_of(d, t.scale), u, v)
 
 
 def _assert_face_circles(t):
@@ -618,7 +630,7 @@ def test_rejected_faces_are_an_invariant_alarm(monkeypatch):
 def test_closed_gap_is_an_invariant_alarm(monkeypatch):
     # the face scan reads one end of each gap and proves no circle empty; a
     # wrong apex, on points in general position, must fail the strict test
-    monkeypatch.setattr(exactgeom, "_left_apex", helpers.wrong_apex_once(exactgeom._left_apex))
+    monkeypatch.setattr(delaunay, "_left_apex", helpers.wrong_apex_once(delaunay._left_apex))
     with pytest.raises(InvariantBroken, match=r"\(0, 2\) is not strictly locally Delaunay"):
         build([P(0, 0), P(2, 0), P(3, 2), P(1, 3)])
 

@@ -7,7 +7,7 @@ from itertools import permutations
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dtough.delaunay import build
+from dtough.delaunay import _left_apex, build
 from dtough.errors import CollinearInput, DegenerateInput, PreconditionViolated
 from dtough.exactgeom import (
     MAX_EXPONENT,
@@ -32,7 +32,6 @@ from dtough.exactgeom import (
     internally_tangent,
     is_witness_disk,
     orient,
-    pencil_gap,
     point,
     power,
 )
@@ -421,9 +420,19 @@ def test_general_position_added_matches_naive_scan(candidates, added):
 @given(st.lists(helpers.grid_points, min_size=3, max_size=9), st.integers(3, 12), st.integers(0, 10**6))
 def test_pencil_gap_matches_naive_scan(grid, n, seed):
     # every ordered pair of a grid set (duplicates, collinear and cocircular
-    # points included) and of a random set
+    # points included) and of a random set: the one-sided scan of a -> b
+    # reads the left end of the gap, that of b -> a its right end, the same
+    # circle at parameter -t
     for pts in (grid, random_points(n, seed)):
         q = helpers.lcm_copy(pts)[1]
         xs, ys = [p.x for p in q], [p.y for p in q]
         for a, b in permutations(range(len(q)), 2):
-            assert pencil_gap(xs, ys, a, b) == helpers.pencil_gap_naive(xs, ys, a, b)
+            left, right = _left_apex(xs, ys, a, b), _left_apex(xs, ys, b, a)
+            if right is not None:
+                right = (-right[0], right[1], right[2])
+            gap = helpers.pencil_gap_naive(xs, ys, a, b)
+            if gap is not None:
+                assert (left, right) == gap
+            else:
+                assert left is not None and right is not None
+                assert Fraction(right[0], right[1]) >= Fraction(left[0], left[1])

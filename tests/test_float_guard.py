@@ -1,6 +1,7 @@
 """No verdict rests on a float: the modules behind the verdicts hold no float
 literal, no ``float(...)`` call and no ``math`` function but the exact
-integer ones. Only ``render``, which draws, may use floats."""
+integer ones, and a float coordinate given to the library is refused. Only
+``render``, which draws, may use floats."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import dtough
+from dtough import Disk, Point, build, find_path, from_triangles, general_position
+from dtough.errors import PreconditionViolated
 
 EXACT_MODULES = (
     "exactgeom", "delaunay", "structure", "diskpath", "blocking", "generate", "pointfile"
@@ -52,3 +55,23 @@ def test_the_guard_sees_each_kind_of_float():
         "line 3: float(...) call",
         "line 3: math.atan2",
     ]
+
+
+def test_a_float_coordinate_is_a_precondition_violation():
+    # integer_copy and circle_of read exact denominators; a float has none,
+    # and is refused as a breach of contract, not by an AttributeError
+    tri = build([Point(0, 0), Point(2, 0), Point(1, 2)])
+    floated = [Point(0, 0), Point(2, 0), Point(0.5, 2)]
+    calls = {
+        "0.5": [
+            lambda: build(floated),
+            lambda: from_triangles(floated, [(0, 1, 2)]),
+            lambda: general_position(floated),
+            lambda: find_path(tri, 0, 1, Disk(Point(0.5, 0.5), 1)),
+        ],
+        "2.5": [lambda: find_path(tri, 0, 1, Disk(Point(1, 0), 2.5))],
+    }
+    for shown, cases in calls.items():
+        for call in cases:
+            with pytest.raises(PreconditionViolated, match=f"coordinate {shown} is not an int or a Fraction"):
+                call()

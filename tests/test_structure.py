@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtough import exactgeom, structure
-from dtough.delaunay import Triangulation, build, edge_angle_check, from_triangles
+from dtough.delaunay import Triangulation, build, edge_angle_check, from_triangles, verify_delaunay
 from dtough.errors import (
     ConstructionFailed,
     DegenerateInput,
@@ -415,7 +416,7 @@ def _assert_sentinels_match_fraction_placement(t):
         assert (aug.anchor, aug.sentinels, aug.tri) == helpers.sentinels_fraction(t, {h})
 
 
-def test_integer_sentinels_match_the_fraction_placement():
+def test_integer_sentinels_match_the_fraction_placement(monkeypatch):
     # on triangulations as build returns them; the census places sentinels
     # around the Kleetopes through sentinels_fraction alone
     tris = [helpers.random_tri(n, seed)[1] for n in range(4, 17) for seed in range(3)]
@@ -423,11 +424,16 @@ def test_integer_sentinels_match_the_fraction_placement():
     tris += [helpers.fan_tri(n, 0) for n in range(4, 16)]
     for t in tris:
         _assert_sentinels_match_fraction_placement(t)
-    # build of the union never keeps a Kleetope's faces, so every candidate
-    # is rejected
+    # build of the union never keeps a Kleetope's faces, so a Kleetope is
+    # refused before any build, naming verify_delaunay's counterexample
+    builds = []
+    monkeypatch.setattr(structure, "build", builds.append)
     for t in (helpers.kleetope(), helpers.kleetope_even()):
-        with pytest.raises(ConstructionFailed, match="64 attempts"):
+        bad = verify_delaunay(t)
+        message = f"tri is not Delaunay: face {bad.triangle} holds vertex {bad.vertex}"
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
             sentinel_augment(t, t.hull[:1])
+        assert builds == []
 
 
 @given(helpers.rescaled_sets())
