@@ -318,23 +318,12 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
     report: dict = {"command": "render"}
     points = pointfile.read_points(args.file)
     blockers = pointfile.read_points(args.blockers) if args.blockers else ()
-    limit = max(MIS_GATE, args.max_n or 0)
+    tri = build(points + blockers)
     hollow: frozenset[int] = frozenset()
-    sentinel_triangle = None
-    if args.audit:  # the input with its sentinels; blockers are not drawn
-        base = build(points)
-        _, hollow = structure.max_independent_set(base, max_n=limit)
-        aug = structure.sentinel_augment(base, frozenset(range(len(base))) - hollow)
-        tri, blockers = aug.tri, ()
-        sentinel_triangle = (aug.anchor, len(base), len(base) + 1)
-    else:
-        tri = build(points + blockers)
-        if args.mis:
-            _, hollow = structure.max_independent_set(tri, max_n=limit)
+    if args.mis:
+        _, hollow = structure.max_independent_set(tri, max_n=max(MIS_GATE, args.max_n or 0))
     disks = [witness_disk(tri, u, v) for u, v in tri.edges] if args.witness_disks else []
-    doc = render.render_svg(
-        tri, hollow=hollow, witness_disks=disks, blockers=blockers, sentinel_triangle=sentinel_triangle
-    )
+    doc = render.render_svg(tri, hollow=hollow, witness_disks=disks, blockers=blockers)
     Path(args.svg).write_text(doc, encoding="utf-8")
     report["svg"] = args.svg
     report["bytes"] = len(doc.encode("utf-8"))
@@ -403,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--blockers", default=None)
     p_render.add_argument("--mis", action="store_true", help="hollow a maximum independent set")
     p_render.add_argument("--witness-disks", action="store_true")
-    p_render.add_argument("--audit", action="store_true", help="sentinel overlay")
     p_render.add_argument("--max-n", type=int, default=None)
     return parser
 

@@ -70,8 +70,9 @@ class WitnessSearchFailed(InvariantBroken):
 
 class ConstructionFailed(DToughError):
     """A construction or search loop hit its attempt cap: every attempt
-    failed its accept test. ``gen`` and the sentinel search give up this
-    way; the CLI maps it to bad input (exit 2)."""
+    failed its accept test. ``gen`` is the only command that gives up this
+    way, and the CLI maps it to bad input (exit 2); in the library the
+    sentinel search does too."""
 
 
 class PointFileError(DToughError):

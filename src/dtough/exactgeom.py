@@ -28,17 +28,15 @@ on a copy, given only the copy's factor, in one place (``circle_of``), so
 every in-disk test is the sign of ``power`` too (``diskpath``,
 ``is_witness_disk``), and one formula on two circles answers their
 tangency and disjointness (``_circle_pair``). Only disk centers and the
-sentinels of ``render --audit`` are built in ``Fraction``.
+sentinels of ``structure.sentinel_augment`` are built in ``Fraction``.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay.build`` runs it only to name the violation
 when its local tests fail, and ``cli``'s ``hypothesis`` check, ``gen`` and
 ``blocking.disjoint_disk_instance`` run it themselves. It walks the pencil
-of circles through each pair (a, b) of points with b at or above a start
-index: O(n^3) from 0, O(k n^2) for the tuples that hold one of k added
-points (``general_position_added``). One bisector row per pair finds every
-collinear triple and cocircular quadruple whose least and greatest index
-the pair is (``_bisector_row``).
+of circles through each pair (a, b) of points, O(n^3) in all: one bisector
+row per pair finds every collinear triple and cocircular quadruple whose
+least and greatest index the pair is (``_bisector_row``).
 
 The module holds predicates, circles and the certificate; the pencil scan
 that wraps faces and finds witness disks is ``delaunay``'s.
@@ -386,27 +384,26 @@ def _bisector_row(pts: Sequence[Point], a: int, b: int, members: Sequence[int]) 
     return Violation(ViolationKind.COCIRCULAR, tuple(sorted((a, b) + best)))
 
 
-def _least_violation(points: Sequence[Point], start: int) -> Optional[Violation]:
-    """The least violation among the tuples whose greatest index is at least
-    ``start``: the first point from ``start`` on that repeats an earlier one,
-    else the least collinear triple, else the least cocircular quadruple.
+def _least_violation(points: Sequence[Point]) -> Optional[Violation]:
+    """The least violation of the points: the first point that repeats an
+    earlier one, else the least collinear triple, else the least cocircular
+    quadruple.
 
     Each tuple is scanned once, in the bisector row of its least index a and
-    greatest index b >= start over a < k < b: O(n^3) from 0, O(k n^2) for
-    the last k points. The rows come in blocks by a, and the first block
-    with a collinear triple holds the least one.
+    greatest index b over a < k < b, O(n^3) in all. The rows come in blocks
+    by a, and the first block with a collinear triple holds the least one.
     """
     n = len(points)
     q = integer_copy(points)[1]
     seen: dict[Point, int] = {}
     for i, p in enumerate(q):  # ints hash faster than Fractions
-        if p in seen and i >= start:
+        if p in seen:
             return Violation(ViolationKind.DUPLICATE, (seen[p], i))
-        seen.setdefault(p, i)
+        seen[p] = i
     collinear: list[tuple[int, ...]] = []
     cocircular: list[tuple[int, ...]] = []
     for a in range(n):
-        for b in range(max(start, a + 2), n):
+        for b in range(a + 2, n):
             hit = _bisector_row(q, a, b, range(a + 1, b))
             if hit is not None:
                 (collinear if hit.kind is ViolationKind.COLLINEAR else cocircular).append(hit.indices)
@@ -422,17 +419,16 @@ def general_position(points: Sequence[Point]) -> Optional[Violation]:
     lexicographically least collinear triple, else the least cocircular
     quadruple.
 
-    O(n^3) on lcm-scaled integer coordinates (``_least_violation`` from 0),
-    equal to the naive O(n^4) scan that the tests keep as an oracle.
+    O(n^3) on lcm-scaled integer coordinates (``_least_violation``), equal
+    to the naive O(n^4) scan that the tests keep as an oracle.
     """
-    return _least_violation(points, 0)
+    return _least_violation(points)
 
 
 def general_position_added(base: Sequence[Point], added: Sequence[Point]) -> Optional[Violation]:
-    """``general_position(base + added)`` when base alone passes, scanning
-    only the tuples whose greatest index is an added point
-    (``_least_violation`` from ``len(base)``), O(k n^2) for k added points.
-    ``delaunay.build`` certifies its whole copy instead; the tests'
-    extension oracle calls this.
+    """``general_position(base + added)``, the least violation of the union,
+    which is the least one among the tuples that hold an added point
+    whenever base alone passes. Kept under its own name for the bench
+    tracer; the tests' extension oracle calls it.
     """
-    return _least_violation(list(base) + list(added), len(base))
+    return _least_violation(list(base) + list(added))

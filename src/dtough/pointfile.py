@@ -1,6 +1,7 @@
 """The plain-text point file format.
 
-One point per line as ``x y``. Coordinates are decimal literals (parsed
+One point per line as ``x y``, where only a newline ends a line, as in
+``read_points``' UTF-8 error. Coordinates are decimal literals (parsed
 exactly: ``0.25`` is 1/4) or fractions ``a/b``. ``#`` starts a comment,
 blank lines are skipped, duplicates are rejected at load. A canonical
 field is read with ``int``, any other by ``exactgeom.coord``, which
@@ -28,7 +29,7 @@ _CANONICAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # as emitted; 1/0 g
 def parse_points(text: str) -> tuple[Point, ...]:
     points: list[Point] = []
     seen: dict[tuple[int, int, int, int], int] = {}  # hashing a Fraction takes a modular inverse
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

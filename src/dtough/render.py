@@ -50,7 +50,6 @@ def render_svg(
     path: Sequence[int] = (),
     extra_disk: Optional[Disk] = None,
     blockers: Sequence[Point] = (),
-    sentinel_triangle: Optional[tuple[int, int, int]] = None,
 ) -> str:
     """Compose one SVG document. ``hollow`` vertices render unfilled,
     boundary edges bold, blockers as crosses, disks as thin circles."""
@@ -71,11 +70,6 @@ def render_svg(
             f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def chain(tag: str, indices: Sequence[int], style: str) -> str:
-        corners = (frame.to(tri.vertices[i]) for i in indices)
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
-        return f'<{tag} points="{pts}" fill="none" {style}/>'
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(frame.width)}" '
@@ -93,11 +87,10 @@ def render_svg(
         width = 2.4 if len(tri.opposite_vertices(u, v)) == 1 else 0.9
         ends = (*frame.to(tri.vertices[u]), *frame.to(tri.vertices[v]))
         parts.append(line(*ends, "black", width))
-    if sentinel_triangle is not None:
-        dashed = 'stroke="#d62728" stroke-width="1.0" stroke-dasharray="6,4"'
-        parts.append(chain("polygon", sentinel_triangle, dashed))
     if path:
-        parts.append(chain("polyline", path, 'stroke="#2ca02c" stroke-width="3.0"'))
+        corners = (frame.to(tri.vertices[i]) for i in path)
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="3.0"/>')
     for i, p in enumerate(tri.vertices):
         x, y = frame.to(p)
         if i in hollow:

@@ -24,10 +24,11 @@ Delaunay (``delaunay.edge_angle_check``), always at a hull edge, and at an
 edge to infinity exactly when the hull turns strictly left at its vertex.
 
 ``sentinel_augment`` encloses T in a triangle of two far points and one
-hull vertex, for ``render --audit``'s overlay. The sentinels are placed in
-closed form and verified by ``build`` of T's vertices plus the sentinels; a
-rejected placement doubles its reach, and 64 rejections raise
-``ConstructionFailed``.
+hull vertex, the placement of the sentinel census that the ledger replaced.
+No command calls it; it stays only because ``bench/tracing.py`` spans it by
+name. The sentinels are placed in closed form and verified by ``build`` of
+T's vertices plus the sentinels; a rejected placement doubles its reach,
+and 64 rejections raise ``ConstructionFailed``.
 """
 
 from __future__ import annotations
@@ -353,7 +354,9 @@ class SentinelAugmentation(NamedTuple):
 
 def sentinel_augment(tri: Triangulation, removed: Iterable[int]) -> SentinelAugmentation:
     """Add two verified sentinel points enclosing tri, a triangulation as
-    ``build`` returns it, which ``verify_delaunay`` checks first.
+    ``build`` returns it, which ``verify_delaunay`` checks first. No command
+    calls it: it is kept only for ``bench/tracing.py``, which spans it by
+    name.
 
     Let A and B be the vectors from the anchor u to its two hull neighbours.
     The interior angle at u is below a straight angle, so every vertex lies

@@ -235,9 +235,9 @@ def extension(tri, added):
     (``edge_angle_check``). On tri as ``build`` returns it, that is ``build``
     of the union; on the Kleetopes, which no ``build`` returns, it keeps
     their faces for the sentinel census. A failed step raises
-    ``DegenerateInput`` with the least violation among the tuples that hold
-    an added point (``exactgeom.general_position_added``), or
-    ``InvariantBroken`` when there is none."""
+    ``DegenerateInput`` with the union's least violation
+    (``exactgeom.general_position_added``), or ``InvariantBroken`` when
+    there is none."""
     pts = tuple(tri.vertices) + tuple(added)
     kept = [
         f for f in tri.triangles
@@ -1200,7 +1200,7 @@ def parse_points_naive(text: str) -> tuple[Point, ...]:
     ``exactgeom.coord`` and duplicates keyed on the ``Point``."""
     points: list[Point] = []
     seen: dict[Point, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

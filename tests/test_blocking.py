@@ -50,9 +50,9 @@ def test_union_is_scanned_once(monkeypatch):
     real = exactgeom._least_violation
     build = blocking.build
 
-    def counting(points, start):
+    def counting(points):
         scans.append(len(points))
-        return real(points, start)
+        return real(points)
 
     def counting_build(points):
         built.append(len(points))
@@ -105,9 +105,9 @@ def test_constructions_scan_each_point_set_once(monkeypatch):
     scanned = []
     real = exactgeom._least_violation
 
-    def recording(points, start):
+    def recording(points):
         scanned.append(tuple(points))
-        return real(points, start)
+        return real(points)
 
     monkeypatch.setattr(exactgeom, "_least_violation", recording)
     fan_instance(7, 2)

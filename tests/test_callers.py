@@ -10,24 +10,37 @@ package module name, such as ``structure.max_independent_set``. The package
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dtough"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dtough"
+TRACING = ROOT / "bench" / "tracing.py"
 
 # Public entry points with no caller in the package by design.
-ENTRY_POINTS = {
+PUBLIC_ENTRY_POINTS = {
     "from_triangles",  # non-Delaunay triangulations for the non-vacuity tests
-    # bench/tracing.py counts its calls by this name; every in-circle
-    # question about a triangulation reads Triangulation.circle instead
-    "in_circle",
-    # bench/tracing.py spans it by this name; the audit reads the angle
-    # ledger instead, and only the sentinel census oracle walks faces
-    "planar_faces",
-    # bench/tracing.py spans it by this name; build certifies the whole
-    # copy when it fails, and only the tests' extension oracle scans the
-    # tuples that hold an added point
-    "general_position_added",
 }
+
+# Names with no caller in the package that stay only because
+# bench/tracing.py traces them by name; each goes once the bench stops
+# naming it (test_every_bench_named_exemption_is_traced).
+BENCH_NAMED = {
+    # every in-circle question about a triangulation reads
+    # Triangulation.circle instead
+    "in_circle",
+    # the audit reads the angle ledger instead, and only the sentinel
+    # census oracle walks faces
+    "planar_faces",
+    # build certifies the whole copy when it fails, and only the tests'
+    # extension oracle asks for the least violation of a union by this name
+    "general_position_added",
+    # no command draws or reads the sentinels since the angle ledger
+    # replaced their census
+    "sentinel_augment",
+}
+
+ENTRY_POINTS = PUBLIC_ENTRY_POINTS | BENCH_NAMED
 
 
 def _uncalled(src: Path) -> list[str]:
@@ -77,3 +90,13 @@ def test_the_guard_sees_an_orphan(tmp_path):
     (tmp_path / "b.py").write_text("from . import a\n\na.Box\na.sized((1, 2))\n")
     (tmp_path / "__init__.py").write_text("from .a import orphan, Stale\n")
     assert _uncalled(tmp_path) == ["a.orphan", "a.Stale"]
+
+
+def test_every_bench_named_exemption_is_traced():
+    # the tracer module is loaded by path and only read, as
+    # test_tracing_names loads it
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {f for table in (tracing.SPANNED, tracing.COUNTED) for fs in table.values() for f in fs}
+    assert BENCH_NAMED - traced == set()

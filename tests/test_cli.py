@@ -1,3 +1,4 @@
+import argparse
 import functools
 import io
 import json
@@ -46,6 +47,26 @@ def test_pointfile_errors_carry_line_numbers():
     with pytest.raises(PointFileError) as exc:
         parse_points("1 2 3\n")
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_pointfile_lines_end_at_newlines_only(tmp_path, sep):
+    # str.splitlines breaks at each sep too; the UTF-8 error counts "\n"
+    # only, so the parser must, and two pairs around sep are one line
+    for parse in (parse_points, helpers.parse_points_naive):
+        with pytest.raises(PointFileError) as exc:
+            parse(f"0 0{sep}bad 1\n")
+        assert exc.value.line_no == 1 and "got 4 field(s)" in str(exc.value)
+    f = tmp_path / "pts.txt"
+    f.write_bytes(f"0 0{sep}1 1\n2 2\n".encode() + b"\xff\n")
+    with pytest.raises(PointFileError) as exc:
+        pointfile.read_points(f)
+    assert exc.value.line_no == 3 and "UTF-8" in str(exc.value)
+    f.write_bytes(f"0 0{sep}1 1\n1 2 3\n".encode())
+    with pytest.raises(PointFileError) as exc:
+        pointfile.read_points(f)
+    assert exc.value.line_no == 1
+    assert parse_points("0 0\r\n1 1\r\n") == (point(0, 0), point(1, 1))
 
 
 # Point-file fields: canonical ints and fractions as gen writes them, with
@@ -122,6 +143,29 @@ def test_non_utf8_point_files_are_input_errors(tmp_path):
     ):
         code, out = helpers.run_cli(argv)
         assert code == 2 and "UTF-8" in json.loads(out)["error"], argv
+
+
+def _readme_usage() -> dict[str, set[str]]:
+    """The options each subcommand's line of README's ``## CLI`` usage block
+    names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    usage = {}
+    for line in block.strip().splitlines():
+        _, command, *tokens = line.split()
+        assert command not in usage, command
+        usage[command] = {t.strip("[]") for t in tokens if t.strip("[]").startswith("--")}
+    return usage
+
+
+def test_readme_usage_lists_each_parsers_options():
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, sub in commands.choices.items()
+    }
+    assert _readme_usage() == accepted
 
 
 def test_parser_is_built_once_and_reused(tmp_path):
@@ -806,20 +850,24 @@ def test_render_deterministic(tmp_path):
     assert body.count("<circle") > 9  # witness disks present
 
 
-def test_render_audit_overlay(tmp_path):
+def test_render_audit_overlay(tmp_path, capsys):
+    # render takes no --audit option: a usage error, and no SVG is written
     f = tmp_path / "pts.txt"
     _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
     f.write_text(stdout)
     svg = tmp_path / "audit.svg"
-    code, _ = helpers.run_cli(["render", str(f), "--svg", str(svg), "--audit"])
-    assert code == 0
-    assert "stroke-dasharray" in svg.read_text()  # sentinel triangle drawn
+    code, out = helpers.run_cli(["render", str(f), "--svg", str(svg), "--audit"])
+    report = json.loads(out)
+    report.pop("timing_ms")
+    assert code == 2
+    assert report == {"command": "render", "error": "unrecognized arguments: --audit"}
+    assert not svg.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_render_audit_builds_input_once(tmp_path, monkeypatch):
-    f = tmp_path / "pts.txt"
-    _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
-    f.write_text(stdout)
+    # render draws build(points + blockers), built once through cli.build,
+    # with or without --mis; no sentinel search builds through structure.build
     sizes = []
     unions = []
 
@@ -831,36 +879,26 @@ def test_render_audit_builds_input_once(tmp_path, monkeypatch):
         unions.append(len(points))
         return delaunay.build(points)
 
-    # cli.build builds the input, and the sentinel search builds the input
-    # with its sentinels through structure.build
     monkeypatch.setattr(cli, "build", counting)
     monkeypatch.setattr(structure, "build", counting_union)
-    code, _ = helpers.run_cli(["render", str(f), "--svg", str(tmp_path / "a.svg"), "--audit"])
-    assert code == 0
-    assert sizes == [7]  # the input
-    assert unions == [9]  # the input with two sentinels
-
-    # blockers are not drawn on the audit overlay, so their union is not built
     fan = tmp_path / "fan8.txt"
     helpers.run_cli(["gen", "fan", "8", "--seed", "1", "--out", str(fan)])
-    n = len(pointfile.read_points(fan))
-    svgs = [tmp_path / "plain.svg", tmp_path / "blockers.svg"]
-    sizes.clear()
-    unions.clear()
-    code, _ = helpers.run_cli(["render", str(fan), "--svg", str(svgs[0]), "--audit"])
-    assert code == 0
-    argv = ["render", str(fan), "--svg", str(svgs[1]), "--audit", "--blockers", f"{fan}.blockers"]
-    code, _ = helpers.run_cli(argv)
-    assert code == 0
-    assert sizes == [n, n] and unions == [n + 2, n + 2]
-    assert svgs[0].read_bytes() == svgs[1].read_bytes()
+    n, k = len(pointfile.read_points(fan)), len(pointfile.read_points(f"{fan}.blockers"))
+    svg = str(tmp_path / "a.svg")
+    for mis in ((), ("--mis",)):
+        for blockers, drawn in (((), n), (("--blockers", f"{fan}.blockers"), n + k)):
+            sizes.clear()
+            code, _ = helpers.run_cli(["render", str(fan), "--svg", svg, *mis, *blockers])
+            assert code == 0
+            assert sizes == [drawn]
+    assert unions == []
 
 
 def test_render_refusals_come_from_the_library(tmp_path, monkeypatch, capsys):
     f = tmp_path / "r31.txt"
     helpers.run_cli(["gen", "random", "31", "--seed", "1", "--out", str(f)])
     svg = str(tmp_path / "r.svg")
-    for overlay in ("--mis", "--audit"):
+    for overlay in ("--mis",):
         code, out = helpers.run_cli(["render", str(f), "--svg", svg, overlay])
         assert code == 3
         assert json.loads(out)["error"] == "independent set search on 31 > 30 vertices refused"
@@ -977,9 +1015,9 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
     scans = []
     real = exactgeom._least_violation
 
-    def counting(points, start):
-        scans.append((len(points), start))
-        return real(points, start)
+    def counting(points):
+        scans.append(len(points))
+        return real(points)
 
     monkeypatch.setattr(exactgeom, "_least_violation", counting)
     t = delaunay.build(pts)
@@ -987,7 +1025,7 @@ def test_the_certificate_runs_only_where_a_proof_needs_it(tmp_path, monkeypatch)
     structure.sentinel_augment(t, t.hull[:1])
     assert scans == []  # a build of the union that passes its local tests
     code, _ = helpers.run_cli(["check", str(f)])
-    assert code == 0 and scans == [(12, 0)]  # the hypothesis check's one scan
+    assert code == 0 and scans == [12]  # the hypothesis check's one scan
     scans.clear()
     code, _ = helpers.run_cli(["check", str(f), "--checks", "delaunay,mis,matching,audit"])
     assert code == 0 and scans == []
@@ -1127,9 +1165,9 @@ def test_block_scans_the_union_once(tmp_path, monkeypatch):
     scans = []
     real = exactgeom._least_violation
 
-    def counting(points, start):
+    def counting(points):
         scans.append(len(points))
-        return real(points, start)
+        return real(points)
 
     monkeypatch.setattr(exactgeom, "_least_violation", counting)
     built = []

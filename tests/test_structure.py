@@ -326,9 +326,9 @@ def test_sentinel_candidate_is_not_certified(monkeypatch):
     scans = []
     real = exactgeom._least_violation
 
-    def counting(pts, start):
+    def counting(pts):
         scans.append(len(pts))
-        return real(pts, start)
+        return real(pts)
 
     monkeypatch.setattr(exactgeom, "_least_violation", counting)
     _, t = helpers.random_tri(10, 3)
