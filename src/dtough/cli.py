@@ -6,8 +6,11 @@ Verdict reports are JSON on stdout with exact rationals serialized as
 requested verdict affirms, 1 a verified invariant failed (a falsification
 alarm), 2 bad input (unparsable, degenerate, a usage error, an unwritable
 output file or a closed stdout) or a construction that gave up, 3 a size
-gate refused an exhaustive search (raise it with --max-n) or a command ran
-out of memory.
+gate refused an exhaustive search (raise it with --max-n), the matching
+search ran past its budget of dead states (``structure.MATCHING_BUDGET``,
+which no option raises) or a command ran out of memory. ``render --max-n``
+raises only the ``--mis`` search's gate, so without ``--mis`` it is a usage
+error.
 ``_exit_code`` maps every exception to its code and ``_worst`` merges the
 codes of checks, files and the path picture: an alarm outranks everything.
 
@@ -315,6 +318,8 @@ def _cmd_block(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_render(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.max_n is not None and not args.mis:  # it raises only the --mis search's gate
+        raise UsageError("argument --max-n: not allowed without --mis", "render")
     report: dict = {"command": "render"}
     points = pointfile.read_points(args.file)
     blockers = pointfile.read_points(args.blockers) if args.blockers else ()
@@ -392,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--blockers", default=None)
     p_render.add_argument("--mis", action="store_true", help="hollow a maximum independent set")
     p_render.add_argument("--witness-disks", action="store_true")
-    p_render.add_argument("--max-n", type=int, default=None)
+    p_render.add_argument("--max-n", type=int, default=None, help="raise the --mis search's gate; needs --mis")
     return parser
 
 

@@ -31,10 +31,12 @@ first loose edge's face and far apex are ``verify_delaunay``'s
 counterexample. A circle is a pure function of its face's three scaled
 vertices, up to a positive factor that no sign sees, so reading it makes no
 verifier depend on how the triangulation was built. ``witness_disk`` reads
-both ends of an edge's pencil gap with the wrap's scan and takes its center
-from inside the gap; only the center, an arbitrary rational, is built from
-the ``Fraction`` vertices, and the disk is verified as a circle on the
-scaled copy (``exactgeom.circle_of``).
+both ends of an edge's pencil gap with the wrap's scan, takes its pencil
+parameter from inside the gap as a ratio of integers, and builds the disk as
+a circle on the scaled copy, in ``int`` arithmetic alone; the circle is
+verified, and the ``Disk`` returned is read off it, never built from the
+``Fraction`` vertices, so ``exactgeom.circle_of`` gives the verified circle
+back.
 """
 
 from __future__ import annotations
@@ -56,14 +58,14 @@ from .exactgeom import (
     Disk,
     Orientation,
     Point,
-    circle_of,
     circle_through,
-    dist_sq,
     general_position,
     integer_copy,
     is_witness_disk,
     orient,
     power,
+    radius_sq_w2,
+    reduced,
 )
 
 
@@ -402,35 +404,45 @@ def witness_disk(tri: Triangulation, u: int, v: int) -> Disk:
     """A verified empty disk with exactly the edge's endpoints on its boundary.
 
     The center lies on the perpendicular bisector of the edge (a, b), a < b, at
-    a pencil parameter t inside its pencil gap, whose ends the wrap's scan
-    reads off a -> b and b -> a (``_left_apex``, on ``tri.scaled``; t does not
-    change with scale). With points on both sides of the edge, t is the
-    midpoint of the gap. A boundary edge has points on one side only: t steps
-    |t_apex|/2 away from the apex's t_apex, or 1/2 when t_apex = 0 (a right
-    angle at the apex). The disk is verified exactly against all vertices
-    before it is returned, as a circle on ``tri.scaled`` lifted with its factor
-    ``tri.scale`` (``exactgeom.circle_of``, ``exactgeom.is_witness_disk``). u
-    and v are vertex ids (``Triangulation.vertex_set``).
+    a + B/2 + t perp(B), with B = b - a and perp(B) = (-B.y, B.x), for a pencil
+    parameter t inside the pencil gap, whose ends the wrap's scan reads off
+    a -> b and b -> a (``_left_apex``, on ``tri.scaled``; t does not change
+    with scale). With points on both sides of the edge, t is the midpoint of
+    the gap. A boundary edge has points on one side only: t steps |t_apex|/2
+    away from the apex's t_apex, or 1/2 when t_apex = 0 (a right angle at the
+    apex). t is carried as integers tn / td, td > 0, and the disk is built
+    as a circle on ``tri.scaled`` through a: W = 2 td,
+    U = W a.x + td B.x - 2 tn B.y, V = W a.y + td B.y + 2 tn B.x and
+    K = 2 (U a.x + V a.y) - W |a|^2, reduced. It is verified exactly against
+    all vertices (``exactgeom.is_witness_disk``), and the ``Disk`` returned is
+    read off the verified circle: center (U, V) / (W L) and squared radius
+    ``radius_sq_w2`` / (W L)^2 for L = ``tri.scale``, so
+    ``exactgeom.circle_of`` gives that circle back. No ``Fraction`` arithmetic
+    runs. u and v are vertex ids (``Triangulation.vertex_set``).
     """
     tri.vertex_set((u, v))
     if not tri.is_edge(u, v):
         raise NotInteriorEdge(f"({u}, {v}) is not an edge")
     key = a, b = min(u, v), max(u, v)
-    xs, ys = [p.x for p in tri.scaled], [p.y for p in tri.scaled]
+    pts = tri.scaled
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
     left, right = _left_apex(xs, ys, a, b), _left_apex(xs, ys, b, a)
-    t_left = left and Fraction(left[0], 2 * left[1])
-    t_right = right and Fraction(-right[0], 2 * right[1])  # b -> a's t is -t
-    if left and right:
-        if t_right >= t_left:
+    if left and right:  # t_left = ln / 2ld and t_right = -rn / 2rd: b -> a's t is -t
+        ln, ld, _ = left
+        rn, rd, _ = right
+        if -rn * ld >= ln * rd:
             raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")
-        t = (t_left + t_right) / 2
-    else:
-        t_apex, away = (t_left, -1) if left else (t_right, 1)
-        t = t_apex + away * (abs(t_apex) / 2 or Fraction(1, 2))
-    pu, pv = tri.vertices[a], tri.vertices[b]
-    bx, by = pv.x - pu.x, pv.y - pu.y
-    center = Point(pu.x + bx / 2 - t * by, pu.y + by / 2 + t * bx)
-    d = Disk(center, dist_sq(center, pu))
-    if not is_witness_disk(tri.scaled, circle_of(d, tri.scale), a, b):
+        tn, td = ln * rd - rn * ld, 4 * ld * rd
+    else:  # one side only, t_apex = num / 2den
+        num, den, away = (left[0], left[1], -1) if left else (-right[0], right[1], 1)
+        tn, td = (2 * num + away * abs(num), 4 * den) if num else (away, 2)
+    ax, ay = pts[a]
+    bx, by = pts[b].x - ax, pts[b].y - ay
+    w = 2 * td
+    cu = w * ax + td * bx - 2 * tn * by
+    cv = w * ay + td * by + 2 * tn * bx
+    c = reduced((w, cu, cv, 2 * (cu * ax + cv * ay) - w * (ax * ax + ay * ay)))
+    if not is_witness_disk(pts, c, a, b):
         raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
-    return d
+    wl = c[0] * tri.scale
+    return Disk(Point(Fraction(c[1], wl), Fraction(c[2], wl)), Fraction(radius_sq_w2(c), wl * wl))

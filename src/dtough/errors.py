@@ -40,7 +40,8 @@ class NotInteriorEdge(DToughError):
 
 
 class TooLarge(DToughError):
-    """Instance exceeds the documented size gate for an exhaustive scan."""
+    """Instance exceeds the documented size gate for an exhaustive scan, or
+    the matching search exhausted its budget of dead states."""
 
 
 class NotIndependent(DToughError):

@@ -24,11 +24,15 @@ L of its denominators: the answers are the same, the arithmetic is plain
 that lcm; a triangulation keeps its copy as ``Triangulation.scaled`` and L
 as ``Triangulation.scale``. The certificate accepts that copy in place of
 the points, so a build scales its points once. A ``Disk`` becomes a circle
-on a copy, given only the copy's factor, in one place (``circle_of``), so
-every in-disk test is the sign of ``power`` too (``diskpath``,
-``is_witness_disk``), and one formula on two circles answers their
-tangency and disjointness (``_circle_pair``). Only disk centers and the
-sentinels of ``structure.sentinel_augment`` are built in ``Fraction``.
+on a copy, given only the copy's factor, in one place (``circle_of``), from
+the integer numerators and denominators of its center and squared radius
+with no ``Fraction`` arithmetic, so every in-disk test is the sign of
+``power`` too (``diskpath``, ``is_witness_disk``), and one formula on two
+circles answers their tangency and disjointness (``_circle_pair``).
+``delaunay.witness_disk`` builds its circle on the copy itself and reads
+its ``Disk`` off it. Only the disks of ``blocking.disjoint_disk_instance``
+and the sentinels of ``structure.sentinel_augment`` are built in
+``Fraction`` arithmetic.
 
 The certificate (``general_position``) is the paper's hypothesis, not a
 step of building T: ``delaunay.build`` runs it only to name the violation
@@ -269,14 +273,26 @@ def reduced(c: Circle) -> Circle:
 def circle_of(d: Disk, scale: int) -> Circle:
     """The disk d as a circle on a point set's integer copy, given the
     copy's factor L (``integer_copy``, ``Triangulation.scale``): the power
-    |X - L c|^2 - L^2 r^2 times the lcm of its coefficients' denominators,
-    reduced. Its ``power`` at the copy of a point is negative inside d, zero
-    on its boundary and positive outside. O(1): no point is read."""
-    _exact((*d.center, d.radius_sq))
-    cx, cy = scale * d.center.x, scale * d.center.y
-    k = cx * cx + cy * cy - scale * scale * d.radius_sq
-    w = math.lcm(cx.denominator, cy.denominator, k.denominator)
-    return reduced((w, *(f.numerator * (w // f.denominator) for f in (cx, cy, k))))
+    |X - L c|^2 - L^2 r^2 times a positive integer that clears its
+    denominators, reduced. Its ``power`` at the copy of a point is negative
+    inside d, zero on its boundary and positive outside. O(1): no point is
+    read.
+
+    Only the integer parts of the center (xn/xd, yn/yd) and of r^2 (rn/rd)
+    enter, so no ``Fraction`` arithmetic runs: with W = lcm(xd^2, yd^2, rd),
+    U = L xn (W/xd), V = L yn (W/yd) and
+    K = L^2 (xn^2 (W/xd^2) + yn^2 (W/yd^2) - rn (W/rd)), the circle is
+    (W, U, V, K) divided by the gcd of the four, the one primitive integer
+    circle with W > 0 through the same points.
+    """
+    (x, y), r2 = d
+    _exact((x, y, r2))
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    rn, rd = r2.numerator, r2.denominator
+    xd2, yd2 = xd * xd, yd * yd
+    w = math.lcm(xd2, yd2, rd)
+    k = scale * scale * (xn * xn * (w // xd2) + yn * yn * (w // yd2) - rn * (w // rd))
+    return reduced((w, scale * xn * (w // xd), scale * yn * (w // yd), k))
 
 
 def is_witness_disk(points: Sequence[Point], c: Circle, i: int, j: int) -> bool:

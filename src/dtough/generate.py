@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .delaunay import build
-from .errors import ConstructionFailed, PreconditionViolated, TooFewPoints
+from .errors import ConstructionFailed, DegenerateInput, PreconditionViolated, TooFewPoints
 from .exactgeom import Point, arc_point, general_position
 
 GRID_BITS = 20  # random coordinates are k / 2**20 in [0, 1]
@@ -43,7 +43,9 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
 
     Directions come from the rational circle parameterization, radii carry a
     small rational jitter (to dodge cocircularity), and the jitter halves
-    until the triangulated hull uses all n points. The jitters are distinct,
+    until the triangulated hull uses all n points; the O(n^2) build that
+    counts the hull runs before the O(n^3) general-position certificate, so
+    a set rejected for its hull is never certified. The jitters are distinct,
     so n is at most ``MAX_CONVEX``; a larger n raises
     ``PreconditionViolated`` before any draw.
     """
@@ -60,7 +62,11 @@ def convex_points(n: int, seed: int = 0) -> tuple[Point, ...]:
             t = Fraction(-3) + Fraction(6) * Fraction(2 * i + 1, 2 * n)
             radius = 1 + jitter * rng.choice((-1, 1)) * Fraction(magnitudes[i], 1024)
             pts.append(arc_point(radius, t))
-        if general_position(pts) is None and len(build(pts).hull) == n:
+        try:
+            convex = len(build(pts).hull) == n
+        except DegenerateInput:  # no strict triangulation, so not in general position
+            convex = False
+        if convex and general_position(pts) is None:
             return tuple(pts)
         jitter /= 2
     raise ConstructionFailed(f"no convex-position sample after 64 attempts (n={n})")

@@ -82,6 +82,19 @@ def disk_classify_fraction(d: Disk, p: Point) -> Position:
     return Position.INTERIOR if gap < 0 else Position.EXTERIOR if gap > 0 else Position.BOUNDARY
 
 
+def circle_of_fraction(d: Disk, scale: int) -> tuple[int, int, int, int]:
+    """``exactgeom.circle_of(d, scale)`` in ``Fraction`` arithmetic: the
+    center and the constant term L^2 (|c|^2 - r^2) of the power
+    |X - L c|^2 - L^2 r^2 as ``Fraction``s, times the lcm of their three
+    denominators, divided by the gcd of the four coefficients."""
+    cx, cy = scale * Fraction(d.center.x), scale * Fraction(d.center.y)
+    k = cx * cx + cy * cy - scale * scale * Fraction(d.radius_sq)
+    w = math.lcm(cx.denominator, cy.denominator, k.denominator)
+    c = (w, *(int(f * w) for f in (cx, cy, k)))
+    g = math.gcd(*c)
+    return tuple(x // g for x in c)
+
+
 def _third(face, u, v) -> int:
     return next(w for w in face if w != u and w != v)
 
@@ -259,6 +272,25 @@ def extension(tri, added):
             raise DegenerateInput(violation) from None
         raise
     return grown
+
+
+def convex_points_oracle(n: int, seed: int) -> tuple[Point, ...]:
+    """``generate.convex_points(n, seed)`` with its accept test in the other
+    order: the general-position certificate first, then the hull of the
+    built set. The draws are the same, so the accepted set must be too."""
+    jitter = Fraction(1, 16)
+    for attempt in range(64):
+        rng = random.Random(f"convex-{n}-{seed}-{attempt}")
+        magnitudes = rng.sample(range(1, 513), n)
+        pts = []
+        for i in range(n):
+            t = Fraction(-3) + Fraction(6) * Fraction(2 * i + 1, 2 * n)
+            radius = 1 + jitter * rng.choice((-1, 1)) * Fraction(magnitudes[i], 1024)
+            pts.append(exactgeom.arc_point(radius, t))
+        if general_position(pts) is None and len(build(pts).hull) == n:
+            return tuple(pts)
+        jitter /= 2
+    raise ConstructionFailed(f"no convex-position sample after 64 attempts (n={n})")
 
 
 @lru_cache(maxsize=None)
@@ -621,6 +653,41 @@ def witness_disk_oracle(tri, u, v) -> Disk:
         ):
             return d
     raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
+
+
+def witness_disk_fraction(tri, u, v) -> Disk:
+    """The witness disk of edge (u, v) as ``delaunay.witness_disk`` built it
+    in ``Fraction`` arithmetic: the pencil gap of (a, b), a < b, two-sided
+    (``pencil_gap_naive`` on ``tri.scaled``), t its midpoint, or with one
+    side t_apex stepped |t_apex|/2 away from the apex, 1/2 when t_apex = 0,
+    the center pu + B/2 + t perp(B) on the rational vertices, the squared
+    radius ``dist_sq`` to pu, each vertex classified by
+    ``disk_classify_fraction``. What ``witness_disk`` returns must equal it,
+    ``Disk`` for ``Disk``."""
+    key = a, b = min(u, v), max(u, v)
+    if not tri.is_edge(u, v):
+        raise NotInteriorEdge(f"({u}, {v}) is not an edge")
+    gap = pencil_gap_naive([p.x for p in tri.scaled], [p.y for p in tri.scaled], a, b)
+    if gap is None:
+        raise WitnessSearchFailed(f"every circle through edge {key} holds a vertex")
+    left, right = gap
+    t_left = left and Fraction(left[0], 2 * left[1])
+    t_right = right and Fraction(right[0], 2 * right[1])
+    if left and right:
+        t = (t_left + t_right) / 2
+    else:
+        t_apex, away = (t_left, -1) if left else (t_right, 1)
+        t = t_apex + away * (abs(t_apex) / 2 or Fraction(1, 2))
+    pu, pv = tri.vertices[a], tri.vertices[b]
+    bx, by = pv.x - pu.x, pv.y - pu.y
+    center = Point(pu.x + bx / 2 - t * by, pu.y + by / 2 + t * bx)
+    d = Disk(center, dist_sq(center, pu))
+    if not all(
+        disk_classify_fraction(d, p) is (Position.BOUNDARY if i in key else Position.EXTERIOR)
+        for i, p in enumerate(tri.vertices)
+    ):
+        raise WitnessSearchFailed(f"no verified witness disk for edge {key}")
+    return d
 
 
 def surviving_pp_edge_oracle(p, b):

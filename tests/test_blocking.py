@@ -140,6 +140,28 @@ def test_generators_refuse_sizes_they_cannot_draw():
         fan_instance(258)
 
 
+def test_convex_points_certify_only_the_accepted_attempt(monkeypatch):
+    # gen convex 14 --seed 1 of the check-small bench draws convex_points(14,
+    # 129): 3 of its 4 attempts have 12 or 13 hull vertices and are rejected
+    # by the hull test, before the certificate
+    scanned = []
+    real = exactgeom._least_violation
+
+    def recording(points):
+        scanned.append(tuple(points))
+        return real(points)
+
+    monkeypatch.setattr(exactgeom, "_least_violation", recording)
+    pts = convex_points(14, 129)
+    assert scanned == [pts]
+
+
+def test_convex_points_accept_what_the_certificate_first_order_accepts():
+    for n in range(4, 25):
+        for seed in range(6):
+            assert convex_points(n, seed) == helpers.convex_points_oracle(n, seed)
+
+
 def test_fan_mis_is_half():
     inst = helpers.fan(10)
     size, _ = max_independent_set(build(inst.points))

@@ -582,6 +582,21 @@ def test_checks_out_of_memory_are_refused(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_matching_search_past_its_budget_is_refused(tmp_path, monkeypatch, capsys):
+    # gen random 10 --seed 1 records 7 dead states before its matching
+    f = tmp_path / "r10.txt"
+    helpers.run_cli(["gen", "random", "10", "--seed", "1", "--out", str(f)])
+    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,matching"])
+    assert code == 0 and json.loads(out)["verdicts"]["matching"]["exists"]
+    monkeypatch.setattr(structure, "MATCHING_BUDGET", 6)
+    code, out = helpers.run_cli(["check", str(f), "--checks", "delaunay,matching"])
+    assert code == 3
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["matching"] == {"refused": "matching search refused at its budget of 6 dead states"}
+    assert verdicts["delaunay"]["ok"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _doctored_matching(tri):
     raise InvariantBroken("doctored matching")
 
@@ -862,6 +877,26 @@ def test_render_audit_overlay(tmp_path, capsys):
     assert code == 2
     assert report == {"command": "render", "error": "unrecognized arguments: --audit"}
     assert not svg.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_render_max_n_needs_mis(tmp_path, capsys):
+    # --max-n raises the gate of the --mis search only: without --mis it is
+    # a usage error, read before the input, and no SVG is written
+    f = tmp_path / "pts.txt"
+    _, stdout = helpers.run_cli(["gen", "random", "7", "--seed", "2"])
+    f.write_text(stdout)
+    svg = tmp_path / "out.svg"
+    for extra in ((), ("--witness-disks",)):
+        for points in (str(f), str(tmp_path / "missing.txt")):
+            code, out = helpers.run_cli(["render", points, "--svg", str(svg), "--max-n", "40", *extra])
+            report = json.loads(out)
+            report.pop("timing_ms")
+            assert code == 2
+            assert report == {"command": "render", "error": "argument --max-n: not allowed without --mis"}
+            assert not svg.exists()
+    code, out = helpers.run_cli(["render", str(f), "--svg", str(svg), "--max-n", "40", "--mis"])
+    assert code == 0 and svg.exists()
     assert "Traceback" not in capsys.readouterr().err
 
 

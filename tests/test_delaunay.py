@@ -36,6 +36,7 @@ from dtough.exactgeom import (
     is_witness_disk,
     point,
 )
+from dtough.generate import convex_points
 
 import helpers
 
@@ -616,6 +617,33 @@ def test_witness_disks_match_candidate_oracle(candidates):
         d = witness_disk(t, u, v)
         assert d == helpers.witness_disk_oracle(t, u, v)
         assert is_witness_disk(t.scaled, circle_of(d, t.scale), u, v)
+
+
+def _assert_witness_disks_match_fraction_oracle(t: Triangulation) -> None:
+    # every edge, hull edges included: the disk read off the verified integer
+    # circle equals the one built from the Fraction vertices, and circle_of
+    # gives back a circle that certifies the edge
+    for u, v in t.edges:
+        d = witness_disk(t, u, v)
+        assert d == helpers.witness_disk_fraction(t, u, v)
+        assert is_witness_disk(t.scaled, circle_of(d, t.scale), u, v)
+
+
+def test_witness_disks_match_their_fraction_oracle():
+    sets = [helpers.random_tri(n, seed)[0] for n in (3, 5, 8, 11, 14) for seed in range(3)]
+    sets += [convex_points(n, seed) for n in (4, 7, 10, 14) for seed in range(2)]
+    for n in (4, 5, 8):
+        sets += [helpers.fan(n).points, helpers.fan(n).points + helpers.fan(n).blockers]
+    for pts in sets:
+        _assert_witness_disks_match_fraction_oracle(build(pts))
+
+
+@given(st.one_of(helpers.strict_grid_sets(), helpers.rescaled_sets()))
+def test_witness_disks_match_their_fraction_oracle_on_grid_and_rescaled_sets(pts):
+    # strict grid sets have right angles and cocircular points; rescaled
+    # sets have a large factor L
+    assume(len(pts) >= 3)
+    _assert_witness_disks_match_fraction_oracle(build(pts))
 
 
 def test_rejected_faces_are_an_invariant_alarm(monkeypatch):

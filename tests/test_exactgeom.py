@@ -164,6 +164,21 @@ def test_circle_of():
     assert circle_of(disk("1/3", 0, "1/4"), 2) == (9, 6, 0, -5)
 
 
+# rational disk coordinates: integers, small and wide fractions, either sign
+disk_coord = st.one_of(
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+
+
+@given(disk_coord, disk_coord, st.one_of(st.just(Fraction(0)), disk_coord.map(abs)), st.sampled_from([1, 6, 3 * 2**20]))
+def test_circle_of_matches_its_fraction_oracle(cx, cy, r2, scale):
+    # the lift reads only the integer parts of the center and the squared
+    # radius; the oracle computes the power's coefficients as Fractions
+    d = Disk(Point(cx, cy), r2)
+    assert circle_of(d, scale) == helpers.circle_of_fraction(d, scale)
+
+
 def test_disk_refuses_a_negative_squared_radius():
     with pytest.raises(ValueError, match="squared radius must be nonnegative"):
         disk(0, 0, -1)

@@ -270,6 +270,31 @@ def test_matching_flags_the_even_kleetope():
         perfect_matching(t)
 
 
+def test_matching_budget_refuses_the_even_kleetope(monkeypatch):
+    # the even Kleetope's search records 1,042 dead states before it ends
+    # in NoPerfectMatching; a budget below that refuses it instead
+    t = helpers.kleetope_even()
+    for budget in (0, 1041):
+        monkeypatch.setattr(structure, "MATCHING_BUDGET", budget)
+        with pytest.raises(TooLarge, match=f"matching search refused at its budget of {budget} dead states"):
+            perfect_matching(t)
+    monkeypatch.setattr(structure, "MATCHING_BUDGET", 1042)
+    with pytest.raises(NoPerfectMatching):
+        perfect_matching(t)
+
+
+def test_matching_budget_bounds_the_dead_states(monkeypatch):
+    # gen random 10 --seed 1 records 7 dead states before its matching: a
+    # budget of 7 finds it, one of 6 refuses
+    t = helpers.random_tri(10, 1)[1]
+    monkeypatch.setattr(structure, "MATCHING_BUDGET", 7)
+    m = perfect_matching(t)
+    assert m is not None and len(m) == 5
+    monkeypatch.setattr(structure, "MATCHING_BUDGET", 6)
+    with pytest.raises(TooLarge, match="budget of 6 dead states"):
+        perfect_matching(t)
+
+
 # ---------------------------------------------------------------------------
 # sentinels
 # ---------------------------------------------------------------------------
